@@ -245,7 +245,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-point records in axis order; failures recorded, not raised."""
+    """Per-point records in axis order; failures recorded, not raised.
+
+    Each record's meta maps a theory to its solver diagnostics: solver,
+    dim, basis (iterative solves), max_residual and non_finite.
+    """
 
     spec: SweepSpec
     points: tuple
@@ -302,10 +306,11 @@ def _sweep_point(spec: SweepSpec, series, value: float) -> dict:
                 )
             record["energies"][theory] = tuple(float(v) for v in s.eigenvalues)
             record["excitations"][theory] = tuple(float(v) for v in s.excitations)
-            keep = ("mode", "iterations", "non_finite")
-            record["meta"][theory] = {
-                key: s.metadata[key] for key in keep if key in s.metadata
-            }
+            keep = ("solver", "dim", "basis", "non_finite")
+            meta = {key: s.metadata[key] for key in keep if key in s.metadata}
+            if "residuals" in s.metadata:
+                meta["max_residual"] = float(np.max(s.metadata["residuals"]))
+            record["meta"][theory] = meta
         except Exception as exc:
             record["errors"][theory] = f"{type(exc).__name__}: {exc}"
     return record

@@ -795,12 +795,13 @@ def _validation_checks(cfg):
 
 def _cmd_validate(cfg, args, out: Path) -> int:
     """validate: run the oracle cross-checks and print pass/fail lines."""
-    failures = 0
+    total = failures = 0
     t0 = time.time()
     for name, ok, detail in _validation_checks(cfg):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        total += 1
         failures += 0 if ok else 1
-    print(f"{8 - failures}/8 checks passed in {time.time() - t0:.1f}s")
+    print(f"{total - failures}/{total} checks passed in {time.time() - t0:.1f}s")
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
@@ -904,12 +905,13 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, out)
+    except (NumericError, ResourceError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        _emit_error(exc, EXIT_NUMERIC)
+        return EXIT_NUMERIC
     except (ConfigurationError, ValueError) as exc:
         _emit_error(exc, EXIT_CONFIG)
         return EXIT_CONFIG
-    except (NumericError, ResourceError) as exc:
-        _emit_error(exc, EXIT_NUMERIC)
-        return EXIT_NUMERIC
 
 
 def run(command: str, config, out=".", **options) -> int:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-Maps onto the CLI exit codes: ConfigurationError -> 1, NumericError -> 2;
-the cli validate command reports its own failures with exit code 3.
+Maps onto the CLI exit codes: ConfigurationError -> 1; NumericError,
+ResourceError and numpy's LinAlgError -> 2; the cli validate command
+reports its own failures with exit code 3.
 Plain ValueError is used for local domain violations (e.g. beta >= 1).
 """
 

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import jv
 
+from .errors import NumericError
+
 __all__ = [
     "FourierSeries",
     "bessel_j",
@@ -93,7 +95,8 @@ def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):
         chi = chi - np.where(active, step, 0.0)
     else:
         resid = np.max(np.abs(chi - phi - beta * np.sin(chi)))
-        raise RuntimeError(f"kepler_solve did not converge: residual {resid:.3e}")
+        raise NumericError(f"kepler_solve did not converge: residual {resid:.3e}",
+                           {"residual": float(resid), "iterations": max_iter})
     return chi if phi_in.ndim else float(chi[0])
 
 
@@ -183,7 +186,8 @@ def g_coeff(mu: int, beta: float, tiny: float = 1e-16, max_terms: int = 100000) 
         if abs(t) < tiny and abs(t) <= prev:
             return total
         prev = abs(t)
-    raise RuntimeError(f"g_coeff sum did not terminate for mu={mu}, beta={beta}")
+    raise NumericError(f"g_coeff sum did not terminate for mu={mu}, beta={beta}",
+                       {"mu": mu, "beta": beta, "terms": max_terms})
 
 
 def _check_series_args(beta: float, nu_max: int) -> None:

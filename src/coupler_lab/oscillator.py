@@ -18,6 +18,12 @@ for j <= k, X = a + a^dag, with the j > k entry equal by symmetry.
 These matrices are complex symmetric, so the Hermitian pairing above
 is elementwise conjugation; applying a paired term to a real vector
 costs one tensor contraction and a real part.
+
+The dense matrix (for problems up to DENSE_DIM_LIMIT states) is built
+from the same factors, not by applying the operator to identity
+columns: all terms go through one real matrix product of stacked
+leading-mode and last-mode factors (see TensorOperator.to_dense),
+chunked so the build holds under three size x size float matrices.
 """
 
 from __future__ import annotations
@@ -159,9 +165,6 @@ class NormalModeSystem:
     def n_modes(self) -> int:
         return len(self.freqs)
 
-    def with_dims(self, dims) -> "NormalModeSystem":
-        return NormalModeSystem(self.freqs, self.displacements, self.amplitudes, tuple(dims))
-
 
 def normal_modes(system, dims=None) -> NormalModeSystem:
     """Normal-mode decomposition of the circuit's quadratic part.
@@ -259,17 +262,57 @@ class TensorOperator:
         return out.reshape(self.size) if single else out.reshape(self.size, -1)
 
     def to_dense(self) -> np.ndarray:
+        """Dense (size, size) real matrix built directly from the factors.
+
+        A single-mode operator is diag + sum_t 2 Re(c_t U_t), summed in
+        term order.  With more modes, split the space as P x d (all
+        modes but the last, then the last): term t contributes
+        2 Re(A_t (x) B_t) with A_t = c_t U_t1 (x) ... (the P x P leading
+        factor) and B_t its d x d last factor.  Stacking the flattened
+        A_t as rows (real part, then minus the imaginary part) and B_t
+        likewise (real, imaginary) turns the whole sum into one real
+        product stack_A^T stack_B of shape (P^2, d^2), which reshapes
+        (P, P, d, d) -> (P, d, P, d) into the matrix.  The stacks are
+        built in chunks of at most half a size x size float matrix, and
+        each chunk's product is added into the output in place, so the
+        peak is the output, one product buffer and one chunk: under
+        three size x size float matrices.
+        """
         if self.size > DENSE_DIM_LIMIT:
             raise ResourceError(
                 f"dense materialization of a {self.size}-dim operator exceeds the"
                 f" {DENSE_DIM_LIMIT}-dim limit"
             )
-        out = np.empty((self.size, self.size))
-        block = 512
-        eye = np.eye(self.size)
-        for lo in range(0, self.size, block):
-            hi = min(lo + block, self.size)
-            out[:, lo:hi] = self.matvec(eye[:, lo:hi])
+        if len(self.dims) == 1:
+            out = np.diag(self.diag)
+            for c, (u,) in self.terms:
+                out = out + 2.0 * np.real(c * u)
+            return out
+        d = self.dims[-1]
+        p = self.size // d
+        out = np.zeros((self.size, self.size))
+        out4 = out.reshape(p, d, p, d)
+        if self.terms:
+            # 16 bytes per term and stacked element, within 4 * size^2 bytes
+            chunk = max(1, 4 * self.size**2 // (16 * (p * p + d * d)))
+            chunk = min(chunk, len(self.terms))
+            stack_a = np.empty((2 * chunk, p * p))
+            stack_b = np.empty((2 * chunk, d * d))
+            prod = np.empty((p * p, d * d))
+            for lo in range(0, len(self.terms), chunk):
+                part = self.terms[lo:lo + chunk]
+                for i, (c, us) in enumerate(part):
+                    a = (2.0 * c) * us[0]
+                    for u in us[1:-1]:
+                        a = np.kron(a, u)
+                    stack_a[2 * i] = a.real.ravel()
+                    stack_a[2 * i + 1] = -a.imag.ravel()
+                    stack_b[2 * i] = us[-1].real.ravel()
+                    stack_b[2 * i + 1] = us[-1].imag.ravel()
+                rows = 2 * len(part)
+                np.matmul(stack_a[:rows].T, stack_b[:rows], out=prod)
+                out4 += prod.reshape(p, p, d, d).transpose(0, 2, 1, 3)
+        out.flat[::self.size + 1] += self.diag.ravel()
         return out
 
 
@@ -283,7 +326,7 @@ def assemble_tensor_operator(system: NormalModeSystem,
     budget before anything is allocated.
     """
     if system.dims is None:
-        raise ConfigurationError("system has no dims; call with_dims first")
+        raise ConfigurationError("system has no dims; pass dims to normal_modes")
     dims = system.dims
     n_terms = len(system.amplitudes)
     size = int(np.prod(dims))

@@ -192,6 +192,34 @@ def test_sweep_matches_single_points(ref_system):
             assert rec["energies"][theory] == tuple(float(v) for v in direct.eigenvalues)
 
 
+def test_sweep_records_solver_diagnostics(ref_system, monkeypatch):
+    import coupler_lab.bench as bench
+
+    spec = SweepSpec(
+        axis="phi_cx",
+        range=(0.0, 0.1, 2),
+        system=ref_system,
+        theories=("exact", "NA"),
+        n_levels=3,
+        dims=(6, 6, 4),
+        bo_dims=(12, 12),
+        nu_max=20,
+    )
+    for rec in sweep(spec).points:
+        exact, na = rec["meta"]["exact"], rec["meta"]["NA"]
+        assert exact["solver"] == na["solver"] == "dense"
+        assert (exact["dim"], na["dim"]) == (144, 144)
+        assert 0.0 <= exact["max_residual"] < 1e-10
+        assert 0.0 <= na["max_residual"] < 1e-10
+    monkeypatch.setattr(
+        bench, "eg_derivs_analytic", lambda *a: (float("inf"), float("inf"))
+    )
+    nan_spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
+                         theories=("LA",), n_levels=3, bo_dims=(12, 12))
+    for rec in sweep(nan_spec).points:
+        assert rec["meta"]["LA"] == {"non_finite": True}
+
+
 def test_sweep_parallel_deterministic(ref_system):
     kwargs = dict(
         axis="beta_j",

@@ -418,6 +418,22 @@ def test_validate_command(ref_config, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+    assert out.splitlines()[-1].startswith("8/8 checks passed")
+
+
+def test_validate_summary_counts_yielded_checks(ref_config, tmp_path, capsys, monkeypatch):
+    def three(cfg):
+        yield "first", True, "ok"
+        yield "second", False, "forced failure"
+        yield "third", True, "ok"
+
+    monkeypatch.setattr("coupler_lab.cli._validation_checks", three)
+    assert main(["validate", "--config", str(ref_config),
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert len(verdicts) == 3
+    assert lines[-1].startswith("2/3 checks passed")
 
 
 def test_validate_failure_exit_code(ref_config, tmp_path, capsys, monkeypatch):
@@ -440,6 +456,47 @@ def test_numeric_failure_exit_code(ref_config, tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NumericError"
     assert err["details"] == {"residual": 1.0}
+
+
+def test_kepler_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monkeypatch):
+    # no Newton iterations allowed: the first solve in validate must fail
+    import coupler_lab.kapteyn as kapteyn
+
+    monkeypatch.setattr(kapteyn.kepler_solve, "__defaults__", (1e-14, 0))
+    assert main(["validate", "--config", str(ref_config),
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericError"
+    assert err["exit_code"] == EXIT_NUMERIC
+    assert "kepler_solve" in err["message"]
+    assert err["details"]["iterations"] == 0
+
+
+def test_g_coeff_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monkeypatch):
+    # no series terms allowed: the series build in b_coeffs must fail
+    import coupler_lab.kapteyn as kapteyn
+
+    monkeypatch.setattr(kapteyn.g_coeff, "__defaults__", (1e-16, 0))
+    assert main(["series", "--config", str(ref_config),
+                 "--out", str(tmp_path)]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericError"
+    assert err["exit_code"] == EXIT_NUMERIC
+    assert "g_coeff" in err["message"]
+
+
+def test_linalg_failure_exits_numeric(ref_config, tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is a numeric failure, not a
+    # configuration error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["eg", "--config", str(ref_config), "--out", str(tmp_path),
+                 "--n-grid", "3"]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LinAlgError"
+    assert err["exit_code"] == EXIT_NUMERIC
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

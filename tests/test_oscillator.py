@@ -3,11 +3,13 @@
 Oracles: scaling-and-squaring matrix exponential on a padded basis for
 the exponential matrix elements; an independently solved generalized
 characteristic polynomial for the normal modes; explicit dense
-assembly for the tensor matvec; scipy's Lanczos as a cross-check for
+assembly for the tensor matvec, and the operator's image of the
+identity for its direct dense build; scipy's Lanczos as a cross-check for
 the in-house iterative solver.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +19,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from coupler_lab.errors import ConfigurationError, ResourceError
 from coupler_lab.oscillator import (
+    DENSE_DIM_LIMIT,
     NormalModeSystem,
     TensorOperator,
     assemble_tensor_operator,
@@ -212,6 +215,95 @@ class TestTensorOperator:
         nm = normal_modes(make_system())
         with pytest.raises(ConfigurationError):
             assemble_tensor_operator(nm)
+
+
+def identity_image(op):
+    # the operator applied to every unit vector: the dense matrix by definition
+    return op.matvec(np.eye(op.size))
+
+
+def random_operator(dims, n_terms, seed):
+    # exponential factors with random displacements and unit-size complex
+    # coefficients, so every entry is O(1) and 1e-13 is a rounding-level bound
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal(dims)
+    terms = []
+    for _ in range(n_terms):
+        us = [ho_exp_matrix(rng.uniform(-1.5, 1.5), d) for d in dims]
+        terms.append((complex(*rng.uniform(-0.5, 0.5, 2)), us))
+    return TensorOperator(dims, diag, terms)
+
+
+class TestToDense:
+    @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
+    def test_matches_identity_image(self, dims):
+        op = random_operator(dims, 12, seed=len(dims))
+        assert np.max(np.abs(op.to_dense() - identity_image(op))) < 1e-13
+
+    def test_single_mode_is_bitwise(self):
+        op = random_operator((17,), 30, seed=11)
+        assert np.array_equal(op.to_dense(), identity_image(op))
+
+    @pytest.mark.parametrize("dims", [(7,), (5, 6), (3, 4, 2)])
+    def test_no_terms(self, dims):
+        op = TensorOperator(dims, np.arange(float(np.prod(dims))), [])
+        assert np.array_equal(op.to_dense(), identity_image(op))
+
+    def test_identity_factors_in_other_modes(self):
+        # LA-style terms: one or two modes carry X or X^2, the rest identities
+        dims = (6, 5)
+        xs = [x_matrix(d).astype(complex) for d in dims]
+        eyes = [np.eye(d, dtype=complex) for d in dims]
+        terms = [
+            (-0.3, [xs[0], eyes[1]]),
+            (0.2, [eyes[0], xs[1] @ xs[1]]),
+            (0.05, [xs[0], xs[1]]),
+            (0.4 + 0.1j, [ho_exp_matrix(0.2, 6), eyes[1]]),
+        ]
+        op = TensorOperator(dims, np.linspace(0.0, 1.0, 30), terms)
+        assert np.max(np.abs(op.to_dense() - identity_image(op))) < 1e-13
+
+    def test_two_qubit_na_operator(self, monkeypatch):
+        import coupler_lab.bench as bench
+
+        captured = []
+        real = bench.lowest_eigs
+
+        def spy(op, *args, **kwargs):
+            captured.append(op)
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "lowest_eigs", spy)
+        system = bench.CouplerSystem(beta_c=0.75, zeta_c=0.05, e_ltc=3.0,
+                                     phi_cx=0.3, qubits=(make_qubit(), make_qubit()))
+        bench.bo_spectrum("NA", system, dims=(10, 12), n_levels=3, nu_max=40)
+        (op,) = captured
+        assert len(op.terms) == 42
+        assert np.max(np.abs(op.to_dense() - identity_image(op))) < 1e-13
+
+    def test_dense_limit(self):
+        op = TensorOperator((91, 91), np.zeros((91, 91)), [])
+        assert op.size > DENSE_DIM_LIMIT
+        with pytest.raises(ResourceError):
+            op.to_dense()
+
+    def test_memory_peak(self):
+        # three modes and ~400 terms: the term stack is built in chunks, so
+        # the build never holds more than three size x size float matrices
+        dims = (12, 12, 12)
+        factors = [ho_exp_matrix(r, 12) for r in (-0.4, -0.2, 0.1, 0.3)]
+        terms = [(0.01 * (1 + 1j) / (k + 1), [factors[k % 4], factors[(k + 1) % 4],
+                                               factors[(k + 2) % 4]])
+                 for k in range(400)]
+        op = TensorOperator(dims, np.zeros(dims), terms)
+        tracemalloc.start()
+        try:
+            dense = op.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.shape == (op.size, op.size)
+        assert peak < 3 * op.size**2 * 8
 
 
 class TestLowestEigs:
