@@ -28,6 +28,7 @@ from .oscillator import (
     DEFAULT_MEMORY_BUDGET,
     Spectrum,
     TensorOperator,
+    _quadrature,
     assemble_tensor_operator,
     ho_exp_matrix,
     lowest_eigs,
@@ -102,11 +103,6 @@ def exact_spectrum(system, dims=None, n_levels: int = 6,
     return spec
 
 
-def _flux_matrix(zeta: float, dim: int) -> np.ndarray:
-    n = np.sqrt(np.arange(1, dim))
-    return math.sqrt(zeta) * (np.diag(n, 1) + np.diag(n, -1)).astype(complex)
-
-
 def _one_qubit_factors(dims, j, matrix):
     factors = [np.eye(d, dtype=complex) for d in dims]
     factors[j] = matrix
@@ -120,7 +116,8 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     """Lowest levels of the coupler-eliminated qubit Hamiltonian.
 
     "NA" carries the ground-energy Fourier series as products of
-    per-qubit exponential factors, exact at the basis truncation.
+    per-qubit exponential factors, exact at the basis truncation; a
+    prebuilt ``series`` must match the system's beta_c and zeta_c.
     "LA"/"LN" keep the quadratic expansion about the bias point with
     analytic respectively numeric derivatives; non-finite derivative
     inputs yield an all-NaN spectrum flagged in metadata rather than
@@ -151,6 +148,11 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     if theory == "NA":
         if series is None:
             series = b_coeffs(system.beta_c, system.zeta_c, nu_max, mu_max)
+        elif (series.beta_c, series.zeta_c) != (system.beta_c, system.zeta_c):
+            raise ConfigurationError(
+                f"series was built for beta_c={series.beta_c}, zeta_c={series.zeta_c};"
+                f" the system has beta_c={system.beta_c}, zeta_c={system.zeta_c}"
+            )
         coeffs = series.coeffs
         diag = diag + e_ltc * coeffs[0]
         for nu in range(1, series.nu_max + 1):
@@ -176,7 +178,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
                 metadata={"theory": theory, "non_finite": True, "dims": dims},
             )
         diag = diag + e_ltc * float(const)
-        xs = [_flux_matrix(q.zeta_j, d) for q, d in zip(qubits, dims)]
+        xs = [_quadrature(q.zeta_j, d).astype(complex) for q, d in zip(qubits, dims)]
         for j, q in enumerate(qubits):
             terms.append(
                 (-0.5 * e_ltc * d1 * q.alpha_j, _one_qubit_factors(dims, j, xs[j]))

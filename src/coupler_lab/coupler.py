@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries, bessel_j, cos_beta, g_coeff, kepler_solve
-from .oscillator import NormalModeSystem, assemble_tensor_operator, lowest_eigs
+from .oscillator import _junction_mode, _quadrature, lowest_eigs
 
 __all__ = [
     "BodcMetrics",
@@ -86,11 +86,13 @@ class EgSeries:
 
     b_classical holds B_nu^(0), b_quantum holds B_nu^(1); the total
     coefficient is B_nu = B_nu^(0) + zeta_c B_nu^(1).  Both components
-    are even series (B_nu = B_{-nu}).
+    are even series (B_nu = B_{-nu}).  beta_c and zeta_c record the
+    coupler the series was built for.
     """
 
     b_classical: FourierSeries
     b_quantum: FourierSeries
+    beta_c: float
     zeta_c: float
     nu_max: int
     mu_max: int
@@ -166,6 +168,7 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
     return EgSeries(
         b_classical=FourierSeries(nu_max, classical, parity="even"),
         b_quantum=FourierSeries(nu_max, quantum, parity="even"),
+        beta_c=beta_c,
         zeta_c=zeta_c,
         nu_max=nu_max,
         mu_max=mu_max,
@@ -187,15 +190,8 @@ def eg_exact(params: CouplerParams, phi_x: float, n_basis: int = 50, n_levels: i
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    zeta = params.zeta_c
-    nm = NormalModeSystem(
-        freqs=[2.0 * zeta],
-        displacements=[[math.sqrt(zeta)]],
-        amplitudes=[0.5 * params.beta_c * np.exp(1j * phi_x)],
-        dims=(n_basis,),
-    )
-    spec = lowest_eigs(assemble_tensor_operator(nm), n_levels, mode="dense")
-    return spec.eigenvalues
+    op = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
+    return lowest_eigs(op, n_levels, mode="dense").eigenvalues
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -218,17 +214,24 @@ def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
     return float(d1), float(d2)
 
 
-def _exact_ground(params: CouplerParams, phi_x: float, n_basis: int):
-    zeta = params.zeta_c
-    nm = NormalModeSystem(
-        freqs=[2.0 * zeta],
-        displacements=[[math.sqrt(zeta)]],
-        amplitudes=[0.5 * params.beta_c * np.exp(1j * phi_x)],
-        dims=(n_basis,),
-    )
-    h = assemble_tensor_operator(nm).to_dense()
+def _ground_couplings(params: CouplerParams, phi_x: float, n_basis: int, what: str):
+    """Coupler levels and the elements <k|X|g> of X against the ground state.
+
+    X = sqrt(zeta) (a + a^dag) is the displacement from the quadratic
+    minimum.  A nearly degenerate ground state raises NumericError,
+    since ``what`` (a perturbative quantity) is then ill-conditioned.
+    """
+    if n_basis < 30:
+        raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
+    h = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis).to_dense()
     vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
+    if vals[1] - vals[0] < 1e-10:
+        raise NumericError(
+            f"ground state nearly degenerate; {what} ill-conditioned",
+            {"gap": float(vals[1] - vals[0])},
+        )
+    xg = vecs.conj().T @ (_quadrature(params.zeta_c, n_basis) @ vecs[:, 0])
+    return vals, xg
 
 
 def eg_derivs_numeric(params: CouplerParams, phi_cx: float, n_basis: int = 50) -> tuple:
@@ -239,17 +242,7 @@ def eg_derivs_numeric(params: CouplerParams, phi_cx: float, n_basis: int = 50) -
     1 + 2 <g| X (E_g - H_c)^+ X |g>, the pseudo-inverse excluding the
     ground component (scalar shifts of X drop out against it).
     """
-    if n_basis < 30:
-        raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    vals, vecs = _exact_ground(params, phi_cx, n_basis)
-    if vals[1] - vals[0] < 1e-10:
-        raise NumericError(
-            "ground state nearly degenerate; perturbation theory ill-conditioned",
-            {"gap": float(vals[1] - vals[0])},
-        )
-    n = np.sqrt(np.arange(1, n_basis))
-    x = math.sqrt(params.zeta_c) * (np.diag(n, 1) + np.diag(n, -1))
-    xg = vecs.conj().T @ (x @ vecs[:, 0])
+    vals, xg = _ground_couplings(params, phi_cx, n_basis, "perturbation theory")
     d1 = -xg[0].real
     d2 = 1.0 + 2.0 * np.sum(np.abs(xg[1:]) ** 2 / (vals[0] - vals[1:]))
     return float(d1), float(d2)
@@ -327,17 +320,7 @@ def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = 50,
     rhs = 4 zeta_c^2 (1 - beta_c)^2; the correction is negligible when
     lhs << rhs.
     """
-    if n_basis < 30:
-        raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    vals, vecs = _exact_ground(params, phi_x, n_basis)
-    if vals[1] - vals[0] < 1e-10:
-        raise NumericError(
-            "ground state nearly degenerate; diagonal correction ill-conditioned",
-            {"gap": float(vals[1] - vals[0])},
-        )
-    n = np.sqrt(np.arange(1, n_basis))
-    x = math.sqrt(params.zeta_c) * (np.diag(n, 1) + np.diag(n, -1))
-    xg = vecs.conj().T @ (x @ vecs[:, 0])
+    vals, xg = _ground_couplings(params, phi_x, n_basis, "diagonal correction")
     exact = float(np.sum(np.abs(xg[1:]) ** 2 / (vals[0] - vals[1:]) ** 2))
     chi = kepler_solve(params.beta_c, phi_x)
     d = 1.0 - params.beta_c * math.cos(chi)

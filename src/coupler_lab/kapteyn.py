@@ -33,12 +33,16 @@ forms, both consequences of the defining equation:
     cos_beta(phi)      = (beta/2) sin_beta(phi)^2 + cos(chi)
 
 The Newton solver ``kepler_solve`` is the ground truth all series are
-validated against.
+validated against.  The sine-series coefficient table behind sin_beta
+and cos_beta depends only on (beta, nu_max); it is memoized in a small
+bounded cache (16 entries) and shared read-only, so evaluating the
+series point by point builds its Bessel values once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import jv
@@ -100,18 +104,22 @@ def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):
     return chi if phi_in.ndim else float(chi[0])
 
 
+@lru_cache(maxsize=16)
 def _sin_coeffs(beta: float, nu_max: int) -> np.ndarray:
     """Sine-series coefficients of sin_beta for nu = 1..nu_max.
 
     coeff_nu = 2 J_nu(beta*nu)/(beta*nu); the beta -> 0 limit is the
-    Kronecker delta at nu = 1 (J_1(x) ~ x/2).
+    Kronecker delta at nu = 1 (J_1(x) ~ x/2).  Memoized; the returned
+    array is shared and read-only.
     """
     nu = np.arange(1, nu_max + 1)
     if beta == 0.0:
         c = np.zeros(nu_max)
         c[0] = 1.0
-        return c
-    return 2.0 * bessel_j(nu, beta * nu) / (beta * nu)
+    else:
+        c = 2.0 * bessel_j(nu, beta * nu) / (beta * nu)
+    c.flags.writeable = False
+    return c
 
 
 def sin_beta(beta: float, phi, nu_max: int = 100):
@@ -124,7 +132,7 @@ def sin_beta(beta: float, phi, nu_max: int = 100):
     _check_series_args(beta, nu_max)
     phi = np.asarray(phi, dtype=float)
     nu = np.arange(1, nu_max + 1)
-    out = np.sin(phi[..., None] * nu) @ _sin_coeffs(beta, nu_max)
+    out = np.sin(phi[..., None] * nu) @ _sin_coeffs(float(beta), int(nu_max))
     return out if out.ndim else float(out)
 
 
@@ -137,7 +145,7 @@ def cos_beta(beta: float, phi, nu_max: int = 100):
     _check_series_args(beta, nu_max)
     phi = np.asarray(phi, dtype=float)
     nu = np.arange(1, nu_max + 1)
-    c = _sin_coeffs(beta, nu_max) / nu
+    c = _sin_coeffs(float(beta), int(nu_max)) / nu
     out = 1.0 + (np.cos(phi[..., None] * nu) - 1.0) @ c
     return out if out.ndim else float(out)
 
@@ -202,15 +210,13 @@ class FourierSeries:
     """Real-coefficient truncated Fourier series on [-pi, pi).
 
     ``coeffs`` stores the half-spectrum c_nu for nu = 0..nu_max; the
-    declared parity fixes the other half.  Evaluation conventions:
+    declared parity ("even" or "odd") fixes the other half:
 
-        even:    f(phi) = c_0 + sum_{nu>0} 2 c_nu cos(nu*phi)
-        odd:     f(phi) =       sum_{nu>0} 2 c_nu sin(nu*phi)   (c_0 = 0)
-        general: f(phi) =       sum_{nu>=0}  c_nu e^{i nu phi}  (complex)
+        even: f(phi) = c_0 + sum_{nu>0} 2 c_nu cos(nu*phi)
+        odd:  f(phi) =       sum_{nu>0} 2 c_nu sin(nu*phi)   (c_0 = 0)
 
-    so even/odd series evaluate to real numbers with the mirror
-    coefficient at -nu equal to +c_nu (even) or -c_nu (odd).  Only
-    even and odd series occur in this package.
+    so the series evaluates to real numbers with the mirror coefficient
+    at -nu equal to +c_nu (even) or -c_nu (odd).
     """
 
     nu_max: int
@@ -220,7 +226,7 @@ class FourierSeries:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.parity not in ("even", "odd", "general"):
+        if self.parity not in ("even", "odd"):
             raise ValueError(f"unknown parity {self.parity!r}")
         if self.coeffs.shape != (self.nu_max + 1,):
             raise ValueError(
@@ -238,8 +244,6 @@ class FourierSeries:
         c = self.coeffs[abs(nu)]
         if nu < 0 and self.parity == "odd":
             return -c
-        if nu < 0 and self.parity == "general":
-            raise IndexError("general series stores only nu >= 0")
         return float(c)
 
     def evaluate(self, phi):
@@ -247,11 +251,8 @@ class FourierSeries:
         nu = np.arange(1, self.nu_max + 1)
         if self.parity == "even":
             out = self.coeffs[0] + 2.0 * (np.cos(phi[..., None] * nu) @ self.coeffs[1:])
-        elif self.parity == "odd":
-            out = 2.0 * (np.sin(phi[..., None] * nu) @ self.coeffs[1:])
         else:
-            full = np.arange(0, self.nu_max + 1)
-            out = np.exp(1j * phi[..., None] * full) @ self.coeffs
+            out = 2.0 * (np.sin(phi[..., None] * nu) @ self.coeffs[1:])
         return out if out.ndim else out[()]
 
     def __call__(self, phi):

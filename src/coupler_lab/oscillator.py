@@ -24,12 +24,19 @@ from the same factors, not by applying the operator to identity
 columns: all terms go through one real matrix product of stacked
 leading-mode and last-mode factors (see TensorOperator.to_dense),
 chunked so the build holds under three size x size float matrices.
+
+Factor matrices are pure functions of (r, dim), so ho_exp_matrix
+memoizes them in a small bounded cache (16 entries) and returns the
+cached array itself, marked read-only.  A grid loop over one single-mode
+problem and identical qubits sharing a factor per series order then
+build each matrix once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,9 +121,18 @@ def ho_exp_matrix_element(j: int, k: int, r: float) -> complex:
 
 
 def ho_exp_matrix(r: float, dim: int) -> np.ndarray:
-    """Dense dim x dim matrix of exp(ir(a+a^dag)), complex symmetric."""
+    """Dense dim x dim matrix of exp(ir(a+a^dag)), complex symmetric.
+
+    The matrix is memoized on (r, dim) and returned as a shared,
+    read-only array; copy it before writing.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    return _ho_exp_matrix(float(r), int(dim))
+
+
+@lru_cache(maxsize=16)
+def _ho_exp_matrix(r: float, dim: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
         vals = _fused_diagonal(r, a, dim - a)
@@ -125,6 +141,7 @@ def ho_exp_matrix(r: float, dim: int) -> np.ndarray:
         out[idx, idx + a] = phase * vals
         if a:
             out[idx + a, idx] = phase * vals
+    out.flags.writeable = False
     return out
 
 
@@ -348,6 +365,28 @@ def assemble_tensor_operator(system: NormalModeSystem,
         us = [ho_exp_matrix(system.displacements[m, n], dims[n]) for n in range(len(dims))]
         terms.append((system.amplitudes[m], us))
     return TensorOperator(dims, diag, terms)
+
+
+def _junction_mode(zeta: float, beta: float, phase: float, dim: int) -> TensorOperator:
+    """One biased junction oscillator in the Fock basis of its beta = 0 part.
+
+    Ladder frequency 2 zeta, quadrature amplitude sqrt(zeta), and the
+    junction pair with half amplitude (beta/2) e^{i phase}: the
+    single-mode problem shared by the coupler and each qubit.
+    """
+    nm = NormalModeSystem(
+        freqs=[2.0 * zeta],
+        displacements=[[math.sqrt(zeta)]],
+        amplitudes=[0.5 * beta * np.exp(1j * phase)],
+        dims=(dim,),
+    )
+    return assemble_tensor_operator(nm)
+
+
+def _quadrature(zeta: float, dim: int) -> np.ndarray:
+    """Real dim x dim matrix of sqrt(zeta) (a + a^dag)."""
+    n = np.sqrt(np.arange(1, dim))
+    return math.sqrt(zeta) * (np.diag(n, 1) + np.diag(n, -1))
 
 
 @dataclass

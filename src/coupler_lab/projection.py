@@ -35,7 +35,7 @@ import numpy as np
 from .coupler import EgSeries
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries
-from .oscillator import NormalModeSystem, assemble_tensor_operator
+from .oscillator import _junction_mode, _quadrature
 
 __all__ = [
     "CouplingTable",
@@ -121,19 +121,10 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     """
     if n_basis < 40:
         raise ConfigurationError(f"n_basis must be >= 40, got {n_basis}")
-    zeta = params.zeta_j
-    nm = NormalModeSystem(
-        freqs=[2.0 * zeta],
-        displacements=[[math.sqrt(zeta)]],
-        amplitudes=[0.5 * params.beta_j * np.exp(1j * params.phi_jx)],
-        dims=(n_basis,),
-    )
-    h = assemble_tensor_operator(nm).to_dense()
+    h = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx, n_basis).to_dense()
     vals, vecs = np.linalg.eigh(h)
 
-    ladder = np.sqrt(np.arange(1, n_basis))
-    flux = math.sqrt(zeta) * (np.diag(ladder, 1) + np.diag(ladder, -1))
-    flux = flux + params.phi_jx * np.eye(n_basis)
+    flux = _quadrature(params.zeta_j, n_basis) + params.phi_jx * np.eye(n_basis)
 
     v0 = vecs[:, 0].astype(complex)
     v1 = vecs[:, 1].astype(complex)

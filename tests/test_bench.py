@@ -147,6 +147,21 @@ def test_bo_series_truncation_bound():
     assert np.max(np.abs(a.excitations - b.excitations)) > 1e-6
 
 
+def test_bo_rejects_series_for_another_coupler(ref_system):
+    for beta_c, zeta_c in [(0.8, 0.05), (0.75, 0.06)]:
+        series = b_coeffs(beta_c, zeta_c, nu_max=20, mu_max=20)
+        with pytest.raises(ConfigurationError, match="series was built for"):
+            bo_spectrum("NA", ref_system, dims=(16, 16), n_levels=3, series=series)
+
+
+def test_bo_accepts_matching_series(ref_system):
+    series = b_coeffs(ref_system.beta_c, ref_system.zeta_c, nu_max=20, mu_max=20)
+    assert (series.beta_c, series.zeta_c) == (0.75, 0.05)
+    given = bo_spectrum("NA", ref_system, dims=(16, 16), n_levels=3, series=series)
+    built = bo_spectrum("NA", ref_system, dims=(16, 16), n_levels=3, nu_max=20, mu_max=20)
+    assert given.eigenvalues.tobytes() == built.eigenvalues.tobytes()
+
+
 def test_bo_theory_tags(ref_system):
     spec = bo_spectrum("LA", ref_system, dims=(24, 24), n_levels=3)
     assert spec.metadata["theory"] == "LA"

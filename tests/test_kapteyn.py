@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from coupler_lab.kapteyn import (
     FourierSeries,
+    _sin_coeffs,
     bessel_j,
     cos_beta,
     exp_mu_coeff,
@@ -258,6 +259,10 @@ class TestFourierSeries:
         with pytest.raises(ValueError):
             FourierSeries(1, [1.0, np.nan], parity="even")
 
+    def test_rejects_general_parity(self):
+        with pytest.raises(ValueError, match="parity"):
+            FourierSeries(1, [1.0, 2.0], parity="general")
+
     def test_coeff_out_of_range(self):
         f = FourierSeries(1, [1.0, 2.0], parity="even")
         with pytest.raises(IndexError):
@@ -270,3 +275,29 @@ class TestFourierSeries:
         f = FourierSeries(nu_max, coeffs, parity="odd")
         phi = np.linspace(-2.0, 2.0, 9)
         assert np.allclose(f(phi), sin_beta(beta, phi, nu_max=nu_max), atol=1e-14)
+
+
+class TestSinCoeffsCache:
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    def test_result_is_read_only(self, beta):
+        c = _sin_coeffs(beta, 10)
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert _sin_coeffs(beta, 10) is c
+
+    def test_cache_is_bounded(self):
+        maxsize = _sin_coeffs.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+    @pytest.mark.parametrize("beta", [0.0, 0.35, 0.9])
+    def test_scalar_calls_match_uncached_build(self, beta):
+        nu_max = 120
+        nu = np.arange(1, nu_max + 1)
+        fresh = _sin_coeffs.__wrapped__(beta, nu_max)
+        _sin_coeffs.cache_clear()
+        for phi in np.linspace(-np.pi, np.pi, 13):
+            s_want = float(np.sin(phi * nu) @ fresh)
+            c_want = float(1.0 + (np.cos(phi * nu) - 1.0) @ (fresh / nu))
+            assert sin_beta(beta, float(phi), nu_max=nu_max) == s_want
+            assert cos_beta(beta, float(phi), nu_max=nu_max) == c_want
+        assert _sin_coeffs.cache_info().misses == 1

@@ -17,17 +17,23 @@ import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from coupler_lab.bench import CouplerSystem, SweepSpec, sweep
+from coupler_lab.coupler import CouplerParams, eg_exact
 from coupler_lab.errors import ConfigurationError, ResourceError
+from coupler_lab.kapteyn import _sin_coeffs
 from coupler_lab.oscillator import (
     DENSE_DIM_LIMIT,
     NormalModeSystem,
     TensorOperator,
+    _fused_diagonal,
+    _ho_exp_matrix,
     assemble_tensor_operator,
     ho_exp_matrix,
     ho_exp_matrix_element,
     lowest_eigs,
     normal_modes,
 )
+from coupler_lab.projection import QubitParams
 
 
 def x_matrix(dim):
@@ -107,6 +113,64 @@ class TestHoExpMatrix:
     def test_negative_r_is_conjugate_transpose_free(self):
         # e^{-irX} = (e^{irX})^dagger = conj(e^{irX}) for symmetric X
         assert np.allclose(ho_exp_matrix(-0.6, 15), ho_exp_matrix(0.6, 15).conj())
+
+
+def fresh_exp_matrix(r, dim):
+    # the uncached build: one _fused_diagonal per offset, mirrored
+    out = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        vals = (1j) ** (a % 4) * _fused_diagonal(r, a, dim - a)
+        idx = np.arange(dim - a)
+        out[idx, idx + a] = vals
+        out[idx + a, idx] = vals
+    return out
+
+
+class TestHoExpMatrixCache:
+    def test_result_is_read_only(self):
+        m = ho_exp_matrix(0.3, 8)
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        assert ho_exp_matrix(0.3, 8) is m
+
+    @pytest.mark.parametrize("r", [0.0, -0.0, 0.3, -0.3, 5.0, -40.0])
+    @pytest.mark.parametrize("dim", [1, 18, 60])
+    def test_bitwise_equal_to_fresh_build(self, r, dim):
+        # r = -40 starts the recurrence below the underflow threshold
+        want = fresh_exp_matrix(r, dim)
+        _ho_exp_matrix.cache_clear()
+        cold = ho_exp_matrix(r, dim)
+        warm = ho_exp_matrix(r, dim)
+        assert warm is cold
+        assert cold.tobytes() == want.tobytes()
+
+    def test_cache_is_bounded(self):
+        maxsize = _ho_exp_matrix.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+    def test_eg_exact_grid_builds_one_factor(self):
+        params = CouplerParams(beta_c=0.75, zeta_c=0.05)
+        _ho_exp_matrix.cache_clear()
+        for phi in np.linspace(0.0, 2.0 * np.pi, 41):
+            eg_exact(params, float(phi), n_basis=40)
+        info = _ho_exp_matrix.cache_info()
+        assert (info.misses, info.hits) == (1, 40)
+
+    def test_threaded_sweep_shares_caches(self):
+        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q, q), e_ltc=3.0)
+        kwargs = dict(axis="phi_cx", range=(0.0, 0.6, 4), system=system,
+                      theories=("NA", "LA", "LN"), n_levels=3, bo_dims=(16, 16),
+                      nu_max=20, mu_max=20)
+        runs = []
+        for parallel in (1, 2):
+            _ho_exp_matrix.cache_clear()
+            _sin_coeffs.cache_clear()
+            result = sweep(SweepSpec(parallel=parallel, **kwargs))
+            runs.append([(rec["energies"], rec["excitations"], rec["errors"])
+                         for rec in result.points])
+        assert runs[0] == runs[1]
+        assert not any(errors for _, _, errors in runs[0])
 
 
 class TestNormalModes:
