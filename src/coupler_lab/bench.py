@@ -250,7 +250,8 @@ class SweepResult:
     """Per-point records in axis order; failures recorded, not raised.
 
     Each record's meta maps a theory to its solver diagnostics: solver,
-    dim, basis (iterative solves), max_residual and non_finite.
+    dim, basis and matvecs (iterative solves), max_residual and
+    non_finite.
     """
 
     spec: SweepSpec
@@ -308,7 +309,7 @@ def _sweep_point(spec: SweepSpec, series, value: float) -> dict:
                 )
             record["energies"][theory] = tuple(float(v) for v in s.eigenvalues)
             record["excitations"][theory] = tuple(float(v) for v in s.excitations)
-            keep = ("solver", "dim", "basis", "non_finite")
+            keep = ("solver", "dim", "basis", "matvecs", "non_finite")
             meta = {key: s.metadata[key] for key in keep if key in s.metadata}
             if "residuals" in s.metadata:
                 meta["max_residual"] = float(np.max(s.metadata["residuals"]))

@@ -30,6 +30,11 @@ memoizes them in a small bounded cache (16 entries) and returns the
 cached array itself, marked read-only.  A grid loop over one single-mode
 problem and identical qubits sharing a factor per series order then
 build each matrix once.
+
+Above the dense limit the lowest levels come from ARPACK's implicitly
+restarted Lanczos (scipy's eigsh) applied through matvec: a fixed
+basis of max(2m + 1, 20) vectors, a seeded start vector, and the true
+residuals checked after the solve.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ DENSE_DIM_LIMIT = 8192
 ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
+_ARPACK_MAXITER = 1000
 
 
 def _fused_diagonal(r: float, a: int, count: int) -> np.ndarray:
@@ -423,71 +429,59 @@ def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool) -> Spectrum:
                     {"solver": "dense", "dim": h.shape[0], "residuals": resid})
 
 
-def _block_lanczos(op: TensorOperator, m: int, tol: float, want_vectors: bool,
-                   memory_budget: int) -> Spectrum:
+def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool,
+                     memory_budget: int) -> Spectrum:
+    """ARPACK's implicitly restarted Lanczos on the matrix-free operator.
+
+    The Krylov basis is fixed at ncv columns and restarted in place
+    (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996)), so
+    memory stays at a few vectors of the operator's size whatever the
+    number of iterations.  The start vector is seeded, so repeated
+    solves are bitwise equal.  ARPACK needs m < ncv < size; smaller
+    operators go to the dense solver.
+    """
     n = op.size
-    block = min(max(m, 2), 16, n)
-    max_steps = 4 * m + 200
-    max_basis = min(n, block * max_steps)
-    basis_bytes = 8 * (n * (max_basis + 2 * block) + max_basis**2)
-    if basis_bytes > memory_budget:
+    ncv = max(2 * m + 1, 20)
+    if ncv >= n:
+        return _dense_lowest(op.to_dense(), m, want_vectors)
+    # Lanczos basis, ARPACK's work arrays and the residual check, 8 bytes each
+    work_bytes = 8 * n * (ncv + m + 4)
+    if work_bytes > memory_budget:
         raise ResourceError(
-            f"Lanczos basis would need ~{basis_bytes / 2**20:.0f} MiB,"
+            f"Lanczos basis would need ~{work_bytes / 2**20:.0f} MiB,"
             f" over the {memory_budget / 2**20:.0f} MiB budget"
         )
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    basis = np.empty((n, max_basis))
-    q, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    basis[:, :block] = q
-    k = block
-    t_proj = np.zeros((max_basis, max_basis))
-    prev_b = None
-    best = None
-    for step in range(max_steps):
-        lo = k - block
-        q = basis[:, lo:k]
-        w = op.matvec(q)
-        a = q.T @ w
-        t_proj[lo:k, lo:k] = 0.5 * (a + a.T)
-        if prev_b is not None:
-            t_proj[lo - block:lo, lo:k] = prev_b.T
-            t_proj[lo:k, lo - block:lo] = prev_b
-        # full reorthogonalization against everything built so far, twice
-        w = w - basis[:, :k] @ (basis[:, :k].T @ w)
-        w = w - basis[:, :k] @ (basis[:, :k].T @ w)
-        vals, s = np.linalg.eigh(t_proj[:k, :k])
-        width = max(vals[-1] - vals[0], np.finfo(float).eps)
-        if k >= m:
-            # H V = V T + W E_last^T, so the Ritz residual is ||W s_bottom||
-            res_est = np.linalg.norm(w @ s[lo:k, :m], axis=0)
-            best = (vals[:m].copy(), s[:, :m].copy(), k, res_est, width)
-            if np.all(res_est <= tol * width):
-                break
-        if k + block > max_basis or k >= n:
-            break
-        q_next, r_fac = np.linalg.qr(w)
-        norms = np.abs(np.diag(r_fac))
-        dead = norms < 1e-12 * max(1.0, np.max(norms))
-        if np.any(dead):
-            # invariant-subspace deflation: refresh dead directions
-            fresh = rng.standard_normal((n, int(dead.sum())))
-            fresh = fresh - basis[:, :k] @ (basis[:, :k].T @ fresh)
-            q_next[:, dead] = np.linalg.qr(fresh)[0]
-            r_fac[dead, :] = 0.0
-        basis[:, k:k + block] = q_next
-        prev_b = r_fac
-        k += block
-    if best is None:
-        raise NumericError("Lanczos produced no Ritz estimates", {"basis": k})
-    vals, s, k_used, res_est, width = best
-    vecs = _fix_vector_signs(basis[:, :k_used] @ s)
-    true_res = np.linalg.norm(op.matvec(vecs) - vecs * vals[None, :], axis=0)
-    meta = {"solver": "lanczos", "dim": n, "basis": k_used,
-            "residuals": true_res, "block": block}
-    if k_used < n and np.any(true_res > 10.0 * tol * width):
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    matvecs = 0
+
+    def apply(v):
+        nonlocal matvecs
+        matvecs += 1
+        return op.matvec(v)
+
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    try:
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=m,
+                           which="SA", ncv=ncv, tol=tol, v0=v0, maxiter=_ARPACK_MAXITER)
+    except ArpackNoConvergence as exc:
         raise NumericError(
-            f"Lanczos did not converge in {max_steps} steps",
-            {"residuals": true_res.tolist(), "basis": k_used},
+            f"Lanczos did not converge in {_ARPACK_MAXITER} restarts",
+            {"converged": len(exc.eigenvalues), "wanted": m, "matvecs": matvecs},
+        ) from None
+    order = np.argsort(vals)
+    vals = vals[order]
+    vecs = _fix_vector_signs(vecs[:, order])
+    true_res = np.linalg.norm(op.matvec(vecs) - vecs * vals[None, :], axis=0)
+    matvecs += m
+    meta = {"solver": "lanczos", "dim": n, "basis": ncv, "matvecs": matvecs,
+            "residuals": true_res}
+    # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
+    limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
+    if np.any(true_res > limit):
+        raise NumericError(
+            "Lanczos residuals exceed the tolerance",
+            {"residuals": true_res.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
         )
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
@@ -497,9 +491,13 @@ def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
     """Lowest m eigenvalues of a TensorOperator or dense symmetric matrix.
 
     mode "dense" runs a full symmetric eigendecomposition (allowed up
-    to 8192 dims); "iterative" runs matrix-free block Lanczos with full
-    reorthogonalization (m <= 32); "auto" picks dense when it fits.
+    to 8192 dims); "iterative" runs ARPACK's implicitly restarted
+    Lanczos on the matrix-free operator (m <= 32); "auto" picks dense
+    when it fits.  Iterative solves report the basis size, the operator
+    applications ("matvecs") and the true residuals.
     """
+    if m < 1:
+        raise ConfigurationError("m must be >= 1")
     if isinstance(op, np.ndarray):
         size = op.shape[0]
         if mode == "iterative":
@@ -521,4 +519,4 @@ def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
         raise ConfigurationError(f"unknown solver mode {mode!r}")
     if m > ITERATIVE_M_LIMIT:
         raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
-    return _block_lanczos(op, m, tol, want_vectors, memory_budget)
+    return _iterative_lowest(op, m, tol, want_vectors, memory_budget)

@@ -235,6 +235,22 @@ def test_sweep_records_solver_diagnostics(ref_system, monkeypatch):
         assert rec["meta"]["LA"] == {"non_finite": True}
 
 
+def test_sweep_records_iterative_matvecs(ref_system, monkeypatch):
+    import coupler_lab.bench as bench
+
+    real = bench.lowest_eigs
+    monkeypatch.setattr(bench, "lowest_eigs",
+                        lambda op, m, **kw: real(op, m, mode="iterative", **kw))
+    spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
+                     theories=("exact",), n_levels=3, dims=(8, 8, 4))
+    for rec in sweep(spec).points:
+        meta = rec["meta"]["exact"]
+        assert meta["solver"] == "lanczos"
+        assert (meta["dim"], meta["basis"]) == (256, 20)
+        assert meta["matvecs"] > 3
+        assert 0.0 <= meta["max_residual"] < 1e-7
+
+
 def test_sweep_parallel_deterministic(ref_system):
     kwargs = dict(
         axis="beta_j",

@@ -4,12 +4,17 @@ Oracles: scaling-and-squaring matrix exponential on a padded basis for
 the exponential matrix elements; an independently solved generalized
 characteristic polynomial for the normal modes; explicit dense
 assembly for the tensor matvec, and the operator's image of the
-identity for its direct dense build; scipy's Lanczos as a cross-check for
-the in-house iterative solver.
+identity for its direct dense build; the dense solver and an independent
+scipy eigsh call as cross-checks for the iterative solver (ARPACK's
+implicitly restarted Lanczos behind the package's own guarantees).
 """
 
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,9 +22,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+import coupler_lab
+from coupler_lab import oscillator
 from coupler_lab.bench import CouplerSystem, SweepSpec, sweep
 from coupler_lab.coupler import CouplerParams, eg_exact
-from coupler_lab.errors import ConfigurationError, ResourceError
+from coupler_lab.errors import ConfigurationError, NumericError, ResourceError
 from coupler_lab.kapteyn import _sin_coeffs
 from coupler_lab.oscillator import (
     DENSE_DIM_LIMIT,
@@ -439,3 +446,127 @@ class TestLowestEigs:
             lowest_eigs(op, 3, mode="nonsense")
         with pytest.raises(ConfigurationError):
             lowest_eigs(np.eye(3), 2, mode="iterative")
+
+def two_qubit_operator(dims=(14, 14, 8)):
+    qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9)]
+    return assemble_tensor_operator(normal_modes(make_system(qubits=qs), dims=dims))
+
+
+class TestIterativeSolver:
+    def test_metadata_counts_operator_applications(self):
+        op = two_qubit_operator()
+        applied = []
+        real = op.matvec
+
+        def counting(v):
+            applied.append(1 if v.ndim == 1 else v.shape[1])
+            return real(v)
+
+        op.matvec = counting
+        spec = lowest_eigs(op, 4, mode="iterative")
+        meta = spec.metadata
+        assert meta["solver"] == "lanczos"
+        assert meta["basis"] == 20
+        assert meta["matvecs"] == sum(applied)
+        assert "block" not in meta
+        assert len(meta["residuals"]) == 4
+
+    def test_basis_grows_with_levels(self):
+        spec = lowest_eigs(two_qubit_operator(), 12, mode="iterative")
+        assert spec.metadata["basis"] == 25
+
+    def test_over_budget_raises_before_any_matvec(self):
+        op = two_qubit_operator()
+
+        def forbidden(v):
+            raise AssertionError("matvec ran before the budget check")
+
+        op.matvec = forbidden
+        # 8 * size * (ncv + m + 4) bytes for ncv = 20, m = 4
+        need = 8 * op.size * 28
+        with pytest.raises(ResourceError):
+            lowest_eigs(op, 4, mode="iterative", memory_budget=need - 1)
+
+    def test_budget_at_workspace_passes(self):
+        op = two_qubit_operator()
+        spec = lowest_eigs(op, 4, mode="iterative", memory_budget=8 * op.size * 28)
+        assert len(spec.eigenvalues) == 4
+
+    def test_no_convergence_is_numeric_error(self, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        monkeypatch.setattr(oscillator, "_ARPACK_MAXITER", 1)
+        with pytest.raises(NumericError) as info:
+            lowest_eigs(two_qubit_operator(), 6, mode="iterative")
+        assert not isinstance(info.value, ArpackNoConvergence)
+        assert info.value.details["wanted"] == 6
+        assert info.value.details["matvecs"] > 0
+
+    def test_large_true_residual_is_numeric_error(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        real = sla.eigsh
+
+        def off_by_1e6(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals + 1e-6, vecs
+
+        monkeypatch.setattr(sla, "eigsh", off_by_1e6)
+        with pytest.raises(NumericError) as info:
+            lowest_eigs(two_qubit_operator(), 3, mode="iterative")
+        assert len(info.value.details["residuals"]) == 3
+
+    @pytest.mark.parametrize("dims", [(4, 4), (20,), (3, 3, 2)])
+    def test_small_operator_matches_dense(self, dims):
+        # size <= ncv = 20: ARPACK cannot run, the dense solver answers
+        rng = np.random.default_rng(3)
+        us = [ho_exp_matrix(r, d) for r, d in zip(rng.uniform(-0.8, 0.8, len(dims)), dims)]
+        op = TensorOperator(dims, rng.uniform(0.0, 2.0, dims), [(0.3 - 0.1j, us)])
+        it = lowest_eigs(op, 3, mode="iterative", want_vectors=True)
+        dense = lowest_eigs(op, 3, mode="dense", want_vectors=True)
+        assert np.array_equal(it.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(it.eigenvectors, dense.eigenvectors)
+
+    def test_concurrent_solves_bitwise_equal_serial(self):
+        ops = [two_qubit_operator(), two_qubit_operator((12, 12, 10))]
+        serial = [lowest_eigs(op, 4, mode="iterative", want_vectors=True) for op in ops]
+        start = threading.Barrier(len(ops))
+        results = [None] * len(ops)
+
+        def solve(i):
+            start.wait(timeout=60)
+            results[i] = lowest_eigs(ops[i], 4, mode="iterative", want_vectors=True)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(ops))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for got, want in zip(results, serial):
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+            assert got.metadata["matvecs"] == want.metadata["matvecs"]
+
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("mode", ["auto", "dense", "iterative"])
+    def test_nonpositive_level_count_rejected(self, mode, m):
+        with pytest.raises(ConfigurationError):
+            lowest_eigs(two_qubit_operator(), m, mode=mode)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_level_count_rejected_for_arrays(self, m):
+        with pytest.raises(ConfigurationError):
+            lowest_eigs(np.eye(3), m)
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # the eigensolver imports scipy.sparse.linalg on first use, so
+        # importing the package stays cheap
+        src = str(Path(coupler_lab.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import coupler_lab; "
+            "print('scipy.sparse.linalg' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
