@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,12 +148,31 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
 
     The quantum convolution runs over |mu| <= mu_max; the default 40
     suffices for beta_c <= 0.9 (|mu G_mu| decays below 1e-16 there),
-    larger beta_c needs more (about 101 at beta_c = 0.95).
+    larger beta_c needs more (about 101 at beta_c = 0.95).  Neither
+    component depends on zeta_c, so both are memoized per (beta_c,
+    nu_max, mu_max) and shared, read-only, between series.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"b_coeffs requires 0 <= beta_c < 1, got {beta_c}")
     if nu_max < 1 or mu_max < 1:
         raise ValueError("nu_max and mu_max must be positive")
+    classical, quantum = _series_parts(float(beta_c), int(nu_max), int(mu_max))
+    return EgSeries(
+        b_classical=FourierSeries(nu_max, classical, parity="even"),
+        b_quantum=FourierSeries(nu_max, quantum, parity="even"),
+        beta_c=beta_c,
+        zeta_c=zeta_c,
+        nu_max=nu_max,
+        mu_max=mu_max,
+    )
+
+
+@lru_cache(maxsize=32)
+def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
+    """B_nu^(0) and B_nu^(1) for nu = 0..nu_max: the zeta-free series.
+
+    Memoized; the two returned arrays are shared and read-only.
+    """
     g = np.array([g_coeff(mu, beta_c) for mu in range(mu_max + 1)])
     nu = np.arange(1, nu_max + 1)
     classical = np.empty(nu_max + 1)
@@ -165,14 +185,9 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
         # mu and -mu combined; G_{-mu} = G_mu
         conv += mu * g[mu] * (bessel_j(nu - mu, beta_c * nu) - bessel_j(nu + mu, beta_c * nu))
     quantum[1:] = conv / nu
-    return EgSeries(
-        b_classical=FourierSeries(nu_max, classical, parity="even"),
-        b_quantum=FourierSeries(nu_max, quantum, parity="even"),
-        beta_c=beta_c,
-        zeta_c=zeta_c,
-        nu_max=nu_max,
-        mu_max=mu_max,
-    )
+    classical.flags.writeable = False
+    quantum.flags.writeable = False
+    return classical, quantum
 
 
 def eg_eval(series: EgSeries, phi_x):

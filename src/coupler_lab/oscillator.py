@@ -35,11 +35,20 @@ Above the dense limit the lowest levels come from ARPACK's implicitly
 restarted Lanczos (scipy's eigsh) applied through matvec: a fixed
 basis of max(2m + 1, 20) vectors, a seeded start vector, and the true
 residuals checked after the solve.
+
+Every BLAS call inside that iterative path goes through scipy.linalg.blas
+(imported on first use, like scipy.sparse.linalg).  numpy and scipy each
+bundle their own OpenBLAS with its own thread pool, and ARPACK runs on
+scipy's; were the matvec's GEMMs left to numpy, the two pools' spinning
+threads would fight over the cores at every hand-over between an ARPACK
+step and a matvec.  matvec makes the same zgemm call numpy's tensordot
+makes, so the result is bitwise the same.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,6 +72,10 @@ ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
 _ARPACK_MAXITER = 1000
+# matvec workspace per state and column: the contiguous copy and the
+# GEMM output (complex), the real accumulator, and the input's copy when
+# it cannot be reshaped in place
+_MATVEC_BYTES = 16 + 16 + 8 + 8
 
 
 def _fused_diagonal(r: float, a: int, count: int) -> np.ndarray:
@@ -270,7 +283,17 @@ class TensorOperator:
         return (self.size, self.size)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply to one real vector (size,) or a real block (size, b)."""
+        """Apply to one real vector (size,) or a real block (size, b).
+
+        Each factor is applied the way np.tensordot would: the contracted
+        axis moved first and made contiguous, then the column-major
+        zgemm numpy itself calls (zgemv for a single column), and the
+        axis moved back.  The calls go through scipy.linalg.blas, so the
+        result is bitwise tensordot's, computed on the BLAS that ARPACK
+        runs on.  The peak workspace is _MATVEC_BYTES per state and column.
+        """
+        from scipy.linalg.blas import zgemm, zgemv
+
         v = np.asarray(v)
         if np.iscomplexobj(v):
             raise ValueError("TensorOperator acts on real vectors")
@@ -279,9 +302,19 @@ class TensorOperator:
         out = self.diag[..., None] * t
         for c, us in self.terms:
             z = t.astype(complex)
+            # rebinding z drops each buffer once the next one exists, so at
+            # most two complex blocks are alive
             for n, u in enumerate(us):
-                z = np.moveaxis(np.tensordot(u, z, axes=(1, n)), 0, n)
-            out = out + 2.0 * np.real(c * z)
+                z = np.ascontiguousarray(np.moveaxis(z, n, 0))
+                shape = z.shape
+                z = z.reshape(shape[0], -1)
+                if z.shape[1] == 1:
+                    z = zgemv(1.0, u.T, z[:, 0], trans=1)
+                else:
+                    z = zgemm(1.0, z.T, u.T).T
+                z = np.moveaxis(z.reshape(shape), 0, n)
+            np.multiply(c, z, out=z)
+            out = out + 2.0 * z.real
         return out.reshape(self.size) if single else out.reshape(self.size, -1)
 
     def to_dense(self) -> np.ndarray:
@@ -354,8 +387,7 @@ def assemble_tensor_operator(system: NormalModeSystem,
     n_terms = len(system.amplitudes)
     size = int(np.prod(dims))
     factor_bytes = 16 * n_terms * sum(d * d for d in dims)
-    # matvec workspace: complex intermediate + real accumulator + input copy
-    work_bytes = size * (16 + 8 + 8)
+    work_bytes = size * _MATVEC_BYTES
     if factor_bytes + work_bytes > memory_budget:
         raise ResourceError(
             f"assembly needs ~{(factor_bytes + work_bytes) / 2**20:.0f} MiB,"
@@ -451,16 +483,21 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
             f"Lanczos basis would need ~{work_bytes / 2**20:.0f} MiB,"
             f" over the {memory_budget / 2**20:.0f} MiB budget"
         )
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     matvecs = 0
+    matvec_s = 0.0
 
     def apply(v):
-        nonlocal matvecs
-        matvecs += 1
-        return op.matvec(v)
+        nonlocal matvecs, matvec_s
+        matvecs += 1 if v.ndim == 1 else v.shape[1]
+        start = time.perf_counter()
+        out = op.matvec(v)
+        matvec_s += time.perf_counter() - start
+        return out
 
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    start = time.perf_counter()
     try:
         vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=m,
                            which="SA", ncv=ncv, tol=tol, v0=v0, maxiter=_ARPACK_MAXITER)
@@ -469,13 +506,16 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
             f"Lanczos did not converge in {_ARPACK_MAXITER} restarts",
             {"converged": len(exc.eigenvalues), "wanted": m, "matvecs": matvecs},
         ) from None
+    except ArpackError as exc:
+        raise NumericError(f"Lanczos failed: {exc}",
+                           {"message": str(exc), "matvecs": matvecs}) from None
     order = np.argsort(vals)
     vals = vals[order]
     vecs = _fix_vector_signs(vecs[:, order])
-    true_res = np.linalg.norm(op.matvec(vecs) - vecs * vals[None, :], axis=0)
-    matvecs += m
+    true_res = np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0)
     meta = {"solver": "lanczos", "dim": n, "basis": ncv, "matvecs": matvecs,
-            "residuals": true_res}
+            "residuals": true_res, "matvec_s": matvec_s,
+            "solve_s": time.perf_counter() - start}
     # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
     limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
     if np.any(true_res > limit):
@@ -494,7 +534,8 @@ def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
     to 8192 dims); "iterative" runs ARPACK's implicitly restarted
     Lanczos on the matrix-free operator (m <= 32); "auto" picks dense
     when it fits.  Iterative solves report the basis size, the operator
-    applications ("matvecs") and the true residuals.
+    applications ("matvecs"), the true residuals, and the seconds spent
+    in the matvecs and in the whole solve ("matvec_s", "solve_s").
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")

@@ -251,6 +251,27 @@ def test_sweep_records_iterative_matvecs(ref_system, monkeypatch):
         assert 0.0 <= meta["max_residual"] < 1e-7
 
 
+def test_sweep_records_leave_out_solver_timings(ref_system, monkeypatch):
+    # matvec_s and solve_s vary run to run, so records keep them out
+    import coupler_lab.bench as bench
+
+    real = bench.lowest_eigs
+    seen = []
+
+    def iterative(op, m, **kw):
+        spec = real(op, m, mode="iterative", **kw)
+        seen.append(spec.metadata)
+        return spec
+
+    monkeypatch.setattr(bench, "lowest_eigs", iterative)
+    spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
+                     theories=("exact",), n_levels=3, dims=(8, 8, 4))
+    points = sweep(spec).points
+    assert all("solve_s" in meta and "matvec_s" in meta for meta in seen)
+    for rec in points:
+        assert not {"solve_s", "matvec_s"} & set(rec["meta"]["exact"])
+
+
 def test_sweep_parallel_deterministic(ref_system):
     kwargs = dict(
         axis="beta_j",

@@ -475,7 +475,10 @@ def test_kepler_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monke
 def test_g_coeff_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monkeypatch):
     # no series terms allowed: the series build in b_coeffs must fail
     import coupler_lab.kapteyn as kapteyn
+    from coupler_lab.coupler import _series_parts
 
+    # a series cached by an earlier test would skip the patched g_coeff
+    _series_parts.cache_clear()
     monkeypatch.setattr(kapteyn.g_coeff, "__defaults__", (1e-16, 0))
     assert main(["series", "--config", str(ref_config),
                  "--out", str(tmp_path)]) == EXIT_NUMERIC

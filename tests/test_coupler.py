@@ -20,6 +20,7 @@ from scipy.optimize import minimize_scalar
 from coupler_lab.coupler import (
     BodcMetrics,
     CouplerParams,
+    _series_parts,
     b_coeffs,
     bodc_metrics,
     eg_derivs_analytic,
@@ -149,6 +150,42 @@ def test_b_coeffs_validation():
         b_coeffs(1.0, 0.05)
     with pytest.raises(ValueError):
         b_coeffs(0.5, 0.05, nu_max=0)
+
+
+class TestSeriesCache:
+    def test_parts_are_read_only_and_shared_across_zeta(self):
+        a = b_coeffs(0.6, 0.05, nu_max=30, mu_max=20)
+        b = b_coeffs(0.6, 0.2, nu_max=30, mu_max=20)
+        for part in ("b_classical", "b_quantum"):
+            coeffs = getattr(a, part).coeffs
+            assert getattr(b, part).coeffs is coeffs
+            with pytest.raises(ValueError):
+                coeffs[0] = 1.0
+        assert np.array_equal(b.coeffs, b.b_classical.coeffs + 0.2 * b.b_quantum.coeffs)
+
+    def test_cache_is_bounded(self):
+        maxsize = _series_parts.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.95])
+    def test_zeta_loop_matches_uncached_build(self, beta):
+        fresh = _series_parts.__wrapped__(beta, 120, 60)
+        _series_parts.cache_clear()
+        for zeta in (0.01, 0.05, 0.3):
+            s = b_coeffs(beta, zeta, nu_max=120, mu_max=60)
+            assert np.array_equal(s.b_classical.coeffs, fresh[0])
+            assert np.array_equal(s.b_quantum.coeffs, fresh[1])
+        assert _series_parts.cache_info().misses == 1
+
+    def test_argument_checks_precede_the_cache(self):
+        before = _series_parts.cache_info()
+        for args in ((1.0, 0.05), (-0.1, 0.05)):
+            with pytest.raises(ValueError):
+                b_coeffs(*args)
+        with pytest.raises(ValueError):
+            b_coeffs(0.5, 0.05, nu_max=10, mu_max=0)
+        after = _series_parts.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 @settings(max_examples=30, deadline=None)

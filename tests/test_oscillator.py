@@ -377,6 +377,87 @@ class TestToDense:
         assert peak < 3 * op.size**2 * 8
 
 
+def tensordot_matvec(op, v):
+    # the matvec written with np.tensordot on numpy's own BLAS: the oracle
+    # the scipy.linalg.blas path must reproduce bit for bit
+    single = v.ndim == 1
+    t = v.reshape(op.dims + (-1,))
+    out = op.diag[..., None] * t
+    for c, us in op.terms:
+        z = t.astype(complex)
+        for n, u in enumerate(us):
+            z = np.moveaxis(np.tensordot(u, z, axes=(1, n)), 0, n)
+        out = out + 2.0 * np.real(c * z)
+    return out.reshape(op.size) if single else out.reshape(op.size, -1)
+
+
+class TestMatvecBlas:
+    @pytest.mark.parametrize("cols", [None, 1, 6])
+    @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
+    def test_bitwise_equal_to_tensordot(self, dims, cols):
+        op = random_operator(dims, 5, seed=20 + len(dims))
+        assert all(not u.flags.writeable for _, us in op.terms for u in us)
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal(op.size if cols is None else (op.size, cols))
+        got, want = op.matvec(v), tensordot_matvec(op, v)
+        assert np.array_equal(got, want)
+        # same layout too: reductions over the result then round the same
+        assert got.strides == want.strides
+
+    def test_bitwise_equal_on_fortran_block(self):
+        # ARPACK hands back its eigenvectors in Fortran order
+        op = two_qubit_operator()
+        v = np.asfortranarray(np.random.default_rng(22).standard_normal((op.size, 6)))
+        got, want = op.matvec(v), tensordot_matvec(op, v)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+
+    @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
+    def test_no_numpy_gemm(self, dims, monkeypatch):
+        op = random_operator(dims, 4, seed=30 + len(dims))
+        rng = np.random.default_rng(31)
+        vs = [rng.standard_normal(op.size), rng.standard_normal((op.size, 6))]
+        want = [tensordot_matvec(op, v) for v in vs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy BLAS called inside the matvec")
+
+        for name in ("tensordot", "dot", "matmul"):
+            monkeypatch.setattr(np, name, forbidden)
+        for v, w in zip(vs, want):
+            assert np.array_equal(op.matvec(v), w)
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # matvec imports scipy.linalg.blas on first use, like the solver
+        src = str(Path(coupler_lab.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import coupler_lab; "
+            "print('scipy.linalg' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("cols", [1, 6])
+    def test_memory_peak_within_estimate(self, cols):
+        # C-order blocks, and the Fortran-order eigenvector block of the
+        # residual check: both reshape in place.  Reference-size dims, so
+        # numpy's fixed ufunc buffers (~64 KiB) stay small next to the
+        # per-state workspace.
+        op = two_qubit_operator((40, 40, 18))
+        v = np.random.default_rng(32).standard_normal((op.size, cols))
+        inputs = [v, np.asfortranarray(v)]
+        op.matvec(v)  # first call imports scipy.linalg.blas
+        for v in inputs:
+            tracemalloc.start()
+            try:
+                op.matvec(v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < oscillator._MATVEC_BYTES * op.size * cols
+
+
 class TestLowestEigs:
     def test_diagonal_operator(self):
         op = TensorOperator((9,), np.arange(9.0), [])
@@ -515,6 +596,24 @@ class TestIterativeSolver:
         with pytest.raises(NumericError) as info:
             lowest_eigs(two_qubit_operator(), 3, mode="iterative")
         assert len(info.value.details["residuals"]) == 3
+
+    def test_arpack_error_is_numeric_error(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def broken(a, **kwargs):
+            a.matvec(kwargs["v0"])
+            raise sla.ArpackError(-9999)
+
+        monkeypatch.setattr(sla, "eigsh", broken)
+        with pytest.raises(NumericError) as info:
+            lowest_eigs(two_qubit_operator(), 4, mode="iterative")
+        assert not isinstance(info.value, sla.ArpackError)
+        assert "-9999" in info.value.details["message"]
+        assert info.value.details["matvecs"] == 1
+
+    def test_timings_split_matvecs_from_solver(self):
+        meta = lowest_eigs(two_qubit_operator(), 4, mode="iterative").metadata
+        assert 0.0 < meta["matvec_s"] <= meta["solve_s"]
 
     @pytest.mark.parametrize("dims", [(4, 4), (20,), (3, 3, 2)])
     def test_small_operator_matches_dense(self, dims):
