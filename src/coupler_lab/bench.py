@@ -250,8 +250,9 @@ class SweepResult:
     """Per-point records in axis order; failures recorded, not raised.
 
     Each record's meta maps a theory to its solver diagnostics: solver,
-    dim, basis and matvecs (iterative solves), max_residual and
-    non_finite.
+    dim, basis and matvecs (iterative solves), sectors (dense solves:
+    sector labels and dims and the sector of each level), max_residual
+    and non_finite.  Timings stay out of the records.
     """
 
     spec: SweepSpec
@@ -309,7 +310,7 @@ def _sweep_point(spec: SweepSpec, series, value: float) -> dict:
                 )
             record["energies"][theory] = tuple(float(v) for v in s.eigenvalues)
             record["excitations"][theory] = tuple(float(v) for v in s.excitations)
-            keep = ("solver", "dim", "basis", "matvecs", "non_finite")
+            keep = ("solver", "dim", "basis", "matvecs", "sectors", "non_finite")
             meta = {key: s.metadata[key] for key in keep if key in s.metadata}
             if "residuals" in s.metadata:
                 meta["max_residual"] = float(np.max(s.metadata["residuals"]))

@@ -563,14 +563,16 @@ class TestIterativeSolver:
             raise AssertionError("matvec ran before the budget check")
 
         op.matvec = forbidden
-        # 8 * size * (ncv + m + 4) bytes for ncv = 20, m = 4
-        need = 8 * op.size * 28
+        # 8 * size * (ncv + m + 4) + (_MATVEC_BYTES + 16) * size * m bytes
+        # for ncv = 20, m = 4
+        need = op.size * (8 * 28 + (oscillator._MATVEC_BYTES + 16) * 4)
         with pytest.raises(ResourceError):
             lowest_eigs(op, 4, mode="iterative", memory_budget=need - 1)
 
     def test_budget_at_workspace_passes(self):
         op = two_qubit_operator()
-        spec = lowest_eigs(op, 4, mode="iterative", memory_budget=8 * op.size * 28)
+        need = op.size * (8 * 28 + (oscillator._MATVEC_BYTES + 16) * 4)
+        spec = lowest_eigs(op, 4, mode="iterative", memory_budget=need)
         assert len(spec.eigenvalues) == 4
 
     def test_no_convergence_is_numeric_error(self, monkeypatch):
@@ -610,6 +612,24 @@ class TestIterativeSolver:
         assert not isinstance(info.value, sla.ArpackError)
         assert "-9999" in info.value.details["message"]
         assert info.value.details["matvecs"] == 1
+
+    @pytest.mark.parametrize("dims, m", [((14, 14, 8), 4), ((24, 24, 12), 16)])
+    def test_memory_peak_within_budget_estimate(self, dims, m):
+        # the estimate the budget check uses covers the ARPACK workspace and
+        # the residual check's block matvec
+        op = two_qubit_operator(dims)
+        lowest_eigs(op, m, mode="iterative")  # first call imports scipy
+        ncv = max(2 * m + 1, 20)
+        need = op.size * (8 * (ncv + m + 4) + (oscillator._MATVEC_BYTES + 16) * m)
+        tracemalloc.start()
+        try:
+            lowest_eigs(op, m, mode="iterative")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need
+        with pytest.raises(ResourceError):
+            lowest_eigs(op, m, mode="iterative", memory_budget=need - 1)
 
     def test_timings_split_matvecs_from_solver(self):
         meta = lowest_eigs(two_qubit_operator(), 4, mode="iterative").metadata
@@ -669,3 +689,173 @@ class TestIterativeSolver:
         out = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+def old_dense_lowest(h, m):
+    # the single full eigh every dense solve ran before the sector split
+    vals, vecs = np.linalg.eigh(h)
+    vals = vals[:m]
+    vecs = oscillator._fix_vector_signs(vecs[:, :m])
+    return vals, vecs, np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+
+
+def captured_operator(monkeypatch, theory, system, **kwargs):
+    import coupler_lab.bench as bench
+
+    captured = []
+    real = bench.lowest_eigs
+
+    def spy(op, *args, **kw):
+        captured.append(op)
+        return real(op, *args, **kw)
+
+    monkeypatch.setattr(bench, "lowest_eigs", spy)
+    if theory == "exact":
+        spec = bench.exact_spectrum(system, **kwargs)
+    else:
+        spec = bench.bo_spectrum(theory, system, **kwargs)
+    monkeypatch.setattr(bench, "lowest_eigs", real)
+    return spec, captured[0]
+
+
+def identical_pair(beta_j=1.05, beta_c=0.75, phi_cx=0.0):
+    q = QubitParams(beta_j=beta_j, zeta_j=0.05, alpha_j=0.05)
+    return CouplerSystem(beta_c=beta_c, zeta_c=0.05, qubits=(q, q), e_ltc=3.0, phi_cx=phi_cx)
+
+
+STRONG_PHI_CX = 0.03 * 2.0 * math.pi
+
+
+class TestSectorSolve:
+    """Dense solves split into the parity x exchange sectors of the operator."""
+
+    @pytest.mark.parametrize("beta_j", [0.616, 1.05, 1.262, 1.4])
+    @pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
+    def test_reference_point_matches_full_eigh(self, monkeypatch, theory, beta_j):
+        spec, op = captured_operator(monkeypatch, theory, identical_pair(beta_j), n_levels=6)
+        want = old_dense_lowest(op.to_dense(), 6)[0]
+        np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
+        sectors = spec.metadata["sectors"]
+        assert sectors["labels"] == ("00+", "00-", "10+", "10-")
+        assert sum(sectors["dims"]) == 1600
+        assert set(sectors["levels"]) <= set(sectors["labels"])
+        assert len(sectors["levels"]) == 6
+        assert spec.metadata["sector_leak"] < 1e-12
+
+    @pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
+    def test_strong_coupler_keeps_exchange_only(self, monkeypatch, theory):
+        system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
+        spec, op = captured_operator(monkeypatch, theory, system, n_levels=6,
+                                     nu_max=400, mu_max=120)
+        want = old_dense_lowest(op.to_dense(), 6)[0]
+        np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
+        sectors = spec.metadata["sectors"]
+        assert sectors["labels"] == ("+", "-")
+        assert sectors["dims"] == (820, 780)
+
+    def test_exact_small_dims_match_full_eigh(self, monkeypatch):
+        spec, op = captured_operator(monkeypatch, "exact", identical_pair(1.05),
+                                     dims=(12, 12, 6), n_levels=6)
+        want = old_dense_lowest(op.to_dense(), 6)[0]
+        np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
+        # reflection (-1)^(k0+k1+k2) times exchange (-1)^k1 in the normal modes
+        assert len(spec.metadata["sectors"]["labels"]) == 4
+
+    def test_vectors_lift_back_to_the_full_basis(self, monkeypatch):
+        spec, op = captured_operator(monkeypatch, "NA", identical_pair(1.05),
+                                     dims=(16, 16), n_levels=6, nu_max=40)
+        full = lowest_eigs(op, 6, mode="dense", want_vectors=True)
+        vecs = full.eigenvectors
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-13)
+        h = op.to_dense()
+        assert np.max(np.linalg.norm(h @ vecs - vecs * full.eigenvalues, axis=0)) < 1e-12
+
+    @pytest.mark.parametrize("theory", ["NA", "LA"])
+    def test_non_identical_qubits_are_bitwise_one_eigh(self, monkeypatch, theory):
+        qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
+              QubitParams(beta_j=0.95, zeta_j=0.05, alpha_j=0.05))
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0,
+                               phi_cx=STRONG_PHI_CX)
+        _, op = captured_operator(monkeypatch, theory, system, dims=(20, 20), n_levels=6,
+                                  nu_max=60)
+        spec = lowest_eigs(op, 6, mode="dense", want_vectors=True)
+        vals, vecs, resid = old_dense_lowest(op.to_dense(), 6)
+        assert spec.metadata["sectors"]["labels"] == ("all",)
+        assert spec.metadata["sector_leak"] == 0.0
+        assert np.array_equal(spec.eigenvalues, vals)
+        assert np.array_equal(spec.eigenvectors, vecs)
+        assert np.array_equal(spec.metadata["residuals"], resid)
+
+    def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
+        op = oscillator._junction_mode(0.05, 1.05, 0.0, 60)
+        h = op.to_dense()
+        want = old_dense_lowest(h, 4)
+        for got in (lowest_eigs(op, 4, mode="dense", want_vectors=True),
+                    lowest_eigs(h, 4, want_vectors=True)):
+            assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
+                                               "levels": ("all",) * 4}
+            assert np.array_equal(got.eigenvalues, want[0])
+            assert np.array_equal(got.eigenvectors, want[1])
+            assert np.array_equal(got.metadata["residuals"], want[2])
+
+    def test_cli_single_mode_solves_stay_one_sector(self):
+        spec = lowest_eigs(oscillator._junction_mode(0.05, 1.05, 0.0, 50), 3, mode="dense")
+        assert spec.metadata["sectors"]["labels"] == ("all",)
+
+    def test_false_symmetry_trips_residual_gate(self, monkeypatch):
+        # with every block under the zero tolerance the split is wrong;
+        # reporting its leak honestly passes, hiding it fails the gate
+        _, op = captured_operator(monkeypatch, "NA", identical_pair(1.05, phi_cx=STRONG_PHI_CX),
+                                  dims=(16, 16), n_levels=4, nu_max=40)
+        monkeypatch.setattr(oscillator, "_SECTOR_TOL", 1.0 / np.finfo(float).eps)
+        honest = lowest_eigs(op, 4, mode="dense")
+        assert len(honest.metadata["sectors"]["labels"]) > 2
+        assert honest.metadata["sector_leak"] > 1e-3
+        real = oscillator._sectors
+
+        def hide_leak(h, dims):
+            sectors, _, h_norm = real(h, dims)
+            return sectors, 0.0, h_norm
+
+        monkeypatch.setattr(oscillator, "_sectors", hide_leak)
+        with pytest.raises(NumericError) as info:
+            lowest_eigs(op, 4, mode="dense")
+        assert info.value.details["sector_leak"] == 0.0
+        assert max(info.value.details["residuals"]) > info.value.details["bound"]
+
+    def test_exchange_leak_is_the_swap_odd_norm(self, monkeypatch):
+        # qubits 1e-12 apart, accepted as identical under a raised zero
+        # tolerance: the leak is the dropped swap-odd part (H - PHP)/2
+        qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
+              QubitParams(beta_j=1.05 + 1e-12, zeta_j=0.05, alpha_j=0.05))
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0)
+        _, op = captured_operator(monkeypatch, "NA", system, dims=(16, 16), n_levels=4,
+                                  nu_max=40)
+        monkeypatch.setattr(oscillator, "_SECTOR_TOL", 1e6)
+        spec = lowest_eigs(op, 4, mode="dense")
+        assert spec.metadata["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
+        h = op.to_dense()
+        swapped = h.reshape(16, 16, 16, 16).transpose(1, 0, 3, 2).reshape(256, 256)
+        odd = 0.5 * np.linalg.norm(h - swapped)
+        assert odd > 1e-13
+        assert spec.metadata["sector_leak"] == pytest.approx(odd, rel=1e-6)
+
+    def test_wrong_eigenpairs_trip_residual_gate(self, monkeypatch):
+        real = np.linalg.eigh
+
+        def off_by_1e6(a):
+            vals, vecs = real(a)
+            return vals + 1e-6, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", off_by_1e6)
+        with pytest.raises(NumericError):
+            lowest_eigs(oscillator._junction_mode(0.05, 1.05, 0.0, 30), 3, mode="dense")
+
+    def test_sweep_records_keep_sectors(self):
+        spec = SweepSpec(axis="phi_cx", range=(0.0, STRONG_PHI_CX, 2),
+                         system=identical_pair(1.05), theories=("LA",), n_levels=3,
+                         bo_dims=(12, 12))
+        first, second = sweep(spec).points
+        assert first["meta"]["LA"]["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
+        assert second["meta"]["LA"]["sectors"]["labels"] == ("+", "-")
+        assert "sector_leak" not in first["meta"]["LA"]
