@@ -1,7 +1,7 @@
 """Validation harness: exact spectra versus the reduced theories.
 
-exact_spectrum diagonalizes the full coupler-plus-qubits circuit in
-the normal-mode Fock basis; bo_spectrum eliminates the coupler through
+exact_spectrum diagonalizes the full coupler-plus-qubits circuit on
+the normal-mode product grid; bo_spectrum eliminates the coupler through
 its ground energy, either as the full Fourier series ("NA") or as the
 quadratic expansion with analytic ("LA") or numerically exact ("LN")
 derivatives.  sweep and coupling_scan drive parameter studies over
@@ -19,6 +19,7 @@ from .coupler import (
     b_coeffs,
     eg_derivs_analytic,
     eg_derivs_numeric,
+    eg_eval,
     eg_exact,
     u_min,
     u_zpe_harmonic,
@@ -28,9 +29,10 @@ from .oscillator import (
     DEFAULT_MEMORY_BUDGET,
     Spectrum,
     TensorOperator,
-    _quadrature,
+    _cosine,
+    _kinetic,
+    _mesh,
     assemble_tensor_operator,
-    ho_exp_matrix,
     lowest_eigs,
     normal_modes,
 )
@@ -103,25 +105,22 @@ def exact_spectrum(system, dims=None, n_levels: int = 6,
     return spec
 
 
-def _one_qubit_factors(dims, j, matrix):
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[j] = matrix
-    return factors
-
-
 def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
                 nu_max: int = 100, mu_max: int = 40, series=None,
                 n_basis: int = 50,
                 memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Spectrum:
     """Lowest levels of the coupler-eliminated qubit Hamiltonian.
 
-    "NA" carries the ground-energy Fourier series as products of
-    per-qubit exponential factors, exact at the basis truncation; a
-    prebuilt ``series`` must match the system's beta_c and zeta_c.
-    "LA"/"LN" keep the quadratic expansion about the bias point with
-    analytic respectively numeric derivatives; non-finite derivative
-    inputs yield an all-NaN spectrum flagged in metadata rather than
-    an exception, so sweeps can display breakdown regions.
+    Each qubit keeps its ladder and junction cosine; the coupler's ground
+    energy enters as a potential in the qubit fluxes on the product grid
+    (see oscillator.TensorOperator).  "NA" evaluates the full Fourier
+    series there, e_ltc E_g(phi_eff - sum_j alpha_j phi_j), so its cost
+    does not grow with nu_max; a prebuilt ``series`` must match the
+    system's beta_c and zeta_c.  "LA"/"LN" keep the quadratic expansion
+    about the bias point with analytic respectively numeric derivatives;
+    non-finite derivative inputs yield an all-NaN spectrum flagged in
+    metadata rather than an exception, so sweeps can display breakdown
+    regions.
     """
     if theory not in ("NA", "LA", "LN"):
         raise ConfigurationError(f"unknown reduced theory {theory!r}")
@@ -131,19 +130,20 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     dims = tuple(int(d) for d in dims)
     if len(dims) != len(qubits):
         raise ConfigurationError("need one basis dimension per qubit")
+    if any(d < 1 for d in dims):
+        raise ConfigurationError(f"dims must give a positive size per mode, got {dims}")
     e_ltc = float(system.e_ltc)
     phi_eff = system.phi_cx - sum(q.alpha_j * q.phi_jx for q in qubits)
 
-    diag = np.zeros(dims)
-    terms = []
-    for j, q in enumerate(qubits):
-        shape = [1] * len(dims)
-        shape[j] = dims[j]
-        ladder = 2.0 * q.zeta_j * q.e_lj * (np.arange(dims[j]) + 0.5)
-        diag = diag + ladder.reshape(shape)
-        junction = ho_exp_matrix(math.sqrt(q.zeta_j), dims[j])
-        coeff = 0.5 * q.beta_j * q.e_lj * np.exp(1j * q.phi_jx)
-        terms.append((coeff, _one_qubit_factors(dims, j, junction)))
+    kinetic = []
+    potential = np.zeros(dims)
+    # the flux the qubits thread through the coupler, sum_j alpha_j phi_j
+    flux = 0.0
+    for q, d, x in zip(qubits, dims, _mesh(dims)):
+        kinetic.append(_kinetic(2.0 * q.zeta_j * q.e_lj, d))
+        phi = math.sqrt(q.zeta_j) * x
+        potential = potential + _cosine(0.5 * q.beta_j * q.e_lj * np.exp(1j * q.phi_jx), phi)
+        flux = flux + q.alpha_j * phi
 
     if theory == "NA":
         if series is None:
@@ -153,14 +153,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
                 f"series was built for beta_c={series.beta_c}, zeta_c={series.zeta_c};"
                 f" the system has beta_c={system.beta_c}, zeta_c={system.zeta_c}"
             )
-        coeffs = series.coeffs
-        diag = diag + e_ltc * coeffs[0]
-        for nu in range(1, series.nu_max + 1):
-            factors = [
-                ho_exp_matrix(-nu * q.alpha_j * math.sqrt(q.zeta_j), d)
-                for q, d in zip(qubits, dims)
-            ]
-            terms.append((e_ltc * coeffs[nu] * np.exp(1j * nu * phi_eff), factors))
+        potential = potential + e_ltc * eg_eval(series, phi_eff - flux)
         meta = {"nu_max": series.nu_max, "mu_max": series.mu_max}
     else:
         if theory == "LA":
@@ -177,25 +170,10 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
                 np.full(n_levels, np.nan),
                 metadata={"theory": theory, "non_finite": True, "dims": dims},
             )
-        diag = diag + e_ltc * float(const)
-        xs = [_quadrature(q.zeta_j, d).astype(complex) for q, d in zip(qubits, dims)]
-        for j, q in enumerate(qubits):
-            terms.append(
-                (-0.5 * e_ltc * d1 * q.alpha_j, _one_qubit_factors(dims, j, xs[j]))
-            )
-            terms.append(
-                (0.25 * e_ltc * d2 * q.alpha_j**2,
-                 _one_qubit_factors(dims, j, xs[j] @ xs[j]))
-            )
-        for j in range(len(qubits)):
-            for l in range(j + 1, len(qubits)):
-                factors = _one_qubit_factors(dims, j, xs[j])
-                factors[l] = xs[l]
-                weight = 0.5 * e_ltc * d2 * qubits[j].alpha_j * qubits[l].alpha_j
-                terms.append((weight, factors))
+        potential = potential + e_ltc * (float(const) - d1 * flux + 0.5 * d2 * flux**2)
         meta = {"d1": float(d1), "d2": float(d2)}
 
-    op = TensorOperator(dims, diag, terms)
+    op = TensorOperator(kinetic, potential)
     spec = lowest_eigs(op, n_levels, memory_budget=memory_budget)
     spec.metadata.update(theory=theory, dims=dims, **meta)
     return spec

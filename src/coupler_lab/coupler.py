@@ -205,8 +205,8 @@ def eg_exact(params: CouplerParams, phi_x: float, n_basis: int = 50, n_levels: i
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    op = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
-    return lowest_eigs(op, n_levels, mode="dense").eigenvalues
+    h = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
+    return lowest_eigs(h, n_levels, mode="dense").eigenvalues
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -238,7 +238,7 @@ def _ground_couplings(params: CouplerParams, phi_x: float, n_basis: int, what: s
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    h = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis).to_dense()
+    h = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
     vals, vecs = np.linalg.eigh(h)
     if vals[1] - vals[0] < 1e-10:
         raise NumericError(

@@ -1,51 +1,60 @@
-"""Truncated Fock-space machinery for the coupled-circuit Hamiltonian.
+"""Product-grid machinery for the coupled-circuit Hamiltonian.
 
 The circuit Hamiltonian, after normal-mode decomposition of its
 quadratic part, is a sum of oscillator ladders and junction cosines
 
     H = sum_n w_n (a_n^dag a_n + 1/2)
-      + sum_m [ C_m exp(i sum_n r_mn (a_n + a_n^dag)) + h.c. ],
+      + sum_m [ C_m exp(i sum_n r_mn X_n) + h.c. ],    X_n = a_n + a_n^dag,
 
 where each cosine term m comes from one junction, C_m carries half the
 junction energy and the phase offset at the quadratic minimum, and
 r_mn is the zero-point amplitude of coordinate m along mode n.  The
-factor matrices are exponentials of the dimensionless quadrature,
-evaluated per element through generalized Laguerre polynomials:
+reduced two- and three-qubit problems (NA, LA, LN) have the same form:
+qubit ladders plus a potential in the qubit fluxes.
+
+Every multi-mode problem is held in a discrete variable representation
+(Light, Hamilton & Lill, J. Chem. Phys. 82, 1400 (1985)).  Each mode's
+basis is the eigenbasis U of its truncated quadrature X, whose
+eigenvalues are the Gauss-Hermite nodes x.  Any function of the fluxes
+is then diagonal on the product grid, so
+
+    H = sum_n K_n + diag(V),    K_n = U^T diag(w_n (k + 1/2)) U,
+
+with K_n a real dense d_n x d_n matrix acting on axis n of the grid and
+V the potential at every grid point (see TensorOperator).  The nodes
+are exactly antisymmetric and each eigenvector's ground component is
+positive, so reflecting a mode's nodes, x -> -x, is its Fock parity
+(-1)^k.  Functions of the quadrature are those of the truncated PXP,
+where a Fock-factor build truncates P e^{irX} P; the two agree once the
+basis is converged.
+
+Single-mode problems (the coupler's ground energy, each qubit's
+subspace) stay in the Fock basis: _junction_mode returns their dense
+matrix from the exponential factors, evaluated per element through
+generalized Laguerre polynomials,
 
     <j|e^{irX}|k> = i^{k-j} sqrt(j!/k!) e^{-r^2/2} r^{k-j} L_j^{(k-j)}(r^2)
 
-for j <= k, X = a + a^dag, with the j > k entry equal by symmetry.
-These matrices are complex symmetric, so the Hermitian pairing above
-is elementwise conjugation; applying a paired term to a real vector
-costs one tensor contraction and a real part.
-
-The dense matrix (for problems up to DENSE_DIM_LIMIT states) is built
-from the same factors, not by applying the operator to identity
-columns: all terms go through one real matrix product of stacked
-leading-mode and last-mode factors (see TensorOperator.to_dense),
-chunked so the build holds under three size x size float matrices.
-
-Factor matrices are pure functions of (r, dim), so ho_exp_matrix
-memoizes them in a small bounded cache (16 entries) and returns the
-cached array itself, marked read-only.  A grid loop over one single-mode
-problem and identical qubits sharing a factor per series order then
-build each matrix once.
+for j <= k, with the j > k entry equal by symmetry.  ho_exp_matrix
+memoizes these factors in a small bounded cache (16 entries) and returns
+the cached array itself, marked read-only, so a bias loop over one
+single-mode problem builds its factor once.
 
 A dense solve of a multi-mode operator runs in symmetry sectors found in
-the dense matrix itself, never from a flag (symmetry-adapted bases, as in
-Light & Carrington, Adv. Chem. Phys. 114, 263 (2000)).  Each state's code
-holds its per-mode Fock parities k_n mod 2; the parity changes that occur
-in H's nonzero blocks span a subspace of GF(2)^N whose cosets are the
-parity sectors.  At bias 0 or pi these hold the flux reflection
-(-1)^(sum k_n) of the reduced two-qubit problems and the normal-mode
-parities of the exact circuit.  A swap of two equal-dim modes (identical
-qubits) that commutes with H and keeps every parity sector splits each
-again into (|ab> +- |ba>)/sqrt 2 combinations.  A block counts as zero
-below _SECTOR_TOL eps max|H|, since to_dense's roundoff leaves exchange
-blocks near eps max|H|; the Frobenius norm of what was dropped is
-reported as sector_leak, and the residuals are checked against the full
-matrix.  Two identical qubits at zero bias give four sectors of about
-400 states instead of one eigh of 1600.
+the operator itself, never from a flag (symmetry-adapted bases, as in
+Light & Carrington, Adv. Chem. Phys. 114, 263 (2000)).  On the grid each
+candidate symmetry is a permutation of grid points: the reflection of a
+subset of modes, or one swap of two equal-dim modes (identical qubits)
+that commutes with every accepted reflection.  A candidate P is accepted
+when max|H - PHP| is at most _SECTOR_TOL eps max|H|; the accepted
+permutations generate an abelian group, and the sectors are its
+character spaces, each gathered from the dense matrix with one index
+gather per group element.  A sector is labelled by the least Fock-parity
+code carrying its reflection character, plus +/- for the swap.  The
+Frobenius norm of H minus its group average is reported as sector_leak,
+and the residuals are checked against the full matrix.  Two identical
+qubits at zero bias give four sectors of about 400 states instead of
+one eigh of 1600.
 
 Above the dense limit the lowest levels come from ARPACK's implicitly
 restarted Lanczos (scipy's eigsh) applied through matvec: a fixed
@@ -57,7 +66,7 @@ Every BLAS call inside that iterative path goes through scipy.linalg.blas
 bundle their own OpenBLAS with its own thread pool, and ARPACK runs on
 scipy's; were the matvec's GEMMs left to numpy, the two pools' spinning
 threads would fight over the cores at every hand-over between an ARPACK
-step and a matvec.  matvec makes the same zgemm call numpy's tensordot
+step and a matvec.  matvec makes the same dgemm call numpy's tensordot
 makes, so the result is bitwise the same.
 """
 
@@ -89,13 +98,13 @@ ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
 _ARPACK_MAXITER = 1000
-# matvec workspace per state and column: the contiguous copy and the
-# GEMM output (complex), the real accumulator, and the input's copy when
-# it cannot be reshaped in place
-_MATVEC_BYTES = 16 + 16 + 8 + 8
-# A block of a dense operator counts as zero when its largest entry is at
-# most _SECTOR_TOL eps max|H|: to_dense's stacked GEMM leaves the exchange
-# blocks of a symmetric operator at about eps max|H|, not at exact zero.
+# matvec workspace per state and column: the accumulator, the contiguous
+# copy of the moved axis, the GEMM output, and the input's copy when it
+# cannot be reshaped in place
+_MATVEC_BYTES = 8 + 8 + 8 + 8
+# A grid permutation P counts as a symmetry when max|H - PHP| is at most
+# _SECTOR_TOL eps max|H|: the exact circuit's normal-mode amplitudes come
+# from an eigh, so its mode reflections hold to about 1e-14, not exactly.
 _SECTOR_TOL = 64
 # Dense eigenpairs must meet ||H v - lambda v|| <= sector_leak + c eps ||H||_F.
 _DENSE_RESIDUAL_C = 64
@@ -280,26 +289,64 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
     return NormalModeSystem(freqs, disp, amps, None if dims is None else tuple(dims))
 
 
-class TensorOperator:
-    """Matrix-free Hermitian operator on a tensor-product Fock space.
+@lru_cache(maxsize=16)
+def _grid(dim: int):
+    """Nodes x and eigenvectors U (Fock index by node) of the truncated X.
 
-    Holds a diagonal ladder part and a list of (coefficient, per-mode
-    factor matrix) cosine terms, each standing for the stored term plus
-    its conjugate.  Immutable after construction; matvec application is
-    read-only and safe to call concurrently.
+    The nodes are made exactly antisymmetric and each eigenvector's k = 0
+    component positive, so U[k, dim - 1 - i] = (-1)^k U[k, i]: reversing
+    the nodes is the Fock parity.  That component underflows at the outer
+    nodes, so the sign is read off the last one instead: U[dim - 1, i] =
+    U[0, i] p(x_i) with p the degree dim - 1 Hermite polynomial, whose
+    sign at the nodes alternates, (-1)^(dim - 1 - i), and whose size is
+    1/sqrt(dim) at every node.  Memoized and read-only.
+    """
+    x, u = np.linalg.eigh(_quadrature(1.0, dim))
+    x = (x - x[::-1]) / 2.0
+    u = u * np.sign(u[-1]) * (-1.0) ** np.arange(dim - 1, -1, -1)
+    x.flags.writeable = False
+    u.flags.writeable = False
+    return x, u
+
+
+def _kinetic(freq: float, dim: int) -> np.ndarray:
+    """Ladder freq (k + 1/2) of one mode in its grid basis.
+
+    Symmetric and reflection-symmetric in exact arithmetic; both are
+    imposed bitwise, so a reflection of the grid is an exact symmetry
+    whenever the potential has it.
+    """
+    _, u = _grid(dim)
+    k = u.T @ ((freq * (np.arange(dim) + 0.5))[:, None] * u)
+    k = 0.5 * (k + k.T)
+    return 0.5 * (k + k[::-1, ::-1])
+
+
+def _mesh(dims) -> list:
+    """Each mode's nodes, shaped to broadcast over the product grid."""
+    return np.meshgrid(*(_grid(d)[0] for d in dims), indexing="ij", sparse=True)
+
+
+def _cosine(c: complex, theta) -> np.ndarray:
+    """A cosine term plus its conjugate, 2 Re(c e^{i theta})."""
+    return 2.0 * (c * np.exp(1j * theta)).real
+
+
+class TensorOperator:
+    """Real symmetric operator sum_n K_n + diag(V) on a product grid.
+
+    kinetic[n] is the d_n x d_n matrix acting on axis n of the grid and
+    potential holds V at every grid point.  Immutable after construction;
+    matvec is read-only and safe to call concurrently.
     """
 
-    def __init__(self, dims, diag, terms):
-        self.dims = tuple(int(d) for d in dims)
+    def __init__(self, kinetic, potential):
+        self.kinetic = tuple(np.asarray(k, dtype=float) for k in kinetic)
+        self.dims = tuple(k.shape[0] for k in self.kinetic)
+        if any(k.shape != (d, d) for k, d in zip(self.kinetic, self.dims)):
+            raise ConfigurationError("kinetic factors must be square")
         self.size = int(np.prod(self.dims))
-        self.diag = np.asarray(diag, dtype=float).reshape(self.dims)
-        self.terms = [(complex(c), [np.asarray(u) for u in us]) for c, us in terms]
-        for c, us in self.terms:
-            if len(us) != len(self.dims):
-                raise ConfigurationError("each term needs one factor per mode")
-            for n, u in enumerate(us):
-                if u.shape != (self.dims[n], self.dims[n]):
-                    raise ConfigurationError("factor shape mismatch")
+        self.potential = np.asarray(potential, dtype=float).reshape(self.dims)
 
     @property
     def shape(self):
@@ -308,140 +355,90 @@ class TensorOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply to one real vector (size,) or a real block (size, b).
 
-        Each factor is applied the way np.tensordot would: the contracted
-        axis moved first and made contiguous, then the column-major
-        zgemm numpy itself calls (zgemv for a single column), and the
-        axis moved back.  The calls go through scipy.linalg.blas, so the
-        result is bitwise tensordot's, computed on the BLAS that ARPACK
-        runs on.  The peak workspace is _MATVEC_BYTES per state and column.
+        Each K_n is applied the way np.tensordot would: axis n moved first
+        and made contiguous (a copy unless n = 0), the column-major dgemm
+        numpy itself calls (dgemv for a single column), and the product
+        added back along axis n.  The calls go through scipy.linalg.blas,
+        so the result is bitwise tensordot's, computed on the BLAS that
+        ARPACK runs on.  The peak workspace is _MATVEC_BYTES per state and
+        column.
         """
-        from scipy.linalg.blas import zgemm, zgemv
+        from scipy.linalg.blas import dgemm, dgemv
 
         v = np.asarray(v)
         if np.iscomplexobj(v):
             raise ValueError("TensorOperator acts on real vectors")
-        single = v.ndim == 1
         t = v.reshape(self.dims + (-1,))
-        out = self.diag[..., None] * t
-        for c, us in self.terms:
-            z = t.astype(complex)
-            # rebinding z drops each buffer once the next one exists, so at
-            # most two complex blocks are alive
-            for n, u in enumerate(us):
-                z = np.ascontiguousarray(np.moveaxis(z, n, 0))
-                shape = z.shape
-                z = z.reshape(shape[0], -1)
-                if z.shape[1] == 1:
-                    z = zgemv(1.0, u.T, z[:, 0], trans=1)
-                else:
-                    z = zgemm(1.0, z.T, u.T).T
-                z = np.moveaxis(z.reshape(shape), 0, n)
-            np.multiply(c, z, out=z)
-            out = out + 2.0 * z.real
-        return out.reshape(self.size) if single else out.reshape(self.size, -1)
+        out = self.potential[..., None] * t
+        for n, k in enumerate(self.kinetic):
+            z = np.ascontiguousarray(np.moveaxis(t, n, 0))
+            shape = z.shape
+            z = z.reshape(shape[0], -1)
+            if z.shape[1] == 1:
+                z = dgemv(1.0, k.T, z[:, 0], trans=1)
+            else:
+                z = dgemm(1.0, z.T, k.T).T
+            out += np.moveaxis(z.reshape(shape), 0, n)
+        return out.reshape(v.shape)
 
     def to_dense(self) -> np.ndarray:
-        """Dense (size, size) real matrix built directly from the factors.
+        """Dense (size, size) matrix diag(V) + sum_n I (x) K_n (x) I.
 
-        A single-mode operator is diag + sum_t 2 Re(c_t U_t), summed in
-        term order.  With more modes, split the space as P x d (all
-        modes but the last, then the last): term t contributes
-        2 Re(A_t (x) B_t) with A_t = c_t U_t1 (x) ... (the P x P leading
-        factor) and B_t its d x d last factor.  Stacking the flattened
-        A_t as rows (real part, then minus the imaginary part) and B_t
-        likewise (real, imaginary) turns the whole sum into one real
-        product stack_A^T stack_B of shape (P^2, d^2), which reshapes
-        (P, P, d, d) -> (P, d, P, d) into the matrix.  The stacks are
-        built in chunks of at most half a size x size float matrix, and
-        each chunk's product is added into the output in place, so the
-        peak is the output, one product buffer and one chunk: under
-        three size x size float matrices.
+        Each K_n is added through a writeable einsum view of the entries
+        it fills (equal indices on every other mode), so the build holds
+        one size x size matrix, in the order matvec sums its terms.
         """
         if self.size > DENSE_DIM_LIMIT:
             raise ResourceError(
                 f"dense materialization of a {self.size}-dim operator exceeds the"
                 f" {DENSE_DIM_LIMIT}-dim limit"
             )
-        if len(self.dims) == 1:
-            out = np.diag(self.diag)
-            for c, (u,) in self.terms:
-                out = out + 2.0 * np.real(c * u)
-            return out
-        d = self.dims[-1]
-        p = self.size // d
-        out = np.zeros((self.size, self.size))
-        out4 = out.reshape(p, d, p, d)
-        if self.terms:
-            # 16 bytes per term and stacked element, within 4 * size^2 bytes
-            chunk = max(1, 4 * self.size**2 // (16 * (p * p + d * d)))
-            chunk = min(chunk, len(self.terms))
-            stack_a = np.empty((2 * chunk, p * p))
-            stack_b = np.empty((2 * chunk, d * d))
-            prod = np.empty((p * p, d * d))
-            for lo in range(0, len(self.terms), chunk):
-                part = self.terms[lo:lo + chunk]
-                for i, (c, us) in enumerate(part):
-                    a = (2.0 * c) * us[0]
-                    for u in us[1:-1]:
-                        a = np.kron(a, u)
-                    stack_a[2 * i] = a.real.ravel()
-                    stack_a[2 * i + 1] = -a.imag.ravel()
-                    stack_b[2 * i] = us[-1].real.ravel()
-                    stack_b[2 * i + 1] = us[-1].imag.ravel()
-                rows = 2 * len(part)
-                np.matmul(stack_a[:rows].T, stack_b[:rows], out=prod)
-                out4 += prod.reshape(p, p, d, d).transpose(0, 2, 1, 3)
-        out.flat[::self.size + 1] += self.diag.ravel()
+        out = np.diag(self.potential.ravel())
+        for n, k in enumerate(self.kinetic):
+            lead, d = int(np.prod(self.dims[:n])), self.dims[n]
+            trail = self.size // (lead * d)
+            blocks = out.reshape(lead, d, trail, lead, d, trail)
+            np.einsum("aibajb->aijb", blocks)[...] += k[None, :, :, None]
         return out
 
 
 def assemble_tensor_operator(system: NormalModeSystem,
                              memory_budget: int = DEFAULT_MEMORY_BUDGET) -> TensorOperator:
-    """Build the matrix-free operator for a normal-mode system.
+    """Build the grid operator of a normal-mode system.
 
-    Factor matrices are computed once per (term, mode); the ladder part
-    sum_n w_n (k + 1/2) is stored as a diagonal.  The projected memory
-    footprint (factors plus matvec temporaries) is checked against the
-    budget before anything is allocated.
+    Mode n carries the ladder w_n (k + 1/2) as its kinetic factor; the
+    junction cosines are the potential V = sum_m 2 Re(C_m e^{i sum_n
+    r_mn x_n}) on the product grid.  The potential and the matvec
+    workspace are checked against the budget before anything is
+    allocated.
     """
     if system.dims is None:
         raise ConfigurationError("system has no dims; pass dims to normal_modes")
     dims = system.dims
-    n_terms = len(system.amplitudes)
-    size = int(np.prod(dims))
-    factor_bytes = 16 * n_terms * sum(d * d for d in dims)
-    work_bytes = size * _MATVEC_BYTES
-    if factor_bytes + work_bytes > memory_budget:
+    need = int(np.prod(dims)) * (8 + _MATVEC_BYTES)
+    if need > memory_budget:
         raise ResourceError(
-            f"assembly needs ~{(factor_bytes + work_bytes) / 2**20:.0f} MiB,"
+            f"assembly needs ~{need / 2**20:.0f} MiB,"
             f" over the {memory_budget / 2**20:.0f} MiB budget"
         )
-    diag = np.zeros(dims)
-    for n, d in enumerate(dims):
-        shape = [1] * len(dims)
-        shape[n] = d
-        diag = diag + (system.freqs[n] * (np.arange(d) + 0.5)).reshape(shape)
-    terms = []
-    for m in range(n_terms):
-        us = [ho_exp_matrix(system.displacements[m, n], dims[n]) for n in range(len(dims))]
-        terms.append((system.amplitudes[m], us))
-    return TensorOperator(dims, diag, terms)
+    xs = _mesh(dims)
+    potential = np.zeros(dims)
+    for c, rs in zip(system.amplitudes, system.displacements):
+        potential += _cosine(c, sum(r * x for r, x in zip(rs, xs)))
+    kinetic = [_kinetic(w, d) for w, d in zip(system.freqs, dims)]
+    return TensorOperator(kinetic, potential)
 
 
-def _junction_mode(zeta: float, beta: float, phase: float, dim: int) -> TensorOperator:
-    """One biased junction oscillator in the Fock basis of its beta = 0 part.
+def _junction_mode(zeta: float, beta: float, phase: float, dim: int) -> np.ndarray:
+    """One biased junction oscillator, as a dense matrix in the Fock basis.
 
     Ladder frequency 2 zeta, quadrature amplitude sqrt(zeta), and the
     junction pair with half amplitude (beta/2) e^{i phase}: the
     single-mode problem shared by the coupler and each qubit.
     """
-    nm = NormalModeSystem(
-        freqs=[2.0 * zeta],
-        displacements=[[math.sqrt(zeta)]],
-        amplitudes=[0.5 * beta * np.exp(1j * phase)],
-        dims=(dim,),
-    )
-    return assemble_tensor_operator(nm)
+    c = 0.5 * beta * np.exp(1j * phase)
+    ladder = 2.0 * zeta * (np.arange(dim) + 0.5)
+    return np.diag(ladder) + 2.0 * np.real(c * ho_exp_matrix(math.sqrt(zeta), dim))
 
 
 def _quadrature(zeta: float, dim: int) -> np.ndarray:
@@ -475,139 +472,122 @@ def _fix_vector_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * flip
 
 
-def _parity_cosets(h: np.ndarray, dims: tuple):
-    """Fock-parity sectors of a dense operator on the product space `dims`.
+def _entry_norms(kinetic, potential):
+    """Largest |entry| and squared Frobenius norm of sum_n K_n + diag(V)."""
+    dims = potential.shape
+    diag = potential
+    peak, squares = 0.0, 0.0
+    for n, k in enumerate(kinetic):
+        d = np.diagonal(k)
+        diag = diag + d.reshape((-1,) + (1,) * (len(dims) - 1 - n))
+        off = k - np.diag(d)
+        peak = max(peak, float(np.max(np.abs(off))))
+        squares += potential.size // dims[n] * float(np.sum(off * off))
+    return max(peak, float(np.max(np.abs(diag)))), squares + float(np.sum(diag * diag))
 
-    Each state carries the code sum_n (k_n mod 2) 2^n.  The block of H
-    between codes a and b is a strided view of H reshaped to dims + dims;
-    a block is present when its largest entry exceeds the zero tolerance.
-    The present parity changes a ^ b span a subspace S of GF(2)^N, and H
-    has no present block between the cosets of S, so the cosets are the
-    sectors.  Returns (coset representative per code, tolerance, sum of
-    squares of the dropped blocks, sum of squares of H).
+
+def _asymmetry(op: TensorOperator, flips, swap):
+    """Kinetic factors and potential of H - PHP for the grid permutation P
+    that reverses the nodes of the modes in `flips` and swaps the mode
+    pair `swap` (None for no swap)."""
+    kinetic, potential = list(op.kinetic), op.potential
+    if swap is not None:
+        i, j = swap
+        kinetic[i], kinetic[j] = kinetic[j], kinetic[i]
+        potential = potential.swapaxes(i, j)
+    for n in flips:
+        kinetic[n] = kinetic[n][::-1, ::-1]
+    return ([a - b for a, b in zip(op.kinetic, kinetic)],
+            op.potential - np.flip(potential, flips))
+
+
+def _sectors(h: np.ndarray, op: TensorOperator):
+    """Symmetry sectors of the dense matrix h of a grid operator.
+
+    The candidates are the reflections of every nonempty subset of modes,
+    then the first swap of two equal-dim modes that commutes with every
+    accepted reflection; each is tested on op's kinetic factors and
+    potential.  The accepted permutations generate an abelian group of
+    involutions, and each of its characters chi gives the sector spanned
+    by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
+    representatives o whose stabilizer chi leaves at +1.  Returns a list
+    of (label, matrix, lift), the Frobenius norm of H minus its group
+    average (sector_leak) and that of H.
     """
-    n_modes = len(dims)
-    n_codes = 1 << n_modes
-    h4 = h.reshape(dims + dims)
+    n_modes = len(op.dims)
+    peak, squares = _entry_norms(op.kinetic, op.potential)
+    tol = _SECTOR_TOL * np.finfo(float).eps * peak
 
-    def part(code):
-        return tuple(slice((code >> k) & 1, None, 2) for k in range(n_modes))
+    def modes(mask):
+        return tuple(n for n in range(n_modes) if mask >> n & 1)
 
-    peak = np.zeros((n_codes, n_codes))
-    squares = np.zeros((n_codes, n_codes))
-    for a in range(n_codes):
-        for b in range(n_codes):
-            blk = np.abs(h4[part(a) + part(b)]).ravel()
-            if blk.size:
-                peak[a, b] = blk.max()
-                squares[a, b] = blk @ blk
-    tol = _SECTOR_TOL * np.finfo(float).eps * peak.max()
-    # xor basis of the present parity changes, leading bits distinct and
-    # descending; reducing a code by it gives the least code of its coset
-    basis = []
-    for a, b in zip(*np.nonzero(peak > tol)):
-        x = int(a) ^ int(b)
-        for v in basis:
-            x = min(x, x ^ v)
-        if x:
-            basis = sorted(basis + [x], reverse=True)
-    rep = np.arange(n_codes)
-    for v in basis:
-        rep = np.minimum(rep, rep ^ v)
-    dropped = squares[rep[:, None] != rep[None, :]].sum()
-    return rep, tol, dropped, squares.sum()
+    def commutes(flips, swap=None):
+        return _entry_norms(*_asymmetry(op, flips, swap))[0] <= tol
 
+    group = [0]
+    for mask in range(1, 1 << n_modes):
+        if mask not in group and commutes(modes(mask)):
+            group += [g ^ mask for g in group]
+    swap = next((pair for pair in combinations(range(n_modes), 2)
+                 if op.dims[pair[0]] == op.dims[pair[1]]
+                 and all((g >> pair[0] ^ g >> pair[1]) & 1 == 0 for g in group)
+                 and commutes((), pair)), None)
+    elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
+    if len(elements) == 1:
+        return [("all", h, None)], 0.0, math.sqrt(squares)
 
-def _exchange_split(h: np.ndarray, idx: np.ndarray, perm: np.ndarray):
-    """Split one sector by the mode swap `perm` into its +/- combinations.
+    index = np.arange(op.size).reshape(op.dims)
+    perms, odd_k, odd_v = [], [0.0] * n_modes, 0.0
+    for g, s in elements:
+        perm = np.flip(index, modes(g))
+        perms.append((perm.swapaxes(*swap) if s else perm).ravel())
+        dk, dv = _asymmetry(op, modes(g), swap if s else None)
+        odd_k = [a + b for a, b in zip(odd_k, dk)]
+        odd_v = odd_v + dv
+    leak = math.sqrt(_entry_norms([k / len(elements) for k in odd_k],
+                                  odd_v / len(elements))[1])
+    perms = np.array(perms)
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
+    fixed = perms[:, reps] == reps
+    blocks = [h[np.ix_(reps, p[reps])] for p in perms]
 
-    The sector's states are the swap-fixed states F and pairs (a, b =
-    perm[a]) with a < b; the + sector has basis F and (|a> + |b>)/sqrt 2,
-    the - sector (|a> - |b>)/sqrt 2.  Returns the two (matrix, lift)
-    pairs, where lift lists (full indices, local slice, weight) to map
-    sector vectors back, and the (+, -) and (-, +) blocks that the split
-    drops.
-    """
-    p = perm[idx]
-    fixed, a = idx[p == idx], idx[p > idx]
-    b = perm[a]
-    order = np.concatenate([fixed, a, b])
-    g = h[np.ix_(order, order)]
-    f, k = len(fixed), len(a)
-    F, A, B = slice(0, f), slice(f, f + k), slice(f + k, f + 2 * k)
-    s = math.sqrt(0.5)
-    plus = np.block([[g[F, F], (g[F, A] + g[F, B]) * s],
-                     [(g[A, F] + g[B, F]) * s, (g[A, A] + g[A, B] + g[B, A] + g[B, B]) * 0.5]])
-    minus = (g[A, A] - g[A, B] - g[B, A] + g[B, B]) * 0.5
-    cross = [np.concatenate([(g[F, A] - g[F, B]) * s, (g[A, A] - g[A, B] + g[B, A] - g[B, B]) * 0.5]),
-             np.concatenate([(g[A, F] - g[B, F]) * s, (g[A, A] + g[A, B] - g[B, A] - g[B, B]) * 0.5],
-                            axis=1)]
-    lift_plus = [(fixed, slice(0, f), 1.0), (a, slice(f, None), s), (b, slice(f, None), s)]
-    lift_minus = [(a, slice(None), s), (b, slice(None), -s)]
-    return (plus, lift_plus), (minus, lift_minus), cross
-
-
-def _sectors(h: np.ndarray, dims: tuple):
-    """Symmetry sectors of a dense operator on the product space `dims`.
-
-    Parity cosets first (see _parity_cosets), then at most one swap of
-    two equal-dim modes that maps every coset onto itself, leaves the
-    diagonal unchanged and commutes with H within each coset.  Returns
-    a list of (label, matrix, lift), the Frobenius norm of every dropped
-    block (sector_leak) and that of H.
-    """
-    n = h.shape[0]
-    rep, tol, dropped, total = _parity_cosets(h, dims)
-    codes = sum((ks % 2) << k for k, ks in enumerate(np.indices(dims)))
-    state_rep = rep[codes.ravel()]
-    cosets = [(r, np.flatnonzero(state_rep == r)) for r in np.unique(state_rep)]
-
-    def parity_label(r):
-        return "".join(str((r >> k) & 1) for k in range(len(dims))) if len(cosets) > 1 else ""
-
-    diag = h.diagonal()
-    all_codes = np.arange(len(rep))
-    for i, j in combinations(range(len(dims)), 2):
-        if dims[i] != dims[j]:
-            continue
-        swapped = all_codes & ~((1 << i) | (1 << j))
-        swapped |= ((all_codes >> i) & 1) << j | ((all_codes >> j) & 1) << i
-        if np.any(rep[swapped] != rep):
-            continue
-        perm = np.arange(n).reshape(dims).swapaxes(i, j).ravel()
-        if np.max(np.abs(diag[perm] - diag)) > tol:
-            continue
-        sectors, leak = [], dropped
-        for r, idx in cosets:
-            plus, minus, cross = _exchange_split(h, idx, perm)
-            if max((np.max(np.abs(c)) for c in cross if c.size), default=0.0) > tol:
-                break
-            leak += sum(float(np.sum(c * c)) for c in cross)
-            label = parity_label(r)
-            sectors += [(label + "+", *plus), (label + "-", *minus)]
-        else:
-            return [sec for sec in sectors if len(sec[1])], math.sqrt(leak), math.sqrt(total)
-    if len(cosets) == 1:
-        return [("all", h, None)], 0.0, math.sqrt(total)
-    sectors = [(parity_label(r), h[np.ix_(idx, idx)], [(idx, slice(None), 1.0)])
-               for r, idx in cosets]
-    return sectors, math.sqrt(dropped), math.sqrt(total)
+    # reflection characters, each under the least Fock-parity code carrying it
+    codes = {}
+    for c in range(1 << n_modes):
+        codes.setdefault(tuple(bin(g & c).count("1") % 2 for g in group), c)
+    sectors = []
+    for parity, c in codes.items():
+        label = "".join(str(c >> n & 1) for n in range(n_modes)) if len(group) > 1 else ""
+        for sign, mark in ((1, "+"), (-1, "-")) if swap else ((1, ""),):
+            chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
+                            for g, s in elements])
+            keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
+            if not keep.any():
+                continue
+            stab = fixed[:, keep].sum(axis=0)
+            scale = 1.0 / np.sqrt(stab)
+            mat = sum(x * b for x, b in zip(chi, blocks))[np.ix_(keep, keep)]
+            mat *= scale[:, None] * scale[None, :]
+            lift = [(p[reps[keep]], (x * np.sqrt(stab / len(elements)))[:, None])
+                    for p, x in zip(perms, chi)]
+            sectors.append((label + mark, mat, lift))
+    return sectors, leak, math.sqrt(squares)
 
 
-def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool, dims=None) -> Spectrum:
+def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool, op=None) -> Spectrum:
     """Lowest m levels by np.linalg.eigh, sector by sector when H has symmetries.
 
-    With dims of two or more modes the sectors come from H itself (see
-    _sectors); each gets its own eigh, its lowest levels are lifted back
-    to the full basis, and the merged lowest m are kept.  Without dims
-    or without a symmetry, H gets one eigh, as a plain matrix would.
-    The true residuals against the full H must stay within sector_leak
-    (a Weyl bound on the eigenvalue error of the dropped blocks) plus
-    _DENSE_RESIDUAL_C eps ||H||_F, else NumericError.
+    With the grid operator op of two or more modes the sectors come from
+    its symmetries (see _sectors); each gets its own eigh, its lowest
+    levels are lifted back to the full basis, and the merged lowest m are
+    kept.  Without op or without a symmetry, h gets one eigh, as a plain
+    matrix would.  The true residuals against the full h must stay within
+    sector_leak (a Weyl bound on the eigenvalue error of the dropped
+    part) plus _DENSE_RESIDUAL_C eps ||H||_F, else NumericError.
     """
     n = h.shape[0]
-    if dims is not None and len(dims) > 1:
-        sectors, leak, h_norm = _sectors(h, dims)
+    if op is not None and len(op.dims) > 1:
+        sectors, leak, h_norm = _sectors(h, op)
     else:
         sectors, leak, h_norm = [("all", h, None)], 0.0, float(np.linalg.norm(h))
     if len(sectors) == 1:
@@ -619,8 +599,8 @@ def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool, dims=None) -> Spect
             w, y = np.linalg.eigh(mat)
             k = min(m, len(w))
             v = np.zeros((n, k))
-            for rows, cols, weight in lift:
-                v[rows] = weight * y[cols, :k]
+            for rows, weight in lift:
+                v[rows] = weight * y[:, :k]
             found_vals.append(w[:k])
             found_vecs.append(v)
             found_sectors += [s] * k
@@ -660,7 +640,7 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
     n = op.size
     ncv = max(2 * m + 1, 20)
     if ncv >= n:
-        return _dense_lowest(op.to_dense(), m, want_vectors, op.dims)
+        return _dense_lowest(op.to_dense(), m, want_vectors, op)
     # the Lanczos basis, ARPACK's work arrays and the m Ritz vectors (8 bytes
     # each), then the residual check: the block matvec on the Ritz vectors
     # (_MATVEC_BYTES per state and column) and its product and difference
@@ -720,24 +700,28 @@ def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
     mode "dense" runs full symmetric eigendecompositions (allowed up
     to 8192 dims); "iterative" runs ARPACK's implicitly restarted
     Lanczos on the matrix-free operator (m <= 32); "auto" picks dense
-    when it fits.  Iterative solves report the basis size, the operator
+    when it fits.  Any other mode raises ConfigurationError, for a plain
+    array too.  Iterative solves report the basis size, the operator
     applications ("matvecs"), the true residuals, and the seconds spent
     in the matvecs and in the whole solve ("matvec_s", "solve_s").
 
     A dense solve of a TensorOperator with two or more modes is split
-    into the symmetry sectors found in its own matrix: the cosets of its
-    Fock-parity changes, each split again by one commuting swap of two
-    equal-dim modes.  Each sector gets its own eigh and the merged lowest
-    m are returned; with no symmetry, or for a single mode or a plain
-    array, there is one sector "all" and the result is that of one full
-    eigh.  Dense solves report "sectors" (labels, dims, and the sector of
-    each returned level), "sector_leak" (the Frobenius norm of the blocks
-    treated as zero, a Weyl bound on the eigenvalue error) and the true
-    residuals against the full matrix; a residual above sector_leak +
-    c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises NumericError.
+    into the sectors of the grid symmetries found in the operator: node
+    reversals of subsets of modes (the Fock parities), and one commuting
+    swap of two equal-dim modes.  Each sector gets its own eigh and the
+    merged lowest m are returned; with no symmetry, or for a single mode
+    or a plain array, there is one sector "all" and the result is that
+    of one full eigh.  Dense solves report "sectors" (labels, dims, and
+    the sector of each returned level), "sector_leak" (the Frobenius norm
+    of the part of H the sectors drop, a Weyl bound on the eigenvalue
+    error) and the true residuals against the full matrix; a residual
+    above sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises
+    NumericError.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
+    if mode not in ("auto", "dense", "iterative"):
+        raise ConfigurationError(f"unknown solver mode {mode!r}")
     if isinstance(op, np.ndarray):
         size = op.shape[0]
         if mode == "iterative":
@@ -754,9 +738,7 @@ def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
     if mode == "dense":
         if op.size > DENSE_DIM_LIMIT:
             raise ConfigurationError(f"dense solve limited to {DENSE_DIM_LIMIT} dims")
-        return _dense_lowest(op.to_dense(), m, want_vectors, op.dims)
-    if mode != "iterative":
-        raise ConfigurationError(f"unknown solver mode {mode!r}")
+        return _dense_lowest(op.to_dense(), m, want_vectors, op)
     if m > ITERATIVE_M_LIMIT:
         raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
     return _iterative_lowest(op, m, tol, want_vectors, memory_budget)

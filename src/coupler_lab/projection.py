@@ -121,7 +121,7 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     """
     if n_basis < 40:
         raise ConfigurationError(f"n_basis must be >= 40, got {n_basis}")
-    h = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx, n_basis).to_dense()
+    h = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx, n_basis)
     vals, vecs = np.linalg.eigh(h)
 
     flux = _quadrature(params.zeta_j, n_basis) + params.phi_jx * np.eye(n_basis)

@@ -333,8 +333,8 @@ def test_criterion_10a_reference_window(spectrum_profile):
              "max excitation error " + ", ".join(f"{t} {100 * w:.1f}%" for t, w in worst.items())
              + f" vs 2% over beta_j in [0.5, 1.4]; all theories <= 2% for beta_j <= "
              + (f"{max(green)}" if green else "(none)")
-             + " (the lowest splitting collapses to ~1e-5 by beta_j = 1.4, so a uniform"
-             " relative bound cannot hold there)")
+             + " (the lowest splitting collapses to ~1.2e-7 at 40x40x18 by beta_j = 1.4,"
+             " 1.773e-10 converged, so a uniform relative bound cannot hold there)")
     assert ok, "uniform 2% bound over the full beta_j window"
 
 

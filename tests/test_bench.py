@@ -6,6 +6,7 @@ theory-vs-exact comparisons run from the acceptance suite instead.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,13 +85,16 @@ def test_exact_qubit_count_guard():
 
 
 def test_exact_dims_convergence():
-    # variational sanity: enlarging the basis moves E_0 by < 1e-6
-    system = CouplerSystem(
-        beta_c=0.75, zeta_c=0.05, qubits=(REF_QUBIT, REF_QUBIT), e_ltc=3.0
-    )
-    a = exact_spectrum(system, dims=(24, 24, 16), n_levels=3)
-    b = exact_spectrum(system, dims=(28, 28, 18), n_levels=3)
-    assert abs(a.eigenvalues[0] - b.eigenvalues[0]) < 1e-6
+    # variational sanity: enlarging the basis moves E_0 by < 1e-6 at the
+    # reference qubit, and by < 1e-7 past (48, 48, 18) in the deep double
+    # well at beta_j = 1.4 (5.3e-8 there; 4.6e-5 from (40, 40, 18))
+    deep = replace(REF_QUBIT, beta_j=1.4)
+    for qubit, small, large, bound in [(REF_QUBIT, (24, 24, 16), (28, 28, 18), 1e-6),
+                                       (deep, (48, 48, 18), (56, 56, 18), 1e-7)]:
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(qubit, qubit), e_ltc=3.0)
+        a = exact_spectrum(system, dims=small, n_levels=3)
+        b = exact_spectrum(system, dims=large, n_levels=3)
+        assert abs(a.eigenvalues[0] - b.eigenvalues[0]) < bound
 
 
 # ------------------------------------------------------------ bo_spectrum
@@ -170,6 +174,20 @@ def test_bo_theory_tags(ref_system):
         bo_spectrum("exact", ref_system)
     with pytest.raises(ConfigurationError):
         bo_spectrum("NA", ref_system, dims=(24,))
+
+
+@pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
+def test_bo_rejects_nonpositive_dims(ref_system, theory, monkeypatch):
+    import coupler_lab.bench as bench
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the dims check")
+
+    monkeypatch.setattr(bench, "b_coeffs", forbidden)
+    monkeypatch.setattr(bench, "TensorOperator", forbidden)
+    for dims in [(0, 40), (-3, 40)]:
+        with pytest.raises(ConfigurationError, match="positive size"):
+            bo_spectrum(theory, ref_system, dims=dims)
 
 
 def test_bo_non_finite_inputs_flagged(ref_system, monkeypatch):

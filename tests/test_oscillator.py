@@ -2,10 +2,11 @@
 
 Oracles: scaling-and-squaring matrix exponential on a padded basis for
 the exponential matrix elements; an independently solved generalized
-characteristic polynomial for the normal modes; explicit dense
-assembly for the tensor matvec, and the operator's image of the
-identity for its direct dense build; the dense solver and an independent
-scipy eigsh call as cross-checks for the iterative solver (ARPACK's
+characteristic polynomial for the normal modes; explicit Kronecker
+assembly and the textbook Fock-basis Hamiltonian for the grid operator,
+np.tensordot for its matvec, and the operator's image of the identity
+for its direct dense build; the dense solver and an independent scipy
+eigsh call as cross-checks for the iterative solver (ARPACK's
 implicitly restarted Lanczos behind the package's own guarantees).
 """
 
@@ -24,8 +25,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 import coupler_lab
 from coupler_lab import oscillator
-from coupler_lab.bench import CouplerSystem, SweepSpec, sweep
-from coupler_lab.coupler import CouplerParams, eg_exact
+from coupler_lab.bench import CouplerSystem, SweepSpec, bo_spectrum, exact_spectrum, sweep
+from coupler_lab.coupler import CouplerParams, b_coeffs, eg_eval, eg_exact
 from coupler_lab.errors import ConfigurationError, NumericError, ResourceError
 from coupler_lab.kapteyn import _sin_coeffs
 from coupler_lab.oscillator import (
@@ -228,6 +229,45 @@ class TestNormalModes:
             NormalModeSystem([2.0, 1.0], np.eye(2), [1.0, 1.0])
 
 
+class TestGrid:
+    @pytest.mark.parametrize("dim", [1, 2, 7, 18, 40, 61])
+    def test_nodes_are_bitwise_antisymmetric(self, dim):
+        x, _ = oscillator._grid(dim)
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(np.diff(x) > 0.0)
+
+    @pytest.mark.parametrize("dim", [6, 18, 40, 61])
+    def test_nodes_diagonalize_the_quadrature(self, dim):
+        x, u = oscillator._grid(dim)
+        np.testing.assert_allclose(u.T @ u, np.eye(dim), atol=1e-13)
+        np.testing.assert_allclose(u.T @ x_matrix(dim) @ u, np.diag(x), atol=1e-12)
+        # reversing the nodes is the Fock parity, given k = 0 components > 0
+        # (they underflow at the outer nodes of larger grids)
+        assert np.all(u[0][np.abs(u[0]) > 1e-12] > 0.0)
+        parity = (-1.0) ** np.arange(dim)
+        np.testing.assert_allclose(u[:, ::-1], parity[:, None] * u, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [18, 40, 61])
+    def test_sign_fix_makes_the_ladder_reflection_symmetric(self, dim):
+        # the ladder before symmetrization is already reflection-symmetric
+        # within the sector tolerance; the kept factor is so bitwise
+        _, u = oscillator._grid(dim)
+        raw = u.T @ ((0.1 * (np.arange(dim) + 0.5))[:, None] * u)
+        tol = oscillator._SECTOR_TOL * np.finfo(float).eps * np.max(np.abs(raw))
+        assert np.max(np.abs(raw - raw[::-1, ::-1])) <= tol
+        k = oscillator._kinetic(0.1, dim)
+        assert np.array_equal(k, k[::-1, ::-1])
+        assert np.array_equal(k, k.T)
+        np.testing.assert_allclose(np.linalg.eigvalsh(k), 0.1 * (np.arange(dim) + 0.5),
+                                   rtol=0, atol=1e-13)
+
+    def test_grid_is_memoized_read_only(self):
+        x, u = oscillator._grid(12)
+        assert oscillator._grid(12)[0] is x
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
+
+
 class TestTensorOperator:
     def build_reference(self, dims=(8, 8, 6)):
         qs = [make_qubit(), make_qubit()]
@@ -235,17 +275,29 @@ class TestTensorOperator:
         return assemble_tensor_operator(nm)
 
     def test_single_mode_matches_direct_assembly(self):
-        # one junction, one mode: dense operator must equal the textbook
-        # H = w(n+1/2) + (C e^{irX} + h.c.) built by hand
+        # one junction, one mode: the grid operator's levels must equal
+        # those of the textbook H = w(n+1/2) + (C e^{irX} + h.c.) built by
+        # hand in a padded Fock basis; both are converged at these sizes
         sys_ = make_system(beta_c=0.75, zeta_c=0.05, e_ltc=1.0, phi_cx=0.3)
         nm = normal_modes(sys_, dims=(50,))
         op = assemble_tensor_operator(nm)
         dense = op.to_dense()
         w = 2 * 0.05
         r = math.sqrt(0.05)
-        half = 0.5 * 0.75 * np.exp(0.3j) * expm(1j * r * x_matrix(90))[:50, :50]
-        ref = np.diag(w * (np.arange(50) + 0.5)) + (half + half.conj().T).real
-        assert np.max(np.abs(dense - ref)) < 1e-10
+        half = 0.5 * 0.75 * np.exp(0.3j) * expm(1j * r * x_matrix(130))[:90, :90]
+        ref = np.diag(w * (np.arange(90) + 0.5)) + (half + half.conj().T).real
+        np.testing.assert_allclose(np.linalg.eigvalsh(dense)[:10],
+                                   np.linalg.eigvalsh(ref)[:10], rtol=0, atol=1e-10)
+
+    def test_exact_potential_is_the_junction_cosines(self):
+        op = self.build_reference((5, 4, 3))
+        nm = normal_modes(make_system(qubits=[make_qubit(), make_qubit()]))
+        xs = [oscillator._grid(d)[0] for d in (5, 4, 3)]
+        for idx in [(0, 0, 0), (4, 1, 2), (2, 3, 1)]:
+            x = np.array([xs[n][i] for n, i in enumerate(idx)])
+            want = sum(2.0 * (c * np.exp(1j * (r @ x))).real
+                       for c, r in zip(nm.amplitudes, nm.displacements))
+            assert op.potential[idx] == pytest.approx(want, abs=1e-13)
 
     def test_matvec_matches_dense(self):
         op = self.build_reference()
@@ -293,46 +345,47 @@ def identity_image(op):
     return op.matvec(np.eye(op.size))
 
 
-def random_operator(dims, n_terms, seed):
-    # exponential factors with random displacements and unit-size complex
-    # coefficients, so every entry is O(1) and 1e-13 is a rounding-level bound
+def random_operator(dims, seed):
+    # random symmetric kinetic factors and potential with O(1) entries, so
+    # 1e-13 is a rounding-level bound
     rng = np.random.default_rng(seed)
-    diag = rng.standard_normal(dims)
-    terms = []
-    for _ in range(n_terms):
-        us = [ho_exp_matrix(rng.uniform(-1.5, 1.5), d) for d in dims]
-        terms.append((complex(*rng.uniform(-0.5, 0.5, 2)), us))
-    return TensorOperator(dims, diag, terms)
+    kinetic = []
+    for d in dims:
+        a = rng.standard_normal((d, d))
+        kinetic.append(a + a.T)
+    return TensorOperator(kinetic, rng.standard_normal(dims))
+
+
+def diagonal_operator(dims, potential):
+    return TensorOperator([np.zeros((d, d)) for d in dims], potential)
 
 
 class TestToDense:
     @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
     def test_matches_identity_image(self, dims):
-        op = random_operator(dims, 12, seed=len(dims))
+        op = random_operator(dims, seed=len(dims))
         assert np.max(np.abs(op.to_dense() - identity_image(op))) < 1e-13
 
     def test_single_mode_is_bitwise(self):
-        op = random_operator((17,), 30, seed=11)
+        op = random_operator((17,), seed=11)
         assert np.array_equal(op.to_dense(), identity_image(op))
 
     @pytest.mark.parametrize("dims", [(7,), (5, 6), (3, 4, 2)])
     def test_no_terms(self, dims):
-        op = TensorOperator(dims, np.arange(float(np.prod(dims))), [])
+        # no kinetic part: the potential alone, on the diagonal
+        op = diagonal_operator(dims, np.arange(float(np.prod(dims))))
+        assert np.array_equal(op.to_dense(), np.diag(np.arange(float(np.prod(dims)))))
         assert np.array_equal(op.to_dense(), identity_image(op))
 
     def test_identity_factors_in_other_modes(self):
-        # LA-style terms: one or two modes carry X or X^2, the rest identities
-        dims = (6, 5)
-        xs = [x_matrix(d).astype(complex) for d in dims]
-        eyes = [np.eye(d, dtype=complex) for d in dims]
-        terms = [
-            (-0.3, [xs[0], eyes[1]]),
-            (0.2, [eyes[0], xs[1] @ xs[1]]),
-            (0.05, [xs[0], xs[1]]),
-            (0.4 + 0.1j, [ho_exp_matrix(0.2, 6), eyes[1]]),
-        ]
-        op = TensorOperator(dims, np.linspace(0.0, 1.0, 30), terms)
-        assert np.max(np.abs(op.to_dense() - identity_image(op))) < 1e-13
+        # each K_n acts on its own axis with identities on the others
+        for dims in [(6, 5), (4, 3, 5)]:
+            op = random_operator(dims, seed=5)
+            want = np.diag(op.potential.ravel())
+            for n, k in enumerate(op.kinetic):
+                lead, trail = int(np.prod(dims[:n])), int(np.prod(dims[n + 1:]))
+                want = want + np.kron(np.kron(np.eye(lead), k), np.eye(trail))
+            assert np.max(np.abs(op.to_dense() - want)) < 1e-13
 
     def test_two_qubit_na_operator(self, monkeypatch):
         import coupler_lab.bench as bench
@@ -349,24 +402,28 @@ class TestToDense:
                                      phi_cx=0.3, qubits=(make_qubit(), make_qubit()))
         bench.bo_spectrum("NA", system, dims=(10, 12), n_levels=3, nu_max=40)
         (op,) = captured
-        assert len(op.terms) == 42
+        assert op.dims == (10, 12)
         assert np.max(np.abs(op.to_dense() - identity_image(op))) < 1e-13
+        # the potential: each qubit's junction cosine plus e_ltc E_g at the
+        # coupler's effective bias, one series evaluation per grid point
+        series = b_coeffs(0.75, 0.05, nu_max=40, mu_max=40)
+        xs = [oscillator._grid(d)[0] for d in (10, 12)]
+        r = math.sqrt(0.05)
+        for i, j in [(0, 0), (3, 7), (9, 11)]:
+            want = (1.05 * math.cos(r * xs[0][i]) + 1.05 * math.cos(r * xs[1][j])
+                    + 3.0 * eg_eval(series, 0.3 - 0.05 * r * (xs[0][i] + xs[1][j])))
+            assert op.potential[i, j] == pytest.approx(want, abs=1e-13)
 
     def test_dense_limit(self):
-        op = TensorOperator((91, 91), np.zeros((91, 91)), [])
+        op = diagonal_operator((91, 91), np.zeros((91, 91)))
         assert op.size > DENSE_DIM_LIMIT
         with pytest.raises(ResourceError):
             op.to_dense()
 
     def test_memory_peak(self):
-        # three modes and ~400 terms: the term stack is built in chunks, so
-        # the build never holds more than three size x size float matrices
-        dims = (12, 12, 12)
-        factors = [ho_exp_matrix(r, 12) for r in (-0.4, -0.2, 0.1, 0.3)]
-        terms = [(0.01 * (1 + 1j) / (k + 1), [factors[k % 4], factors[(k + 1) % 4],
-                                               factors[(k + 2) % 4]])
-                 for k in range(400)]
-        op = TensorOperator(dims, np.zeros(dims), terms)
+        # the kinetic factors are added through views of the output, so the
+        # build stays well under three size x size float matrices
+        op = random_operator((12, 12, 12), seed=12)
         tracemalloc.start()
         try:
             dense = op.to_dense()
@@ -380,23 +437,30 @@ class TestToDense:
 def tensordot_matvec(op, v):
     # the matvec written with np.tensordot on numpy's own BLAS: the oracle
     # the scipy.linalg.blas path must reproduce bit for bit
-    single = v.ndim == 1
     t = v.reshape(op.dims + (-1,))
-    out = op.diag[..., None] * t
-    for c, us in op.terms:
-        z = t.astype(complex)
-        for n, u in enumerate(us):
-            z = np.moveaxis(np.tensordot(u, z, axes=(1, n)), 0, n)
-        out = out + 2.0 * np.real(c * z)
-    return out.reshape(op.size) if single else out.reshape(op.size, -1)
+    out = op.potential[..., None] * t
+    for n, k in enumerate(op.kinetic):
+        out += np.moveaxis(np.tensordot(k, t, axes=(1, n)), 0, n)
+    return out.reshape(v.shape)
 
 
 class TestMatvecBlas:
+    @pytest.mark.parametrize("layout", ["vector", "block", "fortran"])
+    @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
+    def test_matches_dense_product(self, dims, layout):
+        op = random_operator(dims, seed=40 + len(dims))
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal(op.size if layout == "vector" else (op.size, 6))
+        if layout == "fortran":
+            v = np.asfortranarray(v)
+        got = op.matvec(v)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - op.to_dense() @ v)) < 1e-12
+
     @pytest.mark.parametrize("cols", [None, 1, 6])
     @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
     def test_bitwise_equal_to_tensordot(self, dims, cols):
-        op = random_operator(dims, 5, seed=20 + len(dims))
-        assert all(not u.flags.writeable for _, us in op.terms for u in us)
+        op = random_operator(dims, seed=20 + len(dims))
         rng = np.random.default_rng(21)
         v = rng.standard_normal(op.size if cols is None else (op.size, cols))
         got, want = op.matvec(v), tensordot_matvec(op, v)
@@ -414,7 +478,7 @@ class TestMatvecBlas:
 
     @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
     def test_no_numpy_gemm(self, dims, monkeypatch):
-        op = random_operator(dims, 4, seed=30 + len(dims))
+        op = random_operator(dims, seed=30 + len(dims))
         rng = np.random.default_rng(31)
         vs = [rng.standard_normal(op.size), rng.standard_normal((op.size, 6))]
         want = [tensordot_matvec(op, v) for v in vs]
@@ -460,7 +524,7 @@ class TestMatvecBlas:
 
 class TestLowestEigs:
     def test_diagonal_operator(self):
-        op = TensorOperator((9,), np.arange(9.0), [])
+        op = diagonal_operator((9,), np.arange(9.0))
         spec = lowest_eigs(op, 4, mode="dense")
         assert spec.eigenvalues == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
@@ -520,13 +584,15 @@ class TestLowestEigs:
         assert abs(e0[1] - e0[0]) < 1e-6
 
     def test_mode_guards(self):
-        op = TensorOperator((9,), np.arange(9.0), [])
+        op = diagonal_operator((9,), np.arange(9.0))
         with pytest.raises(ConfigurationError):
             lowest_eigs(op, 40, mode="iterative")
         with pytest.raises(ConfigurationError):
             lowest_eigs(op, 3, mode="nonsense")
         with pytest.raises(ConfigurationError):
             lowest_eigs(np.eye(3), 2, mode="iterative")
+        with pytest.raises(ConfigurationError):
+            lowest_eigs(np.eye(3), 1, mode="bogus")
 
 def two_qubit_operator(dims=(14, 14, 8)):
     qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9)]
@@ -638,9 +704,7 @@ class TestIterativeSolver:
     @pytest.mark.parametrize("dims", [(4, 4), (20,), (3, 3, 2)])
     def test_small_operator_matches_dense(self, dims):
         # size <= ncv = 20: ARPACK cannot run, the dense solver answers
-        rng = np.random.default_rng(3)
-        us = [ho_exp_matrix(r, d) for r, d in zip(rng.uniform(-0.8, 0.8, len(dims)), dims)]
-        op = TensorOperator(dims, rng.uniform(0.0, 2.0, dims), [(0.3 - 0.1j, us)])
+        op = random_operator(dims, seed=3)
         it = lowest_eigs(op, 3, mode="iterative", want_vectors=True)
         dense = lowest_eigs(op, 3, mode="dense", want_vectors=True)
         assert np.array_equal(it.eigenvalues, dense.eigenvalues)
@@ -787,11 +851,15 @@ class TestSectorSolve:
         assert np.array_equal(spec.metadata["residuals"], resid)
 
     def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
-        op = oscillator._junction_mode(0.05, 1.05, 0.0, 60)
-        h = op.to_dense()
-        want = old_dense_lowest(h, 4)
-        for got in (lowest_eigs(op, 4, mode="dense", want_vectors=True),
-                    lowest_eigs(h, 4, want_vectors=True)):
+        # a one-mode grid operator (its dense matrix is reflection-symmetric
+        # at zero bias) and the single-mode Fock matrices stay one eigh
+        op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
+        fock = oscillator._junction_mode(0.05, 1.05, 0.0, 60)
+        for solve, h in ((lambda **kw: lowest_eigs(op, 4, mode="dense", **kw), op.to_dense()),
+                         (lambda **kw: lowest_eigs(op.to_dense(), 4, **kw), op.to_dense()),
+                         (lambda **kw: lowest_eigs(fock, 4, mode="dense", **kw), fock)):
+            want = old_dense_lowest(h, 4)
+            got = solve(want_vectors=True)
             assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
                                                "levels": ("all",) * 4}
             assert np.array_equal(got.eigenvalues, want[0])
@@ -813,8 +881,8 @@ class TestSectorSolve:
         assert honest.metadata["sector_leak"] > 1e-3
         real = oscillator._sectors
 
-        def hide_leak(h, dims):
-            sectors, _, h_norm = real(h, dims)
+        def hide_leak(h, op):
+            sectors, _, h_norm = real(h, op)
             return sectors, 0.0, h_norm
 
         monkeypatch.setattr(oscillator, "_sectors", hide_leak)
@@ -851,6 +919,21 @@ class TestSectorSolve:
         with pytest.raises(NumericError):
             lowest_eigs(oscillator._junction_mode(0.05, 1.05, 0.0, 30), 3, mode="dense")
 
+    def test_labels_are_least_parity_codes(self):
+        # exact circuit, normal modes: reflections {1} (exchange) and
+        # {0, 1, 2} (flux reflection); at nonzero bias only {1} survives
+        spec = exact_spectrum(identical_pair(1.05), dims=(12, 12, 6), n_levels=6)
+        assert spec.metadata["sectors"]["labels"] == ("000", "100", "010", "110")
+        assert spec.metadata["sectors"]["dims"] == (216,) * 4
+        spec = exact_spectrum(identical_pair(1.05, phi_cx=0.0485 * 2.0 * math.pi),
+                              dims=(12, 12, 6), n_levels=6)
+        assert spec.metadata["sectors"]["labels"] == ("000", "010")
+        # reduced problem: joint reflection and swap, both exact on the grid,
+        # with the swap-fixed diagonal and reflection-swap-fixed antidiagonal
+        spec = bo_spectrum("LA", identical_pair(1.05), n_levels=6)
+        assert spec.metadata["sectors"]["dims"] == (420, 380, 400, 400)
+        assert spec.metadata["sector_leak"] == 0.0
+
     def test_sweep_records_keep_sectors(self):
         spec = SweepSpec(axis="phi_cx", range=(0.0, STRONG_PHI_CX, 2),
                          system=identical_pair(1.05), theories=("LA",), n_levels=3,
@@ -859,3 +942,51 @@ class TestSectorSolve:
         assert first["meta"]["LA"]["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
         assert second["meta"]["LA"]["sectors"]["labels"] == ("+", "-")
         assert "sector_leak" not in first["meta"]["LA"]
+
+
+def fock_reduced_matrix(theory, system, dims, n_basis=50):
+    # the reduced two-qubit problem in the qubits' product Fock basis, as it
+    # was built before the grid: ladders, P e^{i sqrt(zeta) X} P junction
+    # factors, and the quadratic expansion from the truncated X
+    from coupler_lab.coupler import (eg_derivs_analytic, eg_derivs_numeric, u_min,
+                                     u_zpe_harmonic)
+
+    (q0, q1), e_ltc = system.qubits, system.e_ltc
+    if theory == "LA":
+        d1, d2 = eg_derivs_analytic(system.beta_c, system.zeta_c, system.phi_cx)
+        const = (u_min(system.beta_c, system.phi_cx)
+                 + u_zpe_harmonic(system.beta_c, system.zeta_c, system.phi_cx))
+    else:
+        cp = CouplerParams(beta_c=system.beta_c, zeta_c=system.zeta_c)
+        d1, d2 = eg_derivs_numeric(cp, system.phi_cx, n_basis=n_basis)
+        const = float(eg_exact(cp, system.phi_cx, n_basis=n_basis)[0])
+    eyes = [np.eye(d) for d in dims]
+    singles, xs = [], []
+    for q, d in zip((q0, q1), dims):
+        x = math.sqrt(q.zeta_j) * x_matrix(d)
+        junction = 0.5 * q.beta_j * q.e_lj * ho_exp_matrix(math.sqrt(q.zeta_j), d)
+        single = (np.diag(2.0 * q.zeta_j * q.e_lj * (np.arange(d) + 0.5))
+                  + 2.0 * junction.real
+                  + e_ltc * (-d1 * q.alpha_j * x + 0.5 * d2 * q.alpha_j**2 * x @ x))
+        singles.append(single)
+        xs.append(x)
+    cross = e_ltc * d2 * q0.alpha_j * q1.alpha_j * np.kron(xs[0], xs[1])
+    return (np.kron(singles[0], eyes[1]) + np.kron(eyes[0], singles[1]) + cross
+            + e_ltc * const * np.eye(dims[0] * dims[1]))
+
+
+class TestReducedFockEquivalence:
+    """LA/LN on the grid are the Fock-basis problems up to truncation.
+
+    Their flux polynomials are unitarily equivalent ((PXP)^2 = U diag(x^2)
+    U^T); only the junction cosine's truncation differs, which is
+    converged at 40 states per qubit.
+    """
+
+    @pytest.mark.parametrize("beta_j", [0.616, 1.05, 1.262, 1.4])
+    @pytest.mark.parametrize("theory", ["LA", "LN"])
+    def test_spectrum_matches_fock_build(self, theory, beta_j):
+        system = identical_pair(beta_j)
+        spec = bo_spectrum(theory, system, dims=(40, 40), n_levels=6)
+        want = np.linalg.eigvalsh(fock_reduced_matrix(theory, system, (40, 40)))[:6]
+        np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
