@@ -1,5 +1,7 @@
 """Effective qubit-qubit interactions mediated by a nonlinear inductive coupler."""
 
+import importlib
+
 __version__ = "0.1.0"
 
 from .bench import (
@@ -12,7 +14,6 @@ from .bench import (
     exact_spectrum,
     sweep,
 )
-from .cli import SystemConfig, from_physical, load_config, run, to_physical
 from .coupler import (
     BodcMetrics,
     CouplerParams,
@@ -122,3 +123,15 @@ __all__ = [
     "u_zpe_harmonic",
     "__version__",
 ]
+
+
+# The cli module is imported on first use, not here: ``python -m
+# coupler_lab.cli`` imports this package first and must find cli unimported.
+_CLI_NAMES = ("SystemConfig", "from_physical", "load_config", "run", "to_physical")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

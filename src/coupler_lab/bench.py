@@ -36,7 +36,7 @@ from .oscillator import (
     lowest_eigs,
     normal_modes,
 )
-from .projection import QubitParams, couplings, qubit_subspace
+from .projection import QubitParams, _coupling_tables, qubit_subspace
 
 __all__ = [
     "CouplerSystem",
@@ -341,8 +341,10 @@ def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
                   mu_max: int = 40, n_basis: int = 60) -> ScanResult:
     """Coupling coefficients for each bias point on a linear grid.
 
-    Qubit subspaces and the interaction series are built once; only
-    the bias phases change per point.
+    The interaction series, the qubit subspaces and each qubit's Pauli
+    tables are built once per scan; only the bias phases change per
+    point.  Each table equals ``couplings`` at its bias bitwise, and a
+    resonance warns once per scan.
     """
     lo, hi, n = phi_cx_range
     if not lo < hi:
@@ -353,11 +355,8 @@ def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
     subs = [qubit_subspace(q, n_basis=n_basis) for q in system.qubits]
     alphas = [q.alpha_j for q in system.qubits]
     grid = np.linspace(float(lo), float(hi), int(n))
-    tables = tuple(
-        couplings(series, subs, alphas, float(phi), labels=labels,
-                  e_ltc=system.e_ltc)
-        for phi in grid
-    )
+    tables = tuple(_coupling_tables(series, subs, alphas, grid.tolist(), labels,
+                                    system.e_ltc))
     meta = {
         "beta_c": system.beta_c,
         "zeta_c": system.zeta_c,

@@ -244,7 +244,20 @@ def couplings(series: EgSeries, subs, alphas, phi_cx: float, labels="all",
     alpha_j), summed over nu in [-nu_max, nu_max].  The negative-nu
     blocks are computed independently rather than by conjugate
     symmetry, so the imaginary residue is a real consistency check; it
-    must stay below 1e-10 (in units of e_ltc).
+    must stay below 1e-10 (in units of e_ltc).  This is one point of
+    the bias grid that ``bench.coupling_scan`` evaluates in one pass.
+    """
+    return _coupling_tables(series, subs, alphas, [phi_cx], labels, e_ltc)[0]
+
+
+def _coupling_tables(series: EgSeries, subs, alphas, phi_cxs, labels,
+                     e_ltc: float) -> list:
+    """One ``couplings`` table per bias in phi_cxs.
+
+    The Pauli tables c_{I,x,y,z}(nu alpha_j) and the resonance check
+    do not depend on the bias, so they are built once; each bias then
+    costs one phase vector and one sum per label, with its own
+    Hermiticity check.  A resonance warns once for the whole sequence.
     """
     if len(subs) != len(alphas) or not subs:
         raise ConfigurationError("need one alpha per qubit subspace")
@@ -252,41 +265,44 @@ def couplings(series: EgSeries, subs, alphas, phi_cx: float, labels="all",
     nu_max = series.nu_max
     nus = np.arange(-nu_max, nu_max + 1)
     b_signed = series.coeffs[np.abs(nus)]
-    phases = np.exp(1j * nus * phi_cx)
 
     coeff_tables = []
     for sub, alpha in zip(subs, alphas):
         blocks = _exp_blocks(sub, nus * alpha)
         c_i, c_x, c_y, c_z = _pauli_decompose(blocks)
         coeff_tables.append({"I": c_i, "x": c_x, "y": c_y, "z": c_z})
-
-    entries = {}
-    worst = 0.0
-    for label in label_list:
-        prod = b_signed * phases
-        for j, ch in enumerate(label):
-            prod = prod * coeff_tables[j][ch]
-        total = complex(np.sum(prod))
-        worst = max(worst, abs(total.imag))
-        entries[label] = e_ltc * total.real
-    if worst > 1e-10:
-        raise NumericError(
-            "coupling table lost Hermiticity", {"imag_residue": worst}
-        )
-
     resonances = resonance_check(subs)
+
+    tables = []
+    for phi_cx in phi_cxs:
+        weighted = b_signed * np.exp(1j * nus * phi_cx)
+        entries = {}
+        worst = 0.0
+        for label in label_list:
+            prod = weighted
+            for j, ch in enumerate(label):
+                prod = prod * coeff_tables[j][ch]
+            total = complex(np.sum(prod))
+            worst = max(worst, abs(total.imag))
+            entries[label] = e_ltc * total.real
+        if worst > 1e-10:
+            raise NumericError(
+                "coupling table lost Hermiticity", {"imag_residue": worst}
+            )
+        meta = {
+            "theory": "NA",
+            "nu_max": nu_max,
+            "phi_cx": phi_cx,
+            "imag_residue": worst,
+            "resonances": [dict(hit) for hit in resonances],
+        }
+        tables.append(CouplingTable(entries=entries, metadata=meta))
+
     if resonances:
         warnings.warn(
             f"{len(resonances)} multi-qubit resonance(s) detected", ResonanceWarning
         )
-    meta = {
-        "theory": "NA",
-        "nu_max": nu_max,
-        "phi_cx": phi_cx,
-        "imag_residue": worst,
-        "resonances": resonances,
-    }
-    return CouplingTable(entries=entries, metadata=meta)
+    return tables
 
 
 def linear_couplings(derivs, subs, alphas, phi_cx: float, e_ltc: float = 1.0,

@@ -6,11 +6,14 @@ theory-vs-exact comparisons run from the acceptance suite instead.
 """
 
 import math
+import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coupler_lab import bench, projection
 from coupler_lab.bench import (
     CouplerSystem,
     SweepSpec,
@@ -20,9 +23,9 @@ from coupler_lab.bench import (
     sweep,
 )
 from coupler_lab.coupler import CouplerParams, b_coeffs, eg_eval, eg_exact, truncation_bound, u_min, u_zpe_harmonic
-from coupler_lab.errors import ConfigurationError
+from coupler_lab.errors import ConfigurationError, NumericError
 from coupler_lab.oscillator import NormalModeSystem, assemble_tensor_operator, lowest_eigs
-from coupler_lab.projection import QubitParams
+from coupler_lab.projection import QubitParams, ResonanceWarning, couplings, qubit_subspace
 
 REF_QUBIT = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
 DECOUPLED = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.0)
@@ -396,3 +399,80 @@ def test_coupling_scan_validation():
         coupling_scan(system, ["xx"], (1.0, 0.0, 5))
     with pytest.raises(ConfigurationError):
         coupling_scan(system, ["xx"], (0.0, 1.0, 1))
+
+
+SCAN_QUBITS = (
+    REF_QUBIT,
+    QubitParams(beta_j=0.8, zeta_j=0.06, alpha_j=0.04, phi_jx=0.3),
+    QubitParams(beta_j=1.2, zeta_j=0.045, alpha_j=0.06, phi_jx=-0.2, e_lj=1.3),
+)
+
+
+def table_bytes(table):
+    return np.asarray(list(table.entries.values())).tobytes()
+
+
+@pytest.mark.parametrize("n_qubits, labels, nu_max", [
+    (2, ["xx", "zz", "xz", "yI"], 100),
+    (2, "all", 400),
+    (3, ["xxI", "xxx", "zzz", "xzy"], 400),
+    (3, "all", 100),
+])
+def test_coupling_scan_equals_per_point_couplings(n_qubits, labels, nu_max):
+    qubits = SCAN_QUBITS[:n_qubits]
+    system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qubits, e_ltc=3.0)
+    result = coupling_scan(system, labels, (0.1, 2.9, 5), nu_max=nu_max, mu_max=30)
+    series = b_coeffs(0.75, 0.05, nu_max, 30)
+    subs = [qubit_subspace(q) for q in qubits]
+    alphas = [q.alpha_j for q in qubits]
+    for phi, table in zip(result.phi_cx, result.tables):
+        point = couplings(series, subs, alphas, float(phi), labels=labels, e_ltc=3.0)
+        assert table.labels == point.labels
+        assert table_bytes(table) == table_bytes(point)
+        assert table.metadata == point.metadata
+    assert len({table_bytes(t) for t in result.tables}) == 5
+
+
+def test_coupling_scan_builds_pauli_tables_once_per_qubit(monkeypatch):
+    calls = []
+    exp_blocks = projection._exp_blocks
+
+    def spy(sub, s):
+        calls.append(len(s))
+        return exp_blocks(sub, s)
+
+    monkeypatch.setattr(projection, "_exp_blocks", spy)
+    system = CouplerSystem(beta_c=0.5, zeta_c=0.05, qubits=SCAN_QUBITS, e_ltc=1.0)
+    coupling_scan(system, ["xxx", "zzI"], (0.0, 2 * np.pi, 41), nu_max=100)
+    assert calls == [201, 201, 201]
+
+
+def test_coupling_scan_checks_hermiticity_per_point(monkeypatch):
+    # a small imaginary B_1 breaks Hermiticity wherever cos(phi_cx) is not ~0
+    series = b_coeffs(0.5, 0.05, 100)
+    coeffs = series.coeffs.astype(complex)
+    coeffs[1] += 1e-6j
+    broken = types.SimpleNamespace(nu_max=100, coeffs=coeffs)
+    monkeypatch.setattr(bench, "b_coeffs", lambda *args: broken)
+    system = CouplerSystem(beta_c=0.5, zeta_c=0.05, qubits=(REF_QUBIT,) * 2)
+    subs = [qubit_subspace(REF_QUBIT)] * 2
+    first = couplings(broken, subs, [0.05, 0.05], 0.5 * np.pi, labels=["xx", "zz"])
+    assert first.metadata["imag_residue"] < 1e-10
+    with pytest.raises(NumericError) as err:
+        coupling_scan(system, ["xx", "zz"], (0.5 * np.pi, np.pi, 2))
+    assert err.value.details["imag_residue"] > 1e-10
+
+
+def test_resonant_coupling_scan_warns_once():
+    # equal harmonic ladders: E_20 of one qubit equals E_10 + E_10 of the others
+    harmonic = QubitParams(beta_j=0.0, zeta_j=0.05, alpha_j=0.02)
+    system = CouplerSystem(beta_c=0.5, zeta_c=0.05, qubits=(harmonic,) * 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = coupling_scan(system, ["III", "xxx"], (0.0, 1.0, 4), nu_max=40, n_basis=40)
+    assert [w.category for w in caught] == [ResonanceWarning]
+    lists = [t.metadata["resonances"] for t in result.tables]
+    assert lists[0] and all(hits == lists[0] for hits in lists)
+    assert len({id(hits) for hits in lists}) == len(lists)
+    lists[0][0]["qubit"] = -1
+    assert lists[1][0]["qubit"] != -1

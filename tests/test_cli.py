@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coupler_lab
+from coupler_lab import __version__
 from coupler_lab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -564,3 +570,22 @@ def test_run_wrapper(ref_config, tmp_path, capsys):
     assert run("truncation", ref_config, out=tmp_path, epsilon=1e-2) == EXIT_OK
     _, _, rows = read_csv(tmp_path / "truncation.csv")
     assert float(rows[0][0]) == 1e-2
+
+
+def test_package_reexports_cli_names():
+    assert coupler_lab.cli.run is run
+    assert (coupler_lab.run, coupler_lab.load_config) == (run, load_config)
+    assert (coupler_lab.from_physical, coupler_lab.to_physical) == (from_physical, to_physical)
+    assert coupler_lab.SystemConfig is coupler_lab.cli.SystemConfig
+    with pytest.raises(AttributeError):
+        coupler_lab.no_such_name
+
+
+def test_module_run_prints_no_warning():
+    # the package does not import cli, so runpy executes it once, as __main__
+    src = str(Path(coupler_lab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    out = subprocess.run([sys.executable, "-m", "coupler_lab.cli", "--version"],
+                         capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout.strip(), out.stderr) == (0, __version__, "")

@@ -10,6 +10,8 @@ Oracles:
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -176,6 +178,53 @@ class TestSeriesCache:
             assert np.array_equal(s.b_classical.coeffs, fresh[0])
             assert np.array_equal(s.b_quantum.coeffs, fresh[1])
         assert _series_parts.cache_info().misses == 1
+
+    def test_prefix_and_extension_match_fresh_builds(self, monkeypatch):
+        import coupler_lab.coupler as coupler
+
+        orders = []
+        bessel = coupler.bessel_j
+
+        def spy(order, x):
+            orders.append(np.size(order))
+            return bessel(order, x)
+
+        beta, mu_max = 0.905742, 12
+        fresh = {nu: _series_parts.__wrapped__(beta, nu, mu_max) for nu in (8, 64, 256)}
+        _series_parts.cache_clear()
+        monkeypatch.setattr(coupler, "bessel_j", spy)
+        for nu_max, rows in ((64, 64), (256, 192), (8, 0)):
+            orders.clear()
+            parts = _series_parts(beta, nu_max, mu_max)
+            # the new rows only, once per Bessel term (2 mu_max + 1 of them)
+            assert set(orders) <= {rows} and len(orders) == (2 * mu_max + 1 if rows else 0)
+            for got, want in zip(parts, fresh[nu_max]):
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        info = _series_parts.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+
+    def test_threads_share_one_consistent_cache(self):
+        # more keys and more distinct nu_max than the cache holds, so the
+        # threads evict entries and drop views under each other
+        keys = [(0.1 + 0.02 * (i % 40), 1 + (7 * i) % 45) for i in range(6000)]
+        mu_max = 3
+        fresh = {key: _series_parts.__wrapped__(*key, mu_max) for key in set(keys)}
+        _series_parts.cache_clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                jobs = [pool.submit(_series_parts, beta, nu, mu_max) for beta, nu in keys]
+                results = [job.result(timeout=60) for job in jobs]
+        finally:
+            sys.setswitchinterval(switch)
+        for key, parts in zip(keys, results):
+            for got, want in zip(parts, fresh[key]):
+                assert got.tobytes() == want.tobytes()
+        info = _series_parts.cache_info()
+        assert info.hits + info.misses == len(keys)
+        assert info.currsize == info.maxsize
 
     def test_argument_checks_precede_the_cache(self):
         before = _series_parts.cache_info()
