@@ -29,9 +29,7 @@ from .oscillator import (
     DEFAULT_MEMORY_BUDGET,
     Spectrum,
     TensorOperator,
-    _cosine,
-    _kinetic,
-    _mesh,
+    _junction_mode,
     assemble_tensor_operator,
     lowest_eigs,
     normal_modes,
@@ -139,11 +137,12 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     potential = np.zeros(dims)
     # the flux the qubits thread through the coupler, sum_j alpha_j phi_j
     flux = 0.0
-    for q, d, x in zip(qubits, dims, _mesh(dims)):
-        kinetic.append(_kinetic(2.0 * q.zeta_j * q.e_lj, d))
-        phi = math.sqrt(q.zeta_j) * x
-        potential = potential + _cosine(0.5 * q.beta_j * q.e_lj * np.exp(1j * q.phi_jx), phi)
-        flux = flux + q.alpha_j * phi
+    for n, (q, d) in enumerate(zip(qubits, dims)):
+        k, v, phi = _junction_mode(q.zeta_j, q.beta_j, q.phi_jx, d, q.e_lj)
+        axis = (d,) + (1,) * (len(dims) - 1 - n)  # broadcast along grid axis n
+        kinetic.append(k)
+        potential = potential + v.reshape(axis)
+        flux = flux + q.alpha_j * phi.reshape(axis)
 
     if theory == "NA":
         if series is None:

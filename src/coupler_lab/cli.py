@@ -559,8 +559,8 @@ def _cmd_eg(cfg, args, out: Path) -> int:
     grid = _bias_grid(args)
     series = b_coeffs(beta, zeta, cfg.numerics["nu_max"], cfg.numerics["mu_max"])
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
-    classical = np.asarray([u_min(beta, p, nu_max=cfg.numerics["nu_max"]) for p in grid])
-    zpe = np.asarray([u_zpe_harmonic(beta, zeta, p) for p in grid])
+    classical = u_min(beta, grid, nu_max=cfg.numerics["nu_max"])
+    zpe = u_zpe_harmonic(beta, zeta, grid)
     exact = np.asarray(
         [eg_exact(params, p, n_basis=max(50, cfg.numerics["n_basis"]))[0] for p in grid]
     )
@@ -742,16 +742,16 @@ def _validation_checks(cfg):
     """Built-in oracle cross-checks; yields (name, ok, detail)."""
     beta, zeta = 0.75, 0.05
 
-    chi = np.asarray([kepler_solve(beta, p) for p in np.linspace(0, TWO_PI, 101)])
-    res = np.max(np.abs(chi - np.linspace(0, TWO_PI, 101) - beta * np.sin(chi)))
+    grid = np.linspace(0.0, TWO_PI, 101)
+    chi = kepler_solve(beta, grid)
+    res = np.max(np.abs(chi - grid - beta * np.sin(chi)))
     yield "kepler_residual", res <= 1e-12, f"max residual {res:.3e}"
 
-    grid = np.linspace(0.0, TWO_PI, 101)
-    series_chi = grid + beta * np.asarray([sin_beta(beta, p, nu_max=300) for p in grid])
+    series_chi = grid + beta * sin_beta(beta, grid, nu_max=300)
     res = np.max(np.abs(series_chi - chi))
     yield "sin_beta_consistency", res <= 1e-9, f"max deviation {res:.3e}"
 
-    mean = np.mean([cos_beta(beta, p, nu_max=300) for p in np.linspace(0, TWO_PI, 256, endpoint=False)])
+    mean = np.mean(cos_beta(beta, np.linspace(0, TWO_PI, 256, endpoint=False), nu_max=300))
     yield "cos_beta_period_mean", abs(mean + beta / 4) <= 1e-9, f"mean {mean:.12f}"
 
     n18 = min_nu_for_error(0.75, 0.25, 1e-3)

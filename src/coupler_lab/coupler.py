@@ -7,8 +7,9 @@ The coupler is a biased oscillator with a junction,
 whose ground energy as a function of the bias phi_x mediates every
 qubit-qubit interaction.  Three descriptions of E_g(phi_x) live here:
 
-  * exact: dense diagonalization in the Fock basis of the beta = 0
-    problem (the oracle),
+  * exact: dense diagonalization on the Gauss-Hermite grid of the
+    beta = 0 oscillator, where the junction cosine is diagonal (the
+    oracle),
   * series: E_g/E_Ltc = B_0 + 2 sum_{nu>0} B_nu cos(nu phi_x), with a
     classical part B_nu^(0) from the potential minimum and a quantum
     part B_nu^(1) from the harmonic zero-point energy,
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries, bessel_j, cos_beta, g_coeff, kepler_solve
-from .oscillator import _junction_mode, _quadrature, lowest_eigs
+from .oscillator import _junction_mode, lowest_eigs
 
 __all__ = [
     "BodcMetrics",
@@ -259,17 +260,18 @@ def eg_eval(series: EgSeries, phi_x):
 
 
 def eg_exact(params: CouplerParams, phi_x: float, n_basis: int = 50, n_levels: int = 6):
-    """Lowest coupler levels by dense Fock-basis diagonalization.
+    """Lowest coupler levels by dense diagonalization on the grid.
 
-    Energies are in units of E_Ltc.  The basis is the Fock ladder of
-    the beta = 0 oscillator (frequency 2 zeta, quadrature amplitude
-    sqrt(zeta)); the junction term is the exponential-operator pair
-    with half amplitude (beta/2) e^{i phi_x}.
+    Energies are in units of E_Ltc.  The basis is the n_basis-point
+    Gauss-Hermite grid of the beta = 0 oscillator (frequency 2 zeta,
+    quadrature amplitude sqrt(zeta)), the eigenbasis of its truncated
+    quadrature: the ladder is a dense kinetic factor there, and the
+    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    h = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
-    return lowest_eigs(h, n_levels, mode="dense").eigenvalues
+    kinetic, potential, _ = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
+    return lowest_eigs(kinetic + np.diag(potential), n_levels, mode="dense").eigenvalues
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -295,21 +297,21 @@ def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
 def _ground_couplings(params: CouplerParams, phi_x: float, n_basis: int, what: str):
     """Coupler levels and the elements <k|X|g> of X against the ground state.
 
-    X = sqrt(zeta) (a + a^dag) is the displacement from the quadratic
-    minimum.  A nearly degenerate ground state raises NumericError,
-    since ``what`` (a perturbative quantity) is then ill-conditioned.
+    X = sqrt(zeta) (a + a^dag), the displacement from the quadratic
+    minimum, is the diagonal of flux nodes on the grid.  A nearly
+    degenerate ground state raises NumericError, since ``what`` (a
+    perturbative quantity) is then ill-conditioned.
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    h = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
-    vals, vecs = np.linalg.eigh(h)
+    kinetic, potential, x = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
+    vals, vecs = np.linalg.eigh(kinetic + np.diag(potential))
     if vals[1] - vals[0] < 1e-10:
         raise NumericError(
             f"ground state nearly degenerate; {what} ill-conditioned",
             {"gap": float(vals[1] - vals[0])},
         )
-    xg = vecs.conj().T @ (_quadrature(params.zeta_c, n_basis) @ vecs[:, 0])
-    return vals, xg
+    return vals, vecs.T @ (x * vecs[:, 0])
 
 
 def eg_derivs_numeric(params: CouplerParams, phi_cx: float, n_basis: int = 50) -> tuple:
@@ -321,8 +323,8 @@ def eg_derivs_numeric(params: CouplerParams, phi_cx: float, n_basis: int = 50) -
     ground component (scalar shifts of X drop out against it).
     """
     vals, xg = _ground_couplings(params, phi_cx, n_basis, "perturbation theory")
-    d1 = -xg[0].real
-    d2 = 1.0 + 2.0 * np.sum(np.abs(xg[1:]) ** 2 / (vals[0] - vals[1:]))
+    d1 = -xg[0]
+    d2 = 1.0 + 2.0 * np.sum(xg[1:] ** 2 / (vals[0] - vals[1:]))
     return float(d1), float(d2)
 
 
@@ -399,7 +401,7 @@ def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = 50,
     lhs << rhs.
     """
     vals, xg = _ground_couplings(params, phi_x, n_basis, "diagonal correction")
-    exact = float(np.sum(np.abs(xg[1:]) ** 2 / (vals[0] - vals[1:]) ** 2))
+    exact = float(np.sum(xg[1:] ** 2 / (vals[0] - vals[1:]) ** 2))
     chi = kepler_solve(params.beta_c, phi_x)
     d = 1.0 - params.beta_c * math.cos(chi)
     linearized = 1.0 / (4.0 * params.zeta_c * d**1.5)

@@ -29,16 +29,16 @@ where a Fock-factor build truncates P e^{irX} P; the two agree once the
 basis is converged.
 
 Single-mode problems (the coupler's ground energy, each qubit's
-subspace) stay in the Fock basis: _junction_mode returns their dense
-matrix from the exponential factors, evaluated per element through
-generalized Laguerre polynomials,
+subspace) live on the same grid: _junction_mode returns one mode's
+kinetic factor, its junction potential and its flux nodes, and the
+dense matrix K + diag(V) gets one eigh.  The Fock-basis factors
+P e^{irX} P remain as the oracle the grid is tested against:
+ho_exp_matrix builds them per element through generalized Laguerre
+polynomials,
 
     <j|e^{irX}|k> = i^{k-j} sqrt(j!/k!) e^{-r^2/2} r^{k-j} L_j^{(k-j)}(r^2)
 
-for j <= k, with the j > k entry equal by symmetry.  ho_exp_matrix
-memoizes these factors in a small bounded cache (16 entries) and returns
-the cached array itself, marked read-only, so a bias loop over one
-single-mode problem builds its factor once.
+for j <= k, with the j > k entry equal by symmetry.
 
 A dense solve of a multi-mode operator runs in symmetry sectors found in
 the operator itself, never from a flag (symmetry-adapted bases, as in
@@ -172,18 +172,9 @@ def ho_exp_matrix_element(j: int, k: int, r: float) -> complex:
 
 
 def ho_exp_matrix(r: float, dim: int) -> np.ndarray:
-    """Dense dim x dim matrix of exp(ir(a+a^dag)), complex symmetric.
-
-    The matrix is memoized on (r, dim) and returned as a shared,
-    read-only array; copy it before writing.
-    """
+    """Dense dim x dim matrix of exp(ir(a+a^dag)), complex symmetric."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return _ho_exp_matrix(float(r), int(dim))
-
-
-@lru_cache(maxsize=16)
-def _ho_exp_matrix(r: float, dim: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
         vals = _fused_diagonal(r, a, dim - a)
@@ -192,7 +183,6 @@ def _ho_exp_matrix(r: float, dim: int) -> np.ndarray:
         out[idx, idx + a] = phase * vals
         if a:
             out[idx + a, idx] = phase * vals
-    out.flags.writeable = False
     return out
 
 
@@ -301,7 +291,8 @@ def _grid(dim: int):
     sign at the nodes alternates, (-1)^(dim - 1 - i), and whose size is
     1/sqrt(dim) at every node.  Memoized and read-only.
     """
-    x, u = np.linalg.eigh(_quadrature(1.0, dim))
+    n = np.sqrt(np.arange(1, dim))
+    x, u = np.linalg.eigh(np.diag(n, 1) + np.diag(n, -1))
     x = (x - x[::-1]) / 2.0
     u = u * np.sign(u[-1]) * (-1.0) ** np.arange(dim - 1, -1, -1)
     x.flags.writeable = False
@@ -429,22 +420,18 @@ def assemble_tensor_operator(system: NormalModeSystem,
     return TensorOperator(kinetic, potential)
 
 
-def _junction_mode(zeta: float, beta: float, phase: float, dim: int) -> np.ndarray:
-    """One biased junction oscillator, as a dense matrix in the Fock basis.
+def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float = 1.0):
+    """One biased junction oscillator on its grid: (K, V, flux nodes).
 
-    Ladder frequency 2 zeta, quadrature amplitude sqrt(zeta), and the
-    junction pair with half amplitude (beta/2) e^{i phase}: the
-    single-mode problem shared by the coupler and each qubit.
+    K is the ladder 2 zeta e_l (k + 1/2) and V the junction pair with
+    half amplitude (beta e_l / 2) e^{i phase}, at the flux nodes
+    sqrt(zeta) x: the single-mode problem shared by the coupler and each
+    qubit, whose dense matrix is K + diag(V), and each qubit's part of
+    the reduced problems.
     """
-    c = 0.5 * beta * np.exp(1j * phase)
-    ladder = 2.0 * zeta * (np.arange(dim) + 0.5)
-    return np.diag(ladder) + 2.0 * np.real(c * ho_exp_matrix(math.sqrt(zeta), dim))
-
-
-def _quadrature(zeta: float, dim: int) -> np.ndarray:
-    """Real dim x dim matrix of sqrt(zeta) (a + a^dag)."""
-    n = np.sqrt(np.arange(1, dim))
-    return math.sqrt(zeta) * (np.diag(n, 1) + np.diag(n, -1))
+    flux = math.sqrt(zeta) * _grid(dim)[0]
+    c = 0.5 * beta * e_l * np.exp(1j * phase)
+    return _kinetic(2.0 * zeta * e_l, dim), _cosine(c, flux), flux
 
 
 @dataclass

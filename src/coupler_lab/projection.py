@@ -1,9 +1,9 @@
 """Qubit-subspace reduction of the coupler-mediated interaction.
 
-Each qubit is diagonalized in its own Fock basis and truncated to its
-two lowest eigenstates.  The interaction E_g(phi_cx - sum_j alpha_j
-phi_j) then reduces, term by Fourier term, to products of single-qubit
-Pauli coefficients
+Each qubit is diagonalized on its own Gauss-Hermite grid, where its
+flux is diagonal, and truncated to its two lowest eigenstates.  The
+interaction E_g(phi_cx - sum_j alpha_j phi_j) then reduces, term by
+Fourier term, to products of single-qubit Pauli coefficients
 
     e^{-is phi_j} -> c_I(s) I + c_x(s) sx + c_y(s) sy + c_z(s) sz,
 
@@ -35,7 +35,7 @@ import numpy as np
 from .coupler import EgSeries
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries
-from .oscillator import _junction_mode, _quadrature
+from .oscillator import _fix_vector_signs, _grid, _junction_mode
 
 __all__ = [
     "CouplingTable",
@@ -84,16 +84,16 @@ class QubitSubspace:
 
     energies holds the lowest few levels in the global unit (at least
     E_0 <= E_1); vectors is the (n_basis, 2) eigenvector block in the
-    Fock basis; flux is the full flux operator phi_jx + sqrt(zeta)
-    (a + a^dag).  flux_eigs/flux_modes cache its eigendecomposition
-    with the qubit vectors already rotated in, so exponentials of the
-    flux operator are a diagonal phase away.
+    Fock basis.  The qubit is solved on the n_basis-point grid of its
+    quadrature, where the flux operator phi_jx + sqrt(zeta) (a + a^dag)
+    is diagonal: flux_eigs holds its values at the nodes and flux_modes
+    the two qubit vectors in those grid coordinates, so functions of
+    the flux are a diagonal away.
     """
 
     params: QubitParams
     energies: np.ndarray
     vectors: np.ndarray
-    flux: np.ndarray
     phi_p: float
     zeta_eff: float
     weak_isolation: bool
@@ -114,51 +114,41 @@ class QubitSubspace:
 def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     """Diagonalize one qubit and reduce it to its two lowest states.
 
-    The Fock ladder of the quadratic part (frequency 2 zeta_j E_Lj)
-    carries the junction term exactly as in the coupler problem; the
+    The qubit's ladder (frequency 2 zeta_j E_Lj) and junction cosine are
+    one mode on the grid, exactly as in the coupler problem; the
     double-well regime beta_j > 1 is allowed.  weak_isolation flags
     E_2 - E_1 < 3 (E_1 - E_0).
     """
     if n_basis < 40:
         raise ConfigurationError(f"n_basis must be >= 40, got {n_basis}")
-    h = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx, n_basis)
-    vals, vecs = np.linalg.eigh(h)
+    kinetic, potential, x = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx,
+                                           n_basis)
+    vals, vecs = np.linalg.eigh(kinetic + np.diag(potential))
+    flux = params.phi_jx + x
 
-    flux = _quadrature(params.zeta_j, n_basis) + params.phi_jx * np.eye(n_basis)
+    # deterministic signs: largest grid component of |0> positive, then phi_p >= 0
+    pair = _fix_vector_signs(vecs[:, :2])
+    phi_p = float(pair[:, 0] @ (flux * pair[:, 1]))
+    if phi_p < 0.0:
+        pair[:, 1] *= -1.0
+        phi_p = -phi_p
 
-    v0 = vecs[:, 0].astype(complex)
-    v1 = vecs[:, 1].astype(complex)
-    # deterministic phases: largest |0> component positive, then phi_p >= 0
-    lead = np.argmax(np.abs(v0))
-    v0 *= np.exp(-1j * np.angle(v0[lead]))
-    raw = v0.conj() @ (flux @ v1)
-    if abs(raw) > 1e-14:
-        v1 *= np.exp(-1j * np.angle(raw))
-    else:
-        lead = np.argmax(np.abs(v1))
-        v1 *= np.exp(-1j * np.angle(v1[lead]))
-    phi_p = float((v0.conj() @ (flux @ v1)).real)
-
-    psi_r = (v0 + v1) / math.sqrt(2.0)
-    mean = float((psi_r.conj() @ (flux @ psi_r)).real)
-    second = float((psi_r.conj() @ (flux @ (flux @ psi_r))).real)
+    psi_r = (pair[:, 0] + pair[:, 1]) / math.sqrt(2.0)
+    mean = float(psi_r @ (flux * psi_r))
+    second = float(psi_r @ (flux**2 * psi_r))
     zeta_eff = second - mean**2
 
     weak = bool(vals[2] - vals[1] < 3.0 * (vals[1] - vals[0]))
 
-    lam, modes = np.linalg.eigh(flux)
-    pair = np.stack([v0, v1], axis=1)
-    w = modes.conj().T @ pair  # qubit vectors in the flux eigenbasis
     return QubitSubspace(
         params=params,
         energies=params.e_lj * vals[: min(4, n_basis)],
-        vectors=pair,
-        flux=flux,
+        vectors=_grid(n_basis)[1] @ pair,
         phi_p=phi_p,
         zeta_eff=zeta_eff,
         weak_isolation=weak,
-        flux_eigs=lam,
-        flux_modes=w,
+        flux_eigs=flux,
+        flux_modes=pair,
     )
 
 
@@ -311,7 +301,7 @@ def linear_couplings(derivs, subs, alphas, phi_cx: float, e_ltc: float = 1.0,
 
     Expanding E_g about phi_cx gives -E_g' sum_j alpha_j phi_j plus
     (E_g''/2)(sum_j alpha_j phi_j)^2.  Same-qubit squares use the exact
-    truncated phi^2 block (leakage through the full Fock space), not
+    truncated phi^2 block (leakage through the whole basis), not
     the square of the projected 2x2 flux.
     """
     if len(subs) != len(alphas) or not subs:
@@ -323,8 +313,9 @@ def linear_couplings(derivs, subs, alphas, phi_cx: float, e_ltc: float = 1.0,
     flux2_parts = []
     worst = 0.0
     for sub in subs:
-        block = sub.vectors.conj().T @ (sub.flux @ sub.vectors)
-        block2 = sub.vectors.conj().T @ (sub.flux @ (sub.flux @ sub.vectors))
+        w, lam = sub.flux_modes, sub.flux_eigs[:, None]
+        block = w.conj().T @ (lam * w)
+        block2 = w.conj().T @ (lam**2 * w)
         parts = _pauli_decompose(block)
         parts2 = _pauli_decompose(block2)
         worst = max(worst, *(abs(np.imag(c)) for c in parts + parts2))

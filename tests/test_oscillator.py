@@ -3,11 +3,12 @@
 Oracles: scaling-and-squaring matrix exponential on a padded basis for
 the exponential matrix elements; an independently solved generalized
 characteristic polynomial for the normal modes; explicit Kronecker
-assembly and the textbook Fock-basis Hamiltonian for the grid operator,
-np.tensordot for its matvec, and the operator's image of the identity
-for its direct dense build; the dense solver and an independent scipy
-eigsh call as cross-checks for the iterative solver (ARPACK's
-implicitly restarted Lanczos behind the package's own guarantees).
+assembly and the textbook Fock-basis Hamiltonian for the grid operator
+and the single-mode grid problems, np.tensordot for its matvec, and the
+operator's image of the identity for its direct dense build; the dense
+solver and an independent scipy eigsh call as cross-checks for the
+iterative solver (ARPACK's implicitly restarted Lanczos behind the
+package's own guarantees).
 """
 
 import math
@@ -26,7 +27,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 import coupler_lab
 from coupler_lab import oscillator
 from coupler_lab.bench import CouplerSystem, SweepSpec, bo_spectrum, exact_spectrum, sweep
-from coupler_lab.coupler import CouplerParams, b_coeffs, eg_eval, eg_exact
+from coupler_lab.coupler import (CouplerParams, b_coeffs, bodc_metrics, eg_derivs_numeric,
+                                 eg_eval, eg_exact)
 from coupler_lab.errors import ConfigurationError, NumericError, ResourceError
 from coupler_lab.kapteyn import _sin_coeffs
 from coupler_lab.oscillator import (
@@ -34,14 +36,13 @@ from coupler_lab.oscillator import (
     NormalModeSystem,
     TensorOperator,
     _fused_diagonal,
-    _ho_exp_matrix,
     assemble_tensor_operator,
     ho_exp_matrix,
     ho_exp_matrix_element,
     lowest_eigs,
     normal_modes,
 )
-from coupler_lab.projection import QubitParams
+from coupler_lab.projection import QubitParams, qubit_subspace
 
 
 def x_matrix(dim):
@@ -54,6 +55,19 @@ def exp_oracle(r, dim, pad=40):
     # edge truncation does not pollute the kept block
     full = expm(1j * r * x_matrix(dim + pad))
     return full[:dim, :dim]
+
+
+def junction_matrix(zeta, beta, phase, dim):
+    # the single-mode problem as the package solves it: K + diag(V) on the grid
+    kinetic, potential, _ = oscillator._junction_mode(zeta, beta, phase, dim)
+    return kinetic + np.diag(potential)
+
+
+def fock_junction_matrix(zeta, beta, phase, dim):
+    # the same problem in the Fock basis: the ladder plus P e^{i sqrt(zeta) X} P
+    c = 0.5 * beta * np.exp(1j * phase)
+    ladder = np.diag(2.0 * zeta * (np.arange(dim) + 0.5))
+    return ladder + 2.0 * np.real(c * ho_exp_matrix(math.sqrt(zeta), dim))
 
 
 def make_qubit(e_lj=1.0, zeta_j=0.05, beta_j=1.05, alpha_j=0.05, phi_jx=0.0):
@@ -124,7 +138,7 @@ class TestHoExpMatrix:
 
 
 def fresh_exp_matrix(r, dim):
-    # the uncached build: one _fused_diagonal per offset, mirrored
+    # one _fused_diagonal per offset, mirrored
     out = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
         vals = (1j) ** (a % 4) * _fused_diagonal(r, a, dim - a)
@@ -135,34 +149,14 @@ def fresh_exp_matrix(r, dim):
 
 
 class TestHoExpMatrixCache:
-    def test_result_is_read_only(self):
-        m = ho_exp_matrix(0.3, 8)
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
-        assert ho_exp_matrix(0.3, 8) is m
+    """ho_exp_matrix builds a fresh factor per call; the memoized Kapteyn
+    and series caches stay consistent under threads."""
 
     @pytest.mark.parametrize("r", [0.0, -0.0, 0.3, -0.3, 5.0, -40.0])
     @pytest.mark.parametrize("dim", [1, 18, 60])
     def test_bitwise_equal_to_fresh_build(self, r, dim):
         # r = -40 starts the recurrence below the underflow threshold
-        want = fresh_exp_matrix(r, dim)
-        _ho_exp_matrix.cache_clear()
-        cold = ho_exp_matrix(r, dim)
-        warm = ho_exp_matrix(r, dim)
-        assert warm is cold
-        assert cold.tobytes() == want.tobytes()
-
-    def test_cache_is_bounded(self):
-        maxsize = _ho_exp_matrix.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64
-
-    def test_eg_exact_grid_builds_one_factor(self):
-        params = CouplerParams(beta_c=0.75, zeta_c=0.05)
-        _ho_exp_matrix.cache_clear()
-        for phi in np.linspace(0.0, 2.0 * np.pi, 41):
-            eg_exact(params, float(phi), n_basis=40)
-        info = _ho_exp_matrix.cache_info()
-        assert (info.misses, info.hits) == (1, 40)
+        assert ho_exp_matrix(r, dim).tobytes() == fresh_exp_matrix(r, dim).tobytes()
 
     def test_threaded_sweep_shares_caches(self):
         q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
@@ -172,7 +166,6 @@ class TestHoExpMatrixCache:
                       nu_max=20, mu_max=20)
         runs = []
         for parallel in (1, 2):
-            _ho_exp_matrix.cache_clear()
             _sin_coeffs.cache_clear()
             result = sweep(SweepSpec(parallel=parallel, **kwargs))
             runs.append([(rec["energies"], rec["excitations"], rec["errors"])
@@ -852,12 +845,12 @@ class TestSectorSolve:
 
     def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
         # a one-mode grid operator (its dense matrix is reflection-symmetric
-        # at zero bias) and the single-mode Fock matrices stay one eigh
+        # at zero bias) and the single-mode junction matrices stay one eigh
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
-        fock = oscillator._junction_mode(0.05, 1.05, 0.0, 60)
+        single = junction_matrix(0.05, 1.05, 0.0, 60)
         for solve, h in ((lambda **kw: lowest_eigs(op, 4, mode="dense", **kw), op.to_dense()),
                          (lambda **kw: lowest_eigs(op.to_dense(), 4, **kw), op.to_dense()),
-                         (lambda **kw: lowest_eigs(fock, 4, mode="dense", **kw), fock)):
+                         (lambda **kw: lowest_eigs(single, 4, mode="dense", **kw), single)):
             want = old_dense_lowest(h, 4)
             got = solve(want_vectors=True)
             assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
@@ -867,7 +860,7 @@ class TestSectorSolve:
             assert np.array_equal(got.metadata["residuals"], want[2])
 
     def test_cli_single_mode_solves_stay_one_sector(self):
-        spec = lowest_eigs(oscillator._junction_mode(0.05, 1.05, 0.0, 50), 3, mode="dense")
+        spec = lowest_eigs(junction_matrix(0.05, 1.05, 0.0, 50), 3, mode="dense")
         assert spec.metadata["sectors"]["labels"] == ("all",)
 
     def test_false_symmetry_trips_residual_gate(self, monkeypatch):
@@ -917,7 +910,7 @@ class TestSectorSolve:
 
         monkeypatch.setattr(np.linalg, "eigh", off_by_1e6)
         with pytest.raises(NumericError):
-            lowest_eigs(oscillator._junction_mode(0.05, 1.05, 0.0, 30), 3, mode="dense")
+            lowest_eigs(junction_matrix(0.05, 1.05, 0.0, 30), 3, mode="dense")
 
     def test_labels_are_least_parity_codes(self):
         # exact circuit, normal modes: reflections {1} (exchange) and
@@ -948,8 +941,7 @@ def fock_reduced_matrix(theory, system, dims, n_basis=50):
     # the reduced two-qubit problem in the qubits' product Fock basis, as it
     # was built before the grid: ladders, P e^{i sqrt(zeta) X} P junction
     # factors, and the quadratic expansion from the truncated X
-    from coupler_lab.coupler import (eg_derivs_analytic, eg_derivs_numeric, u_min,
-                                     u_zpe_harmonic)
+    from coupler_lab.coupler import eg_derivs_analytic, u_min, u_zpe_harmonic
 
     (q0, q1), e_ltc = system.qubits, system.e_ltc
     if theory == "LA":
@@ -990,3 +982,67 @@ class TestReducedFockEquivalence:
         spec = bo_spectrum(theory, system, dims=(40, 40), n_levels=6)
         want = np.linalg.eigvalsh(fock_reduced_matrix(theory, system, (40, 40)))[:6]
         np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
+
+
+def fock_coupler_couplings(beta_c, zeta_c, phi_x, dim):
+    # the coupler's levels and <k|X|g> in the Fock basis, X = sqrt(zeta) (a + a^dag)
+    vals, vecs = np.linalg.eigh(fock_junction_matrix(zeta_c, beta_c, phi_x, dim))
+    return vals, vecs.T @ (math.sqrt(zeta_c) * x_matrix(dim) @ vecs[:, 0])
+
+
+def max_rel(got, want):
+    # largest deviation relative to the largest value of the column
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSingleModeFockEquivalence:
+    """The single-mode problems on the grid are their Fock-basis builds.
+
+    The grid solves K + diag(V) and the Fock build the ladder plus the
+    truncated factors P e^{i sqrt(zeta) X} P; both are converged at the
+    default basis sizes, so each column agrees to rounding.
+    """
+
+    BIASES = np.linspace(0.0, 2.0 * np.pi, 7)
+
+    @pytest.mark.parametrize("zeta_c", [0.02, 0.25])
+    @pytest.mark.parametrize("beta_c", [0.3, 0.75, 0.95])
+    def test_coupler_matches_fock_oracle(self, beta_c, zeta_c):
+        params = CouplerParams(beta_c=beta_c, zeta_c=zeta_c)
+        levels, d1, d2, norm = [], [], [], []
+        want = {"levels": [], "d1": [], "d2": [], "norm": []}
+        for phi in self.BIASES:
+            levels.append(eg_exact(params, phi))
+            derivs = eg_derivs_numeric(params, phi)
+            d1.append(derivs[0])
+            d2.append(derivs[1])
+            norm.append(bodc_metrics(params, phi).exact_norm)
+            vals, xg = fock_coupler_couplings(beta_c, zeta_c, phi, 50)
+            want["levels"].append(vals[:6])
+            want["d1"].append(-xg[0])
+            want["d2"].append(1.0 + 2.0 * np.sum(xg[1:] ** 2 / (vals[0] - vals[1:])))
+            want["norm"].append(np.sum(xg[1:] ** 2 / (vals[0] - vals[1:]) ** 2))
+        for name, got in (("levels", levels), ("d1", d1), ("d2", d2), ("norm", norm)):
+            assert max_rel(got, want[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("phi_jx", [0.0, 0.2])
+    @pytest.mark.parametrize("beta_j", [0.8, 1.05, 1.4])
+    def test_qubit_matches_fock_oracle(self, beta_j, phi_jx):
+        params = QubitParams(beta_j=beta_j, zeta_j=0.05, e_lj=1.3, phi_jx=phi_jx)
+        sub = qubit_subspace(params)
+        dim = len(sub.flux_eigs)
+        x, _ = oscillator._grid(dim)
+        assert np.array_equal(sub.flux_eigs, phi_jx + math.sqrt(0.05) * x)
+
+        vals, vecs = np.linalg.eigh(fock_junction_matrix(0.05, beta_j, phi_jx, dim))
+        flux = math.sqrt(0.05) * x_matrix(dim) + phi_jx * np.eye(dim)
+        v0, v1 = vecs[:, 0], vecs[:, 1]
+        phi_p = v0 @ flux @ v1
+        if phi_p < 0.0:
+            v1, phi_p = -v1, -phi_p
+        ref = (v0 + v1) / math.sqrt(2.0)
+        zeta_eff = ref @ flux @ flux @ ref - (ref @ flux @ ref) ** 2
+        assert max_rel(sub.energies, 1.3 * vals[:4]) <= 1e-12
+        assert sub.phi_p == pytest.approx(phi_p, rel=1e-12, abs=0)
+        assert sub.zeta_eff == pytest.approx(zeta_eff, rel=1e-12, abs=0)

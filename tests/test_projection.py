@@ -2,8 +2,9 @@
 
 The independent oracle here is a position-grid finite-difference
 diagonalization of the qubit Hamiltonian (tridiagonal, O(h^2)): it
-shares no code with the Fock-ladder route and pins the subspace data,
-the flux matrix elements, and the exponential coefficients.
+shares no code with the package's Gauss-Hermite route and pins the
+subspace data, the flux matrix elements, and the exponential
+coefficients.
 """
 
 import math
