@@ -522,8 +522,8 @@ def _cmd_series(cfg, args, out: Path) -> int:
         "phi_over_2pi": phi / TWO_PI,
         "phi": phi,
         "sin_phi": np.sin(phi),
-        "sin_beta": np.asarray([sin_beta(beta, p, nu_max=nu_max) for p in phi]),
-        "cos_beta": np.asarray([cos_beta(beta, p, nu_max=nu_max) for p in phi]),
+        "sin_beta": sin_beta(beta, phi, nu_max=nu_max),
+        "cos_beta": cos_beta(beta, phi, nu_max=nu_max),
     }
     series = b_coeffs(beta, zeta, nu_max=nu_max, mu_max=mu_max)
     coeffs = {

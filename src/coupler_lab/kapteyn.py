@@ -130,9 +130,8 @@ def sin_beta(beta: float, phi, nu_max: int = 100):
     truncation error.
     """
     _check_series_args(beta, nu_max)
-    phi = np.asarray(phi, dtype=float)
-    nu = np.arange(1, nu_max + 1)
-    out = np.sin(phi[..., None] * nu) @ _sin_coeffs(float(beta), int(nu_max))
+    phase = np.asarray(phi, dtype=float)[..., None] * np.arange(1, nu_max + 1)
+    out = np.sin(phase, out=phase) @ _sin_coeffs(float(beta), int(nu_max))
     return out if out.ndim else float(out)
 
 
@@ -143,10 +142,11 @@ def cos_beta(beta: float, phi, nu_max: int = 100):
     truncation; the full-series mean over a period is -beta/4.
     """
     _check_series_args(beta, nu_max)
-    phi = np.asarray(phi, dtype=float)
     nu = np.arange(1, nu_max + 1)
-    c = _sin_coeffs(float(beta), int(nu_max)) / nu
-    out = 1.0 + (np.cos(phi[..., None] * nu) - 1.0) @ c
+    phase = np.asarray(phi, dtype=float)[..., None] * nu
+    np.cos(phase, out=phase)
+    phase -= 1.0
+    out = 1.0 + phase @ (_sin_coeffs(float(beta), int(nu_max)) / nu)
     return out if out.ndim else float(out)
 
 
@@ -247,12 +247,12 @@ class FourierSeries:
         return float(c)
 
     def evaluate(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        nu = np.arange(1, self.nu_max + 1)
+        # trig in place: one (..., nu_max) table at a time, not two
+        phase = np.asarray(phi, dtype=float)[..., None] * np.arange(1, self.nu_max + 1)
         if self.parity == "even":
-            out = self.coeffs[0] + 2.0 * (np.cos(phi[..., None] * nu) @ self.coeffs[1:])
+            out = self.coeffs[0] + 2.0 * (np.cos(phase, out=phase) @ self.coeffs[1:])
         else:
-            out = 2.0 * (np.sin(phi[..., None] * nu) @ self.coeffs[1:])
+            out = 2.0 * (np.sin(phase, out=phase) @ self.coeffs[1:])
         return out if out.ndim else out[()]
 
     def __call__(self, phi):

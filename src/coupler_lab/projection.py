@@ -8,14 +8,17 @@ Fourier term, to products of single-qubit Pauli coefficients
     e^{-is phi_j} -> c_I(s) I + c_x(s) sx + c_y(s) sy + c_z(s) sz,
 
 giving the coupling table g_labels = E_Ltc sum_nu B_nu e^{i nu phi_cx}
-prod_j c_{label_j}(nu alpha_j).  The linear theory instead expands E_g
-to second order in the total qubit flux and projects the resulting
-one- and two-local flux operators.
+prod_j c_{label_j}(nu alpha_j).  Any other interaction potential is
+diagonal on the qubits' product grid, so its table is one contraction
+of the potential with each qubit's per-node Pauli weights: the linear
+theory projects E_g expanded to second order in the total qubit flux
+that way.
 
 Two cheaper routes to g_xx for identical unbiased qubits are included:
 a Gaussian closed form over the reference state (|0> + |1>)/sqrt(2)
-and a direct two-flux quadrature of the second-order finite difference
-of E_g, plus the closed-form bound on the linear theory's error.
+and a pair sum over the grid nodes of the second-order finite
+difference of E_g, plus the closed-form bound on the linear theory's
+error.
 
 Conventions: sz = |0><0| - |1><1| in the energy eigenbasis; eigenvector
 phases are fixed so phi_p = <0|phi|1> >= 0; zeta_eff is the central
@@ -35,7 +38,7 @@ import numpy as np
 from .coupler import EgSeries
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries
-from .oscillator import _fix_vector_signs, _grid, _junction_mode
+from .oscillator import _fix_vector_signs, _junction_mode
 
 __all__ = [
     "CouplingTable",
@@ -83,17 +86,15 @@ class QubitSubspace:
     """Two-level reduction of a single qubit.
 
     energies holds the lowest few levels in the global unit (at least
-    E_0 <= E_1); vectors is the (n_basis, 2) eigenvector block in the
-    Fock basis.  The qubit is solved on the n_basis-point grid of its
+    E_0 <= E_1).  The qubit is solved on the n_basis-point grid of its
     quadrature, where the flux operator phi_jx + sqrt(zeta) (a + a^dag)
     is diagonal: flux_eigs holds its values at the nodes and flux_modes
-    the two qubit vectors in those grid coordinates, so functions of
-    the flux are a diagonal away.
+    the (n_basis, 2) block of the two qubit vectors in those grid
+    coordinates, so functions of the flux are a diagonal away.
     """
 
     params: QubitParams
     energies: np.ndarray
-    vectors: np.ndarray
     phi_p: float
     zeta_eff: float
     weak_isolation: bool
@@ -143,7 +144,6 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     return QubitSubspace(
         params=params,
         energies=params.e_lj * vals[: min(4, n_basis)],
-        vectors=_grid(n_basis)[1] @ pair,
         phi_p=phi_p,
         zeta_eff=zeta_eff,
         weak_isolation=weak,
@@ -295,62 +295,43 @@ def _coupling_tables(series: EgSeries, subs, alphas, phi_cxs, labels,
     return tables
 
 
+def _grid_table(subs, potential) -> dict:
+    """Pauli table {label: value} of a potential on the qubits' product grid.
+
+    On the grid, P^T diag(V) P = sum_x V(x) prod_j w_j(x_j) w_j(x_j)^T
+    with w_j the qubit's flux_modes row at node x_j, so each axis of V
+    is contracted with the real Pauli coefficients of w w^T per node.
+    """
+    table = np.asarray(potential, dtype=float)
+    for sub in subs:
+        w = sub.flux_modes
+        weights = np.stack(
+            [np.real(c) for c in _pauli_decompose(w[:, :, None] * w[:, None, :])], axis=1
+        )  # (n, 4), columns in PAULI_LABELS order
+        table = np.tensordot(table, weights, axes=([0], [0]))  # Pauli index last
+    return dict(zip(_expand_labels("all", len(subs)), table.ravel().tolist()))
+
+
 def linear_couplings(derivs, subs, alphas, phi_cx: float, e_ltc: float = 1.0,
                      theory: str = "LA") -> CouplingTable:
     """Coupling table of the linearized interaction.
 
-    Expanding E_g about phi_cx gives -E_g' sum_j alpha_j phi_j plus
-    (E_g''/2)(sum_j alpha_j phi_j)^2.  Same-qubit squares use the exact
-    truncated phi^2 block (leakage through the whole basis), not
-    the square of the projected 2x2 flux.
+    Expanding E_g about phi_cx gives -E_g' u + (E_g''/2) u^2 in the
+    total flux u = sum_j alpha_j phi_j.  That potential is projected on
+    the qubits' product grid, so same-qubit squares use the exact
+    truncated phi^2 block (leakage through the whole basis), not the
+    square of the projected 2x2 flux.  The cost grows as n_basis^k for
+    k qubits.
     """
     if len(subs) != len(alphas) or not subs:
         raise ConfigurationError("need one alpha per qubit subspace")
     d1, d2 = derivs
-    k = len(subs)
-
-    flux_parts = []
-    flux2_parts = []
-    worst = 0.0
-    for sub in subs:
-        w, lam = sub.flux_modes, sub.flux_eigs[:, None]
-        block = w.conj().T @ (lam * w)
-        block2 = w.conj().T @ (lam**2 * w)
-        parts = _pauli_decompose(block)
-        parts2 = _pauli_decompose(block2)
-        worst = max(worst, *(abs(np.imag(c)) for c in parts + parts2))
-        flux_parts.append(dict(zip(PAULI_LABELS, (np.real(c) for c in parts))))
-        flux2_parts.append(dict(zip(PAULI_LABELS, (np.real(c) for c in parts2))))
-    if worst > 1e-10:
-        raise NumericError(
-            "flux blocks lost Hermiticity", {"imag_residue": worst}
-        )
-
-    entries = {"".join(p): 0.0 for p in itertools.product(PAULI_LABELS, repeat=k)}
-
-    def add(j, parts_j, weight):
-        # one-qubit operator on j, identity elsewhere
-        for eta, cval in parts_j.items():
-            label = "".join(eta if m == j else "I" for m in range(k))
-            entries[label] += weight * cval
-
-    for j in range(k):
-        add(j, flux_parts[j], -d1 * alphas[j])
-        add(j, flux2_parts[j], 0.5 * d2 * alphas[j] ** 2)
-    for j in range(k):
-        for l in range(j + 1, k):
-            weight = d2 * alphas[j] * alphas[l]
-            for eta_j, c_j in flux_parts[j].items():
-                for eta_l, c_l in flux_parts[l].items():
-                    label = "".join(
-                        eta_j if m == j else (eta_l if m == l else "I")
-                        for m in range(k)
-                    )
-                    entries[label] += weight * c_j * c_l
-
-    entries = {lbl: e_ltc * v for lbl, v in entries.items()}
-    meta = {"theory": theory, "phi_cx": phi_cx, "imag_residue": worst}
-    return CouplingTable(entries=entries, metadata=meta)
+    flux = 0.0
+    for n, (sub, alpha) in enumerate(zip(subs, alphas)):
+        axis = (-1,) + (1,) * (len(subs) - 1 - n)  # broadcast along grid axis n
+        flux = flux + alpha * sub.flux_eigs.reshape(axis)
+    entries = _grid_table(subs, e_ltc * (-d1 * flux + 0.5 * d2 * flux**2))
+    return CouplingTable(entries=entries, metadata={"theory": theory, "phi_cx": phi_cx})
 
 
 def gxx_gaussian(series: EgSeries, phi_p: float, zeta_eff: float, alpha: float,
@@ -369,81 +350,36 @@ def gxx_gaussian(series: EgSeries, phi_p: float, zeta_eff: float, alpha: float,
     return float(-e_ltc * total)
 
 
-def _position_wavefunction(vec: np.ndarray, zeta: float, grid: np.ndarray) -> np.ndarray:
-    """Evaluate a Fock-space vector on a flux grid.
-
-    Uses the normalized-Hermite recurrence; stable for the basis sizes
-    in play (the n-th function peaks well inside +-8 sqrt(zeta_eff)).
-    """
-    x = grid / math.sqrt(2.0 * zeta)
-    n = len(vec)
-    h_prev = np.pi**-0.25 * np.exp(-0.5 * x**2)
-    out = vec[0] * h_prev
-    h_curr = math.sqrt(2.0) * x * h_prev
-    if n > 1:
-        out = out + vec[1] * h_curr
-    for m in range(2, n):
-        h_next = math.sqrt(2.0 / m) * x * h_curr - math.sqrt((m - 1) / m) * h_prev
-        out = out + vec[m] * h_next
-        h_prev, h_curr = h_curr, h_next
-    return out / (2.0 * zeta) ** 0.25
-
-
-def _gxx_quad_once(eg_callable, sub: QubitSubspace, alpha: float, phi_cx: float,
-                   n_grid: int) -> float:
-    zeta = sub.params.zeta_j
-    phi_p = sub.phi_p
-    half = 8.0 * math.sqrt(max(sub.zeta_eff, zeta))
-    grid = np.linspace(-half, half, n_grid)
-    step = grid[1] - grid[0]
-    ref = np.real(sub.vectors[:, 0] + sub.vectors[:, 1]) / math.sqrt(2.0)
-    psi_r = _position_wavefunction(ref, zeta, grid + phi_p)
-    w = psi_r**2 * step
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    w /= np.sum(w)
-    # pair weights of u1 + u2 and u1 - u2 on the equispaced Minkowski grids
-    w_sum = np.convolve(w, w)
-    w_diff = np.convolve(w, w[::-1])
-    t = np.linspace(2 * grid[0], 2 * grid[-1], 2 * n_grid - 1)
-    t_diff = t - grid[0] - grid[-1]
-    shift = 2.0 * alpha * phi_p
-    val = (
-        np.sum(w_sum * (eg_callable(phi_cx - alpha * t - shift)
-                        + eg_callable(phi_cx + alpha * t + shift)))
-        - 2.0 * np.sum(w_diff * eg_callable(phi_cx - alpha * t_diff))
-    )
-    return float(val / 4.0)
-
-
-def gxx_quadrature(eg_callable, subs, alpha: float, phi_cx: float,
-                   n_grid: int = 512, tol: float = 1e-8) -> float:
+def gxx_quadrature(eg_callable, subs, alpha: float, phi_cx: float) -> float:
     """g_xx as the reference-state average of finite differences of E_g.
 
-    Expanding <00|E_g(phi_cx - alpha(phi_1 + phi_2))|11> through the
-    parity decomposition of the qubit states gives four terms over the
-    centered reference density rho(u) = psi_r^2(u):
+    For two identical unbiased qubits, expanding <00|E_g(phi_cx -
+    alpha(phi_1 + phi_2))|11> through the parity decomposition of the
+    qubit states gives four terms over the reference density rho =
+    psi_r^2, psi_r = (|0> + |1>)/sqrt(2):
 
-        4 g_xx = <E_g(phi_cx - alpha(u1+u2) - 2 alpha phi_p)>
-               + <E_g(phi_cx + alpha(u1+u2) + 2 alpha phi_p)>
+        4 g_xx = <E_g(phi_cx - alpha(u1+u2))> + <E_g(phi_cx + alpha(u1+u2))>
                - 2 <E_g(phi_cx - alpha(u1-u2))>.
 
-    For a symmetric rho this collapses to the single 3-point second
-    difference of E_g; the asymmetry of the true density is kept here,
-    which is what makes the average agree with the full projection
-    machinery to quadrature accuracy.  The grid spans +-8
-    sqrt(zeta_eff) per axis and is doubled once as a convergence
-    check.
+    Each average is a pair sum rho_a rho_b over the two qubits' grid
+    nodes.  The asymmetry of the true density is kept, so the sum
+    equals the projection of ``couplings`` up to rounding.  eg_callable
+    must accept arrays.
     """
-    sub = subs[0] if not isinstance(subs, QubitSubspace) else subs
-    coarse = _gxx_quad_once(eg_callable, sub, alpha, phi_cx, n_grid)
-    fine = _gxx_quad_once(eg_callable, sub, alpha, phi_cx, 2 * n_grid)
-    if abs(fine - coarse) > tol:
-        raise NumericError(
-            "finite-difference quadrature did not converge",
-            {"coarse": coarse, "fine": fine, "n_grid": n_grid},
+    if len(subs) != 2:
+        raise ConfigurationError(f"g_xx quadrature needs a qubit pair, got {len(subs)}")
+    sub_a, sub_b = subs
+    if sub_a.params != sub_b.params or sub_a.params.phi_jx != 0.0:
+        raise ConfigurationError(
+            "g_xx quadrature needs two identical unbiased qubits,"
+            f" got {sub_a.params} and {sub_b.params}"
         )
-    return fine
+    rho_a, rho_b = ((s.flux_modes[:, 0] + s.flux_modes[:, 1]) ** 2 / 2.0 for s in subs)
+    plus = np.add.outer(sub_a.flux_eigs, sub_b.flux_eigs)
+    minus = np.subtract.outer(sub_a.flux_eigs, sub_b.flux_eigs)
+    pair = (eg_callable(phi_cx - alpha * plus) + eg_callable(phi_cx + alpha * plus)
+            - 2.0 * eg_callable(phi_cx - alpha * minus))
+    return float(rho_a @ pair @ rho_b / 4.0)
 
 
 def linear_error_bound(beta_c: float, zeta_eff: float, phi_p: float, alpha: float,

@@ -7,6 +7,7 @@ subspace data, the flux matrix elements, and the exponential
 coefficients.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from coupler_lab.coupler import (
     eg_derivs_numeric,
     eg_eval,
 )
-from coupler_lab.errors import ConfigurationError, NumericError
+from coupler_lab.errors import ConfigurationError
 from coupler_lab.projection import (
     CouplingTable,
     QubitParams,
@@ -247,6 +248,54 @@ def test_linear_xx_factorization(ref_sub):
     assert tab["xx"] == pytest.approx(want, rel=1e-12)
 
 
+PAULI = {
+    "I": np.eye(2),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0.0, -1j], [1j, 0.0]]),
+    "z": np.diag([1.0, -1.0]),
+}
+
+
+def kron_all(mats):
+    out = np.ones((1, 1))
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+@pytest.mark.parametrize("case", ["two_unequal_biased", "three"])
+def test_linear_table_against_dense_kronecker_projection(case):
+    # oracle: Tr(sigma_label P^T diag(V) P) / 2^k with P = W_1 x ... x W_k
+    if case == "two_unequal_biased":
+        qubits = [QubitParams(beta_j=1.05, zeta_j=0.05, phi_jx=0.1),
+                  QubitParams(beta_j=0.8, zeta_j=0.07, e_lj=1.3, phi_jx=-0.2)]
+        dims, alphas = (44, 40), [0.04, 0.06]
+    else:
+        qubits = [QubitParams(beta_j=1.05, zeta_j=0.05),
+                  QubitParams(beta_j=0.9, zeta_j=0.05, phi_jx=0.05),
+                  QubitParams(beta_j=1.2, zeta_j=0.04)]
+        dims, alphas = (40, 40, 40), [0.05, 0.03, 0.04]
+    subs = [qubit_subspace(q, n_basis=d) for q, d in zip(qubits, dims)]
+    d1, d2, e_ltc = 0.3, 0.7, 1.7
+    tab = linear_couplings((d1, d2), subs, alphas, 0.4, e_ltc=e_ltc)
+
+    k = len(subs)
+    flux = sum(
+        a * kron_all([s.flux_eigs[None, :] if m == j else np.ones((1, len(t.flux_eigs)))
+                      for m, t in enumerate(subs)])[0]
+        for j, (s, a) in enumerate(zip(subs, alphas))
+    )
+    v = e_ltc * (-d1 * flux + 0.5 * d2 * flux**2)
+    proj = kron_all([s.flux_modes for s in subs])
+    block = proj.T @ (v[:, None] * proj)
+    assert set(tab.labels) == {"".join(p) for p in itertools.product("Ixyz", repeat=k)}
+    scale = max(abs(x) for x in tab.entries.values())
+    for label, got in tab.entries.items():
+        want = np.trace(kron_all([PAULI[ch] for ch in label]) @ block) / 2**k
+        assert abs(got - want.real) <= 1e-14 * scale, label
+        assert abs(want.imag) <= 1e-14 * scale, label
+
+
 def test_linear_vs_nonlinear_reference_sweep(ref_series, ref_sub):
     # away from zero bias the two theories track each other closely
     p = CouplerParams(beta_c=0.5, zeta_c=0.05)
@@ -300,13 +349,26 @@ def test_gxx_gaussian_tracks_couplings(ref_series, ref_sub):
         assert approx == pytest.approx(tab["xx"], rel=0.10)
 
 
-def test_gxx_quadrature_matches_couplings(ref_series, ref_sub):
+def test_gxx_quadrature_matches_couplings(ref_series):
+    # across the double-well range, each qubit on a grid of its own size:
+    # the pair sum is the grid projection
     eg = lambda x: eg_eval(ref_series, x)
-    for phi in (0.1 * 2 * np.pi, 0.25 * 2 * np.pi):
-        tab = couplings(ref_series, [ref_sub, ref_sub], [0.05, 0.05], phi,
-                        labels=["xx"])
-        quad = gxx_quadrature(eg, [ref_sub, ref_sub], 0.05, phi)
-        assert quad == pytest.approx(tab["xx"], rel=1e-6)
+    for beta_j in (0.8, 1.05, 1.4):
+        q = QubitParams(beta_j=beta_j, zeta_j=0.05)
+        subs = [qubit_subspace(q, n_basis=60), qubit_subspace(q, n_basis=72)]
+        for phi in (0.1 * 2 * np.pi, 0.25 * 2 * np.pi):
+            tab = couplings(ref_series, subs, [0.05, 0.05], phi, labels=["xx"])
+            quad = gxx_quadrature(eg, subs, 0.05, phi)
+            assert quad == pytest.approx(tab["xx"], rel=1e-10), beta_j
+
+
+def test_gxx_quadrature_needs_identical_unbiased_pair(ref_series, ref_sub):
+    eg = lambda x: eg_eval(ref_series, x)
+    unequal = qubit_subspace(QubitParams(beta_j=0.8, zeta_j=0.05), n_basis=60)
+    biased = qubit_subspace(QubitParams(beta_j=1.05, zeta_j=0.05, phi_jx=0.1), n_basis=60)
+    for subs in ([ref_sub, unequal], [biased, biased], [ref_sub], [ref_sub] * 3):
+        with pytest.raises(ConfigurationError):
+            gxx_quadrature(eg, subs, 0.05, 0.6)
 
 
 def test_gxx_quadrature_alpha_zero(ref_series, ref_sub):
@@ -321,12 +383,6 @@ def test_gxx_quadrature_exact_on_quadratics(ref_sub):
     want = 0.25 * (2 * alpha * ref_sub.phi_p) ** 2 * curv
     got = gxx_quadrature(eg, [ref_sub, ref_sub], alpha, 0.8)
     assert got == pytest.approx(want, rel=1e-8)
-
-
-def test_gxx_quadrature_convergence_guard(ref_series, ref_sub):
-    eg = lambda x: eg_eval(ref_series, x)
-    with pytest.raises(NumericError):
-        gxx_quadrature(eg, [ref_sub, ref_sub], 0.05, 0.5, n_grid=8)
 
 
 def test_linear_error_bound_values(ref_series, ref_sub):
