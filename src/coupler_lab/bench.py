@@ -258,7 +258,7 @@ def _point_system(system: CouplerSystem, axis: str, value: float) -> CouplerSyst
     return replace(system, qubits=qubits)
 
 
-def _sweep_point(spec: SweepSpec, series, value: float) -> dict:
+def _sweep_point(spec: SweepSpec, value: float) -> dict:
     record = {
         "value": float(value),
         "energies": {},
@@ -283,7 +283,6 @@ def _sweep_point(spec: SweepSpec, series, value: float) -> dict:
                     spec.n_levels,
                     nu_max=spec.nu_max,
                     mu_max=spec.mu_max,
-                    series=series if theory == "NA" else None,
                 )
             record["energies"][theory] = tuple(float(v) for v in s.eigenvalues)
             record["excitations"][theory] = tuple(float(v) for v in s.excitations)
@@ -301,20 +300,15 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """Run the sweep; points are independent and may run concurrently.
 
     Output order follows the axis grid regardless of completion
-    order.  The interaction series is shared across points whenever
-    the axis leaves the coupler parameters untouched.
+    order.  NA points with the same beta_c share one interaction
+    series through b_coeffs' memo.
     """
-    series = None
-    if "NA" in spec.theories and spec.axis not in ("beta_c", "zeta_c"):
-        series = b_coeffs(
-            spec.system.beta_c, spec.system.zeta_c, spec.nu_max, spec.mu_max
-        )
     values = spec.values
     if spec.parallel > 1:
         with ThreadPoolExecutor(max_workers=spec.parallel) as pool:
-            points = list(pool.map(lambda v: _sweep_point(spec, series, v), values))
+            points = list(pool.map(lambda v: _sweep_point(spec, v), values))
     else:
-        points = [_sweep_point(spec, series, v) for v in values]
+        points = [_sweep_point(spec, v) for v in values]
     failed = sum(1 for rec in points if rec["errors"])
     meta = {"axis": spec.axis, "n_points": len(points), "n_failed": failed}
     return SweepResult(spec=spec, points=tuple(points), metadata=meta)

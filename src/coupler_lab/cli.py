@@ -65,7 +65,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -586,14 +586,14 @@ def _cmd_derivs(cfg, args, out: Path) -> int:
     beta, zeta = cfg.beta_c, cfg.zeta_c
     grid = _bias_grid(args)
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
-    ana = np.asarray([eg_derivs_analytic(beta, zeta, p) for p in grid])
+    d1_ana, d2_ana = eg_derivs_analytic(beta, zeta, grid)
     num = np.asarray(
         [eg_derivs_numeric(params, p, n_basis=max(50, cfg.numerics["n_basis"])) for p in grid]
     )
     columns = {
         "phi_over_2pi": grid / TWO_PI,
-        "d1_analytic": ana[:, 0],
-        "d2_analytic": ana[:, 1],
+        "d1_analytic": d1_ana,
+        "d2_analytic": d2_ana,
         "d1_numeric": num[:, 0],
         "d2_numeric": num[:, 1],
     }
@@ -879,14 +879,7 @@ def _resolve_parallel(cfg: SystemConfig, args) -> SystemConfig:
         numerics["nu_max"] = args.nu_max
     if getattr(args, "dims", None) is not None:
         numerics["dims"] = _parse_int_list(args.dims)
-    return SystemConfig(
-        system=cfg.system,
-        numerics=numerics,
-        units=cfg.units,
-        sweep=cfg.sweep,
-        scan=cfg.scan,
-        source=cfg.source,
-    )
+    return replace(cfg, numerics=numerics)
 
 
 def _emit_error(exc: Exception, code: int):

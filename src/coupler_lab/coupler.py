@@ -34,9 +34,8 @@ are in units of E_Ltc.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,9 +150,8 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
     The quantum convolution runs over |mu| <= mu_max; the default 40
     suffices for beta_c <= 0.9 (|mu G_mu| decays below 1e-16 there),
     larger beta_c needs more (about 101 at beta_c = 0.95).  Neither
-    component depends on zeta_c or, row by row, on nu_max, so both are
-    memoized per (beta_c, mu_max): the longest build is kept and a
-    shorter nu_max shares a read-only prefix of it.
+    component depends on zeta_c, so both are memoized per (beta_c,
+    nu_max, mu_max) and shared, read-only, by every zeta_c.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"b_coeffs requires 0 <= beta_c < 1, got {beta_c}")
@@ -170,88 +168,24 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
     )
 
 
-def _grow_series(beta_c: float, nu_max: int, mu_max: int, have=None) -> tuple:
-    """(G_mu, B_nu^(0), B_nu^(1)) through nu_max: the zeta-free series.
+@lru_cache(maxsize=32)
+def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
+    """B_nu^(0) and B_nu^(1) for nu = 0..nu_max: the zeta-free series.
 
-    The rows of ``have``, an earlier result for the same (beta_c,
-    mu_max), are kept and only the orders past them are computed.
-    Every row is computed on its own, so the result is bitwise a fresh
-    build.  The two series arrays are read-only.
+    Memoized per (beta_c, nu_max, mu_max); the two arrays are shared
+    and read-only.
     """
-    if have is None:
-        g = np.array([g_coeff(mu, beta_c) for mu in range(mu_max + 1)])
-        classical = np.array([-beta_c**2 / 4.0])
-        quantum = np.array([g[0] - beta_c * g[1]])
-    else:
-        g, classical, quantum = have
-    nu = np.arange(len(classical), nu_max + 1)
-    conv = np.zeros(len(nu))
+    g = np.array([g_coeff(mu, beta_c) for mu in range(mu_max + 1)])
+    nu = np.arange(1, nu_max + 1)
+    conv = np.zeros(nu_max)
     for mu in range(1, mu_max + 1):
         # mu and -mu combined; G_{-mu} = G_mu
         conv += mu * g[mu] * (bessel_j(nu - mu, beta_c * nu) - bessel_j(nu + mu, beta_c * nu))
-    classical = np.concatenate((classical, bessel_j(nu, beta_c * nu) / nu**2))
-    quantum = np.concatenate((quantum, conv / nu))
+    classical = np.concatenate(([-beta_c**2 / 4.0], bessel_j(nu, beta_c * nu) / nu**2))
+    quantum = np.concatenate(([g[0] - beta_c * g[1]], conv / nu))
     classical.flags.writeable = False
     quantum.flags.writeable = False
-    return g, classical, quantum
-
-
-def _fresh_series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
-    """B_nu^(0) and B_nu^(1) for nu = 0..nu_max, built from scratch."""
-    return _grow_series(beta_c, nu_max, mu_max)[1:]
-
-
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-class _SeriesCache:
-    """Memo of the zeta-free series: the longest build per (beta_c, mu_max).
-
-    A call for nu_max returns read-only views of the build's first
-    nu_max + 1 rows (the same views for a repeated nu_max); a longer
-    nu_max computes only the new rows and appends them, so the result
-    is always bitwise ``__wrapped__``'s fresh build.  At most maxsize
-    keys are kept, the least recently used dropped first.  The
-    ``cache_info`` and ``cache_clear`` of ``functools.lru_cache`` are
-    kept; a hit is a call that computes no row.
-    """
-
-    def __init__(self, maxsize: int):
-        self.__wrapped__ = _fresh_series_parts
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self.cache_clear()
-
-    def __call__(self, beta_c: float, nu_max: int, mu_max: int) -> tuple:
-        key = (beta_c, mu_max)
-        with self._lock:
-            parts, views = self._builds.get(key, (None, None))
-            if parts is not None and nu_max < len(parts[1]):
-                self._hits += 1
-            else:
-                self._misses += 1
-                parts, views = _grow_series(beta_c, nu_max, mu_max, parts), {}
-                self._builds[key] = (parts, views)
-            self._builds.move_to_end(key)
-            if len(self._builds) > self.maxsize:
-                self._builds.popitem(last=False)
-            if nu_max not in views:
-                if len(views) >= self.maxsize:
-                    views.clear()
-                views[nu_max] = (parts[1][: nu_max + 1], parts[2][: nu_max + 1])
-            return views[nu_max]
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._builds))
-
-    def cache_clear(self):
-        with self._lock:
-            self._builds = OrderedDict()
-            self._hits = self._misses = 0
-
-
-_series_parts = _SeriesCache(maxsize=32)
+    return classical, quantum
 
 
 def eg_eval(series: EgSeries, phi_x):
@@ -284,14 +218,15 @@ def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
                 + (zeta beta / 2)(cos(chi)/D^{5/2} - 3 beta sin^2(chi)/(2 D^{7/2}))
 
     Both diverge as beta cos(chi) -> 1; values are returned as they
-    come (possibly non-finite), never clamped.
+    come (possibly non-finite), never clamped.  An array of biases gives
+    two arrays, a scalar bias two floats.
     """
     chi = kepler_solve(beta_c, phi_cx)
     s, c = np.sin(chi), np.cos(chi)
     d = 1.0 - beta_c * c
     d1 = -beta_c * s * (1.0 - zeta_c / (2.0 * d**1.5))
     d2 = -beta_c * c / d + 0.5 * zeta_c * beta_c * (c / d**2.5 - 1.5 * beta_c * s**2 / d**3.5)
-    return float(d1), float(d2)
+    return (d1, d2) if np.ndim(phi_cx) else (float(d1), float(d2))
 
 
 def _ground_couplings(params: CouplerParams, phi_x: float, n_basis: int, what: str):

@@ -240,7 +240,8 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
     minimum phases into the cosine offsets.  The generalized symmetric
     problem is solved as eig(sqrt(T) K sqrt(T)); coordinate m then
     carries zero-point amplitude R[m, n] = sqrt(T_m) V[m, n] /
-    sqrt(2 w_n) along mode n.
+    sqrt(2 w_n) along mode n.  Modes of equal frequency (identical
+    qubits) get a basis fixed by their span, not by the eigensolver.
     """
     qubits = list(system.qubits)
     e_ltc = float(system.e_ltc)
@@ -267,7 +268,7 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
     freqs = np.sqrt(w2)
     # deterministic eigenvector signs: largest component positive
     flip = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)])
-    vecs = vecs * flip
+    vecs = _canonical_clusters(w2, vecs * flip)
     disp = sq[:, None] * vecs / np.sqrt(2.0 * freqs)[None, :]
     offsets = np.empty(n)
     offsets[0] = system.phi_cx - sum(q.alpha_j * q.phi_jx for q in qubits)
@@ -277,6 +278,30 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
         offsets[i] = q.phi_jx
         amps[i] = 0.5 * q.beta_j * q.e_lj * np.exp(1j * offsets[i])
     return NormalModeSystem(freqs, disp, amps, None if dims is None else tuple(dims))
+
+
+def _canonical_clusters(w2: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """vecs with a fixed basis for each cluster of degenerate w2.
+
+    w2 neighbours within 1024 eps max(w2) share a cluster.  eigh returns
+    an arbitrary, LAPACK-dependent rotation of a cluster, which can hide
+    the exchange symmetry of identical qubits.  The cluster's projector
+    does not depend on it: its columns, Gram-Schmidt orthonormalized in
+    coordinate order and skipping those already spanned, give the basis.
+    """
+    edges = np.flatnonzero(np.diff(w2) > 1024 * np.finfo(float).eps * w2[-1]) + 1
+    vecs = vecs.copy()
+    for lo, hi in zip([0, *edges], [*edges, len(w2)]):
+        if hi - lo < 2:
+            continue
+        proj = vecs[:, lo:hi] @ vecs[:, lo:hi].T
+        basis = np.empty((len(w2), 0))
+        for col in proj.T:
+            v = col - basis @ (basis.T @ col)
+            if np.linalg.norm(v) > 1e-3:  # a spanned column leaves rounding only
+                basis = np.column_stack((basis, v / np.linalg.norm(v)))
+        vecs[:, lo:hi] = basis[:, : hi - lo]
+    return vecs
 
 
 @lru_cache(maxsize=16)

@@ -179,34 +179,9 @@ class TestSeriesCache:
             assert np.array_equal(s.b_quantum.coeffs, fresh[1])
         assert _series_parts.cache_info().misses == 1
 
-    def test_prefix_and_extension_match_fresh_builds(self, monkeypatch):
-        import coupler_lab.coupler as coupler
-
-        orders = []
-        bessel = coupler.bessel_j
-
-        def spy(order, x):
-            orders.append(np.size(order))
-            return bessel(order, x)
-
-        beta, mu_max = 0.905742, 12
-        fresh = {nu: _series_parts.__wrapped__(beta, nu, mu_max) for nu in (8, 64, 256)}
-        _series_parts.cache_clear()
-        monkeypatch.setattr(coupler, "bessel_j", spy)
-        for nu_max, rows in ((64, 64), (256, 192), (8, 0)):
-            orders.clear()
-            parts = _series_parts(beta, nu_max, mu_max)
-            # the new rows only, once per Bessel term (2 mu_max + 1 of them)
-            assert set(orders) <= {rows} and len(orders) == (2 * mu_max + 1 if rows else 0)
-            for got, want in zip(parts, fresh[nu_max]):
-                assert got.tobytes() == want.tobytes()
-                assert not got.flags.writeable
-        info = _series_parts.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
-
     def test_threads_share_one_consistent_cache(self):
-        # more keys and more distinct nu_max than the cache holds, so the
-        # threads evict entries and drop views under each other
+        # more keys than the cache holds, so the threads evict entries
+        # under each other
         keys = [(0.1 + 0.02 * (i % 40), 1 + (7 * i) % 45) for i in range(6000)]
         mu_max = 3
         fresh = {key: _series_parts.__wrapped__(*key, mu_max) for key in set(keys)}
@@ -299,6 +274,17 @@ def test_derivs_analytic_vs_finite_difference():
     f1, f2 = fd_derivs(0.75, 0.05, 0.3 * 2 * np.pi)
     assert d1 == pytest.approx(f1, rel=1e-3)
     assert d2 == pytest.approx(f2, rel=1e-3)
+
+
+def test_derivs_analytic_array_matches_pointwise():
+    grid = np.linspace(-np.pi, np.pi, 201)
+    for beta, zeta in ((0.3, 0.02), (0.75, 0.05), (0.95, 0.25)):
+        d1, d2 = eg_derivs_analytic(beta, zeta, grid)
+        loop = np.array([eg_derivs_analytic(beta, zeta, p) for p in grid])
+        for got, want in ((d1, loop[:, 0]), (d2, loop[:, 1])):
+            assert got.shape == grid.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert all(type(d) is float for d in eg_derivs_analytic(0.75, 0.05, 0.3))
 
 
 def test_derivs_numeric_vs_finite_difference():

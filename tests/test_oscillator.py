@@ -27,8 +27,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 import coupler_lab
 from coupler_lab import oscillator
 from coupler_lab.bench import CouplerSystem, SweepSpec, bo_spectrum, exact_spectrum, sweep
-from coupler_lab.coupler import (CouplerParams, b_coeffs, bodc_metrics, eg_derivs_numeric,
-                                 eg_eval, eg_exact)
+from coupler_lab.coupler import (CouplerParams, _series_parts, b_coeffs, bodc_metrics,
+                                 eg_derivs_numeric, eg_eval, eg_exact)
 from coupler_lab.errors import ConfigurationError, NumericError, ResourceError
 from coupler_lab.kapteyn import _sin_coeffs
 from coupler_lab.oscillator import (
@@ -167,6 +167,7 @@ class TestHoExpMatrixCache:
         runs = []
         for parallel in (1, 2):
             _sin_coeffs.cache_clear()
+            _series_parts.cache_clear()
             result = sweep(SweepSpec(parallel=parallel, **kwargs))
             runs.append([(rec["energies"], rec["excitations"], rec["errors"])
                          for rec in result.points])
@@ -212,6 +213,27 @@ class TestNormalModes:
         assert np.angle(nm.amplitudes[0]) == pytest.approx(expect_c)
         assert np.angle(nm.amplitudes[1]) == pytest.approx(0.2)
         assert abs(nm.amplitudes[1]) == pytest.approx(0.5 * 1.05 * 1.0)
+
+    def test_degenerate_pair_gets_a_fixed_basis(self, monkeypatch):
+        # three identical qubits: the two qubit-antisymmetric modes share
+        # w = 0.1, and eigh may return any rotation of that pair
+        system = make_system(qubits=[make_qubit()] * 3)
+        nm = normal_modes(system)
+        assert np.sum(np.isclose(nm.freqs, 0.1, rtol=1e-12)) == 2
+        spec = exact_spectrum(system, dims=(10, 10, 10, 6), n_levels=4)
+        assert spec.metadata["sectors"]["dims"] == (1500,) * 4
+        real = np.linalg.eigh
+        c, s = math.cos(0.7), math.sin(0.7)
+
+        def rotated(a):
+            vals, vecs = real(a)
+            pair = np.flatnonzero(np.isclose(vals, 0.01, rtol=1e-12))
+            vecs[:, pair] = vecs[:, pair] @ np.array([[c, -s], [s, c]])
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        turned = normal_modes(system)
+        assert np.max(np.abs(turned.displacements - nm.displacements)) <= 1e-14
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
