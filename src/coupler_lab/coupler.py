@@ -40,7 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .kapteyn import FourierSeries, bessel_j, cos_beta, g_coeff, kepler_solve
+from .kapteyn import (FourierSeries, _kapteyn_convolution, bessel_j, cos_beta, g_coeff,
+                      kepler_solve)
 from .oscillator import _junction_mode, lowest_eigs
 
 __all__ = [
@@ -135,23 +136,36 @@ def u_zpe_harmonic(beta_c: float, zeta_c: float, phi_x):
 
 
 def _mu_cutoff(beta_c: float, tol: float = 1e-16) -> int:
-    """Smallest M with |mu G_mu| < tol for all mu >= M."""
-    mu = 1
-    while mu < 400:
-        if abs(mu * g_coeff(mu, beta_c)) < tol:
+    """Smallest M with |mu G_mu| < tol for all mu >= M.
+
+    The search stops at mu = 400 (the cutoff is 307 at beta_c = 0.995);
+    from beta_c ~ 0.998 up |mu G_mu| is still above tol there, so a
+    truncation bound built on it would not hold and NumericError is
+    raised instead.
+    """
+    smallest = math.inf
+    for mu in range(1, 400):
+        term = abs(mu * g_coeff(mu, beta_c))
+        if term < tol:
             return mu
-        mu += 1
-    return 400
+        smallest = min(smallest, term)
+    raise NumericError(
+        f"|mu G_mu| stays above {tol} up to mu = 399 at beta_c = {beta_c}",
+        {"beta_c": beta_c, "smallest_mu_g": smallest},
+    )
 
 
 def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) -> EgSeries:
     """Interaction series coefficients B_nu^(0), B_nu^(1) for nu <= nu_max.
 
-    The quantum convolution runs over |mu| <= mu_max; the default 40
-    suffices for beta_c <= 0.9 (|mu G_mu| decays below 1e-16 there),
-    larger beta_c needs more (about 101 at beta_c = 0.95).  Neither
-    component depends on zeta_c, so both are memoized per (beta_c,
-    nu_max, mu_max) and shared, read-only, by every zeta_c.
+    The quantum convolution runs over |mu| <= mu_max.  |mu G_mu| first
+    falls below 1e-16 at mu = 42 for beta_c = 0.75, 70 for 0.9 and 99
+    for 0.95 (``_mu_cutoff``).  With the default mu_max = 40, B^(1)
+    is off by 8e-13 of its largest coefficient at beta_c = 0.9
+    (|40 G_40| = 2.3e-10 there) and by 2.6e-10 at 0.95, so beta_c
+    above 0.9 wants a larger mu_max.  Neither component depends on
+    zeta_c, so both are memoized per (beta_c, nu_max, mu_max) and
+    shared, read-only, by every zeta_c.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"b_coeffs requires 0 <= beta_c < 1, got {beta_c}")
@@ -172,15 +186,20 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
 def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
     """B_nu^(0) and B_nu^(1) for nu = 0..nu_max: the zeta-free series.
 
-    Memoized per (beta_c, nu_max, mu_max); the two arrays are shared
-    and read-only.
+    B_nu^(0) is the direct ``bessel_j(nu, beta_c nu) / nu^2``.  The
+    convolution in B_nu^(1) comes from one downward Bessel recurrence
+    over the orders nu-mu_max..nu+mu_max of every row at once
+    (``kapteyn._kapteyn_convolution``: anchored on ``jv`` at the top
+    two orders, or Miller-started where those underflow, reflected to
+    the negative orders of rows nu < mu_max, scaled to ``jv`` near the
+    turning point); it matches the per-mu ``jv`` sum to 2e-12 of the
+    row's sum of |terms|.  Memory stays O(nu_max).  Memoized per
+    (beta_c, nu_max, mu_max); the two arrays are shared and read-only.
     """
     g = np.array([g_coeff(mu, beta_c) for mu in range(mu_max + 1)])
     nu = np.arange(1, nu_max + 1)
-    conv = np.zeros(nu_max)
-    for mu in range(1, mu_max + 1):
-        # mu and -mu combined; G_{-mu} = G_mu
-        conv += mu * g[mu] * (bessel_j(nu - mu, beta_c * nu) - bessel_j(nu + mu, beta_c * nu))
+    # mu and -mu combined; G_{-mu} = G_mu
+    conv = _kapteyn_convolution(beta_c, nu_max, np.arange(mu_max + 1) * g)
     classical = np.concatenate(([-beta_c**2 / 4.0], bessel_j(nu, beta_c * nu) / nu**2))
     quantum = np.concatenate(([g[0] - beta_c * g[1]], conv / nu))
     classical.flags.writeable = False
@@ -269,7 +288,9 @@ def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
     The classical and quantum tails are known in closed form; they are
     combined with the relative signs they carry in E_g before taking
     the magnitude, since that signed combination is what a truncated
-    coupling computation actually omits.
+    coupling computation actually omits.  Raises NumericError where
+    |mu G_mu| stays above 1e-16 up to mu = 399 (beta_c from about
+    0.998 up), since the bound would then not hold.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"truncation_bound requires 0 <= beta_c < 1, got {beta_c}")
@@ -285,7 +306,10 @@ def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
 
 
 def min_nu_for_error(beta_c: float, zeta_c: float, epsilon: float) -> int:
-    """Smallest nu_max whose truncation bound is at most epsilon."""
+    """Smallest nu_max whose truncation bound is at most epsilon.
+
+    Raises NumericError where ``truncation_bound`` would.
+    """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 <= beta_c < 1.0:

@@ -32,6 +32,15 @@ forms, both consequences of the defining equation:
     d sin_beta / d phi = cos(chi) / (1 - beta*cos(chi))
     cos_beta(phi)      = (beta/2) sin_beta(phi)^2 + cos(chi)
 
+The zero-point part of the interaction series needs, for each nu, the
+sum over |mu| <= M of mu G_mu J_{nu-mu}(beta*nu): consecutive orders at
+one argument.  ``_kapteyn_convolution`` takes all of them from one
+downward three-term recurrence per row, anchored on two ``jv`` values
+(or Miller-started where those underflow), renormalized at every step,
+reflected through J_{-m} = (-1)^m J_m below order 0 and scaled to one
+``jv`` value near the turning point.  It agrees with the per-mu ``jv``
+sum to 2e-12 of each row's sum of |terms|.
+
 The Newton solver ``kepler_solve`` is the ground truth all series are
 validated against.  The sine-series coefficient table behind sin_beta
 and cos_beta depends only on (beta, nu_max); it is memoized in a small
@@ -75,6 +84,84 @@ def bessel_j(order, x):
             raise ValueError("bessel_j expects integer orders")
         order = rounded.astype(int)
     return jv(order, x)
+
+
+def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray) -> np.ndarray:
+    """sum_{mu=1..M} c_mu [J_{nu-mu}(beta nu) - J_{nu+mu}(beta nu)], nu = 1..nu_max.
+
+    ``c`` holds c_0..c_M (c_0 is unused).  Row nu needs the consecutive
+    orders nu-M..nu+M at one argument x = beta nu, so one downward
+    three-term recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, run on all
+    rows at once, replaces 2M sweeps of Bessel calls.  Step e produces
+    order nu+e on every row, so its weight (-c_e above nu, +c_|e| below)
+    is one scalar; each order is added into the row sum as it passes,
+    and no (nu_max, 2M+1) band is ever stored.
+
+    Each row is renormalized at every step so its newest value is 1
+    (the state is the ratio J_{k+1}/J_k), which keeps rows far from the
+    turning point, where J falls by 2k/x per order, from overflowing.
+    The start is the ratio of ``jv`` anchors at orders nu+M and nu+M-1,
+    or 0 where the lower anchor underflows (Miller's algorithm: a row
+    that deep in the decaying region forgets its start within a few
+    orders; Gautschi, SIAM Rev. 9, 24 (1967)).  The row is then scaled to
+    ``jv`` at k* = max(floor(x), nu-M), where J_k*(x) > 0: as
+    (row / row_k*) J_k*, since row (J_k*/row_k*) underflows.  floor(x)
+    rather than ceil(x) keeps k* = 0 for x < 1, where J_1/J_0 ~ x/2
+    would underflow to 0 for x below 4e-308.
+
+    The recurrence stops at order 0: rows nu < M collect the negative
+    orders by reflection, J_{-m} = (-1)^m J_m, as order m passes.
+
+    Against the per-mu ``jv`` sum, every row agrees to 2e-12 of
+    sum_mu |c_mu| (|J_{nu-mu}| + |J_{nu+mu}|) wherever that sum exceeds
+    1e-250 (measured worst 6e-13 over beta 1e-300..0.98, nu_max up to
+    2048, M up to 120); rows at any beta >= 0 are finite.
+    """
+    m = len(c) - 1
+    orders = np.arange(1.0 - m, nu_max + m + 1)  # every order any row reaches
+    nu = orders[m:nu_max + m]
+    x = beta * nu
+    kstar = np.maximum(np.floor(x), nu - m)
+    top, below, j_star = jv(np.stack((orders[2 * m:], orders[2 * m - 1:-1], kstar)), x)
+    ratio = np.zeros(nu_max)
+    np.divide(top, below, out=ratio, where=below >= np.finfo(float).tiny)
+    # row 0: the sum, row 1: the value at k* once passed, both in units
+    # of each row's newest order
+    sums = np.zeros((2, nu_max))
+    sums[0] = -c[m] * ratio - (c[m - 1] if m > 1 else 0.0)
+    # k* - nu does not increase with nu, so the rows with k* = nu + e are
+    # one block, and the blocks follow each other as e falls; k* <= nu + m - 2
+    offsets = range(m - 2, -m - 1, -1)
+    ends = np.searchsorted(nu - kstar, [-e for e in offsets], side="right").tolist()
+    # reflected order -m' of row nu (e = -m' - nu) carries c_{2nu+e} (-1)^{m'};
+    # with j = 2nu + e that sign is (-1)^{floor(j/2)} (-1)^{ceil(e/2)}
+    reflected = c.copy()
+    reflected[2::4] *= -1.0
+    reflected[3::4] *= -1.0
+    start = 0
+    # 2k/x is inf for x below ~1e-305; the ratio it gives is then 0, the x -> 0 limit
+    with np.errstate(divide="ignore", over="ignore"):
+        two_over_x = 2.0 / x
+        for e, end in zip(offsets, ends):
+            a = max(0, -e - 1)  # rows whose order nu + e is >= 0
+            t = orders[a + e + m + 1:nu_max + e + m + 1] * two_over_x[a:]  # 2 (nu + e + 1) / x
+            r = ratio[a:]
+            t -= r
+            np.divide(1.0, t, out=r)
+            sums[:, a:] *= r
+            if e:
+                sums[0, a:] += c[-e] if e < 0 else -c[e]
+            if end > start:
+                sums[1, start:end] = 1.0
+                start = end
+            lo, hi = max(0, -e), min((m - e) // 2, nu_max)  # nu + e >= 1, 2 nu + e <= m
+            if hi > lo:
+                term = reflected[2 * lo + 2 + e:2 * hi + 2 + e:2]
+                if -e // 2 % 2 == 0:
+                    sums[0, lo:hi] += term
+                else:
+                    sums[0, lo:hi] -= term
+    return sums[0] / sums[1] * j_star
 
 
 def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):

@@ -299,6 +299,16 @@ def test_truncation_prints_order(ref_config, tmp_path, capsys):
     assert any("beta_c=0.75" in c for c in comments)
 
 
+def test_truncation_unmet_mu_cutoff_exits_numeric(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, DIMLESS_BODY.replace("beta_c = 0.5", "beta_c = 0.999"))
+    assert main(["truncation", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericError"
+    assert err["exit_code"] == EXIT_NUMERIC
+    assert err["details"]["beta_c"] == 0.999
+    assert not (tmp_path / "truncation.csv").exists()
+
+
 def test_series_beta_zero_sine_is_bitwise(tmp_path, capsys):
     body = "[coupler]\nbeta_c = 0.0\nzeta_c = 0.05\n[qubit.1]\nbeta_j = 1.05\nzeta_j = 0.05\n"
     cfg = write_config(tmp_path, body)

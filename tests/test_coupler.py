@@ -6,16 +6,19 @@ Oracles:
     limit, independent of the implicit-equation solver;
   * central finite differences of the exact ground energy for both
     derivative routes;
-  * the closed-form tail identities for the truncation bound.
+  * the closed-form tail identities for the truncation bound;
+  * the per-mu sum of scipy ``jv`` calls for the zero-point convolution
+    that ``_series_parts`` takes from one Bessel recurrence.
 """
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -34,6 +37,7 @@ from coupler_lab.coupler import (
     u_min,
     u_zpe_harmonic,
 )
+from coupler_lab.kapteyn import bessel_j, g_coeff
 from coupler_lab.errors import ConfigurationError, NumericError
 
 
@@ -212,7 +216,98 @@ class TestSeriesCache:
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+# ------------------------------------------------ zero-point convolution
+
+RECURRENCE_BETAS = [1e-300, 2.5813704503701304e-264, 1e-30, 1e-4, 0.05, 0.3,
+                    0.5, 0.75, 0.9, 0.95, 0.98]
+RECURRENCE_NU = [1, 7, 64, 400, 2048]
+RECURRENCE_MU = [1, 5, 40, 120]
+
+
+def per_mu_series(beta, nu_max, mu_max, record=()):
+    """The per-mu ``bessel_j`` build of B^(1), as the series was first written.
+
+    Returns the quantum column and, for each mu_max in ``record`` (and
+    mu_max itself), the convolution sum over mu <= that value and the
+    row scale sum_mu |mu G_mu| (|J_{nu-mu}| + |J_{nu+mu}|).
+    """
+    g = np.array([g_coeff(mu, beta) for mu in range(mu_max + 1)])
+    nu = np.arange(1, nu_max + 1)
+    conv = np.zeros(nu_max)
+    scale = np.zeros(nu_max)
+    partial = {}
+    for mu in range(1, mu_max + 1):
+        lower = bessel_j(nu - mu, beta * nu)
+        upper = bessel_j(nu + mu, beta * nu)
+        conv += mu * g[mu] * (lower - upper)
+        scale += abs(mu * g[mu]) * (np.abs(lower) + np.abs(upper))
+        if mu in record or mu == mu_max:
+            partial[mu] = (conv.copy(), scale.copy())
+    quantum = np.concatenate(([g[0] - beta * g[1]], conv / nu))
+    return quantum, partial
+
+
+class TestZeroPointRecurrence:
+    @pytest.mark.parametrize("beta", RECURRENCE_BETAS)
+    def test_matches_per_mu_sum(self, beta):
+        # one oracle pass at the largest (nu_max, mu_max) holds every
+        # smaller case: rows do not depend on nu_max, and the partial sums
+        # over mu <= mu_max are recorded on the way
+        _, partial = per_mu_series(beta, max(RECURRENCE_NU), max(RECURRENCE_MU),
+                                   record=RECURRENCE_MU)
+        for nu_max in RECURRENCE_NU:
+            nu = np.arange(1, nu_max + 1)
+            classical = bessel_j(nu, beta * nu) / nu**2
+            for mu_max in RECURRENCE_MU:
+                got_classical, got = _series_parts.__wrapped__(beta, nu_max, mu_max)
+                assert got_classical[1:].tobytes() == classical.tobytes()
+                conv, scale = (a[:nu_max] for a in partial[mu_max])
+                assert np.all(np.isfinite(got))
+                gated = scale > 1e-250
+                err = np.abs(got[1:] * nu - conv)
+                assert np.all(err[gated] <= 2e-12 * scale[gated]), (nu_max, mu_max)
+
+    def test_covers_underflowed_anchors(self):
+        # at (0.3, 1024, 120) the lower anchor J_{nu+119}(0.3 nu) underflows
+        # for nu = 1 and from nu = 501 on, and rows up to nu = 622 are still
+        # above the 1e-250 gate: those rows run on the Miller start
+        nu = np.arange(1, 1025)
+        anchor = bessel_j(nu + 119, 0.3 * nu)
+        _, partial = per_mu_series(0.3, 1024, 120)
+        conv, scale = partial[120]
+        miller = (anchor < np.finfo(float).tiny) & (scale > 1e-250)
+        assert np.count_nonzero(miller) >= 100
+        got = _series_parts.__wrapped__(0.3, 1024, 120)[1]
+        err = np.abs(got[1:] * nu - conv)
+        assert np.all(err[miller] <= 2e-12 * scale[miller])
+
+    @pytest.mark.parametrize("nu_max, mu_max", [(1, 1), (7, 5), (64, 40), (400, 120)])
+    def test_zero_beta_is_the_per_mu_build_bitwise(self, nu_max, mu_max):
+        quantum, _ = per_mu_series(0.0, nu_max, mu_max)
+        assert _series_parts.__wrapped__(0.0, nu_max, mu_max)[1].tobytes() == quantum.tobytes()
+
+    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    def test_subnormal_beta_is_finite(self, beta):
+        for nu_max in (1, 7, 64, 400):
+            for mu_max in (1, 5, 40, 120):
+                for part in _series_parts.__wrapped__(beta, nu_max, mu_max):
+                    assert np.all(np.isfinite(part))
+
+    def test_memory_stays_linear_in_nu_max(self):
+        # the recurrence adds each order into the sum as it passes: no
+        # (nu_max, 2 mu_max + 1) band is stored
+        nu_max = 100_000
+        tracemalloc.start()
+        try:
+            _series_parts.__wrapped__(0.5, nu_max, 26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 8 * nu_max
+
+
 @settings(max_examples=30, deadline=None)
+@example(beta=2.5813704503701304e-264, zeta=0.001, phi=1.0)
 @given(
     beta=st.floats(0.0, 0.85),
     zeta=st.floats(0.001, 0.3),
@@ -347,6 +442,22 @@ def test_min_nu_search_cap():
     # demands below the roundoff floor of the tail identities cannot be met
     with pytest.raises(NumericError):
         min_nu_for_error(0.5, 0.25, 1e-18)
+
+
+def test_unmet_mu_cutoff_raises():
+    # at beta_c = 0.999 |mu G_mu| is still above 1e-16 at mu = 399, so no
+    # bound built on the capped convolution holds
+    for call in (lambda: truncation_bound(0.999, 0.25, 100),
+                 lambda: min_nu_for_error(0.999, 0.25, 1e-3)):
+        with pytest.raises(NumericError) as info:
+            call()
+        assert info.value.details["beta_c"] == 0.999
+        assert 1e-16 < info.value.details["smallest_mu_g"] < 1e-9
+
+
+def test_mu_cutoff_below_the_cap_still_bounds():
+    nu = min_nu_for_error(0.995, 0.25, 1e-3)
+    assert truncation_bound(0.995, 0.25, nu) <= 1e-3 < truncation_bound(0.995, 0.25, nu - 1)
 
 
 def test_min_nu_consistent_with_bound():
