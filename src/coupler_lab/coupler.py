@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .kapteyn import (FourierSeries, _kapteyn_convolution, bessel_j, cos_beta, g_coeff,
                       kepler_solve)
-from .oscillator import _junction_mode, lowest_eigs
+from .oscillator import _junction_eigh
 
 __all__ = [
     "BodcMetrics",
@@ -135,13 +135,14 @@ def u_zpe_harmonic(beta_c: float, zeta_c: float, phi_x):
     return zeta_c * np.sqrt(1.0 - beta_c * np.cos(chi))
 
 
+@lru_cache(maxsize=32)
 def _mu_cutoff(beta_c: float, tol: float = 1e-16) -> int:
     """Smallest M with |mu G_mu| < tol for all mu >= M.
 
     The search stops at mu = 400 (the cutoff is 307 at beta_c = 0.995);
     from beta_c ~ 0.998 up |mu G_mu| is still above tol there, so a
     truncation bound built on it would not hold and NumericError is
-    raised instead.
+    raised instead.  Memoized per (beta_c, tol), as _series_parts is.
     """
     smallest = math.inf
     for mu in range(1, 400):
@@ -219,12 +220,14 @@ def eg_exact(params: CouplerParams, phi_x: float, n_basis: int = 50, n_levels: i
     Gauss-Hermite grid of the beta = 0 oscillator (frequency 2 zeta,
     quadrature amplitude sqrt(zeta)), the eigenbasis of its truncated
     quadrature: the ladder is a dense kinetic factor there, and the
-    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.
+    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.  Every
+    residual is checked; n_levels must lie in [1, n_basis].
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    kinetic, potential, _ = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
-    return lowest_eigs(kinetic + np.diag(potential), n_levels, mode="dense").eigenvalues
+    if not 1 <= n_levels <= n_basis:
+        raise ConfigurationError(f"n_levels must be in [1, {n_basis}], got {n_levels}")
+    return _junction_eigh(params.zeta_c, params.beta_c, phi_x, n_basis)[0][:n_levels]
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -258,8 +261,7 @@ def _ground_couplings(params: CouplerParams, phi_x: float, n_basis: int, what: s
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    kinetic, potential, x = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
-    vals, vecs = np.linalg.eigh(kinetic + np.diag(potential))
+    vals, vecs, x = _junction_eigh(params.zeta_c, params.beta_c, phi_x, n_basis)
     if vals[1] - vals[0] < 1e-10:
         raise NumericError(
             f"ground state nearly degenerate; {what} ill-conditioned",
@@ -310,8 +312,8 @@ def min_nu_for_error(beta_c: float, zeta_c: float, epsilon: float) -> int:
 
     Raises NumericError where ``truncation_bound`` would.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"min_nu_for_error requires 0 <= beta_c < 1, got {beta_c}")
     if beta_c == 0.0:

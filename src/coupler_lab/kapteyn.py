@@ -50,7 +50,7 @@ series point by point builds its Bessel values once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -309,7 +309,6 @@ class FourierSeries:
     nu_max: int
     coeffs: np.ndarray
     parity: str = "even"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -333,7 +332,7 @@ class FourierSeries:
             return -c
         return float(c)
 
-    def evaluate(self, phi):
+    def __call__(self, phi):
         # trig in place: one (..., nu_max) table at a time, not two
         phase = np.asarray(phi, dtype=float)[..., None] * np.arange(1, self.nu_max + 1)
         if self.parity == "even":
@@ -341,6 +340,3 @@ class FourierSeries:
         else:
             out = 2.0 * (np.sin(phase, out=phase) @ self.coeffs[1:])
         return out if out.ndim else out[()]
-
-    def __call__(self, phi):
-        return self.evaluate(phi)

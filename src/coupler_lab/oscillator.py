@@ -28,13 +28,13 @@ positive, so reflecting a mode's nodes, x -> -x, is its Fock parity
 where a Fock-factor build truncates P e^{irX} P; the two agree once the
 basis is converged.
 
-Single-mode problems (the coupler's ground energy, each qubit's
-subspace) live on the same grid: _junction_mode returns one mode's
-kinetic factor, its junction potential and its flux nodes, and the
-dense matrix K + diag(V) gets one eigh.  The Fock-basis factors
-P e^{irX} P remain as the oracle the grid is tested against:
-ho_exp_matrix builds them per element through generalized Laguerre
-polynomials,
+Single-mode problems (the coupler's levels and derivatives, each
+qubit's subspace) live on the same grid: _junction_mode returns one
+mode's kinetic factor, its junction potential and its flux nodes, and
+_junction_eigh gives K + diag(V) one eigh with residuals checked.  The
+Fock-basis factors P e^{irX} P remain as the oracle the grid is tested
+against: ho_exp_matrix builds them per element through generalized
+Laguerre polynomials,
 
     <j|e^{irX}|k> = i^{k-j} sqrt(j!/k!) e^{-r^2/2} r^{k-j} L_j^{(k-j)}(r^2)
 
@@ -98,6 +98,7 @@ ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
 _ARPACK_MAXITER = 1000
+_LANCZOS_TOL = 1e-9
 # matvec workspace per state and column: the accumulator, the contiguous
 # copy of the moved axis, the GEMM output, and the input's copy when it
 # cannot be reshaped in place
@@ -338,11 +339,6 @@ def _kinetic(freq: float, dim: int) -> np.ndarray:
     return 0.5 * (k + k[::-1, ::-1])
 
 
-def _mesh(dims) -> list:
-    """Each mode's nodes, shaped to broadcast over the product grid."""
-    return np.meshgrid(*(_grid(d)[0] for d in dims), indexing="ij", sparse=True)
-
-
 def _cosine(c: complex, theta) -> np.ndarray:
     """A cosine term plus its conjugate, 2 Re(c e^{i theta})."""
     return 2.0 * (c * np.exp(1j * theta)).real
@@ -437,7 +433,7 @@ def assemble_tensor_operator(system: NormalModeSystem,
             f"assembly needs ~{need / 2**20:.0f} MiB,"
             f" over the {memory_budget / 2**20:.0f} MiB budget"
         )
-    xs = _mesh(dims)
+    xs = np.meshgrid(*(_grid(d)[0] for d in dims), indexing="ij", sparse=True)
     potential = np.zeros(dims)
     for c, rs in zip(system.amplitudes, system.displacements):
         potential += _cosine(c, sum(r * x for r, x in zip(rs, xs)))
@@ -457,6 +453,15 @@ def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float 
     flux = math.sqrt(zeta) * _grid(dim)[0]
     c = 0.5 * beta * e_l * np.exp(1j * phase)
     return _kinetic(2.0 * zeta * e_l, dim), _cosine(c, flux), flux
+
+
+def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
+    """Every level of one junction mode (e_l = 1): one eigh, residuals checked."""
+    kinetic, potential, flux = _junction_mode(zeta, beta, phase, dim)
+    h = kinetic + np.diag(potential)
+    vals, vecs = np.linalg.eigh(h)
+    _checked_residuals(h, vals, vecs, 0.0, float(np.linalg.norm(h)))
+    return vals, vecs, flux
 
 
 @dataclass
@@ -586,19 +591,34 @@ def _sectors(h: np.ndarray, op: TensorOperator):
     return sectors, leak, math.sqrt(squares)
 
 
-def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool, op=None) -> Spectrum:
+def _checked_residuals(h, vals, vecs, leak: float, h_norm: float, labels=("all",)):
+    """Residuals ||h v - lambda v||, each at most leak + _DENSE_RESIDUAL_C eps h_norm.
+
+    leak is the sector_leak of the sectors labels; a larger residual raises NumericError.
+    """
+    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+    bound = leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
+    if not np.all(resid <= bound):
+        raise NumericError(
+            "dense eigenvector residuals exceed the bound",
+            {"residuals": resid.tolist(), "bound": bound, "sector_leak": leak,
+             "sectors": list(labels)},
+        )
+    return resid
+
+
+def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     """Lowest m levels by np.linalg.eigh, sector by sector when H has symmetries.
 
-    With the grid operator op of two or more modes the sectors come from
-    its symmetries (see _sectors); each gets its own eigh, its lowest
-    levels are lifted back to the full basis, and the merged lowest m are
-    kept.  Without op or without a symmetry, h gets one eigh, as a plain
-    matrix would.  The true residuals against the full h must stay within
-    sector_leak (a Weyl bound on the eigenvalue error of the dropped
-    part) plus _DENSE_RESIDUAL_C eps ||H||_F, else NumericError.
+    With two or more modes the sectors come from the operator's
+    symmetries (see _sectors); each gets its own eigh, its lowest levels
+    are lifted back to the full basis, and the merged lowest m are kept.
+    A single mode, or no symmetry, is one sector "all": one eigh of the
+    whole matrix.  Residuals pass _checked_residuals.
     """
+    h = op.to_dense()
     n = h.shape[0]
-    if op is not None and len(op.dims) > 1:
+    if len(op.dims) > 1:
         sectors, leak, h_norm = _sectors(h, op)
     else:
         sectors, leak, h_norm = [("all", h, None)], 0.0, float(np.linalg.norm(h))
@@ -623,14 +643,7 @@ def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool, op=None) -> Spectru
         levels = [found_sectors[i] for i in order]
     vecs = _fix_vector_signs(vecs)
     labels = tuple(sec[0] for sec in sectors)
-    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
-    bound = leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
-    if not np.all(resid <= bound):
-        raise NumericError(
-            "dense eigenvector residuals exceed the bound",
-            {"residuals": resid.tolist(), "bound": bound, "sector_leak": leak,
-             "sectors": list(labels)},
-        )
+    resid = _checked_residuals(h, vals, vecs, leak, h_norm, labels)
     meta = {"solver": "dense", "dim": n, "residuals": resid, "sector_leak": leak,
             "sectors": {"labels": labels,
                         "dims": tuple(len(sec[1]) for sec in sectors),
@@ -638,8 +651,8 @@ def _dense_lowest(h: np.ndarray, m: int, want_vectors: bool, op=None) -> Spectru
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
-def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool,
-                     memory_budget: int) -> Spectrum:
+def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
+                      memory_budget: int) -> Spectrum:
     """ARPACK's implicitly restarted Lanczos on the matrix-free operator.
 
     The Krylov basis is fixed at ncv columns and restarted in place
@@ -652,7 +665,7 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
     n = op.size
     ncv = max(2 * m + 1, 20)
     if ncv >= n:
-        return _dense_lowest(op.to_dense(), m, want_vectors, op)
+        return _dense_lowest(op, m, want_vectors)
     # the Lanczos basis, ARPACK's work arrays and the m Ritz vectors (8 bytes
     # each), then the residual check: the block matvec on the Ritz vectors
     # (_MATVEC_BYTES per state and column) and its product and difference
@@ -679,7 +692,7 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
     start = time.perf_counter()
     try:
         vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=m,
-                           which="SA", ncv=ncv, tol=tol, v0=v0, maxiter=_ARPACK_MAXITER)
+                           which="SA", ncv=ncv, tol=_LANCZOS_TOL, v0=v0, maxiter=_ARPACK_MAXITER)
     except ArpackNoConvergence as exc:
         raise NumericError(
             f"Lanczos did not converge in {_ARPACK_MAXITER} restarts",
@@ -696,7 +709,7 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
             "residuals": true_res, "matvec_s": matvec_s,
             "solve_s": time.perf_counter() - start}
     # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
-    limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
+    limit = 10.0 * _LANCZOS_TOL * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
     if np.any(true_res > limit):
         raise NumericError(
             "Lanczos residuals exceed the tolerance",
@@ -705,44 +718,34 @@ def _iterative_lowest(op: TensorOperator, m: int, tol: float, want_vectors: bool
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
-def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
-                tol: float = 1e-9, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Spectrum:
-    """Lowest m eigenvalues of a TensorOperator or dense symmetric matrix.
+def lowest_eigs(op: TensorOperator, m: int, mode: str = "auto", want_vectors: bool = False,
+                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Spectrum:
+    """Lowest m eigenvalues of a TensorOperator.
 
     mode "dense" runs full symmetric eigendecompositions (allowed up
     to 8192 dims); "iterative" runs ARPACK's implicitly restarted
-    Lanczos on the matrix-free operator (m <= 32); "auto" picks dense
-    when it fits.  Any other mode raises ConfigurationError, for a plain
-    array too.  Iterative solves report the basis size, the operator
-    applications ("matvecs"), the true residuals, and the seconds spent
-    in the matvecs and in the whole solve ("matvec_s", "solve_s").
+    Lanczos on the matrix-free operator (m <= 32, relative tolerance
+    _LANCZOS_TOL); "auto" picks dense when it fits.  Any other mode, or
+    an op that is not a TensorOperator, raises ConfigurationError (one
+    junction mode's matrix goes to _junction_eigh).  Iterative solves
+    report the basis size, the operator applications ("matvecs"), the
+    true residuals, and the seconds spent in the matvecs and in the
+    whole solve ("matvec_s", "solve_s").
 
-    A dense solve of a TensorOperator with two or more modes is split
-    into the sectors of the grid symmetries found in the operator: node
-    reversals of subsets of modes (the Fock parities), and one commuting
-    swap of two equal-dim modes.  Each sector gets its own eigh and the
-    merged lowest m are returned; with no symmetry, or for a single mode
-    or a plain array, there is one sector "all" and the result is that
-    of one full eigh.  Dense solves report "sectors" (labels, dims, and
-    the sector of each returned level), "sector_leak" (the Frobenius norm
-    of the part of H the sectors drop, a Weyl bound on the eigenvalue
-    error) and the true residuals against the full matrix; a residual
-    above sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises
-    NumericError.
+    A dense solve of two or more modes runs in the symmetry sectors
+    found in the operator (see the module docstring); a single mode, or
+    no symmetry, is one sector "all", one full eigh.  Dense solves report
+    "sectors" (labels, dims, and the sector of each returned level),
+    "sector_leak" and the true residuals against the full matrix; a
+    residual above sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C =
+    64) raises NumericError.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
     if mode not in ("auto", "dense", "iterative"):
         raise ConfigurationError(f"unknown solver mode {mode!r}")
-    if isinstance(op, np.ndarray):
-        size = op.shape[0]
-        if mode == "iterative":
-            raise ConfigurationError("iterative mode needs a TensorOperator")
-        if size > DENSE_DIM_LIMIT:
-            raise ConfigurationError(f"dense solve limited to {DENSE_DIM_LIMIT} dims")
-        if m > size:
-            raise ConfigurationError("m exceeds operator dimension")
-        return _dense_lowest(op, m, want_vectors)
+    if not isinstance(op, TensorOperator):
+        raise ConfigurationError(f"lowest_eigs needs a TensorOperator, got {type(op).__name__}")
     if mode == "auto":
         mode = "dense" if op.size <= DENSE_DIM_LIMIT else "iterative"
     if m > op.size:
@@ -750,7 +753,7 @@ def lowest_eigs(op, m: int, mode: str = "auto", want_vectors: bool = False,
     if mode == "dense":
         if op.size > DENSE_DIM_LIMIT:
             raise ConfigurationError(f"dense solve limited to {DENSE_DIM_LIMIT} dims")
-        return _dense_lowest(op.to_dense(), m, want_vectors, op)
+        return _dense_lowest(op, m, want_vectors)
     if m > ITERATIVE_M_LIMIT:
         raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
-    return _iterative_lowest(op, m, tol, want_vectors, memory_budget)
+    return _iterative_lowest(op, m, want_vectors, memory_budget)

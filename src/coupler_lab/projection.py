@@ -38,7 +38,7 @@ import numpy as np
 from .coupler import EgSeries
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries
-from .oscillator import _fix_vector_signs, _junction_mode
+from .oscillator import _fix_vector_signs, _junction_eigh
 
 __all__ = [
     "CouplingTable",
@@ -116,15 +116,13 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     """Diagonalize one qubit and reduce it to its two lowest states.
 
     The qubit's ladder (frequency 2 zeta_j E_Lj) and junction cosine are
-    one mode on the grid, exactly as in the coupler problem; the
-    double-well regime beta_j > 1 is allowed.  weak_isolation flags
-    E_2 - E_1 < 3 (E_1 - E_0).
+    one mode on the grid, solved by the same residual-checked eigh as
+    the coupler problem; the double-well regime beta_j > 1 is allowed.
+    weak_isolation flags E_2 - E_1 < 3 (E_1 - E_0).
     """
     if n_basis < 40:
         raise ConfigurationError(f"n_basis must be >= 40, got {n_basis}")
-    kinetic, potential, x = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx,
-                                           n_basis)
-    vals, vecs = np.linalg.eigh(kinetic + np.diag(potential))
+    vals, vecs, x = _junction_eigh(params.zeta_j, params.beta_j, params.phi_jx, n_basis)
     flux = params.phi_jx + x
 
     # deterministic signs: largest grid component of |0> positive, then phi_p >= 0

@@ -582,6 +582,14 @@ def test_run_wrapper(ref_config, tmp_path, capsys):
     assert float(rows[0][0]) == 1e-2
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "0"])
+def test_truncation_bad_epsilon_exits_config(ref_config, tmp_path, capsys, epsilon):
+    assert run("truncation", ref_config, out=tmp_path, epsilon=epsilon) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert not (tmp_path / "truncation.csv").exists()
+
+
 def test_package_reexports_cli_names():
     assert coupler_lab.cli.run is run
     assert (coupler_lab.run, coupler_lab.load_config) == (run, load_config)

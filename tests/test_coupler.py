@@ -25,6 +25,7 @@ from scipy.optimize import minimize_scalar
 from coupler_lab.coupler import (
     BodcMetrics,
     CouplerParams,
+    _mu_cutoff,
     _series_parts,
     b_coeffs,
     bodc_metrics,
@@ -344,6 +345,14 @@ def test_eg_exact_basis_guard():
         eg_exact(p, 0.0, n_basis=20, n_levels=2)
 
 
+@pytest.mark.parametrize("n_levels", [0, -1, 31])
+def test_eg_exact_level_count_guard(n_levels):
+    p = CouplerParams(beta_c=0.5, zeta_c=0.05)
+    with pytest.raises(ConfigurationError):
+        eg_exact(p, 0.0, n_basis=30, n_levels=n_levels)
+    assert len(eg_exact(p, 0.0, n_basis=30, n_levels=30)) == 30
+
+
 def test_series_tracks_exact_ground_energy():
     # harmonic-ZPE regime: series error stays within the published envelope
     for zeta in (0.01, 0.05):
@@ -453,6 +462,26 @@ def test_unmet_mu_cutoff_raises():
             call()
         assert info.value.details["beta_c"] == 0.999
         assert 1e-16 < info.value.details["smallest_mu_g"] < 1e-9
+
+
+def test_mu_cutoff_is_memoized_per_beta():
+    _mu_cutoff.cache_clear()
+    first = _mu_cutoff(0.9)
+    assert _mu_cutoff.cache_info().misses == 1
+    assert _mu_cutoff(0.9) == first
+    info = _mu_cutoff.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert first == _mu_cutoff.__wrapped__(0.9)
+    # the truncation routines share the memo
+    truncation_bound(0.9, 0.25, 50)
+    min_nu_for_error(0.9, 0.25, 1e-3)
+    assert _mu_cutoff.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.nan])
+def test_min_nu_rejects_nonpositive_and_nan_epsilon(epsilon):
+    with pytest.raises(ValueError):
+        min_nu_for_error(0.75, 0.25, epsilon)
 
 
 def test_mu_cutoff_below_the_cap_still_bounds():

@@ -11,6 +11,7 @@ iterative solver (ARPACK's implicitly restarted Lanczos behind the
 package's own guarantees).
 """
 
+import inspect
 import math
 import subprocess
 import sys
@@ -604,10 +605,15 @@ class TestLowestEigs:
             lowest_eigs(op, 40, mode="iterative")
         with pytest.raises(ConfigurationError):
             lowest_eigs(op, 3, mode="nonsense")
+        # only grid operators: a plain array is rejected in every mode
         with pytest.raises(ConfigurationError):
-            lowest_eigs(np.eye(3), 2, mode="iterative")
-        with pytest.raises(ConfigurationError):
-            lowest_eigs(np.eye(3), 1, mode="bogus")
+            lowest_eigs(np.eye(3), 2)
+        for mode in ("auto", "dense", "iterative", "bogus"):
+            with pytest.raises(ConfigurationError):
+                lowest_eigs(op.to_dense(), 1, mode=mode)
+        # the Lanczos tolerance is fixed, not a parameter
+        assert "tol" not in inspect.signature(lowest_eigs).parameters
+        assert oscillator._LANCZOS_TOL == 1e-9
 
 def two_qubit_operator(dims=(14, 14, 8)):
     qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9)]
@@ -867,23 +873,47 @@ class TestSectorSolve:
 
     def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
         # a one-mode grid operator (its dense matrix is reflection-symmetric
-        # at zero bias) and the single-mode junction matrices stay one eigh
+        # at zero bias) stays one eigh; a junction mode's own matrix gets one
+        # eigh through _junction_eigh, every level as eigh returns it
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
-        single = junction_matrix(0.05, 1.05, 0.0, 60)
-        for solve, h in ((lambda **kw: lowest_eigs(op, 4, mode="dense", **kw), op.to_dense()),
-                         (lambda **kw: lowest_eigs(op.to_dense(), 4, **kw), op.to_dense()),
-                         (lambda **kw: lowest_eigs(single, 4, mode="dense", **kw), single)):
-            want = old_dense_lowest(h, 4)
-            got = solve(want_vectors=True)
-            assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
-                                               "levels": ("all",) * 4}
-            assert np.array_equal(got.eigenvalues, want[0])
-            assert np.array_equal(got.eigenvectors, want[1])
-            assert np.array_equal(got.metadata["residuals"], want[2])
+        want = old_dense_lowest(op.to_dense(), 4)
+        got = lowest_eigs(op, 4, mode="dense", want_vectors=True)
+        assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
+                                           "levels": ("all",) * 4}
+        assert np.array_equal(got.eigenvalues, want[0])
+        assert np.array_equal(got.eigenvectors, want[1])
+        assert np.array_equal(got.metadata["residuals"], want[2])
 
-    def test_cli_single_mode_solves_stay_one_sector(self):
-        spec = lowest_eigs(junction_matrix(0.05, 1.05, 0.0, 50), 3, mode="dense")
-        assert spec.metadata["sectors"]["labels"] == ("all",)
+        single = junction_matrix(0.05, 1.05, 0.0, 60)
+        vals, vecs, flux = oscillator._junction_eigh(0.05, 1.05, 0.0, 60)
+        want_vals, want_vecs = np.linalg.eigh(single)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+        assert np.array_equal(flux, math.sqrt(0.05) * oscillator._grid(60)[0])
+        resid = np.linalg.norm(single @ vecs - vecs * vals, axis=0)
+        assert np.all(resid <= 64 * np.finfo(float).eps * np.linalg.norm(single))
+
+    def test_cli_single_mode_solves_stay_one_sector(self, monkeypatch):
+        # the eg and derivs commands (n_basis 50) and each qubit subspace
+        # make one eigh of the whole junction matrix, never a parity split
+        for dim in (50, 60):
+            oscillator._grid(dim)  # cached nodes, so only the solves call eigh
+        real = np.linalg.eigh
+        shapes = []
+
+        def spy(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        params = CouplerParams(beta_c=0.75, zeta_c=0.05)
+        levels = eg_exact(params, 0.0, n_basis=50, n_levels=3)
+        eg_derivs_numeric(params, 0.0, n_basis=50)
+        sub = qubit_subspace(QubitParams(beta_j=1.05, zeta_j=0.05), n_basis=60)
+        monkeypatch.undo()
+        assert shapes == [(50, 50), (50, 50), (60, 60)]
+        assert np.array_equal(levels, real(junction_matrix(0.05, 0.75, 0.0, 50))[0][:3])
+        assert np.array_equal(sub.energies, real(junction_matrix(0.05, 1.05, 0.0, 60))[0][:4])
 
     def test_false_symmetry_trips_residual_gate(self, monkeypatch):
         # with every block under the zero tolerance the split is wrong;
@@ -924,6 +954,20 @@ class TestSectorSolve:
         assert spec.metadata["sector_leak"] == pytest.approx(odd, rel=1e-6)
 
     def test_wrong_eigenpairs_trip_residual_gate(self, monkeypatch):
+        # every single-mode solve checks every eigenpair eigh hands back, as
+        # the dense grid-operator solve does
+        params = CouplerParams(beta_c=0.75, zeta_c=0.05)
+        qubit = QubitParams(beta_j=1.05, zeta_j=0.05)
+        op = assemble_tensor_operator(normal_modes(make_system(), dims=(30,)))
+        for dim in (30, 40):
+            oscillator._grid(dim)  # cached before eigh is broken
+        solves = {
+            "eg_exact": lambda: eg_exact(params, 0.0, n_basis=30, n_levels=3),
+            "eg_derivs_numeric": lambda: eg_derivs_numeric(params, 0.0, n_basis=30),
+            "bodc_metrics": lambda: bodc_metrics(params, 0.0, n_basis=30),
+            "qubit_subspace": lambda: qubit_subspace(qubit, n_basis=40),
+            "lowest_eigs": lambda: lowest_eigs(op, 3, mode="dense"),
+        }
         real = np.linalg.eigh
 
         def off_by_1e6(a):
@@ -931,8 +975,10 @@ class TestSectorSolve:
             return vals + 1e-6, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", off_by_1e6)
-        with pytest.raises(NumericError):
-            lowest_eigs(junction_matrix(0.05, 1.05, 0.0, 30), 3, mode="dense")
+        for name, solve in solves.items():
+            with pytest.raises(NumericError) as info:
+                solve()
+            assert min(info.value.details["residuals"]) > info.value.details["bound"], name
 
     def test_labels_are_least_parity_codes(self):
         # exact circuit, normal modes: reflections {1} (exchange) and
