@@ -5,28 +5,26 @@ the normal-mode product grid; bo_spectrum eliminates the coupler through
 its ground energy, either as the full Fourier series ("NA") or as the
 quadratic expansion with analytic ("LA") or numerically exact ("LN")
 derivatives.  sweep and coupling_scan drive parameter studies over
-those routes with per-point failure capture.
+those routes with per-point failure capture.  Every solve goes through
+oscillator.lowest_eigs, which picks its solver from the operator's size.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coupler import (
     CouplerParams,
+    _ground_energy_derivs,
     b_coeffs,
     eg_derivs_analytic,
-    eg_derivs_numeric,
     eg_eval,
-    eg_exact,
     u_min,
     u_zpe_harmonic,
 )
 from .errors import ConfigurationError
 from .oscillator import (
-    DEFAULT_MEMORY_BUDGET,
     Spectrum,
     TensorOperator,
     _junction_mode,
@@ -49,6 +47,8 @@ __all__ = [
 
 SWEEP_AXES = ("beta_j", "phi_cx", "zeta_c", "alpha", "beta_c")
 THEORIES = ("exact", "NA", "LA", "LN")
+# coupler grid states behind LN's numerically exact derivatives
+LN_BASIS = 50
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ class CouplerSystem:
             raise ConfigurationError("at least one qubit is required")
 
 
-def exact_spectrum(system, dims=None, n_levels: int = 6,
-                   memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Spectrum:
+def exact_spectrum(system, dims=None, n_levels: int = 6) -> Spectrum:
     """Lowest levels of the full coupled circuit.
 
     dims index the normal modes in ascending frequency; at reference
@@ -97,16 +96,13 @@ def exact_spectrum(system, dims=None, n_levels: int = 6,
         dims = (40,) * len(qubits) + (18,)
     dims = tuple(int(d) for d in dims)
     nm = normal_modes(system, dims)
-    op = assemble_tensor_operator(nm, memory_budget=memory_budget)
-    spec = lowest_eigs(op, n_levels, memory_budget=memory_budget)
+    spec = lowest_eigs(assemble_tensor_operator(nm), n_levels)
     spec.metadata.update(theory="exact", dims=dims)
     return spec
 
 
 def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
-                nu_max: int = 100, mu_max: int = 40, series=None,
-                n_basis: int = 50,
-                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Spectrum:
+                nu_max: int = 100, mu_max: int = 40, series=None) -> Spectrum:
     """Lowest levels of the coupler-eliminated qubit Hamiltonian.
 
     Each qubit keeps its ladder and junction cosine; the coupler's ground
@@ -115,10 +111,11 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     series there, e_ltc E_g(phi_eff - sum_j alpha_j phi_j), so its cost
     does not grow with nu_max; a prebuilt ``series`` must match the
     system's beta_c and zeta_c.  "LA"/"LN" keep the quadratic expansion
-    about the bias point with analytic respectively numeric derivatives;
-    non-finite derivative inputs yield an all-NaN spectrum flagged in
-    metadata rather than an exception, so sweeps can display breakdown
-    regions.
+    about the bias point with analytic respectively numeric derivatives
+    (LN's E_g and derivatives come from one LN_BASIS-state coupler
+    solve); non-finite derivative inputs yield an all-NaN spectrum
+    flagged in metadata rather than an exception, so sweeps can display
+    breakdown regions.
     """
     if theory not in ("NA", "LA", "LN"):
         raise ConfigurationError(f"unknown reduced theory {theory!r}")
@@ -162,8 +159,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
             )
         else:
             cp = CouplerParams(beta_c=system.beta_c, zeta_c=system.zeta_c)
-            d1, d2 = eg_derivs_numeric(cp, phi_eff, n_basis=n_basis)
-            const = float(eg_exact(cp, phi_eff, n_basis=n_basis)[0])
+            const, d1, d2 = _ground_energy_derivs(cp, phi_eff, LN_BASIS)
         if not all(map(math.isfinite, (d1, d2, const))):
             return Spectrum(
                 np.full(n_levels, np.nan),
@@ -172,8 +168,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
         potential = potential + e_ltc * (float(const) - d1 * flux + 0.5 * d2 * flux**2)
         meta = {"d1": float(d1), "d2": float(d2)}
 
-    op = TensorOperator(kinetic, potential)
-    spec = lowest_eigs(op, n_levels, memory_budget=memory_budget)
+    spec = lowest_eigs(TensorOperator(kinetic, potential), n_levels)
     spec.metadata.update(theory=theory, dims=dims, **meta)
     return spec
 
@@ -196,7 +191,6 @@ class SweepSpec:
     bo_dims: tuple = None
     nu_max: int = 100
     mu_max: int = 40
-    parallel: int = 1
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -297,18 +291,12 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Run the sweep; points are independent and may run concurrently.
+    """Run the sweep point by point, in axis order.
 
-    Output order follows the axis grid regardless of completion
-    order.  NA points with the same beta_c share one interaction
-    series through b_coeffs' memo.
+    NA points with the same beta_c share one interaction series through
+    b_coeffs' memo.
     """
-    values = spec.values
-    if spec.parallel > 1:
-        with ThreadPoolExecutor(max_workers=spec.parallel) as pool:
-            points = list(pool.map(lambda v: _sweep_point(spec, v), values))
-    else:
-        points = [_sweep_point(spec, v) for v in values]
+    points = [_sweep_point(spec, v) for v in spec.values]
     failed = sum(1 for rec in points if rec["errors"])
     meta = {"axis": spec.axis, "n_points": len(points), "n_failed": failed}
     return SweepResult(spec=spec, points=tuple(points), metadata=meta)

@@ -24,7 +24,6 @@ circuit must use one style so energy ratios are well defined::
     mu_max = 40
     n_basis = 60
     n_levels = 4
-    parallel = 1
 
     [units]
     e_l1_ghz = 200
@@ -53,16 +52,15 @@ term enters the potential as +beta cos(phi), i.e. the stored bias is
 pi-shifted relative to the raw loop flux, so phi_cx = 0 is the
 maximum-coupling point.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 validation failure.  Errors print one machine-readable JSON object
-on stderr.
+Exit codes: 0 success, 1 configuration or usage error, 2 numeric
+failure, 3 validation failure.  Errors print one machine-readable JSON
+object on stderr.  Keys the program does not read are ignored.
 """
 
 import argparse
 import configparser
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -119,7 +117,6 @@ _NUMERIC_DEFAULTS = {
     "mu_max": 40,
     "n_basis": 60,
     "n_levels": 4,
-    "parallel": 1,
     "dims": None,
     "bo_dims": None,
 }
@@ -377,13 +374,13 @@ def load_config(path) -> SystemConfig:
     numerics = dict(_NUMERIC_DEFAULTS)
     if parser.has_section("numerics"):
         sec = parser["numerics"]
-        for key in ("nu_max", "mu_max", "n_basis", "n_levels", "parallel"):
+        for key in ("nu_max", "mu_max", "n_basis", "n_levels"):
             if key in sec:
                 numerics[key] = sec.getint(key)
         for key in ("dims", "bo_dims"):
             if key in sec:
                 numerics[key] = _parse_int_list(sec[key])
-    for key in ("nu_max", "mu_max", "n_basis", "n_levels", "parallel"):
+    for key in ("nu_max", "mu_max", "n_basis", "n_levels"):
         if numerics[key] < 1:
             raise ConfigurationError(f"numerics {key} must be >= 1, got {numerics[key]}")
 
@@ -660,7 +657,6 @@ def _cmd_spectrum(cfg, args, out: Path) -> int:
         bo_dims=cfg.numerics["bo_dims"],
         nu_max=cfg.numerics["nu_max"],
         mu_max=cfg.numerics["mu_max"],
-        parallel=cfg.numerics["parallel"],
     )
     result = sweep(spec)
     axis_values = result.values
@@ -820,8 +816,15 @@ _COMMANDS = {
 # ------------------------------------------------------------------- driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with the JSON error, as other bad input does."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coupler-lab",
         description="Qubit-qubit interactions through a nonlinear inductive coupler",
     )
@@ -834,18 +837,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--nu-max", type=int, default=None, help="series order override")
         p.add_argument("--dims", default=None, help="exact-solve basis sizes, e.g. 40,40,18")
-        p.add_argument("--parallel", type=int, default=None, help="sweep worker count")
         return p
 
-    grid_defaults = {"series": (None, None, 721), "eg": (0.0, 0.5, 201), "derivs": (0.0, 0.5, 201)}
     p = add("series", _cmd_series)
     p.add_argument("--n-grid", type=int, default=721)
     for name in ("eg", "derivs"):
         p = add(name, _COMMANDS[name])
-        lo, hi, n = grid_defaults[name]
-        p.add_argument("--lo", type=float, default=lo, help="grid start, units of 2*pi")
-        p.add_argument("--hi", type=float, default=hi, help="grid end, units of 2*pi")
-        p.add_argument("--n-grid", type=int, default=n)
+        p.add_argument("--lo", type=float, default=0.0, help="grid start, units of 2*pi")
+        p.add_argument("--hi", type=float, default=0.5, help="grid end, units of 2*pi")
+        p.add_argument("--n-grid", type=int, default=201)
     p = add("couplings", _cmd_couplings)
     p.add_argument("--labels", default=None, help="comma-separated label strings")
     p.add_argument("--pc-basis", action="store_true",
@@ -859,25 +859,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_parallel(cfg: SystemConfig, args) -> SystemConfig:
-    # precedence: --parallel flag, then COUPLER_LAB_THREADS, then config
-    parallel = cfg.numerics["parallel"]
-    env = os.environ.get("COUPLER_LAB_THREADS")
-    if env is not None:
-        try:
-            parallel = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad COUPLER_LAB_THREADS value {env!r}") from exc
-    if getattr(args, "parallel", None) is not None:
-        parallel = args.parallel
-    if parallel < 1:
-        raise ConfigurationError(f"parallelism must be >= 1, got {parallel}")
-    numerics = dict(cfg.numerics, parallel=parallel)
-    if getattr(args, "nu_max", None) is not None:
+def _apply_overrides(cfg: SystemConfig, args) -> SystemConfig:
+    """cfg with the --nu-max and --dims flags applied to its numerics."""
+    numerics = dict(cfg.numerics)
+    if args.nu_max is not None:
         if args.nu_max < 1:
             raise ConfigurationError(f"nu_max must be >= 1, got {args.nu_max}")
         numerics["nu_max"] = args.nu_max
-    if getattr(args, "dims", None) is not None:
+    if args.dims is not None:
         numerics["dims"] = _parse_int_list(args.dims)
     return replace(cfg, numerics=numerics)
 
@@ -891,10 +880,9 @@ def _emit_error(exc: Exception, code: int):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _resolve_parallel(cfg, args)
+        args = _build_parser().parse_args(argv)
+        cfg = _apply_overrides(load_config(args.config), args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, out)
@@ -910,8 +898,9 @@ def main(argv=None) -> int:
 def run(command: str, config, out=".", **options) -> int:
     """Programmatic entry point mirroring the command line.
 
-    options become --key value flags (underscores map to dashes);
-    boolean True adds a bare flag.  Returns the exit status.
+    options become --key=value flags (underscores map to dashes), so
+    negative numbers parse as values; boolean True adds a bare flag.
+    Returns the exit status.
     """
     argv = [command, "--config", str(config), "--out", str(out)]
     for key, value in options.items():
@@ -919,7 +908,7 @@ def run(command: str, config, out=".", **options) -> int:
         if value is True:
             argv.append(flag)
         elif value is not None:
-            argv.extend([flag, str(value)])
+            argv.append(f"{flag}={value}")
     return main(argv)
 
 

@@ -70,7 +70,6 @@ class CouplerParams:
     beta_c: float
     zeta_c: float
     e_ltc: float = 1.0
-    phi_cx: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.beta_c < 1.0:
@@ -135,25 +134,32 @@ def u_zpe_harmonic(beta_c: float, zeta_c: float, phi_x):
     return zeta_c * np.sqrt(1.0 - beta_c * np.cos(chi))
 
 
-@lru_cache(maxsize=32)
 def _mu_cutoff(beta_c: float, tol: float = 1e-16) -> int:
     """Smallest M with |mu G_mu| < tol for all mu >= M.
 
     The search stops at mu = 400 (the cutoff is 307 at beta_c = 0.995);
     from beta_c ~ 0.998 up |mu G_mu| is still above tol there, so a
     truncation bound built on it would not hold and NumericError is
-    raised instead.  Memoized per (beta_c, tol), as _series_parts is.
+    raised instead.  Both outcomes are memoized (_mu_search).
     """
+    mu, smallest = _mu_search(beta_c, tol)
+    if mu is None:
+        raise NumericError(f"|mu G_mu| stays above {tol} up to mu = 399 at beta_c = {beta_c}",
+                           {"beta_c": beta_c, "smallest_mu_g": smallest})
+    return mu
+
+
+@lru_cache(maxsize=32)
+def _mu_search(beta_c: float, tol: float) -> tuple:
+    """(M, None) for the cutoff M below 400, else (None, the smallest
+    |mu G_mu| met).  Memoized per (beta_c, tol), as _series_parts is."""
     smallest = math.inf
     for mu in range(1, 400):
         term = abs(mu * g_coeff(mu, beta_c))
         if term < tol:
-            return mu
+            return mu, None
         smallest = min(smallest, term)
-    raise NumericError(
-        f"|mu G_mu| stays above {tol} up to mu = 399 at beta_c = {beta_c}",
-        {"beta_c": beta_c, "smallest_mu_g": smallest},
-    )
+    return None, smallest
 
 
 def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) -> EgSeries:
@@ -278,10 +284,15 @@ def eg_derivs_numeric(params: CouplerParams, phi_cx: float, n_basis: int = 50) -
     1 + 2 <g| X (E_g - H_c)^+ X |g>, the pseudo-inverse excluding the
     ground component (scalar shifts of X drop out against it).
     """
-    vals, xg = _ground_couplings(params, phi_cx, n_basis, "perturbation theory")
-    d1 = -xg[0]
+    return _ground_energy_derivs(params, phi_cx, n_basis)[1:]
+
+
+def _ground_energy_derivs(params: CouplerParams, phi_x: float, n_basis: int) -> tuple:
+    """(E_g, E_g', E_g'') from one coupler solve: eg_exact's ground level
+    and eg_derivs_numeric's derivatives, bitwise."""
+    vals, xg = _ground_couplings(params, phi_x, n_basis, "perturbation theory")
     d2 = 1.0 + 2.0 * np.sum(xg[1:] ** 2 / (vals[0] - vals[1:]))
-    return float(d1), float(d2)
+    return float(vals[0]), float(-xg[0]), float(d2)
 
 
 def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:

@@ -56,10 +56,12 @@ and the residuals are checked against the full matrix.  Two identical
 qubits at zero bias give four sectors of about 400 states instead of
 one eigh of 1600.
 
-Above the dense limit the lowest levels come from ARPACK's implicitly
-restarted Lanczos (scipy's eigsh) applied through matvec: a fixed
-basis of max(2m + 1, 20) vectors, a seeded start vector, and the true
-residuals checked after the solve.
+lowest_eigs picks its solver from the operator's size alone: dense up
+to DENSE_DIM_LIMIT states, and above it ARPACK's implicitly restarted
+Lanczos (scipy's eigsh) applied through matvec: a fixed basis of
+max(2m + 1, 20) vectors, a seeded start vector, and the true residuals
+checked after the solve.  Assembly and the Lanczos workspace are checked
+against DEFAULT_MEMORY_BUDGET, read at call time.
 
 Every BLAS call inside that iterative path goes through scipy.linalg.blas
 (imported on first use, like scipy.sparse.linalg).  numpy and scipy each
@@ -219,10 +221,6 @@ class NormalModeSystem:
             object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
             if len(self.dims) != n_modes or any(d < 1 for d in self.dims):
                 raise ConfigurationError("dims must give a positive size per mode")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.freqs)
 
 
 def normal_modes(system, dims=None) -> NormalModeSystem:
@@ -414,24 +412,23 @@ class TensorOperator:
         return out
 
 
-def assemble_tensor_operator(system: NormalModeSystem,
-                             memory_budget: int = DEFAULT_MEMORY_BUDGET) -> TensorOperator:
+def assemble_tensor_operator(system: NormalModeSystem) -> TensorOperator:
     """Build the grid operator of a normal-mode system.
 
     Mode n carries the ladder w_n (k + 1/2) as its kinetic factor; the
     junction cosines are the potential V = sum_m 2 Re(C_m e^{i sum_n
     r_mn x_n}) on the product grid.  The potential and the matvec
-    workspace are checked against the budget before anything is
-    allocated.
+    workspace are checked against DEFAULT_MEMORY_BUDGET before anything
+    is allocated.
     """
     if system.dims is None:
         raise ConfigurationError("system has no dims; pass dims to normal_modes")
     dims = system.dims
     need = int(np.prod(dims)) * (8 + _MATVEC_BYTES)
-    if need > memory_budget:
+    if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
             f"assembly needs ~{need / 2**20:.0f} MiB,"
-            f" over the {memory_budget / 2**20:.0f} MiB budget"
+            f" over the {DEFAULT_MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
     xs = np.meshgrid(*(_grid(d)[0] for d in dims), indexing="ij", sparse=True)
     potential = np.zeros(dims)
@@ -529,10 +526,14 @@ def _sectors(h: np.ndarray, op: TensorOperator):
     by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
     representatives o whose stabilizer chi leaves at +1.  Returns a list
     of (label, matrix, lift), the Frobenius norm of H minus its group
-    average (sector_leak) and that of H.
+    average (sector_leak) and that of H.  A one-mode operator, or one
+    with no symmetry, is the single sector "all" with the identity lift.
     """
     n_modes = len(op.dims)
     peak, squares = _entry_norms(op.kinetic, op.potential)
+    whole = [("all", h, [(slice(None), 1.0)])], 0.0, math.sqrt(squares)
+    if n_modes == 1:
+        return whole
     tol = _SECTOR_TOL * np.finfo(float).eps * peak
 
     def modes(mask):
@@ -551,7 +552,7 @@ def _sectors(h: np.ndarray, op: TensorOperator):
                  and commutes((), pair)), None)
     elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
     if len(elements) == 1:
-        return [("all", h, None)], 0.0, math.sqrt(squares)
+        return whole
 
     index = np.arange(op.size).reshape(op.dims)
     perms, odd_k, odd_v = [], [0.0] * n_modes, 0.0
@@ -608,72 +609,60 @@ def _checked_residuals(h, vals, vecs, leak: float, h_norm: float, labels=("all",
 
 
 def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
-    """Lowest m levels by np.linalg.eigh, sector by sector when H has symmetries.
+    """Lowest m levels by np.linalg.eigh, one per symmetry sector of H.
 
-    With two or more modes the sectors come from the operator's
-    symmetries (see _sectors); each gets its own eigh, its lowest levels
-    are lifted back to the full basis, and the merged lowest m are kept.
-    A single mode, or no symmetry, is one sector "all": one eigh of the
-    whole matrix.  Residuals pass _checked_residuals.
+    The sectors come from the operator (see _sectors; a single mode, or
+    no symmetry, is the one sector "all"); each gets its own eigh, its
+    lowest levels are lifted back to the full basis, and the merged
+    lowest m are kept.  Residuals pass _checked_residuals.
     """
     h = op.to_dense()
-    n = h.shape[0]
-    if len(op.dims) > 1:
-        sectors, leak, h_norm = _sectors(h, op)
-    else:
-        sectors, leak, h_norm = [("all", h, None)], 0.0, float(np.linalg.norm(h))
-    if len(sectors) == 1:
-        vals, vecs = np.linalg.eigh(h)
-        vals, vecs, levels = vals[:m], vecs[:, :m], [0] * m
-    else:
-        found_vals, found_vecs, found_sectors = [], [], []
-        for s, (_, mat, lift) in enumerate(sectors):
-            w, y = np.linalg.eigh(mat)
-            k = min(m, len(w))
-            v = np.zeros((n, k))
-            for rows, weight in lift:
-                v[rows] = weight * y[:, :k]
-            found_vals.append(w[:k])
-            found_vecs.append(v)
-            found_sectors += [s] * k
-        vals = np.concatenate(found_vals)
-        order = np.argsort(vals, kind="stable")[:m]
-        vals = vals[order]
-        vecs = np.concatenate(found_vecs, axis=1)[:, order]
-        levels = [found_sectors[i] for i in order]
-    vecs = _fix_vector_signs(vecs)
+    sectors, leak, h_norm = _sectors(h, op)
+    found_vals, found_vecs, found_sectors = [], [], []
+    for s, (_, mat, lift) in enumerate(sectors):
+        w, y = np.linalg.eigh(mat)
+        k = min(m, len(w))
+        v = np.zeros((op.size, k))
+        for rows, weight in lift:
+            v[rows] = weight * y[:, :k]
+        found_vals.append(w[:k])
+        found_vecs.append(v)
+        found_sectors += [s] * k
+    vals = np.concatenate(found_vals)
+    order = np.argsort(vals, kind="stable")[:m]
+    vals = vals[order]
+    # np.take keeps eigh's C order (fancy indexing would give Fortran order), so
+    # a one-sector solve's residuals round as those of one full eigh do
+    vecs = _fix_vector_signs(np.take(np.concatenate(found_vecs, axis=1), order, axis=1))
     labels = tuple(sec[0] for sec in sectors)
     resid = _checked_residuals(h, vals, vecs, leak, h_norm, labels)
-    meta = {"solver": "dense", "dim": n, "residuals": resid, "sector_leak": leak,
+    meta = {"solver": "dense", "dim": op.size, "residuals": resid, "sector_leak": leak,
             "sectors": {"labels": labels,
                         "dims": tuple(len(sec[1]) for sec in sectors),
-                        "levels": tuple(labels[s] for s in levels)}}
+                        "levels": tuple(labels[found_sectors[i]] for i in order)}}
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
-def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
-                      memory_budget: int) -> Spectrum:
+def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     """ARPACK's implicitly restarted Lanczos on the matrix-free operator.
 
     The Krylov basis is fixed at ncv columns and restarted in place
     (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996)), so
     memory stays at a few vectors of the operator's size whatever the
     number of iterations.  The start vector is seeded, so repeated
-    solves are bitwise equal.  ARPACK needs m < ncv < size; smaller
-    operators go to the dense solver.
+    solves are bitwise equal.  ARPACK needs m < ncv < size, which every
+    operator above the dense limit meets.
     """
     n = op.size
     ncv = max(2 * m + 1, 20)
-    if ncv >= n:
-        return _dense_lowest(op, m, want_vectors)
     # the Lanczos basis, ARPACK's work arrays and the m Ritz vectors (8 bytes
     # each), then the residual check: the block matvec on the Ritz vectors
     # (_MATVEC_BYTES per state and column) and its product and difference
     work_bytes = 8 * n * (ncv + m + 4) + (_MATVEC_BYTES + 16) * n * m
-    if work_bytes > memory_budget:
+    if work_bytes > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
             f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
-            f" over the {memory_budget / 2**20:.0f} MiB budget"
+            f" over the {DEFAULT_MEMORY_BUDGET / 2**20:.0f} MiB budget"
         )
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
@@ -718,42 +707,34 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
-def lowest_eigs(op: TensorOperator, m: int, mode: str = "auto", want_vectors: bool = False,
-                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Spectrum:
-    """Lowest m eigenvalues of a TensorOperator.
+def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
+    """Lowest m eigenvalues of a TensorOperator, by a solver its size picks.
 
-    mode "dense" runs full symmetric eigendecompositions (allowed up
-    to 8192 dims); "iterative" runs ARPACK's implicitly restarted
-    Lanczos on the matrix-free operator (m <= 32, relative tolerance
-    _LANCZOS_TOL); "auto" picks dense when it fits.  Any other mode, or
-    an op that is not a TensorOperator, raises ConfigurationError (one
-    junction mode's matrix goes to _junction_eigh).  Iterative solves
-    report the basis size, the operator applications ("matvecs"), the
-    true residuals, and the seconds spent in the matvecs and in the
-    whole solve ("matvec_s", "solve_s").
+    Up to DENSE_DIM_LIMIT (8192) states the dense matrix is diagonalized
+    in the symmetry sectors found in the operator (see the module
+    docstring; a single mode, or no symmetry, is one sector "all", one
+    full eigh).  Dense solves report "sectors" (labels, dims, and the
+    sector of each returned level), "sector_leak" and the true residuals
+    against the full matrix; a residual above sector_leak + c eps ||H||_F
+    (c = _DENSE_RESIDUAL_C = 64) raises NumericError.
 
-    A dense solve of two or more modes runs in the symmetry sectors
-    found in the operator (see the module docstring); a single mode, or
-    no symmetry, is one sector "all", one full eigh.  Dense solves report
-    "sectors" (labels, dims, and the sector of each returned level),
-    "sector_leak" and the true residuals against the full matrix; a
-    residual above sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C =
-    64) raises NumericError.
+    Larger operators go to ARPACK's implicitly restarted Lanczos on the
+    matrix-free operator (m <= ITERATIVE_M_LIMIT = 32, relative tolerance
+    _LANCZOS_TOL).  It reports the basis size, the operator applications
+    ("matvecs"), the true residuals, and the seconds spent in the matvecs
+    and in the whole solve ("matvec_s", "solve_s").
+
+    An op that is not a TensorOperator raises ConfigurationError (one
+    junction mode's matrix goes to _junction_eigh).
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
-    if mode not in ("auto", "dense", "iterative"):
-        raise ConfigurationError(f"unknown solver mode {mode!r}")
     if not isinstance(op, TensorOperator):
         raise ConfigurationError(f"lowest_eigs needs a TensorOperator, got {type(op).__name__}")
-    if mode == "auto":
-        mode = "dense" if op.size <= DENSE_DIM_LIMIT else "iterative"
     if m > op.size:
         raise ConfigurationError("m exceeds operator dimension")
-    if mode == "dense":
-        if op.size > DENSE_DIM_LIMIT:
-            raise ConfigurationError(f"dense solve limited to {DENSE_DIM_LIMIT} dims")
+    if op.size <= DENSE_DIM_LIMIT:
         return _dense_lowest(op, m, want_vectors)
     if m > ITERATIVE_M_LIMIT:
         raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
-    return _iterative_lowest(op, m, want_vectors, memory_budget)
+    return _iterative_lowest(op, m, want_vectors)

@@ -5,6 +5,8 @@ ladders, truncation bounds, and sweep plumbing.  The slow full-basis
 theory-vs-exact comparisons run from the acceptance suite instead.
 """
 
+import dataclasses
+import inspect
 import math
 import types
 import warnings
@@ -13,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coupler_lab import bench, projection
+from coupler_lab import bench, coupler, oscillator, projection
 from coupler_lab.bench import (
     CouplerSystem,
     SweepSpec,
@@ -35,7 +37,7 @@ def single_mode_levels(freq, disp, amp, dim, m):
     nm = NormalModeSystem(
         freqs=[freq], displacements=[[disp]], amplitudes=[amp], dims=(dim,)
     )
-    return lowest_eigs(assemble_tensor_operator(nm), m, mode="dense").eigenvalues
+    return lowest_eigs(assemble_tensor_operator(nm), m).eigenvalues
 
 
 def minkowski(*level_sets):
@@ -259,9 +261,8 @@ def test_sweep_records_solver_diagnostics(ref_system, monkeypatch):
 def test_sweep_records_iterative_matvecs(ref_system, monkeypatch):
     import coupler_lab.bench as bench
 
-    real = bench.lowest_eigs
     monkeypatch.setattr(bench, "lowest_eigs",
-                        lambda op, m, **kw: real(op, m, mode="iterative", **kw))
+                        lambda op, m: oscillator._iterative_lowest(op, m, False))
     spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
                      theories=("exact",), n_levels=3, dims=(8, 8, 4))
     for rec in sweep(spec).points:
@@ -276,11 +277,10 @@ def test_sweep_records_leave_out_solver_timings(ref_system, monkeypatch):
     # matvec_s and solve_s vary run to run, so records keep them out
     import coupler_lab.bench as bench
 
-    real = bench.lowest_eigs
     seen = []
 
-    def iterative(op, m, **kw):
-        spec = real(op, m, mode="iterative", **kw)
+    def iterative(op, m):
+        spec = oscillator._iterative_lowest(op, m, False)
         seen.append(spec.metadata)
         return spec
 
@@ -291,22 +291,6 @@ def test_sweep_records_leave_out_solver_timings(ref_system, monkeypatch):
     assert all("solve_s" in meta and "matvec_s" in meta for meta in seen)
     for rec in points:
         assert not {"solve_s", "matvec_s"} & set(rec["meta"]["exact"])
-
-
-def test_sweep_parallel_deterministic(ref_system):
-    kwargs = dict(
-        axis="beta_j",
-        range=(0.8, 1.1, 3),
-        system=ref_system,
-        theories=("LA",),
-        n_levels=3,
-        bo_dims=(24, 24),
-    )
-    serial = sweep(SweepSpec(**kwargs))
-    threaded = sweep(SweepSpec(parallel=3, **kwargs))
-    assert [r["energies"] for r in serial.points] == [
-        r["energies"] for r in threaded.points
-    ]
 
 
 def test_sweep_records_point_failures(ref_system):
@@ -476,3 +460,53 @@ def test_resonant_coupling_scan_warns_once():
     assert len({id(hits) for hits in lists}) == len(lists)
     lists[0][0]["qubit"] = -1
     assert lists[1][0]["qubit"] != -1
+
+
+def test_ln_solves_the_coupler_once(ref_system, monkeypatch):
+    # E_g and both derivatives come from one coupler eigensolve, and equal
+    # eg_exact and eg_derivs_numeric at the same bias bitwise
+    real = coupler._junction_eigh
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    system = replace(ref_system, phi_cx=0.3)
+    monkeypatch.setattr(coupler, "_junction_eigh", counting)
+    spec = bo_spectrum("LN", system, dims=(12, 12), n_levels=3)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert calls[0][3] == bench.LN_BASIS == 50
+    params = CouplerParams(beta_c=system.beta_c, zeta_c=system.zeta_c)
+    # the qubits sit at zero bias, so the coupler sees phi_cx
+    derivs = coupler.eg_derivs_numeric(params, 0.3)
+    assert (spec.metadata["d1"], spec.metadata["d2"]) == derivs
+    assert coupler._ground_energy_derivs(params, 0.3, 50) == (
+        float(eg_exact(params, 0.3)[0]), *derivs)
+
+
+def test_solver_surface_has_no_knobs(tmp_path):
+    # the solver is chosen by the operator's size, sweeps run point by point,
+    # and a config that still sets parallel loads
+    from coupler_lab.cli import load_config
+
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    assert params(lowest_eigs) == ["op", "m", "want_vectors"]
+    assert params(exact_spectrum) == ["system", "dims", "n_levels"]
+    assert params(bo_spectrum) == ["theory", "system", "dims", "n_levels", "nu_max", "mu_max",
+                                   "series"]
+    assert params(assemble_tensor_operator) == ["system"]
+    assert [f.name for f in dataclasses.fields(SweepSpec)] == [
+        "axis", "range", "system", "theories", "n_levels", "dims", "bo_dims", "nu_max",
+        "mu_max"]
+    assert "phi_cx" not in {f.name for f in dataclasses.fields(CouplerParams)}
+    path = tmp_path / "old.ini"
+    path.write_text("[meta]\nschema = 1\n[coupler]\nbeta_c = 0.5\nzeta_c = 0.05\n"
+                    "[qubit.1]\nbeta_j = 1.05\nzeta_j = 0.05\n"
+                    "[numerics]\nnu_max = 60\nparallel = 2\n")
+    cfg = load_config(path)
+    assert cfg.numerics["nu_max"] == 60
+    assert "parallel" not in cfg.numerics

@@ -544,29 +544,50 @@ def test_sweep_missing_keys_rejected(tmp_path, capsys):
         assert missing in err["message"]
 
 
-def test_thread_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
-    body = DIMLESS_BODY + "\n[sweep]\naxis = phi_cx\nlo = 0.0\nhi = 0.05\nn_points = 2\ntheories = NA\n"
-    body = body.replace("[numerics]", "[numerics]\nbo_dims = 12,12")
-    cfg = write_config(tmp_path, body)
+def usage_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return json.loads(err)
 
-    captured = {}
-    import coupler_lab.cli as cli_mod
-    real_sweep = cli_mod.sweep
 
-    def spy(spec):
-        captured["parallel"] = spec.parallel
-        return real_sweep(spec)
+def test_negative_epsilon_flag_exits_config(ref_config, tmp_path, capsys):
+    # argparse reads "-1e-3" as an option, not a value: a usage error, exit 1
+    assert main(["truncation", "--config", str(ref_config), "--out", str(tmp_path),
+                 "--epsilon", "-1e-3"]) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert (err["error"], err["exit_code"]) == ("ConfigurationError", EXIT_CONFIG)
+    assert "--epsilon" in err["message"]
+    assert not (tmp_path / "truncation.csv").exists()
 
-    monkeypatch.setattr("coupler_lab.cli.sweep", spy)
-    monkeypatch.setenv("COUPLER_LAB_THREADS", "3")
-    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-    assert captured["parallel"] == 3
-    # an explicit flag beats the environment
-    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path),
-                 "--parallel", "2"]) == EXIT_OK
-    assert captured["parallel"] == 2
-    monkeypatch.setenv("COUPLER_LAB_THREADS", "many")
-    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+def test_run_passes_negative_values(ref_config, tmp_path, capsys):
+    # run() hands options over as --key=value, so the value reaches the check
+    assert run("truncation", ref_config, out=tmp_path, epsilon="-1e-3") == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert (err["error"], err["exit_code"]) == ("ValueError", EXIT_CONFIG)
+    assert "epsilon must be positive" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["--parallel", "2"], ["--no-such-flag"]])
+def test_unknown_flag_exits_config(ref_config, tmp_path, capsys, argv):
+    assert main(["spectrum", "--config", str(ref_config), "--out", str(tmp_path)]
+                + argv) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert err["error"] == "ConfigurationError"
+    assert "unrecognized arguments" in err["message"]
+
+
+def test_missing_command_exits_config(capsys):
+    assert main([]) == EXIT_CONFIG
+    assert usage_error(capsys)["exit_code"] == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["truncation", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_nu_max_override_flag(ref_config, tmp_path, capsys):

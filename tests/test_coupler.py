@@ -22,10 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from coupler_lab import coupler
 from coupler_lab.coupler import (
     BodcMetrics,
     CouplerParams,
     _mu_cutoff,
+    _mu_search,
     _series_parts,
     b_coeffs,
     bodc_metrics,
@@ -465,17 +467,34 @@ def test_unmet_mu_cutoff_raises():
 
 
 def test_mu_cutoff_is_memoized_per_beta():
-    _mu_cutoff.cache_clear()
+    _mu_search.cache_clear()
     first = _mu_cutoff(0.9)
-    assert _mu_cutoff.cache_info().misses == 1
+    assert _mu_search.cache_info().misses == 1
     assert _mu_cutoff(0.9) == first
-    info = _mu_cutoff.cache_info()
+    info = _mu_search.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    assert first == _mu_cutoff.__wrapped__(0.9)
+    assert (first, None) == _mu_search.__wrapped__(0.9, 1e-16)
     # the truncation routines share the memo
     truncation_bound(0.9, 0.25, 50)
     min_nu_for_error(0.9, 0.25, 1e-3)
-    assert _mu_cutoff.cache_info().misses == 1
+    assert _mu_search.cache_info().misses == 1
+
+
+def test_unmet_mu_cutoff_is_memoized(monkeypatch):
+    # a cutoff that does not exist is remembered too: the second call raises
+    # the same error without summing a single G_mu again
+    with pytest.raises(NumericError) as first:
+        _mu_cutoff(0.999)
+
+    def forbidden(*args):
+        raise AssertionError("g_coeff called for a memoized cutoff")
+
+    monkeypatch.setattr(coupler, "g_coeff", forbidden)
+    with pytest.raises(NumericError) as second:
+        _mu_cutoff(0.999)
+    assert str(second.value) == str(first.value)
+    assert second.value.details == first.value.details
+    assert first.value.details["beta_c"] == 0.999
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.nan])

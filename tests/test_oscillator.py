@@ -160,20 +160,38 @@ class TestHoExpMatrixCache:
         assert ho_exp_matrix(r, dim).tobytes() == fresh_exp_matrix(r, dim).tobytes()
 
     def test_threaded_sweep_shares_caches(self):
+        # two sweeps from two threads fill the same cold caches at once and
+        # must give the records a lone sweep gives
         q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
         system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q, q), e_ltc=3.0)
-        kwargs = dict(axis="phi_cx", range=(0.0, 0.6, 4), system=system,
-                      theories=("NA", "LA", "LN"), n_levels=3, bo_dims=(16, 16),
-                      nu_max=20, mu_max=20)
-        runs = []
-        for parallel in (1, 2):
-            _sin_coeffs.cache_clear()
-            _series_parts.cache_clear()
-            result = sweep(SweepSpec(parallel=parallel, **kwargs))
-            runs.append([(rec["energies"], rec["excitations"], rec["errors"])
-                         for rec in result.points])
-        assert runs[0] == runs[1]
-        assert not any(errors for _, _, errors in runs[0])
+        spec = SweepSpec(axis="phi_cx", range=(0.0, 0.6, 4), system=system,
+                         theories=("NA", "LA", "LN"), n_levels=3, bo_dims=(16, 16),
+                         nu_max=20, mu_max=20)
+
+        def records(result):
+            return [(rec["energies"], rec["excitations"], rec["errors"])
+                    for rec in result.points]
+
+        _sin_coeffs.cache_clear()
+        _series_parts.cache_clear()
+        lone = records(sweep(spec))
+        _sin_coeffs.cache_clear()
+        _series_parts.cache_clear()
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def run(i):
+            start.wait(timeout=60)
+            results[i] = records(sweep(spec))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert results == [lone, lone]
+        assert not any(errors for _, _, errors in lone)
 
 
 class TestNormalModes:
@@ -344,11 +362,12 @@ class TestTensorOperator:
         with pytest.raises(ValueError):
             op.matvec(np.zeros(op.size, dtype=complex))
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
         qs = [make_qubit(), make_qubit()]
         nm = normal_modes(make_system(qubits=qs), dims=(40, 40, 18))
-        with pytest.raises(ResourceError):
-            assemble_tensor_operator(nm, memory_budget=1 << 20)
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+        with pytest.raises(ResourceError, match="over the 1 MiB budget"):
+            assemble_tensor_operator(nm)
 
     def test_requires_dims(self):
         nm = normal_modes(make_system())
@@ -541,13 +560,14 @@ class TestMatvecBlas:
 class TestLowestEigs:
     def test_diagonal_operator(self):
         op = diagonal_operator((9,), np.arange(9.0))
-        spec = lowest_eigs(op, 4, mode="dense")
+        spec = lowest_eigs(op, 4)
+        assert spec.metadata["solver"] == "dense"
         assert spec.eigenvalues == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
     def test_uncoupled_modes_minkowski_sum(self):
         freqs = [0.3, 0.5, 1.1]
         nm = NormalModeSystem(freqs, np.zeros((1, 3)), [0.0], dims=(6, 6, 6))
-        spec = lowest_eigs(assemble_tensor_operator(nm), 8, mode="iterative")
+        spec = lanczos(assemble_tensor_operator(nm), 8)
         ladders = [w * (np.arange(6) + 0.5) for w in freqs]
         all_sums = np.sort([a + b + c for a in ladders[0] for b in ladders[1] for c in ladders[2]])
         assert spec.eigenvalues == pytest.approx(all_sums[:8], abs=1e-9)
@@ -556,15 +576,15 @@ class TestLowestEigs:
         qs = [make_qubit(), make_qubit()]
         nm = normal_modes(make_system(qubits=qs), dims=(12, 12, 8))
         op = assemble_tensor_operator(nm)
-        d = lowest_eigs(op, 6, mode="dense")
-        it = lowest_eigs(op, 6, mode="iterative")
+        d = lowest_eigs(op, 6)
+        it = lanczos(op, 6)
         assert it.eigenvalues == pytest.approx(d.eigenvalues, abs=1e-8)
 
     def test_iterative_matches_scipy(self):
         qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9)]
         nm = normal_modes(make_system(qubits=qs), dims=(16, 16, 10))
         op = assemble_tensor_operator(nm)
-        mine = lowest_eigs(op, 5, mode="iterative")
+        mine = lanczos(op, 5)
         lo = LinearOperator(op.shape, matvec=lambda v: op.matvec(np.real(v)))
         ref = np.sort(eigsh(lo, k=5, which="SA", return_eigenvectors=False,
                             v0=np.ones(op.size)))
@@ -574,7 +594,7 @@ class TestLowestEigs:
         qs = [make_qubit()]
         nm = normal_modes(make_system(qubits=qs), dims=(14, 10))
         op = assemble_tensor_operator(nm)
-        spec = lowest_eigs(op, 4, mode="iterative", want_vectors=True)
+        spec = lanczos(op, 4, want_vectors=True)
         for i in range(4):
             v = spec.eigenvectors[:, i]
             r = op.matvec(v) - spec.eigenvalues[i] * v
@@ -584,8 +604,8 @@ class TestLowestEigs:
         qs = [make_qubit()]
         nm = normal_modes(make_system(qubits=qs), dims=(14, 10))
         op = assemble_tensor_operator(nm)
-        a = lowest_eigs(op, 3, mode="iterative", want_vectors=True)
-        b = lowest_eigs(op, 3, mode="iterative", want_vectors=True)
+        a = lanczos(op, 3, want_vectors=True)
+        b = lanczos(op, 3, want_vectors=True)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -596,24 +616,43 @@ class TestLowestEigs:
         e0 = []
         for d in [(40, 40, 18), (48, 48, 26)]:
             nm = normal_modes(make_system(qubits=qs), dims=d)
-            e0.append(lowest_eigs(assemble_tensor_operator(nm), 1, mode="iterative").eigenvalues[0])
+            e0.append(lowest_eigs(assemble_tensor_operator(nm), 1).eigenvalues[0])
         assert abs(e0[1] - e0[0]) < 1e-6
 
     def test_mode_guards(self):
         op = diagonal_operator((9,), np.arange(9.0))
-        with pytest.raises(ConfigurationError):
-            lowest_eigs(op, 40, mode="iterative")
-        with pytest.raises(ConfigurationError):
-            lowest_eigs(op, 3, mode="nonsense")
-        # only grid operators: a plain array is rejected in every mode
+        with pytest.raises(ConfigurationError, match="exceeds operator dimension"):
+            lowest_eigs(op, 40)
+        # above the dense limit the Lanczos level cap holds, before any work
+        big = diagonal_operator((91, 91), np.zeros((91, 91)))
+        big.matvec = None
+        with pytest.raises(ConfigurationError, match="m <= 32"):
+            lowest_eigs(big, oscillator.ITERATIVE_M_LIMIT + 1)
+        # only grid operators: a plain array is rejected
         with pytest.raises(ConfigurationError):
             lowest_eigs(np.eye(3), 2)
-        for mode in ("auto", "dense", "iterative", "bogus"):
-            with pytest.raises(ConfigurationError):
-                lowest_eigs(op.to_dense(), 1, mode=mode)
+        with pytest.raises(ConfigurationError):
+            lowest_eigs(op.to_dense(), 1)
         # the Lanczos tolerance is fixed, not a parameter
         assert "tol" not in inspect.signature(lowest_eigs).parameters
         assert oscillator._LANCZOS_TOL == 1e-9
+
+    def test_size_picks_the_solver(self, monkeypatch):
+        # dense up to DENSE_DIM_LIMIT states, Lanczos above, nothing else
+        picked = []
+        monkeypatch.setattr(oscillator, "_dense_lowest",
+                            lambda op, m, want_vectors: picked.append(("dense", op.size)))
+        monkeypatch.setattr(oscillator, "_iterative_lowest",
+                            lambda op, m, want_vectors: picked.append(("lanczos", op.size)))
+        for dims in [(90, 91), (91, 91)]:
+            lowest_eigs(diagonal_operator(dims, np.zeros(dims)), 3)
+        assert picked == [("dense", 8190), ("lanczos", 8281)]
+        assert DENSE_DIM_LIMIT == 8192
+
+def lanczos(op, m, want_vectors=False):
+    # the Lanczos path, which lowest_eigs takes only above DENSE_DIM_LIMIT states
+    return oscillator._iterative_lowest(op, m, want_vectors)
+
 
 def two_qubit_operator(dims=(14, 14, 8)):
     qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9)]
@@ -631,7 +670,7 @@ class TestIterativeSolver:
             return real(v)
 
         op.matvec = counting
-        spec = lowest_eigs(op, 4, mode="iterative")
+        spec = lanczos(op, 4)
         meta = spec.metadata
         assert meta["solver"] == "lanczos"
         assert meta["basis"] == 20
@@ -640,10 +679,10 @@ class TestIterativeSolver:
         assert len(meta["residuals"]) == 4
 
     def test_basis_grows_with_levels(self):
-        spec = lowest_eigs(two_qubit_operator(), 12, mode="iterative")
+        spec = lanczos(two_qubit_operator(), 12)
         assert spec.metadata["basis"] == 25
 
-    def test_over_budget_raises_before_any_matvec(self):
+    def test_over_budget_raises_before_any_matvec(self, monkeypatch):
         op = two_qubit_operator()
 
         def forbidden(v):
@@ -653,13 +692,15 @@ class TestIterativeSolver:
         # 8 * size * (ncv + m + 4) + (_MATVEC_BYTES + 16) * size * m bytes
         # for ncv = 20, m = 4
         need = op.size * (8 * 28 + (oscillator._MATVEC_BYTES + 16) * 4)
-        with pytest.raises(ResourceError):
-            lowest_eigs(op, 4, mode="iterative", memory_budget=need - 1)
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceError, match="Lanczos solve would need"):
+            lanczos(op, 4)
 
-    def test_budget_at_workspace_passes(self):
+    def test_budget_at_workspace_passes(self, monkeypatch):
         op = two_qubit_operator()
         need = op.size * (8 * 28 + (oscillator._MATVEC_BYTES + 16) * 4)
-        spec = lowest_eigs(op, 4, mode="iterative", memory_budget=need)
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need)
+        spec = lanczos(op, 4)
         assert len(spec.eigenvalues) == 4
 
     def test_no_convergence_is_numeric_error(self, monkeypatch):
@@ -667,7 +708,7 @@ class TestIterativeSolver:
 
         monkeypatch.setattr(oscillator, "_ARPACK_MAXITER", 1)
         with pytest.raises(NumericError) as info:
-            lowest_eigs(two_qubit_operator(), 6, mode="iterative")
+            lanczos(two_qubit_operator(), 6)
         assert not isinstance(info.value, ArpackNoConvergence)
         assert info.value.details["wanted"] == 6
         assert info.value.details["matvecs"] > 0
@@ -683,7 +724,7 @@ class TestIterativeSolver:
 
         monkeypatch.setattr(sla, "eigsh", off_by_1e6)
         with pytest.raises(NumericError) as info:
-            lowest_eigs(two_qubit_operator(), 3, mode="iterative")
+            lanczos(two_qubit_operator(), 3)
         assert len(info.value.details["residuals"]) == 3
 
     def test_arpack_error_is_numeric_error(self, monkeypatch):
@@ -695,51 +736,43 @@ class TestIterativeSolver:
 
         monkeypatch.setattr(sla, "eigsh", broken)
         with pytest.raises(NumericError) as info:
-            lowest_eigs(two_qubit_operator(), 4, mode="iterative")
+            lanczos(two_qubit_operator(), 4)
         assert not isinstance(info.value, sla.ArpackError)
         assert "-9999" in info.value.details["message"]
         assert info.value.details["matvecs"] == 1
 
     @pytest.mark.parametrize("dims, m", [((14, 14, 8), 4), ((24, 24, 12), 16)])
-    def test_memory_peak_within_budget_estimate(self, dims, m):
+    def test_memory_peak_within_budget_estimate(self, dims, m, monkeypatch):
         # the estimate the budget check uses covers the ARPACK workspace and
         # the residual check's block matvec
         op = two_qubit_operator(dims)
-        lowest_eigs(op, m, mode="iterative")  # first call imports scipy
+        lanczos(op, m)  # first call imports scipy
         ncv = max(2 * m + 1, 20)
         need = op.size * (8 * (ncv + m + 4) + (oscillator._MATVEC_BYTES + 16) * m)
         tracemalloc.start()
         try:
-            lowest_eigs(op, m, mode="iterative")
+            lanczos(op, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < need
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceError):
-            lowest_eigs(op, m, mode="iterative", memory_budget=need - 1)
+            lanczos(op, m)
 
     def test_timings_split_matvecs_from_solver(self):
-        meta = lowest_eigs(two_qubit_operator(), 4, mode="iterative").metadata
+        meta = lanczos(two_qubit_operator(), 4).metadata
         assert 0.0 < meta["matvec_s"] <= meta["solve_s"]
-
-    @pytest.mark.parametrize("dims", [(4, 4), (20,), (3, 3, 2)])
-    def test_small_operator_matches_dense(self, dims):
-        # size <= ncv = 20: ARPACK cannot run, the dense solver answers
-        op = random_operator(dims, seed=3)
-        it = lowest_eigs(op, 3, mode="iterative", want_vectors=True)
-        dense = lowest_eigs(op, 3, mode="dense", want_vectors=True)
-        assert np.array_equal(it.eigenvalues, dense.eigenvalues)
-        assert np.array_equal(it.eigenvectors, dense.eigenvectors)
 
     def test_concurrent_solves_bitwise_equal_serial(self):
         ops = [two_qubit_operator(), two_qubit_operator((12, 12, 10))]
-        serial = [lowest_eigs(op, 4, mode="iterative", want_vectors=True) for op in ops]
+        serial = [lanczos(op, 4, want_vectors=True) for op in ops]
         start = threading.Barrier(len(ops))
         results = [None] * len(ops)
 
         def solve(i):
             start.wait(timeout=60)
-            results[i] = lowest_eigs(ops[i], 4, mode="iterative", want_vectors=True)
+            results[i] = lanczos(ops[i], 4, want_vectors=True)
 
         threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(ops))]
         for t in threads:
@@ -755,8 +788,13 @@ class TestIterativeSolver:
     @pytest.mark.parametrize("m", [0, -1])
     @pytest.mark.parametrize("mode", ["auto", "dense", "iterative"])
     def test_nonpositive_level_count_rejected(self, mode, m):
-        with pytest.raises(ConfigurationError):
-            lowest_eigs(two_qubit_operator(), m, mode=mode)
+        # whichever solver the size picks: the reference two-qubit operator,
+        # a single mode (dense) and one over the dense limit (Lanczos)
+        op = {"auto": two_qubit_operator,
+              "dense": lambda: diagonal_operator((9,), np.arange(9.0)),
+              "iterative": lambda: diagonal_operator((91, 91), np.zeros((91, 91)))}[mode]()
+        with pytest.raises(ConfigurationError, match="m must be >= 1"):
+            lowest_eigs(op, m)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_nonpositive_level_count_rejected_for_arrays(self, m):
@@ -849,7 +887,7 @@ class TestSectorSolve:
     def test_vectors_lift_back_to_the_full_basis(self, monkeypatch):
         spec, op = captured_operator(monkeypatch, "NA", identical_pair(1.05),
                                      dims=(16, 16), n_levels=6, nu_max=40)
-        full = lowest_eigs(op, 6, mode="dense", want_vectors=True)
+        full = lowest_eigs(op, 6, want_vectors=True)
         vecs = full.eigenvectors
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-13)
         h = op.to_dense()
@@ -863,7 +901,7 @@ class TestSectorSolve:
                                phi_cx=STRONG_PHI_CX)
         _, op = captured_operator(monkeypatch, theory, system, dims=(20, 20), n_levels=6,
                                   nu_max=60)
-        spec = lowest_eigs(op, 6, mode="dense", want_vectors=True)
+        spec = lowest_eigs(op, 6, want_vectors=True)
         vals, vecs, resid = old_dense_lowest(op.to_dense(), 6)
         assert spec.metadata["sectors"]["labels"] == ("all",)
         assert spec.metadata["sector_leak"] == 0.0
@@ -877,7 +915,7 @@ class TestSectorSolve:
         # eigh through _junction_eigh, every level as eigh returns it
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
         want = old_dense_lowest(op.to_dense(), 4)
-        got = lowest_eigs(op, 4, mode="dense", want_vectors=True)
+        got = lowest_eigs(op, 4, want_vectors=True)
         assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
                                            "levels": ("all",) * 4}
         assert np.array_equal(got.eigenvalues, want[0])
@@ -921,7 +959,7 @@ class TestSectorSolve:
         _, op = captured_operator(monkeypatch, "NA", identical_pair(1.05, phi_cx=STRONG_PHI_CX),
                                   dims=(16, 16), n_levels=4, nu_max=40)
         monkeypatch.setattr(oscillator, "_SECTOR_TOL", 1.0 / np.finfo(float).eps)
-        honest = lowest_eigs(op, 4, mode="dense")
+        honest = lowest_eigs(op, 4)
         assert len(honest.metadata["sectors"]["labels"]) > 2
         assert honest.metadata["sector_leak"] > 1e-3
         real = oscillator._sectors
@@ -932,7 +970,7 @@ class TestSectorSolve:
 
         monkeypatch.setattr(oscillator, "_sectors", hide_leak)
         with pytest.raises(NumericError) as info:
-            lowest_eigs(op, 4, mode="dense")
+            lowest_eigs(op, 4)
         assert info.value.details["sector_leak"] == 0.0
         assert max(info.value.details["residuals"]) > info.value.details["bound"]
 
@@ -945,7 +983,7 @@ class TestSectorSolve:
         _, op = captured_operator(monkeypatch, "NA", system, dims=(16, 16), n_levels=4,
                                   nu_max=40)
         monkeypatch.setattr(oscillator, "_SECTOR_TOL", 1e6)
-        spec = lowest_eigs(op, 4, mode="dense")
+        spec = lowest_eigs(op, 4)
         assert spec.metadata["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
         h = op.to_dense()
         swapped = h.reshape(16, 16, 16, 16).transpose(1, 0, 3, 2).reshape(256, 256)
@@ -966,7 +1004,7 @@ class TestSectorSolve:
             "eg_derivs_numeric": lambda: eg_derivs_numeric(params, 0.0, n_basis=30),
             "bodc_metrics": lambda: bodc_metrics(params, 0.0, n_basis=30),
             "qubit_subspace": lambda: qubit_subspace(qubit, n_basis=40),
-            "lowest_eigs": lambda: lowest_eigs(op, 3, mode="dense"),
+            "lowest_eigs": lambda: lowest_eigs(op, 3),
         }
         real = np.linalg.eigh
 
