@@ -31,7 +31,9 @@ basis is converged.
 Single-mode problems (the coupler's levels and derivatives, each
 qubit's subspace) live on the same grid: _junction_mode returns one
 mode's kinetic factor, its junction potential and its flux nodes, and
-_junction_eigh gives K + diag(V) one eigh with residuals checked.  The
+_junction_eigh gives K + diag(V) one full np.linalg.eigh with residuals
+checked.  Those solves keep every level: eg_derivs_numeric sums over all
+of them for E_g'', and at 50-60 states a partial solve saves nothing.  The
 Fock-basis factors P e^{irX} P remain as the oracle the grid is tested
 against: ho_exp_matrix builds them per element through generalized
 Laguerre polynomials,
@@ -42,19 +44,26 @@ for j <= k, with the j > k entry equal by symmetry.
 
 A dense solve of a multi-mode operator runs in symmetry sectors found in
 the operator itself, never from a flag (symmetry-adapted bases, as in
-Light & Carrington, Adv. Chem. Phys. 114, 263 (2000)).  On the grid each
-candidate symmetry is a permutation of grid points: the reflection of a
-subset of modes, or one swap of two equal-dim modes (identical qubits)
-that commutes with every accepted reflection.  A candidate P is accepted
-when max|H - PHP| is at most _SECTOR_TOL eps max|H|; the accepted
-permutations generate an abelian group, and the sectors are its
-character spaces, each gathered from the dense matrix with one index
-gather per group element.  A sector is labelled by the least Fock-parity
-code carrying its reflection character, plus +/- for the swap.  The
-Frobenius norm of H minus its group average is reported as sector_leak,
-and the residuals are checked against the full matrix.  Two identical
-qubits at zero bias give four sectors of about 400 states instead of
-one eigh of 1600.
+Light & Carrington, Adv. Chem. Phys. 114, 263 (2000)).  On the grid
+each candidate symmetry is a permutation of grid points: the reflection
+of a subset of modes, or one swap of two equal-dim modes (identical
+qubits) that commutes with every accepted reflection.  A candidate P is
+accepted when max|H - PHP| is at most _SECTOR_TOL eps max|H|; the
+accepted permutations generate an abelian group, and the sectors are its
+character spaces, each gathered from the dense matrix at its own size
+with one index gather per group element.  A sector is labelled by the
+least Fock-parity code carrying its reflection character, plus +/- for
+the swap.  The Frobenius norm of H minus its group average is reported
+as sector_leak, and the residuals are checked against the full matrix.
+Two identical qubits at zero bias give four sectors of about 400 states
+instead of one matrix of 1600.  Each sector is solved for its lowest m
+eigenpairs only, by scipy.linalg.eigh with subset_by_index and LAPACK's
+?syevr (_SECTOR_DRIVER): for part of the spectrum it reduces the sector
+to tridiagonal form, bisects for the wanted eigenvalues and finds their
+vectors by inverse iteration (LAPACK Users' Guide, Anderson et al., SIAM
+1999; Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004) for the
+MRRR method it keeps for the whole spectrum).  On 800-state sectors
+that took about half the time of a full eigh (2-core x86-64 host).
 
 lowest_eigs picks its solver from the operator's size alone: dense up
 to DENSE_DIM_LIMIT states, and above it ARPACK's implicitly restarted
@@ -63,13 +72,15 @@ max(2m + 1, 20) vectors, a seeded start vector, and the true residuals
 checked after the solve.  Assembly and the Lanczos workspace are checked
 against DEFAULT_MEMORY_BUDGET, read at call time.
 
-Every BLAS call inside that iterative path goes through scipy.linalg.blas
-(imported on first use, like scipy.sparse.linalg).  numpy and scipy each
-bundle their own OpenBLAS with its own thread pool, and ARPACK runs on
-scipy's; were the matvec's GEMMs left to numpy, the two pools' spinning
-threads would fight over the cores at every hand-over between an ARPACK
-step and a matvec.  matvec makes the same dgemm call numpy's tensordot
-makes, so the result is bitwise the same.
+Every BLAS call inside that iterative path goes through
+scipy.linalg.blas (imported on first use, like scipy.sparse.linalg and
+the dense path's scipy.linalg.eigh, so importing the package loads
+neither).  numpy and scipy each bundle their own OpenBLAS with its own
+thread pool, and ARPACK runs on scipy's; were the matvec's GEMMs left to
+numpy, the two pools' spinning threads would fight over the cores at
+every hand-over between an ARPACK step and a matvec.  matvec makes the
+same dgemm call numpy's tensordot makes, so the result is bitwise the
+same.
 """
 
 from __future__ import annotations
@@ -109,6 +120,9 @@ _MATVEC_BYTES = 8 + 8 + 8 + 8
 # _SECTOR_TOL eps max|H|: the exact circuit's normal-mode amplitudes come
 # from an eigh, so its mode reflections hold to about 1e-14, not exactly.
 _SECTOR_TOL = 64
+# LAPACK driver of each sector's partial solve (?syevr); on the NA/LA/LN
+# solves of 400- and 800-state sectors it ran as fast as "evx" or faster
+_SECTOR_DRIVER = "evr"
 # Dense eigenpairs must meet ||H v - lambda v|| <= sector_leak + c eps ||H||_F.
 _DENSE_RESIDUAL_C = 64
 
@@ -324,17 +338,20 @@ def _grid(dim: int):
     return x, u
 
 
+@lru_cache(maxsize=32)
 def _kinetic(freq: float, dim: int) -> np.ndarray:
     """Ladder freq (k + 1/2) of one mode in its grid basis.
 
     Symmetric and reflection-symmetric in exact arithmetic; both are
     imposed bitwise, so a reflection of the grid is an exact symmetry
-    whenever the potential has it.
+    whenever the potential has it.  Memoized and read-only.
     """
     _, u = _grid(dim)
     k = u.T @ ((freq * (np.arange(dim) + 0.5))[:, None] * u)
     k = 0.5 * (k + k.T)
-    return 0.5 * (k + k[::-1, ::-1])
+    k = 0.5 * (k + k[::-1, ::-1])
+    k.flags.writeable = False
+    return k
 
 
 def _cosine(c: complex, theta) -> np.ndarray:
@@ -567,7 +584,6 @@ def _sectors(h: np.ndarray, op: TensorOperator):
     perms = np.array(perms)
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
     fixed = perms[:, reps] == reps
-    blocks = [h[np.ix_(reps, p[reps])] for p in perms]
 
     # reflection characters, each under the least Fock-parity code carrying it
     codes = {}
@@ -582,11 +598,15 @@ def _sectors(h: np.ndarray, op: TensorOperator):
             keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
             if not keep.any():
                 continue
+            rows = reps[keep]
             stab = fixed[:, keep].sum(axis=0)
             scale = 1.0 / np.sqrt(stab)
-            mat = sum(x * b for x, b in zip(chi, blocks))[np.ix_(keep, keep)]
+            # np.take reads h flattened, so each term is h[rows][:, p[rows]],
+            # gathered at the sector's size
+            flat_rows = (rows * op.size)[:, None]
+            mat = sum(x * np.take(h, flat_rows + p[rows]) for x, p in zip(chi, perms))
             mat *= scale[:, None] * scale[None, :]
-            lift = [(p[reps[keep]], (x * np.sqrt(stab / len(elements)))[:, None])
+            lift = [(p[rows], (x * np.sqrt(stab / len(elements)))[:, None])
                     for p, x in zip(perms, chi)]
             sectors.append((label + mark, mat, lift))
     return sectors, leak, math.sqrt(squares)
@@ -609,30 +629,38 @@ def _checked_residuals(h, vals, vecs, leak: float, h_norm: float, labels=("all",
 
 
 def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
-    """Lowest m levels by np.linalg.eigh, one per symmetry sector of H.
+    """Lowest m levels by one partial LAPACK solve per symmetry sector of H.
 
     The sectors come from the operator (see _sectors; a single mode, or
-    no symmetry, is the one sector "all"); each gets its own eigh, its
-    lowest levels are lifted back to the full basis, and the merged
-    lowest m are kept.  Residuals pass _checked_residuals.
+    no symmetry, is the one sector "all").  Each sector gets one
+    scipy.linalg.eigh for its lowest min(m, size) eigenpairs only, with
+    the _SECTOR_DRIVER driver (?syevr); they are lifted back to the full
+    basis and the merged lowest m are kept.  Residuals pass
+    _checked_residuals against the full matrix.
     """
+    from scipy.linalg import eigh
+
     h = op.to_dense()
     sectors, leak, h_norm = _sectors(h, op)
     found_vals, found_vecs, found_sectors = [], [], []
     for s, (_, mat, lift) in enumerate(sectors):
-        w, y = np.linalg.eigh(mat)
-        k = min(m, len(w))
+        # no overwrite_a: the one sector "all" is h itself, which the
+        # residual check reads afterwards
+        k = min(m, len(mat))
+        w, y = eigh(mat, check_finite=False, subset_by_index=[0, k - 1],
+                    driver=_SECTOR_DRIVER)
         v = np.zeros((op.size, k))
         for rows, weight in lift:
-            v[rows] = weight * y[:, :k]
-        found_vals.append(w[:k])
+            v[rows] = weight * y
+        found_vals.append(w)
         found_vecs.append(v)
         found_sectors += [s] * k
     vals = np.concatenate(found_vals)
     order = np.argsort(vals, kind="stable")[:m]
     vals = vals[order]
-    # np.take keeps eigh's C order (fancy indexing would give Fortran order), so
-    # a one-sector solve's residuals round as those of one full eigh do
+    # np.take keeps the lifted vectors' C order (fancy indexing would give
+    # Fortran order), so a one-sector solve's residuals round the same way
+    # whatever order the LAPACK call returns its vectors in
     vecs = _fix_vector_signs(np.take(np.concatenate(found_vecs, axis=1), order, axis=1))
     labels = tuple(sec[0] for sec in sectors)
     resid = _checked_residuals(h, vals, vecs, leak, h_norm, labels)
@@ -710,13 +738,16 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
 def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
     """Lowest m eigenvalues of a TensorOperator, by a solver its size picks.
 
-    Up to DENSE_DIM_LIMIT (8192) states the dense matrix is diagonalized
-    in the symmetry sectors found in the operator (see the module
-    docstring; a single mode, or no symmetry, is one sector "all", one
-    full eigh).  Dense solves report "sectors" (labels, dims, and the
-    sector of each returned level), "sector_leak" and the true residuals
-    against the full matrix; a residual above sector_leak + c eps ||H||_F
-    (c = _DENSE_RESIDUAL_C = 64) raises NumericError.
+    Up to DENSE_DIM_LIMIT (8192) states the dense matrix is split into
+    the symmetry sectors found in the operator (see the module docstring;
+    a single mode, or no symmetry, is one sector "all"), and each sector
+    gets one partial LAPACK solve (?syevr) for its lowest m eigenpairs,
+    not its whole spectrum.  Dense solves report "sectors" (labels, dims,
+    and the sector of each returned level), "sector_leak" and the true
+    residuals against the full matrix; a residual above sector_leak + c
+    eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises NumericError.  A
+    junction mode's own matrix keeps its full eigh (_junction_eigh):
+    eg_derivs_numeric needs every level.
 
     Larger operators go to ARPACK's implicitly restarted Lanczos on the
     matrix-free operator (m <= ITERATIVE_M_LIMIT = 32, relative tolerance

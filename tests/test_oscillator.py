@@ -22,6 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -527,7 +528,7 @@ class TestMatvecBlas:
             assert np.array_equal(op.matvec(v), w)
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        # matvec imports scipy.linalg.blas on first use, like the solver
+        # matvec and the dense sector solve import scipy.linalg on first use
         src = str(Path(coupler_lab.__file__).resolve().parents[1])
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import coupler_lab; "
@@ -822,6 +823,15 @@ def old_dense_lowest(h, m):
     return vals, vecs, np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
 
 
+def one_partial_eigh(h, m):
+    # the one partial LAPACK solve of the whole matrix that a one-sector dense
+    # solve makes, its vectors sign-fixed and in C order as the solve returns them
+    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, m - 1],
+                                   driver=oscillator._SECTOR_DRIVER)
+    vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs))
+    return vals, vecs, np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+
+
 def captured_operator(monkeypatch, theory, system, **kwargs):
     import coupler_lab.bench as bench
 
@@ -902,7 +912,7 @@ class TestSectorSolve:
         _, op = captured_operator(monkeypatch, theory, system, dims=(20, 20), n_levels=6,
                                   nu_max=60)
         spec = lowest_eigs(op, 6, want_vectors=True)
-        vals, vecs, resid = old_dense_lowest(op.to_dense(), 6)
+        vals, vecs, resid = one_partial_eigh(op.to_dense(), 6)
         assert spec.metadata["sectors"]["labels"] == ("all",)
         assert spec.metadata["sector_leak"] == 0.0
         assert np.array_equal(spec.eigenvalues, vals)
@@ -911,10 +921,11 @@ class TestSectorSolve:
 
     def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
         # a one-mode grid operator (its dense matrix is reflection-symmetric
-        # at zero bias) stays one eigh; a junction mode's own matrix gets one
-        # eigh through _junction_eigh, every level as eigh returns it
+        # at zero bias) stays one partial solve of the whole matrix; a junction
+        # mode's own matrix gets one full eigh through _junction_eigh, every
+        # level as eigh returns it
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
-        want = old_dense_lowest(op.to_dense(), 4)
+        want = one_partial_eigh(op.to_dense(), 4)
         got = lowest_eigs(op, 4, want_vectors=True)
         assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
                                            "levels": ("all",) * 4}
@@ -992,8 +1003,8 @@ class TestSectorSolve:
         assert spec.metadata["sector_leak"] == pytest.approx(odd, rel=1e-6)
 
     def test_wrong_eigenpairs_trip_residual_gate(self, monkeypatch):
-        # every single-mode solve checks every eigenpair eigh hands back, as
-        # the dense grid-operator solve does
+        # every single-mode solve checks every eigenpair its full eigh hands
+        # back, as the dense grid-operator solve checks its partial solve's
         params = CouplerParams(beta_c=0.75, zeta_c=0.05)
         qubit = QubitParams(beta_j=1.05, zeta_j=0.05)
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(30,)))
@@ -1006,13 +1017,14 @@ class TestSectorSolve:
             "qubit_subspace": lambda: qubit_subspace(qubit, n_basis=40),
             "lowest_eigs": lambda: lowest_eigs(op, 3),
         }
-        real = np.linalg.eigh
+        def off_by_1e6(real):
+            def solve(a, **kwargs):
+                vals, vecs = real(a, **kwargs)
+                return vals + 1e-6, vecs
+            return solve
 
-        def off_by_1e6(a):
-            vals, vecs = real(a)
-            return vals + 1e-6, vecs
-
-        monkeypatch.setattr(np.linalg, "eigh", off_by_1e6)
+        monkeypatch.setattr(np.linalg, "eigh", off_by_1e6(np.linalg.eigh))
+        monkeypatch.setattr(scipy.linalg, "eigh", off_by_1e6(scipy.linalg.eigh))
         for name, solve in solves.items():
             with pytest.raises(NumericError) as info:
                 solve()
@@ -1041,6 +1053,73 @@ class TestSectorSolve:
         assert first["meta"]["LA"]["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
         assert second["meta"]["LA"]["sectors"]["labels"] == ("+", "-")
         assert "sector_leak" not in first["meta"]["LA"]
+
+
+class TestPartialSectorSolve:
+    """Each sector's partial LAPACK solve gives the lowest levels of a full eigh.
+
+    The oracle is np.linalg.eigvalsh of the whole dense matrix; every
+    returned pair must also pass the residual gate, sector_leak + 64 eps
+    ||H||_F, recomputed here from the returned vectors.
+    """
+
+    @staticmethod
+    def operator(monkeypatch, case):
+        if case == "three_qubits":
+            system = make_system(qubits=[make_qubit()] * 3)
+            return assemble_tensor_operator(normal_modes(system, dims=(10, 10, 10, 6)))
+        if case == "na_beta_j_1.4":
+            return captured_operator(monkeypatch, "NA", identical_pair(1.4), n_levels=6)[1]
+        if case == "strong_coupler":
+            system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
+            return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=400,
+                                     mu_max=120)[1]
+        # two pairs of levels 1.7e-3 and 3.2e-3 apart within the one sector
+        qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
+              QubitParams(beta_j=1.08, zeta_j=0.05, alpha_j=0.05))
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0,
+                               phi_cx=STRONG_PHI_CX)
+        return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=100)[1]
+
+    @staticmethod
+    def check(spec, h, want):
+        m = len(spec.eigenvalues)
+        np.testing.assert_allclose(spec.eigenvalues, want[:m], rtol=1e-12, atol=0)
+        vecs = spec.eigenvectors
+        resid = np.linalg.norm(h @ vecs - vecs * spec.eigenvalues, axis=0)
+        bound = spec.metadata["sector_leak"] + 64 * np.finfo(float).eps * np.linalg.norm(h)
+        assert np.all(resid <= bound)
+        assert len(spec.metadata["sectors"]["levels"]) == m
+
+    @pytest.mark.parametrize("case, sector_dims, levels", [
+        pytest.param("na_beta_j_1.4", (420, 380, 400, 400), (6, 1), id="na_beta_j_1.4"),
+        pytest.param("strong_coupler", (820, 780), (6, 1), id="strong_coupler"),
+        pytest.param("non_identical_gap", (1600,), (6, 1), id="non_identical_gap"),
+        pytest.param("three_qubits", (1500,) * 4, (6,), id="three_qubits"),
+    ])
+    def test_acceptance_points_match_full_eigh(self, monkeypatch, case, sector_dims, levels):
+        op = self.operator(monkeypatch, case)
+        # solved before the test builds its own dense copy: at 6000 states
+        # each copy is 288 MB
+        specs = [lowest_eigs(op, m, want_vectors=True) for m in levels]
+        h = op.to_dense()
+        want = np.linalg.eigvalsh(h)
+        for spec in specs:
+            self.check(spec, h, want)
+            assert spec.metadata["sectors"]["dims"] == sector_dims
+        if case == "non_identical_gap":
+            assert np.min(np.diff(want[:6])) < 2e-3
+
+    def test_sectors_smaller_than_m(self, monkeypatch):
+        # a 3x3 grid splits into sectors of at most 3 states, so each is
+        # solved whole (k = its size) and the merge picks the lowest 6 of 9
+        _, op = captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(3, 3),
+                                  n_levels=6, nu_max=40)
+        spec = lowest_eigs(op, 6, want_vectors=True)
+        h = op.to_dense()
+        self.check(spec, h, np.linalg.eigvalsh(h))
+        dims = spec.metadata["sectors"]["dims"]
+        assert sum(dims) == 9 and max(dims) < 6
 
 
 def fock_reduced_matrix(theory, system, dims, n_basis=50):
