@@ -221,8 +221,8 @@ class SweepResult:
     """Per-point records in axis order; failures recorded, not raised.
 
     Each record's meta maps a theory to its solver diagnostics: solver,
-    dim, basis and matvecs (iterative solves), sectors (dense solves:
-    sector labels and dims and the sector of each level), max_residual
+    dim, basis and matvecs (iterative solves), sectors (sector labels and
+    dims and the sector of each level, from either solver), max_residual
     and non_finite.  Timings stay out of the records.
     """
 

@@ -69,8 +69,20 @@ lowest_eigs picks its solver from the operator's size alone: dense up
 to DENSE_DIM_LIMIT states, and above it ARPACK's implicitly restarted
 Lanczos (scipy's eigsh) applied through matvec: a fixed basis of
 max(2m + 1, 20) vectors, a seeded start vector, and the true residuals
-checked after the solve.  Assembly and the Lanczos workspace are checked
-against DEFAULT_MEMORY_BUDGET, read at call time.
+checked after the solve.  The Lanczos route splits by the mode
+reflections the same test accepts, without a dense matrix to gather
+from: each reflection sector keeps the product form on a folded grid,
+half of each pivot axis of the GF(2)-reduced generators, where a pivot
+mode's kinetic factor gains a term applied after reversing the
+generator's other modes, so a sector's matvec is still GEMMs and flips
+(_folded_sectors).  Identical qubits at zero bias give four sectors of
+7,200 states instead of 28,800.  Each sector gets its own ARPACK run
+for its lowest m levels; the lowest m of all are lifted back to the
+full grid and their true residuals measured with the full operator.
+Swaps are not folded (they break the product form); an operator with no
+reflection, an odd-length pivot axis or sectors of ncv states or fewer
+is solved on the full space.  Assembly and the Lanczos workspace are
+checked against DEFAULT_MEMORY_BUDGET, read at call time.
 
 Every BLAS call inside that iterative path goes through
 scipy.linalg.blas (imported on first use, like scipy.sparse.linalg and
@@ -374,6 +386,15 @@ class TensorOperator:
             raise ConfigurationError("kinetic factors must be square")
         self.size = int(np.prod(self.dims))
         self.potential = np.asarray(potential, dtype=float).reshape(self.dims)
+        # a reflection sector's extra terms (set by _folded_sectors): axis n ->
+        # (K_n stacked over B, flips), B acting on axis n of the grid reversed
+        # along the axes flips; one GEMM gives both products
+        self._reflected = {}
+        # np.moveaxis(t, n, 0) and its inverse on a (dims + (columns,)) array,
+        # as transposes: moveaxis's own axis checks cost more than a small GEMM
+        last = len(self.dims) + 1
+        self._axes = [((n, *range(n), *range(n + 1, last)),
+                       (*range(1, n + 1), 0, *range(n + 1, last))) for n in range(len(self.dims))]
 
     @property
     def shape(self):
@@ -383,12 +404,15 @@ class TensorOperator:
         """Apply to one real vector (size,) or a real block (size, b).
 
         Each K_n is applied the way np.tensordot would: axis n moved first
-        and made contiguous (a copy unless n = 0), the column-major dgemm
-        numpy itself calls (dgemv for a single column), and the product
-        added back along axis n.  The calls go through scipy.linalg.blas,
-        so the result is bitwise tensordot's, computed on the BLAS that
-        ARPACK runs on.  The peak workspace is _MATVEC_BYTES per state and
-        column.
+        by a transpose and made contiguous (a copy unless n = 0), the
+        column-major dgemm numpy itself calls (dgemv for a single column),
+        and the product added back along axis n.  The calls go through
+        scipy.linalg.blas, so the result is bitwise tensordot's, computed
+        on the BLAS that ARPACK runs on.  The peak workspace is
+        _MATVEC_BYTES per state and column.  On an axis with a reflected
+        term the GEMM takes K_n stacked over B, and the lower half of its
+        output is added reversed along that term's flips (which B commutes
+        with), so the workspace grows by one GEMM output.
         """
         from scipy.linalg.blas import dgemm, dgemv
 
@@ -397,15 +421,18 @@ class TensorOperator:
             raise ValueError("TensorOperator acts on real vectors")
         t = v.reshape(self.dims + (-1,))
         out = self.potential[..., None] * t
-        for n, k in enumerate(self.kinetic):
-            z = np.ascontiguousarray(np.moveaxis(t, n, 0))
+        for n, (k, (forward, back)) in enumerate(zip(self.kinetic, self._axes)):
+            k, flips = self._reflected.get(n, (k, None))
+            z = np.ascontiguousarray(t.transpose(forward))
             shape = z.shape
             z = z.reshape(shape[0], -1)
             if z.shape[1] == 1:
                 z = dgemv(1.0, k.T, z[:, 0], trans=1)
             else:
                 z = dgemm(1.0, z.T, k.T).T
-            out += np.moveaxis(z.reshape(shape), 0, n)
+            out += z[: shape[0]].reshape(shape).transpose(back)
+            if flips is not None:
+                out += np.flip(z[shape[0]:].reshape(shape).transpose(back), flips)
         return out.reshape(v.shape)
 
     def to_dense(self) -> np.ndarray:
@@ -413,8 +440,11 @@ class TensorOperator:
 
         Each K_n is added through a writeable einsum view of the entries
         it fills (equal indices on every other mode), so the build holds
-        one size x size matrix, in the order matvec sums its terms.
+        one size x size matrix, in the order matvec sums its terms.  A
+        folded sector's reflected terms have no such build.
         """
+        if self._reflected:
+            raise ConfigurationError("a folded reflection sector has no dense build")
         if self.size > DENSE_DIM_LIMIT:
             raise ResourceError(
                 f"dense materialization of a {self.size}-dim operator exceeds the"
@@ -532,66 +562,95 @@ def _asymmetry(op: TensorOperator, flips, swap):
             op.potential - np.flip(potential, flips))
 
 
-def _sectors(h: np.ndarray, op: TensorOperator):
-    """Symmetry sectors of the dense matrix h of a grid operator.
+def _modes(mask: int, n_modes: int) -> tuple:
+    """The modes whose bits are set in mask."""
+    return tuple(n for n in range(n_modes) if mask >> n & 1)
+
+
+def _symmetries(op: TensorOperator):
+    """Grid symmetries of op: (group, swap, squared Frobenius norm of H).
 
     The candidates are the reflections of every nonempty subset of modes,
     then the first swap of two equal-dim modes that commutes with every
     accepted reflection; each is tested on op's kinetic factors and
-    potential.  The accepted permutations generate an abelian group of
-    involutions, and each of its characters chi gives the sector spanned
-    by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
-    representatives o whose stabilizer chi leaves at +1.  Returns a list
-    of (label, matrix, lift), the Frobenius norm of H minus its group
-    average (sector_leak) and that of H.  A one-mode operator, or one
-    with no symmetry, is the single sector "all" with the identity lift.
+    potential, and accepted when max|H - PHP| is at most _SECTOR_TOL eps
+    max|H|.  group lists the reflection masks the accepted reflections
+    generate, closed under XOR, with the k-th accepted generator at index
+    2^k; swap is the accepted pair or None.  One mode has no symmetry.
     """
     n_modes = len(op.dims)
     peak, squares = _entry_norms(op.kinetic, op.potential)
-    whole = [("all", h, [(slice(None), 1.0)])], 0.0, math.sqrt(squares)
     if n_modes == 1:
-        return whole
+        return [0], None, squares
     tol = _SECTOR_TOL * np.finfo(float).eps * peak
-
-    def modes(mask):
-        return tuple(n for n in range(n_modes) if mask >> n & 1)
 
     def commutes(flips, swap=None):
         return _entry_norms(*_asymmetry(op, flips, swap))[0] <= tol
 
     group = [0]
     for mask in range(1, 1 << n_modes):
-        if mask not in group and commutes(modes(mask)):
+        if mask not in group and commutes(_modes(mask, n_modes)):
             group += [g ^ mask for g in group]
     swap = next((pair for pair in combinations(range(n_modes), 2)
                  if op.dims[pair[0]] == op.dims[pair[1]]
                  and all((g >> pair[0] ^ g >> pair[1]) & 1 == 0 for g in group)
                  and commutes((), pair)), None)
-    elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
-    if len(elements) == 1:
-        return whole
+    return group, swap, squares
 
-    index = np.arange(op.size).reshape(op.dims)
-    perms, odd_k, odd_v = [], [0.0] * n_modes, 0.0
+
+def _sector_leak(op: TensorOperator, elements, swap) -> float:
+    """Frobenius norm of H minus its average over the group elements, each
+    a (reflection mask, swapped) pair."""
+    n_modes = len(op.dims)
+    odd_k, odd_v = [0.0] * n_modes, 0.0
     for g, s in elements:
-        perm = np.flip(index, modes(g))
-        perms.append((perm.swapaxes(*swap) if s else perm).ravel())
-        dk, dv = _asymmetry(op, modes(g), swap if s else None)
+        dk, dv = _asymmetry(op, _modes(g, n_modes), swap if s else None)
         odd_k = [a + b for a, b in zip(odd_k, dk)]
         odd_v = odd_v + dv
-    leak = math.sqrt(_entry_norms([k / len(elements) for k in odd_k],
+    return math.sqrt(_entry_norms([k / len(elements) for k in odd_k],
                                   odd_v / len(elements))[1])
+
+
+def _parity_labels(group, n_modes: int) -> dict:
+    """Each reflection character (the parity it gives each group element,
+    in group order) labelled by the least Fock-parity code carrying it."""
+    labels = {}
+    for c in range(1 << n_modes):
+        labels.setdefault(tuple(bin(g & c).count("1") % 2 for g in group),
+                          "".join(str(c >> n & 1) for n in range(n_modes)))
+    return labels
+
+
+def _sectors(h: np.ndarray, op: TensorOperator):
+    """Symmetry sectors of the dense matrix h of a grid operator.
+
+    The accepted permutations (see _symmetries) generate an abelian group
+    of involutions, and each of its characters chi gives the sector
+    spanned by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
+    representatives o whose stabilizer chi leaves at +1.  Returns a list
+    of (label, matrix, lift), the Frobenius norm of H minus its group
+    average (sector_leak) and that of H.  A one-mode operator, or one
+    with no symmetry, is the single sector "all" with the identity lift.
+    """
+    n_modes = len(op.dims)
+    group, swap, squares = _symmetries(op)
+    elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
+    if len(elements) == 1:
+        return [("all", h, [(slice(None), 1.0)])], 0.0, math.sqrt(squares)
+
+    index = np.arange(op.size).reshape(op.dims)
+    perms = []
+    for g, s in elements:
+        perm = np.flip(index, _modes(g, n_modes))
+        perms.append((perm.swapaxes(*swap) if s else perm).ravel())
+    leak = _sector_leak(op, elements, swap)
     perms = np.array(perms)
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
     fixed = perms[:, reps] == reps
 
-    # reflection characters, each under the least Fock-parity code carrying it
-    codes = {}
-    for c in range(1 << n_modes):
-        codes.setdefault(tuple(bin(g & c).count("1") % 2 for g in group), c)
     sectors = []
-    for parity, c in codes.items():
-        label = "".join(str(c >> n & 1) for n in range(n_modes)) if len(group) > 1 else ""
+    for parity, label in _parity_labels(group, n_modes).items():
+        label = label if len(group) > 1 else ""
         for sign, mark in ((1, "+"), (-1, "-")) if swap else ((1, ""),):
             chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
                             for g, s in elements])
@@ -664,15 +723,81 @@ def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     vecs = _fix_vector_signs(np.take(np.concatenate(found_vecs, axis=1), order, axis=1))
     labels = tuple(sec[0] for sec in sectors)
     resid = _checked_residuals(h, vals, vecs, leak, h_norm, labels)
-    meta = {"solver": "dense", "dim": op.size, "residuals": resid, "sector_leak": leak,
+    meta = {"solver": "dense", "dim": op.size, "residuals": resid,
+            "error_bounds": resid / np.linalg.norm(vecs, axis=0), "sector_leak": leak,
             "sectors": {"labels": labels,
                         "dims": tuple(len(sec[1]) for sec in sectors),
                         "levels": tuple(labels[found_sectors[i]] for i in order)}}
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
+def _folded_sectors(op: TensorOperator, group):
+    """Reflection sectors of op, each a TensorOperator on a folded grid.
+
+    The generators of group are row-reduced over GF(2) so that each owns
+    a pivot mode (its lowest) that no other generator contains.  A sector
+    vector is then fixed by its values u on the first half of every pivot
+    axis: for the character chi it is |G|^(-1/2) sum_g chi(g) P_g E u,
+    with E the embedding of those halves (see _lift).  On u the operator
+    keeps the product form: V sliced to the halves, and on the pivot axis
+    p of generator g, K_p[:h, :h] plus chi(g) K_p[:h, ::-1][:, :h] applied
+    after reversing g's other modes (summed into one factor when g has
+    none).  Returns the pivots and a list of (label, operator, chi over
+    group), labelled as _sectors labels them; None when group holds no
+    reflection or a pivot axis has odd length, whose middle plane both
+    halves would share.
+    """
+    n_modes = len(op.dims)
+    rows = []  # (pivot, generator)
+    for g in (group[1 << i] for i in range(len(group).bit_length() - 1)):
+        for p, r in rows:
+            if g >> p & 1:
+                g ^= r
+        p = (g & -g).bit_length() - 1
+        rows = [(q, r ^ g if r >> p & 1 else r) for q, r in rows] + [(p, g)]
+    half = {p: op.dims[p] // 2 for p, _ in rows}
+    if not rows or any(op.dims[p] % 2 for p in half):
+        return None
+    potential = np.ascontiguousarray(
+        op.potential[tuple(slice(half.get(n)) for n in range(n_modes))])
+    sectors = []
+    for parity, label in _parity_labels(group, n_modes).items():
+        chi = [(-1) ** bit for bit in parity]
+        kinetic, reflected = list(op.kinetic), {}
+        for p, g in rows:
+            k, h = op.kinetic[p], half[p]
+            b = chi[group.index(g)] * k[:h, ::-1][:, :h]
+            flips = _modes(g & ~(1 << p), n_modes)
+            kinetic[p] = k[:h, :h] if flips else k[:h, :h] + b
+            if flips:
+                reflected[p] = (np.vstack((kinetic[p], b)), flips)
+        sub = TensorOperator(kinetic, potential)
+        sub._reflected = reflected
+        sectors.append((label, sub, chi))
+    return tuple(half), sectors
+
+
+def _lift(u: np.ndarray, dims: tuple, pivots, group, chi) -> np.ndarray:
+    """Columns u of a folded sector as vectors on the full grid.
+
+    Group element g fills the block holding the second half of each pivot
+    axis it reverses and the first half of the others, with chi(g)
+    |G|^(-1/2) times u reversed along all of g's modes.
+    """
+    n_modes = len(dims)
+    t = u.reshape(tuple(d // 2 if n in pivots else d for n, d in enumerate(dims)) + u.shape[1:])
+    v = np.empty(dims + t.shape[-1:])
+    scale = 1.0 / math.sqrt(len(group))
+    for g, x in zip(group, chi):
+        block = tuple(slice(None) if n not in pivots
+                      else slice(dims[n] // 2, None) if g >> n & 1 else slice(dims[n] // 2)
+                      for n in range(n_modes))
+        v[block] = (x * scale) * np.flip(t, _modes(g, n_modes))
+    return v.reshape(math.prod(dims), u.shape[1])
+
+
 def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
-    """ARPACK's implicitly restarted Lanczos on the matrix-free operator.
+    """ARPACK's implicitly restarted Lanczos, once per reflection sector.
 
     The Krylov basis is fixed at ncv columns and restarted in place
     (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996)), so
@@ -680,13 +805,30 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
     number of iterations.  The start vector is seeded, so repeated
     solves are bitwise equal.  ARPACK needs m < ncv < size, which every
     operator above the dense limit meets.
+
+    An operator with mode reflections (_symmetries) is solved once per
+    reflection sector on its folded grid (_folded_sectors), for that
+    sector's lowest m levels; the lowest m of all are lifted back to the
+    full grid (_lift) and their residuals measured with the full
+    operator.  Without a reflection, with a pivot axis of odd length, or
+    with sectors of ncv states or fewer, the full space is the one
+    sector "all".
     """
+    start = time.perf_counter()
     n = op.size
     ncv = max(2 * m + 1, 20)
-    # the Lanczos basis, ARPACK's work arrays and the m Ritz vectors (8 bytes
-    # each), then the residual check: the block matvec on the Ritz vectors
-    # (_MATVEC_BYTES per state and column) and its product and difference
-    work_bytes = 8 * n * (ncv + m + 4) + (_MATVEC_BYTES + 16) * n * m
+    group = _symmetries(op)[0]
+    folded = _folded_sectors(op, group) if n // len(group) > ncv else None
+    if folded is None:
+        # the Lanczos basis, ARPACK's work arrays and the m Ritz vectors (8
+        # bytes each), then the residual check: the block matvec on the Ritz
+        # vectors (_MATVEC_BYTES per state and column), its product and difference
+        work_bytes = 8 * n * (ncv + m + 4) + (_MATVEC_BYTES + 16) * n * m
+    else:
+        # per sector as above, plus its folded potential and the reflected
+        # half of its GEMM output; then every sector's Ritz vectors, their
+        # lifts and the full-size residual check
+        work_bytes = 8 * (n // len(group)) * (ncv + m + 6) + (_MATVEC_BYTES + 32) * n * m
     if work_bytes > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
             f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
@@ -697,34 +839,60 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
     matvecs = 0
     matvec_s = 0.0
 
-    def apply(v):
-        nonlocal matvecs, matvec_s
-        matvecs += 1 if v.ndim == 1 else v.shape[1]
-        start = time.perf_counter()
-        out = op.matvec(v)
-        matvec_s += time.perf_counter() - start
-        return out
+    def applied(sub):
+        def apply(v):
+            nonlocal matvecs, matvec_s
+            matvecs += 1 if v.ndim == 1 else v.shape[1]
+            begin = time.perf_counter()
+            out = sub.matvec(v)
+            matvec_s += time.perf_counter() - begin
+            return out
+        return apply
 
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    start = time.perf_counter()
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=m,
-                           which="SA", ncv=ncv, tol=_LANCZOS_TOL, v0=v0, maxiter=_ARPACK_MAXITER)
-    except ArpackNoConvergence as exc:
-        raise NumericError(
-            f"Lanczos did not converge in {_ARPACK_MAXITER} restarts",
-            {"converged": len(exc.eigenvalues), "wanted": m, "matvecs": matvecs},
-        ) from None
-    except ArpackError as exc:
-        raise NumericError(f"Lanczos failed: {exc}",
-                           {"message": str(exc), "matvecs": matvecs}) from None
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = _fix_vector_signs(vecs[:, order])
-    true_res = np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0)
+    def solve(sub):
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(sub.size)
+        try:
+            vals, vecs = eigsh(LinearOperator(sub.shape, matvec=applied(sub), dtype=float),
+                               k=m, which="SA", ncv=ncv, tol=_LANCZOS_TOL, v0=v0,
+                               maxiter=_ARPACK_MAXITER)
+        except ArpackNoConvergence as exc:
+            raise NumericError(
+                f"Lanczos did not converge in {_ARPACK_MAXITER} restarts",
+                {"converged": len(exc.eigenvalues), "wanted": m, "matvecs": matvecs},
+            ) from None
+        except ArpackError as exc:
+            raise NumericError(f"Lanczos failed: {exc}",
+                               {"message": str(exc), "matvecs": matvecs}) from None
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order]
+
+    if folded is None:
+        labels, dims, leak = ("all",), (n,), 0.0
+        vals, vecs = solve(op)
+        levels = labels * m
+    else:
+        pivots, sectors = folded
+        labels = tuple(label for label, _, _ in sectors)
+        dims = tuple(sub.size for _, sub, _ in sectors)
+        leak = _sector_leak(op, [(g, False) for g in group], None)
+        found = [solve(sub) for _, sub, _ in sectors]
+        vals = np.concatenate([w for w, _ in found])
+        order = np.argsort(vals, kind="stable")[:m]
+        vals = vals[order]
+        owner, column = np.divmod(order, m)
+        vecs = np.empty((n, m))
+        for s, (_, _, chi) in enumerate(sectors):
+            pick = owner == s
+            vecs[:, pick] = _lift(found[s][1][:, column[pick]], op.dims, pivots, group, chi)
+        levels = tuple(labels[s] for s in owner)
+    vecs = _fix_vector_signs(vecs)
+    true_res = np.linalg.norm(applied(op)(vecs) - vecs * vals[None, :], axis=0)
     meta = {"solver": "lanczos", "dim": n, "basis": ncv, "matvecs": matvecs,
-            "residuals": true_res, "matvec_s": matvec_s,
-            "solve_s": time.perf_counter() - start}
+            "residuals": true_res,
+            "error_bounds": true_res / np.linalg.norm(vecs, axis=0),
+            "sector_leak": leak,
+            "sectors": {"labels": labels, "dims": dims, "levels": levels},
+            "matvec_s": matvec_s, "solve_s": time.perf_counter() - start}
     # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
     limit = 10.0 * _LANCZOS_TOL * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
     if np.any(true_res > limit):
@@ -751,9 +919,20 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
 
     Larger operators go to ARPACK's implicitly restarted Lanczos on the
     matrix-free operator (m <= ITERATIVE_M_LIMIT = 32, relative tolerance
-    _LANCZOS_TOL).  It reports the basis size, the operator applications
-    ("matvecs"), the true residuals, and the seconds spent in the matvecs
-    and in the whole solve ("matvec_s", "solve_s").
+    _LANCZOS_TOL), run once per reflection sector on its folded grid (see
+    the module docstring; without a foldable reflection, once on the full
+    space, the one sector "all").  It reports the basis size, the operator
+    applications ("matvecs": every sector-vector application plus the m
+    columns of the full-size residual check), "sectors" and "sector_leak"
+    as the dense route does, the true residuals against the full
+    operator, and the seconds spent in the matvecs and in the whole solve
+    ("matvec_s", "solve_s").  A residual above 10 _LANCZOS_TOL
+    max(|lambda|, eps^(2/3)) raises NumericError.
+
+    Both routes report "error_bounds": each level's residual norm
+    ||H v - theta v|| / ||v||, which bounds the distance from theta to an
+    eigenvalue of the symmetric H.  An excitation theta_i - theta_0 is
+    resolved only above the sum of its two levels' bounds.
 
     An op that is not a TensorOperator raises ConfigurationError (one
     junction mode's matrix goes to _junction_eigh).

@@ -656,26 +656,64 @@ def lanczos(op, m, want_vectors=False):
 
 
 def two_qubit_operator(dims=(14, 14, 8)):
+    # unequal qubits at zero bias: the joint flux reflection splits two sectors
     qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9)]
     return assemble_tensor_operator(normal_modes(make_system(qubits=qs), dims=dims))
 
 
+def identical_operator(dims=(14, 14, 8), beta_j=1.1):
+    # identical qubits at zero bias: reflections {1} and {0, 2}, four sectors
+    qs = [make_qubit(beta_j=beta_j), make_qubit(beta_j=beta_j)]
+    return assemble_tensor_operator(normal_modes(make_system(qubits=qs), dims=dims))
+
+
+def biased_operator(dims=(14, 14, 8)):
+    # a biased qubit leaves no reflection: the full space is one Lanczos solve
+    qs = [make_qubit(beta_j=1.1), make_qubit(beta_j=0.9, phi_jx=0.3)]
+    return assemble_tensor_operator(normal_modes(make_system(qubits=qs), dims=dims))
+
+
+def lanczos_workspace(op, m, sectors):
+    # the bytes the budget check counts.  Full space: the Lanczos basis,
+    # ARPACK's work arrays and the Ritz vectors, then the residual check's
+    # block matvec, product and difference.  Folded: the same per sector plus
+    # its potential and reflected GEMM output, then every sector's Ritz
+    # vectors, their lifts and the full-size residual check
+    ncv = max(2 * m + 1, 20)
+    if sectors == 1:
+        return op.size * (8 * (ncv + m + 4) + (oscillator._MATVEC_BYTES + 16) * m)
+    return (8 * (op.size // sectors) * (ncv + m + 6)
+            + (oscillator._MATVEC_BYTES + 32) * op.size * m)
+
+
+def count_applications(monkeypatch):
+    # operator applications per operator size, on the full operator and on
+    # every folded sector (each a TensorOperator of its own)
+    applied = {}
+    real = TensorOperator.matvec
+
+    def counting(self, v):
+        applied[self.size] = applied.get(self.size, 0) + (1 if v.ndim == 1 else v.shape[1])
+        return real(self, v)
+
+    monkeypatch.setattr(TensorOperator, "matvec", counting)
+    return applied
+
+
 class TestIterativeSolver:
-    def test_metadata_counts_operator_applications(self):
+    def test_metadata_counts_operator_applications(self, monkeypatch):
+        # two reflection sectors of half the states each; matvecs counts
+        # their applications plus the m columns of the full-size residual check
         op = two_qubit_operator()
-        applied = []
-        real = op.matvec
-
-        def counting(v):
-            applied.append(1 if v.ndim == 1 else v.shape[1])
-            return real(v)
-
-        op.matvec = counting
+        applied = count_applications(monkeypatch)
         spec = lanczos(op, 4)
         meta = spec.metadata
         assert meta["solver"] == "lanczos"
         assert meta["basis"] == 20
-        assert meta["matvecs"] == sum(applied)
+        assert meta["sectors"]["dims"] == (op.size // 2,) * 2
+        assert set(applied) == {op.size, op.size // 2}
+        assert applied[op.size] == 4
+        assert meta["matvecs"] == sum(applied.values())
         assert "block" not in meta
         assert len(meta["residuals"]) == 4
 
@@ -684,25 +722,23 @@ class TestIterativeSolver:
         assert spec.metadata["basis"] == 25
 
     def test_over_budget_raises_before_any_matvec(self, monkeypatch):
-        op = two_qubit_operator()
-
-        def forbidden(v):
+        def forbidden(self, v):
             raise AssertionError("matvec ran before the budget check")
 
-        op.matvec = forbidden
-        # 8 * size * (ncv + m + 4) + (_MATVEC_BYTES + 16) * size * m bytes
-        # for ncv = 20, m = 4
-        need = op.size * (8 * 28 + (oscillator._MATVEC_BYTES + 16) * 4)
-        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
-        with pytest.raises(ResourceError, match="Lanczos solve would need"):
-            lanczos(op, 4)
+        monkeypatch.setattr(TensorOperator, "matvec", forbidden)
+        for op, sectors in ((two_qubit_operator(), 2), (biased_operator(), 1)):
+            need = lanczos_workspace(op, 4, sectors)
+            monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
+            with pytest.raises(ResourceError, match="Lanczos solve would need"):
+                lanczos(op, 4)
 
     def test_budget_at_workspace_passes(self, monkeypatch):
-        op = two_qubit_operator()
-        need = op.size * (8 * 28 + (oscillator._MATVEC_BYTES + 16) * 4)
-        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need)
-        spec = lanczos(op, 4)
-        assert len(spec.eigenvalues) == 4
+        for op, sectors in ((two_qubit_operator(), 2), (biased_operator(), 1)):
+            need = lanczos_workspace(op, 4, sectors)
+            monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need)
+            spec = lanczos(op, 4)
+            assert len(spec.eigenvalues) == 4
+            assert len(spec.metadata["sectors"]["labels"]) == sectors
 
     def test_no_convergence_is_numeric_error(self, monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence
@@ -744,22 +780,25 @@ class TestIterativeSolver:
 
     @pytest.mark.parametrize("dims, m", [((14, 14, 8), 4), ((24, 24, 12), 16)])
     def test_memory_peak_within_budget_estimate(self, dims, m, monkeypatch):
-        # the estimate the budget check uses covers the ARPACK workspace and
-        # the residual check's block matvec
-        op = two_qubit_operator(dims)
-        lanczos(op, m)  # first call imports scipy
-        ncv = max(2 * m + 1, 20)
-        need = op.size * (8 * (ncv + m + 4) + (oscillator._MATVEC_BYTES + 16) * m)
-        tracemalloc.start()
-        try:
-            lanczos(op, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < need
-        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
-        with pytest.raises(ResourceError):
-            lanczos(op, m)
+        # the estimate the budget check uses covers the ARPACK workspace of
+        # the largest sector, the lifted vectors and the residual check's
+        # full-size block matvec; with 2, 1 and 4 sectors
+        for make in (two_qubit_operator, biased_operator, identical_operator):
+            op = make(dims)
+            # the first call imports scipy
+            sectors = len(lanczos(op, m).metadata["sectors"]["labels"])
+            need = lanczos_workspace(op, m, sectors)
+            tracemalloc.start()
+            try:
+                lanczos(op, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < need
+            with monkeypatch.context() as patch:
+                patch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
+                with pytest.raises(ResourceError):
+                    lanczos(op, m)
 
     def test_timings_split_matvecs_from_solver(self):
         meta = lanczos(two_qubit_operator(), 4).metadata
@@ -813,6 +852,135 @@ class TestIterativeSolver:
         out = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+def full_space_lanczos(op, m):
+    # the full-space ARPACK solve every Lanczos call made before the sector
+    # fold, as it made it: (eigenvalues, true residuals, operator applications)
+    n, ncv, applied = op.size, max(2 * m + 1, 20), []
+
+    def apply(v):
+        applied.append(1 if v.ndim == 1 else v.shape[1])
+        return op.matvec(v)
+
+    v0 = np.random.default_rng(oscillator._LANCZOS_SEED).standard_normal(n)
+    vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=m, which="SA",
+                       ncv=ncv, tol=1e-9, v0=v0, maxiter=1000)
+    order = np.argsort(vals)
+    vals = vals[order]
+    vecs = oscillator._fix_vector_signs(vecs[:, order])
+    return vals, np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0), sum(applied)
+
+
+class TestFoldedLanczos:
+    """Lanczos runs once per reflection sector, on the folded product grid."""
+
+    @pytest.mark.parametrize("make, labels", [
+        (identical_operator, ("000", "100", "010", "110")),
+        (two_qubit_operator, ("000", "100")),
+        (biased_operator, ("all",)),
+    ])
+    def test_small_operators_match_dense(self, make, labels):
+        op = make((12, 12, 8))
+        spec = lanczos(op, 6, want_vectors=True)
+        want = np.linalg.eigvalsh(op.to_dense())[:6]
+        np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
+        sectors = spec.metadata["sectors"]
+        assert sectors["labels"] == labels
+        assert sectors["dims"] == (op.size // len(labels),) * len(labels)
+        assert set(sectors["levels"]) <= set(labels) and len(sectors["levels"]) == 6
+        vecs = spec.eigenvectors
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(6))) <= 1e-12
+        # each level's vector lies in its sector: reversing the grid along a
+        # generator's modes multiplies it by the sector's character
+        grid = vecs.T.reshape((6,) + op.dims)
+        for i, label in enumerate(sectors["levels"]):
+            for mask in ((0b010, 0b101) if len(labels) == 4 else (0b111,) if len(labels) == 2
+                         else ()):
+                flips = tuple(n for n in range(3) if mask >> n & 1)
+                code = int(label[::-1], 2)
+                sign = (-1) ** bin(mask & code).count("1")
+                np.testing.assert_allclose(np.flip(grid[i], flips), sign * grid[i],
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta_j", [0.616, 1.05, 1.4])
+    def test_acceptance_system_matches_full_space(self, beta_j):
+        op = identical_operator((40, 40, 18), beta_j)
+        spec = lanczos(op, 6)
+        vals, _, _ = full_space_lanczos(op, 6)
+        np.testing.assert_allclose(spec.eigenvalues, vals, rtol=1e-12, atol=0)
+        meta = spec.metadata
+        assert meta["sectors"]["dims"] == (7200,) * 4
+        assert meta["sector_leak"] < 1e-12
+        limit = 10.0 * oscillator._LANCZOS_TOL * np.abs(spec.eigenvalues)
+        assert np.all(meta["residuals"] <= limit)
+        if beta_j == 1.4:
+            # the tunnel doublet, about 1e-7 wide at these dims, is the
+            # ground state of two sectors
+            assert spec.eigenvalues[1] - spec.eigenvalues[0] < 1e-6
+            assert meta["sectors"]["levels"][0] != meta["sectors"]["levels"][1]
+
+    def test_residuals_use_the_full_operator(self, monkeypatch):
+        op = identical_operator()
+        applied = count_applications(monkeypatch)
+        spec = lanczos(op, 4, want_vectors=True)
+        assert applied[op.size] == 4
+        vecs = spec.eigenvectors
+        resid = np.linalg.norm(op.to_dense() @ vecs - vecs * spec.eigenvalues, axis=0)
+        np.testing.assert_allclose(spec.metadata["residuals"], resid, rtol=1e-6, atol=1e-15)
+
+    @pytest.mark.parametrize("make", [
+        lambda: identical_operator((13, 12, 8)),  # odd pivot axis 0
+        biased_operator,
+    ])
+    def test_unfoldable_operators_keep_the_full_space_solve(self, make):
+        op = make()
+        spec = lanczos(op, 4)
+        vals, resid, applied = full_space_lanczos(op, 4)
+        assert np.array_equal(spec.eigenvalues, vals)
+        assert np.array_equal(spec.metadata["residuals"], resid)
+        assert spec.metadata["matvecs"] == applied
+        assert spec.metadata["basis"] == 20 and spec.metadata["dim"] == op.size
+        assert spec.metadata["sectors"] == {"labels": ("all",), "dims": (op.size,),
+                                            "levels": ("all",) * 4}
+        assert spec.metadata["sector_leak"] == 0.0
+
+    def test_small_sectors_keep_the_full_space_solve(self):
+        # 2 x 10 x 4 states fold to four sectors of 20: no more than ncv
+        op = identical_operator((2, 10, 4))
+        spec = lanczos(op, 4)
+        assert spec.metadata["sectors"]["labels"] == ("all",)
+        assert np.array_equal(spec.eigenvalues, full_space_lanczos(op, 4)[0])
+
+    def test_error_bounds_in_both_routes(self):
+        # each level's residual norm bounds its distance to the exact
+        # eigenvalue, up to the oracle's own rounding (64 eps ||H||_2).  The
+        # dense and folded bounds sit at rounding level; the full-space
+        # Lanczos ones (~1e-9) are the ones this can test
+        for op in (identical_operator((12, 12, 8)), biased_operator((12, 12, 8))):
+            every = np.linalg.eigvalsh(op.to_dense())
+            want, slack = every[:6], 64 * np.finfo(float).eps * np.max(np.abs(every))
+            for spec in (lowest_eigs(op, 6, want_vectors=True), lanczos(op, 6, want_vectors=True)):
+                meta = spec.metadata
+                norms = np.linalg.norm(spec.eigenvectors, axis=0)
+                np.testing.assert_allclose(meta["error_bounds"], meta["residuals"] / norms,
+                                           rtol=1e-15)
+                assert np.all(np.abs(spec.eigenvalues - want) <= meta["error_bounds"] + slack)
+
+    def test_two_calls_are_bitwise_equal(self):
+        op = identical_operator()
+        a = lanczos(op, 6, want_vectors=True)
+        b = lanczos(op, 6, want_vectors=True)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert np.array_equal(a.metadata["residuals"], b.metadata["residuals"])
+        assert a.metadata["sectors"] == b.metadata["sectors"]
+
+    def test_folded_operator_has_no_dense_build(self):
+        op = identical_operator()
+        _, sectors = oscillator._folded_sectors(op, oscillator._symmetries(op)[0])
+        with pytest.raises(ConfigurationError, match="no dense build"):
+            sectors[0][1].to_dense()
 
 
 def old_dense_lowest(h, m):
@@ -1053,6 +1221,18 @@ class TestSectorSolve:
         assert first["meta"]["LA"]["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
         assert second["meta"]["LA"]["sectors"]["labels"] == ("+", "-")
         assert "sector_leak" not in first["meta"]["LA"]
+
+
+    def test_sweep_records_keep_exact_sectors(self):
+        # exact points above the dense limit report their reflection sectors
+        spec = SweepSpec(axis="phi_cx", range=(0.0, STRONG_PHI_CX, 2),
+                         system=identical_pair(1.05), theories=("exact",), n_levels=3,
+                         dims=(24, 24, 16))
+        first, second = sweep(spec).points
+        assert first["meta"]["exact"]["solver"] == "lanczos"
+        assert first["meta"]["exact"]["sectors"]["labels"] == ("000", "100", "010", "110")
+        assert second["meta"]["exact"]["sectors"]["labels"] == ("000", "010")
+        assert second["meta"]["exact"]["sectors"]["dims"] == (4608, 4608)
 
 
 class TestPartialSectorSolve:
