@@ -545,6 +545,11 @@ def _bias_grid(args) -> np.ndarray:
     return TWO_PI * np.linspace(args.lo, args.hi, args.n_grid)
 
 
+def _coupler_basis(cfg) -> int:
+    """Grid size of the coupler solves: the configured n_basis, at least 50."""
+    return max(50, cfg.numerics["n_basis"])
+
+
 def _cmd_eg(cfg, args, out: Path) -> int:
     """eg: ground-energy curves over the coupler bias.
 
@@ -558,9 +563,8 @@ def _cmd_eg(cfg, args, out: Path) -> int:
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
     classical = u_min(beta, grid, nu_max=cfg.numerics["nu_max"])
     zpe = u_zpe_harmonic(beta, zeta, grid)
-    exact = np.asarray(
-        [eg_exact(params, p, n_basis=max(50, cfg.numerics["n_basis"]))[0] for p in grid]
-    )
+    n_basis = _coupler_basis(cfg)
+    exact = eg_exact(params, grid, n_basis=n_basis, n_levels=1)[:, 0]
     columns = {
         "phi_over_2pi": grid / TWO_PI,
         "u_min": classical,
@@ -569,7 +573,8 @@ def _cmd_eg(cfg, args, out: Path) -> int:
         "eg_exact": exact,
         "zpe_exact": exact - classical,
     }
-    path = _write_csv(out / "eg.csv", _echo_lines(cfg, "eg", {"n_grid": args.n_grid}), columns)
+    echo = _echo_lines(cfg, "eg", {"n_grid": args.n_grid, "coupler_n_basis": n_basis})
+    path = _write_csv(out / "eg.csv", echo, columns)
     print(path)
     return EXIT_OK
 
@@ -584,19 +589,17 @@ def _cmd_derivs(cfg, args, out: Path) -> int:
     grid = _bias_grid(args)
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
     d1_ana, d2_ana = eg_derivs_analytic(beta, zeta, grid)
-    num = np.asarray(
-        [eg_derivs_numeric(params, p, n_basis=max(50, cfg.numerics["n_basis"])) for p in grid]
-    )
+    n_basis = _coupler_basis(cfg)
+    d1_num, d2_num = eg_derivs_numeric(params, grid, n_basis=n_basis)
     columns = {
         "phi_over_2pi": grid / TWO_PI,
         "d1_analytic": d1_ana,
         "d2_analytic": d2_ana,
-        "d1_numeric": num[:, 0],
-        "d2_numeric": num[:, 1],
+        "d1_numeric": d1_num,
+        "d2_numeric": d2_num,
     }
-    path = _write_csv(
-        out / "derivs.csv", _echo_lines(cfg, "derivs", {"n_grid": args.n_grid}), columns
-    )
+    echo = _echo_lines(cfg, "derivs", {"n_grid": args.n_grid, "coupler_n_basis": n_basis})
+    path = _write_csv(out / "derivs.csv", echo, columns)
     print(path)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ qubit-qubit interaction.  Three descriptions of E_g(phi_x) live here:
 
   * derivatives: E_g' and E_g'' at a bias point, in closed form from
     the Kepler-equation minimum (analytic) or from perturbation theory
-    on the exact eigensystem (numeric).
+    on the exact ground state (numeric).
 
 Truncating the series at nu_max incurs an error bounded through the
 closed-form tail sums
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .kapteyn import (FourierSeries, _kapteyn_convolution, bessel_j, cos_beta, g_coeff,
                       kepler_solve)
-from .oscillator import _junction_eigh
+from .oscillator import _checked_residuals, _junction_mode, _residual_bound
 
 __all__ = [
     "BodcMetrics",
@@ -61,6 +61,19 @@ __all__ = [
 ]
 
 MIN_NU_CAP = 100_000
+# A ground level closer than this to the next is ill-conditioned for the
+# perturbative quantities; the continuation certifies a gap above it.
+_GAP_TOL = 1e-10
+# Solves per level before the residual gate decides (_level_vectors), and
+# Rayleigh-quotient steps before a continued point starts from scratch.
+_INVERSE_STEPS = 3
+_RQI_STEPS = 6
+# An eigvalsh level can be an eigenvalue of H to the last bit, so an LU
+# pivot of H - E can come out exactly zero (seen at beta 0.99, zeta 0.02,
+# n_basis 30, level 5).  Only such a solve is retried, with the shift
+# raised by this fraction of the residual gate (2 eps ||H||_F): the raise
+# costs the vector about 2 eps ||H||_F / gap of accuracy.
+_SHIFT_NUDGE = 1.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -219,21 +232,37 @@ def eg_eval(series: EgSeries, phi_x):
     return FourierSeries(series.nu_max, series.coeffs, parity="even")(phi_x)
 
 
-def eg_exact(params: CouplerParams, phi_x: float, n_basis: int = 50, n_levels: int = 6):
+def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6):
     """Lowest coupler levels by dense diagonalization on the grid.
 
     Energies are in units of E_Ltc.  The basis is the n_basis-point
     Gauss-Hermite grid of the beta = 0 oscillator (frequency 2 zeta,
     quadrature amplitude sqrt(zeta)), the eigenbasis of its truncated
     quadrature: the ladder is a dense kinetic factor there, and the
-    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.  Every
-    residual is checked; n_levels must lie in [1, n_basis].
+    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.  The
+    levels are np.linalg.eigvalsh's, and each returned level gets one
+    inverse-iteration vector whose residual is checked; n_levels must
+    lie in [1, n_basis].
+
+    A 1-D array of biases, with n_levels = 1, gives an (N, 1) array: the
+    ground level followed along the array (see _ground_states), so a row
+    after the first can differ from its scalar call by rounding.
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
     if not 1 <= n_levels <= n_basis:
         raise ConfigurationError(f"n_levels must be in [1, {n_basis}], got {n_levels}")
-    return _junction_eigh(params.zeta_c, params.beta_c, phi_x, n_basis)[0][:n_levels]
+    phis = _biases(phi_x)
+    if phis.ndim:
+        if n_levels != 1:
+            raise ConfigurationError("an array of biases follows the ground level only;"
+                                     f" n_levels must be 1, got {n_levels}")
+        energies = [state[3] for state in _ground_states(params, phis, n_basis)]
+        return np.array(energies).reshape(-1, 1)
+    h, _, h_norm = _coupler_matrix(params, phi_x, n_basis)
+    levels = np.linalg.eigvalsh(h)[:n_levels]
+    _level_vectors(h, h_norm, levels)
+    return levels
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -257,42 +286,166 @@ def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
     return (d1, d2) if np.ndim(phi_cx) else (float(d1), float(d2))
 
 
-def _ground_couplings(params: CouplerParams, phi_x: float, n_basis: int, what: str):
-    """Coupler levels and the elements <k|X|g> of X against the ground state.
+def _biases(phi_x) -> np.ndarray:
+    phis = np.asarray(phi_x, dtype=float)
+    if phis.ndim > 1:
+        raise ConfigurationError(f"biases must be a scalar or a 1-D array, got shape {phis.shape}")
+    return phis
+
+
+def _coupler_matrix(params: CouplerParams, phi_x: float, n_basis: int):
+    """The coupler's grid matrix K + diag(V), its flux nodes and ||H||_F."""
+    kinetic, potential, flux = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
+    h = kinetic + np.diag(potential)
+    return h, flux, float(np.linalg.norm(h))
+
+
+def _level_vectors(h: np.ndarray, h_norm: float, levels: np.ndarray) -> np.ndarray:
+    """One inverse-iteration vector per level, residuals checked.
+
+    Each is one solve (H - E) y = s from the start s = (1, 2, ..., n):
+    positive, so it overlaps the nodeless ground state, and not
+    reflection-symmetric, so it overlaps the odd levels of a symmetric
+    bias too.  The solve is repeated up to _INVERSE_STEPS times while the
+    residual is above the gate (the ground level needs one, a higher
+    level at most two).  The columns pass _checked_residuals, so levels
+    that are not eigenvalues of H raise NumericError.
+    """
+    eye = np.eye(len(h))
+    bound = _residual_bound(0.0, h_norm)
+    vecs = np.empty((len(h), len(levels)))
+    for k, level in enumerate(levels):
+        v = np.arange(1.0, len(h) + 1)
+        for _ in range(_INVERSE_STEPS):
+            try:
+                v = np.linalg.solve(h - level * eye, v)
+            except np.linalg.LinAlgError:
+                v = np.linalg.solve(h - (level + _SHIFT_NUDGE * bound) * eye, v)
+            v /= np.linalg.norm(v)
+            if np.linalg.norm(h @ v - level * v) <= bound:
+                break
+        vecs[:, k] = v
+    _checked_residuals(h, levels, vecs, 0.0, h_norm)
+    return vecs
+
+
+def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float):
+    """The ground pair (theta, g) of h by Rayleigh-quotient iteration from g.
+
+    Steps theta = g^T H g, (H - theta) y = g, g = y / ||y|| run until the
+    residual ||H g - theta g|| meets the dense gate, then one step more.
+    The pair is certified by a Cholesky factorization of
+
+        A = H - theta + shift g g^T - _GAP_TOL,
+
+    shift > _GAP_TOL.  A positive definite A puts the second eigenvalue of
+    H above theta + _GAP_TOL (a rank-one update moves each eigenvalue at
+    most up to the next).  The final residual, also held below _GAP_TOL,
+    puts an eigenvalue within it of theta, so that eigenvalue is the
+    ground level, isolated by more than _GAP_TOL.  None when the
+    iteration stalls, leaves the gate or fails the certificate.
+    """
+    eye = np.eye(len(h))
+    bound = _residual_bound(0.0, h_norm)
+    try:
+        for _ in range(_RQI_STEPS):
+            hg = h @ g
+            theta = g @ hg
+            converged = np.linalg.norm(hg - theta * g) <= bound
+            g = np.linalg.solve(h - theta * eye, g)
+            g /= np.linalg.norm(g)
+            if converged:
+                break
+        else:
+            return None
+        hg = h @ g
+        theta = g @ hg
+        if not np.linalg.norm(hg - theta * g) <= min(bound, _GAP_TOL):
+            return None
+        np.linalg.cholesky(h - (theta + _GAP_TOL) * eye + shift * np.outer(g, g))
+    except np.linalg.LinAlgError:
+        return None
+    return theta, g
+
+
+def _ground_states(params: CouplerParams, phis, n_basis: int):
+    """Yield (H, flux nodes, levels, E_g, ground vector) along the biases.
+
+    The first bias, and any whose continuation fails, is solved from
+    scratch: np.linalg.eigvalsh gives every level and _level_vectors the
+    ground vector.  Each later bias starts from the previous ground
+    vector (_continued_ground, shift 2 zeta, the harmonic spacing) and
+    yields levels None.  A scalar call is a one-point grid, so it takes
+    the from-scratch route.
+    """
+    g = None
+    for phi in phis:
+        h, flux, h_norm = _coupler_matrix(params, phi, n_basis)
+        found = None if g is None else _continued_ground(h, h_norm, g, 2.0 * params.zeta_c)
+        levels = None
+        if found is None:
+            levels = np.linalg.eigvalsh(h)
+            found = levels[0], _level_vectors(h, h_norm, levels[:1])[:, 0]
+        g = found[1]
+        yield h, flux, levels, found[0], g
+
+
+def _perturbative(params: CouplerParams, phis, n_basis: int, what: str) -> np.ndarray:
+    """Rows (E_g, E_g', E_g'', <d g|d g>) at each bias, one resolvent solve each.
 
     X = sqrt(zeta) (a + a^dag), the displacement from the quadratic
-    minimum, is the diagonal of flux nodes on the grid.  A nearly
-    degenerate ground state raises NumericError, since ``what`` (a
-    perturbative quantity) is then ill-conditioned.
+    minimum, is the diagonal of flux nodes on the grid.  E_g' = -<g|X|g>.
+    With b = Q X g (Q = 1 - |g><g|) and y the solution of
+
+        (H - E_g + 2 zeta |g><g|) y = b,
+
+    y = sum_{k>0} |k><k|X|g> / (E_k - E_g) plus a multiple of g, so E_g'' =
+    1 - 2 b^T y and the diagonal correction is ||Q y||^2: the sums over
+    every level, without the levels.  A ground state within _GAP_TOL of
+    the next level raises NumericError, since ``what`` (a perturbative
+    quantity) is then ill-conditioned.
     """
     if n_basis < 30:
         raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
-    vals, vecs, x = _junction_eigh(params.zeta_c, params.beta_c, phi_x, n_basis)
-    if vals[1] - vals[0] < 1e-10:
-        raise NumericError(
-            f"ground state nearly degenerate; {what} ill-conditioned",
-            {"gap": float(vals[1] - vals[0])},
-        )
-    return vals, vecs.T @ (x * vecs[:, 0])
+    rows = []
+    shift = 2.0 * params.zeta_c
+    for h, flux, levels, energy, g in _ground_states(params, phis, n_basis):
+        if levels is not None and levels[1] - levels[0] < _GAP_TOL:
+            raise NumericError(
+                f"ground state nearly degenerate; {what} ill-conditioned",
+                {"gap": float(levels[1] - levels[0])},
+            )
+        xg = flux * g
+        mean = g @ xg
+        b = xg - mean * g
+        y = np.linalg.solve(h - energy * np.eye(len(h)) + shift * np.outer(g, g), b)
+        qy = y - (g @ y) * g
+        rows.append((energy, -mean, 1.0 - 2.0 * (b @ y), qy @ qy))
+    return np.array(rows).reshape(-1, 4)
 
 
-def eg_derivs_numeric(params: CouplerParams, phi_cx: float, n_basis: int = 50) -> tuple:
-    """(E_g', E_g'') from perturbation theory on the exact eigensystem.
+def eg_derivs_numeric(params: CouplerParams, phi_cx, n_basis: int = 50) -> tuple:
+    """(E_g', E_g'') from perturbation theory on the exact ground state.
 
     First order: E_g' = <g|(phi_x - phi_c)|g> = -<g|X|g> with X the
     displacement from the quadratic minimum.  Second order: E_g'' =
     1 + 2 <g| X (E_g - H_c)^+ X |g>, the pseudo-inverse excluding the
-    ground component (scalar shifts of X drop out against it).
+    ground component (scalar shifts of X drop out against it), from one
+    linear solve (see _perturbative).  A 1-D array of biases gives two
+    arrays, with the ground state followed along the array; a scalar
+    bias gives two floats.
     """
     return _ground_energy_derivs(params, phi_cx, n_basis)[1:]
 
 
-def _ground_energy_derivs(params: CouplerParams, phi_x: float, n_basis: int) -> tuple:
-    """(E_g, E_g', E_g'') from one coupler solve: eg_exact's ground level
-    and eg_derivs_numeric's derivatives, bitwise."""
-    vals, xg = _ground_couplings(params, phi_x, n_basis, "perturbation theory")
-    d2 = 1.0 + 2.0 * np.sum(xg[1:] ** 2 / (vals[0] - vals[1:]))
-    return float(vals[0]), float(-xg[0]), float(d2)
+def _ground_energy_derivs(params: CouplerParams, phi_x, n_basis: int) -> tuple:
+    """(E_g, E_g', E_g'') from one coupler solve per bias: eg_exact's ground
+    level and eg_derivs_numeric's derivatives, bitwise at a scalar bias."""
+    phis = _biases(phi_x)
+    rows = _perturbative(params, np.atleast_1d(phis), n_basis, "perturbation theory")
+    if phis.ndim:
+        return rows[:, 0], rows[:, 1], rows[:, 2]
+    return tuple(float(v) for v in rows[0, :3])
 
 
 def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
@@ -365,15 +518,15 @@ def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = 50,
                  qubits=()) -> BodcMetrics:
     """Born-Oppenheimer diagonal correction <d psi_g | d psi_g>.
 
-    exact_norm comes from the eigendecomposition; linearized_norm is
+    exact_norm is sum_{k>0} |<k|X|g>|^2 / (E_k - E_g)^2, from one
+    resolvent solve on the exact ground state; linearized_norm is
     the harmonic estimate 1/(4 zeta (1 - beta cos chi)^{3/2}).  The
     smallness sides compare the qubit-side energy scale against the
     coupler stiffness: lhs = 2 sum_j E_Lj zeta_j^2 alpha_j^2 / E_Ltc,
     rhs = 4 zeta_c^2 (1 - beta_c)^2; the correction is negligible when
     lhs << rhs.
     """
-    vals, xg = _ground_couplings(params, phi_x, n_basis, "diagonal correction")
-    exact = float(np.sum(xg[1:] ** 2 / (vals[0] - vals[1:]) ** 2))
+    exact = float(_perturbative(params, [phi_x], n_basis, "diagonal correction")[0, 3])
     chi = kepler_solve(params.beta_c, phi_x)
     d = 1.0 - params.beta_c * math.cos(chi)
     linearized = 1.0 / (4.0 * params.zeta_c * d**1.5)

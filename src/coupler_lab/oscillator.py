@@ -30,13 +30,19 @@ basis is converged.
 
 Single-mode problems (the coupler's levels and derivatives, each
 qubit's subspace) live on the same grid: _junction_mode returns one
-mode's kinetic factor, its junction potential and its flux nodes, and
+mode's kinetic factor, its junction potential and its flux nodes.
 _junction_eigh gives K + diag(V) one full np.linalg.eigh with residuals
-checked.  Those solves keep every level: eg_derivs_numeric sums over all
-of them for E_g'', and at 50-60 states a partial solve saves nothing.  The
-Fock-basis factors P e^{irX} P remain as the oracle the grid is tested
-against: ho_exp_matrix builds them per element through generalized
-Laguerre polynomials,
+checked; qubit_subspace takes it, since its double-well doublets (split
+down to about 2e-10) need both vectors of one full solve.  The coupler
+asks LAPACK for less (coupler._ground_states): its levels from
+np.linalg.eigvalsh and its ground vector from one inverse-iteration
+solve, or, along a grid of biases, Rayleigh-quotient steps from the
+previous ground vector with a Cholesky certificate; E_g'' is one further
+solve, not a sum over every level.  At 60 states on one BLAS thread
+(x86-64) an eigh took 352 us, an eigvalsh 154 us and one
+np.linalg.solve about 25 us.  The Fock-basis factors P e^{irX} P remain
+as the oracle the grid is tested against: ho_exp_matrix builds them per
+element through generalized Laguerre polynomials,
 
     <j|e^{irX}|k> = i^{k-j} sqrt(j!/k!) e^{-r^2/2} r^{k-j} L_j^{(k-j)}(r^2)
 
@@ -671,13 +677,18 @@ def _sectors(h: np.ndarray, op: TensorOperator):
     return sectors, leak, math.sqrt(squares)
 
 
+def _residual_bound(leak: float, h_norm: float) -> float:
+    """The dense residual gate, leak + _DENSE_RESIDUAL_C eps h_norm."""
+    return leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
+
+
 def _checked_residuals(h, vals, vecs, leak: float, h_norm: float, labels=("all",)):
     """Residuals ||h v - lambda v||, each at most leak + _DENSE_RESIDUAL_C eps h_norm.
 
     leak is the sector_leak of the sectors labels; a larger residual raises NumericError.
     """
     resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
-    bound = leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
+    bound = _residual_bound(leak, h_norm)
     if not np.all(resid <= bound):
         raise NumericError(
             "dense eigenvector residuals exceed the bound",
@@ -914,8 +925,10 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     and the sector of each returned level), "sector_leak" and the true
     residuals against the full matrix; a residual above sector_leak + c
     eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises NumericError.  A
-    junction mode's own matrix keeps its full eigh (_junction_eigh):
-    eg_derivs_numeric needs every level.
+    junction mode's own matrix is not a TensorOperator: each qubit's gets
+    one full eigh (_junction_eigh), and the coupler's an eigvalsh plus
+    inverse-iteration or continued solves for its ground state (see the
+    module docstring), each cheaper than an eigh at 50-60 states.
 
     Larger operators go to ARPACK's implicitly restarted Lanczos on the
     matrix-free operator (m <= ITERATIVE_M_LIMIT = 32, relative tolerance
@@ -934,8 +947,7 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     eigenvalue of the symmetric H.  An excitation theta_i - theta_0 is
     resolved only above the sum of its two levels' bounds.
 
-    An op that is not a TensorOperator raises ConfigurationError (one
-    junction mode's matrix goes to _junction_eigh).
+    An op that is not a TensorOperator raises ConfigurationError.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")

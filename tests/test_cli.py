@@ -510,7 +510,7 @@ def test_linalg_failure_exits_numeric(ref_config, tmp_path, capsys, monkeypatch)
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     assert main(["eg", "--config", str(ref_config), "--out", str(tmp_path),
                  "--n-grid", "3"]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)
@@ -628,3 +628,37 @@ def test_module_run_prints_no_warning():
     out = subprocess.run([sys.executable, "-m", "coupler_lab.cli", "--version"],
                          capture_output=True, text=True, env=env)
     assert (out.returncode, out.stdout.strip(), out.stderr) == (0, __version__, "")
+
+
+def test_commands_but_spectrum_leave_scipy_linalg_unloaded(tmp_path):
+    # only the multi-mode dense and Lanczos solves need scipy.linalg; the
+    # single-mode solves are numpy's, so every other command runs without
+    # loading it (about 6 MB of resident memory and 65 ms of import)
+    body = DIMLESS_BODY + "\n[scan]\nlabels = xx,zz\nlo = 0.0\nhi = 0.1\nn_points = 3\n"
+    cfg = write_config(tmp_path, body)
+    src = str(Path(coupler_lab.__file__).resolve().parents[1])
+    commands = [name for name in coupler_lab.cli._COMMANDS if name != "spectrum"]
+    code = (
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import coupler_lab\n"
+        "codes = []\n"
+        "for command in sys.argv[4:]:\n"
+        "    grid = {'n_grid': 5} if command in ('series', 'eg', 'derivs') else {}\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(coupler_lab.run(command, sys.argv[2], out=sys.argv[3], **grid))\n"
+        "print(codes, 'scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src, str(cfg), str(tmp_path), *commands],
+                         capture_output=True, text=True, check=True)
+    assert len(commands) == 7
+    assert out.stdout.strip() == f"{[EXIT_OK] * len(commands)} False"
+
+
+@pytest.mark.parametrize("command", ["eg", "derivs"])
+def test_coupler_basis_is_echoed(ref_config, tmp_path, capsys, command):
+    # the config asks for n_basis = 40 (the qubits' grid); the coupler is
+    # solved on at least 50 states, and the header says which
+    assert main([command, "--config", str(ref_config), "--out", str(tmp_path),
+                 "--n-grid", "3"]) == EXIT_OK
+    comments, _, _ = read_csv(tmp_path / f"{command}.csv")
+    assert "# numerics: mu_max=40 n_basis=40 n_levels=4 nu_max=60" in comments
+    assert "# coupler_n_basis=50" in comments

@@ -429,6 +429,147 @@ def test_derivs_numeric_basis_guard():
         eg_derivs_numeric(p, 0.0, n_basis=10)
 
 
+# ------------------------------------------------ ground-state continuation
+
+BETAS = (0.0, 0.3, 0.75, 0.95, 0.99)
+ZETAS = (0.02, 0.05, 0.25, 0.5)
+BIAS_GRID = np.linspace(0.0, 2.0 * np.pi, 61)
+
+
+def level_sums(params, phi_x, n_basis=50):
+    """(E_g, E_g', E_g'', <dg|dg>) from every level of one full eigh: the
+    sums over all levels the resolvent solve replaces."""
+    kinetic, potential, flux = coupler._junction_mode(params.zeta_c, params.beta_c, phi_x,
+                                                      n_basis)
+    vals, vecs = np.linalg.eigh(kinetic + np.diag(potential))
+    xg = vecs.T @ (flux * vecs[:, 0])
+    gaps = vals[0] - vals[1:]
+    return (vals[0], -xg[0], 1.0 + 2.0 * np.sum(xg[1:] ** 2 / gaps),
+            np.sum(xg[1:] ** 2 / gaps**2))
+
+
+def column_errors(got, want, absolute):
+    """Largest |got - want| per column, over the column's largest |want|
+    unless absolute."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    err = np.max(np.abs(got - want), axis=0)
+    return err if absolute else err / np.max(np.abs(want), axis=0)
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("beta", BETAS)
+def test_grid_calls_match_scalar_calls(beta, zeta):
+    # the continued grid and one scalar solve per bias agree to rounding
+    p = CouplerParams(beta_c=beta, zeta_c=zeta)
+    grid = np.column_stack([eg_exact(p, BIAS_GRID, n_levels=1)[:, 0],
+                            *eg_derivs_numeric(p, BIAS_GRID)])
+    scalar = [(eg_exact(p, phi)[0], *eg_derivs_numeric(p, phi)) for phi in BIAS_GRID]
+    # at beta = 0 both derivatives vanish, so they compare absolutely
+    assert np.all(column_errors(grid, scalar, beta == 0.0) <= 1e-13)
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("beta", BETAS)
+def test_resolvent_solve_matches_level_sums(beta, zeta):
+    # E_g', E_g'' and the diagonal correction from one linear solve equal
+    # the sums over every level of a full eigh, on the grid and per bias
+    p = CouplerParams(beta_c=beta, zeta_c=zeta)
+    want = [level_sums(p, phi) for phi in BIAS_GRID]
+    grid = coupler._perturbative(p, BIAS_GRID, 50, "test")
+    scalar = [(*coupler._ground_energy_derivs(p, phi, 50), bodc_metrics(p, phi).exact_norm)
+              for phi in BIAS_GRID[::6]]
+    assert np.all(column_errors(grid, want, beta == 0.0) <= 1e-12)
+    assert np.all(column_errors(scalar, want[::6], beta == 0.0) <= 1e-12)
+
+
+def test_grid_shapes_and_scalar_types():
+    p = CouplerParams(beta_c=0.75, zeta_c=0.05)
+    grid = BIAS_GRID[:5]
+    assert eg_exact(p, grid, n_levels=1).shape == (5, 1)
+    with pytest.raises(ConfigurationError):
+        eg_exact(p, grid)  # only the ground level is followed
+    assert eg_exact(p, [], n_levels=1).shape == (0, 1)
+    assert [d.shape for d in eg_derivs_numeric(p, [])] == [(0,), (0,)]
+    d1, d2 = eg_derivs_numeric(p, grid)
+    assert d1.shape == d2.shape == (5,)
+    assert all(type(v) is float for v in coupler._ground_energy_derivs(p, 0.3, 50))
+    with pytest.raises(ConfigurationError):
+        eg_derivs_numeric(p, np.zeros((2, 2)))
+
+
+def test_exactly_singular_solve_is_retried_off_the_level(monkeypatch):
+    # an eigvalsh level can be an eigenvalue of H to the last bit, so LU
+    # meets an exactly zero pivot; the solve is retried with the shift
+    # raised by 2 eps ||H||_F, and the vector still meets the gate
+    p = CouplerParams(beta_c=0.99, zeta_c=0.02)
+    want = eg_exact(p, np.pi / 2, n_basis=30, n_levels=6)
+    real = np.linalg.solve
+    corners = []
+
+    def singular_once(a, b):
+        corners.append(a[0, 0])
+        if len(corners) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    got = eg_exact(p, np.pi / 2, n_basis=30, n_levels=6)
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+    assert corners[1] < corners[0]
+
+
+def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):
+    # a continuation step forced onto level 1 converges there, the Cholesky
+    # certificate rejects it, and the point is solved from scratch: bitwise
+    # its scalar call, with the grid going on from there
+    p = CouplerParams(beta_c=0.75, zeta_c=0.05)
+    real = coupler._continued_ground
+    outcomes = []
+
+    def onto_level_1(h, h_norm, g, shift):
+        if not outcomes:
+            g = np.linalg.eigh(h)[1][:, 1]
+        outcomes.append(real(h, h_norm, g, shift))
+        return outcomes[-1]
+
+    monkeypatch.setattr(coupler, "_continued_ground", onto_level_1)
+    energies = eg_exact(p, BIAS_GRID[:4], n_levels=1)[:, 0]
+    assert outcomes[0] is None and all(found is not None for found in outcomes[1:])
+    outcomes.clear()
+    d1, d2 = eg_derivs_numeric(p, BIAS_GRID[:4])
+    assert outcomes[0] is None
+    monkeypatch.undo()
+    assert energies[1] == eg_exact(p, BIAS_GRID[1])[0]
+    assert (d1[1], d2[1]) == eg_derivs_numeric(p, BIAS_GRID[1])
+
+
+def test_certificate_holds_on_every_continued_point(monkeypatch):
+    # every accepted pair has its residual within the dense gate, and H
+    # minus its level, deflated along its vector, is positive definite
+    # past the gap threshold
+    real = coupler._continued_ground
+    accepted = []
+
+    def record(h, h_norm, g, shift):
+        found = real(h, h_norm, g, shift)
+        if found is not None:
+            accepted.append((h, h_norm, shift, *found))
+        return found
+
+    monkeypatch.setattr(coupler, "_continued_ground", record)
+    eg_derivs_numeric(CouplerParams(beta_c=0.95, zeta_c=0.02), BIAS_GRID)
+    monkeypatch.undo()
+    # a 61-point grid is coarse at beta 0.95, zeta 0.02: a few points
+    # restart from scratch, most continue
+    assert len(BIAS_GRID) // 2 < len(accepted) < len(BIAS_GRID)
+    for h, h_norm, shift, theta, g in accepted:
+        resid = np.linalg.norm(h @ g - theta * g)
+        assert resid <= 64 * np.finfo(float).eps * h_norm
+        deflated = h - theta * np.eye(len(h)) + shift * np.outer(g, g)
+        assert np.linalg.eigvalsh(deflated)[0] > coupler._GAP_TOL
+
+
 # ----------------------------------------------------------- truncation
 
 

@@ -1111,26 +1111,32 @@ class TestSectorSolve:
         assert np.all(resid <= 64 * np.finfo(float).eps * np.linalg.norm(single))
 
     def test_cli_single_mode_solves_stay_one_sector(self, monkeypatch):
-        # the eg and derivs commands (n_basis 50) and each qubit subspace
-        # make one eigh of the whole junction matrix, never a parity split
+        # the eg and derivs commands (n_basis 50) make one eigvalsh of the
+        # whole junction matrix per scalar call, and each qubit subspace one
+        # eigh, never a parity split
         for dim in (50, 60):
             oscillator._grid(dim)  # cached nodes, so only the solves call eigh
-        real = np.linalg.eigh
-        shapes = []
+        shapes = {"eigh": [], "eigvalsh": []}
 
-        def spy(a):
-            shapes.append(a.shape)
-            return real(a)
+        def spy(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+            def solve(a):
+                shapes[name].append(a.shape)
+                return real(a)
+            return solve
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh"))
         params = CouplerParams(beta_c=0.75, zeta_c=0.05)
         levels = eg_exact(params, 0.0, n_basis=50, n_levels=3)
         eg_derivs_numeric(params, 0.0, n_basis=50)
         sub = qubit_subspace(QubitParams(beta_j=1.05, zeta_j=0.05), n_basis=60)
         monkeypatch.undo()
-        assert shapes == [(50, 50), (50, 50), (60, 60)]
-        assert np.array_equal(levels, real(junction_matrix(0.05, 0.75, 0.0, 50))[0][:3])
-        assert np.array_equal(sub.energies, real(junction_matrix(0.05, 1.05, 0.0, 60))[0][:4])
+        assert shapes == {"eigh": [(60, 60)], "eigvalsh": [(50, 50), (50, 50)]}
+        assert np.array_equal(levels, np.linalg.eigvalsh(junction_matrix(0.05, 0.75, 0.0, 50))[:3])
+        assert np.array_equal(sub.energies,
+                              np.linalg.eigh(junction_matrix(0.05, 1.05, 0.0, 60))[0][:4])
 
     def test_false_symmetry_trips_residual_gate(self, monkeypatch):
         # with every block under the zero tolerance the split is wrong;
@@ -1171,16 +1177,21 @@ class TestSectorSolve:
         assert spec.metadata["sector_leak"] == pytest.approx(odd, rel=1e-6)
 
     def test_wrong_eigenpairs_trip_residual_gate(self, monkeypatch):
-        # every single-mode solve checks every eigenpair its full eigh hands
-        # back, as the dense grid-operator solve checks its partial solve's
+        # every single-mode solve checks what its eigensolver hands back, as
+        # the dense grid-operator solve checks its partial solve's: a level
+        # 1e-6 off gives an inverse-iteration vector whose residual fails,
+        # on every coupler route, scalar or grid
         params = CouplerParams(beta_c=0.75, zeta_c=0.05)
         qubit = QubitParams(beta_j=1.05, zeta_j=0.05)
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(30,)))
+        grid = np.linspace(0.0, 1.0, 4)
         for dim in (30, 40):
             oscillator._grid(dim)  # cached before eigh is broken
         solves = {
             "eg_exact": lambda: eg_exact(params, 0.0, n_basis=30, n_levels=3),
+            "eg_exact grid": lambda: eg_exact(params, grid, n_basis=30, n_levels=1),
             "eg_derivs_numeric": lambda: eg_derivs_numeric(params, 0.0, n_basis=30),
+            "eg_derivs_numeric grid": lambda: eg_derivs_numeric(params, grid, n_basis=30),
             "bodc_metrics": lambda: bodc_metrics(params, 0.0, n_basis=30),
             "qubit_subspace": lambda: qubit_subspace(qubit, n_basis=40),
             "lowest_eigs": lambda: lowest_eigs(op, 3),
@@ -1191,7 +1202,9 @@ class TestSectorSolve:
                 return vals + 1e-6, vecs
             return solve
 
+        real_eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigh", off_by_1e6(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real_eigvalsh(a) + 1e-6)
         monkeypatch.setattr(scipy.linalg, "eigh", off_by_1e6(scipy.linalg.eigh))
         for name, solve in solves.items():
             with pytest.raises(NumericError) as info:
