@@ -64,6 +64,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -826,7 +827,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    parse_args keeps no state between calls (each gets a fresh namespace,
+    and --epsilon's append default is None, not a shared list).
+    """
     parser = _Parser(
         prog="coupler-lab",
         description="Qubit-qubit interactions through a nonlinear inductive coupler",

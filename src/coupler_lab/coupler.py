@@ -325,7 +325,7 @@ def _level_vectors(h: np.ndarray, h_norm: float, levels: np.ndarray) -> np.ndarr
             if np.linalg.norm(h @ v - level * v) <= bound:
                 break
         vecs[:, k] = v
-    _checked_residuals(h, levels, vecs, 0.0, h_norm)
+    _checked_residuals(h @ vecs, levels, vecs, 0.0, h_norm)
     return vecs
 
 

@@ -56,28 +56,33 @@ of a subset of modes, or one swap of two equal-dim modes (identical
 qubits) that commutes with every accepted reflection.  A candidate P is
 accepted when max|H - PHP| is at most _SECTOR_TOL eps max|H|; the
 accepted permutations generate an abelian group, and the sectors are its
-character spaces, each gathered from the dense matrix at its own size
-with one index gather per group element.  A sector is labelled by the
-least Fock-parity code carrying its reflection character, plus +/- for
-the swap.  The Frobenius norm of H minus its group average is reported
-as sector_leak, and the residuals are checked against the full matrix.
-Two identical qubits at zero bias give four sectors of about 400 states
-instead of one matrix of 1600.  Each sector is solved for its lowest m
-eigenpairs only, by scipy.linalg.eigh with subset_by_index and LAPACK's
-?syevr (_SECTOR_DRIVER): for part of the spectrum it reduces the sector
-to tridiagonal form, bisects for the wanted eigenvalues and finds their
-vectors by inverse iteration (LAPACK Users' Guide, Anderson et al., SIAM
-1999; Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004) for the
-MRRR method it keeps for the whole spectrum).  On 800-state sectors
-that took about half the time of a full eigh (2-core x86-64 host).
+character spaces.  Each is built at its own size straight from the
+operator's factors, never from a dense H: a grid row has only 1 +
+sum_n (d_n - 1) nonzeros (79 of 1,600 at 40x40), and each group element
+scatters them into the sector's columns (_sectors).  A sector is
+labelled by the least Fock-parity code carrying its reflection
+character, plus +/- for the swap.  The Frobenius norm of H minus its
+group average is reported as sector_leak, and the residuals are checked
+with H applied by matvec.  Two identical qubits at zero bias give four
+sectors of about 400 states instead of one matrix of 1600.  Each sector
+is solved for its lowest m eigenpairs only, by scipy.linalg.eigh with
+subset_by_index and LAPACK's ?syevr (_SECTOR_DRIVER), working in the
+sector's own Fortran-ordered matrix: for part of the spectrum it reduces
+the sector to tridiagonal form, bisects for the wanted eigenvalues and
+finds their vectors by inverse iteration (LAPACK Users' Guide, Anderson
+et al., SIAM 1999; Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)
+for the MRRR method it keeps for the whole spectrum).  On 800-state
+sectors that took about half the time of a full eigh (2-core x86-64
+host).  An operator with no symmetry is one sector whose matrix is H;
+with any symmetry no size x size matrix is allocated.
 
 lowest_eigs picks its solver from the operator's size alone: dense up
 to DENSE_DIM_LIMIT states, and above it ARPACK's implicitly restarted
 Lanczos (scipy's eigsh) applied through matvec: a fixed basis of
 max(2m + 1, 20) vectors, a seeded start vector, and the true residuals
 checked after the solve.  The Lanczos route splits by the mode
-reflections the same test accepts, without a dense matrix to gather
-from: each reflection sector keeps the product form on a folded grid,
+reflections the same test accepts, without a dense sector matrix: each
+reflection sector keeps the product form on a folded grid,
 half of each pivot axis of the GF(2)-reduced generators, where a pivot
 mode's kinetic factor gains a term applied after reversing the
 generator's other modes, so a sector's matvec is still GEMMs and flips
@@ -143,6 +148,8 @@ _SECTOR_TOL = 64
 _SECTOR_DRIVER = "evr"
 # Dense eigenpairs must meet ||H v - lambda v|| <= sector_leak + c eps ||H||_F.
 _DENSE_RESIDUAL_C = 64
+# columns of a sector matrix scaled per step by its stabilizer weights
+_SCALE_BLOCK = 256
 
 
 def _fused_diagonal(r: float, a: int, count: int) -> np.ndarray:
@@ -447,7 +454,9 @@ class TensorOperator:
         Each K_n is added through a writeable einsum view of the entries
         it fills (equal indices on every other mode), so the build holds
         one size x size matrix, in the order matvec sums its terms.  A
-        folded sector's reflected terms have no such build.
+        folded sector's reflected terms have no such build.  No solve
+        calls it: it is the independent oracle the sector builds, the
+        matvec and the solvers are tested against.
         """
         if self._reflected:
             raise ConfigurationError("a folded reflection sector has no dense build")
@@ -510,7 +519,7 @@ def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
     kinetic, potential, flux = _junction_mode(zeta, beta, phase, dim)
     h = kinetic + np.diag(potential)
     vals, vecs = np.linalg.eigh(h)
-    _checked_residuals(h, vals, vecs, 0.0, float(np.linalg.norm(h)))
+    _checked_residuals(h @ vecs, vals, vecs, 0.0, float(np.linalg.norm(h)))
     return vals, vecs, flux
 
 
@@ -627,23 +636,51 @@ def _parity_labels(group, n_modes: int) -> dict:
     return labels
 
 
-def _sectors(h: np.ndarray, op: TensorOperator):
-    """Symmetry sectors of the dense matrix h of a grid operator.
+def _row_entries(op: TensorOperator, rows: np.ndarray):
+    """Every entry of H that can be nonzero on the grid points rows:
+    (columns, values), each of shape (len(rows), 1 + sum_n (d_n - 1)).
+
+    A row's first entry is its diagonal, V plus each K_n's diagonal entry
+    summed in to_dense's order; then, for each mode n, the d_n - 1 entries
+    K_n[a_n, c] at the points with coordinate n replaced by c != a_n.
+    """
+    coords = np.unravel_index(rows, op.dims)
+    diag = op.potential.ravel()[rows]
+    for k, a in zip(op.kinetic, coords):
+        diag = diag + k[a, a]
+    cols, vals = [rows[:, None]], [diag[:, None]]
+    stride = op.size
+    for k, a, d in zip(op.kinetic, coords, op.dims):
+        stride //= d
+        off = np.arange(d) != a[:, None]
+        shape = (len(rows), d - 1)
+        cols.append((rows[:, None] + (np.arange(d) - a[:, None]) * stride)[off].reshape(shape))
+        vals.append(k[a][off].reshape(shape))
+    return np.hstack(cols), np.hstack(vals)
+
+
+def _sectors(op: TensorOperator):
+    """Symmetry sectors of a grid operator, built from its factors.
 
     The accepted permutations (see _symmetries) generate an abelian group
     of involutions, and each of its characters chi gives the sector
     spanned by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
-    representatives o whose stabilizer chi leaves at +1.  Returns a list
-    of (label, matrix, lift), the Frobenius norm of H minus its group
-    average (sector_leak) and that of H.  A one-mode operator, or one
-    with no symmetry, is the single sector "all" with the identity lift.
+    representatives o whose stabilizer chi leaves at +1.  Its matrix,
+    sum_g chi(g) H[rows][:, p_g[rows]] times s_i s_j with s = |Stab|^(-1/2),
+    is scattered from H's entries on its rows (_row_entries) one group
+    element at a time, in order; a permutation sends each (row, column) at
+    most one entry, so one fancy-index += per element keeps that sum's
+    order.  H itself is never built, and each matrix is Fortran-ordered,
+    so LAPACK works in it without a copy.
+
+    Returns a list of (label, matrix, lift), the Frobenius norm of H minus
+    its group average (sector_leak) and that of H.  A one-mode operator,
+    or one with no symmetry, is the single sector "all": the one-element
+    group, whose matrix is H.
     """
     n_modes = len(op.dims)
     group, swap, squares = _symmetries(op)
     elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
-    if len(elements) == 1:
-        return [("all", h, [(slice(None), 1.0)])], 0.0, math.sqrt(squares)
-
     index = np.arange(op.size).reshape(op.dims)
     perms = []
     for g, s in elements:
@@ -653,6 +690,7 @@ def _sectors(h: np.ndarray, op: TensorOperator):
     perms = np.array(perms)
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
     fixed = perms[:, reps] == reps
+    column = np.full(op.size, -1)
 
     sectors = []
     for parity, label in _parity_labels(group, n_modes).items():
@@ -665,15 +703,27 @@ def _sectors(h: np.ndarray, op: TensorOperator):
                 continue
             rows = reps[keep]
             stab = fixed[:, keep].sum(axis=0)
-            scale = 1.0 / np.sqrt(stab)
-            # np.take reads h flattened, so each term is h[rows][:, p[rows]],
-            # gathered at the sector's size
-            flat_rows = (rows * op.size)[:, None]
-            mat = sum(x * np.take(h, flat_rows + p[rows]) for x, p in zip(chi, perms))
-            mat *= scale[:, None] * scale[None, :]
+            k = len(rows)
+            cols, vals = _row_entries(op, rows)
+            at = np.repeat(np.arange(k), cols.shape[1])
+            cols, vals = cols.ravel(), vals.ravel()
+            mat = np.zeros((k, k), order="F")
+            for p, x in zip(perms, chi):
+                column[p[rows]] = np.arange(k)
+                j = column[cols]
+                hit = j >= 0
+                i, j, v = (at, j, vals) if hit.all() else (at[hit], j[hit], vals[hit])
+                mat[i, j] += x * v
+                column[p[rows]] = -1
+            if np.any(stab > 1):
+                scale = 1.0 / np.sqrt(stab)
+                # column blocks of the Fortran-ordered matrix, with no k x k temporary
+                for lo in range(0, k, _SCALE_BLOCK):
+                    block = slice(lo, lo + _SCALE_BLOCK)
+                    mat[:, block] *= scale[:, None] * scale[None, block]
             lift = [(p[rows], (x * np.sqrt(stab / len(elements)))[:, None])
                     for p, x in zip(perms, chi)]
-            sectors.append((label + mark, mat, lift))
+            sectors.append((label + mark or "all", mat, lift))
     return sectors, leak, math.sqrt(squares)
 
 
@@ -682,12 +732,13 @@ def _residual_bound(leak: float, h_norm: float) -> float:
     return leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
 
 
-def _checked_residuals(h, vals, vecs, leak: float, h_norm: float, labels=("all",)):
-    """Residuals ||h v - lambda v||, each at most leak + _DENSE_RESIDUAL_C eps h_norm.
+def _checked_residuals(hv, vals, vecs, leak: float, h_norm: float, labels=("all",)):
+    """Residuals ||H v - lambda v||, each at most leak + _DENSE_RESIDUAL_C eps h_norm.
 
-    leak is the sector_leak of the sectors labels; a larger residual raises NumericError.
+    hv is H applied to vecs; leak is the sector_leak of the sectors labels.
+    A larger residual raises NumericError.
     """
-    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+    resid = np.linalg.norm(hv - vecs * vals[None, :], axis=0)
     bound = _residual_bound(leak, h_norm)
     if not np.all(resid <= bound):
         raise NumericError(
@@ -701,23 +752,21 @@ def _checked_residuals(h, vals, vecs, leak: float, h_norm: float, labels=("all",
 def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     """Lowest m levels by one partial LAPACK solve per symmetry sector of H.
 
-    The sectors come from the operator (see _sectors; a single mode, or
-    no symmetry, is the one sector "all").  Each sector gets one
-    scipy.linalg.eigh for its lowest min(m, size) eigenpairs only, with
-    the _SECTOR_DRIVER driver (?syevr); they are lifted back to the full
-    basis and the merged lowest m are kept.  Residuals pass
-    _checked_residuals against the full matrix.
+    The sectors are built from the operator's factors (see _sectors; a
+    single mode, or no symmetry, is the one sector "all"), so H itself is
+    never materialized.  Each sector gets one scipy.linalg.eigh for its
+    lowest min(m, size) eigenpairs only, with the _SECTOR_DRIVER driver
+    (?syevr), working in the sector's own Fortran-ordered matrix; they are
+    lifted back to the full basis and the merged lowest m are kept.
+    Residuals pass _checked_residuals with H applied by op.matvec.
     """
     from scipy.linalg import eigh
 
-    h = op.to_dense()
-    sectors, leak, h_norm = _sectors(h, op)
+    sectors, leak, h_norm = _sectors(op)
     found_vals, found_vecs, found_sectors = [], [], []
     for s, (_, mat, lift) in enumerate(sectors):
-        # no overwrite_a: the one sector "all" is h itself, which the
-        # residual check reads afterwards
         k = min(m, len(mat))
-        w, y = eigh(mat, check_finite=False, subset_by_index=[0, k - 1],
+        w, y = eigh(mat, overwrite_a=True, check_finite=False, subset_by_index=[0, k - 1],
                     driver=_SECTOR_DRIVER)
         v = np.zeros((op.size, k))
         for rows, weight in lift:
@@ -728,12 +777,11 @@ def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     vals = np.concatenate(found_vals)
     order = np.argsort(vals, kind="stable")[:m]
     vals = vals[order]
-    # np.take keeps the lifted vectors' C order (fancy indexing would give
-    # Fortran order), so a one-sector solve's residuals round the same way
-    # whatever order the LAPACK call returns its vectors in
+    # np.take keeps the lifted vectors in C order (fancy indexing would give
+    # Fortran order), the layout callers' products with them round in
     vecs = _fix_vector_signs(np.take(np.concatenate(found_vecs, axis=1), order, axis=1))
     labels = tuple(sec[0] for sec in sectors)
-    resid = _checked_residuals(h, vals, vecs, leak, h_norm, labels)
+    resid = _checked_residuals(op.matvec(vecs), vals, vecs, leak, h_norm, labels)
     meta = {"solver": "dense", "dim": op.size, "residuals": resid,
             "error_bounds": resid / np.linalg.norm(vecs, axis=0), "sector_leak": leak,
             "sectors": {"labels": labels,
@@ -917,14 +965,16 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
 def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
     """Lowest m eigenvalues of a TensorOperator, by a solver its size picks.
 
-    Up to DENSE_DIM_LIMIT (8192) states the dense matrix is split into
-    the symmetry sectors found in the operator (see the module docstring;
-    a single mode, or no symmetry, is one sector "all"), and each sector
-    gets one partial LAPACK solve (?syevr) for its lowest m eigenpairs,
-    not its whole spectrum.  Dense solves report "sectors" (labels, dims,
-    and the sector of each returned level), "sector_leak" and the true
-    residuals against the full matrix; a residual above sector_leak + c
-    eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises NumericError.  A
+    Up to DENSE_DIM_LIMIT (8192) states the operator is split into the
+    symmetry sectors found in it (see the module docstring; a single
+    mode, or no symmetry, is one sector "all"), each sector's dense
+    matrix is built from the operator's factors, never from a full H,
+    and each gets one partial LAPACK solve (?syevr) for its lowest m
+    eigenpairs, not its whole spectrum.  Dense solves report "sectors"
+    (labels, dims, and the sector of each returned level), "sector_leak"
+    and the true residuals, with H applied by matvec; a residual above
+    sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises
+    NumericError.  A
     junction mode's own matrix is not a TensorOperator: each qubit's gets
     one full eigh (_junction_eigh), and the coupler's an eigvalsh plus
     inverse-iteration or continued solves for its ground state (see the

@@ -603,6 +603,34 @@ def test_run_wrapper(ref_config, tmp_path, capsys):
     assert float(rows[0][0]) == 1e-2
 
 
+def test_parser_is_built_once_and_keeps_no_state(ref_config, tmp_path, capsys):
+    # the memoized parser gives each call a fresh namespace: a repeated
+    # --epsilon appends to its own list, never to the previous call's
+    from coupler_lab.cli import _build_parser
+
+    argv = ["truncation", "--config", str(ref_config), "--out", str(tmp_path),
+            "--epsilon", "1e-3", "--epsilon", "1e-4"]
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "truncation.csv")
+        assert [float(r[0]) for r in rows] == [1e-3, 1e-4]
+    assert _build_parser() is _build_parser()
+    capsys.readouterr()
+    assert main(["truncation", "--config", str(ref_config), "--no-such-flag"]) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert (err["error"], err["exit_code"]) == ("ConfigurationError", EXIT_CONFIG)
+
+
+def test_parser_is_not_built_at_import():
+    # building it costs milliseconds, so importing the cli leaves it unbuilt
+    src = str(Path(coupler_lab.__file__).resolve().parents[1])
+    code = ("import coupler_lab.cli as cli; "
+            "print(cli._build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "0"
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "0"])
 def test_truncation_bad_epsilon_exits_config(ref_config, tmp_path, capsys, epsilon):
     assert run("truncation", ref_config, out=tmp_path, epsilon=epsilon) == EXIT_CONFIG

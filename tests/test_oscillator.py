@@ -991,13 +991,14 @@ def old_dense_lowest(h, m):
     return vals, vecs, np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
 
 
-def one_partial_eigh(h, m):
-    # the one partial LAPACK solve of the whole matrix that a one-sector dense
-    # solve makes, its vectors sign-fixed and in C order as the solve returns them
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, m - 1],
+def one_partial_eigh(op, m):
+    # the one partial LAPACK solve of the whole dense matrix that a one-sector
+    # solve makes, its vectors sign-fixed and in C order as the solve returns
+    # them, and their residuals as the solve measures them: H applied by matvec
+    vals, vecs = scipy.linalg.eigh(op.to_dense(), subset_by_index=[0, m - 1],
                                    driver=oscillator._SECTOR_DRIVER)
     vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs))
-    return vals, vecs, np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+    return vals, vecs, np.linalg.norm(op.matvec(vecs) - vecs * vals[None, :], axis=0)
 
 
 def captured_operator(monkeypatch, theory, system, **kwargs):
@@ -1080,7 +1081,7 @@ class TestSectorSolve:
         _, op = captured_operator(monkeypatch, theory, system, dims=(20, 20), n_levels=6,
                                   nu_max=60)
         spec = lowest_eigs(op, 6, want_vectors=True)
-        vals, vecs, resid = one_partial_eigh(op.to_dense(), 6)
+        vals, vecs, resid = one_partial_eigh(op, 6)
         assert spec.metadata["sectors"]["labels"] == ("all",)
         assert spec.metadata["sector_leak"] == 0.0
         assert np.array_equal(spec.eigenvalues, vals)
@@ -1093,7 +1094,7 @@ class TestSectorSolve:
         # mode's own matrix gets one full eigh through _junction_eigh, every
         # level as eigh returns it
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
-        want = one_partial_eigh(op.to_dense(), 4)
+        want = one_partial_eigh(op, 4)
         got = lowest_eigs(op, 4, want_vectors=True)
         assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
                                            "levels": ("all",) * 4}
@@ -1149,8 +1150,8 @@ class TestSectorSolve:
         assert honest.metadata["sector_leak"] > 1e-3
         real = oscillator._sectors
 
-        def hide_leak(h, op):
-            sectors, _, h_norm = real(h, op)
+        def hide_leak(op):
+            sectors, _, h_norm = real(op)
             return sectors, 0.0, h_norm
 
         monkeypatch.setattr(oscillator, "_sectors", hide_leak)
@@ -1313,6 +1314,118 @@ class TestPartialSectorSolve:
         self.check(spec, h, np.linalg.eigvalsh(h))
         dims = spec.metadata["sectors"]["dims"]
         assert sum(dims) == 9 and max(dims) < 6
+
+
+def gathered_sectors(op):
+    # each sector matrix gathered from the dense matrix, one np.take per group
+    # element, as the dense solve did before it built sectors from the factors
+    h = op.to_dense()
+    n_modes = len(op.dims)
+    group, swap, _ = oscillator._symmetries(op)
+    elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
+    index = np.arange(op.size).reshape(op.dims)
+    perms = []
+    for g, s in elements:
+        perm = np.flip(index, oscillator._modes(g, n_modes))
+        perms.append((perm.swapaxes(*swap) if s else perm).ravel())
+    perms = np.array(perms)
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
+    fixed = perms[:, reps] == reps
+    mats = []
+    for parity in oscillator._parity_labels(group, n_modes):
+        for sign in (1, -1) if swap else (1,):
+            chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
+                            for g, s in elements])
+            keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
+            if not keep.any():
+                continue
+            rows = reps[keep]
+            scale = 1.0 / np.sqrt(fixed[:, keep].sum(axis=0))
+            flat_rows = (rows * op.size)[:, None]
+            mat = sum(x * np.take(h, flat_rows + p[rows]) for x, p in zip(chi, perms))
+            mat *= scale[:, None] * scale[None, :]
+            mats.append(mat)
+    return mats
+
+
+class TestSectorBuild:
+    """Sector matrices built from the operator's nonzeros, never from H.
+
+    The oracle is the gather from the dense matrix the solve used before
+    (gathered_sectors): every built matrix must equal it bit for bit.
+    """
+
+    @staticmethod
+    def operator(monkeypatch, case):
+        if case == "exact_small":
+            # normal-mode reflections hold only to about 1e-14 here
+            return captured_operator(monkeypatch, "exact", identical_pair(1.05),
+                                     dims=(8, 8, 6), n_levels=6)[1]
+        if case == "three_qubits":
+            q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+            system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
+            return captured_operator(monkeypatch, "NA", system, dims=(14, 14, 14),
+                                     n_levels=6, nu_max=40)[1]
+        if case == "non_identical":
+            qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05, phi_jx=0.01),
+                  QubitParams(beta_j=0.95, zeta_j=0.05, alpha_j=0.05))
+            system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0,
+                                   phi_cx=STRONG_PHI_CX)
+            return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=40)[1]
+        if case == "strong_bias":
+            system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
+            return captured_operator(monkeypatch, "LA", system, n_levels=6)[1]
+        dims = (3, 3) if case == "grid_3x3" else (40, 40)
+        return captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=dims,
+                                 n_levels=6, nu_max=40)[1]
+
+    @pytest.mark.parametrize("case, sector_dims", [
+        ("zero_bias", (420, 380, 400, 400)),
+        ("strong_bias", (820, 780)),
+        ("non_identical", (1600,)),
+        ("three_qubits", (735, 637, 735, 637)),
+        # the middle plane's points are fixed by reflections, stabilizers above 1
+        ("grid_3x3", (4, 1, 2, 2)),
+        ("exact_small", (96,) * 4),
+    ])
+    def test_built_sectors_are_the_gather_bitwise(self, monkeypatch, case, sector_dims):
+        op = self.operator(monkeypatch, case)
+        sectors, leak, h_norm = oscillator._sectors(op)
+        built = [mat for _, mat, _ in sectors]
+        assert tuple(len(mat) for mat in built) == sector_dims
+        for mat, want in zip(built, gathered_sectors(op)):
+            assert mat.flags.f_contiguous
+            assert np.array_equal(mat, want)
+        assert h_norm == pytest.approx(np.linalg.norm(op.to_dense()), rel=1e-13)
+        if case == "non_identical":
+            assert [label for label, _, _ in sectors] == ["all"]
+            assert leak == 0.0
+
+    def test_solve_never_builds_the_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("lowest_eigs built the dense matrix")
+
+        ops = [self.operator(monkeypatch, case) for case in ("zero_bias", "non_identical")]
+        ops.append(assemble_tensor_operator(normal_modes(make_system(), dims=(60,))))
+        monkeypatch.setattr(TensorOperator, "to_dense", refuse)
+        for op in ops:
+            spec = lowest_eigs(op, 6, want_vectors=True)
+            assert len(spec.eigenvalues) == 6
+
+    @pytest.mark.parametrize("case, limit", [("zero_bias", 1.0), ("non_identical", 1.5)])
+    def test_dense_solve_memory_peak(self, monkeypatch, case, limit):
+        # with any symmetry no N x N matrix is allocated; with none, the one
+        # sector's own matrix plus the entries it is built from
+        op = self.operator(monkeypatch, case)
+        assert op.size == 1600
+        lowest_eigs(op, 6)  # the first call imports scipy
+        tracemalloc.start()
+        try:
+            lowest_eigs(op, 6, want_vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 8 * op.size**2
 
 
 def fock_reduced_matrix(theory, system, dims, n_basis=50):
