@@ -52,6 +52,10 @@ term enters the potential as +beta cos(phi), i.e. the stored bias is
 pi-shifted relative to the raw loop flux, so phi_cx = 0 is the
 maximum-coupling point.
 
+Each CSV command returns ({file name: columns}, header extras), and main
+writes the tables under one ``#`` header; ``--nu-max`` goes on the
+commands that build a series, ``--dims`` on spectrum only.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric
 failure, 3 validation failure.  Errors print one machine-readable JSON
 object on stderr.  Keys the program does not read are ignored.
@@ -63,7 +67,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -215,9 +219,7 @@ class SystemConfig:
     """Parsed experiment configuration.
 
     system carries the dimensionless circuit; numerics/units/sweep/scan
-    mirror the file sections with defaults applied.  The coupler
-    attributes are exposed directly so the object can stand in
-    wherever a bare circuit description is expected.
+    mirror the file sections with defaults applied.
     """
 
     system: CouplerSystem
@@ -226,26 +228,6 @@ class SystemConfig:
     sweep: dict = None
     scan: dict = None
     source: str = ""
-
-    @property
-    def beta_c(self):
-        return self.system.beta_c
-
-    @property
-    def zeta_c(self):
-        return self.system.zeta_c
-
-    @property
-    def phi_cx(self):
-        return self.system.phi_cx
-
-    @property
-    def e_ltc(self):
-        return self.system.e_ltc
-
-    @property
-    def qubits(self):
-        return self.system.qubits
 
 
 def _section_floats(section) -> dict:
@@ -321,54 +303,41 @@ def load_config(path) -> SystemConfig:
                 "circuit must use one parameterization"
             )
 
-    e_l1_joule = None
     if style == "physical":
+        # dimensionless values (the first e_lj is E_L1 / E_L1 = 1), biases as given
         derived = from_physical(coupler_vals, qubit_vals)
-        e_l1_joule = derived["e_l1_joule"]
-        beta_c, zeta_c, e_ltc = derived["beta_c"], derived["zeta_c"], derived["e_ltc"]
-        qubit_params = []
-        for vals, dq in zip(qubit_vals, derived["qubits"]):
-            qubit_params.append(
-                QubitParams(
-                    beta_j=dq["beta_j"],
-                    zeta_j=dq["zeta_j"],
-                    e_lj=dq["e_lj"],
-                    alpha_j=dq["alpha_j"],
-                    phi_jx=TWO_PI * vals.get("phi_jx", 0.0),
-                )
-            )
-    else:
-        missing = [k for k in ("beta_c", "zeta_c") if k not in coupler_vals]
+        coupler_vals = {**derived, "phi_cx": coupler_vals.get("phi_cx", 0.0)}
+        qubit_vals = [{**dq, "phi_jx": vals.get("phi_jx", 0.0)}
+                      for vals, dq in zip(qubit_vals, derived["qubits"])]
+
+    missing = [k for k in ("beta_c", "zeta_c") if k not in coupler_vals]
+    if missing:
+        raise ConfigurationError(f"[coupler] misses {missing}")
+    qubit_params = []
+    for (idx, name), vals in zip(qubit_sections, qubit_vals):
+        missing = [k for k in ("beta_j", "zeta_j") if k not in vals]
         if missing:
-            raise ConfigurationError(f"[coupler] misses {missing}")
-        beta_c = coupler_vals["beta_c"]
-        zeta_c = coupler_vals["zeta_c"]
-        e_ltc = coupler_vals.get("e_ltc", 1.0)
-        qubit_params = []
-        for (idx, name), vals in zip(qubit_sections, qubit_vals):
-            missing = [k for k in ("beta_j", "zeta_j") if k not in vals]
-            if missing:
-                raise ConfigurationError(f"[{name}] misses {missing}")
-            e_lj = vals.get("e_lj", 1.0)
-            if idx == qubit_sections[0][0] and e_lj != 1.0:
-                raise ConfigurationError(
-                    "the first qubit defines the energy unit; its e_lj must be 1"
-                )
-            qubit_params.append(
-                QubitParams(
-                    beta_j=vals["beta_j"],
-                    zeta_j=vals["zeta_j"],
-                    e_lj=e_lj,
-                    alpha_j=vals.get("alpha_j", 0.0),
-                    phi_jx=TWO_PI * vals.get("phi_jx", 0.0),
-                )
+            raise ConfigurationError(f"[{name}] misses {missing}")
+        e_lj = vals.get("e_lj", 1.0)
+        if idx == qubit_sections[0][0] and e_lj != 1.0:
+            raise ConfigurationError(
+                "the first qubit defines the energy unit; its e_lj must be 1"
             )
+        qubit_params.append(
+            QubitParams(
+                beta_j=vals["beta_j"],
+                zeta_j=vals["zeta_j"],
+                e_lj=e_lj,
+                alpha_j=vals.get("alpha_j", 0.0),
+                phi_jx=TWO_PI * vals.get("phi_jx", 0.0),
+            )
+        )
 
     system = CouplerSystem(
-        beta_c=beta_c,
-        zeta_c=zeta_c,
+        beta_c=coupler_vals["beta_c"],
+        zeta_c=coupler_vals["zeta_c"],
         qubits=tuple(qubit_params),
-        e_ltc=e_ltc,
+        e_ltc=coupler_vals.get("e_ltc", 1.0),
         phi_cx=TWO_PI * coupler_vals.get("phi_cx", 0.0),
     )
 
@@ -391,8 +360,8 @@ def load_config(path) -> SystemConfig:
         if ghz <= 0.0:
             raise ConfigurationError(f"e_l1_ghz must be positive, got {ghz}")
         units["e_l1_ghz"] = ghz
-    if e_l1_joule is not None:
-        derived_ghz = e_l1_joule / PLANCK / 1e9
+    if style == "physical":
+        derived_ghz = derived["e_l1_joule"] / PLANCK / 1e9
         stated = units.get("e_l1_ghz")
         if stated is not None and abs(stated - derived_ghz) > 1e-6 * derived_ghz:
             raise ConfigurationError(
@@ -457,7 +426,7 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _echo_lines(cfg: SystemConfig, command: str, extra: dict = ()) -> list:
+def _echo_lines(cfg: SystemConfig, command: str, extra: dict) -> list:
     sys_ = cfg.system
     lines = [
         f"coupler-lab {__version__} command={command}",
@@ -478,42 +447,40 @@ def _echo_lines(cfg: SystemConfig, command: str, extra: dict = ()) -> list:
         lines.append(f"units: e_l1_ghz={_fmt(cfg.units['e_l1_ghz'])}")
     else:
         lines.append("units: dimensionless (energies in E_L1)")
-    for key, value in dict(extra).items():
+    for key, value in extra.items():
         lines.append(f"{key}={value}")
     return lines
 
 
 def _write_csv(path: Path, header_lines, columns: dict):
-    names = list(columns)
-    rows = list(zip(*columns.values())) if names else []
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     return path
 
 
-def _mhz(cfg: SystemConfig, values):
-    # presentation-only: E_L1 units -> MHz
+def _energy(cfg: SystemConfig, columns: dict, name: str, values, mhz_name=None):
+    """Column name in E_L1 and, given e_l1_ghz, its MHz copy (mhz_name or name_mhz)."""
+    columns[name] = values
     ghz = cfg.units.get("e_l1_ghz")
-    if ghz is None:
-        return None
-    return np.asarray(values, dtype=float) * ghz * 1e3
+    if ghz is not None:
+        columns[mhz_name or f"{name}_mhz"] = np.asarray(values, dtype=float) * ghz * 1e3
 
 
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_series(cfg, args, out: Path) -> int:
+def _cmd_series(cfg, args):
     """series: sine/cosine profiles and the interaction coefficients.
 
     Writes series_profile.csv (phi_over_2pi, phi, sin_phi, sin_beta,
     cos_beta) and series_coefficients.csv (nu, b_classical, b_quantum,
     b_total).
     """
-    beta, zeta = cfg.beta_c, cfg.zeta_c
+    beta, zeta = cfg.system.beta_c, cfg.system.zeta_c
     nu_max, mu_max = cfg.numerics["nu_max"], cfg.numerics["mu_max"]
     phi = np.linspace(0.0, TWO_PI, args.n_grid)
     profile = {
@@ -530,12 +497,8 @@ def _cmd_series(cfg, args, out: Path) -> int:
         "b_quantum": series.b_quantum.coeffs,
         "b_total": series.coeffs,
     }
-    echo = _echo_lines(cfg, "series", {"n_grid": args.n_grid})
-    p1 = _write_csv(out / "series_profile.csv", echo, profile)
-    p2 = _write_csv(out / "series_coefficients.csv", echo, coeffs)
-    print(p1)
-    print(p2)
-    return EXIT_OK
+    tables = {"series_profile.csv": profile, "series_coefficients.csv": coeffs}
+    return tables, {"n_grid": args.n_grid}
 
 
 def _bias_grid(args) -> np.ndarray:
@@ -551,14 +514,14 @@ def _coupler_basis(cfg) -> int:
     return max(50, cfg.numerics["n_basis"])
 
 
-def _cmd_eg(cfg, args, out: Path) -> int:
+def _cmd_eg(cfg, args):
     """eg: ground-energy curves over the coupler bias.
 
     Writes eg.csv with the classical minimum, the harmonic zero-point
     term, the Fourier-series total, the exact diagonalization, and the
     exact-minus-classical remainder (all in E_Ltc units).
     """
-    beta, zeta = cfg.beta_c, cfg.zeta_c
+    beta, zeta = cfg.system.beta_c, cfg.system.zeta_c
     grid = _bias_grid(args)
     series = b_coeffs(beta, zeta, cfg.numerics["nu_max"], cfg.numerics["mu_max"])
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
@@ -574,19 +537,16 @@ def _cmd_eg(cfg, args, out: Path) -> int:
         "eg_exact": exact,
         "zpe_exact": exact - classical,
     }
-    echo = _echo_lines(cfg, "eg", {"n_grid": args.n_grid, "coupler_n_basis": n_basis})
-    path = _write_csv(out / "eg.csv", echo, columns)
-    print(path)
-    return EXIT_OK
+    return {"eg.csv": columns}, {"n_grid": args.n_grid, "coupler_n_basis": n_basis}
 
 
-def _cmd_derivs(cfg, args, out: Path) -> int:
+def _cmd_derivs(cfg, args):
     """derivs: first/second bias derivatives of the ground energy.
 
     Writes derivs.csv comparing the closed-form route against exact
     diagonalization plus perturbation theory.
     """
-    beta, zeta = cfg.beta_c, cfg.zeta_c
+    beta, zeta = cfg.system.beta_c, cfg.system.zeta_c
     grid = _bias_grid(args)
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
     d1_ana, d2_ana = eg_derivs_analytic(beta, zeta, grid)
@@ -599,10 +559,7 @@ def _cmd_derivs(cfg, args, out: Path) -> int:
         "d1_numeric": d1_num,
         "d2_numeric": d2_num,
     }
-    echo = _echo_lines(cfg, "derivs", {"n_grid": args.n_grid, "coupler_n_basis": n_basis})
-    path = _write_csv(out / "derivs.csv", echo, columns)
-    print(path)
-    return EXIT_OK
+    return {"derivs.csv": columns}, {"n_grid": args.n_grid, "coupler_n_basis": n_basis}
 
 
 def _pc_label(label: str) -> str:
@@ -610,36 +567,30 @@ def _pc_label(label: str) -> str:
     return label.translate(str.maketrans({"x": "z", "z": "x"}))
 
 
-def _cmd_couplings(cfg, args, out: Path) -> int:
+def _cmd_couplings(cfg, args):
     """couplings: the full interaction table at the configured bias.
 
     Writes couplings.csv (label, value in E_L1, optional value_mhz,
     optional label_pc giving the persistent-current-basis name).
     """
-    series = b_coeffs(cfg.beta_c, cfg.zeta_c, cfg.numerics["nu_max"], cfg.numerics["mu_max"])
-    subs = [qubit_subspace(q, n_basis=cfg.numerics["n_basis"]) for q in cfg.qubits]
-    alphas = [q.alpha_j for q in cfg.qubits]
+    system = cfg.system
+    series = b_coeffs(system.beta_c, system.zeta_c, cfg.numerics["nu_max"], cfg.numerics["mu_max"])
+    subs = [qubit_subspace(q, n_basis=cfg.numerics["n_basis"]) for q in system.qubits]
+    alphas = [q.alpha_j for q in system.qubits]
     labels = "all" if args.labels is None else [s.strip() for s in args.labels.split(",")]
-    table = couplings(
-        series, subs, alphas, cfg.phi_cx, labels=labels, e_ltc=cfg.e_ltc
-    )
+    table = couplings(series, subs, alphas, system.phi_cx, labels=labels, e_ltc=system.e_ltc)
     names = list(table.labels)
-    values = np.asarray([table[k] for k in names])
-    columns = {"label": names, "value_el1": values}
-    mhz = _mhz(cfg, values)
-    if mhz is not None:
-        columns["value_mhz"] = mhz
+    columns = {"label": names}
+    _energy(cfg, columns, "value_el1", np.asarray([table[k] for k in names]), "value_mhz")
     if args.pc_basis:
         columns["label_pc"] = [_pc_label(k) for k in names]
     extra = {"imag_residue": _fmt(table.metadata["imag_residue"])}
     if table.metadata["resonances"]:
         extra["resonances"] = len(table.metadata["resonances"])
-    path = _write_csv(out / "couplings.csv", _echo_lines(cfg, "couplings", extra), columns)
-    print(path)
-    return EXIT_OK
+    return {"couplings.csv": columns}, extra
 
 
-def _cmd_spectrum(cfg, args, out: Path) -> int:
+def _cmd_spectrum(cfg, args):
     """spectrum: excitation-energy sweep per the [sweep] section.
 
     Writes spectrum.csv: the axis column, then per theory the sorted
@@ -671,22 +622,16 @@ def _cmd_spectrum(cfg, args, out: Path) -> int:
     for theory in spec.theories:
         arr = result.excitation_array(theory)
         for m in range(arr.shape[1]):
-            columns[f"{theory}_exc{m + 1}"] = arr[:, m]
-            mhz = _mhz(cfg, arr[:, m])
-            if mhz is not None:
-                columns[f"{theory}_exc{m + 1}_mhz"] = mhz
+            _energy(cfg, columns, f"{theory}_exc{m + 1}", arr[:, m])
     for theory in spec.theories:
         columns[f"{theory}_error"] = [
             rec["errors"].get(theory, rec["errors"].get("system", ""))
             for rec in result.points
         ]
-    extra = {"axis": spec.axis, "n_failed": result.metadata["n_failed"]}
-    path = _write_csv(out / "spectrum.csv", _echo_lines(cfg, "spectrum", extra), columns)
-    print(path)
-    return EXIT_OK
+    return {"spectrum.csv": columns}, {"axis": spec.axis, "n_failed": result.metadata["n_failed"]}
 
 
-def _cmd_scan(cfg, args, out: Path) -> int:
+def _cmd_scan(cfg, args):
     """scan: coupling coefficients over a coupler-bias grid.
 
     Writes scan.csv: phi_over_2pi plus one g_<label> column per label
@@ -704,17 +649,11 @@ def _cmd_scan(cfg, args, out: Path) -> int:
     )
     columns = {"phi_over_2pi": result.phi_cx / TWO_PI}
     for label in result.labels:
-        values = result.label_array(label)
-        columns[f"g_{label}"] = values
-        mhz = _mhz(cfg, values)
-        if mhz is not None:
-            columns[f"g_{label}_mhz"] = mhz
-    path = _write_csv(out / "scan.csv", _echo_lines(cfg, "scan"), columns)
-    print(path)
-    return EXIT_OK
+        _energy(cfg, columns, f"g_{label}", result.label_array(label))
+    return {"scan.csv": columns}, {}
 
 
-def _cmd_truncation(cfg, args, out: Path) -> int:
+def _cmd_truncation(cfg, args):
     """truncation: smallest series order meeting each error target.
 
     Prints one line per epsilon and writes truncation.csv (epsilon,
@@ -724,18 +663,16 @@ def _cmd_truncation(cfg, args, out: Path) -> int:
     orders = []
     bounds = []
     for eps in epsilons:
-        nu = min_nu_for_error(cfg.beta_c, cfg.zeta_c, eps)
+        nu = min_nu_for_error(cfg.system.beta_c, cfg.system.zeta_c, eps)
         orders.append(nu)
-        bounds.append(truncation_bound(cfg.beta_c, cfg.zeta_c, nu))
+        bounds.append(truncation_bound(cfg.system.beta_c, cfg.system.zeta_c, nu))
         print(nu)
     columns = {
         "epsilon": np.asarray(epsilons),
         "min_nu": np.asarray(orders),
         "bound": np.asarray(bounds),
     }
-    path = _write_csv(out / "truncation.csv", _echo_lines(cfg, "truncation"), columns)
-    print(path)
-    return EXIT_OK
+    return {"truncation.csv": columns}, {}
 
 
 def _validation_checks(cfg):
@@ -774,16 +711,14 @@ def _validation_checks(cfg):
     rel = abs(quad - table["xx"]) / abs(table["xx"])
     yield "gxx_quadrature_identity", rel <= 1e-6, f"rel {rel:.3e}"
 
-    spec_qubits = [
-        {"beta_j": q.beta_j, "zeta_j": q.zeta_j, "alpha_j": q.alpha_j, "e_lj": q.e_lj}
-        for q in cfg.qubits
-    ]
-    phys = to_physical(cfg.beta_c, cfg.zeta_c, cfg.e_ltc, spec_qubits, l_1=1e-9)
+    system = cfg.system
+    spec_qubits = [asdict(q) for q in system.qubits]
+    phys = to_physical(system.beta_c, system.zeta_c, system.e_ltc, spec_qubits, l_1=1e-9)
     back = from_physical(phys["coupler"], phys["qubits"])
     errs = [
-        abs(back["beta_c"] - cfg.beta_c),
-        abs(back["zeta_c"] - cfg.zeta_c),
-        abs(back["e_ltc"] - cfg.e_ltc) / cfg.e_ltc,
+        abs(back["beta_c"] - system.beta_c),
+        abs(back["zeta_c"] - system.zeta_c),
+        abs(back["e_ltc"] - system.e_ltc) / system.e_ltc,
     ]
     for q, b in zip(spec_qubits, back["qubits"]):
         errs.append(abs(q["beta_j"] - b["beta_j"]))
@@ -793,7 +728,7 @@ def _validation_checks(cfg):
     yield "physical_roundtrip", worst <= 1e-12, f"max error {worst:.3e}"
 
 
-def _cmd_validate(cfg, args, out: Path) -> int:
+def _cmd_validate(cfg, args) -> int:
     """validate: run the oracle cross-checks and print pass/fail lines."""
     total = failures = 0
     t0 = time.time()
@@ -841,43 +776,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func):
-        p = sub.add_parser(name, help=func.__doc__.splitlines()[0])
+    def add(name, nu_max=True):
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__.splitlines()[0])
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--nu-max", type=int, default=None, help="series order override")
-        p.add_argument("--dims", default=None, help="exact-solve basis sizes, e.g. 40,40,18")
+        if nu_max:
+            p.add_argument("--nu-max", type=int, default=None, help="series order override")
         return p
 
-    p = add("series", _cmd_series)
+    p = add("series")
     p.add_argument("--n-grid", type=int, default=721)
     for name in ("eg", "derivs"):
-        p = add(name, _COMMANDS[name])
+        p = add(name, nu_max=name == "eg")
         p.add_argument("--lo", type=float, default=0.0, help="grid start, units of 2*pi")
         p.add_argument("--hi", type=float, default=0.5, help="grid end, units of 2*pi")
         p.add_argument("--n-grid", type=int, default=201)
-    p = add("couplings", _cmd_couplings)
+    p = add("couplings")
     p.add_argument("--labels", default=None, help="comma-separated label strings")
     p.add_argument("--pc-basis", action="store_true",
                    help="add persistent-current-basis label names (x and z swap)")
-    add("spectrum", _cmd_spectrum)
-    add("scan", _cmd_scan)
-    p = add("truncation", _cmd_truncation)
+    p = add("spectrum")
+    p.add_argument("--dims", default=None, help="exact-solve basis sizes, e.g. 40,40,18")
+    add("scan")
+    p = add("truncation", nu_max=False)
     p.add_argument("--epsilon", type=float, action="append", default=None,
                    help="error target; repeatable (default 1e-3)")
-    add("validate", _cmd_validate)
+    add("validate", nu_max=False)
     return parser
 
 
 def _apply_overrides(cfg: SystemConfig, args) -> SystemConfig:
-    """cfg with the --nu-max and --dims flags applied to its numerics."""
+    """cfg with the --nu-max and --dims flags, where the command takes them, applied."""
     numerics = dict(cfg.numerics)
-    if args.nu_max is not None:
-        if args.nu_max < 1:
-            raise ConfigurationError(f"nu_max must be >= 1, got {args.nu_max}")
-        numerics["nu_max"] = args.nu_max
-    if args.dims is not None:
-        numerics["dims"] = _parse_int_list(args.dims)
+    nu_max, dims = getattr(args, "nu_max", None), getattr(args, "dims", None)
+    if nu_max is not None:
+        if nu_max < 1:
+            raise ConfigurationError(f"nu_max must be >= 1, got {nu_max}")
+        numerics["nu_max"] = nu_max
+    if dims is not None:
+        numerics["dims"] = _parse_int_list(dims)
     return replace(cfg, numerics=numerics)
 
 
@@ -895,7 +832,13 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, out)
+        if args.command == "validate":
+            return _cmd_validate(cfg, args)
+        tables, extras = _COMMANDS[args.command](cfg, args)
+        echo = _echo_lines(cfg, args.command, extras)
+        for name, columns in tables.items():
+            print(_write_csv(out / name, echo, columns))
+        return EXIT_OK
     except (NumericError, ResourceError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         _emit_error(exc, EXIT_NUMERIC)

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .kapteyn import (FourierSeries, _kapteyn_convolution, bessel_j, cos_beta, g_coeff,
                       kepler_solve)
-from .oscillator import _checked_residuals, _junction_mode, _residual_bound
+from .oscillator import _checked_residuals, _junction_matrix, _residual_bound
 
 __all__ = [
     "BodcMetrics",
@@ -259,7 +259,7 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6)
                                      f" n_levels must be 1, got {n_levels}")
         energies = [state[3] for state in _ground_states(params, phis, n_basis)]
         return np.array(energies).reshape(-1, 1)
-    h, _, h_norm = _coupler_matrix(params, phi_x, n_basis)
+    h, _, h_norm = _junction_matrix(params.zeta_c, params.beta_c, phi_x, n_basis)
     levels = np.linalg.eigvalsh(h)[:n_levels]
     _level_vectors(h, h_norm, levels)
     return levels
@@ -291,13 +291,6 @@ def _biases(phi_x) -> np.ndarray:
     if phis.ndim > 1:
         raise ConfigurationError(f"biases must be a scalar or a 1-D array, got shape {phis.shape}")
     return phis
-
-
-def _coupler_matrix(params: CouplerParams, phi_x: float, n_basis: int):
-    """The coupler's grid matrix K + diag(V), its flux nodes and ||H||_F."""
-    kinetic, potential, flux = _junction_mode(params.zeta_c, params.beta_c, phi_x, n_basis)
-    h = kinetic + np.diag(potential)
-    return h, flux, float(np.linalg.norm(h))
 
 
 def _level_vectors(h: np.ndarray, h_norm: float, levels: np.ndarray) -> np.ndarray:
@@ -380,7 +373,7 @@ def _ground_states(params: CouplerParams, phis, n_basis: int):
     """
     g = None
     for phi in phis:
-        h, flux, h_norm = _coupler_matrix(params, phi, n_basis)
+        h, flux, h_norm = _junction_matrix(params.zeta_c, params.beta_c, phi, n_basis)
         found = None if g is None else _continued_ground(h, h_norm, g, 2.0 * params.zeta_c)
         levels = None
         if found is None:

@@ -30,10 +30,11 @@ basis is converged.
 
 Single-mode problems (the coupler's levels and derivatives, each
 qubit's subspace) live on the same grid: _junction_mode returns one
-mode's kinetic factor, its junction potential and its flux nodes.
-_junction_eigh gives K + diag(V) one full np.linalg.eigh with residuals
-checked; qubit_subspace takes it, since its double-well doublets (split
-down to about 2e-10) need both vectors of one full solve.  The coupler
+mode's kinetic factor, its junction potential and its flux nodes, and
+_junction_matrix the dense K + diag(V) that both solve.  _junction_eigh
+gives it one full np.linalg.eigh with residuals checked; qubit_subspace
+takes it, since its double-well doublets (split down to about 2e-10)
+need both vectors of one full solve.  The coupler
 asks LAPACK for less (coupler._ground_states): its levels from
 np.linalg.eigvalsh and its ground vector from one inverse-iteration
 solve, or, along a grid of biases, Rayleigh-quotient steps from the
@@ -59,7 +60,7 @@ accepted permutations generate an abelian group, and the sectors are its
 character spaces.  Each is built at its own size straight from the
 operator's factors, never from a dense H: a grid row has only 1 +
 sum_n (d_n - 1) nonzeros (79 of 1,600 at 40x40), and each group element
-scatters them into the sector's columns (_sectors).  A sector is
+scatters them into the sector's columns (_sector_matrix).  A sector is
 labelled by the least Fock-parity code carrying its reflection
 character, plus +/- for the swap.  The Frobenius norm of H minus its
 group average is reported as sector_leak, and the residuals are checked
@@ -73,8 +74,10 @@ finds their vectors by inverse iteration (LAPACK Users' Guide, Anderson
 et al., SIAM 1999; Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)
 for the MRRR method it keeps for the whole spectrum).  On 800-state
 sectors that took about half the time of a full eigh (2-core x86-64
-host).  An operator with no symmetry is one sector whose matrix is H;
-with any symmetry no size x size matrix is allocated.
+host).  The sectors are built, solved and dropped one at a time, so the
+solve holds one sector matrix at once.  An operator with no symmetry is
+one sector whose matrix is H; with any symmetry no size x size matrix is
+allocated.
 
 lowest_eigs picks its solver from the operator's size alone: dense up
 to DENSE_DIM_LIMIT states, and above it ARPACK's implicitly restarted
@@ -92,8 +95,9 @@ for its lowest m levels; the lowest m of all are lifted back to the
 full grid and their true residuals measured with the full operator.
 Swaps are not folded (they break the product form); an operator with no
 reflection, an odd-length pivot axis or sectors of ncv states or fewer
-is solved on the full space.  Assembly and the Lanczos workspace are
-checked against DEFAULT_MEMORY_BUDGET, read at call time.
+folds to the one sector "all", the full space, on the same path.
+Assembly and the Lanczos workspace are checked against
+DEFAULT_MEMORY_BUDGET, read at call time.
 
 Every BLAS call inside that iterative path goes through
 scipy.linalg.blas (imported on first use, like scipy.sparse.linalg and
@@ -514,12 +518,18 @@ def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float 
     return _kinetic(2.0 * zeta * e_l, dim), _cosine(c, flux), flux
 
 
-def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
-    """Every level of one junction mode (e_l = 1): one eigh, residuals checked."""
+def _junction_matrix(zeta: float, beta: float, phase: float, dim: int):
+    """One junction mode's dense matrix K + diag(V) (e_l = 1), its flux nodes and ||H||_F."""
     kinetic, potential, flux = _junction_mode(zeta, beta, phase, dim)
     h = kinetic + np.diag(potential)
+    return h, flux, float(np.linalg.norm(h))
+
+
+def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
+    """Every level of one junction mode (e_l = 1): one eigh, residuals checked."""
+    h, flux, h_norm = _junction_matrix(zeta, beta, phase, dim)
     vals, vecs = np.linalg.eigh(h)
-    _checked_residuals(h @ vecs, vals, vecs, 0.0, float(np.linalg.norm(h)))
+    _checked_residuals(h @ vecs, vals, vecs, 0.0, h_norm)
     return vals, vecs, flux
 
 
@@ -659,24 +669,48 @@ def _row_entries(op: TensorOperator, rows: np.ndarray):
     return np.hstack(cols), np.hstack(vals)
 
 
+def _sector_matrix(op: TensorOperator, perms, chi, rows, stab) -> np.ndarray:
+    """One sector's matrix, sum_g chi(g) H[rows][:, p_g[rows]] times s_i s_j
+    with s = stab^(-1/2), scattered from H's entries on rows (_row_entries)
+    one group element at a time, in order; a permutation sends each (row,
+    column) at most one entry, so one fancy-index += per element keeps that
+    sum's order.  Fortran-ordered, so LAPACK works in it without a copy."""
+    k = len(rows)
+    cols, vals = _row_entries(op, rows)
+    at = np.repeat(np.arange(k), cols.shape[1])
+    cols, vals = cols.ravel(), vals.ravel()
+    column = np.full(op.size, -1)
+    mat = np.zeros((k, k), order="F")
+    for p, x in zip(perms, chi):
+        column[p[rows]] = np.arange(k)
+        j = column[cols]
+        hit = j >= 0
+        i, j, v = (at, j, vals) if hit.all() else (at[hit], j[hit], vals[hit])
+        mat[i, j] += x * v
+        column[p[rows]] = -1
+    if np.any(stab > 1):
+        scale = 1.0 / np.sqrt(stab)
+        # column blocks of the Fortran-ordered matrix, with no k x k temporary
+        for lo in range(0, k, _SCALE_BLOCK):
+            block = slice(lo, lo + _SCALE_BLOCK)
+            mat[:, block] *= scale[:, None] * scale[None, block]
+    return mat
+
+
 def _sectors(op: TensorOperator):
     """Symmetry sectors of a grid operator, built from its factors.
 
     The accepted permutations (see _symmetries) generate an abelian group
     of involutions, and each of its characters chi gives the sector
     spanned by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
-    representatives o whose stabilizer chi leaves at +1.  Its matrix,
-    sum_g chi(g) H[rows][:, p_g[rows]] times s_i s_j with s = |Stab|^(-1/2),
-    is scattered from H's entries on its rows (_row_entries) one group
-    element at a time, in order; a permutation sends each (row, column) at
-    most one entry, so one fancy-index += per element keeps that sum's
-    order.  H itself is never built, and each matrix is Fortran-ordered,
-    so LAPACK works in it without a copy.
+    representatives o whose stabilizer chi leaves at +1; its matrix is
+    built from the operator's factors (_sector_matrix), never from H.
 
-    Returns a list of (label, matrix, lift), the Frobenius norm of H minus
-    its group average (sector_leak) and that of H.  A one-mode operator,
-    or one with no symmetry, is the single sector "all": the one-element
-    group, whose matrix is H.
+    Returns a generator of (label, matrix, lift), which builds each matrix
+    when asked and keeps none, the Frobenius norm of H minus its group
+    average (sector_leak) and that of H.  A one-mode operator, or one with
+    no symmetry, is the single sector "all": the one-element group, whose
+    matrix is H.
     """
     n_modes = len(op.dims)
     group, swap, squares = _symmetries(op)
@@ -690,41 +724,23 @@ def _sectors(op: TensorOperator):
     perms = np.array(perms)
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
     fixed = perms[:, reps] == reps
-    column = np.full(op.size, -1)
 
-    sectors = []
-    for parity, label in _parity_labels(group, n_modes).items():
-        label = label if len(group) > 1 else ""
-        for sign, mark in ((1, "+"), (-1, "-")) if swap else ((1, ""),):
-            chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
-                            for g, s in elements])
-            keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
-            if not keep.any():
-                continue
-            rows = reps[keep]
-            stab = fixed[:, keep].sum(axis=0)
-            k = len(rows)
-            cols, vals = _row_entries(op, rows)
-            at = np.repeat(np.arange(k), cols.shape[1])
-            cols, vals = cols.ravel(), vals.ravel()
-            mat = np.zeros((k, k), order="F")
-            for p, x in zip(perms, chi):
-                column[p[rows]] = np.arange(k)
-                j = column[cols]
-                hit = j >= 0
-                i, j, v = (at, j, vals) if hit.all() else (at[hit], j[hit], vals[hit])
-                mat[i, j] += x * v
-                column[p[rows]] = -1
-            if np.any(stab > 1):
-                scale = 1.0 / np.sqrt(stab)
-                # column blocks of the Fortran-ordered matrix, with no k x k temporary
-                for lo in range(0, k, _SCALE_BLOCK):
-                    block = slice(lo, lo + _SCALE_BLOCK)
-                    mat[:, block] *= scale[:, None] * scale[None, block]
-            lift = [(p[rows], (x * np.sqrt(stab / len(elements)))[:, None])
-                    for p, x in zip(perms, chi)]
-            sectors.append((label + mark or "all", mat, lift))
-    return sectors, leak, math.sqrt(squares)
+    def sectors():
+        for parity, label in _parity_labels(group, n_modes).items():
+            label = label if len(group) > 1 else ""
+            for sign, mark in ((1, "+"), (-1, "-")) if swap else ((1, ""),):
+                chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
+                                for g, s in elements])
+                keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
+                if not keep.any():
+                    continue
+                rows = reps[keep]
+                stab = fixed[:, keep].sum(axis=0)
+                lift = [(p[rows], (x * np.sqrt(stab / len(elements)))[:, None])
+                        for p, x in zip(perms, chi)]
+                yield label + mark or "all", _sector_matrix(op, perms, chi, rows, stab), lift
+
+    return sectors(), leak, math.sqrt(squares)
 
 
 def _residual_bound(leak: float, h_norm: float) -> float:
@@ -763,50 +779,55 @@ def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     from scipy.linalg import eigh
 
     sectors, leak, h_norm = _sectors(op)
-    found_vals, found_vecs, found_sectors = [], [], []
-    for s, (_, mat, lift) in enumerate(sectors):
+    sizes, found_vals, found_vecs, found_labels = {}, [], [], []
+    # no enumerate: its reused result tuple would keep the last sector alive
+    for label, mat, lift in sectors:
+        sizes[label] = len(mat)
         k = min(m, len(mat))
         w, y = eigh(mat, overwrite_a=True, check_finite=False, subset_by_index=[0, k - 1],
                     driver=_SECTOR_DRIVER)
+        del mat  # dropped before the next sector is built
         v = np.zeros((op.size, k))
         for rows, weight in lift:
             v[rows] = weight * y
         found_vals.append(w)
         found_vecs.append(v)
-        found_sectors += [s] * k
+        found_labels += [label] * k
     vals = np.concatenate(found_vals)
     order = np.argsort(vals, kind="stable")[:m]
     vals = vals[order]
     # np.take keeps the lifted vectors in C order (fancy indexing would give
     # Fortran order), the layout callers' products with them round in
     vecs = _fix_vector_signs(np.take(np.concatenate(found_vecs, axis=1), order, axis=1))
-    labels = tuple(sec[0] for sec in sectors)
+    labels = tuple(sizes)
     resid = _checked_residuals(op.matvec(vecs), vals, vecs, leak, h_norm, labels)
     meta = {"solver": "dense", "dim": op.size, "residuals": resid,
             "error_bounds": resid / np.linalg.norm(vecs, axis=0), "sector_leak": leak,
-            "sectors": {"labels": labels,
-                        "dims": tuple(len(sec[1]) for sec in sectors),
-                        "levels": tuple(labels[found_sectors[i]] for i in order)}}
+            "sectors": {"labels": labels, "dims": tuple(sizes.values()),
+                        "levels": tuple(found_labels[i] for i in order)}}
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
-def _folded_sectors(op: TensorOperator, group):
+def _folded_sectors(op: TensorOperator, ncv: int):
     """Reflection sectors of op, each a TensorOperator on a folded grid.
 
-    The generators of group are row-reduced over GF(2) so that each owns
-    a pivot mode (its lowest) that no other generator contains.  A sector
+    The generators of op's reflection group (_symmetries) are row-reduced
+    over GF(2) so that each owns a pivot mode (its lowest) that no other
+    generator contains.  A sector
     vector is then fixed by its values u on the first half of every pivot
     axis: for the character chi it is |G|^(-1/2) sum_g chi(g) P_g E u,
     with E the embedding of those halves (see _lift).  On u the operator
     keeps the product form: V sliced to the halves, and on the pivot axis
     p of generator g, K_p[:h, :h] plus chi(g) K_p[:h, ::-1][:, :h] applied
     after reversing g's other modes (summed into one factor when g has
-    none).  Returns the pivots and a list of (label, operator, chi over
-    group), labelled as _sectors labels them; None when group holds no
-    reflection or a pivot axis has odd length, whose middle plane both
-    halves would share.
+    none).  Returns the group, the pivots and a list of (label, operator,
+    chi over group), labelled as _sectors labels them; the full space, the
+    one-sector fold [0], (), [("all", op, [1.0])], when op has no reflection,
+    a pivot axis has odd length (its middle plane both halves would share)
+    or the sectors would hold ncv states or fewer.
     """
     n_modes = len(op.dims)
+    group = _symmetries(op)[0]
     rows = []  # (pivot, generator)
     for g in (group[1 << i] for i in range(len(group).bit_length() - 1)):
         for p, r in rows:
@@ -815,8 +836,8 @@ def _folded_sectors(op: TensorOperator, group):
         p = (g & -g).bit_length() - 1
         rows = [(q, r ^ g if r >> p & 1 else r) for q, r in rows] + [(p, g)]
     half = {p: op.dims[p] // 2 for p, _ in rows}
-    if not rows or any(op.dims[p] % 2 for p in half):
-        return None
+    if not rows or any(op.dims[p] % 2 for p in half) or op.size // len(group) <= ncv:
+        return [0], (), [("all", op, [1.0])]
     potential = np.ascontiguousarray(
         op.potential[tuple(slice(half.get(n)) for n in range(n_modes))])
     sectors = []
@@ -833,7 +854,7 @@ def _folded_sectors(op: TensorOperator, group):
         sub = TensorOperator(kinetic, potential)
         sub._reflected = reflected
         sectors.append((label, sub, chi))
-    return tuple(half), sectors
+    return group, tuple(half), sectors
 
 
 def _lift(u: np.ndarray, dims: tuple, pivots, group, chi) -> np.ndarray:
@@ -865,29 +886,23 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
     solves are bitwise equal.  ARPACK needs m < ncv < size, which every
     operator above the dense limit meets.
 
-    An operator with mode reflections (_symmetries) is solved once per
-    reflection sector on its folded grid (_folded_sectors), for that
-    sector's lowest m levels; the lowest m of all are lifted back to the
-    full grid (_lift) and their residuals measured with the full
-    operator.  Without a reflection, with a pivot axis of odd length, or
-    with sectors of ncv states or fewer, the full space is the one
-    sector "all".
+    The operator is solved once per reflection sector on its folded grid
+    (_folded_sectors), for that sector's lowest m levels; the lowest m of
+    all are lifted back to the full grid (_lift) and their residuals
+    measured with the full operator.  Without a reflection, with a pivot
+    axis of odd length, or with sectors of ncv states or fewer, the fold
+    is the full space, the one sector "all".
     """
     start = time.perf_counter()
     n = op.size
     ncv = max(2 * m + 1, 20)
-    group = _symmetries(op)[0]
-    folded = _folded_sectors(op, group) if n // len(group) > ncv else None
-    if folded is None:
-        # the Lanczos basis, ARPACK's work arrays and the m Ritz vectors (8
-        # bytes each), then the residual check: the block matvec on the Ritz
-        # vectors (_MATVEC_BYTES per state and column), its product and difference
-        work_bytes = 8 * n * (ncv + m + 4) + (_MATVEC_BYTES + 16) * n * m
-    else:
-        # per sector as above, plus its folded potential and the reflected
-        # half of its GEMM output; then every sector's Ritz vectors, their
-        # lifts and the full-size residual check
-        work_bytes = 8 * (n // len(group)) * (ncv + m + 6) + (_MATVEC_BYTES + 32) * n * m
+    group, pivots, sectors = _folded_sectors(op, ncv)
+    # per sector: the Lanczos basis, ARPACK's work arrays and the m Ritz
+    # vectors (8 bytes each), its folded potential and the reflected half of
+    # its GEMM output; then every sector's Ritz vectors, their lifts and the
+    # full-size residual check (the block matvec on the merged vectors,
+    # _MATVEC_BYTES per state and column, its product and difference)
+    work_bytes = 8 * (n // len(group)) * (ncv + m + 6) + (_MATVEC_BYTES + 32) * n * m
     if work_bytes > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(
             f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
@@ -925,25 +940,20 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
 
-    if folded is None:
-        labels, dims, leak = ("all",), (n,), 0.0
-        vals, vecs = solve(op)
-        levels = labels * m
-    else:
-        pivots, sectors = folded
-        labels = tuple(label for label, _, _ in sectors)
-        dims = tuple(sub.size for _, sub, _ in sectors)
-        leak = _sector_leak(op, [(g, False) for g in group], None)
-        found = [solve(sub) for _, sub, _ in sectors]
-        vals = np.concatenate([w for w, _ in found])
-        order = np.argsort(vals, kind="stable")[:m]
-        vals = vals[order]
-        owner, column = np.divmod(order, m)
-        vecs = np.empty((n, m))
-        for s, (_, _, chi) in enumerate(sectors):
-            pick = owner == s
-            vecs[:, pick] = _lift(found[s][1][:, column[pick]], op.dims, pivots, group, chi)
-        levels = tuple(labels[s] for s in owner)
+    labels = tuple(label for label, _, _ in sectors)
+    dims = tuple(sub.size for _, sub, _ in sectors)
+    leak = _sector_leak(op, [(g, False) for g in group], None)
+    found = [solve(sub) for _, sub, _ in sectors]
+    vals = np.concatenate([w for w, _ in found])
+    order = np.argsort(vals, kind="stable")[:m]
+    vals = vals[order]
+    owner, column = np.divmod(order, m)
+    # Fortran order, the layout of ARPACK's own output
+    vecs = np.empty((n, m), order="F")
+    for s, (_, _, chi) in enumerate(sectors):
+        pick = owner == s
+        vecs[:, pick] = _lift(found[s][1][:, column[pick]], op.dims, pivots, group, chi)
+    levels = tuple(labels[s] for s in owner)
     vecs = _fix_vector_signs(vecs)
     true_res = np.linalg.norm(applied(op)(vecs) - vecs * vals[None, :], axis=0)
     meta = {"solver": "lanczos", "dim": n, "basis": ncv, "matvecs": matvecs,

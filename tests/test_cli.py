@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import coupler_lab
-from coupler_lab import __version__
+from coupler_lab import CouplerSystem, QubitParams, __version__
 from coupler_lab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -148,12 +148,12 @@ def test_from_physical_rejects_nonpositive_values():
 
 def test_load_config_dimensionless(tmp_path):
     cfg = load_config(write_config(tmp_path, DIMLESS_BODY))
-    assert cfg.beta_c == 0.5
-    assert cfg.zeta_c == 0.05
-    assert cfg.e_ltc == 3.0
-    assert cfg.phi_cx == pytest.approx(0.0272 * TWO_PI, rel=1e-15)
-    assert len(cfg.qubits) == 2
-    assert cfg.qubits[0].beta_j == 1.05
+    assert cfg.system.beta_c == 0.5
+    assert cfg.system.zeta_c == 0.05
+    assert cfg.system.e_ltc == 3.0
+    assert cfg.system.phi_cx == pytest.approx(0.0272 * TWO_PI, rel=1e-15)
+    assert len(cfg.system.qubits) == 2
+    assert cfg.system.qubits[0].beta_j == 1.05
     assert cfg.numerics["nu_max"] == 60
     assert cfg.numerics["n_levels"] == 4  # default
     assert cfg.units["e_l1_ghz"] == 200.0
@@ -170,10 +170,32 @@ def test_load_config_physical_derives_units(tmp_path):
         lines.append(f"[qubit.{i}]")
         lines += [f"{k} = {v:.17g}" for k, v in q.items()]
     cfg = load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
-    assert cfg.beta_c == pytest.approx(0.5, abs=1e-12)
-    assert cfg.qubits[1].e_lj == pytest.approx(1.25, rel=1e-12)
-    assert cfg.qubits[1].alpha_j == pytest.approx(0.04, abs=1e-14)
+    assert cfg.system.beta_c == pytest.approx(0.5, abs=1e-12)
+    assert cfg.system.qubits[1].e_lj == pytest.approx(1.25, rel=1e-12)
+    assert cfg.system.qubits[1].alpha_j == pytest.approx(0.04, abs=1e-14)
     assert cfg.units["e_l1_ghz"] == pytest.approx(200.0, rel=1e-9)
+
+
+def test_physical_config_takes_the_dimensionless_path(tmp_path):
+    # a physical config becomes from_physical's dimensionless values, its
+    # biases kept as given, and builds exactly the system those values do
+    phys = to_physical(0.5, 0.05, 3.0, REF_QUBITS, l_1=1e-9)
+    lines = ["[coupler]", "phi_cx = 0.0272"]
+    lines += [f"{k} = {v:.17g}" for k, v in phys["coupler"].items()]
+    for i, q in enumerate(phys["qubits"], start=1):
+        lines += [f"[qubit.{i}]", f"phi_jx = {0.01 * i}"]
+        lines += [f"{k} = {v:.17g}" for k, v in q.items()]
+    cfg = load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+    derived = from_physical(phys["coupler"], phys["qubits"])
+    assert derived["qubits"][0]["e_lj"] == 1.0
+    qubits = tuple(
+        QubitParams(beta_j=q["beta_j"], zeta_j=q["zeta_j"], e_lj=q["e_lj"],
+                    alpha_j=q["alpha_j"], phi_jx=TWO_PI * (0.01 * i))
+        for i, q in enumerate(derived["qubits"], start=1)
+    )
+    assert cfg.system == CouplerSystem(beta_c=derived["beta_c"], zeta_c=derived["zeta_c"],
+                                       qubits=qubits, e_ltc=derived["e_ltc"],
+                                       phi_cx=TWO_PI * 0.0272)
 
 
 def test_load_config_rejects_mixed_component(tmp_path):
@@ -236,7 +258,7 @@ beta_j = 0.9
 zeta_j = 0.05
 """
     cfg = load_config(write_config(tmp_path, body))
-    assert [q.beta_j for q in cfg.qubits] == [0.9, 1.05, 0.7]
+    assert [q.beta_j for q in cfg.system.qubits] == [0.9, 1.05, 0.7]
 
 
 def test_load_config_rejects_bad_section_names(tmp_path):
@@ -595,6 +617,18 @@ def test_nu_max_override_flag(ref_config, tmp_path, capsys):
                  "--n-grid", "9", "--nu-max", "17"]) == EXIT_OK
     _, _, rows = read_csv(tmp_path / "series_coefficients.csv")
     assert len(rows) == 18  # nu = 0..17
+
+
+@pytest.mark.parametrize("command, flag", [("truncation", {"dims": "4,4,4"}),
+                                           ("derivs", {"nu_max": 17})])
+def test_flag_the_command_does_not_read_exits_config(ref_config, tmp_path, capsys,
+                                                     command, flag):
+    # --nu-max goes on the commands that build a series, --dims on spectrum
+    assert run(command, ref_config, out=tmp_path, **flag) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert (err["error"], err["exit_code"]) == ("ConfigurationError", EXIT_CONFIG)
+    assert "unrecognized arguments" in err["message"]
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 def test_run_wrapper(ref_config, tmp_path, capsys):

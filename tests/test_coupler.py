@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from coupler_lab import coupler
+from coupler_lab import coupler, oscillator
 from coupler_lab.coupler import (
     BodcMetrics,
     CouplerParams,
@@ -439,8 +439,8 @@ BIAS_GRID = np.linspace(0.0, 2.0 * np.pi, 61)
 def level_sums(params, phi_x, n_basis=50):
     """(E_g, E_g', E_g'', <dg|dg>) from every level of one full eigh: the
     sums over all levels the resolvent solve replaces."""
-    kinetic, potential, flux = coupler._junction_mode(params.zeta_c, params.beta_c, phi_x,
-                                                      n_basis)
+    kinetic, potential, flux = oscillator._junction_mode(params.zeta_c, params.beta_c, phi_x,
+                                                         n_basis)
     vals, vecs = np.linalg.eigh(kinetic + np.diag(potential))
     xg = vecs.T @ (flux * vecs[:, 0])
     gaps = vals[0] - vals[1:]

@@ -674,14 +674,11 @@ def biased_operator(dims=(14, 14, 8)):
 
 
 def lanczos_workspace(op, m, sectors):
-    # the bytes the budget check counts.  Full space: the Lanczos basis,
-    # ARPACK's work arrays and the Ritz vectors, then the residual check's
-    # block matvec, product and difference.  Folded: the same per sector plus
-    # its potential and reflected GEMM output, then every sector's Ritz
-    # vectors, their lifts and the full-size residual check
+    # the bytes the budget check counts, the full space being the one-sector
+    # fold: per sector the Lanczos basis, ARPACK's work arrays and the Ritz
+    # vectors, its potential and reflected GEMM output, then every sector's
+    # Ritz vectors, their lifts and the full-size residual check
     ncv = max(2 * m + 1, 20)
-    if sectors == 1:
-        return op.size * (8 * (ncv + m + 4) + (oscillator._MATVEC_BYTES + 16) * m)
     return (8 * (op.size // sectors) * (ncv + m + 6)
             + (oscillator._MATVEC_BYTES + 32) * op.size * m)
 
@@ -978,7 +975,7 @@ class TestFoldedLanczos:
 
     def test_folded_operator_has_no_dense_build(self):
         op = identical_operator()
-        _, sectors = oscillator._folded_sectors(op, oscillator._symmetries(op)[0])
+        _, _, sectors = oscillator._folded_sectors(op, ncv=20)
         with pytest.raises(ConfigurationError, match="no dense build"):
             sectors[0][1].to_dense()
 
@@ -1391,6 +1388,7 @@ class TestSectorBuild:
     def test_built_sectors_are_the_gather_bitwise(self, monkeypatch, case, sector_dims):
         op = self.operator(monkeypatch, case)
         sectors, leak, h_norm = oscillator._sectors(op)
+        sectors = list(sectors)  # a generator, building each matrix when asked
         built = [mat for _, mat, _ in sectors]
         assert tuple(len(mat) for mat in built) == sector_dims
         for mat, want in zip(built, gathered_sectors(op)):
@@ -1426,6 +1424,25 @@ class TestSectorBuild:
         finally:
             tracemalloc.stop()
         assert peak < limit * 8 * op.size**2
+
+    def test_dense_solve_holds_one_sector_at_a_time(self, monkeypatch):
+        # each sector is built, solved and dropped before the next is built:
+        # at three qubits on 18^3 the four sectors take 68 MB together, the
+        # largest 19 MB
+        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
+        # the capture solves once, which imports scipy
+        _, op = captured_operator(monkeypatch, "NA", system, dims=(18, 18, 18),
+                                  n_levels=6, nu_max=40)
+        tracemalloc.start()
+        try:
+            spec = lowest_eigs(op, 6, want_vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dims = spec.metadata["sectors"]["dims"]
+        assert dims == (1539, 1377, 1539, 1377)
+        assert peak < 1.5 * 8 * max(dims) ** 2
 
 
 def fock_reduced_matrix(theory, system, dims, n_basis=50):
