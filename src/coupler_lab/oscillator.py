@@ -79,11 +79,18 @@ solve holds one sector matrix at once.  An operator with no symmetry is
 one sector whose matrix is H; with any symmetry no size x size matrix is
 allocated.
 
-lowest_eigs picks its solver from the operator's size alone: dense up
-to DENSE_DIM_LIMIT states, and above it ARPACK's implicitly restarted
-Lanczos (scipy's eigsh) applied through matvec: a fixed basis of
-max(2m + 1, 20) vectors, a seeded start vector, and the true residuals
-checked after the solve.  The Lanczos route splits by the mode
+lowest_eigs picks its solver from the size of the operator's largest
+dense sector, the number of orbits of its symmetry group
+(_largest_sector): dense up to SECTOR_CROSSOVER (440) states, where the
+two routes tied on one and two BLAS threads, and otherwise ARPACK's
+implicitly restarted Lanczos (scipy's eigsh) applied through matvec: a
+fixed basis of max(2m + 1, 20) vectors, a seeded start vector, and the
+true residuals checked after the solve.  Above DENSE_DIM_LIMIT states
+every operator goes to Lanczos at the relative tolerance 1e-9; below it,
+Lanczos runs at 1e-14 and is held to the dense route's residual gate, so
+a strong-coupler operator (two exchange sectors of 820 and 780 states)
+is solved in about a quarter of the dense route's time to the same
+eigenvalues within 4e-14.  The Lanczos route splits by the mode
 reflections the same test accepts, without a dense sector matrix: each
 reflection sector keeps the product form on a folded grid,
 half of each pivot axis of the GF(2)-reduced generators, where a pivot
@@ -93,9 +100,13 @@ generator's other modes, so a sector's matvec is still GEMMs and flips
 7,200 states instead of 28,800.  Each sector gets its own ARPACK run
 for its lowest m levels; the lowest m of all are lifted back to the
 full grid and their true residuals measured with the full operator.
-Swaps are not folded (they break the product form); an operator with no
-reflection, an odd-length pivot axis or sectors of ncv states or fewer
-folds to the one sector "all", the full space, on the same path.
+Swaps are not folded (they break the product form): in the dense range
+each returned level's exchange parity is measured on its vector instead
+and added to its label, with the swap diagonalized inside any cluster
+of levels its residuals cannot separate (_exchange_parities).  An
+operator with no reflection, an odd-length pivot axis or sectors of ncv
+states or fewer folds to the one sector "all", the full space, on the
+same path.
 Assembly and the Lanczos workspace are checked against
 DEFAULT_MEMORY_BUDGET, read at call time.
 
@@ -138,7 +149,15 @@ ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
 _ARPACK_MAXITER = 1000
+# ARPACK's relative tolerance above DENSE_DIM_LIMIT states
 _LANCZOS_TOL = 1e-9
+# ARPACK's relative tolerance for an operator in the dense range: residuals
+# of 2-4e-14 on the 40x40 operators, 100x inside the dense gate they are held to
+_DENSE_RANGE_TOL = 1e-14
+# In the dense range, an operator whose largest dense sector holds more states
+# than this goes to Lanczos: dense and Lanczos solves tied at 420-470 states
+# on one and two BLAS threads (2-core x86-64 host)
+SECTOR_CROSSOVER = 440
 # matvec workspace per state and column: the accumulator, the contiguous
 # copy of the moved axis, the GEMM output, and the input's copy when it
 # cannot be reshaped in place
@@ -310,7 +329,7 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
     freqs = np.sqrt(w2)
     # deterministic eigenvector signs: largest component positive
     flip = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)])
-    vecs = _canonical_clusters(w2, vecs * flip)
+    vecs = _canonical_clusters(w2, vecs * flip, sq, stiff)
     disp = sq[:, None] * vecs / np.sqrt(2.0 * freqs)[None, :]
     offsets = np.empty(n)
     offsets[0] = system.phi_cx - sum(q.alpha_j * q.phi_jx for q in qubits)
@@ -322,17 +341,30 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
     return NormalModeSystem(freqs, disp, amps, None if dims is None else tuple(dims))
 
 
-def _canonical_clusters(w2: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """vecs with a fixed basis for each cluster of degenerate w2.
+def _canonical_clusters(w2: np.ndarray, vecs: np.ndarray, sq, stiff) -> np.ndarray:
+    """vecs with a fixed, symmetry-adapted basis for each cluster of degenerate w2.
 
     w2 neighbours within 1024 eps max(w2) share a cluster.  eigh returns
     an arbitrary, LAPACK-dependent rotation of a cluster, which can hide
     the exchange symmetry of identical qubits.  The cluster's projector
     does not depend on it: its columns, Gram-Schmidt orthonormalized in
     coordinate order and skipping those already spanned, give the basis.
+
+    In exact arithmetic the cluster's last basis vector is then the
+    difference of two identical coordinates i, j (its two largest
+    entries), and every mode is even or odd under their transposition t,
+    which leaves the kinetic weights sq and the stiffness unchanged.  The
+    eigensolver's rounding breaks that by about eps ||w2|| over the gap to
+    the next frequency: 5e-14 relative for three identical qubits, enough
+    to hide the last mode's reflection on large grids.  So when t leaves sq
+    and stiff bitwise unchanged and every mode is within 1e-6 of even or
+    odd, each mode v is set to (v +/- t v) / 2, which makes the reflection
+    of that mode exact on the grid.  Two identical qubits make no
+    cluster, so their modes keep eigh's output.
     """
     edges = np.flatnonzero(np.diff(w2) > 1024 * np.finfo(float).eps * w2[-1]) + 1
     vecs = vecs.copy()
+    pairs = []
     for lo, hi in zip([0, *edges], [*edges, len(w2)]):
         if hi - lo < 2:
             continue
@@ -343,6 +375,14 @@ def _canonical_clusters(w2: np.ndarray, vecs: np.ndarray) -> np.ndarray:
             if np.linalg.norm(v) > 1e-3:  # a spanned column leaves rounding only
                 basis = np.column_stack((basis, v / np.linalg.norm(v)))
         vecs[:, lo:hi] = basis[:, : hi - lo]
+        pairs.append(np.argsort(np.abs(vecs[:, hi - 1]))[-2:])
+    for i, j in pairs:
+        t = np.arange(len(w2))
+        t[[i, j]] = j, i
+        parity = np.sum(vecs * vecs[t], axis=0)
+        if (np.array_equal(sq[t], sq) and np.array_equal(stiff[t][:, t], stiff)
+                and np.all(np.abs(parity) > 1.0 - 1e-6)):
+            vecs = 0.5 * (vecs + np.sign(parity) * vecs[t])
     return vecs
 
 
@@ -623,6 +663,27 @@ def _symmetries(op: TensorOperator):
     return group, swap, squares
 
 
+def _largest_sector(dims, group, swap) -> int:
+    """States in the largest dense sector of _symmetries' (group, swap).
+
+    That is the trivial character's sector, one state per orbit of the
+    grid points, counted by Burnside's lemma: the mean number of points
+    each element fixes.  A reflection fixes the middle node of each mode it
+    reverses (none on an even axis); a swap, alone or with the reflection of
+    both its modes, fixes d of the pair's d^2 node pairs.
+    """
+    fixed = 0
+    for g in group:
+        for swapped in (False, True) if swap else (False,):
+            count = 1
+            for n, d in enumerate(dims):
+                if swapped and n == swap[1]:
+                    continue  # the pair counts d once, at swap[0]
+                count *= d if swapped and n == swap[0] else d % 2 if g >> n & 1 else d
+            fixed += count
+    return fixed // (len(group) * (2 if swap else 1))
+
+
 def _sector_leak(op: TensorOperator, elements, swap) -> float:
     """Frobenius norm of H minus its average over the group elements, each
     a (reflection mask, swapped) pair."""
@@ -808,10 +869,10 @@ def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
-def _folded_sectors(op: TensorOperator, ncv: int):
+def _folded_sectors(op: TensorOperator, ncv: int, group):
     """Reflection sectors of op, each a TensorOperator on a folded grid.
 
-    The generators of op's reflection group (_symmetries) are row-reduced
+    The generators of op's reflection group (_symmetries' group) are row-reduced
     over GF(2) so that each owns a pivot mode (its lowest) that no other
     generator contains.  A sector
     vector is then fixed by its values u on the first half of every pivot
@@ -827,7 +888,6 @@ def _folded_sectors(op: TensorOperator, ncv: int):
     or the sectors would hold ncv states or fewer.
     """
     n_modes = len(op.dims)
-    group = _symmetries(op)[0]
     rows = []  # (pivot, generator)
     for g in (group[1 << i] for i in range(len(group).bit_length() - 1)):
         for p, r in rows:
@@ -876,15 +936,42 @@ def _lift(u: np.ndarray, dims: tuple, pivots, group, chi) -> np.ndarray:
     return v.reshape(math.prod(dims), u.shape[1])
 
 
-def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
+def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
+    """Each level's parity under the swap S of two grid axes, +1 or -1.
+
+    The parity is the sign of <v|S|v>.  As S commutes with H, it couples
+    two levels by at most |<v_i|S|v_j>| <= (r_i + r_j) / |theta_i -
+    theta_j|, with r the residuals; so where neighbouring levels lie
+    within 4 (r_i + r_j) of each other, the vectors of that cluster are
+    rotated to the eigenvectors of S within it, and their residuals are
+    measured again with apply, which is H by matvec.  Returns (vecs,
+    resid, parities), the vectors sign-fixed.
+    """
+    n, m = vecs.shape
+    overlap = vecs.T @ vecs.reshape(dims + (m,)).swapaxes(*swap).reshape(n, m)
+    parities = np.where(np.diagonal(overlap) < 0.0, -1.0, 1.0)
+    edges = [0, *(np.flatnonzero(np.diff(vals) > 4.0 * (resid[:-1] + resid[1:])) + 1), m]
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo > 1:
+            sign, q = np.linalg.eigh(overlap[lo:hi, lo:hi])
+            vecs[:, lo:hi] = _fix_vector_signs(vecs[:, lo:hi] @ q)
+            parities[lo:hi] = np.where(sign < 0.0, -1.0, 1.0)
+            resid[lo:hi] = np.linalg.norm(apply(vecs[:, lo:hi]) - vecs[:, lo:hi] * vals[lo:hi],
+                                          axis=0)
+    return vecs, resid, parities
+
+
+def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
+                      tol: float = _LANCZOS_TOL) -> Spectrum:
     """ARPACK's implicitly restarted Lanczos, once per reflection sector.
 
     The Krylov basis is fixed at ncv columns and restarted in place
     (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996)), so
     memory stays at a few vectors of the operator's size whatever the
     number of iterations.  The start vector is seeded, so repeated
-    solves are bitwise equal.  ARPACK needs m < ncv < size, which every
-    operator above the dense limit meets.
+    solves are bitwise equal.  ARPACK needs m < ncv < size; lowest_eigs
+    sends it only operators of more than SECTOR_CROSSOVER states with
+    m <= ITERATIVE_M_LIMIT, which meet that.
 
     The operator is solved once per reflection sector on its folded grid
     (_folded_sectors), for that sector's lowest m levels; the lowest m of
@@ -892,11 +979,20 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
     measured with the full operator.  Without a reflection, with a pivot
     axis of odd length, or with sectors of ncv states or fewer, the fold
     is the full space, the one sector "all".
+
+    tol is ARPACK's relative tolerance, and the true residuals must be at
+    most 10 tol max(|theta|, eps^(2/3)).  At _DENSE_RANGE_TOL, the one
+    lowest_eigs gives an operator in the dense range, they must meet the
+    dense route's gate, sector_leak + 64 eps ||H||_F, instead, and when
+    _symmetries accepts a swap, which is not folded, each level's label
+    gains its exchange parity, + or - (_exchange_parities), as the dense
+    route labels its exchange sectors.
     """
     start = time.perf_counter()
     n = op.size
     ncv = max(2 * m + 1, 20)
-    group, pivots, sectors = _folded_sectors(op, ncv)
+    group, swap, squares = _symmetries(op)
+    group, pivots, sectors = _folded_sectors(op, ncv, group)
     # per sector: the Lanczos basis, ARPACK's work arrays and the m Ritz
     # vectors (8 bytes each), its folded potential and the reflected half of
     # its GEMM output; then every sector's Ritz vectors, their lifts and the
@@ -927,7 +1023,7 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
         v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(sub.size)
         try:
             vals, vecs = eigsh(LinearOperator(sub.shape, matvec=applied(sub), dtype=float),
-                               k=m, which="SA", ncv=ncv, tol=_LANCZOS_TOL, v0=v0,
+                               k=m, which="SA", ncv=ncv, tol=tol, v0=v0,
                                maxiter=_ARPACK_MAXITER)
         except ArpackNoConvergence as exc:
             raise NumericError(
@@ -956,27 +1052,44 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectru
     levels = tuple(labels[s] for s in owner)
     vecs = _fix_vector_signs(vecs)
     true_res = np.linalg.norm(applied(op)(vecs) - vecs * vals[None, :], axis=0)
+    gated = tol <= _DENSE_RANGE_TOL
+    if gated and swap is not None:
+        vecs, true_res, parities = _exchange_parities(applied(op), op.dims, swap, vals, vecs,
+                                                      true_res)
+        levels = tuple((level if level != "all" else "") + ("+" if p > 0 else "-")
+                       for level, p in zip(levels, parities))
     meta = {"solver": "lanczos", "dim": n, "basis": ncv, "matvecs": matvecs,
             "residuals": true_res,
             "error_bounds": true_res / np.linalg.norm(vecs, axis=0),
             "sector_leak": leak,
             "sectors": {"labels": labels, "dims": dims, "levels": levels},
             "matvec_s": matvec_s, "solve_s": time.perf_counter() - start}
-    # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
-    limit = 10.0 * _LANCZOS_TOL * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
-    if np.any(true_res > limit):
-        raise NumericError(
-            "Lanczos residuals exceed the tolerance",
-            {"residuals": true_res.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
-        )
+    if gated:
+        bound = _residual_bound(leak, math.sqrt(squares))
+        if not np.all(true_res <= bound):
+            raise NumericError(
+                "Lanczos residuals exceed the dense bound",
+                {"residuals": true_res.tolist(), "bound": bound, "sector_leak": leak,
+                 "matvecs": matvecs},
+            )
+    else:
+        # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
+        limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
+        if np.any(true_res > limit):
+            raise NumericError(
+                "Lanczos residuals exceed the tolerance",
+                {"residuals": true_res.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
+            )
     return Spectrum(vals, vecs if want_vectors else None, meta)
 
 
 def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
-    """Lowest m eigenvalues of a TensorOperator, by a solver its size picks.
+    """Lowest m eigenvalues of a TensorOperator, by a solver its largest sector picks.
 
-    Up to DENSE_DIM_LIMIT (8192) states the operator is split into the
-    symmetry sectors found in it (see the module docstring; a single
+    Up to DENSE_DIM_LIMIT (8192) states the operator's symmetries are
+    found first (see the module docstring).  If its largest dense sector
+    holds at most SECTOR_CROSSOVER (440) states, or m exceeds
+    ITERATIVE_M_LIMIT (32), it is split into those sectors (a single
     mode, or no symmetry, is one sector "all"), each sector's dense
     matrix is built from the operator's factors, never from a full H,
     and each gets one partial LAPACK solve (?syevr) for its lowest m
@@ -990,17 +1103,20 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     inverse-iteration or continued solves for its ground state (see the
     module docstring), each cheaper than an eigh at 50-60 states.
 
-    Larger operators go to ARPACK's implicitly restarted Lanczos on the
-    matrix-free operator (m <= ITERATIVE_M_LIMIT = 32, relative tolerance
-    _LANCZOS_TOL), run once per reflection sector on its folded grid (see
-    the module docstring; without a foldable reflection, once on the full
-    space, the one sector "all").  It reports the basis size, the operator
-    applications ("matvecs": every sector-vector application plus the m
-    columns of the full-size residual check), "sectors" and "sector_leak"
-    as the dense route does, the true residuals against the full
-    operator, and the seconds spent in the matvecs and in the whole solve
-    ("matvec_s", "solve_s").  A residual above 10 _LANCZOS_TOL
-    max(|lambda|, eps^(2/3)) raises NumericError.
+    Every other operator goes to ARPACK's implicitly restarted Lanczos on
+    the matrix-free operator, run once per reflection sector on its folded
+    grid (see the module docstring; without a foldable reflection, once on
+    the full space, the one sector "all").  In the dense range it runs at
+    the relative tolerance _DENSE_RANGE_TOL (1e-14) and its residuals must
+    meet the same dense gate; above it, at _LANCZOS_TOL (1e-9) with m <=
+    ITERATIVE_M_LIMIT, and a residual above 10 _LANCZOS_TOL max(|lambda|,
+    eps^(2/3)) raises NumericError.  It reports the basis size, the
+    operator applications ("matvecs": every sector-vector application plus
+    the m columns of the full-size residual check), "sectors" and
+    "sector_leak" as the dense route does (in the dense range, a swap it
+    does not fold adds each level's exchange parity, + or -, to its
+    label), the true residuals against the full operator, and the seconds
+    spent in the matvecs and in the whole solve ("matvec_s", "solve_s").
 
     Both routes report "error_bounds": each level's residual norm
     ||H v - theta v|| / ||v||, which bounds the distance from theta to an
@@ -1016,7 +1132,10 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     if m > op.size:
         raise ConfigurationError("m exceeds operator dimension")
     if op.size <= DENSE_DIM_LIMIT:
-        return _dense_lowest(op, m, want_vectors)
+        group, swap, _ = _symmetries(op)
+        if m > ITERATIVE_M_LIMIT or _largest_sector(op.dims, group, swap) <= SECTOR_CROSSOVER:
+            return _dense_lowest(op, m, want_vectors)
+        return _iterative_lowest(op, m, want_vectors, _DENSE_RANGE_TOL)
     if m > ITERATIVE_M_LIMIT:
         raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
     return _iterative_lowest(op, m, want_vectors)

@@ -287,8 +287,11 @@ def _coupling_tables(series: EgSeries, subs, alphas, phi_cxs, labels,
         tables.append(CouplingTable(entries=entries, metadata=meta))
 
     if resonances:
+        # stacklevel 3 names the line that called couplings or coupling_scan,
+        # the two public callers of this helper
         warnings.warn(
-            f"{len(resonances)} multi-qubit resonance(s) detected", ResonanceWarning
+            f"{len(resonances)} multi-qubit resonance(s) detected", ResonanceWarning,
+            stacklevel=3,
         )
     return tables
 

@@ -488,7 +488,7 @@ def test_ln_solves_the_coupler_once(ref_system, monkeypatch):
 
 
 def test_solver_surface_has_no_knobs(tmp_path):
-    # the solver is chosen by the operator's size, sweeps run point by point,
+    # the solver is chosen from the operator itself, sweeps run point by point,
     # and a config that still sets parallel loads
     from coupler_lab.cli import load_config
 

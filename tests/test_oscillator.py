@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -639,19 +640,37 @@ class TestLowestEigs:
         assert oscillator._LANCZOS_TOL == 1e-9
 
     def test_size_picks_the_solver(self, monkeypatch):
-        # dense up to DENSE_DIM_LIMIT states, Lanczos above, nothing else
+        # in the dense range the largest dense sector picks: dense up to
+        # SECTOR_CROSSOVER states (or above ITERATIVE_M_LIMIT levels), Lanczos
+        # at the dense-range tolerance above it; above DENSE_DIM_LIMIT states
+        # Lanczos at the fixed tolerance, nothing else
         picked = []
         monkeypatch.setattr(oscillator, "_dense_lowest",
                             lambda op, m, want_vectors: picked.append(("dense", op.size)))
-        monkeypatch.setattr(oscillator, "_iterative_lowest",
-                            lambda op, m, want_vectors: picked.append(("lanczos", op.size)))
-        for dims in [(90, 91), (91, 91)]:
-            lowest_eigs(diagonal_operator(dims, np.zeros(dims)), 3)
-        assert picked == [("dense", 8190), ("lanczos", 8281)]
-        assert DENSE_DIM_LIMIT == 8192
+        monkeypatch.setattr(
+            oscillator, "_iterative_lowest",
+            lambda op, m, want_vectors, tol=oscillator._LANCZOS_TOL:
+                picked.append(("lanczos", op.size, tol)))
+        rng = np.random.default_rng(5)
+        cases = [
+            ((20, 22), rng.standard_normal((20, 22)), 3),  # no symmetry: one sector of 440
+            ((21, 21), rng.standard_normal((21, 21)), 3),  # one sector of 441
+            ((21, 21), rng.standard_normal((21, 21)), 33),  # more levels than Lanczos takes
+            ((40, 40), np.zeros((40, 40)), 3),  # four reflection sectors of 400
+            ((42, 42), np.zeros((42, 42)), 3),  # four of 441
+            ((90, 91), np.zeros((90, 91)), 3),  # 8190 states, sectors of up to 2070
+            ((91, 91), np.zeros((91, 91)), 3),
+        ]
+        for dims, potential, m in cases:
+            lowest_eigs(diagonal_operator(dims, potential), m)
+        assert picked == [("dense", 440), ("lanczos", 441, 1e-14), ("dense", 441),
+                          ("dense", 1600), ("lanczos", 1764, 1e-14), ("lanczos", 8190, 1e-14),
+                          ("lanczos", 8281, 1e-9)]
+        assert (DENSE_DIM_LIMIT, oscillator.SECTOR_CROSSOVER) == (8192, 440)
 
 def lanczos(op, m, want_vectors=False):
-    # the Lanczos path, which lowest_eigs takes only above DENSE_DIM_LIMIT states
+    # the Lanczos path at its fixed tolerance, which lowest_eigs takes above
+    # DENSE_DIM_LIMIT states
     return oscillator._iterative_lowest(op, m, want_vectors)
 
 
@@ -975,7 +994,7 @@ class TestFoldedLanczos:
 
     def test_folded_operator_has_no_dense_build(self):
         op = identical_operator()
-        _, _, sectors = oscillator._folded_sectors(op, ncv=20)
+        _, _, sectors = oscillator._folded_sectors(op, 20, oscillator._symmetries(op)[0])
         with pytest.raises(ConfigurationError, match="no dense build"):
             sectors[0][1].to_dense()
 
@@ -1047,10 +1066,15 @@ class TestSectorSolve:
         spec, op = captured_operator(monkeypatch, theory, system, n_levels=6,
                                      nu_max=400, mu_max=120)
         want = old_dense_lowest(op.to_dense(), 6)[0]
-        np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
-        sectors = spec.metadata["sectors"]
+        # sectors of 820 states go to Lanczos; the dense builder is called itself
+        dense = oscillator._dense_lowest(op, 6, False)
+        for got in (spec, dense):
+            np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-12, atol=0)
+        sectors = dense.metadata["sectors"]
         assert sectors["labels"] == ("+", "-")
         assert sectors["dims"] == (820, 780)
+        assert spec.metadata["solver"] == "lanczos"
+        assert spec.metadata["sectors"]["levels"] == sectors["levels"]
 
     def test_exact_small_dims_match_full_eigh(self, monkeypatch):
         spec, op = captured_operator(monkeypatch, "exact", identical_pair(1.05),
@@ -1291,12 +1315,16 @@ class TestPartialSectorSolve:
     def test_acceptance_points_match_full_eigh(self, monkeypatch, case, sector_dims, levels):
         op = self.operator(monkeypatch, case)
         # solved before the test builds its own dense copy: at 6000 states
-        # each copy is 288 MB
+        # each copy is 288 MB; every point but na_beta_j_1.4 has sectors above
+        # SECTOR_CROSSOVER, so lowest_eigs solves it by Lanczos, and the dense
+        # builder is called itself
         specs = [lowest_eigs(op, m, want_vectors=True) for m in levels]
+        dense = [oscillator._dense_lowest(op, m, True) for m in levels]
         h = op.to_dense()
         want = np.linalg.eigvalsh(h)
-        for spec in specs:
+        for spec in specs + dense:
             self.check(spec, h, want)
+        for spec in dense:
             assert spec.metadata["sectors"]["dims"] == sector_dims
         if case == "non_identical_gap":
             assert np.min(np.diff(want[:6])) < 2e-3
@@ -1391,6 +1419,9 @@ class TestSectorBuild:
         sectors = list(sectors)  # a generator, building each matrix when asked
         built = [mat for _, mat, _ in sectors]
         assert tuple(len(mat) for mat in built) == sector_dims
+        # the count lowest_eigs routes by, without building a sector
+        group, swap, _ = oscillator._symmetries(op)
+        assert oscillator._largest_sector(op.dims, group, swap) == max(sector_dims)
         for mat, want in zip(built, gathered_sectors(op)):
             assert mat.flags.f_contiguous
             assert np.array_equal(mat, want)
@@ -1416,10 +1447,10 @@ class TestSectorBuild:
         # sector's own matrix plus the entries it is built from
         op = self.operator(monkeypatch, case)
         assert op.size == 1600
-        lowest_eigs(op, 6)  # the first call imports scipy
+        oscillator._dense_lowest(op, 6, False)  # the first call imports scipy
         tracemalloc.start()
         try:
-            lowest_eigs(op, 6, want_vectors=True)
+            oscillator._dense_lowest(op, 6, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1436,13 +1467,118 @@ class TestSectorBuild:
                                   n_levels=6, nu_max=40)
         tracemalloc.start()
         try:
-            spec = lowest_eigs(op, 6, want_vectors=True)
+            spec = oscillator._dense_lowest(op, 6, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         dims = spec.metadata["sectors"]["dims"]
         assert dims == (1539, 1377, 1539, 1377)
         assert peak < 1.5 * 8 * max(dims) ** 2
+
+
+def exchanged(vecs, dims):
+    # the columns with the grid's two qubit axes swapped
+    return vecs.reshape(dims + (-1,)).swapaxes(0, 1).reshape(vecs.shape)
+
+
+class TestSectorRoute:
+    """Operators whose largest dense sector is above SECTOR_CROSSOVER go to Lanczos.
+
+    The oracle is the dense sector route (_dense_lowest) on the same
+    operator: the Lanczos route must give its eigenvalues to 1e-13, its
+    level labels, exchange parity included, and residuals within its gate,
+    sector_leak + 64 eps ||H||_F with ||H||_F from the dense matrix.
+    """
+
+    @pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
+    def test_lanczos_route_matches_dense(self, monkeypatch, theory):
+        systems = [(0.75, 0.0), (0.75, STRONG_PHI_CX), (0.95, STRONG_PHI_CX)]
+        routes = []
+        for beta_j in (0.616, 1.05, 1.262, 1.4):
+            for beta_c, phi_cx in systems:
+                kwargs = {"nu_max": 400, "mu_max": 120} if beta_c == 0.95 else {}
+                _, op = captured_operator(monkeypatch, theory,
+                                          identical_pair(beta_j, beta_c, phi_cx),
+                                          n_levels=6, **kwargs)
+                dense = oscillator._dense_lowest(op, 6, True)
+                routed = oscillator._iterative_lowest(op, 6, True, oscillator._DENSE_RANGE_TOL)
+                picked = lowest_eigs(op, 6)
+                assert np.max(np.abs(routed.eigenvalues - dense.eigenvalues)) <= 1e-13
+                assert routed.metadata["sectors"]["levels"] == dense.metadata["sectors"]["levels"]
+                vecs = routed.eigenvectors
+                resid = np.linalg.norm(op.matvec(vecs) - vecs * routed.eigenvalues, axis=0)
+                bound = (routed.metadata["sector_leak"]
+                         + 64 * np.finfo(float).eps * np.linalg.norm(op.to_dense()))
+                assert np.all(resid <= bound)
+                # each level's vector has the exchange parity its label ends in
+                parity = np.sum(vecs * exchanged(vecs, op.dims), axis=0)
+                signs = [1.0 if level[-1] == "+" else -1.0
+                         for level in routed.metadata["sectors"]["levels"]]
+                np.testing.assert_allclose(parity, signs, atol=1e-12)
+                want = routed if picked.metadata["solver"] == "lanczos" else dense
+                assert np.array_equal(picked.eigenvalues, want.eigenvalues)
+                routes.append(picked.metadata["solver"])
+        # zero bias: four sectors of at most 420 states; biased: 820 and 780
+        assert routes == ["dense", "lanczos", "lanczos"] * 4
+
+    def test_degenerate_levels_get_exchange_parities(self):
+        # two uncoupled identical qubits: |01> and |10> are degenerate, so the
+        # Lanczos vectors mix them until S is diagonalized within the pair
+        kinetic, potential, _ = oscillator._junction_mode(0.05, 1.05, 0.3, 40)
+        op = TensorOperator([kinetic, kinetic], potential[:, None] + potential[None, :])
+        spec = lowest_eigs(op, 6, want_vectors=True)
+        dense = oscillator._dense_lowest(op, 6, False)
+        assert spec.metadata["solver"] == "lanczos"
+        assert np.min(np.diff(dense.eigenvalues)) < 1e-13
+        assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-13
+        levels = spec.metadata["sectors"]["levels"]
+        assert sorted(levels) == sorted(dense.metadata["sectors"]["levels"])
+        vecs = spec.eigenvectors
+        signs = np.array([1.0 if level == "+" else -1.0 for level in levels])
+        np.testing.assert_allclose(exchanged(vecs, op.dims), vecs * signs, atol=1e-12)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-13)
+        assert np.all(spec.metadata["residuals"] <= 64 * np.finfo(float).eps
+                      * np.linalg.norm(op.to_dense()))
+
+    def test_routed_solve_is_held_to_the_dense_gate(self, monkeypatch):
+        # a loose tolerance in the dense range stops ARPACK early, and the
+        # dense gate, not the Lanczos tolerance, rejects the residuals
+        kinetic, potential, _ = oscillator._junction_mode(0.05, 1.05, 0.3, 40)
+        op = TensorOperator([kinetic, kinetic], potential[:, None] + 1.1 * potential[None, :])
+        monkeypatch.setattr(oscillator, "_DENSE_RANGE_TOL", 1e-6)
+        with pytest.raises(NumericError, match="dense bound") as info:
+            lowest_eigs(op, 6)
+        assert max(info.value.details["residuals"]) > info.value.details["bound"]
+        assert info.value.details["bound"] < 1e-11
+
+
+class TestThreeQubitSymmetry:
+    """Mode reflections of three identical qubits hold on every grid (no solve)."""
+
+    @staticmethod
+    def group(qubits, dims):
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=tuple(qubits), e_ltc=3.0)
+        return oscillator._symmetries(assemble_tensor_operator(normal_modes(system, dims)))[:2]
+
+    @pytest.mark.parametrize("dims", [(20, 20, 20, 10), (36, 36, 36, 14)])
+    def test_mode_reflection_survives_large_grids(self, dims):
+        # the last degenerate mode is odd under the exchange of the last two
+        # qubits, and its reflection is exact: four elements, not two
+        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+        assert self.group((q,) * 3, dims) == ([0, 4, 11, 15], None)
+
+    @pytest.mark.parametrize("field", ["beta_j", "alpha_j", "zeta_j"])
+    def test_reflection_broken_at_1e_10_is_rejected(self, field):
+        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+        broken = replace(q, **{field: getattr(q, field) * (1 + 1e-10)})
+        assert self.group((q, q, broken), (20, 20, 20, 10)) == ([0, 15], None)
+
+    @pytest.mark.parametrize("dims", [(12, 12, 6), (40, 40, 18), (96, 96, 24)])
+    def test_two_qubit_groups_are_unchanged(self, dims):
+        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+        groups = [self.group(qs, dims) for qs in [
+            (q, q), (q, replace(q, phi_jx=0.3)), (q, replace(q, beta_j=0.95))]]
+        assert groups == [([0, 2, 5, 7], None), ([0], None), ([0, 7], None)]
 
 
 def fock_reduced_matrix(theory, system, dims, n_basis=50):

@@ -9,6 +9,7 @@ coefficients.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,23 @@ def test_resonance_detection():
     with pytest.warns(ResonanceWarning):
         tab = couplings(series, [sub] * 3, [0.02] * 3, 0.0, labels=["III"])
     assert tab.metadata["resonances"]
+
+
+def test_resonance_warning_names_the_caller():
+    # the warning points at the line that called couplings or coupling_scan,
+    # not at the library's own warn call
+    from coupler_lab.bench import CouplerSystem, coupling_scan
+
+    sub = qubit_subspace(QubitParams(beta_j=0.0, zeta_j=0.05), n_basis=40)
+    series = b_coeffs(0.5, 0.05, nu_max=40)
+    with pytest.warns(ResonanceWarning) as direct:
+        couplings(series, [sub] * 3, [0.02] * 3, 0.0, labels=["III"])
+    q = QubitParams(beta_j=0.0, zeta_j=0.05, alpha_j=0.02)
+    system = CouplerSystem(beta_c=0.5, zeta_c=0.05, qubits=(q,) * 3)
+    with pytest.warns(ResonanceWarning) as scanned:
+        coupling_scan(system, ["III"], (0.0, 0.1, 2), nu_max=40, n_basis=40)
+    for record in (*direct, *scanned):
+        assert Path(record.filename).name == Path(__file__).name
 
 
 def test_no_false_resonance(ref_sub):
