@@ -6,8 +6,8 @@ its ground energy, either as the full Fourier series ("NA") or as the
 quadratic expansion with analytic ("LA") or numerically exact ("LN")
 derivatives.  sweep and coupling_scan drive parameter studies over
 those routes with per-point failure capture.  Every solve goes through
-oscillator.lowest_eigs, which picks its solver from the size of the
-operator's largest symmetry sector.
+oscillator.lowest_eigs, which folds the operator into its reflection
+sectors and solves each dense or by Lanczos as the sectors' size picks.
 """
 
 import math

@@ -49,68 +49,53 @@ element through generalized Laguerre polynomials,
 
 for j <= k, with the j > k entry equal by symmetry.
 
-A dense solve of a multi-mode operator runs in symmetry sectors found in
-the operator itself, never from a flag (symmetry-adapted bases, as in
-Light & Carrington, Adv. Chem. Phys. 114, 263 (2000)).  On the grid
-each candidate symmetry is a permutation of grid points: the reflection
-of a subset of modes, or one swap of two equal-dim modes (identical
-qubits) that commutes with every accepted reflection.  A candidate P is
-accepted when max|H - PHP| is at most _SECTOR_TOL eps max|H|; the
-accepted permutations generate an abelian group, and the sectors are its
-character spaces.  Each is built at its own size straight from the
-operator's factors, never from a dense H: a grid row has only 1 +
-sum_n (d_n - 1) nonzeros (79 of 1,600 at 40x40), and each group element
-scatters them into the sector's columns (_sector_matrix).  A sector is
-labelled by the least Fock-parity code carrying its reflection
-character, plus +/- for the swap.  The Frobenius norm of H minus its
-group average is reported as sector_leak, and the residuals are checked
-with H applied by matvec.  Two identical qubits at zero bias give four
-sectors of about 400 states instead of one matrix of 1600.  Each sector
-is solved for its lowest m eigenpairs only, by scipy.linalg.eigh with
-subset_by_index and LAPACK's ?syevr (_SECTOR_DRIVER), working in the
-sector's own Fortran-ordered matrix: for part of the spectrum it reduces
-the sector to tridiagonal form, bisects for the wanted eigenvalues and
-finds their vectors by inverse iteration (LAPACK Users' Guide, Anderson
-et al., SIAM 1999; Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)
-for the MRRR method it keeps for the whole spectrum).  On 800-state
-sectors that took about half the time of a full eigh (2-core x86-64
-host).  The sectors are built, solved and dropped one at a time, so the
-solve holds one sector matrix at once.  An operator with no symmetry is
-one sector whose matrix is H; with any symmetry no size x size matrix is
-allocated.
-
-lowest_eigs picks its solver from the size of the operator's largest
-dense sector, the number of orbits of its symmetry group
-(_largest_sector): dense up to SECTOR_CROSSOVER (440) states, where the
-two routes tied on one and two BLAS threads, and otherwise ARPACK's
-implicitly restarted Lanczos (scipy's eigsh) applied through matvec: a
-fixed basis of max(2m + 1, 20) vectors, a seeded start vector, and the
-true residuals checked after the solve.  Above DENSE_DIM_LIMIT states
-every operator goes to Lanczos at the relative tolerance 1e-9; below it,
-Lanczos runs at 1e-14 and is held to the dense route's residual gate, so
-a strong-coupler operator (two exchange sectors of 820 and 780 states)
-is solved in about a quarter of the dense route's time to the same
-eigenvalues within 4e-14.  The Lanczos route splits by the mode
-reflections the same test accepts, without a dense sector matrix: each
-reflection sector keeps the product form on a folded grid,
-half of each pivot axis of the GF(2)-reduced generators, where a pivot
-mode's kinetic factor gains a term applied after reversing the
+Every multi-mode solve runs in symmetry sectors found in the operator
+itself, never from a flag (symmetry-adapted bases, as in Light &
+Carrington, Adv. Chem. Phys. 114, 263 (2000)).  On the grid each
+candidate symmetry is a permutation of grid points: the reflection of a
+subset of modes, or one swap of two equal-dim modes (identical qubits)
+that commutes with every accepted reflection.  A candidate P is
+accepted when max|H - PHP| is at most _SECTOR_TOL eps max|H|
+(_symmetries).  The accepted reflections split the operator, and each
+sector keeps the product form on a folded grid: the reflection masks
+are row-reduced over GF(2) so that each generator owns a pivot mode no
+other generator contains, a sector is half of each pivot axis, and a
+pivot mode's kinetic factor gains a term applied after reversing the
 generator's other modes, so a sector's matvec is still GEMMs and flips
-(_folded_sectors).  Identical qubits at zero bias give four sectors of
-7,200 states instead of 28,800.  Each sector gets its own ARPACK run
-for its lowest m levels; the lowest m of all are lifted back to the
-full grid and their true residuals measured with the full operator.
-Swaps are not folded (they break the product form): in the dense range
-each returned level's exchange parity is measured on its vector instead
-and added to its label, with the swap diagonalized inside any cluster
-of levels its residuals cannot separate (_exchange_parities).  An
-operator with no reflection, an odd-length pivot axis or sectors of ncv
-states or fewer folds to the one sector "all", the full space, on the
-same path.
-Assembly and the Lanczos workspace are checked against
-DEFAULT_MEMORY_BUDGET, read at call time.
+(_folded_sectors).  Every sector has op.size // |G| states: two
+identical qubits at zero bias give two sectors of 800 states at 40x40
+(NA, LA, LN) and four of 7,200 at 40x40x18 (exact).  A sector is
+labelled by the least Fock-parity code carrying its reflection
+character.  An operator with no reflection or an odd-length pivot axis
+(its middle plane both halves would share) is the one sector "all", the
+full space.  The Frobenius norm of H minus its reflection-group average
+is reported as sector_leak.
 
-Every BLAS call inside that iterative path goes through
+Each sector is solved for its lowest m levels, dense or by Lanczos as
+its size picks (lowest_eigs).  The dense route builds the sector's
+matrix with to_dense and gives it one partial LAPACK solve,
+scipy.linalg.eigh with subset_by_index and ?syevr (_SECTOR_DRIVER): for
+part of the spectrum it reduces the matrix to tridiagonal form, bisects
+for the wanted eigenvalues and finds their vectors by inverse iteration
+(LAPACK Users' Guide, Anderson et al., SIAM 1999; Dhillon & Parlett,
+Linear Algebra Appl. 387, 1 (2004) for the MRRR method it keeps for the
+whole spectrum).  The sectors are built, solved and dropped one at a
+time, so with any reflection no size x size matrix is allocated.  The
+Lanczos route runs ARPACK's implicitly restarted Lanczos (scipy's eigsh)
+on each sector through matvec: a fixed basis of max(2m + 1, 20)
+vectors, a seeded start vector.  Up to SECTOR_CROSSOVER (560) states per
+sector the dense route is the faster one on one and two BLAS threads;
+above DENSE_DIM_LIMIT states every operator goes to Lanczos.  Both
+routes share one tail: the lowest m of all sectors are lifted back to
+the full grid (_lift) and their true residuals measured with the full
+operator.  Swaps are not folded (they break the product form): up to
+DENSE_DIM_LIMIT each returned level's exchange parity is measured on its
+vector instead and added to its label, with the swap diagonalized
+inside any cluster of levels its residuals cannot separate
+(_exchange_parities).  Assembly and the Lanczos workspace are checked
+against DEFAULT_MEMORY_BUDGET, read at call time.
+
+Every BLAS call inside the Lanczos route goes through
 scipy.linalg.blas (imported on first use, like scipy.sparse.linalg and
 the dense path's scipy.linalg.eigh, so importing the package loads
 neither).  numpy and scipy each bundle their own OpenBLAS with its own
@@ -154,10 +139,10 @@ _LANCZOS_TOL = 1e-9
 # ARPACK's relative tolerance for an operator in the dense range: residuals
 # of 2-4e-14 on the 40x40 operators, 100x inside the dense gate they are held to
 _DENSE_RANGE_TOL = 1e-14
-# In the dense range, an operator whose largest dense sector holds more states
-# than this goes to Lanczos: dense and Lanczos solves tied at 420-470 states
-# on one and two BLAS threads (2-core x86-64 host)
-SECTOR_CROSSOVER = 440
+# In the dense range, an operator whose folded sectors hold more states than
+# this goes to Lanczos: on one and two BLAS threads of a 2-core x86-64 host
+# dense was faster at 484 states per sector, Lanczos at 576, and they tied at 512-578
+SECTOR_CROSSOVER = 560
 # matvec workspace per state and column: the accumulator, the contiguous
 # copy of the moved axis, the GEMM output, and the input's copy when it
 # cannot be reshaped in place
@@ -171,8 +156,6 @@ _SECTOR_TOL = 64
 _SECTOR_DRIVER = "evr"
 # Dense eigenpairs must meet ||H v - lambda v|| <= sector_leak + c eps ||H||_F.
 _DENSE_RESIDUAL_C = 64
-# columns of a sector matrix scaled per step by its stabilizer weights
-_SCALE_BLOCK = 256
 
 
 def _fused_diagonal(r: float, a: int, count: int) -> np.ndarray:
@@ -498,23 +481,32 @@ class TensorOperator:
         Each K_n is added through a writeable einsum view of the entries
         it fills (equal indices on every other mode), so the build holds
         one size x size matrix, in the order matvec sums its terms.  A
-        folded sector's reflected terms have no such build.  No solve
-        calls it: it is the independent oracle the sector builds, the
-        matvec and the solvers are tested against.
+        folded sector's reflected term B on axis n is added the same way
+        after K_n, through the view with the column axes of its flips
+        reversed, so the matrix is bitwise matvec's image of the identity.
+        lowest_eigs builds each sector's dense matrix with it, and the
+        tests use it as the oracle the solvers are checked against.
         """
-        if self._reflected:
-            raise ConfigurationError("a folded reflection sector has no dense build")
         if self.size > DENSE_DIM_LIMIT:
             raise ResourceError(
                 f"dense materialization of a {self.size}-dim operator exceeds the"
                 f" {DENSE_DIM_LIMIT}-dim limit"
             )
+        n_modes = len(self.dims)
         out = np.diag(self.potential.ravel())
+        grid = out.reshape(self.dims * 2)
+        rows = "".join(chr(ord("a") + n) for n in range(n_modes))
         for n, k in enumerate(self.kinetic):
-            lead, d = int(np.prod(self.dims[:n])), self.dims[n]
-            trail = self.size // (lead * d)
-            blocks = out.reshape(lead, d, trail, lead, d, trail)
-            np.einsum("aibajb->aijb", blocks)[...] += k[None, :, :, None]
+            # row indices rows, column indices rows with axis n's made free (Z)
+            entries = f"{rows}{rows[:n]}Z{rows[n + 1:]}->{rows}Z"
+            terms = [(k, ())]
+            if n in self._reflected:
+                stacked, flips = self._reflected[n]
+                terms.append((stacked[len(k):], flips))
+            for term, flips in terms:
+                view = np.einsum(entries, np.flip(grid, tuple(n_modes + f for f in flips)))
+                view[...] += term.reshape((1,) * n + term.shape[:1] + (1,) * (n_modes - n - 1)
+                                          + term.shape[1:])
         return out
 
 
@@ -663,38 +655,15 @@ def _symmetries(op: TensorOperator):
     return group, swap, squares
 
 
-def _largest_sector(dims, group, swap) -> int:
-    """States in the largest dense sector of _symmetries' (group, swap).
-
-    That is the trivial character's sector, one state per orbit of the
-    grid points, counted by Burnside's lemma: the mean number of points
-    each element fixes.  A reflection fixes the middle node of each mode it
-    reverses (none on an even axis); a swap, alone or with the reflection of
-    both its modes, fixes d of the pair's d^2 node pairs.
-    """
-    fixed = 0
-    for g in group:
-        for swapped in (False, True) if swap else (False,):
-            count = 1
-            for n, d in enumerate(dims):
-                if swapped and n == swap[1]:
-                    continue  # the pair counts d once, at swap[0]
-                count *= d if swapped and n == swap[0] else d % 2 if g >> n & 1 else d
-            fixed += count
-    return fixed // (len(group) * (2 if swap else 1))
-
-
-def _sector_leak(op: TensorOperator, elements, swap) -> float:
-    """Frobenius norm of H minus its average over the group elements, each
-    a (reflection mask, swapped) pair."""
+def _sector_leak(op: TensorOperator, group) -> float:
+    """Frobenius norm of H minus its average over the reflection masks group."""
     n_modes = len(op.dims)
     odd_k, odd_v = [0.0] * n_modes, 0.0
-    for g, s in elements:
-        dk, dv = _asymmetry(op, _modes(g, n_modes), swap if s else None)
+    for g in group:
+        dk, dv = _asymmetry(op, _modes(g, n_modes), None)
         odd_k = [a + b for a, b in zip(odd_k, dk)]
         odd_v = odd_v + dv
-    return math.sqrt(_entry_norms([k / len(elements) for k in odd_k],
-                                  odd_v / len(elements))[1])
+    return math.sqrt(_entry_norms([k / len(group) for k in odd_k], odd_v / len(group))[1])
 
 
 def _parity_labels(group, n_modes: int) -> dict:
@@ -707,185 +676,43 @@ def _parity_labels(group, n_modes: int) -> dict:
     return labels
 
 
-def _row_entries(op: TensorOperator, rows: np.ndarray):
-    """Every entry of H that can be nonzero on the grid points rows:
-    (columns, values), each of shape (len(rows), 1 + sum_n (d_n - 1)).
-
-    A row's first entry is its diagonal, V plus each K_n's diagonal entry
-    summed in to_dense's order; then, for each mode n, the d_n - 1 entries
-    K_n[a_n, c] at the points with coordinate n replaced by c != a_n.
-    """
-    coords = np.unravel_index(rows, op.dims)
-    diag = op.potential.ravel()[rows]
-    for k, a in zip(op.kinetic, coords):
-        diag = diag + k[a, a]
-    cols, vals = [rows[:, None]], [diag[:, None]]
-    stride = op.size
-    for k, a, d in zip(op.kinetic, coords, op.dims):
-        stride //= d
-        off = np.arange(d) != a[:, None]
-        shape = (len(rows), d - 1)
-        cols.append((rows[:, None] + (np.arange(d) - a[:, None]) * stride)[off].reshape(shape))
-        vals.append(k[a][off].reshape(shape))
-    return np.hstack(cols), np.hstack(vals)
-
-
-def _sector_matrix(op: TensorOperator, perms, chi, rows, stab) -> np.ndarray:
-    """One sector's matrix, sum_g chi(g) H[rows][:, p_g[rows]] times s_i s_j
-    with s = stab^(-1/2), scattered from H's entries on rows (_row_entries)
-    one group element at a time, in order; a permutation sends each (row,
-    column) at most one entry, so one fancy-index += per element keeps that
-    sum's order.  Fortran-ordered, so LAPACK works in it without a copy."""
-    k = len(rows)
-    cols, vals = _row_entries(op, rows)
-    at = np.repeat(np.arange(k), cols.shape[1])
-    cols, vals = cols.ravel(), vals.ravel()
-    column = np.full(op.size, -1)
-    mat = np.zeros((k, k), order="F")
-    for p, x in zip(perms, chi):
-        column[p[rows]] = np.arange(k)
-        j = column[cols]
-        hit = j >= 0
-        i, j, v = (at, j, vals) if hit.all() else (at[hit], j[hit], vals[hit])
-        mat[i, j] += x * v
-        column[p[rows]] = -1
-    if np.any(stab > 1):
-        scale = 1.0 / np.sqrt(stab)
-        # column blocks of the Fortran-ordered matrix, with no k x k temporary
-        for lo in range(0, k, _SCALE_BLOCK):
-            block = slice(lo, lo + _SCALE_BLOCK)
-            mat[:, block] *= scale[:, None] * scale[None, block]
-    return mat
-
-
-def _sectors(op: TensorOperator):
-    """Symmetry sectors of a grid operator, built from its factors.
-
-    The accepted permutations (see _symmetries) generate an abelian group
-    of involutions, and each of its characters chi gives the sector
-    spanned by (|G| |Stab_o|)^(-1/2) sum_g chi(g) |g o> over orbit
-    representatives o whose stabilizer chi leaves at +1; its matrix is
-    built from the operator's factors (_sector_matrix), never from H.
-
-    Returns a generator of (label, matrix, lift), which builds each matrix
-    when asked and keeps none, the Frobenius norm of H minus its group
-    average (sector_leak) and that of H.  A one-mode operator, or one with
-    no symmetry, is the single sector "all": the one-element group, whose
-    matrix is H.
-    """
-    n_modes = len(op.dims)
-    group, swap, squares = _symmetries(op)
-    elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
-    index = np.arange(op.size).reshape(op.dims)
-    perms = []
-    for g, s in elements:
-        perm = np.flip(index, _modes(g, n_modes))
-        perms.append((perm.swapaxes(*swap) if s else perm).ravel())
-    leak = _sector_leak(op, elements, swap)
-    perms = np.array(perms)
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
-    fixed = perms[:, reps] == reps
-
-    def sectors():
-        for parity, label in _parity_labels(group, n_modes).items():
-            label = label if len(group) > 1 else ""
-            for sign, mark in ((1, "+"), (-1, "-")) if swap else ((1, ""),):
-                chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
-                                for g, s in elements])
-                keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
-                if not keep.any():
-                    continue
-                rows = reps[keep]
-                stab = fixed[:, keep].sum(axis=0)
-                lift = [(p[rows], (x * np.sqrt(stab / len(elements)))[:, None])
-                        for p, x in zip(perms, chi)]
-                yield label + mark or "all", _sector_matrix(op, perms, chi, rows, stab), lift
-
-    return sectors(), leak, math.sqrt(squares)
-
-
 def _residual_bound(leak: float, h_norm: float) -> float:
     """The dense residual gate, leak + _DENSE_RESIDUAL_C eps h_norm."""
     return leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
 
 
-def _checked_residuals(hv, vals, vecs, leak: float, h_norm: float, labels=("all",)):
+def _checked_residuals(hv, vals, vecs, leak: float, h_norm: float):
     """Residuals ||H v - lambda v||, each at most leak + _DENSE_RESIDUAL_C eps h_norm.
 
-    hv is H applied to vecs; leak is the sector_leak of the sectors labels.
-    A larger residual raises NumericError.
+    hv is H applied to vecs.  A larger residual raises NumericError.
     """
     resid = np.linalg.norm(hv - vecs * vals[None, :], axis=0)
     bound = _residual_bound(leak, h_norm)
     if not np.all(resid <= bound):
         raise NumericError(
             "dense eigenvector residuals exceed the bound",
-            {"residuals": resid.tolist(), "bound": bound, "sector_leak": leak,
-             "sectors": list(labels)},
+            {"residuals": resid.tolist(), "bound": bound, "sector_leak": leak},
         )
     return resid
 
 
-def _dense_lowest(op: TensorOperator, m: int, want_vectors: bool) -> Spectrum:
-    """Lowest m levels by one partial LAPACK solve per symmetry sector of H.
-
-    The sectors are built from the operator's factors (see _sectors; a
-    single mode, or no symmetry, is the one sector "all"), so H itself is
-    never materialized.  Each sector gets one scipy.linalg.eigh for its
-    lowest min(m, size) eigenpairs only, with the _SECTOR_DRIVER driver
-    (?syevr), working in the sector's own Fortran-ordered matrix; they are
-    lifted back to the full basis and the merged lowest m are kept.
-    Residuals pass _checked_residuals with H applied by op.matvec.
-    """
-    from scipy.linalg import eigh
-
-    sectors, leak, h_norm = _sectors(op)
-    sizes, found_vals, found_vecs, found_labels = {}, [], [], []
-    # no enumerate: its reused result tuple would keep the last sector alive
-    for label, mat, lift in sectors:
-        sizes[label] = len(mat)
-        k = min(m, len(mat))
-        w, y = eigh(mat, overwrite_a=True, check_finite=False, subset_by_index=[0, k - 1],
-                    driver=_SECTOR_DRIVER)
-        del mat  # dropped before the next sector is built
-        v = np.zeros((op.size, k))
-        for rows, weight in lift:
-            v[rows] = weight * y
-        found_vals.append(w)
-        found_vecs.append(v)
-        found_labels += [label] * k
-    vals = np.concatenate(found_vals)
-    order = np.argsort(vals, kind="stable")[:m]
-    vals = vals[order]
-    # np.take keeps the lifted vectors in C order (fancy indexing would give
-    # Fortran order), the layout callers' products with them round in
-    vecs = _fix_vector_signs(np.take(np.concatenate(found_vecs, axis=1), order, axis=1))
-    labels = tuple(sizes)
-    resid = _checked_residuals(op.matvec(vecs), vals, vecs, leak, h_norm, labels)
-    meta = {"solver": "dense", "dim": op.size, "residuals": resid,
-            "error_bounds": resid / np.linalg.norm(vecs, axis=0), "sector_leak": leak,
-            "sectors": {"labels": labels, "dims": tuple(sizes.values()),
-                        "levels": tuple(found_labels[i] for i in order)}}
-    return Spectrum(vals, vecs if want_vectors else None, meta)
-
-
-def _folded_sectors(op: TensorOperator, ncv: int, group):
+def _folded_sectors(op: TensorOperator, group):
     """Reflection sectors of op, each a TensorOperator on a folded grid.
 
-    The generators of op's reflection group (_symmetries' group) are row-reduced
-    over GF(2) so that each owns a pivot mode (its lowest) that no other
-    generator contains.  A sector
-    vector is then fixed by its values u on the first half of every pivot
-    axis: for the character chi it is |G|^(-1/2) sum_g chi(g) P_g E u,
-    with E the embedding of those halves (see _lift).  On u the operator
-    keeps the product form: V sliced to the halves, and on the pivot axis
-    p of generator g, K_p[:h, :h] plus chi(g) K_p[:h, ::-1][:, :h] applied
-    after reversing g's other modes (summed into one factor when g has
-    none).  Returns the group, the pivots and a list of (label, operator,
-    chi over group), labelled as _sectors labels them; the full space, the
-    one-sector fold [0], (), [("all", op, [1.0])], when op has no reflection,
-    a pivot axis has odd length (its middle plane both halves would share)
-    or the sectors would hold ncv states or fewer.
+    The generators of op's reflection group (_symmetries' group) are
+    row-reduced over GF(2) so that each owns a pivot mode (its lowest) that
+    no other generator contains.  A sector vector is then fixed by its
+    values u on the first half of every pivot axis: for the character chi
+    it is |G|^(-1/2) sum_g chi(g) P_g E u, with E the embedding of those
+    halves (see _lift).  On u the operator keeps the product form: V sliced
+    to the halves, and on the pivot axis p of generator g, K_p[:h, :h] plus
+    chi(g) K_p[:h, ::-1][:, :h] applied after reversing g's other modes
+    (summed into one factor when g has none).  Each sector is labelled by
+    the least Fock-parity code carrying its character.  Returns the group,
+    the pivots and a list of (label, operator, chi over group), every
+    operator of size // len(group) states; the full space, the one-sector
+    fold [0], (), [("all", op, [1.0])], when op has no reflection or a
+    pivot axis has odd length (its middle plane both halves would share).
     """
     n_modes = len(op.dims)
     rows = []  # (pivot, generator)
@@ -896,7 +723,7 @@ def _folded_sectors(op: TensorOperator, ncv: int, group):
         p = (g & -g).bit_length() - 1
         rows = [(q, r ^ g if r >> p & 1 else r) for q, r in rows] + [(p, g)]
     half = {p: op.dims[p] // 2 for p, _ in rows}
-    if not rows or any(op.dims[p] % 2 for p in half) or op.size // len(group) <= ncv:
+    if not rows or any(op.dims[p] % 2 for p in half):
         return [0], (), [("all", op, [1.0])]
     potential = np.ascontiguousarray(
         op.potential[tuple(slice(half.get(n)) for n in range(n_modes))])
@@ -961,51 +788,104 @@ def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
     return vecs, resid, parities
 
 
-def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
-                      tol: float = _LANCZOS_TOL) -> Spectrum:
-    """ARPACK's implicitly restarted Lanczos, once per reflection sector.
+def _partial_eigh(sub: TensorOperator, m: int):
+    """Lowest min(m, size) eigenpairs of one sector: one partial LAPACK solve.
 
-    The Krylov basis is fixed at ncv columns and restarted in place
-    (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996)), so
-    memory stays at a few vectors of the operator's size whatever the
-    number of iterations.  The start vector is seeded, so repeated
-    solves are bitwise equal.  ARPACK needs m < ncv < size; lowest_eigs
-    sends it only operators of more than SECTOR_CROSSOVER states with
-    m <= ITERATIVE_M_LIMIT, which meet that.
-
-    The operator is solved once per reflection sector on its folded grid
-    (_folded_sectors), for that sector's lowest m levels; the lowest m of
-    all are lifted back to the full grid (_lift) and their residuals
-    measured with the full operator.  Without a reflection, with a pivot
-    axis of odd length, or with sectors of ncv states or fewer, the fold
-    is the full space, the one sector "all".
-
-    tol is ARPACK's relative tolerance, and the true residuals must be at
-    most 10 tol max(|theta|, eps^(2/3)).  At _DENSE_RANGE_TOL, the one
-    lowest_eigs gives an operator in the dense range, they must meet the
-    dense route's gate, sector_leak + 64 eps ||H||_F, instead, and when
-    _symmetries accepts a swap, which is not folded, each level's label
-    gains its exchange parity, + or - (_exchange_parities), as the dense
-    route labels its exchange sectors.
+    scipy.linalg.eigh with subset_by_index and the _SECTOR_DRIVER driver
+    (?syevr) works on the sector's dense matrix (to_dense), which is
+    bitwise symmetric, so its transpose is the same matrix in the Fortran
+    order LAPACK overwrites without a copy.  The matrix is dropped on
+    return, before the next sector is built.
     """
-    start = time.perf_counter()
-    n = op.size
-    ncv = max(2 * m + 1, 20)
-    group, swap, squares = _symmetries(op)
-    group, pivots, sectors = _folded_sectors(op, ncv, group)
-    # per sector: the Lanczos basis, ARPACK's work arrays and the m Ritz
-    # vectors (8 bytes each), its folded potential and the reflected half of
-    # its GEMM output; then every sector's Ritz vectors, their lifts and the
-    # full-size residual check (the block matvec on the merged vectors,
-    # _MATVEC_BYTES per state and column, its product and difference)
-    work_bytes = 8 * (n // len(group)) * (ncv + m + 6) + (_MATVEC_BYTES + 32) * n * m
-    if work_bytes > DEFAULT_MEMORY_BUDGET:
-        raise ResourceError(
-            f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
-            f" over the {DEFAULT_MEMORY_BUDGET / 2**20:.0f} MiB budget"
-        )
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.linalg import eigh
 
+    k = min(m, sub.size)
+    return eigh(sub.to_dense().T, overwrite_a=True, check_finite=False,
+                subset_by_index=[0, k - 1], driver=_SECTOR_DRIVER)
+
+
+def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
+    """Lowest m eigenvalues of a TensorOperator, solved sector by sector.
+
+    The operator is split once into the reflection sectors of its
+    symmetries (_symmetries, _folded_sectors; see the module docstring),
+    all of one size: op.size // len(group), or op.size when nothing folds,
+    the one sector "all".  Each sector is solved for its lowest m levels in
+    one of two ways, picked by that size:
+
+    - dense, when it is at most ARPACK's basis ncv = max(2m + 1, 20)
+      states or, for an operator of at most DENSE_DIM_LIMIT (8192) states,
+      at most SECTOR_CROSSOVER (560) states or m exceeds ITERATIVE_M_LIMIT
+      (32): one partial LAPACK solve (?syevr) of the sector's dense matrix
+      (_partial_eigh), built, solved and dropped one sector at a time;
+    - Lanczos otherwise: ARPACK's implicitly restarted Lanczos (scipy's
+      eigsh) on the sector's matrix-free operator, with a fixed basis of
+      ncv vectors restarted in place (Lehoucq & Sorensen, SIAM J. Matrix
+      Anal. Appl. 17, 789 (1996)) and a seeded start vector, so repeated
+      solves are bitwise equal.  Its workspace is checked against
+      DEFAULT_MEMORY_BUDGET before any matvec.
+
+    Both then share one tail: the lowest m of all sectors are merged,
+    lifted back to the full grid (_lift) and sign-fixed, and their true
+    residuals measured with the full operator by matvec.  Up to
+    DENSE_DIM_LIMIT states ARPACK runs at the relative tolerance
+    _DENSE_RANGE_TOL (1e-14); when _symmetries accepts a swap of two
+    identical qubits, which the fold does not use, each level's exchange
+    parity is measured on its vector and appended to its label, + or -
+    (_exchange_parities); and every residual must meet the dense gate,
+    sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64).  Above it
+    only m <= ITERATIVE_M_LIMIT is accepted, ARPACK runs at _LANCZOS_TOL
+    (1e-9), and a residual above 10 _LANCZOS_TOL max(|lambda|, eps^(2/3))
+    fails.  A failed gate raises NumericError.
+
+    Every solve reports "solver" ("dense" or "lanczos"), "dim", the true
+    "residuals", "sector_leak" (the Frobenius norm of H minus its average
+    over the reflection group) and "sectors" (the fold's labels and dims,
+    and the label of each returned level).  "error_bounds" gives each
+    level's residual norm ||H v - theta v|| / ||v||, which bounds the
+    distance from theta to an eigenvalue of the symmetric H, so an
+    excitation theta_i - theta_0 is resolved only above the sum of its two
+    levels' bounds.  Lanczos solves also report the basis size, the
+    operator applications ("matvecs": every sector-vector application plus
+    the columns of the full-size residual checks) and the seconds spent in
+    the matvecs and in the whole solve ("matvec_s", "solve_s").
+
+    A junction mode's own matrix is not a TensorOperator: each qubit's gets
+    one full eigh (_junction_eigh), and the coupler's an eigvalsh plus
+    inverse-iteration or continued solves for its ground state (see the
+    module docstring), each cheaper than an eigh at 50-60 states.  An op
+    that is not a TensorOperator raises ConfigurationError.
+    """
+    if m < 1:
+        raise ConfigurationError("m must be >= 1")
+    if not isinstance(op, TensorOperator):
+        raise ConfigurationError(f"lowest_eigs needs a TensorOperator, got {type(op).__name__}")
+    if m > op.size:
+        raise ConfigurationError("m exceeds operator dimension")
+    dense_range = op.size <= DENSE_DIM_LIMIT
+    if not dense_range and m > ITERATIVE_M_LIMIT:
+        raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
+    start = time.perf_counter()
+    n, ncv = op.size, max(2 * m + 1, 20)
+    tol = _DENSE_RANGE_TOL if dense_range else _LANCZOS_TOL
+    group, swap, squares = _symmetries(op)
+    group, pivots, sectors = _folded_sectors(op, group)
+    size = n // len(group)
+    # ARPACK needs m < ncv < size
+    lanczos = (m <= ITERATIVE_M_LIMIT and size > ncv
+               and (size > SECTOR_CROSSOVER or not dense_range))
+    if lanczos:
+        # per sector: the Lanczos basis, ARPACK's work arrays and the m Ritz
+        # vectors (8 bytes each), its folded potential and the reflected half
+        # of its GEMM output; then every sector's Ritz vectors, their lifts and
+        # the full-size residual check (the block matvec on the merged vectors,
+        # _MATVEC_BYTES per state and column, its product and difference)
+        work_bytes = 8 * size * (ncv + m + 6) + (_MATVEC_BYTES + 32) * n * m
+        if work_bytes > DEFAULT_MEMORY_BUDGET:
+            raise ResourceError(
+                f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
+                f" over the {DEFAULT_MEMORY_BUDGET / 2**20:.0f} MiB budget"
+            )
     matvecs = 0
     matvec_s = 0.0
 
@@ -1019,7 +899,9 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
             return out
         return apply
 
-    def solve(sub):
+    def arpack(sub):
+        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
         v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(sub.size)
         try:
             vals, vecs = eigsh(LinearOperator(sub.shape, matvec=applied(sub), dtype=float),
@@ -1036,106 +918,49 @@ def _iterative_lowest(op: TensorOperator, m: int, want_vectors: bool,
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
 
+    found = [arpack(sub) if lanczos else _partial_eigh(sub, m) for _, sub, _ in sectors]
     labels = tuple(label for label, _, _ in sectors)
-    dims = tuple(sub.size for _, sub, _ in sectors)
-    leak = _sector_leak(op, [(g, False) for g in group], None)
-    found = [solve(sub) for _, sub, _ in sectors]
+    leak = _sector_leak(op, group)
     vals = np.concatenate([w for w, _ in found])
     order = np.argsort(vals, kind="stable")[:m]
     vals = vals[order]
-    owner, column = np.divmod(order, m)
-    # Fortran order, the layout of ARPACK's own output
-    vecs = np.empty((n, m), order="F")
+    # a dense sector smaller than m gives all of its levels
+    owner = np.concatenate([np.full(len(w), s) for s, (w, _) in enumerate(found)])[order]
+    column = np.concatenate([np.arange(len(w)) for w, _ in found])[order]
+    # ARPACK's own Fortran order on the Lanczos route; C order on the dense
+    # route, the layout its vectors have always had and callers' products round in
+    vecs = np.empty((n, m), order="F" if lanczos else "C")
     for s, (_, _, chi) in enumerate(sectors):
         pick = owner == s
         vecs[:, pick] = _lift(found[s][1][:, column[pick]], op.dims, pivots, group, chi)
     levels = tuple(labels[s] for s in owner)
     vecs = _fix_vector_signs(vecs)
-    true_res = np.linalg.norm(applied(op)(vecs) - vecs * vals[None, :], axis=0)
-    gated = tol <= _DENSE_RANGE_TOL
-    if gated and swap is not None:
-        vecs, true_res, parities = _exchange_parities(applied(op), op.dims, swap, vals, vecs,
-                                                      true_res)
+    apply = applied(op)
+    resid = np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0)
+    if dense_range and swap is not None:
+        vecs, resid, parities = _exchange_parities(apply, op.dims, swap, vals, vecs, resid)
         levels = tuple((level if level != "all" else "") + ("+" if p > 0 else "-")
                        for level, p in zip(levels, parities))
-    meta = {"solver": "lanczos", "dim": n, "basis": ncv, "matvecs": matvecs,
-            "residuals": true_res,
-            "error_bounds": true_res / np.linalg.norm(vecs, axis=0),
-            "sector_leak": leak,
-            "sectors": {"labels": labels, "dims": dims, "levels": levels},
-            "matvec_s": matvec_s, "solve_s": time.perf_counter() - start}
-    if gated:
+    if dense_range:
         bound = _residual_bound(leak, math.sqrt(squares))
-        if not np.all(true_res <= bound):
+        if not np.all(resid <= bound):
             raise NumericError(
-                "Lanczos residuals exceed the dense bound",
-                {"residuals": true_res.tolist(), "bound": bound, "sector_leak": leak,
-                 "matvecs": matvecs},
+                "eigenvector residuals exceed the dense bound",
+                {"residuals": resid.tolist(), "bound": bound, "sector_leak": leak,
+                 "sectors": list(labels), "matvecs": matvecs},
             )
     else:
         # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
         limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
-        if np.any(true_res > limit):
+        if np.any(resid > limit):
             raise NumericError(
                 "Lanczos residuals exceed the tolerance",
-                {"residuals": true_res.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
+                {"residuals": resid.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
             )
+    meta = {"solver": "lanczos" if lanczos else "dense", "dim": n, "residuals": resid,
+            "error_bounds": resid / np.linalg.norm(vecs, axis=0), "sector_leak": leak,
+            "sectors": {"labels": labels, "dims": (size,) * len(sectors), "levels": levels}}
+    if lanczos:
+        meta.update(basis=ncv, matvecs=matvecs, matvec_s=matvec_s,
+                    solve_s=time.perf_counter() - start)
     return Spectrum(vals, vecs if want_vectors else None, meta)
-
-
-def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
-    """Lowest m eigenvalues of a TensorOperator, by a solver its largest sector picks.
-
-    Up to DENSE_DIM_LIMIT (8192) states the operator's symmetries are
-    found first (see the module docstring).  If its largest dense sector
-    holds at most SECTOR_CROSSOVER (440) states, or m exceeds
-    ITERATIVE_M_LIMIT (32), it is split into those sectors (a single
-    mode, or no symmetry, is one sector "all"), each sector's dense
-    matrix is built from the operator's factors, never from a full H,
-    and each gets one partial LAPACK solve (?syevr) for its lowest m
-    eigenpairs, not its whole spectrum.  Dense solves report "sectors"
-    (labels, dims, and the sector of each returned level), "sector_leak"
-    and the true residuals, with H applied by matvec; a residual above
-    sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64) raises
-    NumericError.  A
-    junction mode's own matrix is not a TensorOperator: each qubit's gets
-    one full eigh (_junction_eigh), and the coupler's an eigvalsh plus
-    inverse-iteration or continued solves for its ground state (see the
-    module docstring), each cheaper than an eigh at 50-60 states.
-
-    Every other operator goes to ARPACK's implicitly restarted Lanczos on
-    the matrix-free operator, run once per reflection sector on its folded
-    grid (see the module docstring; without a foldable reflection, once on
-    the full space, the one sector "all").  In the dense range it runs at
-    the relative tolerance _DENSE_RANGE_TOL (1e-14) and its residuals must
-    meet the same dense gate; above it, at _LANCZOS_TOL (1e-9) with m <=
-    ITERATIVE_M_LIMIT, and a residual above 10 _LANCZOS_TOL max(|lambda|,
-    eps^(2/3)) raises NumericError.  It reports the basis size, the
-    operator applications ("matvecs": every sector-vector application plus
-    the m columns of the full-size residual check), "sectors" and
-    "sector_leak" as the dense route does (in the dense range, a swap it
-    does not fold adds each level's exchange parity, + or -, to its
-    label), the true residuals against the full operator, and the seconds
-    spent in the matvecs and in the whole solve ("matvec_s", "solve_s").
-
-    Both routes report "error_bounds": each level's residual norm
-    ||H v - theta v|| / ||v||, which bounds the distance from theta to an
-    eigenvalue of the symmetric H.  An excitation theta_i - theta_0 is
-    resolved only above the sum of its two levels' bounds.
-
-    An op that is not a TensorOperator raises ConfigurationError.
-    """
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
-    if not isinstance(op, TensorOperator):
-        raise ConfigurationError(f"lowest_eigs needs a TensorOperator, got {type(op).__name__}")
-    if m > op.size:
-        raise ConfigurationError("m exceeds operator dimension")
-    if op.size <= DENSE_DIM_LIMIT:
-        group, swap, _ = _symmetries(op)
-        if m > ITERATIVE_M_LIMIT or _largest_sector(op.dims, group, swap) <= SECTOR_CROSSOVER:
-            return _dense_lowest(op, m, want_vectors)
-        return _iterative_lowest(op, m, want_vectors, _DENSE_RANGE_TOL)
-    if m > ITERATIVE_M_LIMIT:
-        raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
-    return _iterative_lowest(op, m, want_vectors)

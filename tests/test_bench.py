@@ -261,8 +261,8 @@ def test_sweep_records_solver_diagnostics(ref_system, monkeypatch):
 def test_sweep_records_iterative_matvecs(ref_system, monkeypatch):
     import coupler_lab.bench as bench
 
-    monkeypatch.setattr(bench, "lowest_eigs",
-                        lambda op, m: oscillator._iterative_lowest(op, m, False))
+    # the Lanczos route at its fixed tolerance, as above the dense limit
+    monkeypatch.setattr(oscillator, "DENSE_DIM_LIMIT", 0)
     spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
                      theories=("exact",), n_levels=3, dims=(8, 8, 4))
     for rec in sweep(spec).points:
@@ -280,10 +280,11 @@ def test_sweep_records_leave_out_solver_timings(ref_system, monkeypatch):
     seen = []
 
     def iterative(op, m):
-        spec = oscillator._iterative_lowest(op, m, False)
+        spec = oscillator.lowest_eigs(op, m)
         seen.append(spec.metadata)
         return spec
 
+    monkeypatch.setattr(oscillator, "DENSE_DIM_LIMIT", 0)
     monkeypatch.setattr(bench, "lowest_eigs", iterative)
     spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
                      theories=("exact",), n_levels=3, dims=(8, 8, 4))

@@ -640,38 +640,60 @@ class TestLowestEigs:
         assert oscillator._LANCZOS_TOL == 1e-9
 
     def test_size_picks_the_solver(self, monkeypatch):
-        # in the dense range the largest dense sector picks: dense up to
-        # SECTOR_CROSSOVER states (or above ITERATIVE_M_LIMIT levels), Lanczos
-        # at the dense-range tolerance above it; above DENSE_DIM_LIMIT states
-        # Lanczos at the fixed tolerance, nothing else
+        # in the dense range the folded sector's size picks: dense up to
+        # SECTOR_CROSSOVER states (or above ITERATIVE_M_LIMIT levels, or at
+        # most ARPACK's basis of 20), Lanczos at the dense-range tolerance
+        # above it; above DENSE_DIM_LIMIT states Lanczos at the fixed tolerance
+        import scipy.sparse.linalg as sla
+
+        class Picked(Exception):
+            pass
+
+        def pick(*entry):
+            picked.append(entry)
+            raise Picked
+
+        # a biased LA pair at 28x28 has no reflection: one sector of 784 states
+        _, biased = captured_operator(monkeypatch, "LA",
+                                      identical_pair(1.05, phi_cx=STRONG_PHI_CX),
+                                      dims=(28, 28), n_levels=3)
         picked = []
-        monkeypatch.setattr(oscillator, "_dense_lowest",
-                            lambda op, m, want_vectors: picked.append(("dense", op.size)))
-        monkeypatch.setattr(
-            oscillator, "_iterative_lowest",
-            lambda op, m, want_vectors, tol=oscillator._LANCZOS_TOL:
-                picked.append(("lanczos", op.size, tol)))
+        monkeypatch.setattr(oscillator, "_partial_eigh", lambda sub, m: pick("dense", sub.size))
+        monkeypatch.setattr(sla, "eigsh", lambda a, **kw: pick("lanczos", a.shape[0], kw["tol"]))
         rng = np.random.default_rng(5)
         cases = [
-            ((20, 22), rng.standard_normal((20, 22)), 3),  # no symmetry: one sector of 440
-            ((21, 21), rng.standard_normal((21, 21)), 3),  # one sector of 441
-            ((21, 21), rng.standard_normal((21, 21)), 33),  # more levels than Lanczos takes
-            ((40, 40), np.zeros((40, 40)), 3),  # four reflection sectors of 400
-            ((42, 42), np.zeros((42, 42)), 3),  # four of 441
-            ((90, 91), np.zeros((90, 91)), 3),  # 8190 states, sectors of up to 2070
-            ((91, 91), np.zeros((91, 91)), 3),
+            (diagonal_operator((20, 28), rng.standard_normal((20, 28))), 3),  # one sector of 560
+            (diagonal_operator((19, 30), rng.standard_normal((19, 30))), 3),  # one of 570
+            (diagonal_operator((19, 30), rng.standard_normal((19, 30))), 33),  # m above 32
+            (diagonal_operator((40, 56), np.zeros((40, 56))), 3),  # four reflection sectors of 560
+            (diagonal_operator((40, 58), np.zeros((40, 58))), 3),  # four of 580
+            (biased, 6),
+            (diagonal_operator((90, 91), np.zeros((90, 91))), 3),  # odd pivot: one of 8190
+            (diagonal_operator((91, 91), np.zeros((91, 91))), 3),  # above DENSE_DIM_LIMIT
         ]
-        for dims, potential, m in cases:
-            lowest_eigs(diagonal_operator(dims, potential), m)
-        assert picked == [("dense", 440), ("lanczos", 441, 1e-14), ("dense", 441),
-                          ("dense", 1600), ("lanczos", 1764, 1e-14), ("lanczos", 8190, 1e-14),
-                          ("lanczos", 8281, 1e-9)]
-        assert (DENSE_DIM_LIMIT, oscillator.SECTOR_CROSSOVER) == (8192, 440)
+        for op, m in cases:
+            with pytest.raises(Picked):
+                lowest_eigs(op, m)
+        assert picked == [("dense", 560), ("lanczos", 570, 1e-14), ("dense", 570),
+                          ("dense", 560), ("lanczos", 580, 1e-14), ("lanczos", 784, 1e-14),
+                          ("lanczos", 8190, 1e-14), ("lanczos", 8281, 1e-9)]
+        # ARPACK needs m < ncv < size: sectors of at most ncv = 20 states stay
+        # dense whatever the crossover
+        picked.clear()
+        monkeypatch.setattr(oscillator, "SECTOR_CROSSOVER", 0)
+        for dims in ((8, 10), (10, 10)):  # four sectors of 20 and 25
+            with pytest.raises(Picked):
+                lowest_eigs(diagonal_operator(dims, np.zeros(dims)), 3)
+        assert picked == [("dense", 20), ("lanczos", 25, 1e-14)]
+        monkeypatch.undo()
+        assert (DENSE_DIM_LIMIT, oscillator.SECTOR_CROSSOVER) == (8192, 560)
 
 def lanczos(op, m, want_vectors=False):
-    # the Lanczos path at its fixed tolerance, which lowest_eigs takes above
-    # DENSE_DIM_LIMIT states
-    return oscillator._iterative_lowest(op, m, want_vectors)
+    # the Lanczos route at its fixed tolerance, which lowest_eigs takes above
+    # DENSE_DIM_LIMIT states: the limit is lowered just below the operator
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oscillator, "DENSE_DIM_LIMIT", op.size - 1)
+        return lowest_eigs(op, m, want_vectors)
 
 
 def two_qubit_operator(dims=(14, 14, 8)):
@@ -961,12 +983,17 @@ class TestFoldedLanczos:
                                             "levels": ("all",) * 4}
         assert spec.metadata["sector_leak"] == 0.0
 
-    def test_small_sectors_keep_the_full_space_solve(self):
-        # 2 x 10 x 4 states fold to four sectors of 20: no more than ncv
+    def test_small_sectors_are_solved_dense(self):
+        # 2 x 10 x 4 states fold to four sectors of 20, no more than ARPACK's
+        # basis of 20: each gets a partial dense solve, also above the limit
         op = identical_operator((2, 10, 4))
         spec = lanczos(op, 4)
-        assert spec.metadata["sectors"]["labels"] == ("all",)
-        assert np.array_equal(spec.eigenvalues, full_space_lanczos(op, 4)[0])
+        assert spec.metadata["solver"] == "dense"
+        assert spec.metadata["sectors"]["dims"] == (20,) * 4
+        np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(op.to_dense())[:4],
+                                   rtol=1e-12, atol=0)
+        assert np.all(spec.metadata["residuals"] <= 10.0 * oscillator._LANCZOS_TOL
+                      * np.abs(spec.eigenvalues))
 
     def test_error_bounds_in_both_routes(self):
         # each level's residual norm bounds its distance to the exact
@@ -992,11 +1019,26 @@ class TestFoldedLanczos:
         assert np.array_equal(a.metadata["residuals"], b.metadata["residuals"])
         assert a.metadata["sectors"] == b.metadata["sectors"]
 
-    def test_folded_operator_has_no_dense_build(self):
-        op = identical_operator()
-        _, _, sectors = oscillator._folded_sectors(op, 20, oscillator._symmetries(op)[0])
-        with pytest.raises(ConfigurationError, match="no dense build"):
-            sectors[0][1].to_dense()
+    def test_folded_sector_dense_build_is_its_matvec(self):
+        # each folded sector's dense matrix, reflected terms included, is its
+        # matvec's image of the identity, bit for bit, and exactly symmetric
+        three_qubits = normal_modes(make_system(qubits=[make_qubit()] * 3), dims=(6, 6, 6, 4))
+        ops = [
+            # only the joint reflection: a reflected term on the pivot axis
+            TensorOperator([[[1.0, 0.5], [0.5, 1.0]], [[2.0, 0.3], [0.3, 2.0]]],
+                           [[1.0, 2.0], [2.0, 1.0]]),
+            identical_operator(),
+            identical_operator((12, 12, 9)),  # the joint reflection flips an odd axis
+            assemble_tensor_operator(three_qubits),
+        ]
+        for op, n_sectors in zip(ops, (2, 4, 4, 4)):
+            group, _, sectors = oscillator._folded_sectors(op, oscillator._symmetries(op)[0])
+            assert len(sectors) == len(group) == n_sectors
+            for _, sub, _ in sectors:
+                dense = sub.to_dense()
+                assert sub.size == op.size // len(group)
+                assert np.array_equal(dense, sub.matvec(np.eye(sub.size)))
+                assert np.array_equal(dense, dense.T)
 
 
 def old_dense_lowest(h, m):
@@ -1044,8 +1086,19 @@ def identical_pair(beta_j=1.05, beta_c=0.75, phi_cx=0.0):
 STRONG_PHI_CX = 0.03 * 2.0 * math.pi
 
 
+def exchanged(vecs, dims):
+    # the columns with the grid's two qubit axes swapped
+    return vecs.reshape(dims + (-1,)).swapaxes(0, 1).reshape(vecs.shape)
+
+
+def exchange_signs(levels):
+    # the exchange parity each level's label ends in
+    return np.array([1.0 if level[-1] == "+" else -1.0 for level in levels])
+
+
 class TestSectorSolve:
-    """Dense solves split into the parity x exchange sectors of the operator."""
+    """Solves split into the reflection sectors of the operator, labelled
+    with each level's measured exchange parity."""
 
     @pytest.mark.parametrize("beta_j", [0.616, 1.05, 1.262, 1.4])
     @pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
@@ -1054,9 +1107,11 @@ class TestSectorSolve:
         want = old_dense_lowest(op.to_dense(), 6)[0]
         np.testing.assert_allclose(spec.eigenvalues, want, rtol=1e-12, atol=0)
         sectors = spec.metadata["sectors"]
-        assert sectors["labels"] == ("00+", "00-", "10+", "10-")
-        assert sum(sectors["dims"]) == 1600
-        assert set(sectors["levels"]) <= set(sectors["labels"])
+        # the joint flux reflection folds two sectors of 800; the exchange
+        # parity is measured on each level
+        assert sectors["labels"] == ("00", "10")
+        assert sectors["dims"] == (800, 800)
+        assert set(sectors["levels"]) <= {"00+", "00-", "10+", "10-"}
         assert len(sectors["levels"]) == 6
         assert spec.metadata["sector_leak"] < 1e-12
 
@@ -1066,15 +1121,25 @@ class TestSectorSolve:
         spec, op = captured_operator(monkeypatch, theory, system, n_levels=6,
                                      nu_max=400, mu_max=120)
         want = old_dense_lowest(op.to_dense(), 6)[0]
-        # sectors of 820 states go to Lanczos; the dense builder is called itself
-        dense = oscillator._dense_lowest(op, 6, False)
-        for got in (spec, dense):
+        # no reflection survives the bias: one sector of 1600 states, solved by
+        # Lanczos, and by the dense route when the crossover is raised
+        with monkeypatch.context() as patch:
+            patch.setattr(oscillator, "SECTOR_CROSSOVER", op.size)
+            dense = lowest_eigs(op, 6, want_vectors=True)
+        vectors = lowest_eigs(op, 6, want_vectors=True)
+        for got in (spec, dense, vectors):
             np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-12, atol=0)
-        sectors = dense.metadata["sectors"]
-        assert sectors["labels"] == ("+", "-")
-        assert sectors["dims"] == (820, 780)
-        assert spec.metadata["solver"] == "lanczos"
-        assert spec.metadata["sectors"]["levels"] == sectors["levels"]
+            sectors = got.metadata["sectors"]
+            assert sectors["labels"] == ("all",) and sectors["dims"] == (1600,)
+            assert set(sectors["levels"]) <= {"+", "-"}
+        assert (spec.metadata["solver"], dense.metadata["solver"]) == ("lanczos", "dense")
+        assert spec.metadata["sectors"]["levels"] == dense.metadata["sectors"]["levels"]
+        # each level's vector has the exchange parity its label gives
+        for got in (dense, vectors):
+            vecs = got.eigenvectors
+            np.testing.assert_allclose(np.sum(vecs * exchanged(vecs, op.dims), axis=0),
+                                       exchange_signs(got.metadata["sectors"]["levels"]),
+                                       atol=1e-12)
 
     def test_exact_small_dims_match_full_eigh(self, monkeypatch):
         spec, op = captured_operator(monkeypatch, "exact", identical_pair(1.05),
@@ -1169,34 +1234,11 @@ class TestSectorSolve:
         honest = lowest_eigs(op, 4)
         assert len(honest.metadata["sectors"]["labels"]) > 2
         assert honest.metadata["sector_leak"] > 1e-3
-        real = oscillator._sectors
-
-        def hide_leak(op):
-            sectors, _, h_norm = real(op)
-            return sectors, 0.0, h_norm
-
-        monkeypatch.setattr(oscillator, "_sectors", hide_leak)
+        monkeypatch.setattr(oscillator, "_sector_leak", lambda op, group: 0.0)
         with pytest.raises(NumericError) as info:
             lowest_eigs(op, 4)
         assert info.value.details["sector_leak"] == 0.0
         assert max(info.value.details["residuals"]) > info.value.details["bound"]
-
-    def test_exchange_leak_is_the_swap_odd_norm(self, monkeypatch):
-        # qubits 1e-12 apart, accepted as identical under a raised zero
-        # tolerance: the leak is the dropped swap-odd part (H - PHP)/2
-        qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
-              QubitParams(beta_j=1.05 + 1e-12, zeta_j=0.05, alpha_j=0.05))
-        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0)
-        _, op = captured_operator(monkeypatch, "NA", system, dims=(16, 16), n_levels=4,
-                                  nu_max=40)
-        monkeypatch.setattr(oscillator, "_SECTOR_TOL", 1e6)
-        spec = lowest_eigs(op, 4)
-        assert spec.metadata["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
-        h = op.to_dense()
-        swapped = h.reshape(16, 16, 16, 16).transpose(1, 0, 3, 2).reshape(256, 256)
-        odd = 0.5 * np.linalg.norm(h - swapped)
-        assert odd > 1e-13
-        assert spec.metadata["sector_leak"] == pytest.approx(odd, rel=1e-6)
 
     def test_wrong_eigenpairs_trip_residual_gate(self, monkeypatch):
         # every single-mode solve checks what its eigensolver hands back, as
@@ -1245,7 +1287,8 @@ class TestSectorSolve:
         # reduced problem: joint reflection and swap, both exact on the grid,
         # with the swap-fixed diagonal and reflection-swap-fixed antidiagonal
         spec = bo_spectrum("LA", identical_pair(1.05), n_levels=6)
-        assert spec.metadata["sectors"]["dims"] == (420, 380, 400, 400)
+        assert spec.metadata["sectors"]["labels"] == ("00", "10")
+        assert spec.metadata["sectors"]["dims"] == (800, 800)
         assert spec.metadata["sector_leak"] == 0.0
 
     def test_sweep_records_keep_sectors(self):
@@ -1253,8 +1296,10 @@ class TestSectorSolve:
                          system=identical_pair(1.05), theories=("LA",), n_levels=3,
                          bo_dims=(12, 12))
         first, second = sweep(spec).points
-        assert first["meta"]["LA"]["sectors"]["labels"] == ("00+", "00-", "10+", "10-")
-        assert second["meta"]["LA"]["sectors"]["labels"] == ("+", "-")
+        assert first["meta"]["LA"]["sectors"]["labels"] == ("00", "10")
+        assert second["meta"]["LA"]["sectors"]["labels"] == ("all",)
+        assert set(first["meta"]["LA"]["sectors"]["levels"]) <= {"00+", "00-", "10+", "10-"}
+        assert set(second["meta"]["LA"]["sectors"]["levels"]) <= {"+", "-"}
         assert "sector_leak" not in first["meta"]["LA"]
 
 
@@ -1307,185 +1352,153 @@ class TestPartialSectorSolve:
         assert len(spec.metadata["sectors"]["levels"]) == m
 
     @pytest.mark.parametrize("case, sector_dims, levels", [
-        pytest.param("na_beta_j_1.4", (420, 380, 400, 400), (6, 1), id="na_beta_j_1.4"),
-        pytest.param("strong_coupler", (820, 780), (6, 1), id="strong_coupler"),
+        pytest.param("na_beta_j_1.4", (800, 800), (6, 1), id="na_beta_j_1.4"),
+        pytest.param("strong_coupler", (1600,), (6, 1), id="strong_coupler"),
         pytest.param("non_identical_gap", (1600,), (6, 1), id="non_identical_gap"),
         pytest.param("three_qubits", (1500,) * 4, (6,), id="three_qubits"),
     ])
     def test_acceptance_points_match_full_eigh(self, monkeypatch, case, sector_dims, levels):
         op = self.operator(monkeypatch, case)
         # solved before the test builds its own dense copy: at 6000 states
-        # each copy is 288 MB; every point but na_beta_j_1.4 has sectors above
-        # SECTOR_CROSSOVER, so lowest_eigs solves it by Lanczos, and the dense
-        # builder is called itself
+        # each copy is 288 MB; every point has sectors above SECTOR_CROSSOVER,
+        # so lowest_eigs solves it by Lanczos, and by partial dense solves when
+        # the crossover is raised
         specs = [lowest_eigs(op, m, want_vectors=True) for m in levels]
-        dense = [oscillator._dense_lowest(op, m, True) for m in levels]
+        with monkeypatch.context() as patch:
+            patch.setattr(oscillator, "SECTOR_CROSSOVER", op.size)
+            dense = [lowest_eigs(op, m, True) for m in levels]
         h = op.to_dense()
         want = np.linalg.eigvalsh(h)
         for spec in specs + dense:
             self.check(spec, h, want)
-        for spec in dense:
             assert spec.metadata["sectors"]["dims"] == sector_dims
+        assert {spec.metadata["solver"] for spec in specs} == {"lanczos"}
+        assert {spec.metadata["solver"] for spec in dense} == {"dense"}
         if case == "non_identical_gap":
             assert np.min(np.diff(want[:6])) < 2e-3
 
     def test_sectors_smaller_than_m(self, monkeypatch):
-        # a 3x3 grid splits into sectors of at most 3 states, so each is
-        # solved whole (k = its size) and the merge picks the lowest 6 of 9
+        # a 4x4 grid folds into two sectors of 8 states, so each is solved
+        # whole (k = its size) and the merge picks the lowest 10 of 16
+        _, op = captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(4, 4),
+                                  n_levels=6, nu_max=40)
+        spec = lowest_eigs(op, 10, want_vectors=True)
+        h = op.to_dense()
+        self.check(spec, h, np.linalg.eigvalsh(h))
+        assert spec.metadata["sectors"]["dims"] == (8, 8)
+
+    def test_odd_grid_is_one_sector_with_exchange_labels(self, monkeypatch):
+        # a 3x3 grid's reflection has an odd pivot axis, so nothing folds: one
+        # sector of 9 states whose levels carry only their exchange parity
         _, op = captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(3, 3),
                                   n_levels=6, nu_max=40)
+        assert oscillator._symmetries(op)[:2] == ([0, 3], (0, 1))
         spec = lowest_eigs(op, 6, want_vectors=True)
         h = op.to_dense()
         self.check(spec, h, np.linalg.eigvalsh(h))
-        dims = spec.metadata["sectors"]["dims"]
-        assert sum(dims) == 9 and max(dims) < 6
+        sectors = spec.metadata["sectors"]
+        assert (sectors["labels"], sectors["dims"]) == (("all",), (9,))
+        assert set(sectors["levels"]) <= {"+", "-"}
+        vecs = spec.eigenvectors
+        np.testing.assert_allclose(np.sum(vecs * exchanged(vecs, op.dims), axis=0),
+                                   exchange_signs(sectors["levels"]), atol=1e-12)
 
 
-def gathered_sectors(op):
-    # each sector matrix gathered from the dense matrix, one np.take per group
-    # element, as the dense solve did before it built sectors from the factors
-    h = op.to_dense()
-    n_modes = len(op.dims)
-    group, swap, _ = oscillator._symmetries(op)
-    elements = [(g, s) for s in ((False, True) if swap else (False,)) for g in group]
-    index = np.arange(op.size).reshape(op.dims)
-    perms = []
-    for g, s in elements:
-        perm = np.flip(index, oscillator._modes(g, n_modes))
-        perms.append((perm.swapaxes(*swap) if s else perm).ravel())
-    perms = np.array(perms)
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(op.size))
-    fixed = perms[:, reps] == reps
-    mats = []
-    for parity in oscillator._parity_labels(group, n_modes):
-        for sign in (1, -1) if swap else (1,):
-            chi = np.array([(-1) ** parity[group.index(g)] * (sign if s else 1)
-                            for g, s in elements])
-            keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
-            if not keep.any():
-                continue
-            rows = reps[keep]
-            scale = 1.0 / np.sqrt(fixed[:, keep].sum(axis=0))
-            flat_rows = (rows * op.size)[:, None]
-            mat = sum(x * np.take(h, flat_rows + p[rows]) for x, p in zip(chi, perms))
-            mat *= scale[:, None] * scale[None, :]
-            mats.append(mat)
-    return mats
+def dense_route(monkeypatch):
+    # every sector above ARPACK's basis goes to the partial dense solve
+    monkeypatch.setattr(oscillator, "SECTOR_CROSSOVER", DENSE_DIM_LIMIT)
 
 
 class TestSectorBuild:
-    """Sector matrices built from the operator's nonzeros, never from H.
+    """Dense sector matrices built by to_dense from the folded operators.
 
-    The oracle is the gather from the dense matrix the solve used before
-    (gathered_sectors): every built matrix must equal it bit for bit.
+    When a reflection folds, no matrix of the operator's full size is
+    built; an operator that does not fold is the one sector whose matrix
+    is H.
     """
 
     @staticmethod
     def operator(monkeypatch, case):
-        if case == "exact_small":
-            # normal-mode reflections hold only to about 1e-14 here
-            return captured_operator(monkeypatch, "exact", identical_pair(1.05),
-                                     dims=(8, 8, 6), n_levels=6)[1]
-        if case == "three_qubits":
-            q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
-            system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
-            return captured_operator(monkeypatch, "NA", system, dims=(14, 14, 14),
-                                     n_levels=6, nu_max=40)[1]
         if case == "non_identical":
             qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05, phi_jx=0.01),
                   QubitParams(beta_j=0.95, zeta_j=0.05, alpha_j=0.05))
             system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0,
                                    phi_cx=STRONG_PHI_CX)
             return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=40)[1]
-        if case == "strong_bias":
-            system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
-            return captured_operator(monkeypatch, "LA", system, n_levels=6)[1]
-        dims = (3, 3) if case == "grid_3x3" else (40, 40)
-        return captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=dims,
+        return captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(40, 40),
                                  n_levels=6, nu_max=40)[1]
 
-    @pytest.mark.parametrize("case, sector_dims", [
-        ("zero_bias", (420, 380, 400, 400)),
-        ("strong_bias", (820, 780)),
-        ("non_identical", (1600,)),
-        ("three_qubits", (735, 637, 735, 637)),
-        # the middle plane's points are fixed by reflections, stabilizers above 1
-        ("grid_3x3", (4, 1, 2, 2)),
-        ("exact_small", (96,) * 4),
-    ])
-    def test_built_sectors_are_the_gather_bitwise(self, monkeypatch, case, sector_dims):
-        op = self.operator(monkeypatch, case)
-        sectors, leak, h_norm = oscillator._sectors(op)
-        sectors = list(sectors)  # a generator, building each matrix when asked
-        built = [mat for _, mat, _ in sectors]
-        assert tuple(len(mat) for mat in built) == sector_dims
-        # the count lowest_eigs routes by, without building a sector
-        group, swap, _ = oscillator._symmetries(op)
-        assert oscillator._largest_sector(op.dims, group, swap) == max(sector_dims)
-        for mat, want in zip(built, gathered_sectors(op)):
-            assert mat.flags.f_contiguous
-            assert np.array_equal(mat, want)
-        assert h_norm == pytest.approx(np.linalg.norm(op.to_dense()), rel=1e-13)
-        if case == "non_identical":
-            assert [label for label, _, _ in sectors] == ["all"]
-            assert leak == 0.0
-
     def test_solve_never_builds_the_dense_matrix(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("lowest_eigs built the dense matrix")
+        # a folded operator's dense solve builds its sectors' matrices only
+        # (an operator that does not fold is one partial eigh of its whole
+        # matrix: test_non_identical_qubits_are_bitwise_one_eigh)
+        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+        three = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
+        ops = [self.operator(monkeypatch, "zero_bias"),
+               captured_operator(monkeypatch, "NA", three, dims=(10, 10, 10), n_levels=6,
+                                 nu_max=40)[1],
+               captured_operator(monkeypatch, "exact", identical_pair(1.05), dims=(12, 12, 6),
+                                 n_levels=6)[1]]
+        full = {op.size for op in ops}
+        built = []
+        real = TensorOperator.to_dense
 
-        ops = [self.operator(monkeypatch, case) for case in ("zero_bias", "non_identical")]
-        ops.append(assemble_tensor_operator(normal_modes(make_system(), dims=(60,))))
-        monkeypatch.setattr(TensorOperator, "to_dense", refuse)
+        def refuse_full(self):
+            if self.size in full:
+                raise AssertionError("lowest_eigs built the dense matrix")
+            built.append(self.size)
+            return real(self)
+
+        dense_route(monkeypatch)
+        monkeypatch.setattr(TensorOperator, "to_dense", refuse_full)
         for op in ops:
             spec = lowest_eigs(op, 6, want_vectors=True)
             assert len(spec.eigenvalues) == 6
+        assert built == [800] * 2 + [500] * 2 + [216] * 4
 
     @pytest.mark.parametrize("case, limit", [("zero_bias", 1.0), ("non_identical", 1.5)])
     def test_dense_solve_memory_peak(self, monkeypatch, case, limit):
-        # with any symmetry no N x N matrix is allocated; with none, the one
-        # sector's own matrix plus the entries it is built from
+        # with any reflection no N x N matrix is allocated; with none, the one
+        # sector's own matrix and the solve's workspace
         op = self.operator(monkeypatch, case)
         assert op.size == 1600
-        oscillator._dense_lowest(op, 6, False)  # the first call imports scipy
+        dense_route(monkeypatch)
+        lowest_eigs(op, 6)  # the first call imports scipy
         tracemalloc.start()
         try:
-            oscillator._dense_lowest(op, 6, True)
+            spec = lowest_eigs(op, 6, want_vectors=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert spec.metadata["solver"] == "dense"
         assert peak < limit * 8 * op.size**2
 
     def test_dense_solve_holds_one_sector_at_a_time(self, monkeypatch):
         # each sector is built, solved and dropped before the next is built:
-        # at three qubits on 18^3 the four sectors take 68 MB together, the
-        # largest 19 MB
+        # at three qubits on 14^3 the two sectors take 30 MB together, each 15 MB
         q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
         system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
         # the capture solves once, which imports scipy
-        _, op = captured_operator(monkeypatch, "NA", system, dims=(18, 18, 18),
+        _, op = captured_operator(monkeypatch, "NA", system, dims=(14, 14, 14),
                                   n_levels=6, nu_max=40)
+        dense_route(monkeypatch)
         tracemalloc.start()
         try:
-            spec = oscillator._dense_lowest(op, 6, True)
+            spec = lowest_eigs(op, 6, want_vectors=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         dims = spec.metadata["sectors"]["dims"]
-        assert dims == (1539, 1377, 1539, 1377)
+        assert spec.metadata["solver"] == "dense"
+        assert dims == (1372, 1372)
         assert peak < 1.5 * 8 * max(dims) ** 2
 
 
-def exchanged(vecs, dims):
-    # the columns with the grid's two qubit axes swapped
-    return vecs.reshape(dims + (-1,)).swapaxes(0, 1).reshape(vecs.shape)
-
-
 class TestSectorRoute:
-    """Operators whose largest dense sector is above SECTOR_CROSSOVER go to Lanczos.
+    """Sectors above SECTOR_CROSSOVER states go to Lanczos.
 
-    The oracle is the dense sector route (_dense_lowest) on the same
-    operator: the Lanczos route must give its eigenvalues to 1e-13, its
+    The oracle is the dense route on the same operator (the crossover
+    raised): the Lanczos route must give its eigenvalues to 1e-13, its
     level labels, exchange parity included, and residuals within its gate,
     sector_leak + 64 eps ||H||_F with ||H||_F from the dense matrix.
     """
@@ -1500,9 +1513,14 @@ class TestSectorRoute:
                 _, op = captured_operator(monkeypatch, theory,
                                           identical_pair(beta_j, beta_c, phi_cx),
                                           n_levels=6, **kwargs)
-                dense = oscillator._dense_lowest(op, 6, True)
-                routed = oscillator._iterative_lowest(op, 6, True, oscillator._DENSE_RANGE_TOL)
+                with monkeypatch.context() as patch:
+                    dense_route(patch)
+                    dense = lowest_eigs(op, 6, True)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oscillator, "SECTOR_CROSSOVER", 0)
+                    routed = lowest_eigs(op, 6, True)
                 picked = lowest_eigs(op, 6)
+                assert (dense.metadata["solver"], routed.metadata["solver"]) == ("dense", "lanczos")
                 assert np.max(np.abs(routed.eigenvalues - dense.eigenvalues)) <= 1e-13
                 assert routed.metadata["sectors"]["levels"] == dense.metadata["sectors"]["levels"]
                 vecs = routed.eigenvectors
@@ -1512,30 +1530,31 @@ class TestSectorRoute:
                 assert np.all(resid <= bound)
                 # each level's vector has the exchange parity its label ends in
                 parity = np.sum(vecs * exchanged(vecs, op.dims), axis=0)
-                signs = [1.0 if level[-1] == "+" else -1.0
-                         for level in routed.metadata["sectors"]["levels"]]
-                np.testing.assert_allclose(parity, signs, atol=1e-12)
+                np.testing.assert_allclose(
+                    parity, exchange_signs(routed.metadata["sectors"]["levels"]), atol=1e-12)
                 want = routed if picked.metadata["solver"] == "lanczos" else dense
                 assert np.array_equal(picked.eigenvalues, want.eigenvalues)
                 routes.append(picked.metadata["solver"])
-        # zero bias: four sectors of at most 420 states; biased: 820 and 780
-        assert routes == ["dense", "lanczos", "lanczos"] * 4
+        # zero bias: two folded sectors of 800 states; biased: one of 1600
+        assert routes == ["lanczos"] * 12
 
-    def test_degenerate_levels_get_exchange_parities(self):
+    def test_degenerate_levels_get_exchange_parities(self, monkeypatch):
         # two uncoupled identical qubits: |01> and |10> are degenerate, so the
         # Lanczos vectors mix them until S is diagonalized within the pair
         kinetic, potential, _ = oscillator._junction_mode(0.05, 1.05, 0.3, 40)
         op = TensorOperator([kinetic, kinetic], potential[:, None] + potential[None, :])
         spec = lowest_eigs(op, 6, want_vectors=True)
-        dense = oscillator._dense_lowest(op, 6, False)
-        assert spec.metadata["solver"] == "lanczos"
+        with monkeypatch.context() as patch:
+            dense_route(patch)
+            dense = lowest_eigs(op, 6, False)
+        assert (spec.metadata["solver"], dense.metadata["solver"]) == ("lanczos", "dense")
         assert np.min(np.diff(dense.eigenvalues)) < 1e-13
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-13
         levels = spec.metadata["sectors"]["levels"]
         assert sorted(levels) == sorted(dense.metadata["sectors"]["levels"])
         vecs = spec.eigenvectors
-        signs = np.array([1.0 if level == "+" else -1.0 for level in levels])
-        np.testing.assert_allclose(exchanged(vecs, op.dims), vecs * signs, atol=1e-12)
+        np.testing.assert_allclose(exchanged(vecs, op.dims), vecs * exchange_signs(levels),
+                                   atol=1e-12)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-13)
         assert np.all(spec.metadata["residuals"] <= 64 * np.finfo(float).eps
                       * np.linalg.norm(op.to_dense()))
