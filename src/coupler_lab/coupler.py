@@ -40,8 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .kapteyn import (FourierSeries, _kapteyn_convolution, bessel_j, cos_beta, g_coeff,
-                      kepler_solve)
+from .kapteyn import FourierSeries, _kapteyn_convolution, cos_beta, g_coeff, kepler_solve
 from .oscillator import _checked_residuals, _junction_matrix, _residual_bound
 
 __all__ = [
@@ -206,21 +205,22 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) 
 def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
     """B_nu^(0) and B_nu^(1) for nu = 0..nu_max: the zeta-free series.
 
-    B_nu^(0) is the direct ``bessel_j(nu, beta_c nu) / nu^2``.  The
-    convolution in B_nu^(1) comes from one downward Bessel recurrence
-    over the orders nu-mu_max..nu+mu_max of every row at once
-    (``kapteyn._kapteyn_convolution``: anchored on ``jv`` at the top
-    two orders, or Miller-started where those underflow, reflected to
-    the negative orders of rows nu < mu_max, scaled to ``jv`` near the
-    turning point); it matches the per-mu ``jv`` sum to 2e-12 of the
-    row's sum of |terms|.  Memory stays O(nu_max).  Memoized per
-    (beta_c, nu_max, mu_max); the two arrays are shared and read-only.
+    B_nu^(0) is J_nu(beta_c nu) / nu^2.  The convolution in B_nu^(1)
+    comes from one downward Bessel recurrence over the orders
+    nu-mu_max..nu+mu_max of every row at once
+    (``kapteyn._kapteyn_convolution``: Miller-started above the top
+    order, reflected to the negative orders of rows nu < mu_max, scaled
+    to one ``bessel_j`` value near the turning point, the call that also
+    gives J_nu(beta_c nu)); it matches the per-mu scipy ``jv`` sum to
+    2e-12 of the row's sum of |terms|.  Memory stays O(nu_max).  Memoized
+    per (beta_c, nu_max, mu_max); the two arrays are shared and
+    read-only.
     """
     g = np.array([g_coeff(mu, beta_c) for mu in range(mu_max + 1)])
     nu = np.arange(1, nu_max + 1)
     # mu and -mu combined; G_{-mu} = G_mu
-    conv = _kapteyn_convolution(beta_c, nu_max, np.arange(mu_max + 1) * g)
-    classical = np.concatenate(([-beta_c**2 / 4.0], bessel_j(nu, beta_c * nu) / nu**2))
+    conv, diagonal = _kapteyn_convolution(beta_c, nu_max, np.arange(mu_max + 1) * g)
+    classical = np.concatenate(([-beta_c**2 / 4.0], diagonal / nu**2))
     quantum = np.concatenate(([g[0] - beta_c * g[1]], conv / nu))
     classical.flags.writeable = False
     quantum.flags.writeable = False

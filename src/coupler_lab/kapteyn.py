@@ -32,14 +32,17 @@ forms, both consequences of the defining equation:
     d sin_beta / d phi = cos(chi) / (1 - beta*cos(chi))
     cos_beta(phi)      = (beta/2) sin_beta(phi)^2 + cos(chi)
 
-The zero-point part of the interaction series needs, for each nu, the
-sum over |mu| <= M of mu G_mu J_{nu-mu}(beta*nu): consecutive orders at
-one argument.  ``_kapteyn_convolution`` takes all of them from one
-downward three-term recurrence per row, anchored on two ``jv`` values
-(or Miller-started where those underflow), renormalized at every step,
-reflected through J_{-m} = (-1)^m J_m below order 0 and scaled to one
-``jv`` value near the turning point.  It agrees with the per-mu ``jv``
-sum to 2e-12 of each row's sum of |terms|.
+Bessel values come from Miller's backward recurrence (Gautschi, SIAM
+Rev. 9, 24 (1967)), with no special-function library: J_{k-1}(x) =
+(2k/x) J_k(x) - J_{k+1}(x) is run downward from an order far enough
+above max(order, x) that its arbitrary start is forgotten, carried on to
+order 0, and normalized by J_0 + 2 sum_{k>0} J_2k = 1.  bessel_j runs it
+once per distinct argument, all arguments at once.  The zero-point part
+of the interaction series needs, for each nu, the sum over |mu| <= M of
+mu G_mu J_{nu-mu}(beta*nu): consecutive orders at one argument, so
+``_kapteyn_convolution`` runs the same recurrence over each row's band
+only, adds each order into the row's sum as it passes, and scales the
+row to one bessel_j value; that call also gives J_nu(beta*nu).
 
 The Newton solver ``kepler_solve`` is the ground truth all series are
 validated against.  The sine-series coefficient table behind sin_beta
@@ -50,11 +53,11 @@ series point by point builds its Bessel values once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import NumericError
 
@@ -72,10 +75,15 @@ __all__ = [
 def bessel_j(order, x):
     """Bessel function of the first kind at integer order.
 
-    Vectorized over both arguments.  Relative accuracy is better than
-    1e-12 on the regime this module exercises (|order| <= 500 with
-    |x| <= |order|, i.e. below the turning point where J_nu(beta*nu)
-    decays exponentially in nu).
+    Vectorized over both arguments.  Negative orders and arguments follow
+    J_{-n}(x) = J_n(-x) = (-1)^n J_n(x); a non-finite argument gives NaN.
+    Relative accuracy is better than 1e-12 wherever |J| exceeds 1e-290,
+    against scipy's jv, for |order| and |x| up to a few thousand; below
+    the turning point (|x| > |order|) J oscillates, and near its zeros
+    only the error relative to the neighbouring orders is that small.
+    A value below e^-700 by Kapteyn's bound is 0 (see _negligible); each
+    other distinct argument costs one recurrence of about
+    max(|order|, |x|) steps (see _miller).
     """
     order = np.asarray(order)
     if not np.issubdtype(order.dtype, np.integer):
@@ -83,55 +91,141 @@ def bessel_j(order, x):
         if np.any(rounded != order):
             raise ValueError("bessel_j expects integer orders")
         order = rounded.astype(int)
-    return jv(order, x)
+    order, x = np.broadcast_arrays(order, np.asarray(x, dtype=float))
+    n, ax = np.abs(order).ravel().astype(np.int64), np.abs(x).ravel()
+    out = np.where(np.isfinite(ax), 0.0, np.nan)
+    live = np.flatnonzero(np.isfinite(ax) & ~_negligible(n, ax))
+    if len(live):
+        out[live] = _miller(n[live], ax[live])
+    flip = ((order.ravel() < 0) ^ (x.ravel() < 0)) & (n % 2 == 1)
+    out[flip] = -out[flip]
+    return out.reshape(order.shape)[()]
 
 
-def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray) -> np.ndarray:
-    """sum_{mu=1..M} c_mu [J_{nu-mu}(beta nu) - J_{nu+mu}(beta nu)], nu = 1..nu_max.
+def _negligible(n, x):
+    """Where J_n(x) < e^-700 (about 1e-304) by Kapteyn's bound.
 
+    For n > x >= 0, J_n(n z) <= (z e^w / (1 + w))^n with w = sqrt(1 - z^2)
+    (Kapteyn's inequality; Watson, A Treatise on the Theory of Bessel
+    Functions, 1944).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = x / n
+        w = np.sqrt(1.0 - z * z)
+        return (n > x) & (n * (w - np.log1p(w) + np.log(z)) < -700.0)
+
+
+def _miller_start(top, x):
+    """First order of a downward recurrence that needs orders up to top at x.
+
+    Started at J = 1 with J above it 0, the recurrence's error dies like
+    the ratio J/Y of the minimal to the dominant solution, which from
+    order n = max(top, x) up falls by at least e^(-2 arccosh(n/x)) per
+    order (the Debye exponent's slope), and by more than e^-40 within
+    8 x^(1/3) + 20 orders of the turning point, whose region is about
+    x^(1/3) wide.  The start takes the fewer of the two counts, plus 4.
+    """
+    n = np.maximum(top, np.floor(x))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        orders = np.fmin(20.0 / np.arccosh(np.maximum(n, x) / x), 20.0 + 8.0 * np.cbrt(x))
+    return n.astype(np.int64) + 4 + np.ceil(orders).astype(np.int64)
+
+
+def _miller(n, x):
+    """J_n(x) for integer orders n >= 0 at finite x >= 0 (1-D arrays of pairs).
+
+    One recurrence per distinct x, all started at the largest
+    _miller_start any of them needs and run down to order 0.  Each row's
+    state is the ratio J_{k+1}/J_k, renormalized at every step so the
+    newest value is 1: rows deep in the decaying region, where J grows by
+    2k/x per order, never overflow, and 2k/x = inf (x below about
+    1e-305, or 0) gives the x -> 0 limit, ratio 0.  A row's sum rule J_0 +
+    2 sum J_2k and the value of each of its pairs, once passed, are lines
+    of one array carried in units of the newest order, so at order 0 a
+    pair is its line over the sum's.
+    """
+    xs, row = np.unique(x, return_inverse=True)
+    # line 0 is the sum rule; each pair holds a line of its row from 1 on
+    by_row = np.argsort(row, kind="stable")
+    counts = np.bincount(row)
+    line = np.empty(len(n), dtype=np.int64)
+    line[by_row] = np.arange(1, len(n) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    state = np.zeros((1 + counts.max(), len(xs)))
+    flat = state.ravel()
+    # the entries of state each order's pairs start
+    marks = [[] for _ in range(int(np.max(_miller_start(n, x))))]
+    for k, i in zip(n.tolist(), (line * len(xs) + row).tolist()):
+        marks[k].append(i)
+    ratio, t = np.zeros(len(xs)), np.empty(len(xs))
+    with np.errstate(divide="ignore", over="ignore"):
+        two_over_x = 2.0 / xs
+        for k in range(len(marks) - 1, -1, -1):
+            np.multiply(two_over_x, k + 1, out=t)
+            t -= ratio
+            np.divide(1.0, t, out=ratio)
+            state *= ratio
+            if k % 2 == 0:
+                state[0] += 2.0 if k else 1.0
+            for i in marks[k]:
+                flat[i] = 1.0
+    return state[line, row] / state[0, row]
+
+
+def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray):
+    """Row sums and diagonal of the Kapteyn band at x = beta nu, nu = 1..nu_max.
+
+    Returns (sum_{mu=1..M} c_mu [J_{nu-mu}(x) - J_{nu+mu}(x)], J_nu(x));
     ``c`` holds c_0..c_M (c_0 is unused).  Row nu needs the consecutive
-    orders nu-M..nu+M at one argument x = beta nu, so one downward
-    three-term recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, run on all
-    rows at once, replaces 2M sweeps of Bessel calls.  Step e produces
-    order nu+e on every row, so its weight (-c_e above nu, +c_|e| below)
-    is one scalar; each order is added into the row sum as it passes,
-    and no (nu_max, 2M+1) band is ever stored.
+    orders nu-M..nu+M at one argument, so one downward three-term
+    recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, run on all rows at once,
+    replaces 2M sweeps of Bessel calls.  Step e produces order nu+e on
+    every row, so its weight (-c_e above nu, +c_|e| below) is one scalar;
+    each order is added into the row sum as it passes, and no (nu_max,
+    2M+1) band is ever stored.
 
-    Each row is renormalized at every step so its newest value is 1
-    (the state is the ratio J_{k+1}/J_k), which keeps rows far from the
+    Each row is renormalized at every step so its newest value is 1 (the
+    state is the ratio J_{k+1}/J_k), which keeps rows far from the
     turning point, where J falls by 2k/x per order, from overflowing.
-    The start is the ratio of ``jv`` anchors at orders nu+M and nu+M-1,
-    or 0 where the lower anchor underflows (Miller's algorithm: a row
-    that deep in the decaying region forgets its start within a few
-    orders; Gautschi, SIAM Rev. 9, 24 (1967)).  The row is then scaled to
-    ``jv`` at k* = max(floor(x), nu-M), where J_k*(x) > 0: as
-    (row / row_k*) J_k*, since row (J_k*/row_k*) underflows.  floor(x)
-    rather than ceil(x) keeps k* = 0 for x < 1, where J_1/J_0 ~ x/2
-    would underflow to 0 for x below 4e-308.
+    Every row starts from J = 1 with 0 above it, at the largest offset
+    from nu that _miller_start gives any row for order nu+M (Miller's
+    algorithm: a row forgets its start within those orders).  The row is
+    then scaled to one bessel_j value at k* = max(floor(x), nu-M), where
+    J_k*(x) > 0: as (row / row_k*) J_k*, since row (J_k*/row_k*)
+    underflows.  floor(x) rather than ceil(x) keeps k* = 0 for x < 1,
+    where J_1/J_0 ~ x/2 would underflow to 0 for x below 4e-308.  The same
+    bessel_j call gives J_nu(x).
 
     The recurrence stops at order 0: rows nu < M collect the negative
-    orders by reflection, J_{-m} = (-1)^m J_m, as order m passes.
+    orders by reflection, J_{-m} = (-1)^m J_m, as order m passes.  Rows
+    past the last one whose J_{nu-M}(x) is not _negligible are 0 and are
+    not run.
 
     Against the per-mu ``jv`` sum, every row agrees to 2e-12 of
     sum_mu |c_mu| (|J_{nu-mu}| + |J_{nu+mu}|) wherever that sum exceeds
-    1e-250 (measured worst 6e-13 over beta 1e-300..0.98, nu_max up to
+    1e-250 (measured worst 4.8e-13 over beta 1e-300..0.98, nu_max up to
     2048, M up to 120); rows at any beta >= 0 are finite.
     """
     m = len(c) - 1
-    orders = np.arange(1.0 - m, nu_max + m + 1)  # every order any row reaches
-    nu = orders[m:nu_max + m]
+    nu = np.arange(1.0, nu_max + 1)
     x = beta * nu
     kstar = np.maximum(np.floor(x), nu - m)
-    top, below, j_star = jv(np.stack((orders[2 * m:], orders[2 * m - 1:-1], kstar)), x)
-    ratio = np.zeros(nu_max)
-    np.divide(top, below, out=ratio, where=below >= np.finfo(float).tiny)
-    # row 0: the sum, row 1: the value at k* once passed, both in units
-    # of each row's newest order
-    sums = np.zeros((2, nu_max))
-    sums[0] = -c[m] * ratio - (c[m - 1] if m > 1 else 0.0)
+    j_star, diagonal = bessel_j(np.stack((kstar, nu)), x)
+    live = np.flatnonzero(~_negligible(nu - m, x))
+    n = int(live[-1]) + 1 if len(live) else 0
+    out = np.zeros(nu_max)
+    if n == 0:
+        return out, diagonal
+    nu, x, kstar = nu[:n], x[:n], kstar[:n]
+    e0 = int(np.max(_miller_start(nu + m, x) - nu))
+    orders = np.arange(1.0 - n, n + e0 + 1)  # index i holds order i + 1 - n
+    ratio = np.zeros(n)
+    # row 0: the sum, row 1: the value at k* once passed, both in units of
+    # each row's newest order
+    sums = np.zeros((2, n))
     # k* - nu does not increase with nu, so the rows with k* = nu + e are
-    # one block, and the blocks follow each other as e falls; k* <= nu + m - 2
-    offsets = range(m - 2, -m - 1, -1)
+    # one block, and the blocks follow each other as e falls; below e = -n
+    # every row's order is negative
+    offsets = range(e0 - 1, -min(m, n) - 1, -1)
     ends = np.searchsorted(nu - kstar, [-e for e in offsets], side="right").tolist()
     # reflected order -m' of row nu (e = -m' - nu) carries c_{2nu+e} (-1)^{m'};
     # with j = 2nu + e that sign is (-1)^{floor(j/2)} (-1)^{ceil(e/2)}
@@ -144,24 +238,25 @@ def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray) -> np.ndarray:
         two_over_x = 2.0 / x
         for e, end in zip(offsets, ends):
             a = max(0, -e - 1)  # rows whose order nu + e is >= 0
-            t = orders[a + e + m + 1:nu_max + e + m + 1] * two_over_x[a:]  # 2 (nu + e + 1) / x
+            t = orders[a + e + n + 1:e + 2 * n + 1] * two_over_x[a:]  # 2 (nu + e + 1) / x
             r = ratio[a:]
             t -= r
             np.divide(1.0, t, out=r)
             sums[:, a:] *= r
-            if e:
+            if 0 < abs(e) <= m:
                 sums[0, a:] += c[-e] if e < 0 else -c[e]
             if end > start:
                 sums[1, start:end] = 1.0
                 start = end
-            lo, hi = max(0, -e), min((m - e) // 2, nu_max)  # nu + e >= 1, 2 nu + e <= m
+            lo, hi = max(0, -e), min((m - e) // 2, n)  # nu + e >= 1, 2 nu + e <= m
             if hi > lo:
                 term = reflected[2 * lo + 2 + e:2 * hi + 2 + e:2]
                 if -e // 2 % 2 == 0:
                     sums[0, lo:hi] += term
                 else:
                     sums[0, lo:hi] -= term
-    return sums[0] / sums[1] * j_star
+    out[:n] = sums[0] / sums[1] * j_star[:n]
+    return out, diagonal
 
 
 def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):
@@ -195,16 +290,14 @@ def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):
 def _sin_coeffs(beta: float, nu_max: int) -> np.ndarray:
     """Sine-series coefficients of sin_beta for nu = 1..nu_max.
 
-    coeff_nu = 2 J_nu(beta*nu)/(beta*nu); the beta -> 0 limit is the
-    Kronecker delta at nu = 1 (J_1(x) ~ x/2).  Memoized; the returned
-    array is shared and read-only.
+    coeff_nu = 2 J_nu(beta*nu)/(beta*nu), taken as (J_{nu-1} + J_{nu+1})/nu
+    at beta*nu (the three-term recurrence), which needs no division by
+    beta*nu: at beta = 0 it is the Kronecker delta at nu = 1, and it stays
+    finite as beta*nu underflows.  Memoized; the returned array is shared
+    and read-only.
     """
     nu = np.arange(1, nu_max + 1)
-    if beta == 0.0:
-        c = np.zeros(nu_max)
-        c[0] = 1.0
-    else:
-        c = 2.0 * bessel_j(nu, beta * nu) / (beta * nu)
+    c = np.sum(bessel_j(np.stack((nu - 1, nu + 1)), beta * nu), axis=0) / nu
     c.flags.writeable = False
     return c
 
@@ -333,10 +426,22 @@ class FourierSeries:
         return float(c)
 
     def __call__(self, phi):
-        # trig in place: one (..., nu_max) table at a time, not two
-        phase = np.asarray(phi, dtype=float)[..., None] * np.arange(1, self.nu_max + 1)
+        """The series at phi, by Clenshaw's recurrence for both parities.
+
+        b_nu = c_nu + 2 cos(phi) b_{nu+1} - b_{nu+2} from nu_max down to 1
+        gives sum_{nu>0} c_nu cos(nu phi) = cos(phi) b_1 - b_2 and
+        sum_{nu>0} c_nu sin(nu phi) = sin(phi) b_1, so the work is a few
+        operations per order on arrays of phi's shape, and no
+        (..., nu_max) table of phases is built.
+        """
+        phi = np.asarray(phi, dtype=float)
+        cos = np.cos(phi)
+        two_cos = 2.0 * cos
+        b1, b2 = np.zeros(phi.shape), np.zeros(phi.shape)
+        for c in self.coeffs[:0:-1]:
+            b1, b2 = two_cos * b1 - b2 + c, b1
         if self.parity == "even":
-            out = self.coeffs[0] + 2.0 * (np.cos(phase, out=phase) @ self.coeffs[1:])
+            out = self.coeffs[0] + 2.0 * (cos * b1 - b2)
         else:
-            out = 2.0 * (np.sin(phase, out=phase) @ self.coeffs[1:])
-        return out if out.ndim else out[()]
+            out = 2.0 * np.sin(phi) * b1
+        return out[()]

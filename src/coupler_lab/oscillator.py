@@ -79,31 +79,25 @@ part of the spectrum it reduces the matrix to tridiagonal form, bisects
 for the wanted eigenvalues and finds their vectors by inverse iteration
 (LAPACK Users' Guide, Anderson et al., SIAM 1999; Dhillon & Parlett,
 Linear Algebra Appl. 387, 1 (2004) for the MRRR method it keeps for the
-whole spectrum).  The sectors are built, solved and dropped one at a
-time, so with any reflection no size x size matrix is allocated.  The
-Lanczos route runs ARPACK's implicitly restarted Lanczos (scipy's eigsh)
-on each sector through matvec: a fixed basis of max(2m + 1, 20)
-vectors, a seeded start vector.  Up to SECTOR_CROSSOVER (560) states per
-sector the dense route is the faster one on one and two BLAS threads;
-above DENSE_DIM_LIMIT states every operator goes to Lanczos.  Both
-routes share one tail: the lowest m of all sectors are lifted back to
-the full grid (_lift) and their true residuals measured with the full
-operator.  Swaps are not folded (they break the product form): up to
-DENSE_DIM_LIMIT each returned level's exchange parity is measured on its
-vector instead and added to its label, with the swap diagonalized
-inside any cluster of levels its residuals cannot separate
-(_exchange_parities).  Assembly and the Lanczos workspace are checked
-against DEFAULT_MEMORY_BUDGET, read at call time.
-
-Every BLAS call inside the Lanczos route goes through
-scipy.linalg.blas (imported on first use, like scipy.sparse.linalg and
-the dense path's scipy.linalg.eigh, so importing the package loads
-neither).  numpy and scipy each bundle their own OpenBLAS with its own
-thread pool, and ARPACK runs on scipy's; were the matvec's GEMMs left to
-numpy, the two pools' spinning threads would fight over the cores at
-every hand-over between an ARPACK step and a matvec.  matvec makes the
-same dgemm call numpy's tensordot makes, so the result is bitwise the
-same.
+whole spectrum).  numpy has no partial symmetric solver, so this route
+imports scipy.linalg on first use; it is the only use of scipy, and
+importing the package or solving by Lanczos loads none.  The sectors are
+built, solved and dropped one at a time, so with any reflection no size
+x size matrix is allocated.  The Lanczos route runs a thick-restart
+Lanczos (_lanczos; Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
+(2000)) on each sector through matvec: a fixed basis of max(2m + 1, 20)
+vectors, a seeded start vector, numpy BLAS throughout.  Up to
+SECTOR_CROSSOVER (560) states per sector the dense route is the faster
+one on one and two BLAS threads; above DENSE_DIM_LIMIT states every
+operator goes to Lanczos.  Both routes share one tail: the lowest m of
+all sectors are lifted back to the full grid (_lift) and their true
+residuals measured with the full operator.  Swaps are not folded (they
+break the product form): up to DENSE_DIM_LIMIT each returned level's
+exchange parity is measured on its vector instead and added to its
+label, with the swap diagonalized inside any cluster of levels its
+residuals cannot separate (_exchange_parities).  Assembly and the
+Lanczos workspace are checked against DEFAULT_MEMORY_BUDGET, read at
+call time.
 """
 
 from __future__ import annotations
@@ -133,12 +127,16 @@ DENSE_DIM_LIMIT = 8192
 ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
-_ARPACK_MAXITER = 1000
-# ARPACK's relative tolerance above DENSE_DIM_LIMIT states
+# restarts before a Lanczos solve gives up
+_LANCZOS_MAXITER = 1000
+# Lanczos's relative tolerance above DENSE_DIM_LIMIT states
 _LANCZOS_TOL = 1e-9
-# ARPACK's relative tolerance for an operator in the dense range: residuals
+# Lanczos's relative tolerance for an operator in the dense range: residuals
 # of 2-4e-14 on the 40x40 operators, 100x inside the dense gate they are held to
 _DENSE_RANGE_TOL = 1e-14
+# Gram-Schmidt is repeated when it leaves less than this share of the norm
+# (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976))
+_DGKS = 0.717
 # In the dense range, an operator whose folded sectors hold more states than
 # this goes to Lanczos: on one and two BLAS threads of a 2-core x86-64 host
 # dense was faster at 484 states per sector, Lanczos at 576, and they tied at 512-578
@@ -444,18 +442,13 @@ class TensorOperator:
         """Apply to one real vector (size,) or a real block (size, b).
 
         Each K_n is applied the way np.tensordot would: axis n moved first
-        by a transpose and made contiguous (a copy unless n = 0), the
-        column-major dgemm numpy itself calls (dgemv for a single column),
-        and the product added back along axis n.  The calls go through
-        scipy.linalg.blas, so the result is bitwise tensordot's, computed
-        on the BLAS that ARPACK runs on.  The peak workspace is
-        _MATVEC_BYTES per state and column.  On an axis with a reflected
-        term the GEMM takes K_n stacked over B, and the lower half of its
-        output is added reversed along that term's flips (which B commutes
-        with), so the workspace grows by one GEMM output.
+        by a transpose and made contiguous (a copy unless n = 0), one
+        matrix product, and the result added back along axis n.  The peak
+        workspace is _MATVEC_BYTES per state and column.  On an axis with a
+        reflected term the product takes K_n stacked over B, and the lower
+        half of its output is added reversed along that term's flips (which
+        B commutes with), so the workspace grows by one product output.
         """
-        from scipy.linalg.blas import dgemm, dgemv
-
         v = np.asarray(v)
         if np.iscomplexobj(v):
             raise ValueError("TensorOperator acts on real vectors")
@@ -465,11 +458,7 @@ class TensorOperator:
             k, flips = self._reflected.get(n, (k, None))
             z = np.ascontiguousarray(t.transpose(forward))
             shape = z.shape
-            z = z.reshape(shape[0], -1)
-            if z.shape[1] == 1:
-                z = dgemv(1.0, k.T, z[:, 0], trans=1)
-            else:
-                z = dgemm(1.0, z.T, k.T).T
+            z = k @ z.reshape(shape[0], -1)
             out += z[: shape[0]].reshape(shape).transpose(back)
             if flips is not None:
                 out += np.flip(z[shape[0]:].reshape(shape).transpose(back), flips)
@@ -804,6 +793,76 @@ def _partial_eigh(sub: TensorOperator, m: int):
                 subset_by_index=[0, k - 1], driver=_SECTOR_DRIVER)
 
 
+def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
+    """Lowest m eigenpairs (ascending values, (n, m) vectors) of the
+    symmetric operator apply on R^n, by thick-restart Lanczos.
+
+    The basis grows to ncv vectors, one application each, from a start
+    vector drawn from default_rng(_LANCZOS_SEED).  Each new vector is
+    orthogonalized against the whole basis, a second time when the first
+    pass leaves less than _DGKS of its norm; if the second pass cancels
+    too, the basis spans an invariant subspace and a new random vector,
+    uncoupled, takes its place.  The projected matrix T is then the
+    Rayleigh quotient of the basis, and its eigenpairs (theta_i, y_i) give
+    Ritz pairs with residual norms beta |y_i[-1]|, beta the norm of the
+    last new vector.  A wanted pair is converged at beta |y_i[-1]| <= tol
+    max(|theta_i|, eps^(2/3)), ARPACK's test.  Until all m are, the basis
+    restarts from the Ritz vectors of the lowest m + min(nconv, (ncv -
+    m) // 2) values (ncv // 2 where that is 1), ARPACK's dsaup2 rule,
+    plus the last new vector: T is then diagonal with one arrowhead row
+    beta y_i[-1] (Wu & Simon 2000), and the basis grows again.  After
+    _LANCZOS_MAXITER restarts NumericError is raised.
+    """
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    basis = np.empty((ncv + 1, n))
+    basis[0] = rng.standard_normal(n)
+    basis[0] /= np.linalg.norm(basis[0])
+    t = np.zeros((ncv, ncv))
+    kept = applications = 0
+    for _ in range(_LANCZOS_MAXITER):
+        for j in range(kept, ncv):
+            w = apply(basis[j])
+            applications += 1
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm):
+                raise NumericError("Lanczos failed: the operator gave non-finite values",
+                                   {"message": f"norm {norm} after {applications} applications",
+                                    "matvecs": applications})
+            h = basis[:j + 1] @ w
+            w -= basis[:j + 1].T @ h
+            beta = np.linalg.norm(w)
+            if beta <= _DGKS * norm:
+                again = basis[:j + 1] @ w
+                w -= basis[:j + 1].T @ again
+                h += again
+                norm, beta = beta, np.linalg.norm(w)
+                if beta <= _DGKS * norm:
+                    w = rng.standard_normal(n)
+                    w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+                    w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+                    w /= np.linalg.norm(w)
+                    beta = 0.0
+            t[j, j] = h[j]
+            if j + 1 < ncv:
+                t[j, j + 1] = t[j + 1, j] = beta
+            basis[j + 1] = w / beta if beta else w
+        theta, y = np.linalg.eigh(t)
+        bounds = beta * np.abs(y[-1])
+        done = bounds[:m] <= tol * np.maximum(np.abs(theta[:m]), np.finfo(float).eps ** (2 / 3))
+        nconv = int(np.count_nonzero(done))
+        if nconv == m:
+            return theta[:m], basis[:ncv].T @ y[:, :m]
+        kept = m + min(nconv, (ncv - m) // 2)
+        kept = ncv // 2 if kept == 1 else kept
+        basis[:kept] = y[:, :kept].T @ basis[:ncv]
+        basis[kept] = basis[ncv]
+        t[:] = 0.0
+        t[np.arange(kept), np.arange(kept)] = theta[:kept]
+        t[kept, :kept] = t[:kept, kept] = beta * y[-1, :kept]
+    raise NumericError(f"Lanczos did not converge in {_LANCZOS_MAXITER} restarts",
+                       {"converged": nconv, "wanted": m, "matvecs": applications})
+
+
 def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
     """Lowest m eigenvalues of a TensorOperator, solved sector by sector.
 
@@ -813,28 +872,29 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     the one sector "all".  Each sector is solved for its lowest m levels in
     one of two ways, picked by that size:
 
-    - dense, when it is at most ARPACK's basis ncv = max(2m + 1, 20)
+    - dense, when it is at most the Lanczos basis ncv = max(2m + 1, 20)
       states or, for an operator of at most DENSE_DIM_LIMIT (8192) states,
       at most SECTOR_CROSSOVER (560) states or m exceeds ITERATIVE_M_LIMIT
       (32): one partial LAPACK solve (?syevr) of the sector's dense matrix
       (_partial_eigh), built, solved and dropped one sector at a time;
-    - Lanczos otherwise: ARPACK's implicitly restarted Lanczos (scipy's
-      eigsh) on the sector's matrix-free operator, with a fixed basis of
-      ncv vectors restarted in place (Lehoucq & Sorensen, SIAM J. Matrix
-      Anal. Appl. 17, 789 (1996)) and a seeded start vector, so repeated
-      solves are bitwise equal.  Its workspace is checked against
-      DEFAULT_MEMORY_BUDGET before any matvec.
+    - Lanczos otherwise: a thick-restart Lanczos (_lanczos) on the
+      sector's matrix-free operator, with a fixed basis of ncv vectors
+      restarted in place as ARPACK's implicit restart would (Lehoucq &
+      Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon
+      2000) and a seeded start vector, so repeated solves are bitwise
+      equal.  Its workspace is checked against DEFAULT_MEMORY_BUDGET before
+      any matvec.
 
     Both then share one tail: the lowest m of all sectors are merged,
     lifted back to the full grid (_lift) and sign-fixed, and their true
     residuals measured with the full operator by matvec.  Up to
-    DENSE_DIM_LIMIT states ARPACK runs at the relative tolerance
+    DENSE_DIM_LIMIT states Lanczos runs at the relative tolerance
     _DENSE_RANGE_TOL (1e-14); when _symmetries accepts a swap of two
     identical qubits, which the fold does not use, each level's exchange
     parity is measured on its vector and appended to its label, + or -
     (_exchange_parities); and every residual must meet the dense gate,
     sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64).  Above it
-    only m <= ITERATIVE_M_LIMIT is accepted, ARPACK runs at _LANCZOS_TOL
+    only m <= ITERATIVE_M_LIMIT is accepted, Lanczos runs at _LANCZOS_TOL
     (1e-9), and a residual above 10 _LANCZOS_TOL max(|lambda|, eps^(2/3))
     fails.  A failed gate raises NumericError.
 
@@ -871,16 +931,19 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     group, swap, squares = _symmetries(op)
     group, pivots, sectors = _folded_sectors(op, group)
     size = n // len(group)
-    # ARPACK needs m < ncv < size
+    # the Lanczos basis needs m < ncv < size
     lanczos = (m <= ITERATIVE_M_LIMIT and size > ncv
                and (size > SECTOR_CROSSOVER or not dense_range))
     if lanczos:
-        # per sector: the Lanczos basis, ARPACK's work arrays and the m Ritz
-        # vectors (8 bytes each), its folded potential and the reflected half
-        # of its GEMM output; then every sector's Ritz vectors, their lifts and
-        # the full-size residual check (the block matvec on the merged vectors,
-        # _MATVEC_BYTES per state and column, its product and difference)
-        work_bytes = 8 * size * (ncv + m + 6) + (_MATVEC_BYTES + 32) * n * m
+        # per sector (8 bytes per state each): the basis of ncv + 1 vectors,
+        # the restart's product of at most ncv vectors, the new vector and
+        # its projections, the folded potential and a one-vector matvec
+        # (_MATVEC_BYTES, plus a reflected product); then every sector's Ritz
+        # vectors, their lifts and the full-size residual check (the block
+        # matvec on the merged vectors, _MATVEC_BYTES per state and column,
+        # its product and difference)
+        work_bytes = (8 * size * (2 * ncv + 6) + _MATVEC_BYTES * size
+                      + (_MATVEC_BYTES + 32) * n * m)
         if work_bytes > DEFAULT_MEMORY_BUDGET:
             raise ResourceError(
                 f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
@@ -899,26 +962,8 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
             return out
         return apply
 
-    def arpack(sub):
-        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-
-        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(sub.size)
-        try:
-            vals, vecs = eigsh(LinearOperator(sub.shape, matvec=applied(sub), dtype=float),
-                               k=m, which="SA", ncv=ncv, tol=tol, v0=v0,
-                               maxiter=_ARPACK_MAXITER)
-        except ArpackNoConvergence as exc:
-            raise NumericError(
-                f"Lanczos did not converge in {_ARPACK_MAXITER} restarts",
-                {"converged": len(exc.eigenvalues), "wanted": m, "matvecs": matvecs},
-            ) from None
-        except ArpackError as exc:
-            raise NumericError(f"Lanczos failed: {exc}",
-                               {"message": str(exc), "matvecs": matvecs}) from None
-        order = np.argsort(vals)
-        return vals[order], vecs[:, order]
-
-    found = [arpack(sub) if lanczos else _partial_eigh(sub, m) for _, sub, _ in sectors]
+    found = [_lanczos(applied(sub), sub.size, m, ncv, tol) if lanczos else _partial_eigh(sub, m)
+             for _, sub, _ in sectors]
     labels = tuple(label for label, _, _ in sectors)
     leak = _sector_leak(op, group)
     vals = np.concatenate([w for w, _ in found])
@@ -927,9 +972,7 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     # a dense sector smaller than m gives all of its levels
     owner = np.concatenate([np.full(len(w), s) for s, (w, _) in enumerate(found)])[order]
     column = np.concatenate([np.arange(len(w)) for w, _ in found])[order]
-    # ARPACK's own Fortran order on the Lanczos route; C order on the dense
-    # route, the layout its vectors have always had and callers' products round in
-    vecs = np.empty((n, m), order="F" if lanczos else "C")
+    vecs = np.empty((n, m))
     for s, (_, _, chi) in enumerate(sectors):
         pick = owner == s
         vecs[:, pick] = _lift(found[s][1][:, column[pick]], op.dims, pivots, group, chi)
@@ -950,7 +993,7 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
                  "sectors": list(labels), "matvecs": matvecs},
             )
     else:
-        # ARPACK stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
+        # Lanczos stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
         limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
         if np.any(resid > limit):
             raise NumericError(

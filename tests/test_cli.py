@@ -692,14 +692,10 @@ def test_module_run_prints_no_warning():
     assert (out.returncode, out.stdout.strip(), out.stderr) == (0, __version__, "")
 
 
-def test_commands_but_spectrum_leave_scipy_linalg_unloaded(tmp_path):
-    # only the multi-mode dense and Lanczos solves need scipy.linalg; the
-    # single-mode solves are numpy's, so every other command runs without
-    # loading it (about 6 MB of resident memory and 65 ms of import)
-    body = DIMLESS_BODY + "\n[scan]\nlabels = xx,zz\nlo = 0.0\nhi = 0.1\nn_points = 3\n"
-    cfg = write_config(tmp_path, body)
+def scipy_modules_after(commands, cfg, out_dir):
+    # (exit codes, scipy modules loaded) of a fresh interpreter that runs
+    # the commands on cfg
     src = str(Path(coupler_lab.__file__).resolve().parents[1])
-    commands = [name for name in coupler_lab.cli._COMMANDS if name != "spectrum"]
     code = (
         "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import coupler_lab\n"
         "codes = []\n"
@@ -707,12 +703,31 @@ def test_commands_but_spectrum_leave_scipy_linalg_unloaded(tmp_path):
         "    grid = {'n_grid': 5} if command in ('series', 'eg', 'derivs') else {}\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(coupler_lab.run(command, sys.argv[2], out=sys.argv[3], **grid))\n"
-        "print(codes, 'scipy.linalg' in sys.modules)"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run([sys.executable, "-c", code, src, str(cfg), str(tmp_path), *commands],
+    out = subprocess.run([sys.executable, "-c", code, src, str(cfg), str(out_dir), *commands],
                          capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_commands_but_spectrum_leave_scipy_linalg_unloaded(tmp_path):
+    # only the multi-mode dense solves need scipy (scipy.linalg's partial
+    # eigh); the single-mode solves and the Bessel values are numpy's, so
+    # every other command runs without loading any scipy module
+    body = DIMLESS_BODY + "\n[scan]\nlabels = xx,zz\nlo = 0.0\nhi = 0.1\nn_points = 3\n"
+    cfg = write_config(tmp_path, body)
+    commands = [name for name in coupler_lab.cli._COMMANDS if name != "spectrum"]
     assert len(commands) == 7
-    assert out.stdout.strip() == f"{[EXIT_OK] * len(commands)} False"
+    assert scipy_modules_after(commands, cfg, tmp_path) == f"{[EXIT_OK] * len(commands)} []"
+
+
+def test_lanczos_route_spectrum_loads_no_scipy(tmp_path):
+    # biased identical qubits at 40x40 have no reflection: NA, LA and LN are
+    # each one 1,600-state sector, above the dense crossover, so Lanczos
+    body = DIMLESS_BODY + ("\n[sweep]\naxis = phi_cx\nlo = 0.03\nhi = 0.05\nn_points = 2\n"
+                           "theories = NA, LA, LN\n")
+    cfg = write_config(tmp_path, body)
+    assert scipy_modules_after(["spectrum"], cfg, tmp_path) == f"{[EXIT_OK]} []"
 
 
 @pytest.mark.parametrize("command", ["eg", "derivs"])

@@ -8,7 +8,8 @@ Oracles:
     derivative routes;
   * the closed-form tail identities for the truncation bound;
   * the per-mu sum of scipy ``jv`` calls for the zero-point convolution
-    that ``_series_parts`` takes from one Bessel recurrence.
+    that ``_series_parts`` takes from one Bessel recurrence, and ``jv``
+    for the J_nu(beta nu) of its classical column.
 """
 
 import math
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import jv
 
 from coupler_lab import coupler, oscillator
 from coupler_lab.coupler import (
@@ -228,7 +230,7 @@ RECURRENCE_MU = [1, 5, 40, 120]
 
 
 def per_mu_series(beta, nu_max, mu_max, record=()):
-    """The per-mu ``bessel_j`` build of B^(1), as the series was first written.
+    """The per-mu ``jv`` build of B^(1), as the series was first written.
 
     Returns the quantum column and, for each mu_max in ``record`` (and
     mu_max itself), the convolution sum over mu <= that value and the
@@ -240,8 +242,8 @@ def per_mu_series(beta, nu_max, mu_max, record=()):
     scale = np.zeros(nu_max)
     partial = {}
     for mu in range(1, mu_max + 1):
-        lower = bessel_j(nu - mu, beta * nu)
-        upper = bessel_j(nu + mu, beta * nu)
+        lower = jv(nu - mu, beta * nu)
+        upper = jv(nu + mu, beta * nu)
         conv += mu * g[mu] * (lower - upper)
         scale += abs(mu * g[mu]) * (np.abs(lower) + np.abs(upper))
         if mu in record or mu == mu_max:
@@ -261,6 +263,10 @@ class TestZeroPointRecurrence:
         for nu_max in RECURRENCE_NU:
             nu = np.arange(1, nu_max + 1)
             classical = bessel_j(nu, beta * nu) / nu**2
+            diagonal = jv(nu, beta * nu)
+            shown = np.abs(diagonal) > 1e-290
+            rel = np.abs(classical * nu**2 - diagonal)[shown] / np.abs(diagonal[shown])
+            assert np.all(rel <= 1e-12), nu_max
             for mu_max in RECURRENCE_MU:
                 got_classical, got = _series_parts.__wrapped__(beta, nu_max, mu_max)
                 assert got_classical[1:].tobytes() == classical.tobytes()
@@ -271,11 +277,12 @@ class TestZeroPointRecurrence:
                 assert np.all(err[gated] <= 2e-12 * scale[gated]), (nu_max, mu_max)
 
     def test_covers_underflowed_anchors(self):
-        # at (0.3, 1024, 120) the lower anchor J_{nu+119}(0.3 nu) underflows
-        # for nu = 1 and from nu = 501 on, and rows up to nu = 622 are still
-        # above the 1e-250 gate: those rows run on the Miller start
+        # at (0.3, 1024, 120) J_{nu+119}(0.3 nu), next to the top of each
+        # row's band, underflows for nu = 1 and from nu = 501 on, and rows up
+        # to nu = 622 are still above the 1e-250 gate: those rows pass
+        # through underflowed orders before their sums count
         nu = np.arange(1, 1025)
-        anchor = bessel_j(nu + 119, 0.3 * nu)
+        anchor = jv(nu + 119, 0.3 * nu)
         _, partial = per_mu_series(0.3, 1024, 120)
         conv, scale = partial[120]
         miller = (anchor < np.finfo(float).tiny) & (scale > 1e-250)

@@ -4,7 +4,8 @@ The ground truth throughout is the damped Newton solver for
 chi - phi - beta*sin(chi) = 0, which is itself checked against an
 independent bisection and by its residual.  Everything series-shaped
 (sin_beta, cos_beta, exp_mu_coeff, g_coeff) is compared against
-functions of the Newton chi.
+functions of the Newton chi.  bessel_j, a Miller recurrence, is compared
+with scipy's jv, an independent implementation.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from coupler_lab.kapteyn import (
     FourierSeries,
@@ -59,6 +61,60 @@ class TestBessel:
         out = bessel_j(nu, 0.5 * nu)
         assert out.shape == (5,)
         assert out[2] == pytest.approx(bessel_series(3, 1.5), rel=1e-12)
+
+
+ORACLE_BETAS = [5e-324, 1e-300, 1e-6, 0.05, 0.3, 0.75, 0.95, 0.99]
+ORACLE_NU = [1, 2, 7, 64, 400, 2048]
+
+
+class TestBesselOracle:
+    # scipy's jv (Amos / Cephes) is an implementation independent of the
+    # recurrence.  Below the turning point (order < x) J oscillates, and at
+    # a double x near one of its zeros no evaluation is relatively
+    # accurate (mpmath: at J_2004(2027.52) = -2.87e-4 jv is off by 7.8e-12
+    # relative, the recurrence by 3.2e-12), so there the error is measured
+    # against the largest of J at the order and its two neighbours.
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_kapteyn_bands_match_jv(self, beta):
+        for nu in ORACLE_NU:
+            x = beta * nu
+            orders = np.arange(nu - 121, nu + 122)
+            ref = jv(orders, x)
+            got = bessel_j(orders[1:-1], x)
+            ref, scale = ref[1:-1], np.abs(ref[1:-1])
+            below = orders[1:-1] < x
+            scale[below] = np.max(np.abs(np.stack((ref, jv(orders[:-2], x),
+                                                    jv(orders[2:], x)))), axis=0)[below]
+            shown = np.abs(ref) > 1e-290
+            assert np.all(np.abs(got - ref)[shown] <= 1e-12 * scale[shown]), (beta, nu)
+            assert np.all(np.isfinite(got))
+
+    def test_scalars(self):
+        for n, x in [(0, 0.3), (5, 2.5), (300, 225.0), (50, 400.0), (7, 1e-310)]:
+            alone = bessel_j(n, x)
+            assert isinstance(alone, np.float64)
+            assert alone == pytest.approx(jv(n, x), rel=1e-12, abs=1e-300)
+
+    def test_zero_argument(self):
+        assert bessel_j(0, 0.0) == 1.0
+        assert np.all(bessel_j(np.arange(1, 6), 0.0) == 0.0)
+        assert np.all(bessel_j(-np.arange(1, 6), -0.0) == 0.0)
+
+    def test_sign_rules(self):
+        n = np.arange(-9, 10)
+        for x in (0.7, 3.0, 40.0):
+            want = jv(n, x)
+            assert np.allclose(bessel_j(n, x), want, rtol=1e-12, atol=0.0)
+            assert np.allclose(bessel_j(n, -x), jv(n, -x), rtol=1e-12, atol=0.0)
+            assert np.array_equal(bessel_j(-n, x), (-1.0) ** np.abs(n) * bessel_j(n, x))
+            assert np.array_equal(bessel_j(n, -x), (-1.0) ** np.abs(n) * bessel_j(n, x))
+
+    def test_broadcast_and_non_finite(self):
+        out = bessel_j(np.arange(3)[:, None], np.array([0.5, 1.5]))
+        assert out.shape == (3, 2)
+        assert np.allclose(out, jv(np.arange(3)[:, None], np.array([0.5, 1.5])), rtol=1e-13)
+        assert np.all(np.isnan(bessel_j([1, 2], [np.nan, np.inf])))
+        assert bessel_j(np.zeros(0, dtype=int), 1.0).shape == (0,)
 
 
 class TestKeplerSolve:

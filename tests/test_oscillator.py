@@ -6,12 +6,13 @@ characteristic polynomial for the normal modes; explicit Kronecker
 assembly and the textbook Fock-basis Hamiltonian for the grid operator
 and the single-mode grid problems, np.tensordot for its matvec, and the
 operator's image of the identity for its direct dense build; the dense
-solver and an independent scipy eigsh call as cross-checks for the
-iterative solver (ARPACK's implicitly restarted Lanczos behind the
-package's own guarantees).
+solver and an independent scipy eigsh call (ARPACK's implicitly
+restarted Lanczos) as cross-checks for the package's own thick-restart
+Lanczos.
 """
 
 import inspect
+import json
 import math
 import subprocess
 import sys
@@ -472,8 +473,8 @@ class TestToDense:
 
 
 def tensordot_matvec(op, v):
-    # the matvec written with np.tensordot on numpy's own BLAS: the oracle
-    # the scipy.linalg.blas path must reproduce bit for bit
+    # the matvec written with np.tensordot: the oracle the transposes and
+    # matrix products of matvec must reproduce bit for bit
     t = v.reshape(op.dims + (-1,))
     out = op.potential[..., None] * t
     for n, k in enumerate(op.kinetic):
@@ -506,38 +507,17 @@ class TestMatvecBlas:
         assert got.strides == want.strides
 
     def test_bitwise_equal_on_fortran_block(self):
-        # ARPACK hands back its eigenvectors in Fortran order
+        # a transposed product, such as a block of Ritz vectors, is Fortran-ordered
         op = two_qubit_operator()
         v = np.asfortranarray(np.random.default_rng(22).standard_normal((op.size, 6)))
         got, want = op.matvec(v), tensordot_matvec(op, v)
         assert np.array_equal(got, want)
         assert got.strides == want.strides
 
-    @pytest.mark.parametrize("dims", [(9,), (6, 7), (4, 3, 5)])
-    def test_no_numpy_gemm(self, dims, monkeypatch):
-        op = random_operator(dims, seed=30 + len(dims))
-        rng = np.random.default_rng(31)
-        vs = [rng.standard_normal(op.size), rng.standard_normal((op.size, 6))]
-        want = [tensordot_matvec(op, v) for v in vs]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("numpy BLAS called inside the matvec")
-
-        for name in ("tensordot", "dot", "matmul"):
-            monkeypatch.setattr(np, name, forbidden)
-        for v, w in zip(vs, want):
-            assert np.array_equal(op.matvec(v), w)
-
     def test_import_leaves_scipy_linalg_unloaded(self):
-        # matvec and the dense sector solve import scipy.linalg on first use
-        src = str(Path(coupler_lab.__file__).resolve().parents[1])
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import coupler_lab; "
-            "print('scipy.linalg' in sys.modules)"
-        )
-        out = subprocess.run([sys.executable, "-c", code, src],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # only the dense sector solve imports scipy (scipy.linalg, on first
+        # use): importing the package loads no scipy module at all
+        assert scipy_modules_after("pass") == []
 
     @pytest.mark.parametrize("cols", [1, 6])
     def test_memory_peak_within_estimate(self, cols):
@@ -548,7 +528,7 @@ class TestMatvecBlas:
         op = two_qubit_operator((40, 40, 18))
         v = np.random.default_rng(32).standard_normal((op.size, cols))
         inputs = [v, np.asfortranarray(v)]
-        op.matvec(v)  # first call imports scipy.linalg.blas
+        op.matvec(v)  # the first call allocates numpy's own buffers
         for v in inputs:
             tracemalloc.start()
             try:
@@ -642,10 +622,8 @@ class TestLowestEigs:
     def test_size_picks_the_solver(self, monkeypatch):
         # in the dense range the folded sector's size picks: dense up to
         # SECTOR_CROSSOVER states (or above ITERATIVE_M_LIMIT levels, or at
-        # most ARPACK's basis of 20), Lanczos at the dense-range tolerance
+        # most the Lanczos basis of 20), Lanczos at the dense-range tolerance
         # above it; above DENSE_DIM_LIMIT states Lanczos at the fixed tolerance
-        import scipy.sparse.linalg as sla
-
         class Picked(Exception):
             pass
 
@@ -659,7 +637,8 @@ class TestLowestEigs:
                                       dims=(28, 28), n_levels=3)
         picked = []
         monkeypatch.setattr(oscillator, "_partial_eigh", lambda sub, m: pick("dense", sub.size))
-        monkeypatch.setattr(sla, "eigsh", lambda a, **kw: pick("lanczos", a.shape[0], kw["tol"]))
+        monkeypatch.setattr(oscillator, "_lanczos",
+                            lambda apply, n, m, ncv, tol: pick("lanczos", n, tol))
         rng = np.random.default_rng(5)
         cases = [
             (diagonal_operator((20, 28), rng.standard_normal((20, 28))), 3),  # one sector of 560
@@ -677,7 +656,7 @@ class TestLowestEigs:
         assert picked == [("dense", 560), ("lanczos", 570, 1e-14), ("dense", 570),
                           ("dense", 560), ("lanczos", 580, 1e-14), ("lanczos", 784, 1e-14),
                           ("lanczos", 8190, 1e-14), ("lanczos", 8281, 1e-9)]
-        # ARPACK needs m < ncv < size: sectors of at most ncv = 20 states stay
+        # Lanczos needs m < ncv < size: sectors of at most ncv = 20 states stay
         # dense whatever the crossover
         picked.clear()
         monkeypatch.setattr(oscillator, "SECTOR_CROSSOVER", 0)
@@ -716,11 +695,11 @@ def biased_operator(dims=(14, 14, 8)):
 
 def lanczos_workspace(op, m, sectors):
     # the bytes the budget check counts, the full space being the one-sector
-    # fold: per sector the Lanczos basis, ARPACK's work arrays and the Ritz
-    # vectors, its potential and reflected GEMM output, then every sector's
+    # fold: per sector the Lanczos basis and its restart product, the new
+    # vector, its potential and a one-vector matvec, then every sector's
     # Ritz vectors, their lifts and the full-size residual check
-    ncv = max(2 * m + 1, 20)
-    return (8 * (op.size // sectors) * (ncv + m + 6)
+    ncv, size = max(2 * m + 1, 20), op.size // sectors
+    return (8 * size * (2 * ncv + 6) + oscillator._MATVEC_BYTES * size
             + (oscillator._MATVEC_BYTES + 32) * op.size * m)
 
 
@@ -779,51 +758,51 @@ class TestIterativeSolver:
             assert len(spec.metadata["sectors"]["labels"]) == sectors
 
     def test_no_convergence_is_numeric_error(self, monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        monkeypatch.setattr(oscillator, "_ARPACK_MAXITER", 1)
-        with pytest.raises(NumericError) as info:
+        monkeypatch.setattr(oscillator, "_LANCZOS_MAXITER", 1)
+        with pytest.raises(NumericError, match="did not converge in 1 restarts") as info:
             lanczos(two_qubit_operator(), 6)
-        assert not isinstance(info.value, ArpackNoConvergence)
         assert info.value.details["wanted"] == 6
-        assert info.value.details["matvecs"] > 0
+        assert 0 <= info.value.details["converged"] < 6
+        # one restart cycle builds the whole basis of 20
+        assert info.value.details["matvecs"] == 20
 
     def test_large_true_residual_is_numeric_error(self, monkeypatch):
-        import scipy.sparse.linalg as sla
-
-        real = sla.eigsh
+        real = oscillator._lanczos
 
         def off_by_1e6(*args, **kwargs):
             vals, vecs = real(*args, **kwargs)
             return vals + 1e-6, vecs
 
-        monkeypatch.setattr(sla, "eigsh", off_by_1e6)
+        monkeypatch.setattr(oscillator, "_lanczos", off_by_1e6)
         with pytest.raises(NumericError) as info:
             lanczos(two_qubit_operator(), 3)
         assert len(info.value.details["residuals"]) == 3
 
     def test_arpack_error_is_numeric_error(self, monkeypatch):
-        import scipy.sparse.linalg as sla
+        # a solver failure (here the operator's first product is not
+        # finite) is a NumericError with its message and the matvecs made
+        real = TensorOperator.matvec
 
-        def broken(a, **kwargs):
-            a.matvec(kwargs["v0"])
-            raise sla.ArpackError(-9999)
+        def broken(self, v):
+            out = real(self, v)
+            if out.ndim == 1:
+                out[0] = np.nan
+            return out
 
-        monkeypatch.setattr(sla, "eigsh", broken)
-        with pytest.raises(NumericError) as info:
+        monkeypatch.setattr(TensorOperator, "matvec", broken)
+        with pytest.raises(NumericError, match="non-finite") as info:
             lanczos(two_qubit_operator(), 4)
-        assert not isinstance(info.value, sla.ArpackError)
-        assert "-9999" in info.value.details["message"]
+        assert "nan" in info.value.details["message"]
         assert info.value.details["matvecs"] == 1
 
     @pytest.mark.parametrize("dims, m", [((14, 14, 8), 4), ((24, 24, 12), 16)])
     def test_memory_peak_within_budget_estimate(self, dims, m, monkeypatch):
-        # the estimate the budget check uses covers the ARPACK workspace of
+        # the estimate the budget check uses covers the Lanczos workspace of
         # the largest sector, the lifted vectors and the residual check's
         # full-size block matvec; with 2, 1 and 4 sectors
         for make in (two_qubit_operator, biased_operator, identical_operator):
             op = make(dims)
-            # the first call imports scipy
+            # a first call, so that only the solve's own arrays are traced
             sectors = len(lanczos(op, m).metadata["sectors"]["labels"])
             need = lanczos_workspace(op, m, sectors)
             tracemalloc.start()
@@ -838,19 +817,40 @@ class TestIterativeSolver:
                 with pytest.raises(ResourceError):
                     lanczos(op, m)
 
+    def test_invariant_subspace_takes_a_new_vector(self, monkeypatch):
+        # a diagonal operator with three distinct values: the Krylov space of
+        # one start vector has dimension 3 and holds one copy of the lowest
+        # value, so the triple ground level needs fresh start vectors
+        values = np.random.default_rng(7).choice([1.0, 2.0, 3.0], size=(24, 30))
+        op = diagonal_operator((24, 30), values)
+        spec = lanczos(op, 3, want_vectors=True)
+        assert spec.metadata["solver"] == "lanczos"
+        assert spec.metadata["sectors"]["labels"] == ("all",)
+        assert np.max(np.abs(spec.eigenvalues - 1.0)) <= 1e-12
+        vecs = spec.eigenvectors
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-12
+        assert np.all(np.abs(vecs[values.ravel() != 1.0]) <= 1e-9)
+        # the zero operator leaves nothing after Gram-Schmidt at every step
+        vals, vecs = oscillator._lanczos(lambda v: 0.0 * v, 50, 3, 20, 1e-9)
+        assert np.array_equal(vals, np.zeros(3))
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-12
+
     def test_timings_split_matvecs_from_solver(self):
         meta = lanczos(two_qubit_operator(), 4).metadata
         assert 0.0 < meta["matvec_s"] <= meta["solve_s"]
 
-    def test_concurrent_solves_bitwise_equal_serial(self):
+    def test_concurrent_solves_bitwise_equal_serial(self, monkeypatch):
         ops = [two_qubit_operator(), two_qubit_operator((12, 12, 10))]
-        serial = [lanczos(op, 4, want_vectors=True) for op in ops]
+        # the Lanczos route for both, set once: the lanczos helper patches
+        # the module per call, which threads would interleave
+        monkeypatch.setattr(oscillator, "DENSE_DIM_LIMIT", min(op.size for op in ops) - 1)
+        serial = [lowest_eigs(op, 4, want_vectors=True) for op in ops]
         start = threading.Barrier(len(ops))
         results = [None] * len(ops)
 
         def solve(i):
             start.wait(timeout=60)
-            results[i] = lanczos(ops[i], 4, want_vectors=True)
+            results[i] = lowest_eigs(ops[i], 4, want_vectors=True)
 
         threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(ops))]
         for t in threads:
@@ -862,6 +862,7 @@ class TestIterativeSolver:
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
             assert got.metadata["matvecs"] == want.metadata["matvecs"]
+            assert got.metadata["solver"] == "lanczos"
 
     @pytest.mark.parametrize("m", [0, -1])
     @pytest.mark.parametrize("mode", ["auto", "dense", "iterative"])
@@ -880,34 +881,52 @@ class TestIterativeSolver:
             lowest_eigs(np.eye(3), m)
 
     def test_import_leaves_sparse_linalg_unloaded(self):
-        # the eigensolver imports scipy.sparse.linalg on first use, so
-        # importing the package stays cheap
-        src = str(Path(coupler_lab.__file__).resolve().parents[1])
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import coupler_lab; "
-            "print('scipy.sparse.linalg' in sys.modules)"
-        )
-        out = subprocess.run([sys.executable, "-c", code, src],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # the Lanczos route is numpy only: solves at the reference point, the
+        # exact one (Lanczos in four 7,200-state sectors) and NA, LA and LN
+        # (Lanczos in two 800-state sectors), load no scipy module
+        code = '''
+from coupler_lab import CouplerSystem, QubitParams, bo_spectrum, exact_spectrum
+q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q, q), e_ltc=3.0)
+spectra = [exact_spectrum(system, n_levels=6)]
+spectra += [bo_spectrum(theory, system, n_levels=6) for theory in ("NA", "LA", "LN")]
+assert [s.metadata["solver"] for s in spectra] == ["lanczos"] * 4
+'''
+        assert scipy_modules_after(code) == []
+
+
+def scipy_modules_after(code):
+    # the scipy modules a fresh interpreter holds after importing the
+    # package and running code
+    src = str(Path(coupler_lab.__file__).resolve().parents[1])
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import coupler_lab\n" + code
+              + "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", script, src],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def full_space_lanczos(op, m):
-    # the full-space ARPACK solve every Lanczos call made before the sector
-    # fold, as it made it: (eigenvalues, true residuals, operator applications)
+    # the full-space Lanczos solve lowest_eigs makes when nothing folds, made
+    # directly: (eigenvalues, true residuals, operator applications)
     n, ncv, applied = op.size, max(2 * m + 1, 20), []
 
     def apply(v):
         applied.append(1 if v.ndim == 1 else v.shape[1])
         return op.matvec(v)
 
-    v0 = np.random.default_rng(oscillator._LANCZOS_SEED).standard_normal(n)
-    vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=m, which="SA",
-                       ncv=ncv, tol=1e-9, v0=v0, maxiter=1000)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = oscillator._fix_vector_signs(vecs[:, order])
+    vals, vecs = oscillator._lanczos(apply, n, m, ncv, oscillator._LANCZOS_TOL)
+    vecs = oscillator._fix_vector_signs(vecs)
     return vals, np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0), sum(applied)
+
+
+def full_space_eigsh(op, m):
+    # ARPACK's full-space solve, an independent oracle for the folded solve
+    n, ncv = op.size, max(2 * m + 1, 20)
+    v0 = np.random.default_rng(oscillator._LANCZOS_SEED).standard_normal(n)
+    vals = eigsh(LinearOperator((n, n), matvec=op.matvec, dtype=float), k=m, which="SA",
+                 ncv=ncv, tol=1e-9, v0=v0, maxiter=1000, return_eigenvectors=False)
+    return np.sort(vals)
 
 
 class TestFoldedLanczos:
@@ -945,7 +964,7 @@ class TestFoldedLanczos:
     def test_acceptance_system_matches_full_space(self, beta_j):
         op = identical_operator((40, 40, 18), beta_j)
         spec = lanczos(op, 6)
-        vals, _, _ = full_space_lanczos(op, 6)
+        vals = full_space_eigsh(op, 6)
         np.testing.assert_allclose(spec.eigenvalues, vals, rtol=1e-12, atol=0)
         meta = spec.metadata
         assert meta["sectors"]["dims"] == (7200,) * 4
@@ -984,7 +1003,7 @@ class TestFoldedLanczos:
         assert spec.metadata["sector_leak"] == 0.0
 
     def test_small_sectors_are_solved_dense(self):
-        # 2 x 10 x 4 states fold to four sectors of 20, no more than ARPACK's
+        # 2 x 10 x 4 states fold to four sectors of 20, no more than the Lanczos
         # basis of 20: each gets a partial dense solve, also above the limit
         op = identical_operator((2, 10, 4))
         spec = lanczos(op, 4)
@@ -1405,7 +1424,7 @@ class TestPartialSectorSolve:
 
 
 def dense_route(monkeypatch):
-    # every sector above ARPACK's basis goes to the partial dense solve
+    # every sector above the Lanczos basis goes to the partial dense solve
     monkeypatch.setattr(oscillator, "SECTOR_CROSSOVER", DENSE_DIM_LIMIT)
 
 
@@ -1560,7 +1579,7 @@ class TestSectorRoute:
                       * np.linalg.norm(op.to_dense()))
 
     def test_routed_solve_is_held_to_the_dense_gate(self, monkeypatch):
-        # a loose tolerance in the dense range stops ARPACK early, and the
+        # a loose tolerance in the dense range stops Lanczos early, and the
         # dense gate, not the Lanczos tolerance, rejects the residuals
         kinetic, potential, _ = oscillator._junction_mode(0.05, 1.05, 0.3, 40)
         op = TensorOperator([kinetic, kinetic], potential[:, None] + 1.1 * potential[None, :])
