@@ -53,7 +53,6 @@ series point by point builds its Bessel values once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
