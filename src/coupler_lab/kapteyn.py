@@ -152,20 +152,20 @@ def _miller(n, x):
     state = np.zeros((1 + counts.max(), len(xs)))
     flat = state.ravel()
     # the entries of state each order's pairs start
-    marks = [[] for _ in range(int(np.max(_miller_start(n, x))))]
+    marks = {}
     for k, i in zip(n.tolist(), (line * len(xs) + row).tolist()):
-        marks[k].append(i)
+        marks.setdefault(k, []).append(i)
     ratio, t = np.zeros(len(xs)), np.empty(len(xs))
     with np.errstate(divide="ignore", over="ignore"):
         two_over_x = 2.0 / xs
-        for k in range(len(marks) - 1, -1, -1):
+        for k in range(int(np.max(_miller_start(n, x))) - 1, -1, -1):
             np.multiply(two_over_x, k + 1, out=t)
             t -= ratio
             np.divide(1.0, t, out=ratio)
             state *= ratio
             if k % 2 == 0:
                 state[0] += 2.0 if k else 1.0
-            for i in marks[k]:
+            for i in marks.get(k, ()):
                 flat[i] = 1.0
     return state[line, row] / state[0, row]
 
