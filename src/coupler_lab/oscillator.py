@@ -86,18 +86,19 @@ built, solved and dropped one at a time, so with any reflection no size
 x size matrix is allocated.  The Lanczos route runs a thick-restart
 Lanczos (_lanczos; Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
 (2000)) on each sector through matvec: a fixed basis of max(2m + 1, 20)
-vectors, a seeded start vector, numpy BLAS throughout.  Up to
-SECTOR_CROSSOVER (560) states per sector the dense route is the faster
-one on one and two BLAS threads; above DENSE_DIM_LIMIT states every
-operator goes to Lanczos.  Both routes share one tail: the lowest m of
-all sectors are lifted back to the full grid (_lift) and their true
-residuals measured with the full operator.  Swaps are not folded (they
-break the product form): up to DENSE_DIM_LIMIT each returned level's
-exchange parity is measured on its vector instead and added to its
-label, with the swap diagonalized inside any cluster of levels its
-residuals cannot separate (_exchange_parities).  Assembly and the
-Lanczos workspace are checked against DEFAULT_MEMORY_BUDGET, read at
-call time.
+vectors, a start vector from fixed counters (_uniform, no numpy.random),
+numpy BLAS throughout.  Up to SECTOR_CROSSOVER (560) states per sector
+the dense route is the faster one on one and two BLAS threads; above
+DENSE_DIM_LIMIT states every operator goes to Lanczos.  Both routes
+share one tail: the lowest m of all sectors, kept as each sector
+finishes, are lifted straight into one (op.size, m) output (_lift) and
+their true residuals measured with the full operator one column at a
+time.  Swaps are not folded (they break the product form): up to
+DENSE_DIM_LIMIT each returned level's exchange parity is measured on
+its vector instead and added to its label, with the swap diagonalized
+inside any cluster of levels its residuals cannot separate
+(_exchange_parities).  Assembly and the Lanczos workspace are checked
+against DEFAULT_MEMORY_BUDGET, read at call time.
 """
 
 from __future__ import annotations
@@ -573,10 +574,13 @@ class Spectrum:
 
 
 def _fix_vector_signs(vecs: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(vecs), axis=0)
-    flip = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    flip[flip == 0.0] = 1.0
-    return vecs * flip
+    """Negate, in place, each column whose largest-magnitude entry (the
+    first, on a tie) is negative; returns vecs.  One column at a time, so
+    the only temporary is one column long."""
+    for v in vecs.T:
+        if v[np.argmax(np.abs(v))] < 0.0:
+            v *= -1.0
+    return vecs
 
 
 def _entry_norms(kinetic, potential):
@@ -733,23 +737,28 @@ def _folded_sectors(op: TensorOperator, group):
     return group, tuple(half), sectors
 
 
-def _lift(u: np.ndarray, dims: tuple, pivots, group, chi) -> np.ndarray:
-    """Columns u of a folded sector as vectors on the full grid.
+def _lift(u: np.ndarray, grid: np.ndarray, pivots, group, chi) -> None:
+    """Write the folded sector vector u into grid, its full-grid (dims) view.
 
     Group element g fills the block holding the second half of each pivot
     axis it reverses and the first half of the others, with chi(g)
     |G|^(-1/2) times u reversed along all of g's modes.
     """
+    dims = grid.shape
     n_modes = len(dims)
-    t = u.reshape(tuple(d // 2 if n in pivots else d for n, d in enumerate(dims)) + u.shape[1:])
-    v = np.empty(dims + t.shape[-1:])
+    t = u.reshape(tuple(d // 2 if n in pivots else d for n, d in enumerate(dims)))
     scale = 1.0 / math.sqrt(len(group))
     for g, x in zip(group, chi):
         block = tuple(slice(None) if n not in pivots
                       else slice(dims[n] // 2, None) if g >> n & 1 else slice(dims[n] // 2)
                       for n in range(n_modes))
-        v[block] = (x * scale) * np.flip(t, _modes(g, n_modes))
-    return v.reshape(math.prod(dims), u.shape[1])
+        grid[block] = (x * scale) * np.flip(t, _modes(g, n_modes))
+
+
+def _residuals(apply, vals, vecs) -> np.ndarray:
+    """||H v - theta v|| of each column v of vecs and its value theta, with H
+    applied by apply to one column at a time."""
+    return np.array([np.linalg.norm(apply(v) - theta * v) for theta, v in zip(vals, vecs.T)])
 
 
 def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
@@ -760,8 +769,8 @@ def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
     theta_j|, with r the residuals; so where neighbouring levels lie
     within 4 (r_i + r_j) of each other, the vectors of that cluster are
     rotated to the eigenvectors of S within it, and their residuals are
-    measured again with apply, which is H by matvec.  Returns (vecs,
-    resid, parities), the vectors sign-fixed.
+    measured again with apply, which is H by matvec (_residuals).  Returns
+    (vecs, resid, parities), the vectors sign-fixed.
     """
     n, m = vecs.shape
     overlap = vecs.T @ vecs.reshape(dims + (m,)).swapaxes(*swap).reshape(n, m)
@@ -772,8 +781,7 @@ def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
             sign, q = np.linalg.eigh(overlap[lo:hi, lo:hi])
             vecs[:, lo:hi] = _fix_vector_signs(vecs[:, lo:hi] @ q)
             parities[lo:hi] = np.where(sign < 0.0, -1.0, 1.0)
-            resid[lo:hi] = np.linalg.norm(apply(vecs[:, lo:hi]) - vecs[:, lo:hi] * vals[lo:hi],
-                                          axis=0)
+            resid[lo:hi] = _residuals(apply, vals[lo:hi], vecs[:, lo:hi])
     return vecs, resid, parities
 
 
@@ -793,30 +801,57 @@ def _partial_eigh(sub: TensorOperator, m: int):
                 subset_by_index=[0, k - 1], driver=_SECTOR_DRIVER)
 
 
+def _uniform(start: int, n: int) -> np.ndarray:
+    """n numbers in [-1, 1), one per counter start, ..., start + n - 1.
+
+    Counter c gives the c-th output of splitmix64 seeded at 0 (Steele, Lea
+    & Flood, OOPSLA 2014): a few wrapping uint64 multiplies and xor-shifts
+    of c gamma, its top 53 bits scaled to [-1, 1).  Every counter is mixed
+    on its own, so a stream is the same on every platform and takes no
+    generator state and no numpy.random.
+    """
+    z = np.arange(start, start + n, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    x = z * 2.0 ** -52
+    x -= 1.0
+    return x
+
+
 def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
     """Lowest m eigenpairs (ascending values, (n, m) vectors) of the
     symmetric operator apply on R^n, by thick-restart Lanczos.
 
     The basis grows to ncv vectors, one application each, from a start
-    vector drawn from default_rng(_LANCZOS_SEED).  Each new vector is
-    orthogonalized against the whole basis, a second time when the first
-    pass leaves less than _DGKS of its norm; if the second pass cancels
-    too, the basis spans an invariant subspace and a new random vector,
-    uncoupled, takes its place.  The projected matrix T is then the
-    Rayleigh quotient of the basis, and its eigenpairs (theta_i, y_i) give
-    Ritz pairs with residual norms beta |y_i[-1]|, beta the norm of the
-    last new vector.  A wanted pair is converged at beta |y_i[-1]| <= tol
-    max(|theta_i|, eps^(2/3)), ARPACK's test.  Until all m are, the basis
-    restarts from the Ritz vectors of the lowest m + min(nconv, (ncv -
-    m) // 2) values (ncv // 2 where that is 1), ARPACK's dsaup2 rule,
-    plus the last new vector: T is then diagonal with one arrowhead row
-    beta y_i[-1] (Wu & Simon 2000), and the basis grows again.  After
-    _LANCZOS_MAXITER restarts NumericError is raised.
+    vector of _uniform numbers from the counter _LANCZOS_SEED on.  Each new
+    vector is orthogonalized against the whole basis, a second time when
+    the first pass leaves less than _DGKS of its norm; if the second pass
+    cancels too, the basis spans an invariant subspace and a new vector of
+    the next n counters, uncoupled, takes its place.  The projected matrix
+    T is then the Rayleigh quotient of the basis, and its eigenpairs
+    (theta_i, y_i) give Ritz pairs with residual norms beta |y_i[-1]|, beta
+    the norm of the last new vector.  A wanted pair is converged at beta
+    |y_i[-1]| <= tol max(|theta_i|, eps^(2/3)), ARPACK's test.  Until all
+    m are, the basis restarts from the Ritz vectors of the lowest m +
+    min(nconv, (ncv - m) // 2) values (ncv // 2 where that is 1), ARPACK's
+    dsaup2 rule, plus the last new vector: T is then diagonal with one
+    arrowhead row beta y_i[-1] (Wu & Simon 2000), and the basis grows
+    again.  After _LANCZOS_MAXITER restarts NumericError is raised.
+
+    The basis of ncv + 1 vectors and one buffer of ncv for the restart's
+    product are the whole workspace; the returned vectors are the first m
+    rows of that buffer, transposed.
     """
-    rng = np.random.default_rng(_LANCZOS_SEED)
     basis = np.empty((ncv + 1, n))
-    basis[0] = rng.standard_normal(n)
+    basis[0] = _uniform(_LANCZOS_SEED, n)
     basis[0] /= np.linalg.norm(basis[0])
+    product = np.empty((ncv, n))
+    drawn = n
     t = np.zeros((ncv, ncv))
     kept = applications = 0
     for _ in range(_LANCZOS_MAXITER):
@@ -837,7 +872,8 @@ def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
                 h += again
                 norm, beta = beta, np.linalg.norm(w)
                 if beta <= _DGKS * norm:
-                    w = rng.standard_normal(n)
+                    w = _uniform(_LANCZOS_SEED + drawn, n)
+                    drawn += n
                     w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
                     w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
                     w /= np.linalg.norm(w)
@@ -851,16 +887,29 @@ def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
         done = bounds[:m] <= tol * np.maximum(np.abs(theta[:m]), np.finfo(float).eps ** (2 / 3))
         nconv = int(np.count_nonzero(done))
         if nconv == m:
-            return theta[:m], basis[:ncv].T @ y[:, :m]
+            return theta[:m], np.matmul(y[:, :m].T, basis[:ncv], out=product[:m]).T
         kept = m + min(nconv, (ncv - m) // 2)
         kept = ncv // 2 if kept == 1 else kept
-        basis[:kept] = y[:, :kept].T @ basis[:ncv]
+        basis[:kept] = np.matmul(y[:, :kept].T, basis[:ncv], out=product[:kept])
         basis[kept] = basis[ncv]
         t[:] = 0.0
         t[np.arange(kept), np.arange(kept)] = theta[:kept]
         t[kept, :kept] = t[:kept, kept] = beta * y[-1, :kept]
     raise NumericError(f"Lanczos did not converge in {_LANCZOS_MAXITER} restarts",
                        {"converged": nconv, "wanted": m, "matvecs": applications})
+
+
+def _merged(levels: list, s: int, vals, vecs, m: int) -> list:
+    """The lowest m of levels and sector s's pairs (vals, the columns of
+    vecs), as ascending (value, sector, vector) triples.
+
+    sorted is stable, so equal values keep sector order, as one sort of
+    every sector's pairs would.  Only the kept columns of vecs are copied,
+    so vecs and the solve's workspace can be freed at once.
+    """
+    merged = sorted(levels + [(value, s, vecs[:, j]) for j, value in enumerate(vals)],
+                    key=lambda level: level[0])[:m]
+    return [(value, t, u.copy() if t == s else u) for value, t, u in merged]
 
 
 def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
@@ -881,13 +930,17 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
       sector's matrix-free operator, with a fixed basis of ncv vectors
       restarted in place as ARPACK's implicit restart would (Lehoucq &
       Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon
-      2000) and a seeded start vector, so repeated solves are bitwise
-      equal.  Its workspace is checked against DEFAULT_MEMORY_BUDGET before
-      any matvec.
+      2000) and a start vector from fixed counters (_uniform), so repeated
+      solves are bitwise equal.  Its workspace is checked against
+      DEFAULT_MEMORY_BUDGET before any matvec.
 
-    Both then share one tail: the lowest m of all sectors are merged,
-    lifted back to the full grid (_lift) and sign-fixed, and their true
-    residuals measured with the full operator by matvec.  Up to
+    Both then share one tail.  As each sector finishes, only its levels
+    that can still be among the lowest m of all sectors are kept, copied
+    out of its solve (_merged), so a Lanczos solve holds one sector's basis
+    and restart product and at most m folded vectors at a time.  The kept
+    vectors are then lifted straight into the one (n, m) output (_lift),
+    sign-fixed in place, and their true residuals measured with the full
+    operator, one matvec per column (_residuals).  Up to
     DENSE_DIM_LIMIT states Lanczos runs at the relative tolerance
     _DENSE_RANGE_TOL (1e-14); when _symmetries accepts a swap of two
     identical qubits, which the fold does not use, each level's exchange
@@ -907,8 +960,9 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     excitation theta_i - theta_0 is resolved only above the sum of its two
     levels' bounds.  Lanczos solves also report the basis size, the
     operator applications ("matvecs": every sector-vector application plus
-    the columns of the full-size residual checks) and the seconds spent in
-    the matvecs and in the whole solve ("matvec_s", "solve_s").
+    the columns of the full-size residual checks), the seconds spent in
+    the matvecs and in the whole solve ("matvec_s", "solve_s"), and the
+    workspace estimate the budget check used ("workspace_bytes").
 
     A junction mode's own matrix is not a TensorOperator: each qubit's gets
     one full eigh (_junction_eigh), and the coupler's an eigvalsh plus
@@ -936,14 +990,12 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
                and (size > SECTOR_CROSSOVER or not dense_range))
     if lanczos:
         # per sector (8 bytes per state each): the basis of ncv + 1 vectors,
-        # the restart's product of at most ncv vectors, the new vector and
-        # its projections, the folded potential and a one-vector matvec
-        # (_MATVEC_BYTES, plus a reflected product); then every sector's Ritz
-        # vectors, their lifts and the full-size residual check (the block
-        # matvec on the merged vectors, _MATVEC_BYTES per state and column,
-        # its product and difference)
-        work_bytes = (8 * size * (2 * ncv + 6) + _MATVEC_BYTES * size
-                      + (_MATVEC_BYTES + 32) * n * m)
+        # the restart's product buffer of ncv, the m levels kept from earlier
+        # sectors, the new vector and its projections, the folded potential
+        # and a one-vector matvec (_MATVEC_BYTES, plus a reflected product);
+        # then the n x m output and the residual check's one-column matvec
+        work_bytes = (8 * size * (2 * ncv + m + 6) + _MATVEC_BYTES * size
+                      + (8 * m + _MATVEC_BYTES) * n)
         if work_bytes > DEFAULT_MEMORY_BUDGET:
             raise ResourceError(
                 f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
@@ -962,24 +1014,24 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
             return out
         return apply
 
-    found = [_lanczos(applied(sub), sub.size, m, ncv, tol) if lanczos else _partial_eigh(sub, m)
-             for _, sub, _ in sectors]
+    def solve(sub):
+        return _lanczos(applied(sub), sub.size, m, ncv, tol) if lanczos else _partial_eigh(sub, m)
+
+    found = []  # (value, sector, folded vector) of the lowest m so far
+    for s, (_, sub, _) in enumerate(sectors):
+        found = _merged(found, s, *solve(sub), m)
     labels = tuple(label for label, _, _ in sectors)
     leak = _sector_leak(op, group)
-    vals = np.concatenate([w for w, _ in found])
-    order = np.argsort(vals, kind="stable")[:m]
-    vals = vals[order]
-    # a dense sector smaller than m gives all of its levels
-    owner = np.concatenate([np.full(len(w), s) for s, (w, _) in enumerate(found)])[order]
-    column = np.concatenate([np.arange(len(w)) for w, _ in found])[order]
+    vals = np.array([value for value, _, _ in found])
+    levels = tuple(labels[s] for _, s, _ in found)
     vecs = np.empty((n, m))
-    for s, (_, _, chi) in enumerate(sectors):
-        pick = owner == s
-        vecs[:, pick] = _lift(found[s][1][:, column[pick]], op.dims, pivots, group, chi)
-    levels = tuple(labels[s] for s in owner)
-    vecs = _fix_vector_signs(vecs)
+    grid = vecs.reshape(op.dims + (m,))
+    for j, (_, s, u) in enumerate(found):
+        _lift(u, grid[..., j], pivots, group, sectors[s][2])
+    del found  # the folded copies go before the full-size residual checks
+    _fix_vector_signs(vecs)
     apply = applied(op)
-    resid = np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0)
+    resid = _residuals(apply, vals, vecs)
     if dense_range and swap is not None:
         vecs, resid, parities = _exchange_parities(apply, op.dims, swap, vals, vecs, resid)
         levels = tuple((level if level != "all" else "") + ("+" if p > 0 else "-")
@@ -1001,9 +1053,10 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
                 {"residuals": resid.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
             )
     meta = {"solver": "lanczos" if lanczos else "dense", "dim": n, "residuals": resid,
-            "error_bounds": resid / np.linalg.norm(vecs, axis=0), "sector_leak": leak,
+            "error_bounds": resid / np.array([np.linalg.norm(v) for v in vecs.T]),
+            "sector_leak": leak,
             "sectors": {"labels": labels, "dims": (size,) * len(sectors), "levels": levels}}
     if lanczos:
         meta.update(basis=ncv, matvecs=matvecs, matvec_s=matvec_s,
-                    solve_s=time.perf_counter() - start)
+                    solve_s=time.perf_counter() - start, workspace_bytes=work_bytes)
     return Spectrum(vals, vecs if want_vectors else None, meta)

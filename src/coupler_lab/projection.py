@@ -126,7 +126,7 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     flux = params.phi_jx + x
 
     # deterministic signs: largest grid component of |0> positive, then phi_p >= 0
-    pair = _fix_vector_signs(vecs[:, :2])
+    pair = _fix_vector_signs(vecs[:, :2].copy())
     phi_p = float(pair[:, 0] @ (flux * pair[:, 1]))
     if phi_p < 0.0:
         pair[:, 1] *= -1.0

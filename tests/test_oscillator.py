@@ -11,6 +11,7 @@ restarted Lanczos) as cross-checks for the package's own thick-restart
 Lanczos.
 """
 
+import functools
 import inspect
 import json
 import math
@@ -517,7 +518,7 @@ class TestMatvecBlas:
     def test_import_leaves_scipy_linalg_unloaded(self):
         # only the dense sector solve imports scipy (scipy.linalg, on first
         # use): importing the package loads no scipy module at all
-        assert scipy_modules_after("pass") == []
+        assert loaded("scipy", "pass") == []
 
     @pytest.mark.parametrize("cols", [1, 6])
     def test_memory_peak_within_estimate(self, cols):
@@ -695,12 +696,12 @@ def biased_operator(dims=(14, 14, 8)):
 
 def lanczos_workspace(op, m, sectors):
     # the bytes the budget check counts, the full space being the one-sector
-    # fold: per sector the Lanczos basis and its restart product, the new
-    # vector, its potential and a one-vector matvec, then every sector's
-    # Ritz vectors, their lifts and the full-size residual check
+    # fold: per sector the Lanczos basis and its restart product, the levels
+    # kept from earlier sectors, the new vector, its potential and a
+    # one-vector matvec; then the n x m output and a one-column matvec
     ncv, size = max(2 * m + 1, 20), op.size // sectors
-    return (8 * size * (2 * ncv + 6) + oscillator._MATVEC_BYTES * size
-            + (oscillator._MATVEC_BYTES + 32) * op.size * m)
+    return (8 * size * (2 * ncv + m + 6) + oscillator._MATVEC_BYTES * size
+            + (8 * m + oscillator._MATVEC_BYTES) * op.size)
 
 
 def count_applications(monkeypatch):
@@ -715,6 +716,18 @@ def count_applications(monkeypatch):
 
     monkeypatch.setattr(TensorOperator, "matvec", counting)
     return applied
+
+
+# the reference point's solves: the exact 40x40x18 one (Lanczos in four
+# 7,200-state sectors) and NA, LA and LN (Lanczos in two 800-state sectors)
+REFERENCE_SOLVES = '''
+from coupler_lab import CouplerSystem, QubitParams, bo_spectrum, exact_spectrum
+q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
+system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q, q), e_ltc=3.0)
+spectra = [exact_spectrum(system, n_levels=6)]
+spectra += [bo_spectrum(theory, system, n_levels=6) for theory in ("NA", "LA", "LN")]
+assert [s.metadata["solver"] for s in spectra] == ["lanczos"] * 4
+'''
 
 
 class TestIterativeSolver:
@@ -798,8 +811,10 @@ class TestIterativeSolver:
     @pytest.mark.parametrize("dims, m", [((14, 14, 8), 4), ((24, 24, 12), 16)])
     def test_memory_peak_within_budget_estimate(self, dims, m, monkeypatch):
         # the estimate the budget check uses covers the Lanczos workspace of
-        # the largest sector, the lifted vectors and the residual check's
-        # full-size block matvec; with 2, 1 and 4 sectors
+        # one sector, the levels kept from earlier sectors, the (n, m) output
+        # and the residual check's one-column matvec, with 2, 1 and 4
+        # sectors; and it stays within 2x the peak (measured 1.26-1.86x), so
+        # it cannot drift loose
         for make in (two_qubit_operator, biased_operator, identical_operator):
             op = make(dims)
             # a first call, so that only the solve's own arrays are traced
@@ -811,7 +826,7 @@ class TestIterativeSolver:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < need
+            assert peak < need < 2.0 * peak
             with monkeypatch.context() as patch:
                 patch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
                 with pytest.raises(ResourceError):
@@ -834,6 +849,25 @@ class TestIterativeSolver:
         vals, vecs = oscillator._lanczos(lambda v: 0.0 * v, 50, 3, 20, 1e-9)
         assert np.array_equal(vals, np.zeros(3))
         assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-12
+
+    def test_start_vectors_are_splitmix64(self):
+        # counter c gives splitmix64's c-th output from seed 0, whose first
+        # three are the published e220a8397b1dcdaf, 6e789e6aa1b965f4 and
+        # 06c45d188009454f; its top 53 bits map to [-1, 1).  The reference is
+        # Python's unbounded integers, masked to 64 bits
+        mask = (1 << 64) - 1
+
+        def splitmix64(c):
+            z = c * 0x9E3779B97F4A7C15 & mask
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+            return z ^ z >> 31
+
+        assert [splitmix64(c) for c in (1, 2, 3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        for start, n in ((1, 3), (oscillator._LANCZOS_SEED, 500), (2**63 - 7, 5)):
+            want = [(splitmix64(c) >> 11) * 2.0**-52 - 1.0 for c in range(start, start + n)]
+            assert np.array_equal(oscillator._uniform(start, n), want)
 
     def test_timings_split_matvecs_from_solver(self):
         meta = lanczos(two_qubit_operator(), 4).metadata
@@ -881,34 +915,58 @@ class TestIterativeSolver:
             lowest_eigs(np.eye(3), m)
 
     def test_import_leaves_sparse_linalg_unloaded(self):
-        # the Lanczos route is numpy only: solves at the reference point, the
-        # exact one (Lanczos in four 7,200-state sectors) and NA, LA and LN
-        # (Lanczos in two 800-state sectors), load no scipy module
-        code = '''
-from coupler_lab import CouplerSystem, QubitParams, bo_spectrum, exact_spectrum
-q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
-system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q, q), e_ltc=3.0)
-spectra = [exact_spectrum(system, n_levels=6)]
-spectra += [bo_spectrum(theory, system, n_levels=6) for theory in ("NA", "LA", "LN")]
-assert [s.metadata["solver"] for s in spectra] == ["lanczos"] * 4
-'''
-        assert scipy_modules_after(code) == []
+        # the Lanczos route is numpy only: the reference point's solves load
+        # no scipy module
+        assert loaded("scipy", REFERENCE_SOLVES) == []
+
+    def test_solves_leave_numpy_random_unloaded(self):
+        # the start vectors come from counters, not numpy.random: the same
+        # reference-point solves load no numpy.random module
+        assert loaded("numpy.random", REFERENCE_SOLVES) == []
+        assert "numpy.linalg" in modules_after(REFERENCE_SOLVES)
+
+    def test_three_qubit_exact_solve_holds_one_sector_at_a_time(self):
+        # three qubits at (20, 20, 20, 10), m = 8: four sectors of 20,000
+        # states.  The solve's traced peak, assembly included, stays within
+        # one sector's basis of ncv + 1 vectors and its restart product of
+        # ncv, the (n, m) output and a one-column matvec workspace
+        dims, m = (20, 20, 20, 10), 8
+        n, ncv = math.prod(dims), max(2 * m + 1, 20)
+        system = make_system(qubits=[make_qubit()] * 3)
+        tracemalloc.start()
+        try:
+            spec = exact_spectrum(system, dims, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.metadata["solver"] == "lanczos"
+        assert spec.metadata["sectors"]["dims"] == (n // 4,) * 4
+        assert peak <= 8 * (n // 4) * (2 * ncv + 1) + 8 * n * m + oscillator._MATVEC_BYTES * n
 
 
-def scipy_modules_after(code):
-    # the scipy modules a fresh interpreter holds after importing the
-    # package and running code
+@functools.lru_cache(maxsize=None)
+def modules_after(code):
+    # the modules a fresh interpreter holds after importing the package and
+    # running code, one interpreter per code string
     src = str(Path(coupler_lab.__file__).resolve().parents[1])
     script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import coupler_lab\n" + code
-              + "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+              + "\nprint(json.dumps(sorted(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", script, src],
                          capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return tuple(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def loaded(package, code):
+    # the modules of package that a fresh interpreter holds after code
+    return [name for name in modules_after(code)
+            if name == package or name.startswith(package + ".")]
 
 
 def full_space_lanczos(op, m):
     # the full-space Lanczos solve lowest_eigs makes when nothing folds, made
-    # directly: (eigenvalues, true residuals, operator applications)
+    # directly: the vectors copied into one (n, m) output, sign-fixed in
+    # place and checked one column at a time; returns (eigenvalues, true
+    # residuals, operator applications)
     n, ncv, applied = op.size, max(2 * m + 1, 20), []
 
     def apply(v):
@@ -916,8 +974,9 @@ def full_space_lanczos(op, m):
         return op.matvec(v)
 
     vals, vecs = oscillator._lanczos(apply, n, m, ncv, oscillator._LANCZOS_TOL)
-    vecs = oscillator._fix_vector_signs(vecs)
-    return vals, np.linalg.norm(apply(vecs) - vecs * vals[None, :], axis=0), sum(applied)
+    vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs))
+    resid = [np.linalg.norm(apply(v) - theta * v) for theta, v in zip(vals, vecs.T)]
+    return vals, np.array(resid), sum(applied)
 
 
 def full_space_eigsh(op, m):
@@ -1071,11 +1130,13 @@ def old_dense_lowest(h, m):
 def one_partial_eigh(op, m):
     # the one partial LAPACK solve of the whole dense matrix that a one-sector
     # solve makes, its vectors sign-fixed and in C order as the solve returns
-    # them, and their residuals as the solve measures them: H applied by matvec
+    # them, and their residuals as the solve measures them: H applied by
+    # matvec to one column at a time
     vals, vecs = scipy.linalg.eigh(op.to_dense(), subset_by_index=[0, m - 1],
                                    driver=oscillator._SECTOR_DRIVER)
     vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs))
-    return vals, vecs, np.linalg.norm(op.matvec(vecs) - vecs * vals[None, :], axis=0)
+    resid = [np.linalg.norm(op.matvec(v) - theta * v) for theta, v in zip(vals, vecs.T)]
+    return vals, vecs, np.array(resid)
 
 
 def captured_operator(monkeypatch, theory, system, **kwargs):
