@@ -103,15 +103,16 @@ def exact_spectrum(system, dims=None, n_levels: int = 6) -> Spectrum:
 
 
 def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
-                nu_max: int = 100, mu_max: int = 40, series=None) -> Spectrum:
+                nu_max: int = 100, series=None) -> Spectrum:
     """Lowest levels of the coupler-eliminated qubit Hamiltonian.
 
     Each qubit keeps its ladder and junction cosine; the coupler's ground
     energy enters as a potential in the qubit fluxes on the product grid
     (see oscillator.TensorOperator).  "NA" evaluates the full Fourier
     series there, e_ltc E_g(phi_eff - sum_j alpha_j phi_j), so its cost
-    does not grow with nu_max; a prebuilt ``series`` must match the
-    system's beta_c and zeta_c.  "LA"/"LN" keep the quadratic expansion
+    does not grow with nu_max; the series is b_coeffs' at its derived
+    mu_max (both in the metadata), and a prebuilt ``series`` must match
+    the system's beta_c and zeta_c.  "LA"/"LN" keep the quadratic expansion
     about the bias point with analytic respectively numeric derivatives
     (LN's E_g and derivatives come from one LN_BASIS-state coupler
     solve); non-finite derivative inputs yield an all-NaN spectrum
@@ -144,7 +145,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
 
     if theory == "NA":
         if series is None:
-            series = b_coeffs(system.beta_c, system.zeta_c, nu_max, mu_max)
+            series = b_coeffs(system.beta_c, system.zeta_c, nu_max)
         elif (series.beta_c, series.zeta_c) != (system.beta_c, system.zeta_c):
             raise ConfigurationError(
                 f"series was built for beta_c={series.beta_c}, zeta_c={series.zeta_c};"
@@ -191,7 +192,6 @@ class SweepSpec:
     dims: tuple = None
     bo_dims: tuple = None
     nu_max: int = 100
-    mu_max: int = 40
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -223,8 +223,9 @@ class SweepResult:
 
     Each record's meta maps a theory to its solver diagnostics: solver,
     dim, basis and matvecs (iterative solves), sectors (sector labels and
-    dims and the sector of each level, from either solver), max_residual
-    and non_finite.  Timings stay out of the records.
+    dims and the sector of each level, from either solver), max_residual,
+    non_finite and, for NA, the series' mu_max.  Timings stay out of the
+    records.
     """
 
     spec: SweepSpec
@@ -271,17 +272,11 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
             if theory == "exact":
                 s = exact_spectrum(point_system, spec.dims, spec.n_levels)
             else:
-                s = bo_spectrum(
-                    theory,
-                    point_system,
-                    spec.bo_dims,
-                    spec.n_levels,
-                    nu_max=spec.nu_max,
-                    mu_max=spec.mu_max,
-                )
+                s = bo_spectrum(theory, point_system, spec.bo_dims, spec.n_levels,
+                                nu_max=spec.nu_max)
             record["energies"][theory] = tuple(float(v) for v in s.eigenvalues)
             record["excitations"][theory] = tuple(float(v) for v in s.excitations)
-            keep = ("solver", "dim", "basis", "matvecs", "sectors", "non_finite")
+            keep = ("solver", "dim", "basis", "matvecs", "sectors", "non_finite", "mu_max")
             meta = {key: s.metadata[key] for key in keep if key in s.metadata}
             if "residuals" in s.metadata:
                 meta["max_residual"] = float(np.max(s.metadata["residuals"]))
@@ -320,10 +315,11 @@ class ScanResult:
 
 
 def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
-                  mu_max: int = 40, n_basis: int = 60) -> ScanResult:
+                  n_basis: int = 60) -> ScanResult:
     """Coupling coefficients for each bias point on a linear grid.
 
-    The interaction series, the qubit subspaces and each qubit's Pauli
+    The interaction series (at b_coeffs' derived mu_max, which the
+    metadata reports), the qubit subspaces and each qubit's Pauli
     tables are built once per scan; only the bias phases change per
     point.  Each table equals ``couplings`` at its bias bitwise, and a
     resonance warns once per scan.
@@ -333,7 +329,7 @@ def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
         raise ConfigurationError(f"phi_cx range needs lo < hi, got ({lo}, {hi})")
     if int(n) < 2:
         raise ConfigurationError(f"phi_cx grid needs >= 2 points, got {n}")
-    series = b_coeffs(system.beta_c, system.zeta_c, nu_max, mu_max)
+    series = b_coeffs(system.beta_c, system.zeta_c, nu_max)
     subs = [qubit_subspace(q, n_basis=n_basis) for q in system.qubits]
     alphas = [q.alpha_j for q in system.qubits]
     grid = np.linspace(float(lo), float(hi), int(n))
@@ -344,6 +340,6 @@ def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
         "zeta_c": system.zeta_c,
         "e_ltc": system.e_ltc,
         "nu_max": nu_max,
-        "mu_max": mu_max,
+        "mu_max": series.mu_max,
     }
     return ScanResult(phi_cx=grid, tables=tables, metadata=meta)

@@ -21,7 +21,6 @@ circuit must use one style so energy ratios are well defined::
 
     [numerics]
     nu_max = 100
-    mu_max = 40
     n_basis = 60
     n_levels = 4
 
@@ -54,7 +53,9 @@ maximum-coupling point.
 
 Each CSV command returns ({file name: columns}, header extras), and main
 writes the tables under one ``#`` header; ``--nu-max`` goes on the
-commands that build a series, ``--dims`` on spectrum only.
+commands that build a series, ``--dims`` on spectrum only.  The series'
+convolution depth mu_max follows from beta_c (``b_coeffs``), and
+``series``, ``eg``, ``couplings`` and ``scan`` echo it in the header.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric
 failure, 3 validation failure.  Errors print one machine-readable JSON
@@ -119,7 +120,6 @@ _QUBIT_PHYSICAL = ("l_j", "c_j", "i_j", "m_j")
 
 _NUMERIC_DEFAULTS = {
     "nu_max": 100,
-    "mu_max": 40,
     "n_basis": 60,
     "n_levels": 4,
     "dims": None,
@@ -344,13 +344,13 @@ def load_config(path) -> SystemConfig:
     numerics = dict(_NUMERIC_DEFAULTS)
     if parser.has_section("numerics"):
         sec = parser["numerics"]
-        for key in ("nu_max", "mu_max", "n_basis", "n_levels"):
+        for key in ("nu_max", "n_basis", "n_levels"):
             if key in sec:
                 numerics[key] = sec.getint(key)
         for key in ("dims", "bo_dims"):
             if key in sec:
                 numerics[key] = _parse_int_list(sec[key])
-    for key in ("nu_max", "mu_max", "n_basis", "n_levels"):
+    for key in ("nu_max", "n_basis", "n_levels"):
         if numerics[key] < 1:
             raise ConfigurationError(f"numerics {key} must be >= 1, got {numerics[key]}")
 
@@ -481,7 +481,7 @@ def _cmd_series(cfg, args):
     b_total).
     """
     beta, zeta = cfg.system.beta_c, cfg.system.zeta_c
-    nu_max, mu_max = cfg.numerics["nu_max"], cfg.numerics["mu_max"]
+    nu_max = cfg.numerics["nu_max"]
     phi = np.linspace(0.0, TWO_PI, args.n_grid)
     profile = {
         "phi_over_2pi": phi / TWO_PI,
@@ -490,7 +490,7 @@ def _cmd_series(cfg, args):
         "sin_beta": sin_beta(beta, phi, nu_max=nu_max),
         "cos_beta": cos_beta(beta, phi, nu_max=nu_max),
     }
-    series = b_coeffs(beta, zeta, nu_max=nu_max, mu_max=mu_max)
+    series = b_coeffs(beta, zeta, nu_max=nu_max)
     coeffs = {
         "nu": np.arange(nu_max + 1),
         "b_classical": series.b_classical.coeffs,
@@ -498,7 +498,7 @@ def _cmd_series(cfg, args):
         "b_total": series.coeffs,
     }
     tables = {"series_profile.csv": profile, "series_coefficients.csv": coeffs}
-    return tables, {"n_grid": args.n_grid}
+    return tables, {"n_grid": args.n_grid, "mu_max": series.mu_max}
 
 
 def _bias_grid(args) -> np.ndarray:
@@ -523,7 +523,7 @@ def _cmd_eg(cfg, args):
     """
     beta, zeta = cfg.system.beta_c, cfg.system.zeta_c
     grid = _bias_grid(args)
-    series = b_coeffs(beta, zeta, cfg.numerics["nu_max"], cfg.numerics["mu_max"])
+    series = b_coeffs(beta, zeta, cfg.numerics["nu_max"])
     params = CouplerParams(beta_c=beta, zeta_c=zeta)
     classical = u_min(beta, grid, nu_max=cfg.numerics["nu_max"])
     zpe = u_zpe_harmonic(beta, zeta, grid)
@@ -537,7 +537,8 @@ def _cmd_eg(cfg, args):
         "eg_exact": exact,
         "zpe_exact": exact - classical,
     }
-    return {"eg.csv": columns}, {"n_grid": args.n_grid, "coupler_n_basis": n_basis}
+    extra = {"n_grid": args.n_grid, "coupler_n_basis": n_basis, "mu_max": series.mu_max}
+    return {"eg.csv": columns}, extra
 
 
 def _cmd_derivs(cfg, args):
@@ -574,7 +575,7 @@ def _cmd_couplings(cfg, args):
     optional label_pc giving the persistent-current-basis name).
     """
     system = cfg.system
-    series = b_coeffs(system.beta_c, system.zeta_c, cfg.numerics["nu_max"], cfg.numerics["mu_max"])
+    series = b_coeffs(system.beta_c, system.zeta_c, cfg.numerics["nu_max"])
     subs = [qubit_subspace(q, n_basis=cfg.numerics["n_basis"]) for q in system.qubits]
     alphas = [q.alpha_j for q in system.qubits]
     labels = "all" if args.labels is None else [s.strip() for s in args.labels.split(",")]
@@ -584,7 +585,7 @@ def _cmd_couplings(cfg, args):
     _energy(cfg, columns, "value_el1", np.asarray([table[k] for k in names]), "value_mhz")
     if args.pc_basis:
         columns["label_pc"] = [_pc_label(k) for k in names]
-    extra = {"imag_residue": _fmt(table.metadata["imag_residue"])}
+    extra = {"mu_max": series.mu_max, "imag_residue": _fmt(table.metadata["imag_residue"])}
     if table.metadata["resonances"]:
         extra["resonances"] = len(table.metadata["resonances"])
     return {"couplings.csv": columns}, extra
@@ -611,7 +612,6 @@ def _cmd_spectrum(cfg, args):
         dims=cfg.numerics["dims"],
         bo_dims=cfg.numerics["bo_dims"],
         nu_max=cfg.numerics["nu_max"],
-        mu_max=cfg.numerics["mu_max"],
     )
     result = sweep(spec)
     axis_values = result.values
@@ -644,13 +644,12 @@ def _cmd_scan(cfg, args):
         cfg.scan["labels"],
         (TWO_PI * cfg.scan["lo"], TWO_PI * cfg.scan["hi"], cfg.scan["n_points"]),
         nu_max=cfg.numerics["nu_max"],
-        mu_max=cfg.numerics["mu_max"],
         n_basis=cfg.numerics["n_basis"],
     )
     columns = {"phi_over_2pi": result.phi_cx / TWO_PI}
     for label in result.labels:
         _energy(cfg, columns, f"g_{label}", result.label_array(label))
-    return {"scan.csv": columns}, {}
+    return {"scan.csv": columns}, {"mu_max": result.metadata["mu_max"]}
 
 
 def _cmd_truncation(cfg, args):
@@ -704,7 +703,7 @@ def _validation_checks(cfg):
     rel = max(abs(a - n) / abs(n) for a, n in zip(d_ana, d_num))
     yield "derivative_routes", rel <= 0.01, f"max rel {rel:.3e}"
 
-    series = b_coeffs(0.5, zeta, nu_max=100, mu_max=40)
+    series = b_coeffs(0.5, zeta, nu_max=100)
     sub = qubit_subspace(QubitParams(beta_j=1.05, zeta_j=0.05), n_basis=60)
     table = couplings(series, [sub, sub], [0.05, 0.05], 0.1 * TWO_PI, labels=["xx"])
     quad = gxx_quadrature(lambda x: eg_eval(series, x), [sub, sub], 0.05, 0.1 * TWO_PI)

@@ -174,20 +174,23 @@ def _mu_search(beta_c: float, tol: float) -> tuple:
     return None, smallest
 
 
-def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100, mu_max: int = 40) -> EgSeries:
+def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100,
+             mu_max: int | None = None) -> EgSeries:
     """Interaction series coefficients B_nu^(0), B_nu^(1) for nu <= nu_max.
 
-    The quantum convolution runs over |mu| <= mu_max.  |mu G_mu| first
-    falls below 1e-16 at mu = 42 for beta_c = 0.75, 70 for 0.9 and 99
-    for 0.95 (``_mu_cutoff``).  With the default mu_max = 40, B^(1)
-    is off by 8e-13 of its largest coefficient at beta_c = 0.9
-    (|40 G_40| = 2.3e-10 there) and by 2.6e-10 at 0.95, so beta_c
-    above 0.9 wants a larger mu_max.  Neither component depends on
-    zeta_c, so both are memoized per (beta_c, nu_max, mu_max) and
-    shared, read-only, by every zeta_c.
+    The quantum convolution runs over |mu| <= mu_max, by default the
+    first mu with |mu G_mu| < 1e-16 (``_mu_cutoff``: 19 at beta_c = 0.3,
+    26 at 0.5, 42 at 0.75, 70 at 0.9, 99 at 0.95), so every dropped term
+    lies below rounding.  Where no such mu lies below 400 (beta_c from
+    about 0.998 up) the default raises NumericError; an explicit mu_max
+    cuts the sum there as given.  Neither component depends on zeta_c,
+    so both are memoized per (beta_c, nu_max, mu_max) and shared,
+    read-only, by every zeta_c.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"b_coeffs requires 0 <= beta_c < 1, got {beta_c}")
+    if mu_max is None:
+        mu_max = _mu_cutoff(beta_c)
     if nu_max < 1 or mu_max < 1:
         raise ValueError("nu_max and mu_max must be positive")
     classical, quantum = _series_parts(float(beta_c), int(nu_max), int(mu_max))
@@ -441,6 +444,21 @@ def _ground_energy_derivs(params: CouplerParams, phi_x, n_basis: int) -> tuple:
     return tuple(float(v) for v in rows[0, :3])
 
 
+def _tail_bounds(beta_c: float, zeta_c: float, nu_max: int) -> np.ndarray:
+    """|r0 + zeta_c r1| after each order 1..nu_max.
+
+    r0 and r1 are the closed-form classical and quantum tails less twice
+    the coefficients kept so far: what a series cut at that order omits,
+    with the relative sign it carries in E_g.
+    """
+    series = b_coeffs(beta_c, zeta_c, nu_max)
+    tail0 = beta_c + beta_c**2 / 4.0
+    tail1 = math.sqrt(1.0 - beta_c) - g_coeff(0, beta_c) + beta_c * g_coeff(1, beta_c)
+    r0 = tail0 - 2.0 * np.cumsum(series.b_classical.coeffs[1:])
+    r1 = tail1 - 2.0 * np.cumsum(series.b_quantum.coeffs[1:])
+    return np.abs(r0 + zeta_c * r1)
+
+
 def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
     """Bound on the coupling error from truncating the series at nu_max.
 
@@ -455,13 +473,7 @@ def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
         raise ValueError(f"truncation_bound requires 0 <= beta_c < 1, got {beta_c}")
     if beta_c == 0.0:
         return 0.0
-    series = b_coeffs(beta_c, zeta_c, nu_max=nu_max, mu_max=_mu_cutoff(beta_c))
-    r0 = beta_c + beta_c**2 / 4.0 - 2.0 * float(np.sum(series.b_classical.coeffs[1:]))
-    g0 = g_coeff(0, beta_c)
-    g1 = g_coeff(1, beta_c)
-    r1 = math.sqrt(1.0 - beta_c) - g0 + beta_c * g1 \
-        - 2.0 * float(np.sum(series.b_quantum.coeffs[1:]))
-    return abs(r0 + zeta_c * r1)
+    return float(_tail_bounds(beta_c, zeta_c, nu_max)[-1])
 
 
 def min_nu_for_error(beta_c: float, zeta_c: float, epsilon: float) -> int:
@@ -475,17 +487,9 @@ def min_nu_for_error(beta_c: float, zeta_c: float, epsilon: float) -> int:
         raise ValueError(f"min_nu_for_error requires 0 <= beta_c < 1, got {beta_c}")
     if beta_c == 0.0:
         return 1
-    mu_max = _mu_cutoff(beta_c)
-    g0 = g_coeff(0, beta_c)
-    g1 = g_coeff(1, beta_c)
-    tail0 = beta_c + beta_c**2 / 4.0
-    tail1 = math.sqrt(1.0 - beta_c) - g0 + beta_c * g1
     cap = 64
     while True:
-        series = b_coeffs(beta_c, zeta_c, nu_max=min(cap, MIN_NU_CAP), mu_max=mu_max)
-        r0 = tail0 - 2.0 * np.cumsum(series.b_classical.coeffs[1:])
-        r1 = tail1 - 2.0 * np.cumsum(series.b_quantum.coeffs[1:])
-        bound = np.abs(r0 + zeta_c * r1)
+        bound = _tail_bounds(beta_c, zeta_c, min(cap, MIN_NU_CAP))
         hits = np.nonzero(bound <= epsilon)[0]
         if len(hits):
             return int(hits[0]) + 1

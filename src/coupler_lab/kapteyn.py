@@ -70,6 +70,10 @@ __all__ = [
     "g_coeff",
 ]
 
+# kepler_solve's residual target and step limit; g_coeff's stopping term and term limit
+_KEPLER_TOL, _KEPLER_MAX_ITER = 1e-14, 100
+_G_TINY, _G_MAX_TERMS = 1e-16, 100_000
+
 
 def bessel_j(order, x):
     """Bessel function of the first kind at integer order.
@@ -258,22 +262,22 @@ def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray):
     return out, diagonal
 
 
-def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):
+def kepler_solve(beta: float, phi_x):
     """Solve chi - phi_x - beta*sin(chi) = 0 for chi by damped Newton.
 
     For 0 <= beta < 1 the left side is strictly increasing in chi
     (derivative 1 - beta*cos >= 1 - beta > 0), so the root is unique.
     Steps are clipped to pi to avoid overshoot where the curvature
-    changes sign.  Residual at return is <= tol (absolute).
+    changes sign.  Residual at return is <= _KEPLER_TOL (absolute).
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"kepler_solve requires 0 <= beta < 1, got {beta}")
     phi_in = np.asarray(phi_x, dtype=float)
     phi = np.atleast_1d(phi_in)
     chi = phi.copy()
-    for _ in range(max_iter):
+    for _ in range(_KEPLER_MAX_ITER):
         f = chi - phi - beta * np.sin(chi)
-        active = np.abs(f) > tol
+        active = np.abs(f) > _KEPLER_TOL
         if not np.any(active):
             break
         step = np.clip(f / (1.0 - beta * np.cos(chi)), -np.pi, np.pi)
@@ -281,7 +285,7 @@ def kepler_solve(beta: float, phi_x, tol: float = 1e-14, max_iter: int = 100):
     else:
         resid = np.max(np.abs(chi - phi - beta * np.sin(chi)))
         raise NumericError(f"kepler_solve did not converge: residual {resid:.3e}",
-                           {"residual": float(resid), "iterations": max_iter})
+                           {"residual": float(resid), "iterations": _KEPLER_MAX_ITER})
     return chi if phi_in.ndim else float(chi[0])
 
 
@@ -344,7 +348,7 @@ def exp_mu_coeff(mu: int, nu: int, beta: float) -> float:
     return mu * float(bessel_j(nu - mu, beta * nu)) / nu
 
 
-def g_coeff(mu: int, beta: float, tiny: float = 1e-16, max_terms: int = 100000) -> float:
+def g_coeff(mu: int, beta: float) -> float:
     """Fourier coefficient G_mu of sqrt(1 - beta*cos(theta)).
 
     Even in mu.  The defining hypergeometric-type sum is accumulated
@@ -354,7 +358,7 @@ def g_coeff(mu: int, beta: float, tiny: float = 1e-16, max_terms: int = 100000) 
 
     which tends to beta^2 < 1, so terms are eventually geometric.  For
     large mu the terms first grow (the ratio starts near (beta/2)^2 mu)
-    before decaying, so the sum stops on |t_l| < tiny only once the
+    before decaying, so the sum stops on |t_l| < _G_TINY only once the
     terms are shrinking; the ratio crosses 1 exactly once, which makes
     that stopping rule safe.
     """
@@ -367,14 +371,14 @@ def g_coeff(mu: int, beta: float, tiny: float = 1e-16, max_terms: int = 100000) 
         t *= (0.5 - k) / (k + 1.0)
     total = t
     prev = abs(t)
-    for l in range(max_terms):
+    for l in range(_G_MAX_TERMS):
         t *= (beta / 2.0) ** 2 * (mu + 2 * l - 0.5) * (mu + 2 * l + 0.5) / ((l + 1.0) * (mu + l + 1.0))
         total += t
-        if abs(t) < tiny and abs(t) <= prev:
+        if abs(t) < _G_TINY and abs(t) <= prev:
             return total
         prev = abs(t)
     raise NumericError(f"g_coeff sum did not terminate for mu={mu}, beta={beta}",
-                       {"mu": mu, "beta": beta, "terms": max_terms})
+                       {"mu": mu, "beta": beta, "terms": _G_MAX_TERMS})
 
 
 def _check_series_args(beta: float, nu_max: int) -> None:

@@ -164,11 +164,12 @@ def test_bo_rejects_series_for_another_coupler(ref_system):
 
 
 def test_bo_accepts_matching_series(ref_system):
-    series = b_coeffs(ref_system.beta_c, ref_system.zeta_c, nu_max=20, mu_max=20)
+    series = b_coeffs(ref_system.beta_c, ref_system.zeta_c, nu_max=20)
     assert (series.beta_c, series.zeta_c) == (0.75, 0.05)
     given = bo_spectrum("NA", ref_system, dims=(16, 16), n_levels=3, series=series)
-    built = bo_spectrum("NA", ref_system, dims=(16, 16), n_levels=3, nu_max=20, mu_max=20)
+    built = bo_spectrum("NA", ref_system, dims=(16, 16), n_levels=3, nu_max=20)
     assert given.eigenvalues.tobytes() == built.eigenvalues.tobytes()
+    assert given.metadata["mu_max"] == built.metadata["mu_max"] == coupler._mu_cutoff(0.75)
 
 
 def test_bo_theory_tags(ref_system):
@@ -406,8 +407,8 @@ def table_bytes(table):
 def test_coupling_scan_equals_per_point_couplings(n_qubits, labels, nu_max):
     qubits = SCAN_QUBITS[:n_qubits]
     system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qubits, e_ltc=3.0)
-    result = coupling_scan(system, labels, (0.1, 2.9, 5), nu_max=nu_max, mu_max=30)
-    series = b_coeffs(0.75, 0.05, nu_max, 30)
+    result = coupling_scan(system, labels, (0.1, 2.9, 5), nu_max=nu_max)
+    series = b_coeffs(0.75, 0.05, nu_max)
     subs = [qubit_subspace(q) for q in qubits]
     alphas = [q.alpha_j for q in qubits]
     for phi, table in zip(result.phi_cx, result.tables):
@@ -488,27 +489,109 @@ def test_ln_solves_the_coupler_once(ref_system, monkeypatch):
         float(eg_exact(params, 0.3)[0]), *derivs)
 
 
-def test_solver_surface_has_no_knobs(tmp_path):
+TWO_QUBIT_SCAN_CONFIG = """[meta]
+schema = 1
+[coupler]
+beta_c = {beta_c}
+zeta_c = 0.05
+[qubit.1]
+beta_j = 1.05
+zeta_j = 0.05
+alpha_j = 0.05
+[qubit.2]
+beta_j = 1.05
+zeta_j = 0.05
+alpha_j = 0.05
+[scan]
+labels = xx,zz
+lo = 0.0
+hi = 0.1
+n_points = 3
+[numerics]
+nu_max = 60
+n_basis = 40
+"""
+SERIES_COMMANDS = {"series": ["--n-grid", "9"], "eg": ["--n-grid", "3"], "couplings": [],
+                   "scan": []}
+
+
+def test_solver_surface_has_no_knobs(tmp_path, capsys):
     # the solver is chosen from the operator itself, sweeps run point by point,
-    # and a config that still sets parallel loads
-    from coupler_lab.cli import load_config
+    # the series' convolution depth follows from beta_c, and a config that
+    # still sets parallel or mu_max loads and writes the data it would without
+    from coupler_lab.cli import EXIT_OK, load_config, main
 
     def params(func):
         return list(inspect.signature(func).parameters)
 
     assert params(lowest_eigs) == ["op", "m", "want_vectors"]
     assert params(exact_spectrum) == ["system", "dims", "n_levels"]
-    assert params(bo_spectrum) == ["theory", "system", "dims", "n_levels", "nu_max", "mu_max",
-                                   "series"]
+    assert params(bo_spectrum) == ["theory", "system", "dims", "n_levels", "nu_max", "series"]
+    assert params(coupling_scan) == ["system", "labels", "phi_cx_range", "nu_max", "n_basis"]
     assert params(assemble_tensor_operator) == ["system"]
     assert [f.name for f in dataclasses.fields(SweepSpec)] == [
-        "axis", "range", "system", "theories", "n_levels", "dims", "bo_dims", "nu_max",
-        "mu_max"]
+        "axis", "range", "system", "theories", "n_levels", "dims", "bo_dims", "nu_max"]
     assert "phi_cx" not in {f.name for f in dataclasses.fields(CouplerParams)}
-    path = tmp_path / "old.ini"
-    path.write_text("[meta]\nschema = 1\n[coupler]\nbeta_c = 0.5\nzeta_c = 0.05\n"
-                    "[qubit.1]\nbeta_j = 1.05\nzeta_j = 0.05\n"
-                    "[numerics]\nnu_max = 60\nparallel = 2\n")
-    cfg = load_config(path)
-    assert cfg.numerics["nu_max"] == 60
-    assert "parallel" not in cfg.numerics
+    data = {}
+    for name, old_keys in (("new", ""), ("old", "parallel = 2\nmu_max = 7\n")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(TWO_QUBIT_SCAN_CONFIG.format(beta_c=0.5) + old_keys)
+        cfg = load_config(path)
+        assert cfg.numerics["nu_max"] == 60
+        assert not {"parallel", "mu_max"} & set(cfg.numerics)
+        for command in ("series", "couplings", "scan"):
+            argv = [command, "--config", str(path), "--out", str(tmp_path / name)]
+            assert main(argv + SERIES_COMMANDS[command]) == EXIT_OK
+        data[name] = {}
+        for csv in ("series_profile.csv", "series_coefficients.csv", "couplings.csv",
+                    "scan.csv"):
+            lines = (tmp_path / name / csv).read_bytes().splitlines()
+            assert b"# mu_max=26" in lines
+            data[name][csv] = [line for line in lines if not line.startswith(b"#")]
+    assert data["old"] == data["new"]
+    capsys.readouterr()
+
+
+def test_series_builds_at_the_derived_mu_cutoff(ref_system, tmp_path, monkeypatch, capsys):
+    # NA solves, scans, NA sweep points and the four series commands each cut
+    # the zero-point convolution at _mu_cutoff(beta_c), and report that cut
+    from coupler_lab.cli import EXIT_OK, main
+
+    built = []
+    real = coupler._series_parts
+
+    def spy(beta_c, nu_max, mu_max):
+        built.append((beta_c, mu_max))
+        return real(beta_c, nu_max, mu_max)
+
+    monkeypatch.setattr(coupler, "_series_parts", spy)
+    system = replace(ref_system, beta_c=0.9)
+    cut = coupler._mu_cutoff(0.9)
+    assert cut == 70
+    na = bo_spectrum("NA", system, dims=(12, 12), n_levels=3, nu_max=20)
+    assert na.metadata["mu_max"] == cut
+    assert coupling_scan(system, ["zz"], (0.0, 0.1, 2), nu_max=20).metadata["mu_max"] == cut
+    spec = SweepSpec(axis="beta_c", range=(0.3, 0.9, 2), system=ref_system, theories=("NA",),
+                     n_levels=3, bo_dims=(12, 12), nu_max=20)
+    assert [rec["meta"]["NA"]["mu_max"] for rec in sweep(spec).points] == [19, cut]
+    path = tmp_path / "strong.ini"
+    path.write_text(TWO_QUBIT_SCAN_CONFIG.format(beta_c=0.9))
+    for command, flags in SERIES_COMMANDS.items():
+        argv = [command, "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv + flags) == EXIT_OK
+    for csv in ("series_coefficients.csv", "eg.csv", "couplings.csv", "scan.csv"):
+        assert f"# mu_max={cut}" in (tmp_path / csv).read_text().splitlines()
+    assert len(built) == 8
+    assert all(mu_max == coupler._mu_cutoff(beta_c) for beta_c, mu_max in built)
+    capsys.readouterr()
+
+
+def test_unmet_mu_cutoff_fails_per_sweep_point(ref_system):
+    # at beta_c = 0.999 no cut below mu = 400 bounds the dropped terms
+    spec = SweepSpec(axis="beta_c", range=(0.99, 0.999, 2), system=ref_system,
+                     theories=("NA",), n_levels=3, bo_dims=(12, 12), nu_max=20)
+    result = sweep(spec)
+    assert result.metadata["n_failed"] == 1
+    assert result.points[0]["meta"]["NA"]["mu_max"] == 219
+    assert result.points[1]["errors"]["NA"].startswith("NumericError: |mu G_mu| stays above")
+    assert "beta_c = 0.999" in result.points[1]["errors"]["NA"]

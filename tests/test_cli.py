@@ -60,7 +60,6 @@ alpha_j = 0.05
 
 [numerics]
 nu_max = 60
-mu_max = 40
 n_basis = 40
 
 [units]
@@ -331,6 +330,22 @@ def test_truncation_unmet_mu_cutoff_exits_numeric(tmp_path, capsys):
     assert not (tmp_path / "truncation.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["series", "couplings", "scan"])
+def test_series_commands_unmet_mu_cutoff_exit_numeric(tmp_path, capsys, command):
+    # at beta_c = 0.999 |mu G_mu| stays above 1e-16 up to mu = 399, so no
+    # series cut below that drops only terms under rounding
+    body = DIMLESS_BODY.replace("beta_c = 0.5", "beta_c = 0.999")
+    body += "\n[scan]\nlabels = xx,zz\nlo = 0.0\nhi = 0.1\nn_points = 3\n"
+    cfg_path = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericError"
+    assert err["exit_code"] == EXIT_NUMERIC
+    assert err["details"]["beta_c"] == 0.999
+    assert not list(out.glob("*.csv"))
+
+
 def test_series_beta_zero_sine_is_bitwise(tmp_path, capsys):
     body = "[coupler]\nbeta_c = 0.0\nzeta_c = 0.05\n[qubit.1]\nbeta_j = 1.05\nzeta_j = 0.05\n"
     cfg = write_config(tmp_path, body)
@@ -349,7 +364,7 @@ def test_csv_values_roundtrip_through_text(ref_config, tmp_path, capsys):
                  "--n-grid", "65"]) == EXIT_OK
     _, header, rows = read_csv(tmp_path / "series_coefficients.csv")
     from coupler_lab import b_coeffs
-    series = b_coeffs(0.5, 0.05, nu_max=60, mu_max=40)
+    series = b_coeffs(0.5, 0.05, nu_max=60)
     i_tot = header.index("b_total")
     for row, ref in zip(rows, series.coeffs):
         assert float(row[i_tot]) == ref  # 17 significant digits lose nothing
@@ -380,7 +395,7 @@ def test_couplings_units_and_relabeling(ref_config, tmp_path, capsys):
 
 def test_eg_zero_point_tracks_harmonic_term(tmp_path, capsys):
     body = "[coupler]\nbeta_c = 0.95\nzeta_c = 0.05\n[qubit.1]\nbeta_j = 1.05\nzeta_j = 0.05\n"
-    body += "[numerics]\nnu_max = 400\nmu_max = 140\nn_basis = 50\n"
+    body += "[numerics]\nnu_max = 400\nn_basis = 50\n"
     cfg = write_config(tmp_path, body)
     assert main(["eg", "--config", str(cfg), "--out", str(tmp_path),
                  "--lo", "0.01", "--hi", "0.05", "--n-grid", "5"]) == EXIT_OK
@@ -500,7 +515,7 @@ def test_kepler_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monke
     # no Newton iterations allowed: the first solve in validate must fail
     import coupler_lab.kapteyn as kapteyn
 
-    monkeypatch.setattr(kapteyn.kepler_solve, "__defaults__", (1e-14, 0))
+    monkeypatch.setattr(kapteyn, "_KEPLER_MAX_ITER", 0)
     assert main(["validate", "--config", str(ref_config),
                  "--out", str(tmp_path)]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)
@@ -517,7 +532,7 @@ def test_g_coeff_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monk
 
     # a series cached by an earlier test would skip the patched g_coeff
     _series_parts.cache_clear()
-    monkeypatch.setattr(kapteyn.g_coeff, "__defaults__", (1e-16, 0))
+    monkeypatch.setattr(kapteyn, "_G_MAX_TERMS", 0)
     assert main(["series", "--config", str(ref_config),
                  "--out", str(tmp_path)]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)
@@ -737,5 +752,7 @@ def test_coupler_basis_is_echoed(ref_config, tmp_path, capsys, command):
     assert main([command, "--config", str(ref_config), "--out", str(tmp_path),
                  "--n-grid", "3"]) == EXIT_OK
     comments, _, _ = read_csv(tmp_path / f"{command}.csv")
-    assert "# numerics: mu_max=40 n_basis=40 n_levels=4 nu_max=60" in comments
+    assert "# numerics: n_basis=40 n_levels=4 nu_max=60" in comments
     assert "# coupler_n_basis=50" in comments
+    # only eg builds the series, whose depth follows from beta_c = 0.5
+    assert ("# mu_max=26" in comments) == (command == "eg")

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from coupler_lab import kapteyn
+from coupler_lab.errors import NumericError
 from coupler_lab.kapteyn import (
     FourierSeries,
     _sin_coeffs,
@@ -150,6 +152,14 @@ class TestKeplerSolve:
             kepler_solve(1.0, 0.3)
         with pytest.raises(ValueError):
             kepler_solve(-0.1, 0.3)
+
+    def test_step_limit_raises(self, monkeypatch):
+        # one Newton step from chi = phi leaves beta = 0.9, phi = 2 far from the root
+        monkeypatch.setattr(kapteyn, "_KEPLER_MAX_ITER", 1)
+        with pytest.raises(NumericError, match="did not converge") as info:
+            kepler_solve(0.9, np.array([0.0, 2.0]))
+        assert info.value.details["iterations"] == 1
+        assert info.value.details["residual"] > 1e-3
 
 
 class TestSinBeta:
@@ -288,6 +298,14 @@ class TestGCoeff:
     def test_beta_zero(self):
         assert g_coeff(0, 0.0) == 1.0
         assert g_coeff(1, 0.0) == 0.0
+
+    def test_term_limit_raises(self, monkeypatch):
+        # at beta = 0.9 the terms shrink by about beta^2 per step, so three
+        # are far from the stopping term
+        monkeypatch.setattr(kapteyn, "_G_MAX_TERMS", 3)
+        with pytest.raises(NumericError, match="did not terminate") as info:
+            g_coeff(2, 0.9)
+        assert info.value.details == {"mu": 2, "beta": 0.9, "terms": 3}
 
 
 class TestFourierSeries:

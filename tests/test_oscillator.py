@@ -170,7 +170,7 @@ class TestHoExpMatrixCache:
         system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q, q), e_ltc=3.0)
         spec = SweepSpec(axis="phi_cx", range=(0.0, 0.6, 4), system=system,
                          theories=("NA", "LA", "LN"), n_levels=3, bo_dims=(16, 16),
-                         nu_max=20, mu_max=20)
+                         nu_max=20)
 
         def records(result):
             return [(rec["energies"], rec["excitations"], rec["errors"])
@@ -1198,8 +1198,7 @@ class TestSectorSolve:
     @pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
     def test_strong_coupler_keeps_exchange_only(self, monkeypatch, theory):
         system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
-        spec, op = captured_operator(monkeypatch, theory, system, n_levels=6,
-                                     nu_max=400, mu_max=120)
+        spec, op = captured_operator(monkeypatch, theory, system, n_levels=6, nu_max=400)
         want = old_dense_lowest(op.to_dense(), 6)[0]
         # no reflection survives the bias: one sector of 1600 states, solved by
         # Lanczos, and by the dense route when the crossover is raised
@@ -1412,8 +1411,7 @@ class TestPartialSectorSolve:
             return captured_operator(monkeypatch, "NA", identical_pair(1.4), n_levels=6)[1]
         if case == "strong_coupler":
             system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
-            return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=400,
-                                     mu_max=120)[1]
+            return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=400)[1]
         # two pairs of levels 1.7e-3 and 3.2e-3 apart within the one sector
         qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
               QubitParams(beta_j=1.08, zeta_j=0.05, alpha_j=0.05))
@@ -1589,7 +1587,7 @@ class TestSectorRoute:
         routes = []
         for beta_j in (0.616, 1.05, 1.262, 1.4):
             for beta_c, phi_cx in systems:
-                kwargs = {"nu_max": 400, "mu_max": 120} if beta_c == 0.95 else {}
+                kwargs = {"nu_max": 400} if beta_c == 0.95 else {}
                 _, op = captured_operator(monkeypatch, theory,
                                           identical_pair(beta_j, beta_c, phi_cx),
                                           n_levels=6, **kwargs)
