@@ -33,6 +33,7 @@ are in units of E_Ltc.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries, _kapteyn_convolution, cos_beta, g_coeff, kepler_solve
-from .oscillator import _checked_residuals, _junction_matrix, _residual_bound
+from .oscillator import _checked_eigh, _junction_matrix, _residual_bound
 
 __all__ = [
     "BodcMetrics",
@@ -63,16 +64,8 @@ MIN_NU_CAP = 100_000
 # A ground level closer than this to the next is ill-conditioned for the
 # perturbative quantities; the continuation certifies a gap above it.
 _GAP_TOL = 1e-10
-# Solves per level before the residual gate decides (_level_vectors), and
 # Rayleigh-quotient steps before a continued point starts from scratch.
-_INVERSE_STEPS = 3
 _RQI_STEPS = 6
-# An eigvalsh level can be an eigenvalue of H to the last bit, so an LU
-# pivot of H - E can come out exactly zero (seen at beta 0.99, zeta 0.02,
-# n_basis 30, level 5).  Only such a solve is retried, with the shift
-# raised by this fraction of the residual gate (2 eps ||H||_F): the raise
-# costs the vector about 2 eps ||H||_F / gap of accuracy.
-_SHIFT_NUDGE = 1.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,12 @@ def u_zpe_harmonic(beta_c: float, zeta_c: float, phi_x):
 def _mu_cutoff(beta_c: float, tol: float = 1e-16) -> int:
     """Smallest M with |mu G_mu| < tol for all mu >= M.
 
-    The search stops at mu = 400 (the cutoff is 307 at beta_c = 0.995);
-    from beta_c ~ 0.998 up |mu G_mu| is still above tol there, so a
+    The search runs over mu in [1, 399] (the cutoff is 307 at beta_c =
+    0.995).  From beta_c ~ 0.998 up |399 G_399| is still above tol, so a
     truncation bound built on it would not hold and NumericError is
-    raised instead.  Both outcomes are memoized (_mu_search).
+    raised at once; otherwise bisection finds M from at most 9 more G_mu,
+    relying on |mu G_mu| staying below tol once it falls there.  Both
+    outcomes are memoized (_mu_search).
     """
     mu, smallest = _mu_search(beta_c, tol)
     if mu is None:
@@ -163,15 +158,15 @@ def _mu_cutoff(beta_c: float, tol: float = 1e-16) -> int:
 
 @lru_cache(maxsize=32)
 def _mu_search(beta_c: float, tol: float) -> tuple:
-    """(M, None) for the cutoff M below 400, else (None, the smallest
-    |mu G_mu| met).  Memoized per (beta_c, tol), as _series_parts is."""
-    smallest = math.inf
-    for mu in range(1, 400):
-        term = abs(mu * g_coeff(mu, beta_c))
-        if term < tol:
-            return mu, None
-        smallest = min(smallest, term)
-    return None, smallest
+    """(M, None) for the cutoff M below 400, else (None, |399 G_399|).
+    Memoized per (beta_c, tol), as _series_parts is."""
+    last = abs(399 * g_coeff(399, beta_c))
+    if not last < tol:
+        return None, last
+    # the first mu in [1, 398] below tol, else 399
+    below = bisect.bisect_left(range(1, 399), True,
+                               key=lambda mu: abs(mu * g_coeff(mu, beta_c)) < tol)
+    return 1 + below, None
 
 
 def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100,
@@ -243,9 +238,9 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6)
     quadrature amplitude sqrt(zeta)), the eigenbasis of its truncated
     quadrature: the ladder is a dense kinetic factor there, and the
     junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.  The
-    levels are np.linalg.eigvalsh's, and each returned level gets one
-    inverse-iteration vector whose residual is checked; n_levels must
-    lie in [1, n_basis].
+    levels are the lowest n_levels of one np.linalg.eigh, every pair's
+    residual checked (oscillator._checked_eigh); n_levels must lie in
+    [1, n_basis].
 
     A 1-D array of biases, with n_levels = 1, gives an (N, 1) array: the
     ground level followed along the array (see _ground_states), so a row
@@ -263,9 +258,7 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6)
         energies = [state[3] for state in _ground_states(params, phis, n_basis)]
         return np.array(energies).reshape(-1, 1)
     h, _, h_norm = _junction_matrix(params.zeta_c, params.beta_c, phi_x, n_basis)
-    levels = np.linalg.eigvalsh(h)[:n_levels]
-    _level_vectors(h, h_norm, levels)
-    return levels
+    return _checked_eigh(h, h_norm)[0][:n_levels]
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -294,35 +287,6 @@ def _biases(phi_x) -> np.ndarray:
     if phis.ndim > 1:
         raise ConfigurationError(f"biases must be a scalar or a 1-D array, got shape {phis.shape}")
     return phis
-
-
-def _level_vectors(h: np.ndarray, h_norm: float, levels: np.ndarray) -> np.ndarray:
-    """One inverse-iteration vector per level, residuals checked.
-
-    Each is one solve (H - E) y = s from the start s = (1, 2, ..., n):
-    positive, so it overlaps the nodeless ground state, and not
-    reflection-symmetric, so it overlaps the odd levels of a symmetric
-    bias too.  The solve is repeated up to _INVERSE_STEPS times while the
-    residual is above the gate (the ground level needs one, a higher
-    level at most two).  The columns pass _checked_residuals, so levels
-    that are not eigenvalues of H raise NumericError.
-    """
-    eye = np.eye(len(h))
-    bound = _residual_bound(0.0, h_norm)
-    vecs = np.empty((len(h), len(levels)))
-    for k, level in enumerate(levels):
-        v = np.arange(1.0, len(h) + 1)
-        for _ in range(_INVERSE_STEPS):
-            try:
-                v = np.linalg.solve(h - level * eye, v)
-            except np.linalg.LinAlgError:
-                v = np.linalg.solve(h - (level + _SHIFT_NUDGE * bound) * eye, v)
-            v /= np.linalg.norm(v)
-            if np.linalg.norm(h @ v - level * v) <= bound:
-                break
-        vecs[:, k] = v
-    _checked_residuals(h @ vecs, levels, vecs, 0.0, h_norm)
-    return vecs
 
 
 def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float):
@@ -368,11 +332,11 @@ def _ground_states(params: CouplerParams, phis, n_basis: int):
     """Yield (H, flux nodes, levels, E_g, ground vector) along the biases.
 
     The first bias, and any whose continuation fails, is solved from
-    scratch: np.linalg.eigvalsh gives every level and _level_vectors the
-    ground vector.  Each later bias starts from the previous ground
-    vector (_continued_ground, shift 2 zeta, the harmonic spacing) and
-    yields levels None.  A scalar call is a one-point grid, so it takes
-    the from-scratch route.
+    scratch: one checked np.linalg.eigh (oscillator._checked_eigh) gives
+    every level and the ground vector.  Each later bias starts from the
+    previous ground vector (_continued_ground, shift 2 zeta, the harmonic
+    spacing) and yields levels None.  A scalar call is a one-point grid,
+    so it takes the from-scratch route.
     """
     g = None
     for phi in phis:
@@ -380,8 +344,8 @@ def _ground_states(params: CouplerParams, phis, n_basis: int):
         found = None if g is None else _continued_ground(h, h_norm, g, 2.0 * params.zeta_c)
         levels = None
         if found is None:
-            levels = np.linalg.eigvalsh(h)
-            found = levels[0], _level_vectors(h, h_norm, levels[:1])[:, 0]
+            levels, vecs = _checked_eigh(h, h_norm)
+            found = levels[0], vecs[:, 0]
         g = found[1]
         yield h, flux, levels, found[0], g
 

@@ -31,19 +31,19 @@ basis is converged.
 Single-mode problems (the coupler's levels and derivatives, each
 qubit's subspace) live on the same grid: _junction_mode returns one
 mode's kinetic factor, its junction potential and its flux nodes, and
-_junction_matrix the dense K + diag(V) that both solve.  _junction_eigh
-gives it one full np.linalg.eigh with residuals checked; qubit_subspace
-takes it, since its double-well doublets (split down to about 2e-10)
-need both vectors of one full solve.  The coupler
-asks LAPACK for less (coupler._ground_states): its levels from
-np.linalg.eigvalsh and its ground vector from one inverse-iteration
-solve, or, along a grid of biases, Rayleigh-quotient steps from the
-previous ground vector with a Cholesky certificate; E_g'' is one further
-solve, not a sum over every level.  At 60 states on one BLAS thread
-(x86-64) an eigh took 352 us, an eigvalsh 154 us and one
-np.linalg.solve about 25 us.  The Fock-basis factors P e^{irX} P remain
-as the oracle the grid is tested against: ho_exp_matrix builds them per
-element through generalized Laguerre polynomials,
+_junction_matrix the dense K + diag(V) that both solve.  A solve from
+scratch is _checked_eigh, one full np.linalg.eigh with every pair's
+residual checked: each qubit's (qubit_subspace, through _junction_eigh,
+since its double-well doublets, split down to about 2e-10, need both
+vectors), and the coupler's at a scalar bias, at the first point of a
+grid of biases and wherever the continuation along it fails
+(coupler._ground_states).  The continuation takes Rayleigh-quotient
+steps from the previous ground vector with a Cholesky certificate, and
+E_g'' is one further solve, not a sum over every level: at 60 states on
+one BLAS thread (x86-64) an eigh took about 350 us and one
+np.linalg.solve about 35 us.  The Fock-basis factors P e^{irX} P
+remain as the oracle the grid is tested against: ho_exp_matrix builds
+them per element through generalized Laguerre polynomials,
 
     <j|e^{irX}|k> = i^{k-j} sqrt(j!/k!) e^{-r^2/2} r^{k-j} L_j^{(k-j)}(r^2)
 
@@ -547,12 +547,17 @@ def _junction_matrix(zeta: float, beta: float, phase: float, dim: int):
     return h, flux, float(np.linalg.norm(h))
 
 
-def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
-    """Every level of one junction mode (e_l = 1): one eigh, residuals checked."""
-    h, flux, h_norm = _junction_matrix(zeta, beta, phase, dim)
+def _checked_eigh(h: np.ndarray, h_norm: float):
+    """Every eigenpair of a dense single-mode matrix: one eigh, residuals checked."""
     vals, vecs = np.linalg.eigh(h)
     _checked_residuals(h @ vecs, vals, vecs, 0.0, h_norm)
-    return vals, vecs, flux
+    return vals, vecs
+
+
+def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
+    """Every level of one junction mode (e_l = 1), its vectors and flux nodes."""
+    h, flux, h_norm = _junction_matrix(zeta, beta, phase, dim)
+    return (*_checked_eigh(h, h_norm), flux)
 
 
 @dataclass
@@ -964,11 +969,11 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     the matvecs and in the whole solve ("matvec_s", "solve_s"), and the
     workspace estimate the budget check used ("workspace_bytes").
 
-    A junction mode's own matrix is not a TensorOperator: each qubit's gets
-    one full eigh (_junction_eigh), and the coupler's an eigvalsh plus
-    inverse-iteration or continued solves for its ground state (see the
-    module docstring), each cheaper than an eigh at 50-60 states.  An op
-    that is not a TensorOperator raises ConfigurationError.
+    A junction mode's own matrix is not a TensorOperator: a qubit's, and
+    the coupler's at a scalar bias or the start of a grid, gets one full
+    eigh with residuals checked (_checked_eigh); the coupler's later grid
+    points continue its ground state instead (see the module docstring).
+    An op that is not a TensorOperator raises ConfigurationError.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
@@ -1052,8 +1057,9 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
                 "Lanczos residuals exceed the tolerance",
                 {"residuals": resid.tolist(), "limits": limit.tolist(), "matvecs": matvecs},
             )
+    # the column norms of np.linalg.norm(vecs, axis=0), without its two n x m temporaries
     meta = {"solver": "lanczos" if lanczos else "dense", "dim": n, "residuals": resid,
-            "error_bounds": resid / np.array([np.linalg.norm(v) for v in vecs.T]),
+            "error_bounds": resid / np.sqrt(np.einsum("ij,ij->j", vecs, vecs)),
             "sector_leak": leak,
             "sectors": {"labels": labels, "dims": (size,) * len(sectors), "levels": levels}}
     if lanczos:

@@ -547,7 +547,7 @@ def test_linalg_failure_exits_numeric(ref_config, tmp_path, capsys, monkeypatch)
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     assert main(["eg", "--config", str(ref_config), "--out", str(tmp_path),
                  "--n-grid", "3"]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)

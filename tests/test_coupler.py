@@ -504,26 +504,13 @@ def test_grid_shapes_and_scalar_types():
         eg_derivs_numeric(p, np.zeros((2, 2)))
 
 
-def test_exactly_singular_solve_is_retried_off_the_level(monkeypatch):
-    # an eigvalsh level can be an eigenvalue of H to the last bit, so LU
-    # meets an exactly zero pivot; the solve is retried with the shift
-    # raised by 2 eps ||H||_F, and the vector still meets the gate
-    p = CouplerParams(beta_c=0.99, zeta_c=0.02)
-    want = eg_exact(p, np.pi / 2, n_basis=30, n_levels=6)
-    real = np.linalg.solve
-    corners = []
-
-    def singular_once(a, b):
-        corners.append(a[0, 0])
-        if len(corners) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", singular_once)
-    got = eg_exact(p, np.pi / 2, n_basis=30, n_levels=6)
-    monkeypatch.undo()
-    assert np.array_equal(got, want)
-    assert corners[1] < corners[0]
+@pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 2, np.pi])
+def test_scalar_call_is_one_junction_eigh(phi):
+    # a scalar bias is solved by the same checked eigh as a qubit's
+    # junction mode: its levels are that solve's, bitwise
+    p = CouplerParams(beta_c=0.9, zeta_c=0.05)
+    want = oscillator._junction_eigh(p.zeta_c, p.beta_c, phi, 40)[0][:5]
+    assert np.array_equal(eg_exact(p, phi, n_basis=40, n_levels=5), want)
 
 
 def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):
@@ -612,6 +599,48 @@ def test_unmet_mu_cutoff_raises():
             call()
         assert info.value.details["beta_c"] == 0.999
         assert 1e-16 < info.value.details["smallest_mu_g"] < 1e-9
+
+
+def scanned_mu_cutoff(beta_c, tol=1e-16):
+    """Linear-scan oracle: the first mu in [1, 399] with |mu G_mu| < tol."""
+    for mu in range(1, 400):
+        if abs(mu * g_coeff(mu, beta_c)) < tol:
+            return mu
+    return None
+
+
+def test_mu_cutoff_bisection_matches_the_linear_scan():
+    for beta_c in np.linspace(0.0, 0.997, 401):
+        assert _mu_search.__wrapped__(float(beta_c), 1e-16) == (scanned_mu_cutoff(beta_c), None)
+
+
+def counted_g_coeff(monkeypatch):
+    calls = []
+
+    def counting(mu, beta):
+        calls.append(mu)
+        return g_coeff(mu, beta)
+
+    monkeypatch.setattr(coupler, "g_coeff", counting)
+    return calls
+
+
+@pytest.mark.parametrize("beta_c, want", [(0.3, 19), (0.5, 26), (0.75, 42), (0.9, 70),
+                                          (0.95, 99), (0.99, 219)])
+def test_mu_cutoff_documented_values(beta_c, want, monkeypatch):
+    calls = counted_g_coeff(monkeypatch)
+    assert _mu_search.__wrapped__(beta_c, 1e-16) == (want, None)
+    assert calls[0] == 399 and len(calls) <= 10
+
+
+def test_unmet_mu_cutoff_fails_at_the_first_probe(monkeypatch):
+    # |399 G_399| above tol ends the search before any bisection
+    _mu_search.cache_clear()
+    calls = counted_g_coeff(monkeypatch)
+    with pytest.raises(NumericError) as info:
+        _mu_cutoff(0.999)
+    assert calls == [399]
+    assert info.value.details["smallest_mu_g"] == abs(399 * g_coeff(399, 0.999))
 
 
 def test_mu_cutoff_is_memoized_per_beta():
