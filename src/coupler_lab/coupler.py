@@ -209,8 +209,8 @@ def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
     (``kapteyn._kapteyn_convolution``: Miller-started above the top
     order, reflected to the negative orders of rows nu < mu_max, scaled
     to one ``bessel_j`` value near the turning point, the call that also
-    gives J_nu(beta_c nu)); it matches the per-mu scipy ``jv`` sum to
-    2e-12 of the row's sum of |terms|.  Memory stays O(nu_max).  Memoized
+    gives J_nu(beta_c nu)); it matches the per-mu sum of AMOS's J values
+    to 2e-12 of the row's sum of |terms|.  Memory stays O(nu_max).  Memoized
     per (beta_c, nu_max, mu_max); the two arrays are shared and
     read-only.
     """

@@ -81,7 +81,8 @@ def bessel_j(order, x):
     Vectorized over both arguments.  Negative orders and arguments follow
     J_{-n}(x) = J_n(-x) = (-1)^n J_n(x); a non-finite argument gives NaN.
     Relative accuracy is better than 1e-12 wherever |J| exceeds 1e-290,
-    against scipy's jv, for |order| and |x| up to a few thousand; below
+    against AMOS's J (Amos, ACM TOMS 12, 265 (1986)), for |order| and |x|
+    up to a few thousand; below
     the turning point (|x| > |order|) J oscillates, and near its zeros
     only the error relative to the neighbouring orders is that small.
     A value below e^-700 by Kapteyn's bound is 0 (see _negligible); each

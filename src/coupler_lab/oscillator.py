@@ -71,26 +71,15 @@ character.  An operator with no reflection or an odd-length pivot axis
 full space.  The Frobenius norm of H minus its reflection-group average
 is reported as sector_leak.
 
-Each sector is solved for its lowest m levels, dense or by Lanczos as
-its size picks (lowest_eigs).  The dense route builds the sector's
-matrix with to_dense and gives it one partial LAPACK solve,
-scipy.linalg.eigh with subset_by_index and ?syevr (_SECTOR_DRIVER): for
-part of the spectrum it reduces the matrix to tridiagonal form, bisects
-for the wanted eigenvalues and finds their vectors by inverse iteration
-(LAPACK Users' Guide, Anderson et al., SIAM 1999; Dhillon & Parlett,
-Linear Algebra Appl. 387, 1 (2004) for the MRRR method it keeps for the
-whole spectrum).  numpy has no partial symmetric solver, so this route
-imports scipy.linalg on first use; it is the only use of scipy, and
-importing the package or solving by Lanczos loads none.  The sectors are
-built, solved and dropped one at a time, so with any reflection no size
-x size matrix is allocated.  The Lanczos route runs a thick-restart
+Each sector is solved for its lowest m levels by a thick-restart
 Lanczos (_lanczos; Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
-(2000)) on each sector through matvec: a fixed basis of max(2m + 1, 20)
-vectors, a start vector from fixed counters (_uniform, no numpy.random),
-numpy BLAS throughout.  Up to SECTOR_CROSSOVER (560) states per sector
-the dense route is the faster one on one and two BLAS threads; above
-DENSE_DIM_LIMIT states every operator goes to Lanczos.  Both routes
-share one tail: the lowest m of all sectors, kept as each sector
+(2000)) through its matvec: a fixed basis of max(2m + 1, 20) vectors, a
+start vector from fixed counters (_uniform, no numpy.random), numpy BLAS
+throughout.  A sector of at most that many states, where a Krylov basis
+cannot grow, gets one np.linalg.eigh of its matrix (to_dense) instead
+(lowest_eigs).  The sectors are solved and dropped one at a time, so a
+solve holds one sector's basis or matrix, and it loads numpy only.  Both
+routes share one tail: the lowest m of all sectors, kept as each sector
 finishes, are lifted straight into one (op.size, m) output (_lift) and
 their true residuals measured with the full operator one column at a
 time.  Swaps are not folded (they break the product form): up to
@@ -138,10 +127,6 @@ _DENSE_RANGE_TOL = 1e-14
 # Gram-Schmidt is repeated when it leaves less than this share of the norm
 # (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976))
 _DGKS = 0.717
-# In the dense range, an operator whose folded sectors hold more states than
-# this goes to Lanczos: on one and two BLAS threads of a 2-core x86-64 host
-# dense was faster at 484 states per sector, Lanczos at 576, and they tied at 512-578
-SECTOR_CROSSOVER = 560
 # matvec workspace per state and column: the accumulator, the contiguous
 # copy of the moved axis, the GEMM output, and the input's copy when it
 # cannot be reshaped in place
@@ -150,9 +135,6 @@ _MATVEC_BYTES = 8 + 8 + 8 + 8
 # _SECTOR_TOL eps max|H|: the exact circuit's normal-mode amplitudes come
 # from an eigh, so its mode reflections hold to about 1e-14, not exactly.
 _SECTOR_TOL = 64
-# LAPACK driver of each sector's partial solve (?syevr); on the NA/LA/LN
-# solves of 400- and 800-state sectors it ran as fast as "evx" or faster
-_SECTOR_DRIVER = "evr"
 # Dense eigenpairs must meet ||H v - lambda v|| <= sector_leak + c eps ||H||_F.
 _DENSE_RESIDUAL_C = 64
 
@@ -790,22 +772,6 @@ def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
     return vecs, resid, parities
 
 
-def _partial_eigh(sub: TensorOperator, m: int):
-    """Lowest min(m, size) eigenpairs of one sector: one partial LAPACK solve.
-
-    scipy.linalg.eigh with subset_by_index and the _SECTOR_DRIVER driver
-    (?syevr) works on the sector's dense matrix (to_dense), which is
-    bitwise symmetric, so its transpose is the same matrix in the Fortran
-    order LAPACK overwrites without a copy.  The matrix is dropped on
-    return, before the next sector is built.
-    """
-    from scipy.linalg import eigh
-
-    k = min(m, sub.size)
-    return eigh(sub.to_dense().T, overwrite_a=True, check_finite=False,
-                subset_by_index=[0, k - 1], driver=_SECTOR_DRIVER)
-
-
 def _uniform(start: int, n: int) -> np.ndarray:
     """n numbers in [-1, 1), one per counter start, ..., start + n - 1.
 
@@ -926,18 +892,17 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     the one sector "all".  Each sector is solved for its lowest m levels in
     one of two ways, picked by that size:
 
-    - dense, when it is at most the Lanczos basis ncv = max(2m + 1, 20)
-      states or, for an operator of at most DENSE_DIM_LIMIT (8192) states,
-      at most SECTOR_CROSSOVER (560) states or m exceeds ITERATIVE_M_LIMIT
-      (32): one partial LAPACK solve (?syevr) of the sector's dense matrix
-      (_partial_eigh), built, solved and dropped one sector at a time;
-    - Lanczos otherwise: a thick-restart Lanczos (_lanczos) on the
-      sector's matrix-free operator, with a fixed basis of ncv vectors
-      restarted in place as ARPACK's implicit restart would (Lehoucq &
-      Sorensen, SIAM J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon
-      2000) and a start vector from fixed counters (_uniform), so repeated
-      solves are bitwise equal.  Its workspace is checked against
-      DEFAULT_MEMORY_BUDGET before any matvec.
+    - Lanczos, when it holds more states than the Lanczos basis ncv =
+      max(2m + 1, 20): a thick-restart Lanczos (_lanczos) on the sector's
+      matrix-free operator, with a fixed basis of ncv vectors restarted in
+      place as ARPACK's implicit restart would (Lehoucq & Sorensen, SIAM
+      J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon 2000) and a start
+      vector from fixed counters (_uniform), so repeated solves are
+      bitwise equal.  Its workspace is checked against
+      DEFAULT_MEMORY_BUDGET before any matvec;
+    - dense otherwise, where a basis of ncv vectors cannot grow: one
+      np.linalg.eigh of the sector's matrix (to_dense), whose lowest
+      min(m, size) pairs are kept.
 
     Both then share one tail.  As each sector finishes, only its levels
     that can still be among the lowest m of all sectors are kept, copied
@@ -991,8 +956,7 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     group, pivots, sectors = _folded_sectors(op, group)
     size = n // len(group)
     # the Lanczos basis needs m < ncv < size
-    lanczos = (m <= ITERATIVE_M_LIMIT and size > ncv
-               and (size > SECTOR_CROSSOVER or not dense_range))
+    lanczos = size > ncv
     if lanczos:
         # per sector (8 bytes per state each): the basis of ncv + 1 vectors,
         # the restart's product buffer of ncv, the m levels kept from earlier
@@ -1020,7 +984,10 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
         return apply
 
     def solve(sub):
-        return _lanczos(applied(sub), sub.size, m, ncv, tol) if lanczos else _partial_eigh(sub, m)
+        if lanczos:
+            return _lanczos(applied(sub), sub.size, m, ncv, tol)
+        vals, vecs = np.linalg.eigh(sub.to_dense())
+        return vals[:m], vecs[:, :m]
 
     found = []  # (value, sector, folded vector) of the lowest m so far
     for s, (_, sub, _) in enumerate(sectors):

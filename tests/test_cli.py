@@ -725,20 +725,25 @@ def scipy_modules_after(commands, cfg, out_dir):
     return out.stdout.strip()
 
 
-def test_commands_but_spectrum_leave_scipy_linalg_unloaded(tmp_path):
-    # only the multi-mode dense solves need scipy (scipy.linalg's partial
-    # eigh); the single-mode solves and the Bessel values are numpy's, so
-    # every other command runs without loading any scipy module
-    body = DIMLESS_BODY + "\n[scan]\nlabels = xx,zz\nlo = 0.0\nhi = 0.1\nn_points = 3\n"
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # the runtime is numpy only: every command, including a spectrum whose
+    # sectors are dense solves (NA, LA and LN at 4x4: two sectors of 8 states
+    # at zero bias, one of 16 biased; exact at 4,4,4: four of 16 at zero
+    # bias) or Lanczos (exact biased: two of 32), loads no scipy module
+    body = DIMLESS_BODY.replace("[numerics]\n", "[numerics]\ndims = 4,4,4\nbo_dims = 4,4\n")
+    body += ("\n[scan]\nlabels = xx,zz\nlo = 0.0\nhi = 0.1\nn_points = 3\n"
+             "\n[sweep]\naxis = phi_cx\nlo = 0.0\nhi = 0.03\nn_points = 2\n")
     cfg = write_config(tmp_path, body)
-    commands = [name for name in coupler_lab.cli._COMMANDS if name != "spectrum"]
-    assert len(commands) == 7
+    commands = list(coupler_lab.cli._COMMANDS)
+    assert len(commands) == 8
     assert scipy_modules_after(commands, cfg, tmp_path) == f"{[EXIT_OK] * len(commands)} []"
+    header = (tmp_path / "spectrum.csv").read_text()
+    assert "bo_dims=(4, 4) dims=(4, 4, 4)" in header and "n_failed=0" in header
 
 
 def test_lanczos_route_spectrum_loads_no_scipy(tmp_path):
     # biased identical qubits at 40x40 have no reflection: NA, LA and LN are
-    # each one 1,600-state sector, above the dense crossover, so Lanczos
+    # each one 1,600-state sector, above the Lanczos basis, so Lanczos
     body = DIMLESS_BODY + ("\n[sweep]\naxis = phi_cx\nlo = 0.03\nhi = 0.05\nn_points = 2\n"
                            "theories = NA, LA, LN\n")
     cfg = write_config(tmp_path, body)

@@ -25,7 +25,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -516,8 +515,7 @@ class TestMatvecBlas:
         assert got.strides == want.strides
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        # only the dense sector solve imports scipy (scipy.linalg, on first
-        # use): importing the package loads no scipy module at all
+        # the package is numpy only: importing it loads no scipy module
         assert loaded("scipy", "pass") == []
 
     @pytest.mark.parametrize("cols", [1, 6])
@@ -621,10 +619,10 @@ class TestLowestEigs:
         assert oscillator._LANCZOS_TOL == 1e-9
 
     def test_size_picks_the_solver(self, monkeypatch):
-        # in the dense range the folded sector's size picks: dense up to
-        # SECTOR_CROSSOVER states (or above ITERATIVE_M_LIMIT levels, or at
-        # most the Lanczos basis of 20), Lanczos at the dense-range tolerance
-        # above it; above DENSE_DIM_LIMIT states Lanczos at the fixed tolerance
+        # the folded sector's size picks: Lanczos whenever it holds more states
+        # than the Lanczos basis ncv = max(2m + 1, 20), at any m, at the
+        # dense-range tolerance up to DENSE_DIM_LIMIT states and the fixed one
+        # above; one dense eigh of the sector's matrix (to_dense) otherwise
         class Picked(Exception):
             pass
 
@@ -637,16 +635,14 @@ class TestLowestEigs:
                                       identical_pair(1.05, phi_cx=STRONG_PHI_CX),
                                       dims=(28, 28), n_levels=3)
         picked = []
-        monkeypatch.setattr(oscillator, "_partial_eigh", lambda sub, m: pick("dense", sub.size))
+        monkeypatch.setattr(TensorOperator, "to_dense", lambda sub: pick("dense", sub.size))
         monkeypatch.setattr(oscillator, "_lanczos",
                             lambda apply, n, m, ncv, tol: pick("lanczos", n, tol))
         rng = np.random.default_rng(5)
         cases = [
             (diagonal_operator((20, 28), rng.standard_normal((20, 28))), 3),  # one sector of 560
-            (diagonal_operator((19, 30), rng.standard_normal((19, 30))), 3),  # one of 570
             (diagonal_operator((19, 30), rng.standard_normal((19, 30))), 33),  # m above 32
             (diagonal_operator((40, 56), np.zeros((40, 56))), 3),  # four reflection sectors of 560
-            (diagonal_operator((40, 58), np.zeros((40, 58))), 3),  # four of 580
             (biased, 6),
             (diagonal_operator((90, 91), np.zeros((90, 91))), 3),  # odd pivot: one of 8190
             (diagonal_operator((91, 91), np.zeros((91, 91))), 3),  # above DENSE_DIM_LIMIT
@@ -654,19 +650,19 @@ class TestLowestEigs:
         for op, m in cases:
             with pytest.raises(Picked):
                 lowest_eigs(op, m)
-        assert picked == [("dense", 560), ("lanczos", 570, 1e-14), ("dense", 570),
-                          ("dense", 560), ("lanczos", 580, 1e-14), ("lanczos", 784, 1e-14),
+        assert picked == [("lanczos", 560, 1e-14), ("lanczos", 570, 1e-14),
+                          ("lanczos", 560, 1e-14), ("lanczos", 784, 1e-14),
                           ("lanczos", 8190, 1e-14), ("lanczos", 8281, 1e-9)]
-        # Lanczos needs m < ncv < size: sectors of at most ncv = 20 states stay
-        # dense whatever the crossover
+        # Lanczos needs m < ncv < size: sectors of at most ncv states are dense
         picked.clear()
-        monkeypatch.setattr(oscillator, "SECTOR_CROSSOVER", 0)
-        for dims in ((8, 10), (10, 10)):  # four sectors of 20 and 25
+        for dims, m in (((8, 10), 3), ((10, 10), 3), ((18, 18), 40), ((20, 18), 40)):
+            # four sectors of 20, 25, 81 and 90 states; ncv is 20, 20, 81 and 81
             with pytest.raises(Picked):
-                lowest_eigs(diagonal_operator(dims, np.zeros(dims)), 3)
-        assert picked == [("dense", 20), ("lanczos", 25, 1e-14)]
+                lowest_eigs(diagonal_operator(dims, np.zeros(dims)), m)
+        assert picked == [("dense", 20), ("lanczos", 25, 1e-14), ("dense", 81),
+                          ("lanczos", 90, 1e-14)]
         monkeypatch.undo()
-        assert (DENSE_DIM_LIMIT, oscillator.SECTOR_CROSSOVER) == (8192, 560)
+        assert DENSE_DIM_LIMIT == 8192
 
 def lanczos(op, m, want_vectors=False):
     # the Lanczos route at its fixed tolerance, which lowest_eigs takes above
@@ -1063,7 +1059,7 @@ class TestFoldedLanczos:
 
     def test_small_sectors_are_solved_dense(self):
         # 2 x 10 x 4 states fold to four sectors of 20, no more than the Lanczos
-        # basis of 20: each gets a partial dense solve, also above the limit
+        # basis of 20: each gets one dense eigh, also above the limit
         op = identical_operator((2, 10, 4))
         spec = lanczos(op, 4)
         assert spec.metadata["solver"] == "dense"
@@ -1127,14 +1123,13 @@ def old_dense_lowest(h, m):
     return vals, vecs, np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
 
 
-def one_partial_eigh(op, m):
-    # the one partial LAPACK solve of the whole dense matrix that a one-sector
-    # solve makes, its vectors sign-fixed and in C order as the solve returns
-    # them, and their residuals as the solve measures them: H applied by
-    # matvec to one column at a time
-    vals, vecs = scipy.linalg.eigh(op.to_dense(), subset_by_index=[0, m - 1],
-                                   driver=oscillator._SECTOR_DRIVER)
-    vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs))
+def one_eigh(op, m):
+    # the one eigh of the whole dense matrix that a one-sector solve of at most
+    # the Lanczos basis makes, its lowest m vectors sign-fixed and in C order
+    # as the solve returns them, and their residuals as the solve measures
+    # them: H applied by matvec to one column at a time
+    vals, vecs = np.linalg.eigh(op.to_dense())
+    vals, vecs = vals[:m], oscillator._fix_vector_signs(np.ascontiguousarray(vecs[:, :m]))
     resid = [np.linalg.norm(op.matvec(v) - theta * v) for theta, v in zip(vals, vecs.T)]
     return vals, vecs, np.array(resid)
 
@@ -1199,26 +1194,21 @@ class TestSectorSolve:
     def test_strong_coupler_keeps_exchange_only(self, monkeypatch, theory):
         system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
         spec, op = captured_operator(monkeypatch, theory, system, n_levels=6, nu_max=400)
-        want = old_dense_lowest(op.to_dense(), 6)[0]
-        # no reflection survives the bias: one sector of 1600 states, solved by
-        # Lanczos, and by the dense route when the crossover is raised
-        with monkeypatch.context() as patch:
-            patch.setattr(oscillator, "SECTOR_CROSSOVER", op.size)
-            dense = lowest_eigs(op, 6, want_vectors=True)
+        want = np.linalg.eigvalsh(op.to_dense())[:6]
+        # no reflection survives the bias: one sector of 1600 states, solved by Lanczos
         vectors = lowest_eigs(op, 6, want_vectors=True)
-        for got in (spec, dense, vectors):
+        for got in (spec, vectors):
             np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-12, atol=0)
             sectors = got.metadata["sectors"]
             assert sectors["labels"] == ("all",) and sectors["dims"] == (1600,)
             assert set(sectors["levels"]) <= {"+", "-"}
-        assert (spec.metadata["solver"], dense.metadata["solver"]) == ("lanczos", "dense")
-        assert spec.metadata["sectors"]["levels"] == dense.metadata["sectors"]["levels"]
+            assert got.metadata["solver"] == "lanczos"
+        assert spec.metadata["sectors"]["levels"] == vectors.metadata["sectors"]["levels"]
         # each level's vector has the exchange parity its label gives
-        for got in (dense, vectors):
-            vecs = got.eigenvectors
-            np.testing.assert_allclose(np.sum(vecs * exchanged(vecs, op.dims), axis=0),
-                                       exchange_signs(got.metadata["sectors"]["levels"]),
-                                       atol=1e-12)
+        vecs = vectors.eigenvectors
+        np.testing.assert_allclose(np.sum(vecs * exchanged(vecs, op.dims), axis=0),
+                                   exchange_signs(vectors.metadata["sectors"]["levels"]),
+                                   atol=1e-12)
 
     def test_exact_small_dims_match_full_eigh(self, monkeypatch):
         spec, op = captured_operator(monkeypatch, "exact", identical_pair(1.05),
@@ -1239,29 +1229,40 @@ class TestSectorSolve:
 
     @pytest.mark.parametrize("theory", ["NA", "LA"])
     def test_non_identical_qubits_are_bitwise_one_eigh(self, monkeypatch, theory):
+        # biased unequal qubits have no symmetry: one sector, the full space.
+        # At 4x4 it holds no more states than the Lanczos basis, so it is one
+        # eigh of the whole matrix, bit for bit; at 20x20 it is one Lanczos solve
         qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
               QubitParams(beta_j=0.95, zeta_j=0.05, alpha_j=0.05))
         system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0,
                                phi_cx=STRONG_PHI_CX)
-        _, op = captured_operator(monkeypatch, theory, system, dims=(20, 20), n_levels=6,
-                                  nu_max=60)
-        spec = lowest_eigs(op, 6, want_vectors=True)
-        vals, vecs, resid = one_partial_eigh(op, 6)
-        assert spec.metadata["sectors"]["labels"] == ("all",)
-        assert spec.metadata["sector_leak"] == 0.0
-        assert np.array_equal(spec.eigenvalues, vals)
-        assert np.array_equal(spec.eigenvectors, vecs)
-        assert np.array_equal(spec.metadata["residuals"], resid)
+        for dims in ((4, 4), (20, 20)):
+            _, op = captured_operator(monkeypatch, theory, system, dims=dims, n_levels=6,
+                                      nu_max=60)
+            spec = lowest_eigs(op, 6, want_vectors=True)
+            assert spec.metadata["sectors"]["labels"] == ("all",)
+            assert spec.metadata["sector_leak"] == 0.0
+            if op.size <= 20:
+                vals, vecs, resid = one_eigh(op, 6)
+                assert spec.metadata["solver"] == "dense"
+                assert np.array_equal(spec.eigenvalues, vals)
+                assert np.array_equal(spec.eigenvectors, vecs)
+                assert np.array_equal(spec.metadata["residuals"], resid)
+            else:
+                assert spec.metadata["solver"] == "lanczos"
+                np.testing.assert_allclose(spec.eigenvalues,
+                                           np.linalg.eigvalsh(op.to_dense())[:6],
+                                           rtol=1e-12, atol=0)
 
     def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
-        # a one-mode grid operator (its dense matrix is reflection-symmetric
-        # at zero bias) stays one partial solve of the whole matrix; a junction
-        # mode's own matrix gets one full eigh through _junction_eigh, every
-        # level as eigh returns it
-        op = assemble_tensor_operator(normal_modes(make_system(), dims=(60,)))
-        want = one_partial_eigh(op, 4)
+        # a one-mode grid operator of at most the Lanczos basis of 20 states
+        # (its dense matrix is reflection-symmetric at zero bias) stays one
+        # eigh of the whole matrix; a junction mode's own matrix gets one full
+        # eigh through _junction_eigh, every level as eigh returns it
+        op = assemble_tensor_operator(normal_modes(make_system(), dims=(16,)))
+        want = one_eigh(op, 4)
         got = lowest_eigs(op, 4, want_vectors=True)
-        assert got.metadata["sectors"] == {"labels": ("all",), "dims": (60,),
+        assert got.metadata["sectors"] == {"labels": ("all",), "dims": (16,),
                                            "levels": ("all",) * 4}
         assert np.array_equal(got.eigenvalues, want[0])
         assert np.array_equal(got.eigenvectors, want[1])
@@ -1275,6 +1276,48 @@ class TestSectorSolve:
         assert np.array_equal(flux, math.sqrt(0.05) * oscillator._grid(60)[0])
         resid = np.linalg.norm(single @ vecs - vecs * vals, axis=0)
         assert np.all(resid <= 64 * np.finfo(float).eps * np.linalg.norm(single))
+
+    def test_sectors_within_the_basis_are_one_eigh_each(self, monkeypatch):
+        # unequal qubits at zero bias on a 4x4 grid: the joint reflection folds
+        # two sectors of 8 states, no more than the Lanczos basis of 20, and no
+        # swap.  Each sector is one np.linalg.eigh of its matrix, and the
+        # levels are the lowest of theirs, bit for bit
+        qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05),
+              QubitParams(beta_j=0.95, zeta_j=0.05, alpha_j=0.05))
+        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0)
+        _, op = captured_operator(monkeypatch, "NA", system, dims=(4, 4), n_levels=6,
+                                  nu_max=40)
+        _, _, sectors = oscillator._folded_sectors(op, oscillator._symmetries(op)[0])
+        levels = sorted(value for _, sub, _ in sectors
+                        for value in np.linalg.eigh(sub.to_dense())[0][:6])[:6]
+        shapes = []
+        real = np.linalg.eigh
+
+        def spy(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        spec = lowest_eigs(op, 6)
+        monkeypatch.undo()
+        assert shapes == [(8, 8), (8, 8)]
+        assert spec.metadata["solver"] == "dense"
+        assert spec.metadata["sectors"]["dims"] == (8, 8)
+        assert np.array_equal(spec.eigenvalues, levels)
+
+    def test_forty_levels_go_to_lanczos(self, monkeypatch):
+        # m = 40 on the zero-bias 40x40 NA operator: two sectors of 800 states,
+        # above the Lanczos basis of 81, so Lanczos, at any m
+        _, op = captured_operator(monkeypatch, "NA", identical_pair(1.05), n_levels=6,
+                                  nu_max=40)
+        spec = lowest_eigs(op, 40, want_vectors=True)
+        assert spec.metadata["solver"] == "lanczos"
+        assert spec.metadata["basis"] == 81
+        assert spec.metadata["sectors"]["dims"] == (800, 800)
+        np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(op.to_dense())[:40],
+                                   rtol=1e-12, atol=0)
+        vecs = spec.eigenvectors
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(40), atol=1e-12)
 
     def test_cli_single_mode_solves_stay_one_sector(self, monkeypatch):
         # the eg and derivs commands (n_basis 50) make one eigh of the whole
@@ -1321,14 +1364,14 @@ class TestSectorSolve:
 
     def test_wrong_eigenpairs_trip_residual_gate(self, monkeypatch):
         # every single-mode solve checks what its eigensolver hands back, as
-        # the dense grid-operator solve checks its partial solve's: levels
-        # 1e-6 off their vectors fail the residual gate on every coupler
-        # route, scalar or grid
+        # the dense grid-operator solve (a sector of at most the Lanczos basis)
+        # checks its eigh's: levels 1e-6 off their vectors fail the residual
+        # gate on every coupler route, scalar or grid
         params = CouplerParams(beta_c=0.75, zeta_c=0.05)
         qubit = QubitParams(beta_j=1.05, zeta_j=0.05)
-        op = assemble_tensor_operator(normal_modes(make_system(), dims=(30,)))
+        op = assemble_tensor_operator(normal_modes(make_system(), dims=(16,)))
         grid = np.linspace(0.0, 1.0, 4)
-        for dim in (30, 40):
+        for dim in (16, 30, 40):
             oscillator._grid(dim)  # cached before eigh is broken
         solves = {
             "eg_exact": lambda: eg_exact(params, 0.0, n_basis=30, n_levels=3),
@@ -1346,7 +1389,6 @@ class TestSectorSolve:
             return solve
 
         monkeypatch.setattr(np.linalg, "eigh", off_by_1e6(np.linalg.eigh))
-        monkeypatch.setattr(scipy.linalg, "eigh", off_by_1e6(scipy.linalg.eigh))
         for name, solve in solves.items():
             with pytest.raises(NumericError) as info:
                 solve()
@@ -1393,7 +1435,7 @@ class TestSectorSolve:
 
 
 class TestPartialSectorSolve:
-    """Each sector's partial LAPACK solve gives the lowest levels of a full eigh.
+    """Each sector's solve for its lowest levels gives those of a full eigh.
 
     The oracle is np.linalg.eigvalsh of the whole dense matrix; every
     returned pair must also pass the residual gate, sector_leak + 64 eps
@@ -1436,20 +1478,15 @@ class TestPartialSectorSolve:
     def test_acceptance_points_match_full_eigh(self, monkeypatch, case, sector_dims, levels):
         op = self.operator(monkeypatch, case)
         # solved before the test builds its own dense copy: at 6000 states
-        # each copy is 288 MB; every point has sectors above SECTOR_CROSSOVER,
-        # so lowest_eigs solves it by Lanczos, and by partial dense solves when
-        # the crossover is raised
+        # each copy is 288 MB; every point has sectors above the Lanczos
+        # basis, so lowest_eigs solves it by Lanczos
         specs = [lowest_eigs(op, m, want_vectors=True) for m in levels]
-        with monkeypatch.context() as patch:
-            patch.setattr(oscillator, "SECTOR_CROSSOVER", op.size)
-            dense = [lowest_eigs(op, m, True) for m in levels]
         h = op.to_dense()
         want = np.linalg.eigvalsh(h)
-        for spec in specs + dense:
+        for spec in specs:
             self.check(spec, h, want)
             assert spec.metadata["sectors"]["dims"] == sector_dims
         assert {spec.metadata["solver"] for spec in specs} == {"lanczos"}
-        assert {spec.metadata["solver"] for spec in dense} == {"dense"}
         if case == "non_identical_gap":
             assert np.min(np.diff(want[:6])) < 2e-3
 
@@ -1480,103 +1517,79 @@ class TestPartialSectorSolve:
                                    exchange_signs(sectors["levels"]), atol=1e-12)
 
 
-def dense_route(monkeypatch):
-    # every sector above the Lanczos basis goes to the partial dense solve
-    monkeypatch.setattr(oscillator, "SECTOR_CROSSOVER", DENSE_DIM_LIMIT)
-
-
 class TestSectorBuild:
-    """Dense sector matrices built by to_dense from the folded operators.
+    """Dense sector matrices, built by to_dense from the folded operators.
 
-    When a reflection folds, no matrix of the operator's full size is
-    built; an operator that does not fold is the one sector whose matrix
-    is H.
+    lowest_eigs builds one only for a sector of at most the Lanczos basis
+    of max(2m + 1, 20) states; every larger sector is solved matrix-free.
     """
 
-    @staticmethod
-    def operator(monkeypatch, case):
-        if case == "non_identical":
-            qs = (QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05, phi_jx=0.01),
-                  QubitParams(beta_j=0.95, zeta_j=0.05, alpha_j=0.05))
-            system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=qs, e_ltc=3.0,
-                                   phi_cx=STRONG_PHI_CX)
-            return captured_operator(monkeypatch, "NA", system, n_levels=6, nu_max=40)[1]
-        return captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(40, 40),
-                                 n_levels=6, nu_max=40)[1]
-
     def test_solve_never_builds_the_dense_matrix(self, monkeypatch):
-        # a folded operator's dense solve builds its sectors' matrices only
-        # (an operator that does not fold is one partial eigh of its whole
-        # matrix: test_non_identical_qubits_are_bitwise_one_eigh)
+        # two-qubit NA 40x40 (two sectors of 800), three-qubit NA 10x10x10 (two
+        # of 500) and exact 12x12x6 (four of 216) are solved without any
+        # to_dense; NA 4x4 (two sectors of 8) builds its two sector matrices
         q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
         three = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
-        ops = [self.operator(monkeypatch, "zero_bias"),
+        ops = [captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(40, 40),
+                                 n_levels=6, nu_max=40)[1],
                captured_operator(monkeypatch, "NA", three, dims=(10, 10, 10), n_levels=6,
                                  nu_max=40)[1],
                captured_operator(monkeypatch, "exact", identical_pair(1.05), dims=(12, 12, 6),
-                                 n_levels=6)[1]]
-        full = {op.size for op in ops}
+                                 n_levels=6)[1],
+               captured_operator(monkeypatch, "NA", identical_pair(1.05), dims=(4, 4),
+                                 n_levels=6, nu_max=40)[1]]
         built = []
         real = TensorOperator.to_dense
 
-        def refuse_full(self):
-            if self.size in full:
-                raise AssertionError("lowest_eigs built the dense matrix")
+        def refuse_above_basis(self):
+            if self.size > 20:
+                raise AssertionError(f"lowest_eigs built a {self.size}-state matrix")
             built.append(self.size)
             return real(self)
 
-        dense_route(monkeypatch)
-        monkeypatch.setattr(TensorOperator, "to_dense", refuse_full)
+        monkeypatch.setattr(TensorOperator, "to_dense", refuse_above_basis)
         for op in ops:
             spec = lowest_eigs(op, 6, want_vectors=True)
             assert len(spec.eigenvalues) == 6
-        assert built == [800] * 2 + [500] * 2 + [216] * 4
+        assert built == [8, 8]
 
-    @pytest.mark.parametrize("case, limit", [("zero_bias", 1.0), ("non_identical", 1.5)])
-    def test_dense_solve_memory_peak(self, monkeypatch, case, limit):
-        # with any reflection no N x N matrix is allocated; with none, the one
-        # sector's own matrix and the solve's workspace
-        op = self.operator(monkeypatch, case)
-        assert op.size == 1600
-        dense_route(monkeypatch)
-        lowest_eigs(op, 6)  # the first call imports scipy
-        tracemalloc.start()
-        try:
-            spec = lowest_eigs(op, 6, want_vectors=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert spec.metadata["solver"] == "dense"
-        assert peak < limit * 8 * op.size**2
 
-    def test_dense_solve_holds_one_sector_at_a_time(self, monkeypatch):
-        # each sector is built, solved and dropped before the next is built:
-        # at three qubits on 14^3 the two sectors take 30 MB together, each 15 MB
-        q = QubitParams(beta_j=1.05, zeta_j=0.05, alpha_j=0.05)
-        system = CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(q,) * 3, e_ltc=3.0)
-        # the capture solves once, which imports scipy
-        _, op = captured_operator(monkeypatch, "NA", system, dims=(14, 14, 14),
-                                  n_levels=6, nu_max=40)
-        dense_route(monkeypatch)
-        tracemalloc.start()
-        try:
-            spec = lowest_eigs(op, 6, want_vectors=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        dims = spec.metadata["sectors"]["dims"]
-        assert spec.metadata["solver"] == "dense"
-        assert dims == (1372, 1372)
-        assert peak < 1.5 * 8 * max(dims) ** 2
+def symmetry_levels(h, d, reflection, m):
+    # the lowest m eigenvalues of a two-qubit dense matrix h on a (d, d) grid,
+    # with the label lowest_eigs gives each, from eigvalsh of h's blocks under
+    # the exchange S and, with reflection, the joint reflection P of both
+    # axes: "00" or "10" for P = +1 or -1, then "+" or "-" for S.  A block's
+    # basis is one orbit sum sum_g chi(g) e_g(k) per orbit of grid points
+    n = d * d
+    swap = np.arange(n).reshape(d, d).T.ravel()
+    flip = np.arange(n)[::-1]  # reversing both axes reverses the flat index
+    perms = [np.arange(n), swap] + ([flip, flip[swap]] if reflection else [])
+    found = []
+    for r in ((1, -1) if reflection else (1,)):
+        for s in (1, -1):
+            chi = [1, s, r, r * s][:len(perms)]
+            basis = []
+            for k in range(n):
+                orbit = [int(perm[k]) for perm in perms]
+                v = np.zeros(n)
+                np.add.at(v, orbit, chi)
+                if k == min(orbit) and np.any(v):
+                    basis.append(v / np.linalg.norm(v))
+            q = np.array(basis).T
+            label = ("00" if r > 0 else "10") if reflection else ""
+            found += [(value, label + ("+" if s > 0 else "-"))
+                      for value in np.linalg.eigvalsh(q.T @ h @ q)[:m]]
+    found = sorted(found)[:m]
+    return np.array([value for value, _ in found]), tuple(label for _, label in found)
 
 
 class TestSectorRoute:
-    """Sectors above SECTOR_CROSSOVER states go to Lanczos.
+    """Sectors above the Lanczos basis go to Lanczos.
 
-    The oracle is the dense route on the same operator (the crossover
-    raised): the Lanczos route must give its eigenvalues to 1e-13, its
-    level labels, exchange parity included, and residuals within its gate,
-    sector_leak + 64 eps ||H||_F with ||H||_F from the dense matrix.
+    The oracle is eigvalsh of the dense matrix's exchange and reflection
+    blocks (symmetry_levels): the Lanczos route must give its eigenvalues
+    to 1e-13 and its level labels, exchange parity included, and residuals
+    within its gate, sector_leak + 64 eps ||H||_F.
     """
 
     @pytest.mark.parametrize("theory", ["NA", "LA", "LN"])
@@ -1589,27 +1602,21 @@ class TestSectorRoute:
                 _, op = captured_operator(monkeypatch, theory,
                                           identical_pair(beta_j, beta_c, phi_cx),
                                           n_levels=6, **kwargs)
-                with monkeypatch.context() as patch:
-                    dense_route(patch)
-                    dense = lowest_eigs(op, 6, True)
-                with monkeypatch.context() as patch:
-                    patch.setattr(oscillator, "SECTOR_CROSSOVER", 0)
-                    routed = lowest_eigs(op, 6, True)
-                picked = lowest_eigs(op, 6)
-                assert (dense.metadata["solver"], routed.metadata["solver"]) == ("dense", "lanczos")
-                assert np.max(np.abs(routed.eigenvalues - dense.eigenvalues)) <= 1e-13
-                assert routed.metadata["sectors"]["levels"] == dense.metadata["sectors"]["levels"]
+                routed = lowest_eigs(op, 6, True)
+                h = op.to_dense()
+                want, labels = symmetry_levels(h, op.dims[0], phi_cx == 0.0, 6)
+                assert np.max(np.abs(routed.eigenvalues - want)) <= 1e-13
+                assert routed.metadata["sectors"]["levels"] == labels
                 vecs = routed.eigenvectors
                 resid = np.linalg.norm(op.matvec(vecs) - vecs * routed.eigenvalues, axis=0)
-                bound = (routed.metadata["sector_leak"]
-                         + 64 * np.finfo(float).eps * np.linalg.norm(op.to_dense()))
+                bound = routed.metadata["sector_leak"] + 64 * np.finfo(float).eps * np.linalg.norm(h)
                 assert np.all(resid <= bound)
                 # each level's vector has the exchange parity its label ends in
                 parity = np.sum(vecs * exchanged(vecs, op.dims), axis=0)
                 np.testing.assert_allclose(
                     parity, exchange_signs(routed.metadata["sectors"]["levels"]), atol=1e-12)
-                want = routed if picked.metadata["solver"] == "lanczos" else dense
-                assert np.array_equal(picked.eigenvalues, want.eigenvalues)
+                picked = lowest_eigs(op, 6)
+                assert np.array_equal(picked.eigenvalues, routed.eigenvalues)
                 routes.append(picked.metadata["solver"])
         # zero bias: two folded sectors of 800 states; biased: one of 1600
         assert routes == ["lanczos"] * 12
@@ -1620,20 +1627,18 @@ class TestSectorRoute:
         kinetic, potential, _ = oscillator._junction_mode(0.05, 1.05, 0.3, 40)
         op = TensorOperator([kinetic, kinetic], potential[:, None] + potential[None, :])
         spec = lowest_eigs(op, 6, want_vectors=True)
-        with monkeypatch.context() as patch:
-            dense_route(patch)
-            dense = lowest_eigs(op, 6, False)
-        assert (spec.metadata["solver"], dense.metadata["solver"]) == ("lanczos", "dense")
-        assert np.min(np.diff(dense.eigenvalues)) < 1e-13
-        assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-13
+        h = op.to_dense()
+        want, labels = symmetry_levels(h, 40, False, 6)
+        assert spec.metadata["solver"] == "lanczos"
+        assert np.min(np.diff(want)) < 1e-13
+        assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-13
         levels = spec.metadata["sectors"]["levels"]
-        assert sorted(levels) == sorted(dense.metadata["sectors"]["levels"])
+        assert sorted(levels) == sorted(labels)
         vecs = spec.eigenvectors
         np.testing.assert_allclose(exchanged(vecs, op.dims), vecs * exchange_signs(levels),
                                    atol=1e-12)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-13)
-        assert np.all(spec.metadata["residuals"] <= 64 * np.finfo(float).eps
-                      * np.linalg.norm(op.to_dense()))
+        assert np.all(spec.metadata["residuals"] <= 64 * np.finfo(float).eps * np.linalg.norm(h))
 
     def test_routed_solve_is_held_to_the_dense_gate(self, monkeypatch):
         # a loose tolerance in the dense range stops Lanczos early, and the
