@@ -31,7 +31,6 @@ import contextlib
 import io
 import os
 import shutil
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +173,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]}")
     regenerate()

@@ -1194,7 +1194,8 @@ class TestSectorSolve:
     def test_strong_coupler_keeps_exchange_only(self, monkeypatch, theory):
         system = identical_pair(1.05, beta_c=0.95, phi_cx=STRONG_PHI_CX)
         spec, op = captured_operator(monkeypatch, theory, system, n_levels=6, nu_max=400)
-        want = np.linalg.eigvalsh(op.to_dense())[:6]
+        h = op.to_dense()
+        want = np.linalg.eigvalsh(h)[:6]
         # no reflection survives the bias: one sector of 1600 states, solved by Lanczos
         vectors = lowest_eigs(op, 6, want_vectors=True)
         for got in (spec, vectors):
@@ -1204,6 +1205,7 @@ class TestSectorSolve:
             assert set(sectors["levels"]) <= {"+", "-"}
             assert got.metadata["solver"] == "lanczos"
         assert spec.metadata["sectors"]["levels"] == vectors.metadata["sectors"]["levels"]
+        assert spec.metadata["sectors"]["levels"] == symmetry_levels(h, 40, False, 6)[1]
         # each level's vector has the exchange parity its label gives
         vecs = vectors.eigenvectors
         np.testing.assert_allclose(np.sum(vecs * exchanged(vecs, op.dims), axis=0),
