@@ -452,13 +452,20 @@ def _echo_lines(cfg: SystemConfig, command: str, extra: dict) -> list:
     return lines
 
 
+def _cells(values) -> list:
+    """One column's cells as _fmt writes them; a float array in one pass."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return [f"{v:.17g}" for v in values.tolist()]
+    return [_fmt(v) for v in values]
+
+
 def _write_csv(path: Path, header_lines, columns: dict):
+    cells = [_cells(values) for values in columns.values()]
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
 
 

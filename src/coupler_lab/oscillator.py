@@ -38,10 +38,11 @@ since its double-well doublets, split down to about 2e-10, need both
 vectors), and the coupler's at a scalar bias, at the first point of a
 grid of biases and wherever the continuation along it fails
 (coupler._ground_states).  The continuation takes Rayleigh-quotient
-steps from the previous ground vector with a Cholesky certificate, and
-E_g'' is one further solve, not a sum over every level: at 60 states on
-one BLAS thread (x86-64) an eigh took about 350 us and one
-np.linalg.solve about 35 us.  The Fock-basis factors P e^{irX} P
+steps, about one per bias, from the extrapolated previous ground vectors
+with a Cholesky certificate, and E_g'' is one further solve, not a sum
+over every level: at 60 states on one BLAS thread (x86-64, a shared
+host) an eigh took 470 to 520 us, one np.linalg.solve about 62 us and
+one np.linalg.cholesky about 55 us.  The Fock-basis factors P e^{irX} P
 remain as the oracle the grid is tested against: ho_exp_matrix builds
 them per element through generalized Laguerre polynomials,
 
@@ -408,8 +409,9 @@ class TensorOperator:
         self.size = int(np.prod(self.dims))
         self.potential = np.asarray(potential, dtype=float).reshape(self.dims)
         # a reflection sector's extra terms (set by _folded_sectors): axis n ->
-        # (K_n stacked over B, flips), B acting on axis n of the grid reversed
-        # along the axes flips; one GEMM gives both products
+        # (K_n stacked over B, flips, the index reversing them), B acting on
+        # axis n of the grid reversed along the axes flips; one GEMM gives
+        # both products
         self._reflected = {}
         # np.moveaxis(t, n, 0) and its inverse on a (dims + (columns,)) array,
         # as transposes: moveaxis's own axis checks cost more than a small GEMM
@@ -438,13 +440,13 @@ class TensorOperator:
         t = v.reshape(self.dims + (-1,))
         out = self.potential[..., None] * t
         for n, (k, (forward, back)) in enumerate(zip(self.kinetic, self._axes)):
-            k, flips = self._reflected.get(n, (k, None))
+            k, _, reverse = self._reflected.get(n, (k, None, None))
             z = np.ascontiguousarray(t.transpose(forward))
             shape = z.shape
             z = k @ z.reshape(shape[0], -1)
             out += z[: shape[0]].reshape(shape).transpose(back)
-            if flips is not None:
-                out += np.flip(z[shape[0]:].reshape(shape).transpose(back), flips)
+            if reverse is not None:
+                out += z[shape[0]:].reshape(shape).transpose(back)[reverse]
         return out.reshape(v.shape)
 
     def to_dense(self) -> np.ndarray:
@@ -473,7 +475,7 @@ class TensorOperator:
             entries = f"{rows}{rows[:n]}Z{rows[n + 1:]}->{rows}Z"
             terms = [(k, ())]
             if n in self._reflected:
-                stacked, flips = self._reflected[n]
+                stacked, flips, _ = self._reflected[n]
                 terms.append((stacked[len(k):], flips))
             for term, flips in terms:
                 view = np.einsum(entries, np.flip(grid, tuple(n_modes + f for f in flips)))
@@ -525,7 +527,8 @@ def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float 
 def _junction_matrix(zeta: float, beta: float, phase: float, dim: int):
     """One junction mode's dense matrix K + diag(V) (e_l = 1), its flux nodes and ||H||_F."""
     kinetic, potential, flux = _junction_mode(zeta, beta, phase, dim)
-    h = kinetic + np.diag(potential)
+    h = kinetic.copy()  # K + diag(V) without the dense diag(V)
+    h.flat[:: dim + 1] += potential
     return h, flux, float(np.linalg.norm(h))
 
 
@@ -717,7 +720,10 @@ def _folded_sectors(op: TensorOperator, group):
             flips = _modes(g & ~(1 << p), n_modes)
             kinetic[p] = k[:h, :h] if flips else k[:h, :h] + b
             if flips:
-                reflected[p] = (np.vstack((kinetic[p], b)), flips)
+                # np.flip(t, flips) as one precomputed index
+                reverse = tuple(slice(None, None, -1 if m in flips else None)
+                                for m in range(n_modes))
+                reflected[p] = (np.vstack((kinetic[p], b)), flips, reverse)
         sub = TensorOperator(kinetic, potential)
         sub._reflected = reflected
         sectors.append((label, sub, chi))
@@ -820,7 +826,7 @@ def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
     """
     basis = np.empty((ncv + 1, n))
     basis[0] = _uniform(_LANCZOS_SEED, n)
-    basis[0] /= np.linalg.norm(basis[0])
+    basis[0] /= math.sqrt(basis[0] @ basis[0])
     product = np.empty((ncv, n))
     drawn = n
     t = np.zeros((ncv, ncv))
@@ -829,25 +835,26 @@ def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
         for j in range(kept, ncv):
             w = apply(basis[j])
             applications += 1
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm):
+            # math.sqrt(w @ w) is np.linalg.norm(w) of a real vector, without its checks
+            norm = math.sqrt(w @ w)
+            if not math.isfinite(norm):
                 raise NumericError("Lanczos failed: the operator gave non-finite values",
                                    {"message": f"norm {norm} after {applications} applications",
                                     "matvecs": applications})
             h = basis[:j + 1] @ w
             w -= basis[:j + 1].T @ h
-            beta = np.linalg.norm(w)
+            beta = math.sqrt(w @ w)
             if beta <= _DGKS * norm:
                 again = basis[:j + 1] @ w
                 w -= basis[:j + 1].T @ again
                 h += again
-                norm, beta = beta, np.linalg.norm(w)
+                norm, beta = beta, math.sqrt(w @ w)
                 if beta <= _DGKS * norm:
                     w = _uniform(_LANCZOS_SEED + drawn, n)
                     drawn += n
                     w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
                     w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-                    w /= np.linalg.norm(w)
+                    w /= math.sqrt(w @ w)
                     beta = 0.0
             t[j, j] = h[j]
             if j + 1 < ncv:

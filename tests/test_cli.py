@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import coupler_lab
-from coupler_lab import CouplerSystem, QubitParams, __version__
+from coupler_lab import CouplerSystem, QubitParams, __version__, cli
 from coupler_lab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -368,6 +368,19 @@ def test_csv_values_roundtrip_through_text(ref_config, tmp_path, capsys):
     i_tot = header.index("b_total")
     for row, ref in zip(rows, series.coeffs):
         assert float(row[i_tot]) == ref  # 17 significant digits lose nothing
+
+
+def test_csv_columns_format_as_each_cell(tmp_path):
+    # a column formatted in one pass writes the bytes of _fmt on each cell
+    columns = {
+        "f": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0 / 3.0, -2.5e300]),
+        "f32": np.linspace(0.1, 0.8, 8, dtype=np.float32),
+        "n": np.arange(-3, 5),
+        "mixed": [1.5, 2, np.float64(0.1), np.int64(-4), "a,b", True, 1e20, ""],
+    }
+    path = cli._write_csv(tmp_path / "t.csv", ["h"], columns)
+    rows = [",".join(cli._fmt(v) for v in row) for row in zip(*columns.values())]
+    assert path.read_text() == "\n".join(["# h", "f,f32,n,mixed", *rows]) + "\n"
 
 
 def test_output_is_deterministic(ref_config, tmp_path, capsys):

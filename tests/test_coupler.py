@@ -564,6 +564,57 @@ def test_certificate_holds_on_every_continued_point(monkeypatch):
         assert np.linalg.eigvalsh(deflated)[0] > coupler._GAP_TOL
 
 
+@pytest.mark.parametrize("grid", [
+    BIAS_GRID[::-1],                                          # descending
+    np.concatenate(([0.0], np.cumsum(np.linspace(0.02, 0.3, 20)))),  # non-uniform
+    BIAS_GRID[3:5],                                           # 2 points
+    BIAS_GRID[3:6],                                           # 3 points
+    np.array([0.1, 0.2, 0.2, 0.35, 0.2, 0.5, 0.5, 0.7]),     # repeated biases
+], ids=["descending", "non-uniform", "two-points", "three-points", "repeated"])
+def test_predicted_starts_match_scalar_calls(grid):
+    # whatever the spacing, order or repeats, the extrapolated starts land
+    # on each bias's scalar solve to rounding
+    p = CouplerParams(beta_c=0.75, zeta_c=0.05)
+    got = np.column_stack([eg_exact(p, grid, n_levels=1)[:, 0], *eg_derivs_numeric(p, grid)])
+    scalar = [(eg_exact(p, phi)[0], *eg_derivs_numeric(p, phi)) for phi in grid]
+    assert np.all(column_errors(got, scalar, False) <= 1e-13)
+
+
+def test_predictor_extrapolates_a_quadratic_exactly():
+    # three vectors quadratic in the bias, unevenly spaced, predict the
+    # fourth (normalized); fewer than three give the last one
+    a, b, c = np.eye(3)
+    curve = lambda x: a + x * b + x * x * c  # noqa: E731
+    history = [(x, curve(x)) for x in (0.1, 0.25, 0.7)]
+    want = curve(1.3) / np.linalg.norm(curve(1.3))
+    assert np.allclose(coupler._predicted(history, 1.3), want, rtol=0.0, atol=1e-14)
+    assert coupler._predicted(history[1:], 1.3) is history[-1][1]
+    _, g1 = history[1]
+    assert np.array_equal(coupler._predicted(history, 0.25), g1 / np.linalg.norm(g1))
+
+
+@pytest.mark.parametrize("derivs, limit", [(False, 2.2), (True, 3.2)])
+def test_continued_points_cost_about_one_solve(monkeypatch, derivs, limit):
+    # along 201 biases over [0, pi] at 60 states each continued point takes
+    # a solve or two to the rounding floor; E_g'' adds one per point
+    solves = []
+    real = np.linalg.solve
+
+    def counted(*args):
+        solves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    grid = np.linspace(0.0, np.pi, 201)
+    for beta, zeta in ((0.3, 0.02), (0.75, 0.05), (0.95, 0.02)):
+        p = CouplerParams(beta_c=beta, zeta_c=zeta)
+        if derivs:
+            eg_derivs_numeric(p, grid, n_basis=60)
+        else:
+            eg_exact(p, grid, n_basis=60, n_levels=1)
+    assert len(solves) / (3 * (len(grid) - 1)) <= limit
+
+
 # ----------------------------------------------------------- truncation
 
 
