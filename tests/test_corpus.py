@@ -7,7 +7,12 @@ cases cover every command on a two- and a three-qubit circuit (beta_c
 0.75 and about 0.95, dimensionless and physical units), and spectrum
 sweeps over exact, NA, LA and LN whose sectors hold at most the Lanczos
 basis of 20 states (4x4, 3x3, 4,4,2, 3,3,3) or more (12x12, 8,8,6,
-6,6,6, 4,4,4,4).
+6,6,6, 4,4,4,4).  Two library-level cases hold what no CSV does, on the
+stored two- and three-qubit configs: the exact, NA, LA and LN
+eigenvalues at the two-qubit reference point, on grids whose sectors
+hold at most the Lanczos basis (exact 4,4,2, NA/LA/LN 4x4) and more
+(8,8,6, 12x12), and one ``couplings`` table per label family: every
+two-qubit label, and every three-qubit label with its body count k.
 
 A rerun must match each stored file:
 - every `#` header line exactly, except `# config=<path>`, which names
@@ -62,10 +67,64 @@ CASES = {
 }
 
 
+def library_spectra(config):
+    """spectra.csv: the lowest six eigenvalues of each theory on a small and a
+    larger grid, with the route that solved them."""
+    from coupler_lab.bench import bo_spectrum, exact_spectrum
+
+    system, nu_max = config.system, config.numerics["nu_max"]
+    runs = [("exact", (4, 4, 2)), ("exact", (8, 8, 6))]
+    runs += [(theory, dims) for theory in ("NA", "LA", "LN") for dims in ((4, 4), (12, 12))]
+    rows, header = [], []
+    for theory, dims in runs:
+        if theory == "exact":
+            spec = exact_spectrum(system, dims, 6)
+        else:
+            spec = bo_spectrum(theory, system, dims, 6, nu_max=nu_max)
+        rows.append((theory, "x".join(map(str, dims)), spec.metadata["solver"], spec.eigenvalues))
+        if theory == "NA":
+            header.append(f"NA {rows[-1][1]}: nu_max={spec.metadata['nu_max']}"
+                          f" mu_max={spec.metadata['mu_max']}")
+    columns = {"theory": [r[0] for r in rows], "dims": [r[1] for r in rows],
+               "solver": [r[2] for r in rows]}
+    for m in range(6):
+        columns[f"E{m}"] = np.array([r[3][m] for r in rows])
+    return {"spectra.csv": (header, columns)}
+
+
+def library_couplings(config):
+    """couplings.csv: the NA table of every Pauli label, with its body count k."""
+    from coupler_lab.coupler import b_coeffs
+    from coupler_lab.projection import couplings, qubit_subspace
+
+    system = config.system
+    series = b_coeffs(system.beta_c, system.zeta_c, config.numerics["nu_max"])
+    subs = [qubit_subspace(q, n_basis=config.numerics["n_basis"]) for q in system.qubits]
+    table = couplings(series, subs, [q.alpha_j for q in system.qubits], system.phi_cx,
+                      e_ltc=system.e_ltc)
+    columns = {"label": list(table.labels), "k": [len(label) - label.count("I")
+                                                  for label in table.labels],
+               "value": np.array([table[label] for label in table.labels])}
+    return {"couplings.csv": ([f"nu_max={series.nu_max} mu_max={series.mu_max}"], columns)}
+
+
+# library case: (config, the function that gives its files as {name: (header, columns)})
+LIBRARY = {
+    "two_qubits_library_spectra": ("two_qubits", library_spectra),
+    "two_qubits_library_couplings": ("two_qubits", library_couplings),
+    "three_qubits_library_couplings": ("three_qubits", library_couplings),
+}
+
+
 def run_case(case: str, out: Path) -> None:
     """Run one case's command into the empty directory out."""
-    from coupler_lab.cli import EXIT_OK, main
+    from coupler_lab.cli import EXIT_OK, _write_csv, load_config, main
 
+    if case in LIBRARY:
+        config, build = LIBRARY[case]
+        for name, (header, columns) in build(load_config(CORPUS / f"{config}.ini")).items():
+            _write_csv(out / name, header, columns)
+        return
     config, command = CASES[case]
     argv = command.split()
     stdout = io.StringIO()
@@ -124,10 +183,8 @@ def compare(got: Path, want: Path) -> None:
             f"{where} column {name}: moved {worst:.3e} against {TOLERANCE * scale:.3e}"
 
 
-def test_corpus_reruns_match(tmp_path):
-    stored = sorted(path.name for path in CORPUS.iterdir() if path.is_dir())
-    assert stored == sorted(CASES)
-    for case in CASES:
+def check_cases(cases, tmp_path):
+    for case in cases:
         out = tmp_path / case
         out.mkdir()
         run_case(case, out)
@@ -135,6 +192,16 @@ def test_corpus_reruns_match(tmp_path):
         assert sorted(path.name for path in out.iterdir()) == want, case
         for name in want:
             compare(out / name, CORPUS / case / name)
+
+
+def test_corpus_reruns_match(tmp_path):
+    stored = sorted(path.name for path in CORPUS.iterdir() if path.is_dir())
+    assert stored == sorted([*CASES, *LIBRARY])
+    check_cases(CASES, tmp_path)
+
+
+def test_library_entries_match(tmp_path):
+    check_cases(LIBRARY, tmp_path)
 
 
 def test_compare_catches_one_moved_cell(tmp_path):
@@ -164,7 +231,7 @@ def test_compare_catches_one_moved_cell(tmp_path):
 
 def regenerate() -> None:
     """Rewrite every case directory of the corpus from the current code."""
-    for case in CASES:
+    for case in [*CASES, *LIBRARY]:
         out = CORPUS / case
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
