@@ -33,7 +33,6 @@ are in units of E_Ltc.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .kapteyn import FourierSeries, _kapteyn_convolution, cos_beta, g_coeff, kepler_solve
+from .kapteyn import FourierSeries, _g_table, _kapteyn_convolution, cos_beta, g_coeff, kepler_solve
 from .oscillator import _checked_eigh, _junction_matrix, _residual_bound
 
 __all__ = [
@@ -141,34 +140,18 @@ def u_zpe_harmonic(beta_c: float, zeta_c: float, phi_x):
     return zeta_c * np.sqrt(1.0 - beta_c * np.cos(chi))
 
 
-def _mu_cutoff(beta_c: float, tol: float = 1e-16) -> int:
-    """Smallest M with |mu G_mu| < tol for all mu >= M.
+def _mu_cutoff(beta_c: float) -> int:
+    """Smallest M with |mu G_mu| < 1e-16 for every mu in [M, 399].
 
-    The search runs over mu in [1, 399] (the cutoff is 307 at beta_c =
-    0.995).  From beta_c ~ 0.998 up |399 G_399| is still above tol, so a
-    truncation bound built on it would not hold and NumericError is
-    raised at once; otherwise bisection finds M from at most 9 more G_mu,
-    relying on |mu G_mu| staying below tol once it falls there.  Both
-    outcomes are memoized (_mu_search).
+    One scan of the G table g_coeff reads (315 at beta_c = 0.995).  From
+    beta_c ~ 0.9969 up |399 G_399| is not below 1e-16, so a truncation
+    bound built on the cut would not hold, and NumericError is raised.
     """
-    mu, smallest = _mu_search(beta_c, tol)
-    if mu is None:
-        raise NumericError(f"|mu G_mu| stays above {tol} up to mu = 399 at beta_c = {beta_c}",
-                           {"beta_c": beta_c, "smallest_mu_g": smallest})
-    return mu
-
-
-@lru_cache(maxsize=32)
-def _mu_search(beta_c: float, tol: float) -> tuple:
-    """(M, None) for the cutoff M below 400, else (None, |399 G_399|).
-    Memoized per (beta_c, tol), as _series_parts is."""
-    last = abs(399 * g_coeff(399, beta_c))
-    if not last < tol:
-        return None, last
-    # the first mu in [1, 398] below tol, else 399
-    below = bisect.bisect_left(range(1, 399), True,
-                               key=lambda mu: abs(mu * g_coeff(mu, beta_c)) < tol)
-    return 1 + below, None
+    mu_g = np.abs(np.arange(400) * _g_table(float(beta_c), 512)[:400])
+    if not mu_g[399] < 1e-16:
+        raise NumericError(f"|mu G_mu| stays above 1e-16 up to mu = 399 at beta_c = {beta_c}",
+                           {"beta_c": beta_c, "smallest_mu_g": float(mu_g[399])})
+    return int(np.flatnonzero(mu_g >= 1e-16).max(initial=0)) + 1
 
 
 def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100,
@@ -176,13 +159,13 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100,
     """Interaction series coefficients B_nu^(0), B_nu^(1) for nu <= nu_max.
 
     The quantum convolution runs over |mu| <= mu_max, by default the
-    first mu with |mu G_mu| < 1e-16 (``_mu_cutoff``: 19 at beta_c = 0.3,
-    26 at 0.5, 42 at 0.75, 70 at 0.9, 99 at 0.95), so every dropped term
-    lies below rounding.  Where no such mu lies below 400 (beta_c from
-    about 0.998 up) the default raises NumericError; an explicit mu_max
-    cuts the sum there as given.  Neither component depends on zeta_c,
-    so both are memoized per (beta_c, nu_max, mu_max) and shared,
-    read-only, by every zeta_c.
+    least M with |mu G_mu| < 1e-16 for every mu in [M, 399]
+    (``_mu_cutoff``: 19 at beta_c = 0.3, 26 at 0.5, 43 at 0.75, 71 at
+    0.9, 102 at 0.95), so every dropped term lies below rounding.  Where
+    |399 G_399| is not below it (beta_c from about 0.9969 up) the default
+    raises NumericError; an explicit mu_max cuts the sum there as given.
+    Neither component depends on zeta_c, so both are memoized per
+    (beta_c, nu_max, mu_max) and shared, read-only, by every zeta_c.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"b_coeffs requires 0 <= beta_c < 1, got {beta_c}")
@@ -465,7 +448,8 @@ def _tail_bounds(beta_c: float, zeta_c: float, nu_max: int) -> np.ndarray:
     """
     series = b_coeffs(beta_c, zeta_c, nu_max)
     tail0 = beta_c + beta_c**2 / 4.0
-    tail1 = math.sqrt(1.0 - beta_c) - g_coeff(0, beta_c) + beta_c * g_coeff(1, beta_c)
+    # b_quantum's nu = 0 coefficient is G_0 - beta_c G_1
+    tail1 = math.sqrt(1.0 - beta_c) - series.b_quantum.coeffs[0]
     r0 = tail0 - 2.0 * np.cumsum(series.b_classical.coeffs[1:])
     r1 = tail1 - 2.0 * np.cumsum(series.b_quantum.coeffs[1:])
     return np.abs(r0 + zeta_c * r1)
@@ -479,7 +463,7 @@ def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
     the magnitude, since that signed combination is what a truncated
     coupling computation actually omits.  Raises NumericError where
     |mu G_mu| stays above 1e-16 up to mu = 399 (beta_c from about
-    0.998 up), since the bound would then not hold.
+    0.9969 up), since the bound would then not hold.
     """
     if not 0.0 <= beta_c < 1.0:
         raise ValueError(f"truncation_bound requires 0 <= beta_c < 1, got {beta_c}")

@@ -44,6 +44,11 @@ mu G_mu J_{nu-mu}(beta*nu): consecutive orders at one argument, so
 only, adds each order into the row's sum as it passes, and scales the
 row to one bessel_j value; that call also gives J_nu(beta*nu).
 
+G_mu comes from the same method: ``_g_table`` runs the ratio G_mu /
+G_{mu-1} of its three-term recurrence downward, fixes G_0 by the sum
+rule G_0 + 2 sum_{mu>0} G_mu = sqrt(1 - beta), and keeps one memoized
+table per beta, which g_coeff reads.
+
 The Newton solver ``kepler_solve`` is the ground truth all series are
 validated against.  The sine-series coefficient table behind sin_beta
 and cos_beta depends only on (beta, nu_max); it is memoized in a small
@@ -53,6 +58,7 @@ series point by point builds its Bessel values once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,9 +76,8 @@ __all__ = [
     "g_coeff",
 ]
 
-# kepler_solve's residual target and step limit; g_coeff's stopping term and term limit
+# kepler_solve's residual target and step limit
 _KEPLER_TOL, _KEPLER_MAX_ITER = 1e-14, 100
-_G_TINY, _G_MAX_TERMS = 1e-16, 100_000
 
 
 def bessel_j(order, x):
@@ -352,34 +357,42 @@ def exp_mu_coeff(mu: int, nu: int, beta: float) -> float:
 def g_coeff(mu: int, beta: float) -> float:
     """Fourier coefficient G_mu of sqrt(1 - beta*cos(theta)).
 
-    Even in mu.  The defining hypergeometric-type sum is accumulated
-    through the term ratio
-
-        t_{l+1}/t_l = (beta/2)^2 (mu+2l-1/2)(mu+2l+1/2) / ((l+1)(mu+l+1)),
-
-    which tends to beta^2 < 1, so terms are eventually geometric.  For
-    large mu the terms first grow (the ratio starts near (beta/2)^2 mu)
-    before decaying, so the sum stops on |t_l| < _G_TINY only once the
-    terms are shrinking; the ratio crosses 1 exactly once, which makes
-    that stopping rule safe.
+    Even in mu.  Read from beta's _g_table whose size is the least power
+    of two above |mu|, at least 512: one table serves every |mu| < 512.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"g_coeff requires 0 <= beta < 1, got {beta}")
     mu = abs(int(mu))
-    # t_0 = C(1/2, mu) * (-beta/2)^mu
-    t = (-beta / 2.0) ** mu
-    for k in range(mu):
-        t *= (0.5 - k) / (k + 1.0)
-    total = t
-    prev = abs(t)
-    for l in range(_G_MAX_TERMS):
-        t *= (beta / 2.0) ** 2 * (mu + 2 * l - 0.5) * (mu + 2 * l + 0.5) / ((l + 1.0) * (mu + l + 1.0))
-        total += t
-        if abs(t) < _G_TINY and abs(t) <= prev:
-            return total
-        prev = abs(t)
-    raise NumericError(f"g_coeff sum did not terminate for mu={mu}, beta={beta}",
-                       {"mu": mu, "beta": beta, "terms": _G_MAX_TERMS})
+    return float(_g_table(float(beta), max(512, 1 << mu.bit_length()))[mu])
+
+
+@lru_cache(maxsize=32)
+def _g_table(beta: float, size: int) -> np.ndarray:
+    """G_0..G_{size-1} of sqrt(1 - beta*cos(theta)) by Miller's algorithm.
+
+    G is the minimal solution of beta (mu + 3/2) G_{mu+1} = 2 mu G_mu -
+    beta (mu - 3/2) G_{mu-1} (mu >= 1), falling like rho^mu, rho = beta /
+    (1 + sqrt(1 - beta^2)); its ratio r_mu = G_mu / G_{mu-1} is run down
+    from 0 at ceil(20 / -ln rho) orders above size, so by order size the
+    start's error has fallen by e^-40.  The sum rule G_0 + 2 sum_{mu>0}
+    G_mu = sqrt(1 - beta), carried in units of the newest order, fixes
+    G_0; a cumulative product gives the rest, within 1.4e-14 relative of
+    60-digit values for beta <= 0.995 (4.5e-14 at 0.999, as the sum rule
+    cancels).  Memoized; the returned array is shared and read-only.
+    """
+    rho = beta / (1.0 + math.sqrt(1.0 - beta * beta))
+    top = size + (math.ceil(20.0 / -math.log(rho)) if rho > 0.0 else 0)
+    ratios = np.empty(top + 1)
+    # after step mu, total is 2 sum_{k >= mu} G_k in units of G_{mu-1}
+    r, total = 0.0, 0.0
+    for mu in range(top, 0, -1):
+        r = beta * (mu - 1.5) / (2.0 * mu - beta * (mu + 1.5) * r)
+        total = (total + 2.0) * r
+        ratios[mu] = r
+    ratios[0] = math.sqrt(1.0 - beta) / (total + 1.0)
+    g = np.cumprod(ratios[:size])
+    g.flags.writeable = False
+    return g
 
 
 def _check_series_args(beta: float, nu_max: int) -> None:

@@ -574,7 +574,7 @@ def test_series_builds_at_the_derived_mu_cutoff(ref_system, tmp_path, monkeypatc
     monkeypatch.setattr(coupler, "_series_parts", spy)
     system = replace(ref_system, beta_c=0.9)
     cut = coupler._mu_cutoff(0.9)
-    assert cut == 70
+    assert cut == 71
     na = bo_spectrum("NA", system, dims=(12, 12), n_levels=3, nu_max=20)
     assert na.metadata["mu_max"] == cut
     assert coupling_scan(system, ["zz"], (0.0, 0.1, 2), nu_max=20).metadata["mu_max"] == cut
@@ -599,6 +599,6 @@ def test_unmet_mu_cutoff_fails_per_sweep_point(ref_system):
                      theories=("NA",), n_levels=3, bo_dims=(12, 12), nu_max=20)
     result = sweep(spec)
     assert result.metadata["n_failed"] == 1
-    assert result.points[0]["meta"]["NA"]["mu_max"] == 219
+    assert result.points[0]["meta"]["NA"]["mu_max"] == 225
     assert result.points[1]["errors"]["NA"].startswith("NumericError: |mu G_mu| stays above")
     assert "beta_c = 0.999" in result.points[1]["errors"]["NA"]

@@ -538,22 +538,6 @@ def test_kepler_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monke
     assert err["details"]["iterations"] == 0
 
 
-def test_g_coeff_nonconvergence_exits_numeric(ref_config, tmp_path, capsys, monkeypatch):
-    # no series terms allowed: the series build in b_coeffs must fail
-    import coupler_lab.kapteyn as kapteyn
-    from coupler_lab.coupler import _series_parts
-
-    # a series cached by an earlier test would skip the patched g_coeff
-    _series_parts.cache_clear()
-    monkeypatch.setattr(kapteyn, "_G_MAX_TERMS", 0)
-    assert main(["series", "--config", str(ref_config),
-                 "--out", str(tmp_path)]) == EXIT_NUMERIC
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "NumericError"
-    assert err["exit_code"] == EXIT_NUMERIC
-    assert "g_coeff" in err["message"]
-
-
 def test_linalg_failure_exits_numeric(ref_config, tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError but is a numeric failure, not a
     # configuration error

@@ -29,7 +29,6 @@ from coupler_lab.coupler import (
     BodcMetrics,
     CouplerParams,
     _mu_cutoff,
-    _mu_search,
     _series_parts,
     b_coeffs,
     bodc_metrics,
@@ -42,7 +41,7 @@ from coupler_lab.coupler import (
     u_min,
     u_zpe_harmonic,
 )
-from coupler_lab.kapteyn import bessel_j, g_coeff
+from coupler_lab.kapteyn import _g_table, bessel_j, g_coeff
 from coupler_lab.errors import ConfigurationError, NumericError
 
 
@@ -652,60 +651,55 @@ def test_unmet_mu_cutoff_raises():
         assert 1e-16 < info.value.details["smallest_mu_g"] < 1e-9
 
 
-def scanned_mu_cutoff(beta_c, tol=1e-16):
-    """Linear-scan oracle: the first mu in [1, 399] with |mu G_mu| < tol."""
-    for mu in range(1, 400):
-        if abs(mu * g_coeff(mu, beta_c)) < tol:
-            return mu
-    return None
+def scanned_mu_cutoff(beta_c):
+    """Linear-scan oracle: the least M with |mu G_mu| < 1e-16 for every mu in
+    [M, 399], or None where |399 G_399| is not below it."""
+    cut = None
+    for mu in range(399, 0, -1):
+        if not abs(mu * g_coeff(mu, beta_c)) < 1e-16:
+            break
+        cut = mu
+    return cut
 
 
-def test_mu_cutoff_bisection_matches_the_linear_scan():
-    for beta_c in np.linspace(0.0, 0.997, 401):
-        assert _mu_search.__wrapped__(float(beta_c), 1e-16) == (scanned_mu_cutoff(beta_c), None)
+def test_mu_cutoff_matches_the_linear_scan():
+    # the range runs past the last beta_c with a cut (about 0.99693), so both
+    # outcomes are checked
+    outcomes = []
+    for beta_c in np.linspace(0.0, 0.999, 401):
+        want = scanned_mu_cutoff(float(beta_c))
+        if want is None:
+            with pytest.raises(NumericError):
+                _mu_cutoff(float(beta_c))
+        else:
+            assert _mu_cutoff(float(beta_c)) == want, beta_c
+        outcomes.append(want is None)
+    assert any(outcomes) and not all(outcomes)
 
 
-def counted_g_coeff(monkeypatch):
-    calls = []
-
-    def counting(mu, beta):
-        calls.append(mu)
-        return g_coeff(mu, beta)
-
-    monkeypatch.setattr(coupler, "g_coeff", counting)
-    return calls
+@pytest.mark.parametrize("beta_c, want", [(0.3, 19), (0.5, 26), (0.75, 43), (0.9, 71),
+                                          (0.95, 102), (0.99, 225), (0.995, 315)])
+def test_mu_cutoff_documented_values(beta_c, want):
+    assert _mu_cutoff(beta_c) == want
 
 
-@pytest.mark.parametrize("beta_c, want", [(0.3, 19), (0.5, 26), (0.75, 42), (0.9, 70),
-                                          (0.95, 99), (0.99, 219)])
-def test_mu_cutoff_documented_values(beta_c, want, monkeypatch):
-    calls = counted_g_coeff(monkeypatch)
-    assert _mu_search.__wrapped__(beta_c, 1e-16) == (want, None)
-    assert calls[0] == 399 and len(calls) <= 10
-
-
-def test_unmet_mu_cutoff_fails_at_the_first_probe(monkeypatch):
-    # |399 G_399| above tol ends the search before any bisection
-    _mu_search.cache_clear()
-    calls = counted_g_coeff(monkeypatch)
+def test_unmet_mu_cutoff_fails_at_the_first_probe():
     with pytest.raises(NumericError) as info:
         _mu_cutoff(0.999)
-    assert calls == [399]
     assert info.value.details["smallest_mu_g"] == abs(399 * g_coeff(399, 0.999))
 
 
 def test_mu_cutoff_is_memoized_per_beta():
-    _mu_search.cache_clear()
+    # the cutoff, the series and both truncation routines read one G table
+    _g_table.cache_clear()
+    _series_parts.cache_clear()
     first = _mu_cutoff(0.9)
-    assert _mu_search.cache_info().misses == 1
     assert _mu_cutoff(0.9) == first
-    info = _mu_search.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    assert (first, None) == _mu_search.__wrapped__(0.9, 1e-16)
-    # the truncation routines share the memo
+    b_coeffs(0.9, 0.05, 40)
     truncation_bound(0.9, 0.25, 50)
     min_nu_for_error(0.9, 0.25, 1e-3)
-    assert _mu_search.cache_info().misses == 1
+    info = _g_table.cache_info()
+    assert info.misses == 1 and info.hits >= 4
 
 
 def test_unmet_mu_cutoff_is_memoized(monkeypatch):

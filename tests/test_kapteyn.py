@@ -299,13 +299,23 @@ class TestGCoeff:
         assert g_coeff(0, 0.0) == 1.0
         assert g_coeff(1, 0.0) == 0.0
 
-    def test_term_limit_raises(self, monkeypatch):
-        # at beta = 0.9 the terms shrink by about beta^2 per step, so three
-        # are far from the stopping term
-        monkeypatch.setattr(kapteyn, "_G_MAX_TERMS", 3)
-        with pytest.raises(NumericError, match="did not terminate") as info:
-            g_coeff(2, 0.9)
-        assert info.value.details == {"mu": 2, "beta": 0.9, "terms": 3}
+    @pytest.mark.parametrize("beta, mu, want", [
+        (0.75, 30, -6.1720600104209432e-14),
+        (0.75, 43, -1.1559952666452527e-18),
+        (0.95, 100, -1.491075987457744e-18),
+        (0.99, 200, -1.7539704533143315e-17),
+    ])
+    def test_small_coefficients(self, beta, mu, want):
+        # 60-digit values, from the defining series and by quadrature (the
+        # two agree to 1e-39): small coefficients keep their relative accuracy
+        assert g_coeff(mu, beta) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.75, 0.95, 0.99])
+    def test_table_rebuilds_the_kernel(self, beta):
+        g = kapteyn._g_table(beta, 512)
+        theta = np.linspace(0.0, np.pi, 41)
+        total = g[0] + 2.0 * np.cos(np.outer(theta, np.arange(1, 512))) @ g[1:]
+        assert np.max(np.abs(total - np.sqrt(1.0 - beta * np.cos(theta)))) < 1e-14
 
 
 class TestFourierSeries:
