@@ -76,19 +76,21 @@ Each sector is solved for its lowest m levels by a thick-restart
 Lanczos (_lanczos; Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
 (2000)) through its matvec: a fixed basis of max(2m + 1, 20) vectors, a
 start vector from fixed counters (_uniform, no numpy.random), numpy BLAS
-throughout.  A sector of at most that many states, where a Krylov basis
-cannot grow, gets one np.linalg.eigh of its matrix (to_dense) instead
-(lowest_eigs).  The sectors are solved and dropped one at a time, so a
-solve holds one sector's basis or matrix, and it loads numpy only.  Both
-routes share one tail: the lowest m of all sectors, kept as each sector
-finishes, are lifted straight into one (op.size, m) output (_lift) and
-their true residuals measured with the full operator one column at a
-time.  Swaps are not folded (they break the product form): up to
-DENSE_DIM_LIMIT each returned level's exchange parity is measured on
-its vector instead and added to its label, with the swap diagonalized
-inside any cluster of levels its residuals cannot separate
-(_exchange_parities).  Assembly and the Lanczos workspace are checked
-against DEFAULT_MEMORY_BUDGET, read at call time.
+throughout.  A later sector stops once its levels below the m-th kept so
+far, and the first at or above it, have converged.  A sector of at most
+that many states, where a Krylov basis cannot grow, gets one
+np.linalg.eigh of its matrix (to_dense) instead (lowest_eigs).  The
+sectors are solved and dropped one at a time, so a solve holds one
+sector's basis or matrix, and it loads numpy only.  Both routes share
+one tail: the lowest m of all sectors, kept as each sector finishes, are
+lifted straight into one (op.size, m) output (_lift) and their true
+residuals measured with the full operator one column at a time.  Swaps
+are not folded (they break the product form): up to DENSE_DIM_LIMIT
+each returned level's exchange parity is measured on its vector instead
+and added to its label, with the swap diagonalized inside any cluster of
+levels its residuals cannot separate (_exchange_parities).  Assembly and
+the Lanczos workspace are checked against DEFAULT_MEMORY_BUDGET, read at
+call time.
 """
 
 from __future__ import annotations
@@ -128,10 +130,8 @@ _DENSE_RANGE_TOL = 1e-14
 # Gram-Schmidt is repeated when it leaves less than this share of the norm
 # (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976))
 _DGKS = 0.717
-# matvec workspace per state and column: the accumulator, the contiguous
-# copy of the moved axis, the GEMM output, and the input's copy when it
-# cannot be reshaped in place
-_MATVEC_BYTES = 8 + 8 + 8 + 8
+# matvec workspace per state and column: the accumulator and one GEMM output
+_MATVEC_BYTES = 8 + 8
 # A grid permutation P counts as a symmetry when max|H - PHP| is at most
 # _SECTOR_TOL eps max|H|: the exact circuit's normal-mode amplitudes come
 # from an eigh, so its mode reflections hold to about 1e-14, not exactly.
@@ -413,11 +413,14 @@ class TensorOperator:
         # axis n of the grid reversed along the axes flips; one GEMM gives
         # both products
         self._reflected = {}
-        # np.moveaxis(t, n, 0) and its inverse on a (dims + (columns,)) array,
-        # as transposes: moveaxis's own axis checks cost more than a small GEMM
-        last = len(self.dims) + 1
-        self._axes = [((n, *range(n), *range(n + 1, last)),
-                       (*range(1, n + 1), 0, *range(n + 1, last))) for n in range(len(self.dims))]
+        # the states before and after each axis in C order, and K_n^T made
+        # contiguous on each axis no state follows (the last, unless later
+        # axes hold one state): the right factor of matvec's view @ K_n^T,
+        # which a transposed operand makes about twice as slow
+        self._sides = [(math.prod(self.dims[:n]), math.prod(self.dims[n + 1:]))
+                       for n in range(len(self.dims))]
+        self._transposed = {n: np.ascontiguousarray(k.T) for n, (k, (_, after))
+                            in enumerate(zip(self.kinetic, self._sides)) if after == 1}
 
     @property
     def shape(self):
@@ -426,27 +429,49 @@ class TensorOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply to one real vector (size,) or a real block (size, b).
 
-        Each K_n is applied the way np.tensordot would: axis n moved first
-        by a transpose and made contiguous (a copy unless n = 0), one
-        matrix product, and the result added back along axis n.  The peak
-        workspace is _MATVEC_BYTES per state and column.  On an axis with a
-        reflected term the product takes K_n stacked over B, and the lower
-        half of its output is added reversed along that term's flips (which
-        B commutes with), so the workspace grows by one product output.
+        The input and the accumulator are viewed, without a copy, as C-order
+        (lead, dims..., trail) arrays: lead = 1 and trail = b for a vector or
+        a C-order block; lead = b and trail = 1 for a Fortran-order block,
+        whose columns lead (a transposed product, such as the block of Ritz
+        vectors).  Any other layout is copied to C order first.  Each K_n is
+        one np.matmul on the (before, d_n, after) view of that array: a
+        single GEMM when no state comes before axis n, the GEMM view @ K_n^T
+        when none comes after it, a batch of GEMMs otherwise; its product is
+        added into the same view of the accumulator.  The peak workspace is
+        _MATVEC_BYTES per state and column.  On an axis with a reflected term
+        the product takes K_n stacked over B, and the lower half of its
+        output is added reversed along that term's flips (which B commutes
+        with), so that product is twice as large.
         """
         v = np.asarray(v)
         if np.iscomplexobj(v):
             raise ValueError("TensorOperator acts on real vectors")
         t = v.reshape(self.dims + (-1,))
-        out = self.potential[..., None] * t
-        for n, (k, (forward, back)) in enumerate(zip(self.kinetic, self._axes)):
-            k, _, reverse = self._reflected.get(n, (k, None, None))
-            z = np.ascontiguousarray(t.transpose(forward))
-            shape = z.shape
-            z = k @ z.reshape(shape[0], -1)
-            out += z[: shape[0]].reshape(shape).transpose(back)
+        a = t if t.flags.c_contiguous else np.moveaxis(t, -1, 0)
+        if not a.flags.c_contiguous:
+            t = a = np.ascontiguousarray(t)
+        # empty_like keeps t's layout, so acc is C-ordered as a is
+        out = np.multiply(self.potential[..., None], t, out=np.empty_like(t, dtype=float))
+        acc, lead, trail = (out, 1, t.shape[-1]) if a is t else (np.moveaxis(out, -1, 0),
+                                                                  t.shape[-1], 1)
+        grid = (lead,) + self.dims + (trail,)
+        for n, (d, (before, after)) in enumerate(zip(self.dims, self._sides)):
+            k, _, reverse = self._reflected.get(n, (self.kinetic[n], None, None))
+            shape = (lead * before, d, after * trail)
+            if shape[0] == 1:
+                z = (k @ a.reshape(shape[1:]))[None]
+            elif shape[2] == 1:
+                # no reflected term here: its flips are later axes, and an
+                # operator with a one-state axis does not fold
+                z = (a.reshape(shape[:2]) @ self._transposed[n])[..., None]
+            else:
+                z = np.matmul(k, a.reshape(shape))
+            view = acc.reshape(shape)
+            view += z[:, :d]
             if reverse is not None:
-                out += z[shape[0]:].reshape(shape).transpose(back)[reverse]
+                view = acc.reshape(grid)
+                view += z[:, d:].reshape(grid)[reverse]
+            del z  # before the next product is allocated
         return out.reshape(v.shape)
 
     def to_dense(self) -> np.ndarray:
@@ -720,9 +745,10 @@ def _folded_sectors(op: TensorOperator, group):
             flips = _modes(g & ~(1 << p), n_modes)
             kinetic[p] = k[:h, :h] if flips else k[:h, :h] + b
             if flips:
-                # np.flip(t, flips) as one precomputed index
-                reverse = tuple(slice(None, None, -1 if m in flips else None)
-                                for m in range(n_modes))
+                # np.flip(t, flips) as one precomputed index into matvec's
+                # (lead, dims..., trail) view
+                reverse = (slice(None), *(slice(None, None, -1 if m in flips else None)
+                                          for m in range(n_modes)))
                 reflected[p] = (np.vstack((kinetic[p], b)), flips, reverse)
         sub = TensorOperator(kinetic, potential)
         sub._reflected = reflected
@@ -800,28 +826,39 @@ def _uniform(start: int, n: int) -> np.ndarray:
     return x
 
 
-def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
-    """Lowest m eigenpairs (ascending values, (n, m) vectors) of the
-    symmetric operator apply on R^n, by thick-restart Lanczos.
+def _lanczos(apply, n: int, m: int, ncv: int, tol: float, bound: float = math.inf):
+    """The lowest eigenpairs (ascending values, (n, k) vectors) of the
+    symmetric operator apply on R^n, by thick-restart Lanczos: the lowest m,
+    or, given a bound, every one of those below it and the first at or
+    above it (k of them).
 
     The basis grows to ncv vectors, one application each, from a start
     vector of _uniform numbers from the counter _LANCZOS_SEED on.  Each new
-    vector is orthogonalized against the whole basis, a second time when
-    the first pass leaves less than _DGKS of its norm; if the second pass
-    cancels too, the basis spans an invariant subspace and a new vector of
-    the next n counters, uncoupled, takes its place.  The projected matrix
-    T is then the Rayleigh quotient of the basis, and its eigenpairs
-    (theta_i, y_i) give Ritz pairs with residual norms beta |y_i[-1]|, beta
-    the norm of the last new vector.  A wanted pair is converged at beta
-    |y_i[-1]| <= tol max(|theta_i|, eps^(2/3)), ARPACK's test.  Until all
-    m are, the basis restarts from the Ritz vectors of the lowest m +
-    min(nconv, (ncv - m) // 2) values (ncv // 2 where that is 1), ARPACK's
-    dsaup2 rule, plus the last new vector: T is then diagonal with one
-    arrowhead row beta y_i[-1] (Wu & Simon 2000), and the basis grows
-    again.  After _LANCZOS_MAXITER restarts NumericError is raised.
+    vector w = H v_j first loses what the recurrence already knows: alpha_j
+    v_j, alpha_j = v_j^T w, and the coupling to v_{j-1}, or on the first
+    step after a restart the arrowhead row against the kept Ritz vectors.
+    One classical Gram-Schmidt pass against the whole basis follows, and a
+    second when the first leaves less than _DGKS of the norm the local step
+    left; if the second pass cancels too, the basis spans an invariant
+    subspace and a new vector of the next n counters, uncoupled, takes its
+    place.  The projected matrix T, diagonal alpha_j plus the first pass's
+    component along v_j, is then the Rayleigh quotient of the basis, and its
+    eigenpairs (theta_i, y_i) give Ritz pairs with residual norms beta
+    |y_i[-1]|, beta the norm of the last new vector.  A pair is converged at
+    beta |y_i[-1]| <= tol max(|theta_i|, eps^(2/3)), ARPACK's test.  The
+    solve stops when the lowest k Ritz pairs are, k = m or, with a bound, one
+    more than the count of the lowest m values below it (at most m): Ritz
+    values bound eigenvalues from above, so once the first value at or above
+    the bound has converged no eigenvalue the bound admits is missing.
+    Until then the basis restarts from the Ritz vectors of the lowest m +
+    min(nconv, (ncv - m) // 2) values (ncv // 2 where that is 1), nconv the
+    converged count among the lowest m, ARPACK's dsaup2 rule, plus the last
+    new vector: T is then diagonal with one arrowhead row beta y_i[-1] (Wu &
+    Simon 2000), and the basis grows again.  After _LANCZOS_MAXITER
+    restarts NumericError is raised.
 
     The basis of ncv + 1 vectors and one buffer of ncv for the restart's
-    product are the whole workspace; the returned vectors are the first m
+    product are the whole workspace; the returned vectors are the first k
     rows of that buffer, transposed.
     """
     basis = np.empty((ncv + 1, n))
@@ -835,6 +872,11 @@ def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
         for j in range(kept, ncv):
             w = apply(basis[j])
             applications += 1
+            # the local step: t[j, lo:j] holds the couplings the recurrence
+            # set, t[j, j] = alpha_j
+            t[j, j] = basis[j] @ w
+            lo = 0 if j == kept else j - 1
+            w -= basis[lo:j + 1].T @ t[j, lo:j + 1]
             # math.sqrt(w @ w) is np.linalg.norm(w) of a real vector, without its checks
             norm = math.sqrt(w @ w)
             if not math.isfinite(norm):
@@ -856,16 +898,17 @@ def _lanczos(apply, n: int, m: int, ncv: int, tol: float):
                     w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
                     w /= math.sqrt(w @ w)
                     beta = 0.0
-            t[j, j] = h[j]
+            t[j, j] += h[j]
             if j + 1 < ncv:
                 t[j, j + 1] = t[j + 1, j] = beta
             basis[j + 1] = w / beta if beta else w
         theta, y = np.linalg.eigh(t)
         bounds = beta * np.abs(y[-1])
         done = bounds[:m] <= tol * np.maximum(np.abs(theta[:m]), np.finfo(float).eps ** (2 / 3))
+        k = min(m, int(np.count_nonzero(theta[:m] < bound)) + 1)
+        if done[:k].all():
+            return theta[:k], np.matmul(y[:, :k].T, basis[:ncv], out=product[:k]).T
         nconv = int(np.count_nonzero(done))
-        if nconv == m:
-            return theta[:m], np.matmul(y[:, :m].T, basis[:ncv], out=product[:m]).T
         kept = m + min(nconv, (ncv - m) // 2)
         kept = ncv // 2 if kept == 1 else kept
         basis[:kept] = np.matmul(y[:, :kept].T, basis[:ncv], out=product[:kept])
@@ -905,8 +948,13 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
       place as ARPACK's implicit restart would (Lehoucq & Sorensen, SIAM
       J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon 2000) and a start
       vector from fixed counters (_uniform), so repeated solves are
-      bitwise equal.  Its workspace is checked against
-      DEFAULT_MEMORY_BUDGET before any matvec;
+      bitwise equal.  The first sector, which holds the identity
+      character and so the ground level, converges its lowest m pairs;
+      each later one gets the m-th lowest level kept so far as a bound
+      and stops once its Ritz values below it, and the first at or above
+      it, have converged, since no level above the bound can be among the
+      lowest m.  Its workspace is checked against DEFAULT_MEMORY_BUDGET
+      before any matvec;
     - dense otherwise, where a basis of ncv vectors cannot grow: one
       np.linalg.eigh of the sector's matrix (to_dense), whose lowest
       min(m, size) pairs are kept.
@@ -937,7 +985,8 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     excitation theta_i - theta_0 is resolved only above the sum of its two
     levels' bounds.  Lanczos solves also report the basis size, the
     operator applications ("matvecs": every sector-vector application plus
-    the columns of the full-size residual checks), the seconds spent in
+    the columns of the full-size residual checks, and each sector's own
+    applications as the sectors' "matvecs"), the seconds spent in
     the matvecs and in the whole solve ("matvec_s", "solve_s"), and the
     workspace estimate the budget check used ("workspace_bytes").
 
@@ -967,11 +1016,12 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     if lanczos:
         # per sector (8 bytes per state each): the basis of ncv + 1 vectors,
         # the restart's product buffer of ncv, the m levels kept from earlier
-        # sectors, the new vector and its projections, the folded potential
-        # and a one-vector matvec (_MATVEC_BYTES, plus a reflected product);
-        # then the n x m output and the residual check's one-column matvec
-        work_bytes = (8 * size * (2 * ncv + m + 6) + _MATVEC_BYTES * size
-                      + (8 * m + _MATVEC_BYTES) * n)
+        # sectors, the folded potential, the last new vector (held while the
+        # next is applied) and a one-vector matvec (_MATVEC_BYTES, plus the
+        # reflected half of a stacked product); then the n x m output and the
+        # residual check's one-column matvec, which copies its strided column
+        work_bytes = (8 * size * (2 * ncv + m + 5) + _MATVEC_BYTES * size
+                      + (8 * m + 8 + _MATVEC_BYTES) * n)
         if work_bytes > DEFAULT_MEMORY_BUDGET:
             raise ResourceError(
                 f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
@@ -990,15 +1040,20 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
             return out
         return apply
 
-    def solve(sub):
+    def solve(sub, bound):
         if lanczos:
-            return _lanczos(applied(sub), sub.size, m, ncv, tol)
+            return _lanczos(applied(sub), sub.size, m, ncv, tol, bound)
         vals, vecs = np.linalg.eigh(sub.to_dense())
         return vals[:m], vecs[:, :m]
 
     found = []  # (value, sector, folded vector) of the lowest m so far
+    sector_matvecs = []
     for s, (_, sub, _) in enumerate(sectors):
-        found = _merged(found, s, *solve(sub), m)
+        # a later sector's levels count only below the m-th kept so far
+        bound = found[-1][0] if len(found) == m else math.inf
+        before = matvecs
+        found = _merged(found, s, *solve(sub, bound), m)
+        sector_matvecs.append(matvecs - before)
     labels = tuple(label for label, _, _ in sectors)
     leak = _sector_leak(op, group)
     vals = np.array([value for value, _, _ in found])
@@ -1037,6 +1092,7 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
             "sector_leak": leak,
             "sectors": {"labels": labels, "dims": (size,) * len(sectors), "levels": levels}}
     if lanczos:
+        meta["sectors"]["matvecs"] = tuple(sector_matvecs)
         meta.update(basis=ncv, matvecs=matvecs, matvec_s=matvec_s,
                     solve_s=time.perf_counter() - start, workspace_bytes=work_bytes)
     return Spectrum(vals, vecs if want_vectors else None, meta)

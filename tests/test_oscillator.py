@@ -368,9 +368,14 @@ class TestTensorOperator:
     def test_memory_budget(self, monkeypatch):
         qs = [make_qubit(), make_qubit()]
         nm = normal_modes(make_system(qubits=qs), dims=(40, 40, 18))
-        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+        # the potential and a one-vector matvec workspace, 0.66 MiB: one byte
+        # less raises, and the budget at the need passes
+        need = 40 * 40 * 18 * (8 + oscillator._MATVEC_BYTES)
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceError, match="over the 1 MiB budget"):
             assemble_tensor_operator(nm)
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need)
+        assert assemble_tensor_operator(nm).size == 40 * 40 * 18
 
     def test_requires_dims(self):
         nm = normal_modes(make_system())
@@ -520,10 +525,13 @@ class TestMatvecBlas:
 
     @pytest.mark.parametrize("cols", [1, 6])
     def test_memory_peak_within_estimate(self, cols):
-        # C-order blocks, and the Fortran-order eigenvector block of the
-        # residual check: both reshape in place.  Reference-size dims, so
-        # numpy's fixed ufunc buffers (~64 KiB) stay small next to the
-        # per-state workspace.
+        # C-order blocks, and a Fortran-order block such as the transposed
+        # Ritz vectors: both are viewed in place, so the peak is the
+        # accumulator and one product, _MATVEC_BYTES per state and column,
+        # plus a fixed part (array headers, numpy's fixed ufunc buffers of
+        # ~64 KiB at most) that is far below the 8 bytes per state and
+        # column one copy of the input would add.  Reference-size dims, so
+        # that fixed part stays small next to the per-state workspace.
         op = two_qubit_operator((40, 40, 18))
         v = np.random.default_rng(32).standard_normal((op.size, cols))
         inputs = [v, np.asfortranarray(v)]
@@ -535,7 +543,9 @@ class TestMatvecBlas:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < oscillator._MATVEC_BYTES * op.size * cols
+            workspace = oscillator._MATVEC_BYTES * op.size * cols
+            assert workspace <= peak < workspace + (64 << 10)
+            assert 64 << 10 < 8 * op.size
 
 
 class TestLowestEigs:
@@ -637,7 +647,7 @@ class TestLowestEigs:
         picked = []
         monkeypatch.setattr(TensorOperator, "to_dense", lambda sub: pick("dense", sub.size))
         monkeypatch.setattr(oscillator, "_lanczos",
-                            lambda apply, n, m, ncv, tol: pick("lanczos", n, tol))
+                            lambda apply, n, m, ncv, tol, bound: pick("lanczos", n, tol, bound))
         rng = np.random.default_rng(5)
         cases = [
             (diagonal_operator((20, 28), rng.standard_normal((20, 28))), 3),  # one sector of 560
@@ -650,17 +660,19 @@ class TestLowestEigs:
         for op, m in cases:
             with pytest.raises(Picked):
                 lowest_eigs(op, m)
-        assert picked == [("lanczos", 560, 1e-14), ("lanczos", 570, 1e-14),
-                          ("lanczos", 560, 1e-14), ("lanczos", 784, 1e-14),
-                          ("lanczos", 8190, 1e-14), ("lanczos", 8281, 1e-9)]
+        # the first sector is solved with no bound
+        inf = math.inf
+        assert picked == [("lanczos", 560, 1e-14, inf), ("lanczos", 570, 1e-14, inf),
+                          ("lanczos", 560, 1e-14, inf), ("lanczos", 784, 1e-14, inf),
+                          ("lanczos", 8190, 1e-14, inf), ("lanczos", 8281, 1e-9, inf)]
         # Lanczos needs m < ncv < size: sectors of at most ncv states are dense
         picked.clear()
         for dims, m in (((8, 10), 3), ((10, 10), 3), ((18, 18), 40), ((20, 18), 40)):
             # four sectors of 20, 25, 81 and 90 states; ncv is 20, 20, 81 and 81
             with pytest.raises(Picked):
                 lowest_eigs(diagonal_operator(dims, np.zeros(dims)), m)
-        assert picked == [("dense", 20), ("lanczos", 25, 1e-14), ("dense", 81),
-                          ("lanczos", 90, 1e-14)]
+        assert picked == [("dense", 20), ("lanczos", 25, 1e-14, inf), ("dense", 81),
+                          ("lanczos", 90, 1e-14, inf)]
         monkeypatch.undo()
         assert DENSE_DIM_LIMIT == 8192
 
@@ -693,11 +705,12 @@ def biased_operator(dims=(14, 14, 8)):
 def lanczos_workspace(op, m, sectors):
     # the bytes the budget check counts, the full space being the one-sector
     # fold: per sector the Lanczos basis and its restart product, the levels
-    # kept from earlier sectors, the new vector, its potential and a
-    # one-vector matvec; then the n x m output and a one-column matvec
+    # kept from earlier sectors, its potential, the last new vector and a
+    # one-vector matvec with a reflected product; then the n x m output and
+    # a one-column matvec on a copy of its strided column
     ncv, size = max(2 * m + 1, 20), op.size // sectors
-    return (8 * size * (2 * ncv + m + 6) + oscillator._MATVEC_BYTES * size
-            + (8 * m + oscillator._MATVEC_BYTES) * op.size)
+    return (8 * size * (2 * ncv + m + 5) + oscillator._MATVEC_BYTES * size
+            + (8 * m + 8 + oscillator._MATVEC_BYTES) * op.size)
 
 
 def count_applications(monkeypatch):
@@ -740,8 +753,22 @@ class TestIterativeSolver:
         assert set(applied) == {op.size, op.size // 2}
         assert applied[op.size] == 4
         assert meta["matvecs"] == sum(applied.values())
+        # one count per sector, together every sector-vector application
+        assert len(meta["sectors"]["matvecs"]) == 2
+        assert sum(meta["sectors"]["matvecs"]) == applied[op.size // 2]
         assert "block" not in meta
         assert len(meta["residuals"]) == 4
+
+    @pytest.mark.parametrize("beta_j", [0.615763, 1.262359])
+    def test_later_sectors_stop_early_at_the_reference_point(self, beta_j):
+        # the exact 40x40x18 solve: the sector counts and the m residual
+        # columns make up matvecs, and a sector solved against the bound of
+        # the levels kept so far takes fewer applications than the first
+        meta = exact_spectrum(identical_pair(beta_j), n_levels=6).metadata
+        counts = meta["sectors"]["matvecs"]
+        assert meta["sectors"]["dims"] == (7200,) * 4 and len(counts) == 4
+        assert sum(counts) + 6 == meta["matvecs"]
+        assert min(counts[1:]) < counts[0]
 
     def test_basis_grows_with_levels(self):
         spec = lanczos(two_qubit_operator(), 12)
@@ -1054,7 +1081,7 @@ class TestFoldedLanczos:
         assert spec.metadata["matvecs"] == applied
         assert spec.metadata["basis"] == 20 and spec.metadata["dim"] == op.size
         assert spec.metadata["sectors"] == {"labels": ("all",), "dims": (op.size,),
-                                            "levels": ("all",) * 4}
+                                            "levels": ("all",) * 4, "matvecs": (applied - 4,)}
         assert spec.metadata["sector_leak"] == 0.0
 
     def test_small_sectors_are_solved_dense(self):
@@ -1583,6 +1610,136 @@ def symmetry_levels(h, d, reflection, m):
                       for value in np.linalg.eigvalsh(q.T @ h @ q)[:m]]
     found = sorted(found)[:m]
     return np.array([value for value, _ in found]), tuple(label for _, label in found)
+
+
+def reflection_levels(h, dims, masks, m):
+    # the lowest m eigenvalues of a dense matrix h on a dims grid with no
+    # swap, with the label lowest_eigs gives each, from eigvalsh of h's blocks
+    # under the reflection group the masks generate: a block's basis is one
+    # orbit sum sum_g chi(g) e_g(k) per orbit of grid points, and its label
+    # the least Fock-parity code carrying its character chi
+    n_modes, n = len(dims), h.shape[0]
+    group = [0]
+    for mask in masks:
+        group += [g ^ mask for g in group]
+    index = np.arange(n).reshape(dims)
+    perms = [np.flip(index, [i for i in range(n_modes) if g >> i & 1]).ravel() for g in group]
+    found, seen = [], []
+    for code in range(1 << n_modes):
+        chi = [(-1) ** bin(g & code).count("1") for g in group]
+        if chi in seen:
+            continue
+        seen.append(chi)
+        basis = []
+        for k in range(n):
+            orbit = [int(perm[k]) for perm in perms]
+            v = np.zeros(n)
+            np.add.at(v, orbit, chi)
+            if k == min(orbit) and np.any(v):
+                basis.append(v / np.linalg.norm(v))
+        q = np.array(basis).T
+        label = "".join(str(code >> i & 1) for i in range(n_modes))
+        found += [(value, label) for value in np.linalg.eigvalsh(q.T @ h @ q)[:m]]
+    found = sorted(found)[:m]
+    return np.array([value for value, _ in found]), tuple(label for _, label in found)
+
+
+def sector_stops(monkeypatch):
+    # each Lanczos sector solve's bound and the number of pairs it returned
+    stops = []
+    real = oscillator._lanczos
+
+    def spy(apply, n, m, ncv, tol, bound=math.inf):
+        vals, vecs = real(apply, n, m, ncv, tol, bound)
+        stops.append((bound, len(vals)))
+        return vals, vecs
+
+    monkeypatch.setattr(oscillator, "_lanczos", spy)
+    return stops
+
+
+class TestSectorStop:
+    """After the first sector, a Lanczos sector stops once its Ritz values
+    below the m-th level kept so far, and the first one at or above it, have
+    converged.  The oracle is eigvalsh of the dense reflection blocks: the
+    levels and labels symmetry_levels (two identical qubits) or
+    reflection_levels (the exact circuit) give, and from every level of each
+    block, the bound each sector must get and the pairs it must return.
+    """
+
+    @staticmethod
+    def check(spec, stops, every, labels, sectors, m):
+        # every, labels: all levels of the blocks and their labels
+        assert np.max(np.abs(spec.eigenvalues - every[:m])) <= 1e-13
+        assert spec.metadata["sectors"]["levels"] == labels[:m]
+        assert len(stops) == len(sectors)
+        kept = []
+        for (bound, returned), sector in zip(stops, sectors):
+            values = [v for v, label in zip(every, labels) if label.startswith(sector)][:m]
+            if kept:
+                assert abs(bound - kept[m - 1]) <= 1e-13
+            else:
+                assert bound == math.inf
+            below = sum(v < bound for v in values)
+            assert returned == min(m, below + 1)
+            kept = sorted(kept + values[:returned])
+        return [returned for _, returned in stops]
+
+    def na_solve(self, monkeypatch, beta_j, m):
+        _, op = captured_operator(monkeypatch, "NA", identical_pair(beta_j), n_levels=6)
+        stops = sector_stops(monkeypatch)
+        spec = lowest_eigs(op, m)
+        every, labels = symmetry_levels(op.to_dense(), op.dims[0], True, op.size)
+        return spec, self.check(spec, stops, every, labels, ("00", "10"), m)
+
+    def test_levels_interleave_across_sectors(self, monkeypatch):
+        # the twelve lowest NA levels at beta_j = 1.262 alternate between the
+        # two sectors, and the second sector stops one pair short of m
+        spec, returned = self.na_solve(monkeypatch, 1.262, 12)
+        order = [label[:2] for label in spec.metadata["sectors"]["levels"]]
+        assert order != sorted(order)
+        assert returned == [12, 11]
+
+    def test_tunnel_doublet_lands_in_two_sectors(self, monkeypatch):
+        # at beta_j = 1.4 the ground doublet, about 2e-10 wide, has one
+        # member in each sector
+        spec, _ = self.na_solve(monkeypatch, 1.4, 6)
+        levels = spec.metadata["sectors"]["levels"]
+        assert spec.eigenvalues[1] - spec.eigenvalues[0] < 1e-9
+        assert levels[0][:2] != levels[1][:2]
+
+    def test_bound_that_never_binds_converges_every_pair(self, monkeypatch):
+        # at beta_j = 0.616 the second sector holds five of its six lowest
+        # levels below the bound, so both sectors converge all m pairs
+        _, returned = self.na_solve(monkeypatch, 0.616, 6)
+        assert returned == [6, 6]
+
+    def test_sector_above_the_bound_converges_one_pair(self, monkeypatch):
+        # the exact circuit's four sectors at m = 3: the last sector's lowest
+        # level lies above the third kept so far, so it converges one pair
+        op = identical_operator((12, 12, 8), 1.05)
+        stops = sector_stops(monkeypatch)
+        spec = lowest_eigs(op, 3)
+        every, labels = reflection_levels(op.to_dense(), op.dims, (0b010, 0b101), op.size)
+        sectors = spec.metadata["sectors"]["labels"]
+        assert sectors == ("000", "100", "010", "110")
+        assert self.check(spec, stops, every, labels, sectors, 3) == [3, 2, 2, 1]
+        lowest = min(v for v, label in zip(every, labels) if label == "110")
+        assert lowest > stops[3][0]
+
+    def test_ritz_vectors_stay_orthonormal_on_a_reference_sector(self):
+        # one Gram-Schmidt pass after the local step keeps the basis
+        # orthogonal: the Ritz vectors of a 7,200-state sector, without and
+        # with a bound, are orthonormal to 1e-12
+        op = identical_operator((40, 40, 18), 1.05)
+        _, _, sectors = oscillator._folded_sectors(op, oscillator._symmetries(op)[0])
+        bound = math.inf
+        for _, sub, _ in sectors[:2]:
+            assert sub.size == 7200
+            vals, vecs = oscillator._lanczos(sub.matvec, sub.size, 6, 20,
+                                             oscillator._DENSE_RANGE_TOL, bound)
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(len(vals)))) <= 1e-12
+            bound = vals[-1]
 
 
 class TestSectorRoute:
