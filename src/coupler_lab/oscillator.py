@@ -414,9 +414,8 @@ class TensorOperator:
         # both products
         self._reflected = {}
         # the states before and after each axis in C order, and K_n^T made
-        # contiguous on each axis no state follows (the last, unless later
-        # axes hold one state): the right factor of matvec's view @ K_n^T,
-        # which a transposed operand makes about twice as slow
+        # contiguous where nothing follows axis n: matvec's view @ K_n^T is
+        # about twice as slow with a transposed operand
         self._sides = [(math.prod(self.dims[:n]), math.prod(self.dims[n + 1:]))
                        for n in range(len(self.dims))]
         self._transposed = {n: np.ascontiguousarray(k.T) for n, (k, (_, after))
@@ -431,17 +430,16 @@ class TensorOperator:
 
         The input and the accumulator are viewed, without a copy, as C-order
         (lead, dims..., trail) arrays: lead = 1 and trail = b for a vector or
-        a C-order block; lead = b and trail = 1 for a Fortran-order block,
-        whose columns lead (a transposed product, such as the block of Ritz
-        vectors).  Any other layout is copied to C order first.  Each K_n is
-        one np.matmul on the (before, d_n, after) view of that array: a
-        single GEMM when no state comes before axis n, the GEMM view @ K_n^T
-        when none comes after it, a batch of GEMMs otherwise; its product is
-        added into the same view of the accumulator.  The peak workspace is
+        a C-order block, lead = b and trail = 1 for a Fortran-order block
+        (such as transposed Ritz vectors); any other layout is copied to C
+        order first.  Each K_n is one np.matmul on the (before, d_n, after)
+        view: a single GEMM when nothing comes before axis n, view @ K_n^T
+        when nothing comes after it, a batch of GEMMs otherwise, added into
+        the same view of the accumulator.  The peak workspace is
         _MATVEC_BYTES per state and column.  On an axis with a reflected term
-        the product takes K_n stacked over B, and the lower half of its
-        output is added reversed along that term's flips (which B commutes
-        with), so that product is twice as large.
+        the product takes K_n stacked over B, twice as tall, and its lower
+        half is added reversed along that term's flips (which B commutes
+        with).
         """
         v = np.asarray(v)
         if np.iscomplexobj(v):
@@ -827,33 +825,29 @@ def _uniform(start: int, n: int) -> np.ndarray:
 
 
 def _lanczos(apply, n: int, m: int, ncv: int, tol: float, bound: float = math.inf):
-    """The lowest eigenpairs (ascending values, (n, k) vectors) of the
-    symmetric operator apply on R^n, by thick-restart Lanczos: the lowest m,
-    or, given a bound, every one of those below it and the first at or
-    above it (k of them).
+    """Lowest m eigenpairs (ascending values, (n, k) vectors) of the
+    symmetric operator apply on R^n, by thick-restart Lanczos; given a
+    bound, only those below it and the first at or above it (k <= m).
 
     The basis grows to ncv vectors, one application each, from a start
     vector of _uniform numbers from the counter _LANCZOS_SEED on.  Each new
-    vector w = H v_j first loses what the recurrence already knows: alpha_j
-    v_j, alpha_j = v_j^T w, and the coupling to v_{j-1}, or on the first
-    step after a restart the arrowhead row against the kept Ritz vectors.
-    One classical Gram-Schmidt pass against the whole basis follows, and a
-    second when the first leaves less than _DGKS of the norm the local step
-    left; if the second pass cancels too, the basis spans an invariant
-    subspace and a new vector of the next n counters, uncoupled, takes its
-    place.  The projected matrix T, diagonal alpha_j plus the first pass's
-    component along v_j, is then the Rayleigh quotient of the basis, and its
-    eigenpairs (theta_i, y_i) give Ritz pairs with residual norms beta
-    |y_i[-1]|, beta the norm of the last new vector.  A pair is converged at
-    beta |y_i[-1]| <= tol max(|theta_i|, eps^(2/3)), ARPACK's test.  The
-    solve stops when the lowest k Ritz pairs are, k = m or, with a bound, one
-    more than the count of the lowest m values below it (at most m): Ritz
-    values bound eigenvalues from above, so once the first value at or above
-    the bound has converged no eigenvalue the bound admits is missing.
+    vector w = H v_j first loses what the recurrence knows, alpha_j v_j
+    (alpha_j = v_j^T w) and t[j, j-1] v_{j-1}, or after a restart the
+    arrowhead row against the kept Ritz vectors; then one Gram-Schmidt pass
+    against the whole basis, a second when the first leaves less than _DGKS
+    of the norm the local step left.  If the second pass cancels too, the
+    basis spans an invariant subspace and a new vector of the next n
+    counters, uncoupled, takes its place.  The projected matrix T is then
+    the Rayleigh quotient of the basis, and its eigenpairs (theta_i, y_i)
+    give Ritz pairs with residual norms beta |y_i[-1]|, beta the norm of
+    the last new vector.  A pair is converged at beta |y_i[-1]| <= tol
+    max(|theta_i|, eps^(2/3)), ARPACK's test.  The solve stops when the
+    lowest k are: k = m, or with a bound one more than the count of the
+    lowest m values below it, as Ritz values bound eigenvalues from above.
     Until then the basis restarts from the Ritz vectors of the lowest m +
-    min(nconv, (ncv - m) // 2) values (ncv // 2 where that is 1), nconv the
-    converged count among the lowest m, ARPACK's dsaup2 rule, plus the last
-    new vector: T is then diagonal with one arrowhead row beta y_i[-1] (Wu &
+    min(nconv, (ncv - m) // 2) values (ncv // 2 where that is 1), nconv
+    counted among the lowest m, ARPACK's dsaup2 rule, plus the last new
+    vector: T is then diagonal with one arrowhead row beta y_i[-1] (Wu &
     Simon 2000), and the basis grows again.  After _LANCZOS_MAXITER
     restarts NumericError is raised.
 
@@ -948,12 +942,10 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
       place as ARPACK's implicit restart would (Lehoucq & Sorensen, SIAM
       J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon 2000) and a start
       vector from fixed counters (_uniform), so repeated solves are
-      bitwise equal.  The first sector, which holds the identity
-      character and so the ground level, converges its lowest m pairs;
-      each later one gets the m-th lowest level kept so far as a bound
-      and stops once its Ritz values below it, and the first at or above
-      it, have converged, since no level above the bound can be among the
-      lowest m.  Its workspace is checked against DEFAULT_MEMORY_BUDGET
+      bitwise equal.  The first sector (the identity character, so the
+      ground level) converges its lowest m pairs, each later one only
+      those below the m-th lowest level kept so far and the first at or
+      above it.  Its workspace is checked against DEFAULT_MEMORY_BUDGET
       before any matvec;
     - dense otherwise, where a basis of ncv vectors cannot grow: one
       np.linalg.eigh of the sector's matrix (to_dense), whose lowest
