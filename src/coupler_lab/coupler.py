@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries, _g_table, _kapteyn_convolution, cos_beta, g_coeff, kepler_solve
-from .oscillator import _checked_eigh, _junction_matrix, _residual_bound
+from .oscillator import TensorOperator, _junction_matrix, _junction_mode, _residual_bound, lowest_eigs
 
 __all__ = [
     "BodcMetrics",
@@ -195,16 +195,18 @@ def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
     order, reflected to the negative orders of rows nu < mu_max, scaled
     to one ``bessel_j`` value near the turning point, the call that also
     gives J_nu(beta_c nu)); it matches the per-mu sum of AMOS's J values
-    to 2e-12 of the row's sum of |terms|.  Memory stays O(nu_max).  Memoized
-    per (beta_c, nu_max, mu_max); the two arrays are shared and
-    read-only.
+    to 2e-12 of the row's sum of |terms|.  G_0..G_mu_max are one slice of
+    the G table g_coeff reads (the same table, so the same values, for
+    every mu_max below 512).  Memory stays O(nu_max).  Memoized per
+    (beta_c, nu_max, mu_max); the two arrays are shared and read-only.
     """
-    g = np.array([g_coeff(mu, beta_c) for mu in range(mu_max + 1)])
+    g = _g_table(beta_c, max(512, 1 << mu_max.bit_length()))[:mu_max + 1]
     nu = np.arange(1, nu_max + 1)
     # mu and -mu combined; G_{-mu} = G_mu
     conv, diagonal = _kapteyn_convolution(beta_c, nu_max, np.arange(mu_max + 1) * g)
     classical = np.concatenate(([-beta_c**2 / 4.0], diagonal / nu**2))
-    quantum = np.concatenate(([g[0] - beta_c * g[1]], conv / nu))
+    b0 = g_coeff(0, beta_c) - beta_c * g_coeff(1, beta_c)
+    quantum = np.concatenate(([b0], conv / nu))
     classical.flags.writeable = False
     quantum.flags.writeable = False
     return classical, quantum
@@ -222,9 +224,10 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6)
     Gauss-Hermite grid of the beta = 0 oscillator (frequency 2 zeta,
     quadrature amplitude sqrt(zeta)), the eigenbasis of its truncated
     quadrature: the ladder is a dense kinetic factor there, and the
-    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.  The
-    levels are the lowest n_levels of one np.linalg.eigh, every pair's
-    residual checked (oscillator._checked_eigh); n_levels must lie in
+    junction term beta cos(phi_x + sqrt(zeta) x) is diagonal.  A scalar
+    bias is a one-point grid: its levels are the lowest n_levels of
+    oscillator.lowest_eigs on that one-axis operator, one np.linalg.eigh
+    with every returned pair's residual checked; n_levels must lie in
     [1, n_basis].
 
     A 1-D array of biases, with n_levels = 1, gives an (N, 1) array: the
@@ -236,14 +239,13 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6)
     if not 1 <= n_levels <= n_basis:
         raise ConfigurationError(f"n_levels must be in [1, {n_basis}], got {n_levels}")
     phis = _biases(phi_x)
+    if phis.ndim and n_levels != 1:
+        raise ConfigurationError("an array of biases follows the ground level only;"
+                                 f" n_levels must be 1, got {n_levels}")
+    states = _ground_states(params, np.atleast_1d(phis), n_basis, max(2, n_levels))
     if phis.ndim:
-        if n_levels != 1:
-            raise ConfigurationError("an array of biases follows the ground level only;"
-                                     f" n_levels must be 1, got {n_levels}")
-        energies = [state[3] for state in _ground_states(params, phis, n_basis)]
-        return np.array(energies).reshape(-1, 1)
-    h, _, h_norm = _junction_matrix(params.zeta_c, params.beta_c, phi_x, n_basis)
-    return _checked_eigh(h, h_norm)[0][:n_levels]
+        return np.array([state[3] for state in states]).reshape(-1, 1)
+    return next(states)[2][:n_levels]
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -346,33 +348,39 @@ def _predicted(history, phi: float) -> np.ndarray:
     return g / math.sqrt(g @ g)
 
 
-def _ground_states(params: CouplerParams, phis, n_basis: int):
+def _ground_states(params: CouplerParams, phis, n_basis: int, n_levels: int = 2):
     """Yield (H, flux nodes, levels, E_g, ground vector) along the biases.
 
-    The first bias, and any whose continuation fails, is solved from
-    scratch: one checked np.linalg.eigh (oscillator._checked_eigh) gives
-    every level and the ground vector.  Each later bias starts from the
+    H is the dense junction matrix (oscillator._junction_matrix) the
+    continuation and the resolvent solves factor.  The first bias, and any
+    whose continuation fails, is solved from scratch: oscillator.lowest_eigs
+    on the one-axis grid operator gives its lowest n_levels (at least 2,
+    the ground level and the gap) and the ground vector, every returned
+    pair's residual checked.  Each later bias starts from the
     quadratic extrapolation of the last three accepted ground vectors
     (_predicted; the previous vector until three distinct biases are in)
     and takes Rayleigh-quotient steps to the rounding floor
     (_continued_ground, shift 2 zeta, the harmonic spacing); it yields
     levels None.  On a 201-point grid over [0, pi] at 60 states that is
-    one or two LU solves per point.  eigh and the iteration may return -g,
-    so each vector is signed to match the previous one before it is
-    yielded and kept.  A scalar call is a one-point grid, so it takes the
-    from-scratch route.
+    one or two LU solves per point.  Either route may return -g, so each
+    vector is signed to match the previous one before it is yielded and
+    kept.  A scalar call is a one-point grid, so it takes the from-scratch
+    route.
     """
     shift = 2.0 * params.zeta_c
     history = []
     for phi in phis:
-        h, flux, h_norm = _junction_matrix(params.zeta_c, params.beta_c, phi, n_basis)
+        kinetic, potential, flux = _junction_mode(params.zeta_c, params.beta_c, phi, n_basis)
+        h, h_norm = _junction_matrix(kinetic, potential)
         found = None
         if history:
             found = _continued_ground(h, h_norm, _predicted(history, phi), shift)
         levels = None
         if found is None:
-            levels, vecs = _checked_eigh(h, h_norm)
-            found = levels[0], vecs[:, 0]
+            spectrum = lowest_eigs(TensorOperator([kinetic], potential), n_levels,
+                                   want_vectors=True)
+            levels = spectrum.eigenvalues
+            found = levels[0], spectrum.eigenvectors[:, 0]
         energy, g = found
         if history and g @ history[-1][1] < 0.0:
             g = -g

@@ -30,21 +30,22 @@ basis is converged.
 
 Single-mode problems (the coupler's levels and derivatives, each
 qubit's subspace) live on the same grid: _junction_mode returns one
-mode's kinetic factor, its junction potential and its flux nodes, and
-_junction_matrix the dense K + diag(V) that both solve.  A solve from
-scratch is _checked_eigh, one full np.linalg.eigh with every pair's
-residual checked: each qubit's (qubit_subspace, through _junction_eigh,
-since its double-well doublets, split down to about 2e-10, need both
-vectors), and the coupler's at a scalar bias, at the first point of a
-grid of biases and wherever the continuation along it fails
-(coupler._ground_states).  The continuation takes Rayleigh-quotient
-steps, about one per bias, from the extrapolated previous ground vectors
-with a Cholesky certificate, and E_g'' is one further solve, not a sum
-over every level: at 60 states on one BLAS thread (x86-64, a shared
-host) an eigh took 470 to 520 us, one np.linalg.solve about 62 us and
-one np.linalg.cholesky about 55 us.  The Fock-basis factors P e^{irX} P
-remain as the oracle the grid is tested against: ho_exp_matrix builds
-them per element through generalized Laguerre polynomials,
+mode's kinetic factor, its junction potential and its flux nodes.  A
+solve from scratch is lowest_eigs on the one-axis TensorOperator([K], V),
+which takes its dense route: each qubit's four lowest levels
+(qubit_subspace, since its double-well doublets, split down to about
+2e-10, need both vectors), and the coupler's n_levels at a scalar bias,
+or its two lowest at the first point of a grid of biases and wherever
+the continuation along it fails (coupler._ground_states).  The
+continuation works on _junction_matrix, the dense K + diag(V): it takes
+Rayleigh-quotient steps, about one per bias, from the extrapolated
+previous ground vectors with a Cholesky certificate, and E_g'' is one
+further solve, not a sum over every level: at 60 states on one BLAS
+thread (x86-64, a shared host) an eigh took 470 to 520 us, one
+np.linalg.solve about 62 us and one np.linalg.cholesky about 55 us.
+The Fock-basis factors P e^{irX} P remain as the oracle the grid is
+tested against: ho_exp_matrix builds them per element through
+generalized Laguerre polynomials,
 
     <j|e^{irX}|k> = i^{k-j} sqrt(j!/k!) e^{-r^2/2} r^{k-j} L_j^{(k-j)}(r^2)
 
@@ -78,19 +79,20 @@ Lanczos (_lanczos; Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602
 start vector from fixed counters (_uniform, no numpy.random), numpy BLAS
 throughout.  A later sector stops once its levels below the m-th kept so
 far, and the first at or above it, have converged.  A sector of at most
-that many states, where a Krylov basis cannot grow, gets one
-np.linalg.eigh of its matrix (to_dense) instead (lowest_eigs).  The
+that many states, where a Krylov basis cannot grow, and a one-axis
+operator, whose matvec is already one dense product, get one
+np.linalg.eigh of the matrix (to_dense) instead (lowest_eigs).  The
 sectors are solved and dropped one at a time, so a solve holds one
 sector's basis or matrix, and it loads numpy only.  Both routes share
 one tail: the lowest m of all sectors, kept as each sector finishes, are
-lifted straight into one (op.size, m) output (_lift) and their true
-residuals measured with the full operator one column at a time.  Swaps
-are not folded (they break the product form): up to DENSE_DIM_LIMIT
-each returned level's exchange parity is measured on its vector instead
-and added to its label, with the swap diagonalized inside any cluster of
-levels its residuals cannot separate (_exchange_parities).  Assembly and
-the Lanczos workspace are checked against DEFAULT_MEMORY_BUDGET, read at
-call time.
+lifted straight into the rows of one (m, op.size) buffer (_lift), whose
+transpose is the output, and their true residuals measured with the
+full operator one row at a time.  Swaps are not folded (they break the
+product form): each returned level's exchange parity is measured on its
+vector instead and added to its label, with the swap diagonalized inside
+any cluster of levels its residuals cannot separate
+(_exchange_parities).  Assembly and the Lanczos workspace are checked
+against DEFAULT_MEMORY_BUDGET, read at call time.
 """
 
 from __future__ import annotations
@@ -117,7 +119,6 @@ __all__ = [
 ]
 
 DENSE_DIM_LIMIT = 8192
-ITERATIVE_M_LIMIT = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 _LANCZOS_SEED = 175_1031
 # restarts before a Lanczos solve gives up
@@ -547,25 +548,11 @@ def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float 
     return _kinetic(2.0 * zeta * e_l, dim), _cosine(c, flux), flux
 
 
-def _junction_matrix(zeta: float, beta: float, phase: float, dim: int):
-    """One junction mode's dense matrix K + diag(V) (e_l = 1), its flux nodes and ||H||_F."""
-    kinetic, potential, flux = _junction_mode(zeta, beta, phase, dim)
+def _junction_matrix(kinetic: np.ndarray, potential: np.ndarray):
+    """One junction mode's dense matrix K + diag(V) and its ||H||_F."""
     h = kinetic.copy()  # K + diag(V) without the dense diag(V)
-    h.flat[:: dim + 1] += potential
-    return h, flux, float(np.linalg.norm(h))
-
-
-def _checked_eigh(h: np.ndarray, h_norm: float):
-    """Every eigenpair of a dense single-mode matrix: one eigh, residuals checked."""
-    vals, vecs = np.linalg.eigh(h)
-    _checked_residuals(h @ vecs, vals, vecs, 0.0, h_norm)
-    return vals, vecs
-
-
-def _junction_eigh(zeta: float, beta: float, phase: float, dim: int):
-    """Every level of one junction mode (e_l = 1), its vectors and flux nodes."""
-    h, flux, h_norm = _junction_matrix(zeta, beta, phase, dim)
-    return (*_checked_eigh(h, h_norm), flux)
+    h.flat[:: len(h) + 1] += potential
+    return h, float(np.linalg.norm(h))
 
 
 @dataclass
@@ -687,21 +674,6 @@ def _residual_bound(leak: float, h_norm: float) -> float:
     return leak + _DENSE_RESIDUAL_C * np.finfo(float).eps * h_norm
 
 
-def _checked_residuals(hv, vals, vecs, leak: float, h_norm: float):
-    """Residuals ||H v - lambda v||, each at most leak + _DENSE_RESIDUAL_C eps h_norm.
-
-    hv is H applied to vecs.  A larger residual raises NumericError.
-    """
-    resid = np.linalg.norm(hv - vecs * vals[None, :], axis=0)
-    bound = _residual_bound(leak, h_norm)
-    if not np.all(resid <= bound):
-        raise NumericError(
-            "dense eigenvector residuals exceed the bound",
-            {"residuals": resid.tolist(), "bound": bound, "sector_leak": leak},
-        )
-    return resid
-
-
 def _folded_sectors(op: TensorOperator, group):
     """Reflection sectors of op, each a TensorOperator on a folded grid.
 
@@ -774,7 +746,8 @@ def _lift(u: np.ndarray, grid: np.ndarray, pivots, group, chi) -> None:
 
 def _residuals(apply, vals, vecs) -> np.ndarray:
     """||H v - theta v|| of each column v of vecs and its value theta, with H
-    applied by apply to one column at a time."""
+    applied by apply to one column at a time (a contiguous row of vecs.T,
+    as lowest_eigs lays them out)."""
     return np.array([np.linalg.norm(apply(v) - theta * v) for theta, v in zip(vals, vecs.T)])
 
 
@@ -786,11 +759,15 @@ def _exchange_parities(apply, dims: tuple, swap, vals, vecs, resid):
     theta_j|, with r the residuals; so where neighbouring levels lie
     within 4 (r_i + r_j) of each other, the vectors of that cluster are
     rotated to the eigenvectors of S within it, and their residuals are
-    measured again with apply, which is H by matvec (_residuals).  Returns
-    (vecs, resid, parities), the vectors sign-fixed.
+    measured again with apply, which is H by matvec (_residuals).  vecs is
+    the transpose of a C-order (m, n) buffer, so S of every vector is one
+    m x n copy, freed before any rotation.  Returns (vecs, resid,
+    parities), the vectors sign-fixed.
     """
     n, m = vecs.shape
-    overlap = vecs.T @ vecs.reshape(dims + (m,)).swapaxes(*swap).reshape(n, m)
+    swapped = vecs.T.reshape((m,) + dims).swapaxes(1 + swap[0], 1 + swap[1]).reshape(m, n)
+    overlap = vecs.T @ swapped.T
+    del swapped
     parities = np.where(np.diagonal(overlap) < 0.0, -1.0, 1.0)
     edges = [0, *(np.flatnonzero(np.diff(vals) > 4.0 * (resid[:-1] + resid[1:])) + 1), m]
     for lo, hi in zip(edges, edges[1:]):
@@ -930,24 +907,29 @@ def _merged(levels: list, s: int, vals, vecs, m: int) -> list:
 def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spectrum:
     """Lowest m eigenvalues of a TensorOperator, solved sector by sector.
 
-    The operator is split once into the reflection sectors of its
-    symmetries (_symmetries, _folded_sectors; see the module docstring),
-    all of one size: op.size // len(group), or op.size when nothing folds,
-    the one sector "all".  Each sector is solved for its lowest m levels in
-    one of two ways, picked by that size:
+    Every eigenproblem of the package solved from scratch comes here: the
+    exact circuit, the reduced NA, LA and LN problems, and the single
+    junction modes (the coupler's levels, each qubit's subspace) as one-axis
+    operators.  The operator is split once into the reflection sectors of
+    its symmetries (_symmetries, _folded_sectors; see the module
+    docstring), all of one size: op.size // len(group), or op.size when
+    nothing folds, the one sector "all".  Each sector is solved for its
+    lowest m levels in one of two ways, picked by that size and the
+    operator's axes:
 
     - Lanczos, when it holds more states than the Lanczos basis ncv =
-      max(2m + 1, 20): a thick-restart Lanczos (_lanczos) on the sector's
-      matrix-free operator, with a fixed basis of ncv vectors restarted in
-      place as ARPACK's implicit restart would (Lehoucq & Sorensen, SIAM
-      J. Matrix Anal. Appl. 17, 789 (1996); Wu & Simon 2000) and a start
-      vector from fixed counters (_uniform), so repeated solves are
-      bitwise equal.  The first sector (the identity character, so the
-      ground level) converges its lowest m pairs, each later one only
-      those below the m-th lowest level kept so far and the first at or
-      above it.  Its workspace is checked against DEFAULT_MEMORY_BUDGET
-      before any matvec;
-    - dense otherwise, where a basis of ncv vectors cannot grow: one
+      max(2m + 1, 20) and the operator has more than one axis: a
+      thick-restart Lanczos (_lanczos) on the sector's matrix-free
+      operator, with a fixed basis of ncv vectors restarted in place as
+      ARPACK's implicit restart would (Lehoucq & Sorensen, SIAM J. Matrix
+      Anal. Appl. 17, 789 (1996); Wu & Simon 2000) and a start vector from
+      fixed counters (_uniform), so repeated solves are bitwise equal.  The
+      first sector (the identity character, so the ground level) converges
+      its lowest m pairs, each later one only those below the m-th lowest
+      level kept so far and the first at or above it.  Its workspace is
+      checked against DEFAULT_MEMORY_BUDGET before any matvec;
+    - dense otherwise, where a basis of ncv vectors cannot grow, or where
+      the one-axis matvec is itself a full dense product: one
       np.linalg.eigh of the sector's matrix (to_dense), whose lowest
       min(m, size) pairs are kept.
 
@@ -955,16 +937,16 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     that can still be among the lowest m of all sectors are kept, copied
     out of its solve (_merged), so a Lanczos solve holds one sector's basis
     and restart product and at most m folded vectors at a time.  The kept
-    vectors are then lifted straight into the one (n, m) output (_lift),
-    sign-fixed in place, and their true residuals measured with the full
-    operator, one matvec per column (_residuals).  Up to
-    DENSE_DIM_LIMIT states Lanczos runs at the relative tolerance
-    _DENSE_RANGE_TOL (1e-14); when _symmetries accepts a swap of two
-    identical qubits, which the fold does not use, each level's exchange
+    vectors are then lifted straight into the contiguous rows of one (m, n)
+    buffer (_lift), whose transpose is the (n, m) output, sign-fixed in
+    place, and their true residuals measured with the full operator, one
+    matvec per row (_residuals).  When _symmetries accepts a swap of two
+    identical modes, which the fold does not use, each level's exchange
     parity is measured on its vector and appended to its label, + or -
-    (_exchange_parities); and every residual must meet the dense gate,
-    sector_leak + c eps ||H||_F (c = _DENSE_RESIDUAL_C = 64).  Above it
-    only m <= ITERATIVE_M_LIMIT is accepted, Lanczos runs at _LANCZOS_TOL
+    (_exchange_parities), at any size.  Up to DENSE_DIM_LIMIT states
+    Lanczos runs at the relative tolerance _DENSE_RANGE_TOL (1e-14) and
+    every residual must meet the dense gate, sector_leak + c eps ||H||_F
+    (c = _DENSE_RESIDUAL_C = 64).  Above it Lanczos runs at _LANCZOS_TOL
     (1e-9), and a residual above 10 _LANCZOS_TOL max(|lambda|, eps^(2/3))
     fails.  A failed gate raises NumericError.
 
@@ -977,16 +959,11 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     excitation theta_i - theta_0 is resolved only above the sum of its two
     levels' bounds.  Lanczos solves also report the basis size, the
     operator applications ("matvecs": every sector-vector application plus
-    the columns of the full-size residual checks, and each sector's own
+    the rows of the full-size residual checks, and each sector's own
     applications as the sectors' "matvecs"), the seconds spent in
     the matvecs and in the whole solve ("matvec_s", "solve_s"), and the
-    workspace estimate the budget check used ("workspace_bytes").
-
-    A junction mode's own matrix is not a TensorOperator: a qubit's, and
-    the coupler's at a scalar bias or the start of a grid, gets one full
-    eigh with residuals checked (_checked_eigh); the coupler's later grid
-    points continue its ground state instead (see the module docstring).
-    An op that is not a TensorOperator raises ConfigurationError.
+    workspace estimate the budget check used ("workspace_bytes").  An op
+    that is not a TensorOperator raises ConfigurationError.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
@@ -995,25 +972,23 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     if m > op.size:
         raise ConfigurationError("m exceeds operator dimension")
     dense_range = op.size <= DENSE_DIM_LIMIT
-    if not dense_range and m > ITERATIVE_M_LIMIT:
-        raise ConfigurationError(f"iterative solver limited to m <= {ITERATIVE_M_LIMIT}")
     start = time.perf_counter()
     n, ncv = op.size, max(2 * m + 1, 20)
     tol = _DENSE_RANGE_TOL if dense_range else _LANCZOS_TOL
     group, swap, squares = _symmetries(op)
     group, pivots, sectors = _folded_sectors(op, group)
     size = n // len(group)
-    # the Lanczos basis needs m < ncv < size
-    lanczos = size > ncv
+    # the Lanczos basis needs m < ncv < size; one axis is one dense product
+    lanczos = size > ncv and len(op.dims) > 1
     if lanczos:
         # per sector (8 bytes per state each): the basis of ncv + 1 vectors,
         # the restart's product buffer of ncv, the m levels kept from earlier
         # sectors, the folded potential, the last new vector (held while the
         # next is applied) and a one-vector matvec (_MATVEC_BYTES, plus the
-        # reflected half of a stacked product); then the n x m output and the
-        # residual check's one-column matvec, which copies its strided column
+        # reflected half of a stacked product); then the m x n output, the
+        # residual check's one-row matvec and, with a swap, its m x n image
         work_bytes = (8 * size * (2 * ncv + m + 5) + _MATVEC_BYTES * size
-                      + (8 * m + 8 + _MATVEC_BYTES) * n)
+                      + (8 * m * (1 if swap is None else 2) + _MATVEC_BYTES) * n)
         if work_bytes > DEFAULT_MEMORY_BUDGET:
             raise ResourceError(
                 f"Lanczos solve would need ~{work_bytes / 2**20:.0f} MiB,"
@@ -1050,15 +1025,15 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     leak = _sector_leak(op, group)
     vals = np.array([value for value, _, _ in found])
     levels = tuple(labels[s] for _, s, _ in found)
-    vecs = np.empty((n, m))
-    grid = vecs.reshape(op.dims + (m,))
+    rows = np.empty((m, n))
+    grid = rows.reshape((m,) + op.dims)
     for j, (_, s, u) in enumerate(found):
-        _lift(u, grid[..., j], pivots, group, sectors[s][2])
+        _lift(u, grid[j], pivots, group, sectors[s][2])
     del found  # the folded copies go before the full-size residual checks
-    _fix_vector_signs(vecs)
+    vecs = _fix_vector_signs(rows.T)
     apply = applied(op)
     resid = _residuals(apply, vals, vecs)
-    if dense_range and swap is not None:
+    if swap is not None:
         vecs, resid, parities = _exchange_parities(apply, op.dims, swap, vals, vecs, resid)
         levels = tuple((level if level != "all" else "") + ("+" if p > 0 else "-")
                        for level, p in zip(levels, parities))

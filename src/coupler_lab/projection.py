@@ -38,7 +38,7 @@ import numpy as np
 from .coupler import EgSeries
 from .errors import ConfigurationError, NumericError
 from .kapteyn import FourierSeries
-from .oscillator import _fix_vector_signs, _junction_eigh
+from .oscillator import TensorOperator, _junction_mode, lowest_eigs
 
 __all__ = [
     "CouplingTable",
@@ -116,17 +116,21 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     """Diagonalize one qubit and reduce it to its two lowest states.
 
     The qubit's ladder (frequency 2 zeta_j E_Lj) and junction cosine are
-    one mode on the grid, solved by the same residual-checked eigh as
-    the coupler problem; the double-well regime beta_j > 1 is allowed.
-    weak_isolation flags E_2 - E_1 < 3 (E_1 - E_0).
+    one mode on the grid, whose four lowest levels come from
+    oscillator.lowest_eigs as the coupler's do: one np.linalg.eigh with
+    every returned pair's residual checked.  The double-well regime
+    beta_j > 1 is allowed.  weak_isolation flags E_2 - E_1 < 3 (E_1 - E_0).
     """
     if n_basis < 40:
         raise ConfigurationError(f"n_basis must be >= 40, got {n_basis}")
-    vals, vecs, x = _junction_eigh(params.zeta_j, params.beta_j, params.phi_jx, n_basis)
+    kinetic, potential, x = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx, n_basis)
+    spectrum = lowest_eigs(TensorOperator([kinetic], potential), 4, want_vectors=True)
+    vals = spectrum.eigenvalues
     flux = params.phi_jx + x
 
-    # deterministic signs: largest grid component of |0> positive, then phi_p >= 0
-    pair = _fix_vector_signs(vecs[:, :2].copy())
+    # deterministic signs: largest grid component of |0> positive (as
+    # lowest_eigs returns it), then phi_p >= 0
+    pair = spectrum.eigenvectors[:, :2].copy()
     phi_p = float(pair[:, 0] @ (flux * pair[:, 1]))
     if phi_p < 0.0:
         pair[:, 1] *= -1.0
@@ -141,7 +145,7 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
 
     return QubitSubspace(
         params=params,
-        energies=params.e_lj * vals[: min(4, n_basis)],
+        energies=params.e_lj * vals,
         phi_p=phi_p,
         zeta_eff=zeta_eff,
         weak_isolation=weak,

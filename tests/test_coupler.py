@@ -505,11 +505,16 @@ def test_grid_shapes_and_scalar_types():
 
 @pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 2, np.pi])
 def test_scalar_call_is_one_junction_eigh(phi):
-    # a scalar bias is solved by the same checked eigh as a qubit's
-    # junction mode: its levels are that solve's, bitwise
+    # a scalar bias is solved by lowest_eigs on the one-axis grid operator,
+    # as a qubit's junction mode is: its levels are that solve's, and the
+    # lowest of one eigh of the junction matrix K + diag(V), bitwise
     p = CouplerParams(beta_c=0.9, zeta_c=0.05)
-    want = oscillator._junction_eigh(p.zeta_c, p.beta_c, phi, 40)[0][:5]
-    assert np.array_equal(eg_exact(p, phi, n_basis=40, n_levels=5), want)
+    kinetic, potential, _ = oscillator._junction_mode(p.zeta_c, p.beta_c, phi, 40)
+    spec = oscillator.lowest_eigs(oscillator.TensorOperator([kinetic], potential), 5)
+    assert spec.metadata["solver"] == "dense"
+    got = eg_exact(p, phi, n_basis=40, n_levels=5)
+    assert np.array_equal(got, spec.eigenvalues)
+    assert np.array_equal(got, np.linalg.eigh(kinetic + np.diag(potential))[0][:5])
 
 
 def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):

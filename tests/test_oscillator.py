@@ -614,11 +614,6 @@ class TestLowestEigs:
         op = diagonal_operator((9,), np.arange(9.0))
         with pytest.raises(ConfigurationError, match="exceeds operator dimension"):
             lowest_eigs(op, 40)
-        # above the dense limit the Lanczos level cap holds, before any work
-        big = diagonal_operator((91, 91), np.zeros((91, 91)))
-        big.matvec = None
-        with pytest.raises(ConfigurationError, match="m <= 32"):
-            lowest_eigs(big, oscillator.ITERATIVE_M_LIMIT + 1)
         # only grid operators: a plain array is rejected
         with pytest.raises(ConfigurationError):
             lowest_eigs(np.eye(3), 2)
@@ -632,7 +627,8 @@ class TestLowestEigs:
         # the folded sector's size picks: Lanczos whenever it holds more states
         # than the Lanczos basis ncv = max(2m + 1, 20), at any m, at the
         # dense-range tolerance up to DENSE_DIM_LIMIT states and the fixed one
-        # above; one dense eigh of the sector's matrix (to_dense) otherwise
+        # above, unless the operator has one axis; one dense eigh of the
+        # sector's matrix (to_dense) otherwise
         class Picked(Exception):
             pass
 
@@ -652,6 +648,7 @@ class TestLowestEigs:
         cases = [
             (diagonal_operator((20, 28), rng.standard_normal((20, 28))), 3),  # one sector of 560
             (diagonal_operator((19, 30), rng.standard_normal((19, 30))), 33),  # m above 32
+            (diagonal_operator((60,), rng.standard_normal(60)), 3),  # one axis: dense
             (diagonal_operator((40, 56), np.zeros((40, 56))), 3),  # four reflection sectors of 560
             (biased, 6),
             (diagonal_operator((90, 91), np.zeros((90, 91))), 3),  # odd pivot: one of 8190
@@ -663,7 +660,7 @@ class TestLowestEigs:
         # the first sector is solved with no bound
         inf = math.inf
         assert picked == [("lanczos", 560, 1e-14, inf), ("lanczos", 570, 1e-14, inf),
-                          ("lanczos", 560, 1e-14, inf), ("lanczos", 784, 1e-14, inf),
+                          ("dense", 60), ("lanczos", 560, 1e-14, inf), ("lanczos", 784, 1e-14, inf),
                           ("lanczos", 8190, 1e-14, inf), ("lanczos", 8281, 1e-9, inf)]
         # Lanczos needs m < ncv < size: sectors of at most ncv states are dense
         picked.clear()
@@ -702,15 +699,15 @@ def biased_operator(dims=(14, 14, 8)):
     return assemble_tensor_operator(normal_modes(make_system(qubits=qs), dims=dims))
 
 
-def lanczos_workspace(op, m, sectors):
+def lanczos_workspace(op, m, sectors, swap=False):
     # the bytes the budget check counts, the full space being the one-sector
     # fold: per sector the Lanczos basis and its restart product, the levels
     # kept from earlier sectors, its potential, the last new vector and a
-    # one-vector matvec with a reflected product; then the n x m output and
-    # a one-column matvec on a copy of its strided column
+    # one-vector matvec with a reflected product; then the m x n output, a
+    # one-row matvec and, with a swap, the output's exchanged copy
     ncv, size = max(2 * m + 1, 20), op.size // sectors
     return (8 * size * (2 * ncv + m + 5) + oscillator._MATVEC_BYTES * size
-            + (8 * m + 8 + oscillator._MATVEC_BYTES) * op.size)
+            + (8 * m * (2 if swap else 1) + oscillator._MATVEC_BYTES) * op.size)
 
 
 def count_applications(monkeypatch):
@@ -784,6 +781,30 @@ class TestIterativeSolver:
             monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
             with pytest.raises(ResourceError, match="Lanczos solve would need"):
                 lanczos(op, 4)
+
+    def test_level_count_is_held_by_the_memory_budget(self, monkeypatch):
+        # no cap on m above DENSE_DIM_LIMIT states: 33 levels of a 91x91
+        # operator (ncv = 67) run to their values, and under a budget one
+        # byte short of that solve's workspace the budget check raises
+        # before any matvec
+        d = 91
+        potential = 1.0 + np.add.outer(np.arange(d), math.sqrt(2.0) * np.arange(d))
+        op = diagonal_operator((d, d), potential)
+        assert op.size > DENSE_DIM_LIMIT
+        spec = lowest_eigs(op, 33)
+        assert spec.metadata["solver"] == "lanczos" and spec.metadata["basis"] == 67
+        np.testing.assert_allclose(spec.eigenvalues, np.sort(potential.ravel())[:33],
+                                   rtol=1e-12, atol=0)
+        need = lanczos_workspace(op, 33, 1)
+        assert spec.metadata["workspace_bytes"] == need
+
+        def forbidden(self, v):
+            raise AssertionError("matvec ran before the budget check")
+
+        monkeypatch.setattr(TensorOperator, "matvec", forbidden)
+        monkeypatch.setattr(oscillator, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceError, match="Lanczos solve would need"):
+            lowest_eigs(op, 33)
 
     def test_budget_at_workspace_passes(self, monkeypatch):
         for op, sectors in ((two_qubit_operator(), 2), (biased_operator(), 1)):
@@ -987,9 +1008,9 @@ def loaded(package, code):
 
 def full_space_lanczos(op, m):
     # the full-space Lanczos solve lowest_eigs makes when nothing folds, made
-    # directly: the vectors copied into one (n, m) output, sign-fixed in
-    # place and checked one column at a time; returns (eigenvalues, true
-    # residuals, operator applications)
+    # directly: the vectors copied into the rows of one (m, n) buffer,
+    # sign-fixed in place and checked one at a time; returns (eigenvalues,
+    # true residuals, operator applications)
     n, ncv, applied = op.size, max(2 * m + 1, 20), []
 
     def apply(v):
@@ -997,7 +1018,7 @@ def full_space_lanczos(op, m):
         return op.matvec(v)
 
     vals, vecs = oscillator._lanczos(apply, n, m, ncv, oscillator._LANCZOS_TOL)
-    vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs))
+    vecs = oscillator._fix_vector_signs(np.ascontiguousarray(vecs.T).T)
     resid = [np.linalg.norm(apply(v) - theta * v) for theta, v in zip(vals, vecs.T)]
     return vals, np.array(resid), sum(applied)
 
@@ -1151,10 +1172,10 @@ def old_dense_lowest(h, m):
 
 
 def one_eigh(op, m):
-    # the one eigh of the whole dense matrix that a one-sector solve of at most
-    # the Lanczos basis makes, its lowest m vectors sign-fixed and in C order
-    # as the solve returns them, and their residuals as the solve measures
-    # them: H applied by matvec to one column at a time
+    # the one eigh of the whole dense matrix that a one-sector dense solve
+    # makes, its lowest m vectors sign-fixed as the solve returns them, and
+    # their residuals as the solve measures them: H applied by matvec to one
+    # vector at a time
     vals, vecs = np.linalg.eigh(op.to_dense())
     vals, vecs = vals[:m], oscillator._fix_vector_signs(np.ascontiguousarray(vecs[:, :m]))
     resid = [np.linalg.norm(op.matvec(v) - theta * v) for theta, v in zip(vals, vecs.T)]
@@ -1284,10 +1305,11 @@ class TestSectorSolve:
                                            rtol=1e-12, atol=0)
 
     def test_single_mode_and_arrays_are_bitwise_one_eigh(self):
-        # a one-mode grid operator of at most the Lanczos basis of 20 states
-        # (its dense matrix is reflection-symmetric at zero bias) stays one
-        # eigh of the whole matrix; a junction mode's own matrix gets one full
-        # eigh through _junction_eigh, every level as eigh returns it
+        # a one-mode grid operator stays one eigh of the whole matrix at any
+        # size, also above the Lanczos basis of 20 states (its dense matrix is
+        # reflection-symmetric at zero bias, and one axis does not fold); a
+        # junction mode's levels and vectors are those of one eigh of its
+        # matrix K + diag(V), signs fixed, with residuals within the dense gate
         op = assemble_tensor_operator(normal_modes(make_system(), dims=(16,)))
         want = one_eigh(op, 4)
         got = lowest_eigs(op, 4, want_vectors=True)
@@ -1297,14 +1319,19 @@ class TestSectorSolve:
         assert np.array_equal(got.eigenvectors, want[1])
         assert np.array_equal(got.metadata["residuals"], want[2])
 
-        single = junction_matrix(0.05, 1.05, 0.0, 60)
-        vals, vecs, flux = oscillator._junction_eigh(0.05, 1.05, 0.0, 60)
-        want_vals, want_vecs = np.linalg.eigh(single)
-        assert np.array_equal(vals, want_vals)
-        assert np.array_equal(vecs, want_vecs)
+        kinetic, potential, flux = oscillator._junction_mode(0.05, 1.05, 0.0, 60)
+        single = TensorOperator([kinetic], potential)
+        h = junction_matrix(0.05, 1.05, 0.0, 60)
         assert np.array_equal(flux, math.sqrt(0.05) * oscillator._grid(60)[0])
-        resid = np.linalg.norm(single @ vecs - vecs * vals, axis=0)
-        assert np.all(resid <= 64 * np.finfo(float).eps * np.linalg.norm(single))
+        for m in (2, 4, 6):
+            got = lowest_eigs(single, m, want_vectors=True)
+            want = one_eigh(single, m)
+            assert got.metadata["solver"] == "dense"
+            assert np.array_equal(want[0], np.linalg.eigh(h)[0][:m])
+            assert np.array_equal(got.eigenvalues, want[0])
+            assert np.array_equal(got.eigenvectors, want[1])
+            assert np.array_equal(got.metadata["residuals"], want[2])
+            assert np.all(want[2] <= 64 * np.finfo(float).eps * np.linalg.norm(h))
 
     def test_sectors_within_the_basis_are_one_eigh_each(self, monkeypatch):
         # unequal qubits at zero bias on a 4x4 grid: the joint reflection folds
@@ -1798,6 +1825,29 @@ class TestSectorRoute:
                                    atol=1e-12)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-13)
         assert np.all(spec.metadata["residuals"] <= 64 * np.finfo(float).eps * np.linalg.norm(h))
+
+    def test_exchange_parities_above_the_dense_limit(self):
+        # the same uncoupled identical qubits at 96x96, 9,216 states: above
+        # DENSE_DIM_LIMIT the swap is still measured on every level, so the
+        # labels are + or - and each vector is even or odd under it; the
+        # swapped copy of the output is counted in the budget estimate
+        kinetic, potential, _ = oscillator._junction_mode(0.05, 1.05, 0.3, 96)
+        op = TensorOperator([kinetic, kinetic], potential[:, None] + potential[None, :])
+        assert op.size > DENSE_DIM_LIMIT
+        tracemalloc.start()
+        try:
+            spec = lowest_eigs(op, 6, want_vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.metadata["solver"] == "lanczos"
+        assert spec.metadata["workspace_bytes"] == lanczos_workspace(op, 6, 1, swap=True)
+        assert peak < spec.metadata["workspace_bytes"]
+        levels = spec.metadata["sectors"]["levels"]
+        assert set(levels) == {"+", "-"}
+        vecs = spec.eigenvectors
+        np.testing.assert_allclose(np.sum(vecs * exchanged(vecs, op.dims), axis=0),
+                                   exchange_signs(levels), rtol=0, atol=1e-12)
 
     def test_routed_solve_is_held_to_the_dense_gate(self, monkeypatch):
         # a loose tolerance in the dense range stops Lanczos early, and the
