@@ -650,6 +650,8 @@ def _symmetries(op: TensorOperator):
 
 def _sector_leak(op: TensorOperator, group) -> float:
     """Frobenius norm of H minus its average over the reflection masks group."""
+    if len(group) == 1:
+        return 0.0  # the trivial group's average is H itself
     n_modes = len(op.dims)
     odd_k, odd_v = [0.0] * n_modes, 0.0
     for g in group:
