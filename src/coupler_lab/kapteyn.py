@@ -53,7 +53,10 @@ The Newton solver ``kepler_solve`` is the ground truth all series are
 validated against.  The sine-series coefficient table behind sin_beta
 and cos_beta depends only on (beta, nu_max); it is memoized in a small
 bounded cache (16 entries) and shared read-only, so evaluating the
-series point by point builds its Bessel values once.
+series point by point builds its Bessel values once.  Every truncated
+series here, sin_beta and cos_beta included, is evaluated by
+``FourierSeries`` (Clenshaw's recurrence): its work space is a few
+arrays of the points' shape, never a (points, nu_max) table of phases.
 """
 
 from __future__ import annotations
@@ -319,24 +322,25 @@ def sin_beta(beta: float, phi, nu_max: int = 100):
     truncation error.
     """
     _check_series_args(beta, nu_max)
-    phase = np.asarray(phi, dtype=float)[..., None] * np.arange(1, nu_max + 1)
-    out = np.sin(phase, out=phase) @ _sin_coeffs(float(beta), int(nu_max))
-    return out if out.ndim else float(out)
+    half = np.concatenate(([0.0], _sin_coeffs(float(beta), int(nu_max)) / 2.0))
+    out = FourierSeries(nu_max, half, parity="odd")(phi)
+    return out if np.ndim(out) else float(out)
 
 
 def cos_beta(beta: float, phi, nu_max: int = 100):
     """Antiderivative form 1 - integral_0^phi sin_beta, truncated.
 
-    Even and 2*pi-periodic, with cos_beta(0) = 1 exactly at any
-    truncation; the full-series mean over a period is -beta/4.
+    Even and 2*pi-periodic; the full-series mean over a period is
+    -beta/4.  Returned as 1 + (S(phi) - S(0)), S the even series of
+    coefficients coeff_nu / nu, both values from the same FourierSeries,
+    so cos_beta(0) = 1 exactly at any truncation.
     """
     _check_series_args(beta, nu_max)
     nu = np.arange(1, nu_max + 1)
-    phase = np.asarray(phi, dtype=float)[..., None] * nu
-    np.cos(phase, out=phase)
-    phase -= 1.0
-    out = 1.0 + phase @ (_sin_coeffs(float(beta), int(nu_max)) / nu)
-    return out if out.ndim else float(out)
+    half = np.concatenate(([0.0], _sin_coeffs(float(beta), int(nu_max)) / (2.0 * nu)))
+    series = FourierSeries(nu_max, half, parity="even")
+    out = 1.0 + (series(phi) - series(0.0))
+    return out if np.ndim(out) else float(out)
 
 
 def exp_mu_coeff(mu: int, nu: int, beta: float) -> float:

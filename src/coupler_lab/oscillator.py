@@ -949,8 +949,8 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
     Lanczos runs at the relative tolerance _DENSE_RANGE_TOL (1e-14) and
     every residual must meet the dense gate, sector_leak + c eps ||H||_F
     (c = _DENSE_RESIDUAL_C = 64).  Above it Lanczos runs at _LANCZOS_TOL
-    (1e-9), and a residual above 10 _LANCZOS_TOL max(|lambda|, eps^(2/3))
-    fails.  A failed gate raises NumericError.
+    (1e-9), and a residual above both 10 _LANCZOS_TOL |lambda| and the
+    dense gate fails.  A failed gate raises NumericError.
 
     Every solve reports "solver" ("dense" or "lanczos"), "dim", the true
     "residuals", "sector_leak" (the Frobenius norm of H minus its average
@@ -1048,8 +1048,10 @@ def lowest_eigs(op: TensorOperator, m: int, want_vectors: bool = False) -> Spect
                  "sectors": list(labels), "matvecs": matvecs},
             )
     else:
-        # Lanczos stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x margin
-        limit = 10.0 * tol * np.maximum(np.abs(vals), np.finfo(float).eps ** (2.0 / 3.0))
+        # Lanczos stops at ||r_i|| <= tol max(|theta_i|, eps^(2/3)); allow a 10x
+        # margin, and never ask for less than the dense gate, the rounding of
+        # any residual at this ||H||
+        limit = np.maximum(10.0 * tol * np.abs(vals), _residual_bound(leak, math.sqrt(squares)))
         if np.any(resid > limit):
             raise NumericError(
                 "Lanczos residuals exceed the tolerance",

@@ -1,18 +1,21 @@
 """Qubit-subspace reduction of the coupler-mediated interaction.
 
 Each qubit is diagonalized on its own Gauss-Hermite grid, where its
-flux is diagonal, and truncated to its two lowest eigenstates.  The
-interaction E_g(phi_cx - sum_j alpha_j phi_j) then reduces, term by
-Fourier term, to products of single-qubit Pauli coefficients
+flux is diagonal, and truncated to its two lowest eigenstates.  Every
+projection goes through one per-node Pauli table per qubit: the (n, 4)
+Pauli coefficients of w w^T at each node, w the node's row of the two
+qubit vectors, so a function f of the flux projects to sum_k f(phi_k)
+times row k.  The interaction E_g(phi_cx - sum_j alpha_j phi_j) reduces,
+term by Fourier term, to products of single-qubit Pauli coefficients
 
     e^{-is phi_j} -> c_I(s) I + c_x(s) sx + c_y(s) sy + c_z(s) sz,
 
-giving the coupling table g_labels = E_Ltc sum_nu B_nu e^{i nu phi_cx}
+each row of c one product of the node phases with that table, giving
+the coupling table g_labels = E_Ltc sum_nu B_nu e^{i nu phi_cx}
 prod_j c_{label_j}(nu alpha_j).  Any other interaction potential is
 diagonal on the qubits' product grid, so its table is one contraction
-of the potential with each qubit's per-node Pauli weights: the linear
-theory projects E_g expanded to second order in the total qubit flux
-that way.
+of the potential with the same tables, axis by axis: the linear theory
+projects E_g expanded to second order in the total qubit flux that way.
 
 Two cheaper routes to g_xx for identical unbiased qubits are included:
 a Gaussian closed form over the reference state (|0> + |1>)/sqrt(2)
@@ -154,28 +157,29 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     )
 
 
-def _exp_blocks(sub: QubitSubspace, s) -> np.ndarray:
-    """2x2 blocks of e^{-is phi} for an array of s values, shape (ns,2,2)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    phase = np.exp(-1j * np.outer(s, sub.flux_eigs))  # (ns, n)
-    w = sub.flux_modes  # (n, 2)
-    return np.einsum("ka,sk,kb->sab", w.conj(), phase, w)
+def _pauli_weights(sub: QubitSubspace) -> np.ndarray:
+    """Pauli coefficients of w w^T at each grid node, w the node's flux_modes row.
+
+    Shape (n, 4), columns in PAULI_LABELS order; w w^T is symmetric, so
+    the y column is 0.
+    """
+    a, b = sub.flux_modes.T
+    return np.stack([(a * a + b * b) / 2.0, a * b, np.zeros_like(a), (a * a - b * b) / 2.0],
+                    axis=1)
 
 
-def _pauli_decompose(m: np.ndarray):
-    """Coefficients (c_I, c_x, c_y, c_z) of a 2x2 matrix in the Pauli basis."""
-    c_i = (m[..., 0, 0] + m[..., 1, 1]) / 2.0
-    c_z = (m[..., 0, 0] - m[..., 1, 1]) / 2.0
-    c_x = (m[..., 0, 1] + m[..., 1, 0]) / 2.0
-    c_y = 1j * (m[..., 0, 1] - m[..., 1, 0]) / 2.0
-    return c_i, c_x, c_y, c_z
+def _pauli_exp_table(sub: QubitSubspace, s) -> np.ndarray:
+    """(c_I, c_x, c_y, c_z) of e^{-is phi} for each s, shape (len(s), 4).
+
+    The projected block is sum over nodes of e^{-is phi_k} w_k w_k^T, so
+    its Pauli coefficients are the node phases times _pauli_weights.
+    """
+    return np.exp(-1j * np.outer(s, sub.flux_eigs)) @ _pauli_weights(sub)
 
 
 def pauli_exp_coeffs(sub: QubitSubspace, s: float) -> tuple:
     """(c_I, c_x, c_y, c_z) of e^{-is phi} in the {|0>, |1>} basis."""
-    m = _exp_blocks(sub, s)[0]
-    c_i, c_x, c_y, c_z = _pauli_decompose(m)
-    return complex(c_i), complex(c_x), complex(c_y), complex(c_z)
+    return tuple(complex(c) for c in _pauli_exp_table(sub, [s])[0])
 
 
 @dataclass(frozen=True)
@@ -246,41 +250,32 @@ def _coupling_tables(series: EgSeries, subs, alphas, phi_cxs, labels,
                      e_ltc: float) -> list:
     """One ``couplings`` table per bias in phi_cxs.
 
-    The Pauli tables c_{I,x,y,z}(nu alpha_j) and the resonance check
-    do not depend on the bias, so they are built once; each bias then
-    costs one phase vector and one sum per label, with its own
-    Hermiticity check.  A resonance warns once for the whole sequence.
+    Nothing but the phase e^{i nu phi_cx} depends on the bias, so each
+    label's factor B_nu prod_j c_{label_j}(nu alpha_j), and the resonance
+    check, are formed once; each bias then costs one product of those
+    factors with its phase vector, with its own Hermiticity check.  A
+    resonance warns once for the whole sequence.
     """
     if len(subs) != len(alphas) or not subs:
         raise ConfigurationError("need one alpha per qubit subspace")
     label_list = _expand_labels(labels, len(subs))
     nu_max = series.nu_max
     nus = np.arange(-nu_max, nu_max + 1)
-    b_signed = series.coeffs[np.abs(nus)]
-
-    coeff_tables = []
-    for sub, alpha in zip(subs, alphas):
-        blocks = _exp_blocks(sub, nus * alpha)
-        c_i, c_x, c_y, c_z = _pauli_decompose(blocks)
-        coeff_tables.append({"I": c_i, "x": c_x, "y": c_y, "z": c_z})
+    factors = series.coeffs[np.abs(nus)]
+    for j, (sub, alpha) in enumerate(zip(subs, alphas)):
+        columns = [PAULI_LABELS.index(label[j]) for label in label_list]
+        factors = factors * _pauli_exp_table(sub, nus * alpha)[:, columns].T
     resonances = resonance_check(subs)
 
     tables = []
     for phi_cx in phi_cxs:
-        weighted = b_signed * np.exp(1j * nus * phi_cx)
-        entries = {}
-        worst = 0.0
-        for label in label_list:
-            prod = weighted
-            for j, ch in enumerate(label):
-                prod = prod * coeff_tables[j][ch]
-            total = complex(np.sum(prod))
-            worst = max(worst, abs(total.imag))
-            entries[label] = e_ltc * total.real
+        totals = factors @ np.exp(1j * nus * phi_cx)
+        worst = float(np.max(np.abs(totals.imag)))
         if worst > 1e-10:
             raise NumericError(
                 "coupling table lost Hermiticity", {"imag_residue": worst}
             )
+        entries = dict(zip(label_list, (e_ltc * totals.real).tolist()))
         meta = {
             "theory": "NA",
             "nu_max": nu_max,
@@ -309,11 +304,7 @@ def _grid_table(subs, potential) -> dict:
     """
     table = np.asarray(potential, dtype=float)
     for sub in subs:
-        w = sub.flux_modes
-        weights = np.stack(
-            [np.real(c) for c in _pauli_decompose(w[:, :, None] * w[:, None, :])], axis=1
-        )  # (n, 4), columns in PAULI_LABELS order
-        table = np.tensordot(table, weights, axes=([0], [0]))  # Pauli index last
+        table = np.tensordot(table, _pauli_weights(sub), axes=([0], [0]))  # Pauli index last
     return dict(zip(_expand_labels("all", len(subs)), table.ravel().tolist()))
 
 

@@ -422,13 +422,13 @@ def test_coupling_scan_equals_per_point_couplings(n_qubits, labels, nu_max):
 
 def test_coupling_scan_builds_pauli_tables_once_per_qubit(monkeypatch):
     calls = []
-    exp_blocks = projection._exp_blocks
+    pauli_exp_table = projection._pauli_exp_table
 
     def spy(sub, s):
         calls.append(len(s))
-        return exp_blocks(sub, s)
+        return pauli_exp_table(sub, s)
 
-    monkeypatch.setattr(projection, "_exp_blocks", spy)
+    monkeypatch.setattr(projection, "_pauli_exp_table", spy)
     system = CouplerSystem(beta_c=0.5, zeta_c=0.05, qubits=SCAN_QUBITS, e_ltc=1.0)
     coupling_scan(system, ["xxx", "zzI"], (0.0, 2 * np.pi, 41), nu_max=100)
     assert calls == [201, 201, 201]

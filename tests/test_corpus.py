@@ -27,14 +27,20 @@ measured numbers are rounding-level), and its summary without the time.
 
 Regenerate the corpus, after a change that is meant to move it, with
 
-    PYTHONPATH=src python tests/test_corpus.py
+    PYTHONPATH=src python tests/test_corpus.py [case ...]
 
-and say in CHANGES.md which files moved and why.
+(every case when none is named).  For each rewritten file it prints
+"unchanged", or the header lines that changed and the largest numeric
+move as a share of its column's largest stored value, both measured
+against the file it replaces.  Say in CHANGES.md which files moved and
+why.
 """
 
 import contextlib
 import io
+import itertools
 import os
+import sys
 import shutil
 from pathlib import Path
 
@@ -147,6 +153,16 @@ def floats(cells):
         return None
 
 
+def header(lines):
+    """The `#` lines of a CSV text's lines, but the one naming the config path."""
+    return [line for line in lines if line.startswith("#") and not line.startswith("# config=")]
+
+
+def rows(lines):
+    """The column names and data rows of a CSV text's lines, as lists of cells."""
+    return [line.split(",") for line in lines if not line.startswith("#")]
+
+
 def compare(got: Path, want: Path) -> None:
     """Assert that the file got matches the stored file want (see the module docstring)."""
     where = f"{want.parent.name}/{want.name}"
@@ -154,13 +170,6 @@ def compare(got: Path, want: Path) -> None:
         assert got.read_text() == want.read_text(), where
         return
     got_lines, want_lines = got.read_text().splitlines(), want.read_text().splitlines()
-
-    def header(lines):
-        return [line for line in lines if line.startswith("#") and not line.startswith("# config=")]
-
-    def rows(lines):
-        return [line.split(",") for line in lines if not line.startswith("#")]
-
     assert header(got_lines) == header(want_lines), where
     got_rows, want_rows = rows(got_lines), rows(want_lines)
     assert got_rows[0] == want_rows[0], where
@@ -229,15 +238,60 @@ def test_compare_catches_one_moved_cell(tmp_path):
             assert passes, text
 
 
-def regenerate() -> None:
-    """Rewrite every case directory of the corpus from the current code."""
-    for case in [*CASES, *LIBRARY]:
+def test_moves_reports_headers_and_the_largest_share(tmp_path):
+    old = "# coupler-lab\n# config=a.ini\n# residue=1e-18\nx,y,name\n2,10,a\n-4,1,b\n"
+    new = tmp_path / "new.csv"
+    new.write_text(old.replace("config=a.ini", "config=b.ini"))
+    assert moves(new, old) == "unchanged"
+    assert moves(new, None) == "new file"
+    new.write_text(old.replace("1e-18", "5e-19").replace("-4,1", "-4.000000000004,1.00000000005"))
+    assert moves(new, old) == ("header '# residue=1e-18' -> '# residue=5e-19';"
+                               " largest numeric move 5e-12 of its column's largest value"
+                               " (column y)")
+
+
+def moves(new: Path, old: str | None) -> str:
+    """How the rewritten file new differs from the text old it replaced."""
+    if old is None:
+        return "new file"
+    new_lines, old_lines = new.read_text().splitlines(), old.splitlines()
+    if new.suffix != ".csv":
+        return "unchanged" if new_lines == old_lines else "changed"
+    if header(new_lines) == header(old_lines) and rows(new_lines) == rows(old_lines):
+        return "unchanged"
+    notes = [f"header {a!r} -> {b!r}"
+             for a, b in itertools.zip_longest(header(old_lines), header(new_lines)) if a != b]
+    new_rows, old_rows = rows(new_lines), rows(old_lines)
+    if new_rows[0] != old_rows[0] or len(new_rows) != len(old_rows):
+        return "; ".join(notes + ["columns or rows changed"])
+    share, column = 0.0, None
+    for j, name in enumerate(old_rows[0]):
+        stored, rerun = (floats([row[j] for row in r[1:]]) for r in (old_rows, new_rows))
+        if stored is None or rerun is None:
+            if [row[j] for row in old_rows] != [row[j] for row in new_rows]:
+                notes.append(f"text column {name} changed")
+            continue
+        finite = np.isfinite(stored) & np.isfinite(rerun)
+        scale = float(np.max(np.abs(stored[finite]), initial=0.0))
+        worst = float(np.max(np.abs(rerun[finite] - stored[finite]), initial=0.0))
+        if scale > 0.0 and worst / scale >= share:
+            share, column = worst / scale, name
+    notes.append(f"largest numeric move {share:.3g} of its column's largest value"
+                 f" (column {column})")
+    return "; ".join(notes)
+
+
+def regenerate(cases) -> None:
+    """Rewrite the named case directories of the corpus from the current code."""
+    for case in cases:
         out = CORPUS / case
+        old = {path.name: path.read_text() for path in out.iterdir()} if out.is_dir() else {}
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
         run_case(case, out)
-        print(f"{case}: {', '.join(sorted(path.name for path in out.iterdir()))}")
+        for path in sorted(out.iterdir()):
+            print(f"{case}/{path.name}: {moves(path, old.get(path.name))}")
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or [*CASES, *LIBRARY])

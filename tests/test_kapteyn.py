@@ -9,6 +9,7 @@ with scipy's jv, an independent implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestCosBeta:
         assert c[2] == pytest.approx(c[0], abs=1e-10)
 
 
+@pytest.mark.parametrize("series", [sin_beta, cos_beta])
+def test_memory_stays_linear_in_points(series):
+    # Clenshaw's recurrence keeps a few arrays of the points' shape: no
+    # (points, nu_max) table of phases, which would be 320 MB here
+    phi = np.linspace(-np.pi, np.pi, 100_000)
+    series(0.9, 0.0, nu_max=400)  # the coefficient table is cached
+    tracemalloc.start()
+    try:
+        series(0.9, phi, nu_max=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * len(phi)
+
+
 class TestExpMuCoeff:
     @pytest.mark.parametrize("mu", [0, 1, -1, 2, -3, 5])
     def test_reconstructs_exp_of_chi(self, mu):
@@ -379,9 +395,12 @@ class TestSinCoeffsCache:
         nu = np.arange(1, nu_max + 1)
         fresh = _sin_coeffs.__wrapped__(beta, nu_max)
         _sin_coeffs.cache_clear()
+        # the same evaluator sin_beta and cos_beta use, on the uncached build
+        odd = FourierSeries(nu_max, np.concatenate(([0.0], fresh / 2.0)), parity="odd")
+        even = FourierSeries(nu_max, np.concatenate(([0.0], fresh / (2.0 * nu))), parity="even")
         for phi in np.linspace(-np.pi, np.pi, 13):
-            s_want = float(np.sin(phi * nu) @ fresh)
-            c_want = float(1.0 + (np.cos(phi * nu) - 1.0) @ (fresh / nu))
+            s_want = float(odd(phi))
+            c_want = float(1.0 + (even(phi) - even(0.0)))
             assert sin_beta(beta, float(phi), nu_max=nu_max) == s_want
             assert cos_beta(beta, float(phi), nu_max=nu_max) == c_want
         assert _sin_coeffs.cache_info().misses == 1

@@ -806,6 +806,23 @@ class TestIterativeSolver:
         with pytest.raises(ResourceError, match="Lanczos solve would need"):
             lowest_eigs(op, 33)
 
+    def test_level_at_zero_is_held_to_the_dense_gate(self):
+        # the same 33 levels with the lowest exactly 0: 10 x 1e-9 |theta|
+        # alone would ask level 0 for a residual below any rounding, so the
+        # gate is never tighter than the dense one, leak + 64 eps ||H||_F
+        d = 91
+        potential = np.add.outer(np.arange(d), math.sqrt(2.0) * np.arange(d))
+        op = diagonal_operator((d, d), potential)
+        assert op.size > DENSE_DIM_LIMIT
+        spec = lowest_eigs(op, 33)
+        assert spec.metadata["solver"] == "lanczos"
+        np.testing.assert_allclose(spec.eigenvalues, np.sort(potential.ravel())[:33],
+                                   rtol=1e-12, atol=1e-12)
+        resid = spec.metadata["residuals"]
+        dense_gate = 64 * np.finfo(float).eps * np.linalg.norm(potential)
+        assert 10 * 1e-9 * abs(spec.eigenvalues[0]) < resid[0] <= dense_gate
+        assert np.all(resid <= np.maximum(10 * 1e-9 * np.abs(spec.eigenvalues), dense_gate))
+
     def test_budget_at_workspace_passes(self, monkeypatch):
         for op, sectors in ((two_qubit_operator(), 2), (biased_operator(), 1)):
             need = lanczos_workspace(op, 4, sectors)

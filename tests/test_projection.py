@@ -314,6 +314,40 @@ def test_linear_table_against_dense_kronecker_projection(case):
         assert abs(want.imag) <= 1e-14 * scale, label
 
 
+@pytest.mark.parametrize("case", ["two_unequal_biased", "three"])
+def test_nonlinear_table_against_dense_kronecker_projection(case):
+    # oracle: Tr(sigma_label M) / 2^k with M = sum_nu B_nu e^{i nu phi_cx}
+    # (x)_j P_j^T e^{-i nu alpha_j phi_j} P_j, the 2x2 blocks built from
+    # flux_modes and multiplied out by explicit Kronecker products
+    if case == "two_unequal_biased":
+        qubits = [QubitParams(beta_j=1.05, zeta_j=0.05, phi_jx=0.1),
+                  QubitParams(beta_j=0.8, zeta_j=0.07, e_lj=1.3, phi_jx=-0.2)]
+        dims, alphas, nu_max = (44, 40), [0.04, 0.06], 100
+    else:
+        qubits = [QubitParams(beta_j=1.05, zeta_j=0.05),
+                  QubitParams(beta_j=0.9, zeta_j=0.05, phi_jx=0.05),
+                  QubitParams(beta_j=1.2, zeta_j=0.04)]
+        dims, alphas, nu_max = (40, 40, 40), [0.05, 0.03, 0.04], 60
+    subs = [qubit_subspace(q, n_basis=d) for q, d in zip(qubits, dims)]
+    series = b_coeffs(0.75, 0.05, nu_max=nu_max)
+    e_ltc, k = 1.7, len(subs)
+    labels = ["".join(p) for p in itertools.product("Ixyz", repeat=k)]
+    sigmas = {label: kron_all([PAULI[ch] for ch in label]) for label in labels}
+    for phi_cx in (0.4, 2.3):
+        tab = couplings(series, subs, alphas, phi_cx, e_ltc=e_ltc)
+        assert list(tab.labels) == labels
+        m = np.zeros((2**k, 2**k), dtype=complex)
+        for nu in range(-nu_max, nu_max + 1):
+            blocks = [s.flux_modes.T @ (np.exp(-1j * nu * a * s.flux_eigs)[:, None] * s.flux_modes)
+                      for s, a in zip(subs, alphas)]
+            m += series.coeffs[abs(nu)] * np.exp(1j * nu * phi_cx) * kron_all(blocks)
+        scale = max(abs(x) for x in tab.entries.values())
+        for label, got in tab.entries.items():
+            want = e_ltc * np.trace(sigmas[label] @ m) / 2**k
+            assert abs(got - want.real) <= 1e-13 * scale, (phi_cx, label)
+            assert abs(want.imag) <= 1e-13 * scale, (phi_cx, label)
+
+
 def test_linear_vs_nonlinear_reference_sweep(ref_series, ref_sub):
     # away from zero bias the two theories track each other closely
     p = CouplerParams(beta_c=0.5, zeta_c=0.05)
