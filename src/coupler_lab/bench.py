@@ -58,7 +58,8 @@ class CouplerSystem:
 
     e_ltc is the coupler inductive energy over the (first) qubit's,
     so couplings and spectra come out in the same global unit as the
-    qubit parameters.  beta_c < 1 keeps the coupler monostable.
+    qubit parameters.  beta_c < 1 keeps the coupler monostable; the
+    coupler fields are checked as CouplerParams checks them.
     """
 
     beta_c: float
@@ -68,17 +69,22 @@ class CouplerSystem:
     phi_cx: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.beta_c < 1.0:
-            raise ConfigurationError(
-                f"beta_c must lie in [0, 1) for a monostable coupler, got {self.beta_c}"
-            )
-        if self.zeta_c <= 0.0:
-            raise ConfigurationError(f"zeta_c must be positive, got {self.zeta_c}")
-        if self.e_ltc <= 0.0:
-            raise ConfigurationError(f"e_ltc must be positive, got {self.e_ltc}")
+        CouplerParams(self.beta_c, self.zeta_c, self.e_ltc)
+        if not math.isfinite(self.phi_cx):
+            raise ConfigurationError(f"phi_cx must be finite, got {self.phi_cx}")
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if not self.qubits:
             raise ConfigurationError("at least one qubit is required")
+
+
+def _axis_grid(lo, hi, n) -> np.ndarray:
+    """np.linspace(lo, hi, n) over a finite lo < hi with n >= 2 points."""
+    lo, hi, n = float(lo), float(hi), int(n)
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigurationError(f"grid needs finite lo < hi, got ({lo}, {hi})")
+    if n < 2:
+        raise ConfigurationError(f"grid needs >= 2 points, got {n}")
+    return np.linspace(lo, hi, n)
 
 
 def exact_spectrum(system, dims=None, n_levels: int = 6) -> Spectrum:
@@ -115,9 +121,9 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     the system's beta_c and zeta_c.  "LA"/"LN" keep the quadratic expansion
     about the bias point with analytic respectively numeric derivatives
     (LN's E_g and derivatives come from one LN_BASIS-state coupler
-    solve); non-finite derivative inputs yield an all-NaN spectrum
-    flagged in metadata rather than an exception, so sweeps can display
-    breakdown regions.
+    solve).  The parameter types admit only finite inputs, and for them
+    LA's d1 and d2 are finite (1 - beta_c cos chi >= 1 - beta_c > 0) and
+    LN's solve runs only behind a certified gap.
     """
     if theory not in ("NA", "LA", "LN"):
         raise ConfigurationError(f"unknown reduced theory {theory!r}")
@@ -162,11 +168,6 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
         else:
             cp = CouplerParams(beta_c=system.beta_c, zeta_c=system.zeta_c)
             const, d1, d2 = _ground_energy_derivs(cp, phi_eff, LN_BASIS)
-        if not all(map(math.isfinite, (d1, d2, const))):
-            return Spectrum(
-                np.full(n_levels, np.nan),
-                metadata={"theory": theory, "non_finite": True, "dims": dims},
-            )
         potential = potential + e_ltc * (float(const) - d1 * flux + 0.5 * d2 * flux**2)
         meta = {"d1": float(d1), "d2": float(d2)}
 
@@ -199,11 +200,8 @@ class SweepSpec:
                 f"axis must be one of {SWEEP_AXES}, got {self.axis!r}"
             )
         lo, hi, n = self.range
-        if not lo < hi:
-            raise ConfigurationError(f"range needs lo < hi, got ({lo}, {hi})")
-        if int(n) < 2:
-            raise ConfigurationError(f"n_points must be >= 2, got {n}")
         object.__setattr__(self, "range", (float(lo), float(hi), int(n)))
+        _axis_grid(*self.range)  # raises for a range that gives no grid
         if self.n_levels < 2:
             raise ConfigurationError(f"n_levels must be >= 2, got {self.n_levels}")
         bad = set(self.theories) - set(THEORIES)
@@ -213,8 +211,7 @@ class SweepSpec:
 
     @property
     def values(self) -> np.ndarray:
-        lo, hi, n = self.range
-        return np.linspace(lo, hi, n)
+        return _axis_grid(*self.range)
 
 
 @dataclass(frozen=True)
@@ -223,9 +220,8 @@ class SweepResult:
 
     Each record's meta maps a theory to its solver diagnostics: solver,
     dim, basis and matvecs (iterative solves), sectors (sector labels and
-    dims and the sector of each level, from either solver), max_residual,
-    non_finite and, for NA, the series' mu_max.  Timings stay out of the
-    records.
+    dims and the sector of each level, from either solver), max_residual
+    and, for NA, the series' mu_max.  Timings stay out of the records.
     """
 
     spec: SweepSpec
@@ -276,10 +272,9 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
                                 nu_max=spec.nu_max)
             record["energies"][theory] = tuple(float(v) for v in s.eigenvalues)
             record["excitations"][theory] = tuple(float(v) for v in s.excitations)
-            keep = ("solver", "dim", "basis", "matvecs", "sectors", "non_finite", "mu_max")
+            keep = ("solver", "dim", "basis", "matvecs", "sectors", "mu_max")
             meta = {key: s.metadata[key] for key in keep if key in s.metadata}
-            if "residuals" in s.metadata:
-                meta["max_residual"] = float(np.max(s.metadata["residuals"]))
+            meta["max_residual"] = float(np.max(s.metadata["residuals"]))
             record["meta"][theory] = meta
         except Exception as exc:
             record["errors"][theory] = f"{type(exc).__name__}: {exc}"
@@ -324,15 +319,10 @@ def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
     point.  Each table equals ``couplings`` at its bias bitwise, and a
     resonance warns once per scan.
     """
-    lo, hi, n = phi_cx_range
-    if not lo < hi:
-        raise ConfigurationError(f"phi_cx range needs lo < hi, got ({lo}, {hi})")
-    if int(n) < 2:
-        raise ConfigurationError(f"phi_cx grid needs >= 2 points, got {n}")
+    grid = _axis_grid(*phi_cx_range)
     series = b_coeffs(system.beta_c, system.zeta_c, nu_max)
     subs = [qubit_subspace(q, n_basis=n_basis) for q in system.qubits]
     alphas = [q.alpha_j for q in system.qubits]
-    grid = np.linspace(float(lo), float(hi), int(n))
     tables = tuple(_coupling_tables(series, subs, alphas, grid.tolist(), labels,
                                     system.e_ltc))
     meta = {

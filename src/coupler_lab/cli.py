@@ -75,7 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import CouplerSystem, SweepSpec, coupling_scan, sweep
+from .bench import THEORIES, CouplerSystem, SweepSpec, _axis_grid, coupling_scan, sweep
 from .coupler import (
     CouplerParams,
     b_coeffs,
@@ -117,14 +117,6 @@ _COUPLER_DIMLESS = ("beta_c", "zeta_c", "e_ltc")
 _COUPLER_PHYSICAL = ("l_c", "c", "i_c")
 _QUBIT_DIMLESS = ("beta_j", "zeta_j", "alpha_j", "e_lj")
 _QUBIT_PHYSICAL = ("l_j", "c_j", "i_j", "m_j")
-
-_NUMERIC_DEFAULTS = {
-    "nu_max": 100,
-    "n_basis": 60,
-    "n_levels": 4,
-    "dims": None,
-    "bo_dims": None,
-}
 
 
 # ------------------------------------------------------- unit conversion
@@ -258,17 +250,75 @@ def _check_style(name: str, present: dict, dimless_keys, physical_keys):
     return "dimensionless"
 
 
-def _parse_int_list(text: str):
+def _count(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive(text) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _int_list(text) -> tuple:
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+def _names(text) -> tuple:
+    return tuple(t.strip() for t in text.split(","))
+
+
+def _labels(text):
+    labels = [t.strip() for t in text.split(",")]
+    return "all" if labels == ["all"] else labels
+
+
+# each section's keys as (parser, default); a default of ... marks a required key
+_SECTIONS = {
+    "numerics": {"nu_max": (_count, 100), "n_basis": (_count, 60), "n_levels": (_count, 4),
+                 "dims": (_int_list, None), "bo_dims": (_int_list, None)},
+    "units": {"e_l1_ghz": (_positive, None)},
+    "sweep": {"axis": (str, ...), "lo": (float, ...), "hi": (float, ...),
+              "n_points": (int, ...), "theories": (_names, THEORIES), "n_levels": (int, None)},
+    "scan": {"labels": (_labels, "all"), "lo": (float, 0.0), "hi": (float, 0.5),
+             "n_points": (int, 41)},
+}
+
+
+def _parse(section: str, key: str, text):
+    """The value of one key, read by its parser in _SECTIONS."""
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return _SECTIONS[section][key][0](text)
     except ValueError as exc:
-        raise ConfigurationError(f"bad integer list {text!r}") from exc
+        raise ConfigurationError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+def _read_section(parser, name: str, **defaults) -> dict:
+    """Every key of section name, parsed or defaulted; defaults override the table's."""
+    sec = parser[name] if parser.has_section(name) else {}
+    out = {}
+    for key, (_, default) in _SECTIONS[name].items():
+        default = defaults.get(key, default)
+        if key in sec:
+            out[key] = _parse(name, key, sec[key])
+        elif default is ...:
+            raise ConfigurationError(f"[{name}] needs {key}")
+        else:
+            out[key] = default
+    return out
 
 
 def load_config(path) -> SystemConfig:
     """Read and validate an INI config; see the module docstring."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file: {exc}") from exc
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     if not parser.has_section("meta") or parser.get("meta", "schema", fallback=None) is None:
@@ -341,76 +391,23 @@ def load_config(path) -> SystemConfig:
         phi_cx=TWO_PI * coupler_vals.get("phi_cx", 0.0),
     )
 
-    numerics = dict(_NUMERIC_DEFAULTS)
-    if parser.has_section("numerics"):
-        sec = parser["numerics"]
-        for key in ("nu_max", "n_basis", "n_levels"):
-            if key in sec:
-                numerics[key] = sec.getint(key)
-        for key in ("dims", "bo_dims"):
-            if key in sec:
-                numerics[key] = _parse_int_list(sec[key])
-    for key in ("nu_max", "n_basis", "n_levels"):
-        if numerics[key] < 1:
-            raise ConfigurationError(f"numerics {key} must be >= 1, got {numerics[key]}")
-
-    units = {}
-    if parser.has_section("units") and "e_l1_ghz" in parser["units"]:
-        ghz = parser.getfloat("units", "e_l1_ghz")
-        if ghz <= 0.0:
-            raise ConfigurationError(f"e_l1_ghz must be positive, got {ghz}")
-        units["e_l1_ghz"] = ghz
+    numerics = _read_section(parser, "numerics")
+    ghz = _read_section(parser, "units")["e_l1_ghz"]
     if style == "physical":
         derived_ghz = derived["e_l1_joule"] / PLANCK / 1e9
-        stated = units.get("e_l1_ghz")
-        if stated is not None and abs(stated - derived_ghz) > 1e-6 * derived_ghz:
+        if ghz is not None and abs(ghz - derived_ghz) > 1e-6 * derived_ghz:
             raise ConfigurationError(
-                f"[units] e_l1_ghz = {stated:g} conflicts with the physical "
+                f"[units] e_l1_ghz = {ghz:g} conflicts with the physical "
                 f"parameters ({derived_ghz:g} GHz)"
             )
-        units["e_l1_ghz"] = derived_ghz
-
-    sweep_cfg = None
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        try:
-            sweep_cfg = {
-                "axis": sec.get("axis"),
-                "lo": sec.getfloat("lo"),
-                "hi": sec.getfloat("hi"),
-                "n_points": sec.getint("n_points"),
-                "theories": tuple(
-                    t.strip() for t in sec.get("theories", "exact,NA,LA,LN").split(",")
-                ),
-                "n_levels": sec.getint("n_levels", numerics["n_levels"]),
-            }
-        except ValueError as exc:
-            raise ConfigurationError(f"bad [sweep] value: {exc}") from exc
-        for key in ("axis", "lo", "hi", "n_points"):
-            if sweep_cfg[key] is None:
-                raise ConfigurationError(f"[sweep] needs {key}")
-
-    scan_cfg = None
-    if parser.has_section("scan"):
-        sec = parser["scan"]
-        try:
-            scan_cfg = {
-                "labels": [t.strip() for t in sec.get("labels", "all").split(",")],
-                "lo": sec.getfloat("lo", 0.0),
-                "hi": sec.getfloat("hi", 0.5),
-                "n_points": sec.getint("n_points", 41),
-            }
-        except ValueError as exc:
-            raise ConfigurationError(f"bad [scan] value: {exc}") from exc
-        if scan_cfg["labels"] == ["all"]:
-            scan_cfg["labels"] = "all"
-
+        ghz = derived_ghz
     return SystemConfig(
         system=system,
         numerics=numerics,
-        units=units,
-        sweep=sweep_cfg,
-        scan=scan_cfg,
+        units={} if ghz is None else {"e_l1_ghz": ghz},
+        sweep=(_read_section(parser, "sweep", n_levels=numerics["n_levels"])
+               if parser.has_section("sweep") else None),
+        scan=_read_section(parser, "scan") if parser.has_section("scan") else None,
         source=str(path),
     )
 
@@ -509,11 +506,7 @@ def _cmd_series(cfg, args):
 
 
 def _bias_grid(args) -> np.ndarray:
-    if not args.lo < args.hi:
-        raise ConfigurationError(f"grid needs lo < hi, got ({args.lo}, {args.hi})")
-    if args.n_grid < 2:
-        raise ConfigurationError(f"grid needs >= 2 points, got {args.n_grid}")
-    return TWO_PI * np.linspace(args.lo, args.hi, args.n_grid)
+    return TWO_PI * _axis_grid(args.lo, args.hi, args.n_grid)
 
 
 def _coupler_basis(cfg) -> int:
@@ -816,11 +809,9 @@ def _apply_overrides(cfg: SystemConfig, args) -> SystemConfig:
     numerics = dict(cfg.numerics)
     nu_max, dims = getattr(args, "nu_max", None), getattr(args, "dims", None)
     if nu_max is not None:
-        if nu_max < 1:
-            raise ConfigurationError(f"nu_max must be >= 1, got {nu_max}")
-        numerics["nu_max"] = nu_max
+        numerics["nu_max"] = _parse("numerics", "nu_max", nu_max)
     if dims is not None:
-        numerics["dims"] = _parse_int_list(dims)
+        numerics["dims"] = _parse("numerics", "dims", dims)
     return replace(cfg, numerics=numerics)
 
 

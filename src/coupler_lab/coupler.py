@@ -82,10 +82,10 @@ class CouplerParams:
             raise ConfigurationError(
                 f"beta_c must be in [0, 1) for a monostable coupler, got {self.beta_c}"
             )
-        if self.zeta_c <= 0.0:
-            raise ConfigurationError(f"zeta_c must be positive, got {self.zeta_c}")
-        if self.e_ltc <= 0.0:
-            raise ConfigurationError(f"e_ltc must be positive, got {self.e_ltc}")
+        for name in ("zeta_c", "e_ltc"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

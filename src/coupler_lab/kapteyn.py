@@ -210,7 +210,8 @@ def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray):
     The recurrence stops at order 0: rows nu < M collect the negative
     orders by reflection, J_{-m} = (-1)^m J_m, as order m passes.  Rows
     past the last one whose J_{nu-M}(x) is not _negligible are 0 and are
-    not run.
+    not run; row min(M, nu_max) has order nu - M <= 0, never negligible,
+    so at least one row runs.
 
     Against the per-mu ``jv`` sum, every row agrees to 2e-12 of
     sum_mu |c_mu| (|J_{nu-mu}| + |J_{nu+mu}|) wherever that sum exceeds
@@ -223,10 +224,8 @@ def _kapteyn_convolution(beta: float, nu_max: int, c: np.ndarray):
     kstar = np.maximum(np.floor(x), nu - m)
     j_star, diagonal = bessel_j(np.stack((kstar, nu)), x)
     live = np.flatnonzero(~_negligible(nu - m, x))
-    n = int(live[-1]) + 1 if len(live) else 0
+    n = int(live[-1]) + 1
     out = np.zeros(nu_max)
-    if n == 0:
-        return out, diagonal
     nu, x, kstar = nu[:n], x[:n], kstar[:n]
     e0 = int(np.max(_miller_start(nu + m, x) - nu))
     orders = np.arange(1.0 - n, n + e0 + 1)  # index i holds order i + 1 - n

@@ -76,12 +76,16 @@ class QubitParams:
     alpha_j: float = 0.0
 
     def __post_init__(self):
-        if self.beta_j < 0.0:
-            raise ConfigurationError(f"beta_j must be nonnegative, got {self.beta_j}")
-        if self.zeta_j <= 0.0:
-            raise ConfigurationError(f"zeta_j must be positive, got {self.zeta_j}")
-        if self.e_lj <= 0.0:
-            raise ConfigurationError(f"e_lj must be positive, got {self.e_lj}")
+        if not 0.0 <= self.beta_j < math.inf:
+            raise ConfigurationError(f"beta_j must be nonnegative and finite, got {self.beta_j}")
+        for name in ("zeta_j", "e_lj"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        for name in ("alpha_j", "phi_jx"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -271,7 +275,7 @@ def _coupling_tables(series: EgSeries, subs, alphas, phi_cxs, labels,
     for phi_cx in phi_cxs:
         totals = factors @ np.exp(1j * nus * phi_cx)
         worst = float(np.max(np.abs(totals.imag)))
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             raise NumericError(
                 "coupling table lost Hermiticity", {"imag_residue": worst}
             )

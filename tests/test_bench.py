@@ -196,17 +196,6 @@ def test_bo_rejects_nonpositive_dims(ref_system, theory, monkeypatch):
             bo_spectrum(theory, ref_system, dims=dims)
 
 
-def test_bo_non_finite_inputs_flagged(ref_system, monkeypatch):
-    import coupler_lab.bench as bench
-
-    monkeypatch.setattr(
-        bench, "eg_derivs_analytic", lambda *a: (float("inf"), float("inf"))
-    )
-    spec = bench.bo_spectrum("LA", ref_system, dims=(24, 24), n_levels=3)
-    assert spec.metadata["non_finite"]
-    assert np.all(np.isnan(spec.eigenvalues))
-
-
 # ------------------------------------------------------------------ sweep
 
 
@@ -231,9 +220,7 @@ def test_sweep_matches_single_points(ref_system):
             assert rec["energies"][theory] == tuple(float(v) for v in direct.eigenvalues)
 
 
-def test_sweep_records_solver_diagnostics(ref_system, monkeypatch):
-    import coupler_lab.bench as bench
-
+def test_sweep_records_solver_diagnostics(ref_system):
     spec = SweepSpec(
         axis="phi_cx",
         range=(0.0, 0.1, 2),
@@ -251,13 +238,6 @@ def test_sweep_records_solver_diagnostics(ref_system, monkeypatch):
         assert (exact["dim"], na["dim"]) == (144, 144)
         assert 0.0 <= exact["max_residual"] < 1e-10
         assert 0.0 <= na["max_residual"] < 1e-10
-    monkeypatch.setattr(
-        bench, "eg_derivs_analytic", lambda *a: (float("inf"), float("inf"))
-    )
-    nan_spec = SweepSpec(axis="phi_cx", range=(0.0, 0.1, 2), system=ref_system,
-                         theories=("LA",), n_levels=3, bo_dims=(12, 12))
-    for rec in sweep(nan_spec).points:
-        assert rec["meta"]["LA"] == {"non_finite": True}
 
 
 def test_sweep_records_iterative_matvecs(ref_system, monkeypatch):
@@ -345,6 +325,48 @@ def test_sweep_spec_validation(ref_system):
         SweepSpec(**{**good, "n_levels": 1})
     with pytest.raises(ConfigurationError):
         SweepSpec(**{**good, "theories": ("NA", "BO")})
+
+
+BAD_RANGES = [(1.0, 0.0, 3), (0.0, 1.0, 1), (math.nan, 1.0, 3), (0.0, math.nan, 3),
+              (0.0, math.inf, 3), (-math.inf, 0.0, 3)]
+
+
+@pytest.mark.parametrize("bad", BAD_RANGES)
+def test_axis_grids_share_one_check(ref_system, bad):
+    # a sweep range, a scan range and a CLI bias grid go through one check,
+    # which NaN and +-inf ends fail as a reversed range does
+    with pytest.raises(ConfigurationError, match="grid needs"):
+        SweepSpec(axis="phi_cx", range=bad, system=ref_system)
+    with pytest.raises(ConfigurationError, match="grid needs"):
+        coupling_scan(ref_system, ["xx"], bad)
+    from coupler_lab import cli
+
+    with pytest.raises(ConfigurationError, match="grid needs"):
+        cli._bias_grid(types.SimpleNamespace(lo=bad[0], hi=bad[1], n_grid=bad[2]))
+
+
+def test_axis_grid_is_linspace(ref_system):
+    spec = SweepSpec(axis="phi_cx", range=(0, 0.3, 7), system=ref_system)
+    assert spec.range == (0.0, 0.3, 7)
+    assert np.array_equal(spec.values, np.linspace(0.0, 0.3, 7))
+    assert np.array_equal(bench._axis_grid(0.1, 2.9, 5), np.linspace(0.1, 2.9, 5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parameter_types_reject_non_finite_fields(bad):
+    # each numeric field fails its own check at construction, so no NaN or
+    # infinity reaches a solve
+    coupler_fields = dict(beta_c=0.5, zeta_c=0.05, e_ltc=3.0)
+    for key in coupler_fields:
+        with pytest.raises(ConfigurationError, match=key):
+            CouplerParams(**{**coupler_fields, key: bad})
+    for key in (*coupler_fields, "phi_cx"):
+        with pytest.raises(ConfigurationError, match=key):
+            CouplerSystem(**{**coupler_fields, "phi_cx": 0.1, key: bad}, qubits=(REF_QUBIT,))
+    qubit_fields = dict(beta_j=1.05, zeta_j=0.05, e_lj=1.0, phi_jx=0.1, alpha_j=0.05)
+    for key in qubit_fields:
+        with pytest.raises(ConfigurationError, match=key):
+            QubitParams(**{**qubit_fields, key: bad})
 
 
 def test_system_validation():

@@ -1,5 +1,7 @@
 """Config parsing, unit conversion, and command-level CSV contracts."""
 
+import configparser
+import io
 import json
 import math
 import os
@@ -576,6 +578,74 @@ def test_sweep_missing_keys_rejected(tmp_path, capsys):
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert missing in err["message"]
+
+
+MALFORMED = {
+    "duplicate_section": DIMLESS_BODY + "\n[coupler]\nbeta_c = 0.5\n",
+    "duplicate_key": DIMLESS_BODY.replace("nu_max = 60", "nu_max = 60\nnu_max = 70"),
+    "key_before_section": None,
+    "percent_in_value": DIMLESS_BODY + "\n[scan]\nlabels = xx%zz\n",
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_malformed_config_exits_with_json_error(tmp_path, capsys, kind):
+    # configparser's own errors become the one JSON error line, not a traceback
+    if kind == "key_before_section":
+        path = tmp_path / "cfg.ini"
+        path.write_text("schema = 1\n[meta]\nschema = 1\n" + DIMLESS_BODY)
+    else:
+        path = write_config(tmp_path, MALFORMED[kind])
+    command = "scan" if kind == "percent_in_value" else "couplings"
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert (err["error"], err["exit_code"]) == ("ConfigurationError", EXIT_CONFIG)
+
+
+def edited_config(tmp_path, section, key, value):
+    """DIMLESS_BODY with section's key set to value (the section added if absent)."""
+    parser = configparser.ConfigParser()
+    parser.read_string(DIMLESS_BODY)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    text = io.StringIO()
+    parser.write(text)
+    return write_config(tmp_path, text.getvalue())
+
+
+NON_FINITE_KEYS = [("coupler", key) for key in ("beta_c", "zeta_c", "e_ltc", "phi_cx")] + [
+    ("qubit.2", key) for key in ("beta_j", "zeta_j", "alpha_j", "phi_jx", "e_lj")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_circuit_values_exit_config(tmp_path, capsys, value):
+    # NaN and +-inf in any numeric key of a dimensionless component fail the
+    # parameter types' checks: exit 1 with the JSON error, and no table
+    for section, key in NON_FINITE_KEYS:
+        path = edited_config(tmp_path, section, key, value)
+        with pytest.raises(ConfigurationError, match=key):
+            load_config(path)
+        assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = usage_error(capsys)
+        assert (err["error"], err["exit_code"]) == ("ConfigurationError", EXIT_CONFIG)
+        assert not (tmp_path / "couplings.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, text", [("numerics", "nu_max", "1OO"),
+                                                ("units", "e_l1_ghz", "abc"),
+                                                ("units", "e_l1_ghz", "nan"),
+                                                ("scan", "n_points", "4.5")])
+def test_bad_section_value_names_section_and_key(tmp_path, section, key, text):
+    with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key} = '{text}'"):
+        load_config(edited_config(tmp_path, section, key, text))
+
+
+def test_nu_max_flag_takes_the_numerics_check(ref_config, tmp_path, capsys):
+    assert run("series", ref_config, out=tmp_path, nu_max=0) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert err["error"] == "ConfigurationError"
+    assert "[numerics] nu_max" in err["message"]
 
 
 def usage_error(capsys):

@@ -1180,6 +1180,26 @@ class TestFoldedLanczos:
                 assert np.array_equal(dense, dense.T)
 
 
+    @pytest.mark.parametrize("dims, solver", [((4, 4, 4), "dense"), ((6, 6, 6), "lanczos")])
+    def test_three_generator_fold_row_reduces(self, dims, solver):
+        # x0 x1 x2 is odd under one reflection and even under two, so the group
+        # is {0, 011, 101, 110}; its second generator 101 holds the first's
+        # pivot, mode 0, and is reduced to 110, whose pivot is mode 1
+        kinetic = [oscillator._kinetic(w, d) for w, d in zip((0.7, 1.0, 1.3), dims)]
+        x0, x1, x2 = np.meshgrid(*(oscillator._grid(d)[0] for d in dims), indexing="ij")
+        op = TensorOperator(kinetic, 0.3 * x0 * x1 * x2 + 0.1 * (x0**2 + x1**4 + x2**2 / 2))
+        group = oscillator._symmetries(op)[0]
+        assert group == [0, 3, 5, 6]
+        _, pivots, sectors = oscillator._folded_sectors(op, group)
+        assert pivots == (0, 1)
+        assert [label for label, _, _ in sectors] == ["000", "100", "010", "110"]
+        spec = lowest_eigs(op, 6)
+        assert spec.metadata["solver"] == solver
+        assert spec.metadata["sectors"]["dims"] == (op.size // 4,) * 4
+        want = np.linalg.eigvalsh(op.to_dense())[:6]
+        np.testing.assert_allclose(spec.eigenvalues, want, rtol=0, atol=1e-12)
+
+
 def old_dense_lowest(h, m):
     # the single full eigh every dense solve ran before the sector split
     vals, vecs = np.linalg.eigh(h)

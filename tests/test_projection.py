@@ -22,7 +22,7 @@ from coupler_lab.coupler import (
     eg_derivs_numeric,
     eg_eval,
 )
-from coupler_lab.errors import ConfigurationError
+from coupler_lab.errors import ConfigurationError, NumericError
 from coupler_lab.projection import (
     CouplingTable,
     QubitParams,
@@ -208,6 +208,14 @@ def test_couplings_residue_tracked(ref_series, ref_sub):
     tab = couplings(ref_series, [ref_sub, ref_sub], [0.05, 0.05], 0.3)
     assert tab.metadata["imag_residue"] < 1e-10
     assert tab.metadata["theory"] == "NA"
+
+
+def test_couplings_nan_bias_fails_the_hermiticity_gate(ref_series, ref_sub):
+    # a NaN bias makes every total NaN, which the gate rejects as it does a
+    # residue above 1e-10
+    with pytest.raises(NumericError, match="lost Hermiticity") as err:
+        couplings(ref_series, [ref_sub, ref_sub], [0.05, 0.05], math.nan)
+    assert math.isnan(err.value.details["imag_residue"])
 
 
 def test_couplings_validation(ref_series, ref_sub):
