@@ -807,11 +807,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: SystemConfig, args) -> SystemConfig:
     """cfg with the --nu-max and --dims flags, where the command takes them, applied."""
     numerics = dict(cfg.numerics)
-    nu_max, dims = getattr(args, "nu_max", None), getattr(args, "dims", None)
-    if nu_max is not None:
-        numerics["nu_max"] = _parse("numerics", "nu_max", nu_max)
-    if dims is not None:
-        numerics["dims"] = _parse("numerics", "dims", dims)
+    for flag, key in (("--nu-max", "nu_max"), ("--dims", "dims")):
+        text = getattr(args, key, None)
+        if text is not None:
+            try:
+                numerics[key] = _SECTIONS["numerics"][key][0](text)
+            except ValueError as exc:
+                raise ConfigurationError(f"{flag} = {text!r}: {exc}") from exc
     return replace(cfg, numerics=numerics)
 
 

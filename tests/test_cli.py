@@ -641,11 +641,16 @@ def test_bad_section_value_names_section_and_key(tmp_path, section, key, text):
         load_config(edited_config(tmp_path, section, key, text))
 
 
-def test_nu_max_flag_takes_the_numerics_check(ref_config, tmp_path, capsys):
-    assert run("series", ref_config, out=tmp_path, nu_max=0) == EXIT_CONFIG
+@pytest.mark.parametrize("command, flag, value, shown", [("series", "nu_max", 0, "--nu-max = 0: "),
+                                                          ("spectrum", "dims", "4,x",
+                                                           "--dims = '4,x': ")])
+def test_override_flags_take_the_numerics_check(ref_config, tmp_path, capsys,
+                                                command, flag, value, shown):
+    assert run(command, ref_config, out=tmp_path, **{flag: value}) == EXIT_CONFIG
     err = usage_error(capsys)
     assert err["error"] == "ConfigurationError"
-    assert "[numerics] nu_max" in err["message"]
+    # the error names the flag, not the file's key, whose value is valid
+    assert err["message"].startswith(shown)
 
 
 def usage_error(capsys):

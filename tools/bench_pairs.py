@@ -8,7 +8,7 @@ Usage, from anywhere:
 PARENT and CHANGE are checkouts of two commits (a ``git archive`` export of
 each works).  For every workload, pair k runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 in both checkouts on seed S = first seed + k, one run after another, the
 parent first on even k and the change first on odd k, so neither side
@@ -18,6 +18,8 @@ machine facts perfbench printed, and per workload and end-to-end metric
 the parent and change medians and quartiles, how many pairs the change
 was lower in, the median paired ratio change / parent and the relative
 change of the medians, with the failed operations and runs per side.
+The run length T, the workloads and the end-to-end metrics are those that
+BENCHMARK.json at the root of this repository declares.
 """
 
 import argparse
@@ -27,8 +29,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("reference_sweep", "strong_coupler_na", "cli_pipeline")
-METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
+METRICS = tuple(metric["name"] for metric in BENCHMARK["end_to_end"])
 SIDES = ("parent", "change")
 
 
@@ -42,11 +46,11 @@ def schedule(workloads, pairs: int, first_seed: int):
     return order
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+def run_once(checkout: Path, workload: str, seed: int):
     """perfbench's result line for one run (None if it printed none) and
     the machine facts it printed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
@@ -66,7 +70,7 @@ def _stats(values):
     return round(median, 6), round(q1, 6), round(q3, 6)
 
 
-def summarize(runs, metrics=METRICS) -> dict:
+def summarize(runs) -> dict:
     """Per workload (in run order) and metric, the paired statistics.
 
     A pair counts when both of its runs gave a result; runs without one
@@ -81,7 +85,7 @@ def summarize(runs, metrics=METRICS) -> dict:
         pairs = [(sides["parent"], sides["change"]) for sides in by_seed.values()
                  if sides.get("parent") and sides.get("change")]
         entry = {}
-        for metric in metrics:
+        for metric in METRICS:
             parent = [p["metrics"][metric]["value"] for p, _ in pairs]
             change = [c["metrics"][metric]["value"] for _, c in pairs]
             if len(pairs) < 2:
@@ -116,8 +120,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT",
                         help="a text field to add to the output; repeatable")
@@ -125,10 +127,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = tuple(args.workloads.split(","))
     runs, machine = [], None
-    for workload, seed, side in schedule(workloads, args.pairs, args.first_seed):
-        result, facts = run_once(checkouts[side], workload, seed, args.seconds)
+    for workload, seed, side in schedule(WORKLOADS, args.pairs, args.first_seed):
+        result, facts = run_once(checkouts[side], workload, seed)
         machine = machine or facts
         runs.append({"seed": seed, "workload": workload, "side": side, "result": result})
         print(f"{workload} seed {seed} {side}: "
@@ -136,11 +137,11 @@ def main(argv=None) -> int:
     last = args.first_seed + args.pairs - 1
     report = dict(note.split("=", 1) for note in args.note)
     report.update({
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS:g}"
                    " --trace 0, in each checkout",
         "pairs": f"{args.pairs} alternating pairs per workload on seeds {args.first_seed}-{last}"
                  " (parent first on even offsets from the first seed), run one after another,"
-                 f" the workloads in the order {', '.join(workloads)}",
+                 f" the workloads in the order {', '.join(WORKLOADS)}",
         "machine": machine,
         "source_lines": {"how": "non-blank lines of src/coupler_lab/*.py",
                          **{side: source_lines(path) for side, path in checkouts.items()}},
