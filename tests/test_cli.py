@@ -641,12 +641,13 @@ def test_bad_section_value_names_section_and_key(tmp_path, section, key, text):
         load_config(edited_config(tmp_path, section, key, text))
 
 
-@pytest.mark.parametrize("command, flag, value, shown", [("series", "nu_max", 0, "--nu-max = 0: "),
-                                                          ("spectrum", "dims", "4,x",
-                                                           "--dims = '4,x': ")])
+@pytest.mark.parametrize("command, key, value, shown",
+                         [("series", "nu_max", 0, "--nu-max = 0: "),
+                          ("spectrum", "dims", "4,x", "--dims = '4,x': ")],
+                         ids=["nu_max", "dims"])
 def test_override_flags_take_the_numerics_check(ref_config, tmp_path, capsys,
-                                                command, flag, value, shown):
-    assert run(command, ref_config, out=tmp_path, **{flag: value}) == EXIT_CONFIG
+                                                command, key, value, shown):
+    assert run(command, ref_config, out=tmp_path, **{key: value}) == EXIT_CONFIG
     err = usage_error(capsys)
     assert err["error"] == "ConfigurationError"
     # the error names the flag, not the file's key, whose value is valid
