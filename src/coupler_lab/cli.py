@@ -57,9 +57,16 @@ commands that build a series, ``--dims`` on spectrum only.  The series'
 convolution depth mu_max follows from beta_c (``b_coeffs``), and
 ``series``, ``eg``, ``couplings`` and ``scan`` echo it in the header.
 
+Every section is read through one table of keys, parsers and defaults
+(``_SECTIONS``, and ``_CIRCUIT`` per style for the coupler and qubits):
+a value its parser rejects names its section and key, a missing
+required key reads ``[section] needs key``, and keys the program does
+not read are ignored in every section.  ``couplings --labels`` parses
+as ``[scan] labels`` does, and ``series --n-grid`` needs >= 2 points.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric
 failure, 3 validation failure.  Errors print one machine-readable JSON
-object on stderr.  Keys the program does not read are ignored.
+object on stderr.
 """
 
 import argparse
@@ -113,11 +120,6 @@ EXIT_VALIDATION = 3
 
 SCHEMA_VERSION = 1
 
-_COUPLER_DIMLESS = ("beta_c", "zeta_c", "e_ltc")
-_COUPLER_PHYSICAL = ("l_c", "c", "i_c")
-_QUBIT_DIMLESS = ("beta_j", "zeta_j", "alpha_j", "e_lj")
-_QUBIT_PHYSICAL = ("l_j", "c_j", "i_j", "m_j")
-
 
 # ------------------------------------------------------- unit conversion
 
@@ -132,17 +134,18 @@ def from_physical(coupler: dict, qubits: list) -> dict:
     global energy unit.
     """
     phi_red = PHI_0 / TWO_PI
-    for key in _COUPLER_PHYSICAL:
-        if coupler.get(key, 0.0) <= 0.0:
-            raise ConfigurationError(f"coupler {key} must be positive")
-    out_qubits = []
-    alphas = []
-    for i, q in enumerate(qubits, start=1):
-        for key in ("l_j", "c_j", "i_j"):
-            if q.get(key, 0.0) <= 0.0:
-                raise ConfigurationError(f"qubit {i} {key} must be positive")
-        alphas.append(q.get("m_j", 0.0) / q["l_j"])
-    l_tilde = coupler["l_c"] - sum(a * q.get("m_j", 0.0) for a, q in zip(alphas, qubits))
+    positive = [(f"coupler {key}", coupler.get(key, 0.0)) for key in ("l_c", "c", "i_c")]
+    positive += [(f"qubit {i} {key}", q.get(key, 0.0))
+                 for i, q in enumerate(qubits, start=1) for key in ("l_j", "c_j", "i_j")]
+    for name, value in positive:
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+    mutuals = [q.get("m_j", 0.0) for q in qubits]
+    for i, m_j in enumerate(mutuals, start=1):
+        if not math.isfinite(m_j):
+            raise ConfigurationError(f"qubit {i} m_j must be finite, got {m_j}")
+    alphas = [m_j / q["l_j"] for m_j, q in zip(mutuals, qubits)]
+    l_tilde = coupler["l_c"] - sum(a * m_j for a, m_j in zip(alphas, mutuals))
     if l_tilde <= 0.0:
         raise ConfigurationError(
             "mutual inductances exceed the coupler inductance; the rescaled "
@@ -154,15 +157,15 @@ def from_physical(coupler: dict, qubits: list) -> dict:
             f"beta_c = {beta_c:g} violates the monostability condition beta_c < 1"
         )
     e_l = [phi_red**2 / q["l_j"] for q in qubits]
-    for i, (q, alpha) in enumerate(zip(qubits, alphas), start=1):
-        out_qubits.append(
-            {
-                "beta_j": TWO_PI * q["l_j"] * q["i_j"] / PHI_0,
-                "zeta_j": (TWO_PI * E_CHARGE / PHI_0) * math.sqrt(q["l_j"] / q["c_j"]),
-                "alpha_j": alpha,
-                "e_lj": e_l[i - 1] / e_l[0],
-            }
-        )
+    out_qubits = [
+        {
+            "beta_j": TWO_PI * q["l_j"] * q["i_j"] / PHI_0,
+            "zeta_j": (TWO_PI * E_CHARGE / PHI_0) * math.sqrt(q["l_j"] / q["c_j"]),
+            "alpha_j": alpha,
+            "e_lj": e_lj / e_l[0],
+        }
+        for q, alpha, e_lj in zip(qubits, alphas, e_l)
+    ]
     return {
         "beta_c": beta_c,
         "zeta_c": (TWO_PI * E_CHARGE / PHI_0) * math.sqrt(l_tilde / coupler["c"]),
@@ -222,34 +225,6 @@ class SystemConfig:
     source: str = ""
 
 
-def _section_floats(section) -> dict:
-    out = {}
-    for key in section:
-        try:
-            out[key] = float(section[key])
-        except ValueError as exc:
-            raise ConfigurationError(f"bad numeric value for {key!r}: {section[key]!r}") from exc
-    return out
-
-
-def _check_style(name: str, present: dict, dimless_keys, physical_keys):
-    has_dim = [k for k in dimless_keys if k in present]
-    has_phys = [k for k in physical_keys if k in present]
-    if has_dim and has_phys:
-        raise ConfigurationError(
-            f"{name} mixes dimensionless ({has_dim}) and physical ({has_phys}) "
-            "parameters; pick one style per component"
-        )
-    if not has_dim and not has_phys:
-        raise ConfigurationError(f"{name} has no recognizable parameters")
-    if has_phys:
-        missing = [k for k in physical_keys if k not in present and k != "m_j"]
-        if missing:
-            raise ConfigurationError(f"{name} physical parameterization misses {missing}")
-        return "physical"
-    return "dimensionless"
-
-
 def _count(text) -> int:
     value = int(text)
     if value < 1:
@@ -277,39 +252,62 @@ def _labels(text):
     return "all" if labels == ["all"] else labels
 
 
+def _floats(**defaults) -> dict:
+    return {key: (float, default) for key, default in defaults.items()}
+
+
 # each section's keys as (parser, default); a default of ... marks a required key
 _SECTIONS = {
+    "meta": {"schema": (int, ...)},
     "numerics": {"nu_max": (_count, 100), "n_basis": (_count, 60), "n_levels": (_count, 4),
                  "dims": (_int_list, None), "bo_dims": (_int_list, None)},
     "units": {"e_l1_ghz": (_positive, None)},
     "sweep": {"axis": (str, ...), "lo": (float, ...), "hi": (float, ...),
-              "n_points": (int, ...), "theories": (_names, THEORIES), "n_levels": (int, None)},
+              "n_points": (int, ...), "theories": (_names, THEORIES)},
     "scan": {"labels": (_labels, "all"), "lo": (float, 0.0), "hi": (float, 0.5),
              "n_points": (int, 41)},
 }
 
+# the circuit sections' keys per style, then the bias key that either style reads
+_CIRCUIT = {
+    "coupler": ({"dimensionless": _floats(beta_c=..., zeta_c=..., e_ltc=1.0),
+                 "physical": _floats(l_c=..., c=..., i_c=...)}, "phi_cx"),
+    "qubit": ({"dimensionless": _floats(beta_j=..., zeta_j=..., alpha_j=0.0, e_lj=1.0),
+               "physical": _floats(l_j=..., c_j=..., i_j=..., m_j=0.0)}, "phi_jx"),
+}
 
-def _parse(section: str, key: str, text):
-    """The value of one key, read by its parser in _SECTIONS."""
-    try:
-        return _SECTIONS[section][key][0](text)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {key} = {text!r}: {exc}") from exc
 
-
-def _read_section(parser, name: str, **defaults) -> dict:
-    """Every key of section name, parsed or defaulted; defaults override the table's."""
+def _read(parser, name: str, table: dict) -> dict:
+    """Every key of table in section name, parsed or defaulted; other keys are ignored."""
     sec = parser[name] if parser.has_section(name) else {}
     out = {}
-    for key, (_, default) in _SECTIONS[name].items():
-        default = defaults.get(key, default)
+    for key, (parse, default) in table.items():
         if key in sec:
-            out[key] = _parse(name, key, sec[key])
+            try:
+                out[key] = parse(sec[key])
+            except ValueError as exc:
+                raise ConfigurationError(f"[{name}] {key} = {sec[key]!r}: {exc}") from exc
         elif default is ...:
             raise ConfigurationError(f"[{name}] needs {key}")
         else:
             out[key] = default
     return out
+
+
+def _read_circuit(parser, name: str, kind: str):
+    """(style, values) of circuit section name: the keys of the one style it holds."""
+    styles, bias = _CIRCUIT[kind]
+    held = {style: [key for key in table if key in parser[name]]
+            for style, table in styles.items()}
+    if all(held.values()):
+        raise ConfigurationError(
+            f"[{name}] mixes dimensionless ({held['dimensionless']}) and physical "
+            f"({held['physical']}) parameters; pick one style per component"
+        )
+    style = next((style for style, keys in held.items() if keys), None)
+    if style is None:
+        raise ConfigurationError(f"[{name}] has no recognizable parameters")
+    return style, _read(parser, name, {**styles[style], bias: (float, 0.0)})
 
 
 def load_config(path) -> SystemConfig:
@@ -321,9 +319,7 @@ def load_config(path) -> SystemConfig:
         raise ConfigurationError(f"malformed config file: {exc}") from exc
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
-    if not parser.has_section("meta") or parser.get("meta", "schema", fallback=None) is None:
-        raise ConfigurationError("config needs a [meta] section with schema = 1")
-    schema = parser.getint("meta", "schema")
+    schema = _read(parser, "meta", _SECTIONS["meta"])["schema"]
     if schema != SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported schema {schema}, expected {SCHEMA_VERSION}")
     if not parser.has_section("coupler"):
@@ -341,58 +337,36 @@ def load_config(path) -> SystemConfig:
     if not qubit_sections:
         raise ConfigurationError("config needs at least one [qubit.N] section")
 
-    coupler_vals = _section_floats(parser["coupler"])
-    qubit_vals = [_section_floats(parser[name]) for _, name in qubit_sections]
-
-    style = _check_style("[coupler]", coupler_vals, _COUPLER_DIMLESS, _COUPLER_PHYSICAL)
-    for (idx, name), vals in zip(qubit_sections, qubit_vals):
-        q_style = _check_style(f"[{name}]", vals, _QUBIT_DIMLESS, _QUBIT_PHYSICAL)
+    style, coupler_vals = _read_circuit(parser, "coupler", "coupler")
+    qubit_vals = []
+    for _, name in qubit_sections:
+        q_style, vals = _read_circuit(parser, name, "qubit")
         if q_style != style:
             raise ConfigurationError(
                 f"[{name}] is {q_style} while [coupler] is {style}; the whole "
                 "circuit must use one parameterization"
             )
+        qubit_vals.append(vals)
 
     if style == "physical":
         # dimensionless values (the first e_lj is E_L1 / E_L1 = 1), biases as given
         derived = from_physical(coupler_vals, qubit_vals)
-        coupler_vals = {**derived, "phi_cx": coupler_vals.get("phi_cx", 0.0)}
-        qubit_vals = [{**dq, "phi_jx": vals.get("phi_jx", 0.0)}
+        coupler_vals = {**derived, "phi_cx": coupler_vals["phi_cx"]}
+        qubit_vals = [{**dq, "phi_jx": vals["phi_jx"]}
                       for vals, dq in zip(qubit_vals, derived["qubits"])]
-
-    missing = [k for k in ("beta_c", "zeta_c") if k not in coupler_vals]
-    if missing:
-        raise ConfigurationError(f"[coupler] misses {missing}")
-    qubit_params = []
-    for (idx, name), vals in zip(qubit_sections, qubit_vals):
-        missing = [k for k in ("beta_j", "zeta_j") if k not in vals]
-        if missing:
-            raise ConfigurationError(f"[{name}] misses {missing}")
-        e_lj = vals.get("e_lj", 1.0)
-        if idx == qubit_sections[0][0] and e_lj != 1.0:
-            raise ConfigurationError(
-                "the first qubit defines the energy unit; its e_lj must be 1"
-            )
-        qubit_params.append(
-            QubitParams(
-                beta_j=vals["beta_j"],
-                zeta_j=vals["zeta_j"],
-                e_lj=e_lj,
-                alpha_j=vals.get("alpha_j", 0.0),
-                phi_jx=TWO_PI * vals.get("phi_jx", 0.0),
-            )
-        )
-
+    if qubit_vals[0]["e_lj"] != 1.0:
+        raise ConfigurationError("the first qubit defines the energy unit; its e_lj must be 1")
     system = CouplerSystem(
         beta_c=coupler_vals["beta_c"],
         zeta_c=coupler_vals["zeta_c"],
-        qubits=tuple(qubit_params),
-        e_ltc=coupler_vals.get("e_ltc", 1.0),
-        phi_cx=TWO_PI * coupler_vals.get("phi_cx", 0.0),
+        qubits=tuple(QubitParams(**{**vals, "phi_jx": TWO_PI * vals["phi_jx"]})
+                     for vals in qubit_vals),
+        e_ltc=coupler_vals["e_ltc"],
+        phi_cx=TWO_PI * coupler_vals["phi_cx"],
     )
 
-    numerics = _read_section(parser, "numerics")
-    ghz = _read_section(parser, "units")["e_l1_ghz"]
+    numerics = _read(parser, "numerics", _SECTIONS["numerics"])
+    ghz = _read(parser, "units", _SECTIONS["units"])["e_l1_ghz"]
     if style == "physical":
         derived_ghz = derived["e_l1_joule"] / PLANCK / 1e9
         if ghz is not None and abs(ghz - derived_ghz) > 1e-6 * derived_ghz:
@@ -401,13 +375,14 @@ def load_config(path) -> SystemConfig:
                 f"parameters ({derived_ghz:g} GHz)"
             )
         ghz = derived_ghz
+    # [sweep] n_levels defaults to [numerics]'s
+    sweep_keys = {**_SECTIONS["sweep"], "n_levels": (int, numerics["n_levels"])}
     return SystemConfig(
         system=system,
         numerics=numerics,
         units={} if ghz is None else {"e_l1_ghz": ghz},
-        sweep=(_read_section(parser, "sweep", n_levels=numerics["n_levels"])
-               if parser.has_section("sweep") else None),
-        scan=_read_section(parser, "scan") if parser.has_section("scan") else None,
+        sweep=_read(parser, "sweep", sweep_keys) if parser.has_section("sweep") else None,
+        scan=_read(parser, "scan", _SECTIONS["scan"]) if parser.has_section("scan") else None,
         source=str(path),
     )
 
@@ -486,7 +461,7 @@ def _cmd_series(cfg, args):
     """
     beta, zeta = cfg.system.beta_c, cfg.system.zeta_c
     nu_max = cfg.numerics["nu_max"]
-    phi = np.linspace(0.0, TWO_PI, args.n_grid)
+    phi = _axis_grid(0.0, TWO_PI, args.n_grid)
     profile = {
         "phi_over_2pi": phi / TWO_PI,
         "phi": phi,
@@ -578,8 +553,8 @@ def _cmd_couplings(cfg, args):
     series = b_coeffs(system.beta_c, system.zeta_c, cfg.numerics["nu_max"])
     subs = [qubit_subspace(q, n_basis=cfg.numerics["n_basis"]) for q in system.qubits]
     alphas = [q.alpha_j for q in system.qubits]
-    labels = "all" if args.labels is None else [s.strip() for s in args.labels.split(",")]
-    table = couplings(series, subs, alphas, system.phi_cx, labels=labels, e_ltc=system.e_ltc)
+    table = couplings(series, subs, alphas, system.phi_cx, labels=args.labels,
+                      e_ltc=system.e_ltc)
     names = list(table.labels)
     columns = {"label": names}
     _energy(cfg, columns, "value_el1", np.asarray([table[k] for k in names]), "value_mhz")
@@ -791,7 +766,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hi", type=float, default=0.5, help="grid end, units of 2*pi")
         p.add_argument("--n-grid", type=int, default=201)
     p = add("couplings")
-    p.add_argument("--labels", default=None, help="comma-separated label strings")
+    p.add_argument("--labels", type=_labels, default="all",
+                   help="comma-separated label strings, or all (the default)")
     p.add_argument("--pc-basis", action="store_true",
                    help="add persistent-current-basis label names (x and z swap)")
     p = add("spectrum")

@@ -238,8 +238,10 @@ class NormalModeSystem:
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         object.__setattr__(self, "displacements", np.asarray(self.displacements, dtype=float))
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
-        if np.any(self.freqs <= 0.0):
-            raise ConfigurationError("mode frequencies must be positive")
+        if not np.all((0.0 < self.freqs) & (self.freqs < np.inf)):
+            raise ConfigurationError("mode frequencies must be positive and finite")
+        if not (np.isfinite(self.displacements).all() and np.isfinite(self.amplitudes).all()):
+            raise ConfigurationError("mode displacements and amplitudes must be finite")
         if np.any(np.diff(self.freqs) < 0.0):
             raise ConfigurationError("mode frequencies must be sorted ascending")
         n_terms, n_modes = self.displacements.shape
@@ -273,16 +275,18 @@ def normal_modes(system, dims=None) -> NormalModeSystem:
     qubits = list(system.qubits)
     e_ltc = float(system.e_ltc)
     zeta_c = float(system.zeta_c)
-    if e_ltc <= 0.0 or zeta_c <= 0.0:
-        raise ConfigurationError("coupler energies must be positive")
+    if not (0.0 < e_ltc < math.inf and 0.0 < zeta_c < math.inf):
+        raise ConfigurationError("coupler energies must be positive and finite")
     n = len(qubits) + 1
     kinetic = np.zeros(n)
     stiff = np.zeros((n, n))
     kinetic[0] = 4.0 * zeta_c**2 * e_ltc
     stiff[0, 0] = e_ltc
     for i, q in enumerate(qubits, start=1):
-        if q.e_lj <= 0.0 or q.zeta_j <= 0.0:
-            raise ConfigurationError(f"qubit {i} energies must be positive")
+        if not (0.0 < q.e_lj < math.inf and 0.0 < q.zeta_j < math.inf):
+            raise ConfigurationError(f"qubit {i} energies must be positive and finite")
+        if not math.isfinite(q.alpha_j):
+            raise ConfigurationError(f"qubit {i} alpha_j must be finite")
         kinetic[i] = 4.0 * q.zeta_j**2 * q.e_lj
         stiff[0, i] = stiff[i, 0] = e_ltc * q.alpha_j
         for i2, q2 in enumerate(qubits, start=1):

@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 PAULI_LABELS = "Ixyz"
+# relative distance of E_2 - E_0 from a sum of two splittings that counts as a resonance
+_RESONANCE_WINDOW = 0.02
 
 
 class ResonanceWarning(UserWarning):
@@ -215,8 +217,8 @@ def _expand_labels(labels, n_qubits: int):
     return out
 
 
-def resonance_check(subs, window: float = 0.02):
-    """Detect E_2-E_0 of one qubit near a sum of two other splittings.
+def resonance_check(subs):
+    """Detect E_2-E_0 of one qubit within 2% of a sum of two other splittings.
 
     Such accidental degeneracies undermine the independent two-level
     reductions; they are reported, not corrected.
@@ -231,7 +233,7 @@ def resonance_check(subs, window: float = 0.02):
         others = [j for j in range(len(subs)) if j != i]
         for j, k in itertools.combinations_with_replacement(others, 2):
             target = e10[j] + e10[k]
-            if abs(gap - target) <= window * gap:
+            if abs(gap - target) <= _RESONANCE_WINDOW * gap:
                 hits.append({"qubit": i, "pair": (j, k), "e20": gap, "sum": target})
     return hits
 

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the run order and the summary of synthetic runs."""
 
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -45,11 +46,23 @@ def test_summary_of_synthetic_runs():
     assert wall["change_lower_in_pairs"] == "3/5"
     # paired ratios 0.9, 1.1, 0.9, 0.9, 1.1
     assert wall["median_paired_ratio"] == 0.9
+    lo, hi = wall["median_paired_ratio_ci95"]
+    assert 0.9 <= lo <= wall["median_paired_ratio"] <= hi <= 1.1
+    assert entry["peak_rss_mb"]["median_paired_ratio_ci95"] == [1.0, 1.0]
     assert wall["relative_change"] == pytest.approx(2.7 / 3.0 - 1.0, abs=1e-6)
     assert entry["setup_s"]["change_lower_in_pairs"] == "0/5"
     assert entry["peak_rss_mb"]["median_paired_ratio"] == 1.0
     assert entry["failed_operations"] == {"parent": 0, "change": 1}
     assert entry["failed_runs"] == {"parent": 1, "change": 1}
+
+
+def test_bootstrap_interval_is_deterministic_and_holds_the_median():
+    ratios = [0.93, 1.02, 0.97, 1.10, 0.99, 1.04, 0.95, 1.01, 0.98, 1.06, 0.96]
+    lo, hi = bench_pairs.bootstrap_interval(ratios)
+    assert lo < round(statistics.median(ratios), 4) < hi
+    assert min(ratios) <= lo and hi <= max(ratios)
+    assert bench_pairs.bootstrap_interval(ratios) == [lo, hi]
+    assert bench_pairs.bootstrap_interval([1.0] * 10) == [1.0, 1.0]
 
 
 def test_source_lines_count_non_blank_lines(tmp_path):

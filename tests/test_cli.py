@@ -1,7 +1,6 @@
 """Config parsing, unit conversion, and command-level CSV contracts."""
 
 import configparser
-import io
 import json
 import math
 import os
@@ -603,15 +602,17 @@ def test_malformed_config_exits_with_json_error(tmp_path, capsys, kind):
 
 
 def edited_config(tmp_path, section, key, value):
-    """DIMLESS_BODY with section's key set to value (the section added if absent)."""
+    """The [meta] section and DIMLESS_BODY, with section's key set to value
+    (the section added if absent)."""
     parser = configparser.ConfigParser()
-    parser.read_string(DIMLESS_BODY)
+    parser.read_string("[meta]\nschema = 1\n" + DIMLESS_BODY)
     if not parser.has_section(section):
         parser.add_section(section)
     parser[section][key] = value
-    text = io.StringIO()
-    parser.write(text)
-    return write_config(tmp_path, text.getvalue())
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
 
 
 NON_FINITE_KEYS = [("coupler", key) for key in ("beta_c", "zeta_c", "e_ltc", "phi_cx")] + [
@@ -635,10 +636,122 @@ def test_non_finite_circuit_values_exit_config(tmp_path, capsys, value):
 @pytest.mark.parametrize("section, key, text", [("numerics", "nu_max", "1OO"),
                                                 ("units", "e_l1_ghz", "abc"),
                                                 ("units", "e_l1_ghz", "nan"),
-                                                ("scan", "n_points", "4.5")])
+                                                ("scan", "n_points", "4.5"),
+                                                ("meta", "schema", "x"),
+                                                ("coupler", "beta_c", "abc"),
+                                                ("qubit.2", "beta_j", "abc")])
 def test_bad_section_value_names_section_and_key(tmp_path, section, key, text):
     with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key} = '{text}'"):
         load_config(edited_config(tmp_path, section, key, text))
+
+
+def test_bad_schema_exits_with_one_json_error(tmp_path, capsys):
+    path = edited_config(tmp_path, "meta", "schema", "x")
+    assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"].startswith("[meta] schema = 'x': ")
+
+
+@pytest.mark.parametrize("section, key", [("meta", "note"), ("coupler", "note"),
+                                          ("qubit.2", "note"), ("numerics", "mu_max")])
+def test_unknown_key_is_ignored(tmp_path, capsys, section, key):
+    # the CSV bytes match those of the same config without the key, apart
+    # from the header line that names the config file
+    tables = []
+    for name, value in (("plain", None), ("extra", "strong coupler")):
+        out = tmp_path / name
+        out.mkdir()
+        path = (edited_config(out, section, key, value) if value
+                else write_config(out, DIMLESS_BODY))
+        assert run("couplings", path, out=out) == EXIT_OK
+        lines = (out / "couplings.csv").read_text().splitlines()
+        tables.append([line for line in lines if not line.startswith("# config=")])
+    assert tables[0] == tables[1]
+
+
+def physical_body(edit=None):
+    """A two-qubit physical config body, one (section, key, value) edit applied."""
+    phys = to_physical(0.5, 0.05, 3.0, REF_QUBITS, l_1=1e-9)
+    sections = {"coupler": phys["coupler"]}
+    sections.update({f"qubit.{i}": q for i, q in enumerate(phys["qubits"], start=1)})
+    if edit:
+        section, key, value = edit
+        sections[section] = {**sections[section], key: value}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+                   for name, values in sections.items())
+
+
+@pytest.mark.parametrize("section, key, shown", [
+    ("coupler", "l_c", "coupler l_c "), ("coupler", "c", "coupler c "),
+    ("coupler", "i_c", "coupler i_c "), ("qubit.2", "l_j", "qubit 2 l_j "),
+    ("qubit.2", "c_j", "qubit 2 c_j "), ("qubit.2", "i_j", "qubit 2 i_j "),
+    ("qubit.2", "m_j", "qubit 2 m_j ")])
+def test_nan_physical_value_names_its_key(tmp_path, capsys, section, key, shown):
+    assert load_config(write_config(tmp_path, physical_body())).system.beta_c > 0.0
+    path = write_config(tmp_path, physical_body((section, key, "nan")))
+    assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"].startswith(shown) and "beta_c" not in err["message"]
+
+
+META = "[meta]\nschema = 1\n"
+MISSING_KEY = {
+    "dimensionless_coupler": (META + DIMLESS_BODY.replace("zeta_c = 0.05\n", ""),
+                              "[coupler] needs zeta_c"),
+    "dimensionless_qubit": (META + DIMLESS_BODY.replace("beta_j = 1.05\n", "", 1),
+                            "[qubit.1] needs beta_j"),
+    "physical_coupler": (META + physical_body().replace("\nc = ", "\nunused = "),
+                         "[coupler] needs c"),
+    "physical_qubit": (META + physical_body().replace("i_j = ", "unused = "),
+                       "[qubit.1] needs i_j"),
+    "schema": (DIMLESS_BODY, "[meta] needs schema"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_KEY)
+def test_missing_required_key_is_named(tmp_path, case):
+    text, shown = MISSING_KEY[case]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as info:
+        load_config(path)
+    assert str(info.value) == shown
+
+
+def test_labels_flag_all_is_the_default(ref_config, tmp_path, capsys):
+    outs = [tmp_path / "default", tmp_path / "all"]
+    assert run("couplings", ref_config, out=outs[0]) == EXIT_OK
+    assert run("couplings", ref_config, out=outs[1], labels="all") == EXIT_OK
+    assert (outs[0] / "couplings.csv").read_bytes() == (outs[1] / "couplings.csv").read_bytes()
+    assert run("couplings", ref_config, out=outs[1], labels="xx, zz") == EXIT_OK
+    _, _, rows = read_csv(outs[1] / "couplings.csv")
+    assert [row[0] for row in rows] == ["xx", "zz"]
+
+
+@pytest.mark.parametrize("n_grid", [0, 1, -1])
+def test_series_grid_needs_two_points(ref_config, tmp_path, capsys, n_grid):
+    assert run("series", ref_config, out=tmp_path, n_grid=n_grid) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert (err["error"], err["exit_code"]) == ("ConfigurationError", EXIT_CONFIG)
+    assert not (tmp_path / "series_profile.csv").exists()
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cfg = load_config(path)
+    qubit = QubitParams(beta_j=1.05, zeta_j=0.05, e_lj=1.0, phi_jx=0.0, alpha_j=0.05)
+    assert cfg.system == CouplerSystem(beta_c=0.75, zeta_c=0.05, qubits=(qubit, qubit),
+                                       e_ltc=3.0, phi_cx=0.0)
+    assert cfg.numerics == {"nu_max": 100, "n_basis": 60, "n_levels": 4,
+                            "dims": (40, 40, 18), "bo_dims": (40, 40)}
+    assert cfg.units == {"e_l1_ghz": 200.0}
+    assert cfg.sweep == {"axis": "beta_j", "lo": 0.5, "hi": 1.4, "n_points": 7,
+                         "theories": ("exact", "NA", "LA", "LN"), "n_levels": 4}
+    assert cfg.scan == {"labels": ["xx", "xz", "zz"], "lo": 0.0, "hi": 0.1, "n_points": 41}
 
 
 @pytest.mark.parametrize("command, key, value, shown",

@@ -265,6 +265,28 @@ class TestNormalModes:
         with pytest.raises(ConfigurationError):
             NormalModeSystem([2.0, 1.0], np.eye(2), [1.0, 1.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["freqs", "displacements", "amplitudes"])
+    def test_non_finite_modes_rejected(self, field, value):
+        fields = {"freqs": [1.0, 2.0], "displacements": np.eye(2), "amplitudes": [1.0, 1.0]}
+        NormalModeSystem(**fields)  # the finite system constructs
+        fields[field] = np.array(fields[field], dtype=float)
+        fields[field].flat[-1] = value
+        with pytest.raises(ConfigurationError):
+            NormalModeSystem(**fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["e_ltc", "zeta_c", "beta_c", "phi_cx",
+                                       "e_lj", "zeta_j", "alpha_j", "beta_j", "phi_jx"])
+    def test_non_finite_circuit_rejected(self, field, value):
+        # a duck-typed system gets the ConfigurationError, never a failed eigh
+        if field in ("e_ltc", "zeta_c", "beta_c", "phi_cx"):
+            system = make_system(qubits=[make_qubit()], **{field: value})
+        else:
+            system = make_system(qubits=[make_qubit(**{field: value})])
+        with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError):
+            normal_modes(system)
+
 
 class TestGrid:
     @pytest.mark.parametrize("dim", [1, 2, 7, 18, 40, 61])

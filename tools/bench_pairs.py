@@ -16,14 +16,16 @@ always runs on a warmer host.  The output JSON holds every run's result
 line, the non-blank source lines of each side's ``src/coupler_lab``, the
 machine facts perfbench printed, and per workload and end-to-end metric
 the parent and change medians and quartiles, how many pairs the change
-was lower in, the median paired ratio change / parent and the relative
-change of the medians, with the failed operations and runs per side.
+was lower in, the median paired ratio change / parent with its bootstrap
+95% interval, and the relative change of the medians, with the failed
+operations and runs per side.
 The run length T, the workloads and the end-to-end metrics are those that
 BENCHMARK.json at the root of this repository declares.
 """
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -34,6 +36,8 @@ RUN_SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 METRICS = tuple(metric["name"] for metric in BENCHMARK["end_to_end"])
 SIDES = ("parent", "change")
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 20161
 
 
 def schedule(workloads, pairs: int, first_seed: int):
@@ -70,6 +74,20 @@ def _stats(values):
     return round(median, 6), round(q1, 6), round(q3, 6)
 
 
+def bootstrap_interval(ratios) -> list:
+    """95% percentile-bootstrap interval of the median of ratios.
+
+    The 2.5% and 97.5% quantiles of the medians of BOOTSTRAP_RESAMPLES
+    resamples with replacement, drawn from a fixed seed, so a rerun on
+    the same ratios gives the same interval.
+    """
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOTSTRAP_RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return [round(cuts[0], 4), round(cuts[-1], 4)]
+
+
 def summarize(runs) -> dict:
     """Per workload (in run order) and metric, the paired statistics.
 
@@ -94,13 +112,14 @@ def summarize(runs) -> dict:
             p_med, p_q1, p_q3 = _stats(parent)
             c_med, c_q1, c_q3 = _stats(change)
             lower = sum(c < p for p, c in zip(parent, change))
+            ratios = [c / p for p, c in zip(parent, change)]
             entry[metric] = {
                 "pairs": len(pairs),
                 "parent_median": p_med, "parent_q1": p_q1, "parent_q3": p_q3,
                 "change_median": c_med, "change_q1": c_q1, "change_q3": c_q3,
                 "change_lower_in_pairs": f"{lower}/{len(pairs)}",
-                "median_paired_ratio": round(statistics.median(
-                    c / p for p, c in zip(parent, change)), 4),
+                "median_paired_ratio": round(statistics.median(ratios), 4),
+                "median_paired_ratio_ci95": bootstrap_interval(ratios),
                 "relative_change": round(statistics.median(change) / statistics.median(parent)
                                          - 1.0, 6),
             }
