@@ -294,9 +294,9 @@ def _read(parser, name: str, table: dict) -> dict:
     return out
 
 
-def _read_circuit(parser, name: str, kind: str):
+def _read_circuit(parser, name: str):
     """(style, values) of circuit section name: the keys of the one style it holds."""
-    styles, bias = _CIRCUIT[kind]
+    styles, bias = _CIRCUIT[name.split(".", 1)[0]]
     held = {style: [key for key in table if key in parser[name]]
             for style, table in styles.items()}
     if all(held.values()):
@@ -337,10 +337,10 @@ def load_config(path) -> SystemConfig:
     if not qubit_sections:
         raise ConfigurationError("config needs at least one [qubit.N] section")
 
-    style, coupler_vals = _read_circuit(parser, "coupler", "coupler")
+    style, coupler_vals = _read_circuit(parser, "coupler")
     qubit_vals = []
     for _, name in qubit_sections:
-        q_style, vals = _read_circuit(parser, name, "qubit")
+        q_style, vals = _read_circuit(parser, name)
         if q_style != style:
             raise ConfigurationError(
                 f"[{name}] is {q_style} while [coupler] is {style}; the whole "
