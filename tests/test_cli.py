@@ -640,17 +640,14 @@ def test_non_finite_circuit_values_exit_config(tmp_path, capsys, value):
                                                 ("meta", "schema", "x"),
                                                 ("coupler", "beta_c", "abc"),
                                                 ("qubit.2", "beta_j", "abc")])
-def test_bad_section_value_names_section_and_key(tmp_path, section, key, text):
+def test_bad_section_value_names_section_and_key(tmp_path, capsys, section, key, text):
+    path = edited_config(tmp_path, section, key, text)
     with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key} = '{text}'"):
-        load_config(edited_config(tmp_path, section, key, text))
-
-
-def test_bad_schema_exits_with_one_json_error(tmp_path, capsys):
-    path = edited_config(tmp_path, "meta", "schema", "x")
+        load_config(path)
     assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = usage_error(capsys)
     assert err["error"] == "ConfigurationError"
-    assert err["message"].startswith("[meta] schema = 'x': ")
+    assert err["message"].startswith(f"[{section}] {key} = '{text}': ")
 
 
 @pytest.mark.parametrize("section, key", [("meta", "note"), ("coupler", "note"),
