@@ -29,11 +29,12 @@ from .oscillator import (
     Spectrum,
     TensorOperator,
     _junction_mode,
+    _whole,
     assemble_tensor_operator,
     lowest_eigs,
     normal_modes,
 )
-from .projection import QubitParams, _coupling_tables, qubit_subspace
+from .projection import _coupling_tables, qubit_subspace
 
 __all__ = [
     "CouplerSystem",
@@ -79,7 +80,7 @@ class CouplerSystem:
 
 def _axis_grid(lo, hi, n) -> np.ndarray:
     """np.linspace(lo, hi, n) over a finite lo < hi with n >= 2 points."""
-    lo, hi, n = float(lo), float(hi), int(n)
+    lo, hi, n = float(lo), float(hi), _whole(n, "the number of grid points")
     if not -math.inf < lo < hi < math.inf:
         raise ConfigurationError(f"grid needs finite lo < hi, got ({lo}, {hi})")
     if n < 2:
@@ -101,10 +102,9 @@ def exact_spectrum(system, dims=None, n_levels: int = 6) -> Spectrum:
         )
     if dims is None:
         dims = (40,) * len(qubits) + (18,)
-    dims = tuple(int(d) for d in dims)
     nm = normal_modes(system, dims)
     spec = lowest_eigs(assemble_tensor_operator(nm), n_levels)
-    spec.metadata.update(theory="exact", dims=dims)
+    spec.metadata.update(theory="exact", dims=nm.dims)
     return spec
 
 
@@ -130,7 +130,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     qubits = tuple(system.qubits)
     if dims is None:
         dims = (40,) * len(qubits)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_whole(d, "a dims entry") for d in dims)
     if len(dims) != len(qubits):
         raise ConfigurationError("need one basis dimension per qubit")
     if any(d < 1 for d in dims):
@@ -200,8 +200,7 @@ class SweepSpec:
                 f"axis must be one of {SWEEP_AXES}, got {self.axis!r}"
             )
         lo, hi, n = self.range
-        object.__setattr__(self, "range", (float(lo), float(hi), int(n)))
-        _axis_grid(*self.range)  # raises for a range that gives no grid
+        object.__setattr__(self, "range", (float(lo), float(hi), _axis_grid(lo, hi, n).size))
         if self.n_levels < 2:
             raise ConfigurationError(f"n_levels must be >= 2, got {self.n_levels}")
         bad = set(self.theories) - set(THEORIES)

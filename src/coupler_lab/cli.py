@@ -239,6 +239,13 @@ def _positive(text) -> float:
     return value
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _int_list(text) -> tuple:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
@@ -252,8 +259,8 @@ def _labels(text):
     return "all" if labels == ["all"] else labels
 
 
-def _floats(**defaults) -> dict:
-    return {key: (float, default) for key, default in defaults.items()}
+def _keys(parse, **defaults) -> dict:
+    return {key: (parse, default) for key, default in defaults.items()}
 
 
 # each section's keys as (parser, default); a default of ... marks a required key
@@ -268,13 +275,23 @@ _SECTIONS = {
              "n_points": (int, 41)},
 }
 
-# the circuit sections' keys per style, then the bias key that either style reads
+# the circuit sections' keys per style, then the bias key that either style reads;
+# the parameter types check the dimensionless values, so those parse as plain floats
 _CIRCUIT = {
-    "coupler": ({"dimensionless": _floats(beta_c=..., zeta_c=..., e_ltc=1.0),
-                 "physical": _floats(l_c=..., c=..., i_c=...)}, "phi_cx"),
-    "qubit": ({"dimensionless": _floats(beta_j=..., zeta_j=..., alpha_j=0.0, e_lj=1.0),
-               "physical": _floats(l_j=..., c_j=..., i_j=..., m_j=0.0)}, "phi_jx"),
+    "coupler": ({"dimensionless": _keys(float, beta_c=..., zeta_c=..., e_ltc=1.0),
+                 "physical": _keys(_positive, l_c=..., c=..., i_c=...)}, "phi_cx"),
+    "qubit": ({"dimensionless": _keys(float, beta_j=..., zeta_j=..., alpha_j=0.0, e_lj=1.0),
+               "physical": {**_keys(_positive, l_j=..., c_j=..., i_j=...),
+                            "m_j": (_finite, 0.0)}}, "phi_jx"),
 }
+
+
+def _in_section(name: str, build, **values):
+    """build(**values), with the ConfigurationError it raises prefixed by section name."""
+    try:
+        return build(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{name}] {exc}") from exc
 
 
 def _read(parser, name: str, table: dict) -> dict:
@@ -328,9 +345,8 @@ def load_config(path) -> SystemConfig:
     qubit_sections = []
     for name in parser.sections():
         if name.startswith("qubit."):
-            suffix = name.split(".", 1)[1]
             try:
-                qubit_sections.append((int(suffix), name))
+                qubit_sections.append((int(name.split(".", 1)[1]), name))
             except ValueError as exc:
                 raise ConfigurationError(f"bad qubit section name [{name}]") from exc
     qubit_sections.sort()
@@ -355,12 +371,15 @@ def load_config(path) -> SystemConfig:
         qubit_vals = [{**dq, "phi_jx": vals["phi_jx"]}
                       for vals, dq in zip(qubit_vals, derived["qubits"])]
     if qubit_vals[0]["e_lj"] != 1.0:
-        raise ConfigurationError("the first qubit defines the energy unit; its e_lj must be 1")
-    system = CouplerSystem(
+        raise ConfigurationError(f"[{qubit_sections[0][1]}] the first qubit defines the "
+                                 "energy unit; its e_lj must be 1")
+    qubits = tuple(_in_section(name, QubitParams, **{**vals, "phi_jx": TWO_PI * vals["phi_jx"]})
+                   for (_, name), vals in zip(qubit_sections, qubit_vals))
+    system = _in_section(
+        "coupler", CouplerSystem,
         beta_c=coupler_vals["beta_c"],
         zeta_c=coupler_vals["zeta_c"],
-        qubits=tuple(QubitParams(**{**vals, "phi_jx": TWO_PI * vals["phi_jx"]})
-                     for vals in qubit_vals),
+        qubits=qubits,
         e_ltc=coupler_vals["e_ltc"],
         phi_cx=TWO_PI * coupler_vals["phi_cx"],
     )
@@ -694,10 +713,8 @@ def _validation_checks(cfg):
         abs(back["zeta_c"] - system.zeta_c),
         abs(back["e_ltc"] - system.e_ltc) / system.e_ltc,
     ]
-    for q, b in zip(spec_qubits, back["qubits"]):
-        errs.append(abs(q["beta_j"] - b["beta_j"]))
-        errs.append(abs(q["zeta_j"] - b["zeta_j"]))
-        errs.append(abs(q["alpha_j"] - b["alpha_j"]))
+    errs += [abs(q[key] - b[key]) for q, b in zip(spec_qubits, back["qubits"])
+             for key in ("beta_j", "zeta_j", "alpha_j")]
     worst = max(errs)
     yield "physical_roundtrip", worst <= 1e-12, f"max error {worst:.3e}"
 

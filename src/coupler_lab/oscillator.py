@@ -141,6 +141,13 @@ _SECTOR_TOL = 64
 _DENSE_RESIDUAL_C = 64
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; a value that is not a whole number raises ConfigurationError."""
+    if not float(value).is_integer():
+        raise ConfigurationError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 def _fused_diagonal(r: float, a: int, count: int) -> np.ndarray:
     """Values M_j = <j|e^{irX}|j+a>/i^a for j = 0..count-1, offset a >= 0.
 
@@ -248,7 +255,7 @@ class NormalModeSystem:
         if len(self.freqs) != n_modes or len(self.amplitudes) != n_terms:
             raise ConfigurationError("inconsistent mode/term counts")
         if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+            object.__setattr__(self, "dims", tuple(_whole(d, "a dims entry") for d in self.dims))
             if len(self.dims) != n_modes or any(d < 1 for d in self.dims):
                 raise ConfigurationError("dims must give a positive size per mode")
 

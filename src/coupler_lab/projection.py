@@ -40,7 +40,6 @@ import numpy as np
 
 from .coupler import EgSeries
 from .errors import ConfigurationError, NumericError
-from .kapteyn import FourierSeries
 from .oscillator import TensorOperator, _junction_mode, lowest_eigs
 
 __all__ = [

@@ -352,6 +352,34 @@ def test_axis_grid_is_linspace(ref_system):
     assert np.array_equal(bench._axis_grid(0.1, 2.9, 5), np.linspace(0.1, 2.9, 5))
 
 
+# each entry that takes a count, as a call of one count n, with an integral
+# count and a count that is not a whole number
+COUNT_ENTRIES = {
+    "coupling_scan": (lambda system, n: coupling_scan(system, ["xx"], (0.0, 0.1, n), nu_max=40,
+                                                      n_basis=40).label_array("xx"), 3, 2.9),
+    "sweep_spec": (lambda system, n: SweepSpec(axis="phi_cx", range=(0.5, 1.4, n),
+                                               system=system).values, 3, 3.99),
+    "bo_spectrum": (lambda system, n: bo_spectrum("LA", system, dims=(n, 12.0)).eigenvalues,
+                    12, 12.9),
+    "exact_spectrum": (lambda system, n: exact_spectrum(system, dims=(8, n, 6)).eigenvalues,
+                       8, 6.5),
+    "normal_mode_system": (lambda system, n: NormalModeSystem(
+        freqs=[0.1], displacements=[[0.2]], amplitudes=[0.5], dims=(n,)).dims, 4, 4.5),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_counts_must_be_whole_numbers(ref_system, entry):
+    # an int, a numpy int and an integral float give the same result; a
+    # count with a fractional part is rejected where it enters, not truncated
+    call, n, fractional = COUNT_ENTRIES[entry]
+    expected = call(ref_system, n)
+    for same in (np.int64(n), float(n)):
+        assert np.array_equal(call(ref_system, same), expected)
+    with pytest.raises(ConfigurationError, match=f"must be a whole number, got {fractional}"):
+        call(ref_system, fractional)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_parameter_types_reject_non_finite_fields(bad):
     # each numeric field fails its own check at construction, so no NaN or

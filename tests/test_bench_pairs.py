@@ -72,3 +72,18 @@ def test_source_lines_count_non_blank_lines(tmp_path):
     (package / "b.py").write_text("# one\n")
     (package / "notes.txt").write_text("not counted\n")
     assert bench_pairs.source_lines(tmp_path) == 3
+
+
+def test_module_lines_count_each_module(tmp_path):
+    # two synthetic checkouts: the per-module counts show which file lost lines
+    counts = {}
+    for side, init in (("parent", "a = 1\nb = 2\n\nc = 3\n"), ("change", "\nfrom .m import *\n")):
+        package = tmp_path / side / "src" / "coupler_lab"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(init)
+        (package / "m.py").write_text("def f():\n\n    return 1\n")
+        (package / "README.txt").write_text("not counted\n")
+        counts[side] = bench_pairs.module_lines(tmp_path / side)
+        assert bench_pairs.source_lines(tmp_path / side) == sum(counts[side].values())
+    assert counts == {"parent": {"__init__.py": 3, "m.py": 2},
+                      "change": {"__init__.py": 1, "m.py": 2}}

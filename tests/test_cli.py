@@ -4,6 +4,7 @@ import configparser
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -685,12 +686,59 @@ def physical_body(edit=None):
     ("qubit.2", "c_j", "qubit 2 c_j "), ("qubit.2", "i_j", "qubit 2 i_j "),
     ("qubit.2", "m_j", "qubit 2 m_j ")])
 def test_nan_physical_value_names_its_key(tmp_path, capsys, section, key, shown):
+    # a config names the section and key; from_physical, which takes a list,
+    # names the list position (shown); neither blames the derived beta_c
     assert load_config(write_config(tmp_path, physical_body())).system.beta_c > 0.0
     path = write_config(tmp_path, physical_body((section, key, "nan")))
     assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = usage_error(capsys)
     assert err["error"] == "ConfigurationError"
-    assert err["message"].startswith(shown) and "beta_c" not in err["message"]
+    assert err["message"].startswith(f"[{section}] {key} = 'nan': must be ")
+    assert "beta_c" not in err["message"]
+    phys = to_physical(0.5, 0.05, 3.0, REF_QUBITS, l_1=1e-9)
+    (phys["coupler"] if section == "coupler" else phys["qubits"][1])[key] = math.nan
+    with pytest.raises(ConfigurationError) as info:
+        from_physical(phys["coupler"], phys["qubits"])
+    assert str(info.value).startswith(shown) and "beta_c" not in str(info.value)
+
+
+def ten_qubit_body(style, section, key, value):
+    """A [coupler], [qubit.1] and [qubit.10] body of one style, section's key set to value."""
+    if style == "physical":
+        phys = to_physical(0.5, 0.05, 3.0, REF_QUBITS, l_1=1e-9)
+        coupler, qubits = phys["coupler"], phys["qubits"]
+    else:
+        coupler, qubits = {"beta_c": 0.5, "zeta_c": 0.05, "e_ltc": 3.0}, REF_QUBITS
+    sections = {"coupler": {**coupler, "phi_cx": 0.01},
+                "qubit.1": {**qubits[0], "phi_jx": 0.0}, "qubit.10": {**qubits[1], "phi_jx": 0.0}}
+    if section:
+        sections[section] = {**sections[section], key: value}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+                   for name, values in sections.items())
+
+
+CIRCUIT_KEYS = (
+    [("dimensionless", "coupler", key) for key in ("beta_c", "zeta_c", "e_ltc", "phi_cx")]
+    + [("dimensionless", "qubit.10", key)
+       for key in ("beta_j", "zeta_j", "alpha_j", "e_lj", "phi_jx")]
+    + [("physical", "coupler", key) for key in ("l_c", "c", "i_c", "phi_cx")]
+    + [("physical", "qubit.10", key) for key in ("l_j", "c_j", "i_j", "m_j", "phi_jx")])
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("style, section, key", CIRCUIT_KEYS)
+def test_circuit_value_error_names_section_and_key(tmp_path, capsys, style, section, key,
+                                                   value):
+    # the section is named by its N, not by its place among the qubit sections
+    assert len(load_config(write_config(tmp_path, ten_qubit_body(style, None, None, None)))
+               .system.qubits) == 2
+    path = write_config(tmp_path, ten_qubit_body(style, section, key, value))
+    named = rf"\[{section}\] {key}( = '{value}':| must) "
+    with pytest.raises(ConfigurationError, match="^" + named):
+        load_config(path)
+    assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = usage_error(capsys)
+    assert err["error"] == "ConfigurationError" and re.match(named, err["message"])
 
 
 META = "[meta]\nschema = 1\n"

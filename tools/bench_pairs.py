@@ -13,9 +13,10 @@ each works).  For every workload, pair k runs
 in both checkouts on seed S = first seed + k, one run after another, the
 parent first on even k and the change first on odd k, so neither side
 always runs on a warmer host.  The output JSON holds every run's result
-line, the non-blank source lines of each side's ``src/coupler_lab``, the
-machine facts perfbench printed, and per workload and end-to-end metric
-the parent and change medians and quartiles, how many pairs the change
+line, the non-blank source lines of each side's ``src/coupler_lab`` in
+total and per module, the machine facts perfbench printed, and per
+workload and end-to-end metric the parent and change medians and
+quartiles, how many pairs the change
 was lower in, the median paired ratio change / parent with its bootstrap
 95% interval, and the relative change of the medians, with the failed
 operations and runs per side.
@@ -63,10 +64,15 @@ def run_once(checkout: Path, workload: str, seed: int):
     return result, machine
 
 
+def module_lines(checkout: Path) -> dict:
+    """Non-blank lines of each src/coupler_lab/*.py, by file name."""
+    return {path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
+            for path in sorted((checkout / "src" / "coupler_lab").glob("*.py"))}
+
+
 def source_lines(checkout: Path) -> int:
     """Non-blank lines of src/coupler_lab/*.py."""
-    return sum(1 for path in sorted((checkout / "src" / "coupler_lab").glob("*.py"))
-               for line in path.read_text().splitlines() if line.strip())
+    return sum(module_lines(checkout).values())
 
 
 def _stats(values):
@@ -162,8 +168,10 @@ def main(argv=None) -> int:
                  " (parent first on even offsets from the first seed), run one after another,"
                  f" the workloads in the order {', '.join(WORKLOADS)}",
         "machine": machine,
-        "source_lines": {"how": "non-blank lines of src/coupler_lab/*.py",
-                         **{side: source_lines(path) for side, path in checkouts.items()}},
+        "source_lines": {"how": "non-blank lines of src/coupler_lab/*.py, in total and per file",
+                         **{side: source_lines(path) for side, path in checkouts.items()},
+                         "per_module": {side: module_lines(path)
+                                        for side, path in checkouts.items()}},
         f"summary_{args.pairs}_pairs": summarize(runs),
         "runs": runs,
     })
