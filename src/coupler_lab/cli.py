@@ -61,7 +61,8 @@ Every section is read through one table of keys, parsers and defaults
 (``_SECTIONS``, and ``_CIRCUIT`` per style for the coupler and qubits):
 a value its parser rejects names its section and key, a missing
 required key reads ``[section] needs key``, and keys the program does
-not read are ignored in every section.  ``couplings --labels`` parses
+not read are ignored in every section.  A circuit value the parameter
+types reject names its section too (``[qubit.10] beta_j must be ...``).  ``couplings --labels`` parses
 as ``[scan] labels`` does, and ``series --n-grid`` needs >= 2 points.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric

@@ -702,7 +702,7 @@ def test_nan_physical_value_names_its_key(tmp_path, capsys, section, key, shown)
     assert str(info.value).startswith(shown) and "beta_c" not in str(info.value)
 
 
-def ten_qubit_body(style, section, key, value):
+def qubit_10_body(style, section, key, value):
     """A [coupler], [qubit.1] and [qubit.10] body of one style, section's key set to value."""
     if style == "physical":
         phys = to_physical(0.5, 0.05, 3.0, REF_QUBITS, l_1=1e-9)
@@ -730,10 +730,10 @@ CIRCUIT_KEYS = (
 def test_circuit_value_error_names_section_and_key(tmp_path, capsys, style, section, key,
                                                    value):
     # the section is named by its N, not by its place among the qubit sections
-    assert len(load_config(write_config(tmp_path, ten_qubit_body(style, None, None, None)))
+    assert len(load_config(write_config(tmp_path, qubit_10_body(style, None, None, None)))
                .system.qubits) == 2
-    path = write_config(tmp_path, ten_qubit_body(style, section, key, value))
-    named = rf"\[{section}\] {key}( = '{value}':| must) "
+    path = write_config(tmp_path, qubit_10_body(style, section, key, value))
+    named = rf"\[{re.escape(section)}\] {key}( = '{value}':| must) "
     with pytest.raises(ConfigurationError, match="^" + named):
         load_config(path)
     assert main(["couplings", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
