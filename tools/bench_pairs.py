@@ -16,10 +16,9 @@ always runs on a warmer host.  The output JSON holds every run's result
 line, the non-blank source lines of each side's ``src/coupler_lab`` in
 total and per module, the machine facts perfbench printed, and per
 workload and end-to-end metric the parent and change medians and
-quartiles, how many pairs the change
-was lower in, the median paired ratio change / parent with its bootstrap
-95% interval, and the relative change of the medians, with the failed
-operations and runs per side.
+quartiles, how many pairs the change was lower in, the median paired
+ratio change / parent with its bootstrap 95% interval, and the relative
+change of the medians, with the failed operations and runs per side.
 The run length T, the workloads and the end-to-end metrics are those that
 BENCHMARK.json at the root of this repository declares.
 """
