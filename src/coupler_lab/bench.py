@@ -24,17 +24,17 @@ from .coupler import (
     u_min,
     u_zpe_harmonic,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _whole
+from .kapteyn import _NU_MAX
 from .oscillator import (
     Spectrum,
     TensorOperator,
     _junction_mode,
-    _whole,
     assemble_tensor_operator,
     lowest_eigs,
     normal_modes,
 )
-from .projection import _coupling_tables, qubit_subspace
+from .projection import _QUBIT_BASIS, _coupling_tables, qubit_subspace
 
 __all__ = [
     "CouplerSystem",
@@ -49,8 +49,6 @@ __all__ = [
 
 SWEEP_AXES = ("beta_j", "phi_cx", "zeta_c", "alpha", "beta_c")
 THEORIES = ("exact", "NA", "LA", "LN")
-# coupler grid states behind LN's numerically exact derivatives
-LN_BASIS = 50
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def exact_spectrum(system, dims=None, n_levels: int = 6) -> Spectrum:
 
 
 def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
-                nu_max: int = 100, series=None) -> Spectrum:
+                nu_max: int = _NU_MAX, series=None) -> Spectrum:
     """Lowest levels of the coupler-eliminated qubit Hamiltonian.
 
     Each qubit keeps its ladder and junction cosine; the coupler's ground
@@ -120,9 +118,9 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
     mu_max (both in the metadata), and a prebuilt ``series`` must match
     the system's beta_c and zeta_c.  "LA"/"LN" keep the quadratic expansion
     about the bias point with analytic respectively numeric derivatives
-    (LN's E_g and derivatives come from one LN_BASIS-state coupler
-    solve).  The parameter types admit only finite inputs, and for them
-    LA's d1 and d2 are finite (1 - beta_c cos chi >= 1 - beta_c > 0) and
+    (LN's E_g and derivatives come from one coupler solve on eg_exact's
+    default grid).  The parameter types admit only finite inputs, and for
+    them LA's d1 and d2 are finite (1 - beta_c cos chi >= 1 - beta_c > 0) and
     LN's solve runs only behind a certified gap.
     """
     if theory not in ("NA", "LA", "LN"):
@@ -167,7 +165,7 @@ def bo_spectrum(theory: str, system, dims=None, n_levels: int = 6,
             )
         else:
             cp = CouplerParams(beta_c=system.beta_c, zeta_c=system.zeta_c)
-            const, d1, d2 = _ground_energy_derivs(cp, phi_eff, LN_BASIS)
+            const, d1, d2 = _ground_energy_derivs(cp, phi_eff)
         potential = potential + e_ltc * (float(const) - d1 * flux + 0.5 * d2 * flux**2)
         meta = {"d1": float(d1), "d2": float(d2)}
 
@@ -192,7 +190,7 @@ class SweepSpec:
     n_levels: int = 4
     dims: tuple = None
     bo_dims: tuple = None
-    nu_max: int = 100
+    nu_max: int = _NU_MAX
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -308,8 +306,8 @@ class ScanResult:
         return np.asarray([t[label] for t in self.tables], dtype=float)
 
 
-def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
-                  n_basis: int = 60) -> ScanResult:
+def coupling_scan(system, labels, phi_cx_range, nu_max: int = _NU_MAX,
+                  n_basis: int = _QUBIT_BASIS) -> ScanResult:
     """Coupling coefficients for each bias point on a linear grid.
 
     The interaction series (at b_coeffs' derived mu_max, which the
@@ -328,7 +326,7 @@ def coupling_scan(system, labels, phi_cx_range, nu_max: int = 100,
         "beta_c": system.beta_c,
         "zeta_c": system.zeta_c,
         "e_ltc": system.e_ltc,
-        "nu_max": nu_max,
+        "nu_max": series.nu_max,
         "mu_max": series.mu_max,
     }
     return ScanResult(phi_cx=grid, tables=tables, metadata=meta)

@@ -85,6 +85,7 @@ import numpy as np
 from . import __version__
 from .bench import THEORIES, CouplerSystem, SweepSpec, _axis_grid, coupling_scan, sweep
 from .coupler import (
+    _COUPLER_BASIS,
     CouplerParams,
     b_coeffs,
     eg_derivs_analytic,
@@ -97,8 +98,8 @@ from .coupler import (
     u_zpe_harmonic,
 )
 from .errors import ConfigurationError, NumericError, ResourceError
-from .kapteyn import cos_beta, kepler_solve, sin_beta
-from .projection import QubitParams, couplings, gxx_quadrature, qubit_subspace
+from .kapteyn import _NU_MAX, cos_beta, kepler_solve, sin_beta
+from .projection import _QUBIT_BASIS, QubitParams, couplings, gxx_quadrature, qubit_subspace
 
 __all__ = [
     "SystemConfig",
@@ -267,8 +268,8 @@ def _keys(parse, **defaults) -> dict:
 # each section's keys as (parser, default); a default of ... marks a required key
 _SECTIONS = {
     "meta": {"schema": (int, ...)},
-    "numerics": {"nu_max": (_count, 100), "n_basis": (_count, 60), "n_levels": (_count, 4),
-                 "dims": (_int_list, None), "bo_dims": (_int_list, None)},
+    "numerics": {"nu_max": (_count, _NU_MAX), "n_basis": (_count, _QUBIT_BASIS),
+                 "n_levels": (_count, 4), "dims": (_int_list, None), "bo_dims": (_int_list, None)},
     "units": {"e_l1_ghz": (_positive, None)},
     "sweep": {"axis": (str, ...), "lo": (float, ...), "hi": (float, ...),
               "n_points": (int, ...), "theories": (_names, THEORIES)},
@@ -505,8 +506,8 @@ def _bias_grid(args) -> np.ndarray:
 
 
 def _coupler_basis(cfg) -> int:
-    """Grid size of the coupler solves: the configured n_basis, at least 50."""
-    return max(50, cfg.numerics["n_basis"])
+    """Grid size of the coupler solves: the configured n_basis, at least _COUPLER_BASIS."""
+    return max(_COUPLER_BASIS, cfg.numerics["n_basis"])
 
 
 def _cmd_eg(cfg, args):

@@ -39,9 +39,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
-from .kapteyn import FourierSeries, _g_table, _kapteyn_convolution, cos_beta, g_coeff, kepler_solve
-from .oscillator import TensorOperator, _junction_matrix, _junction_mode, _residual_bound, lowest_eigs
+from .errors import ConfigurationError, NumericError, _whole
+from .kapteyn import (_NU_MAX, FourierSeries, _check_series_args, _g_table, _kapteyn_convolution,
+                      cos_beta, g_coeff, kepler_solve)
+from .oscillator import TensorOperator, _junction_mode, _residual_bound, lowest_eigs
 
 __all__ = [
     "BodcMetrics",
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 MIN_NU_CAP = 100_000
+# the coupler grid size n_basis of every coupler solve's default and the CLI's floor
+_COUPLER_BASIS = 50
 # A ground level closer than this to the next is ill-conditioned for the
 # perturbative quantities; the continuation certifies a gap above it.
 _GAP_TOL = 1e-10
@@ -102,14 +105,15 @@ class EgSeries:
     b_quantum: FourierSeries
     beta_c: float
     zeta_c: float
-    nu_max: int
     mu_max: int
 
     def __post_init__(self):
         if self.b_classical.parity != "even" or self.b_quantum.parity != "even":
             raise ConfigurationError("EgSeries components must be even series")
-        if self.b_classical.nu_max != self.nu_max or self.b_quantum.nu_max != self.nu_max:
-            raise ConfigurationError("component series length disagrees with nu_max")
+
+    @property
+    def nu_max(self) -> int:
+        return self.b_classical.nu_max
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -120,13 +124,11 @@ class EgSeries:
         return self.b_classical.coeff(nu) + self.zeta_c * self.b_quantum.coeff(nu)
 
 
-def u_min(beta_c: float, phi_x, nu_max: int = 100):
+def u_min(beta_c: float, phi_x, nu_max: int = _NU_MAX):
     """Classical minimum energy beta_c * cos_beta(phi_x) of the coupler.
 
     Equals min over phi_c of (phi_c - phi_x)^2/2 + beta_c cos(phi_c).
     """
-    if not 0.0 <= beta_c < 1.0:
-        raise ValueError(f"u_min requires 0 <= beta_c < 1, got {beta_c}")
     return beta_c * cos_beta(beta_c, phi_x, nu_max=nu_max)
 
 
@@ -136,8 +138,17 @@ def u_zpe_harmonic(beta_c: float, zeta_c: float, phi_x):
     The curvature at the classical minimum phi_c* gives an effective
     oscillator of frequency 2 zeta sqrt(1 - beta cos phi_c*).
     """
+    _check_coupler(beta_c, zeta_c)
     chi = kepler_solve(beta_c, phi_x)
     return zeta_c * np.sqrt(1.0 - beta_c * np.cos(chi))
+
+
+def _check_coupler(beta_c: float, zeta_c: float) -> None:
+    """beta_c in [0, 1) and a finite zeta_c >= 0 (0 is the classical limit)."""
+    if not 0.0 <= beta_c < 1.0:
+        raise ValueError(f"series require 0 <= beta_c < 1, got beta_c={beta_c}")
+    if not 0.0 <= zeta_c < math.inf:
+        raise ConfigurationError(f"zeta_c must be nonnegative and finite, got {zeta_c}")
 
 
 def _mu_cutoff(beta_c: float) -> int:
@@ -154,7 +165,7 @@ def _mu_cutoff(beta_c: float) -> int:
     return int(np.flatnonzero(mu_g >= 1e-16).max(initial=0)) + 1
 
 
-def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100,
+def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = _NU_MAX,
              mu_max: int | None = None) -> EgSeries:
     """Interaction series coefficients B_nu^(0), B_nu^(1) for nu <= nu_max.
 
@@ -167,19 +178,16 @@ def b_coeffs(beta_c: float, zeta_c: float, nu_max: int = 100,
     Neither component depends on zeta_c, so both are memoized per
     (beta_c, nu_max, mu_max) and shared, read-only, by every zeta_c.
     """
-    if not 0.0 <= beta_c < 1.0:
-        raise ValueError(f"b_coeffs requires 0 <= beta_c < 1, got {beta_c}")
+    _check_coupler(beta_c, zeta_c)
+    nu_max, mu_max = _check_series_args(beta_c, nu_max, mu_max)
     if mu_max is None:
         mu_max = _mu_cutoff(beta_c)
-    if nu_max < 1 or mu_max < 1:
-        raise ValueError("nu_max and mu_max must be positive")
-    classical, quantum = _series_parts(float(beta_c), int(nu_max), int(mu_max))
+    classical, quantum = _series_parts(float(beta_c), nu_max, mu_max)
     return EgSeries(
-        b_classical=FourierSeries(nu_max, classical, parity="even"),
-        b_quantum=FourierSeries(nu_max, quantum, parity="even"),
+        b_classical=FourierSeries(classical, parity="even"),
+        b_quantum=FourierSeries(quantum, parity="even"),
         beta_c=beta_c,
         zeta_c=zeta_c,
-        nu_max=nu_max,
         mu_max=mu_max,
     )
 
@@ -214,10 +222,10 @@ def _series_parts(beta_c: float, nu_max: int, mu_max: int) -> tuple:
 
 def eg_eval(series: EgSeries, phi_x):
     """Series evaluation B_0 + 2 sum_{nu>0} B_nu cos(nu phi_x)."""
-    return FourierSeries(series.nu_max, series.coeffs, parity="even")(phi_x)
+    return FourierSeries(series.coeffs, parity="even")(phi_x)
 
 
-def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6):
+def eg_exact(params: CouplerParams, phi_x, n_basis: int = _COUPLER_BASIS, n_levels: int = 6):
     """Lowest coupler levels by dense diagonalization on the grid.
 
     Energies are in units of E_Ltc.  The basis is the n_basis-point
@@ -234,8 +242,6 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = 50, n_levels: int = 6)
     ground level followed along the array (see _ground_states), so a row
     after the first can differ from its scalar call by rounding.
     """
-    if n_basis < 30:
-        raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
     if not 1 <= n_levels <= n_basis:
         raise ConfigurationError(f"n_levels must be in [1, {n_basis}], got {n_levels}")
     phis = _biases(phi_x)
@@ -261,6 +267,7 @@ def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
     come (possibly non-finite), never clamped.  An array of biases gives
     two arrays, a scalar bias two floats.
     """
+    _check_coupler(beta_c, zeta_c)
     chi = kepler_solve(beta_c, phi_cx)
     s, c = np.sin(chi), np.cos(chi)
     d = 1.0 - beta_c * c
@@ -273,6 +280,8 @@ def _biases(phi_x) -> np.ndarray:
     phis = np.asarray(phi_x, dtype=float)
     if phis.ndim > 1:
         raise ConfigurationError(f"biases must be a scalar or a 1-D array, got shape {phis.shape}")
+    if not np.isfinite(phis).all():
+        raise ConfigurationError(f"bias phi_x must be finite, got {phis[~np.isfinite(phis)][0]}")
     return phis
 
 
@@ -351,30 +360,33 @@ def _predicted(history, phi: float) -> np.ndarray:
 def _ground_states(params: CouplerParams, phis, n_basis: int, n_levels: int = 2):
     """Yield (H, flux nodes, levels, E_g, ground vector) along the biases.
 
-    H is the dense junction matrix (oscillator._junction_matrix) the
-    continuation and the resolvent solves factor.  The first bias, and any
-    whose continuation fails, is solved from scratch: oscillator.lowest_eigs
-    on the one-axis grid operator gives its lowest n_levels (at least 2,
-    the ground level and the gap) and the ground vector, every returned
-    pair's residual checked.  Each later bias starts from the
-    quadratic extrapolation of the last three accepted ground vectors
-    (_predicted; the previous vector until three distinct biases are in)
-    and takes Rayleigh-quotient steps to the rounding floor
-    (_continued_ground, shift 2 zeta, the harmonic spacing); it yields
-    levels None.  On a 201-point grid over [0, pi] at 60 states that is
-    one or two LU solves per point.  Either route may return -g, so each
-    vector is signed to match the previous one before it is yielded and
-    kept.  A scalar call is a one-point grid, so it takes the from-scratch
-    route.
+    Every coupler solve comes through here, and n_basis is checked here,
+    before any solve, as a whole number >= 30.  H = K + diag(V), the
+    matrix the continuation and the resolvent solves factor, is bitwise
+    TensorOperator([K], V).to_dense() at a fifth of the operator's
+    cost.  The first bias, and any whose continuation fails, is solved
+    from scratch: oscillator.lowest_eigs on the one-axis operator gives
+    its lowest n_levels (at least 2, the ground level and the gap) and
+    the ground vector, every returned pair's residual checked.  Each
+    later bias starts from the quadratic extrapolation of the last three
+    accepted ground vectors (_predicted; the previous vector until three
+    distinct biases are in) and takes Rayleigh-quotient steps to the
+    rounding floor (_continued_ground, shift 2 zeta, the harmonic
+    spacing); it yields levels None.  On a 201-point grid over [0, pi]
+    at 60 states that is one or two LU solves per point.  Either route
+    may return -g, so each vector is signed to match the previous one
+    before it is yielded and kept.  A scalar call is a one-point grid,
+    so it takes the from-scratch route.
     """
+    n_basis = _whole(n_basis, "n_basis", 30)
     shift = 2.0 * params.zeta_c
     history = []
     for phi in phis:
         kinetic, potential, flux = _junction_mode(params.zeta_c, params.beta_c, phi, n_basis)
-        h, h_norm = _junction_matrix(kinetic, potential)
+        h = kinetic + np.diag(potential)
         found = None
         if history:
-            found = _continued_ground(h, h_norm, _predicted(history, phi), shift)
+            found = _continued_ground(h, np.linalg.norm(h), _predicted(history, phi), shift)
         levels = None
         if found is None:
             spectrum = lowest_eigs(TensorOperator([kinetic], potential), n_levels,
@@ -404,8 +416,6 @@ def _perturbative(params: CouplerParams, phis, n_basis: int, what: str) -> np.nd
     the next level raises NumericError, since ``what`` (a perturbative
     quantity) is then ill-conditioned.
     """
-    if n_basis < 30:
-        raise ConfigurationError(f"n_basis must be >= 30, got {n_basis}")
     rows = []
     shift = 2.0 * params.zeta_c
     for h, flux, levels, energy, g in _ground_states(params, phis, n_basis):
@@ -423,7 +433,7 @@ def _perturbative(params: CouplerParams, phis, n_basis: int, what: str) -> np.nd
     return np.array(rows).reshape(-1, 4)
 
 
-def eg_derivs_numeric(params: CouplerParams, phi_cx, n_basis: int = 50) -> tuple:
+def eg_derivs_numeric(params: CouplerParams, phi_cx, n_basis: int = _COUPLER_BASIS) -> tuple:
     """(E_g', E_g'') from perturbation theory on the exact ground state.
 
     First order: E_g' = <g|(phi_x - phi_c)|g> = -<g|X|g> with X the
@@ -437,7 +447,7 @@ def eg_derivs_numeric(params: CouplerParams, phi_cx, n_basis: int = 50) -> tuple
     return _ground_energy_derivs(params, phi_cx, n_basis)[1:]
 
 
-def _ground_energy_derivs(params: CouplerParams, phi_x, n_basis: int) -> tuple:
+def _ground_energy_derivs(params: CouplerParams, phi_x, n_basis: int = _COUPLER_BASIS) -> tuple:
     """(E_g, E_g', E_g'') from one coupler solve per bias: eg_exact's ground
     level and eg_derivs_numeric's derivatives, bitwise at a scalar bias."""
     phis = _biases(phi_x)
@@ -473,10 +483,6 @@ def truncation_bound(beta_c: float, zeta_c: float, nu_max: int) -> float:
     |mu G_mu| stays above 1e-16 up to mu = 399 (beta_c from about
     0.9969 up), since the bound would then not hold.
     """
-    if not 0.0 <= beta_c < 1.0:
-        raise ValueError(f"truncation_bound requires 0 <= beta_c < 1, got {beta_c}")
-    if beta_c == 0.0:
-        return 0.0
     return float(_tail_bounds(beta_c, zeta_c, nu_max)[-1])
 
 
@@ -487,10 +493,6 @@ def min_nu_for_error(beta_c: float, zeta_c: float, epsilon: float) -> int:
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 <= beta_c < 1.0:
-        raise ValueError(f"min_nu_for_error requires 0 <= beta_c < 1, got {beta_c}")
-    if beta_c == 0.0:
-        return 1
     cap = 64
     while True:
         bound = _tail_bounds(beta_c, zeta_c, min(cap, MIN_NU_CAP))
@@ -515,7 +517,7 @@ class BodcMetrics:
     smallness_rhs: float
 
 
-def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = 50,
+def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = _COUPLER_BASIS,
                  qubits=()) -> BodcMetrics:
     """Born-Oppenheimer diagonal correction <d psi_g | d psi_g>.
 
@@ -527,7 +529,8 @@ def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = 50,
     rhs = 4 zeta_c^2 (1 - beta_c)^2; the correction is negligible when
     lhs << rhs.
     """
-    exact = float(_perturbative(params, [phi_x], n_basis, "diagonal correction")[0, 3])
+    phis = _biases(phi_x).reshape(1)
+    exact = float(_perturbative(params, phis, n_basis, "diagonal correction")[0, 3])
     chi = kepler_solve(params.beta_c, phi_x)
     d = 1.0 - params.beta_c * math.cos(chi)
     linearized = 1.0 / (4.0 * params.zeta_c * d**1.5)

@@ -27,3 +27,12 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
         self.details = details or {}
+
+
+def _whole(value, what: str, least: int | None = None) -> int:
+    """value as an int; one not a whole number, or below least, raises ConfigurationError."""
+    if not float(value).is_integer():
+        raise ConfigurationError(f"{what} must be a whole number, got {value}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{what} must be >= {least}, got {value}")
+    return int(value)

@@ -67,7 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _whole
 
 __all__ = [
     "FourierSeries",
@@ -81,6 +81,8 @@ __all__ = [
 
 # kepler_solve's residual target and step limit
 _KEPLER_TOL, _KEPLER_MAX_ITER = 1e-14, 100
+# the series order nu_max that every signature and the CLI's [numerics] default to
+_NU_MAX = 100
 
 
 def bessel_j(order, x):
@@ -313,20 +315,20 @@ def _sin_coeffs(beta: float, nu_max: int) -> np.ndarray:
     return c
 
 
-def sin_beta(beta: float, phi, nu_max: int = 100):
+def sin_beta(beta: float, phi, nu_max: int = _NU_MAX):
     """Junction-current function sin(chi(phi)) as a truncated sine series.
 
     Odd and 2*pi-periodic in phi.  Satisfies the self-consistency
     relation sin_beta(phi) = sin(phi + beta*sin_beta(phi)) up to
     truncation error.
     """
-    _check_series_args(beta, nu_max)
-    half = np.concatenate(([0.0], _sin_coeffs(float(beta), int(nu_max)) / 2.0))
-    out = FourierSeries(nu_max, half, parity="odd")(phi)
+    nu_max, _ = _check_series_args(beta, nu_max)
+    half = np.concatenate(([0.0], _sin_coeffs(float(beta), nu_max) / 2.0))
+    out = FourierSeries(half, parity="odd")(phi)
     return out if np.ndim(out) else float(out)
 
 
-def cos_beta(beta: float, phi, nu_max: int = 100):
+def cos_beta(beta: float, phi, nu_max: int = _NU_MAX):
     """Antiderivative form 1 - integral_0^phi sin_beta, truncated.
 
     Even and 2*pi-periodic; the full-series mean over a period is
@@ -334,10 +336,10 @@ def cos_beta(beta: float, phi, nu_max: int = 100):
     coefficients coeff_nu / nu, both values from the same FourierSeries,
     so cos_beta(0) = 1 exactly at any truncation.
     """
-    _check_series_args(beta, nu_max)
+    nu_max, _ = _check_series_args(beta, nu_max)
     nu = np.arange(1, nu_max + 1)
-    half = np.concatenate(([0.0], _sin_coeffs(float(beta), int(nu_max)) / (2.0 * nu)))
-    series = FourierSeries(nu_max, half, parity="even")
+    half = np.concatenate(([0.0], _sin_coeffs(float(beta), nu_max) / (2.0 * nu)))
+    series = FourierSeries(half, parity="even")
     out = 1.0 + (series(phi) - series(0.0))
     return out if np.ndim(out) else float(out)
 
@@ -398,19 +400,19 @@ def _g_table(beta: float, size: int) -> np.ndarray:
     return g
 
 
-def _check_series_args(beta: float, nu_max: int) -> None:
+def _check_series_args(beta: float, nu_max, mu_max=None) -> tuple:
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"series require 0 <= beta < 1, got beta={beta}")
-    if nu_max < 1:
-        raise ValueError(f"nu_max must be >= 1, got {nu_max}")
+    return _whole(nu_max, "nu_max", 1), None if mu_max is None else _whole(mu_max, "mu_max", 1)
 
 
 @dataclass
 class FourierSeries:
     """Real-coefficient truncated Fourier series on [-pi, pi).
 
-    ``coeffs`` stores the half-spectrum c_nu for nu = 0..nu_max; the
-    declared parity ("even" or "odd") fixes the other half:
+    ``coeffs`` stores the half-spectrum c_nu for nu = 0..nu_max, so its
+    length fixes the order nu_max; the declared parity ("even" or "odd")
+    fixes the other half:
 
         even: f(phi) = c_0 + sum_{nu>0} 2 c_nu cos(nu*phi)
         odd:  f(phi) =       sum_{nu>0} 2 c_nu sin(nu*phi)   (c_0 = 0)
@@ -419,7 +421,6 @@ class FourierSeries:
     at -nu equal to +c_nu (even) or -c_nu (odd).
     """
 
-    nu_max: int
     coeffs: np.ndarray
     parity: str = "even"
 
@@ -427,14 +428,16 @@ class FourierSeries:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.parity not in ("even", "odd"):
             raise ValueError(f"unknown parity {self.parity!r}")
-        if self.coeffs.shape != (self.nu_max + 1,):
-            raise ValueError(
-                f"coeffs must have shape ({self.nu_max + 1},), got {self.coeffs.shape}"
-            )
+        if self.coeffs.ndim != 1 or not self.coeffs.size:
+            raise ValueError(f"coeffs must be a nonempty 1-D array, got shape {self.coeffs.shape}")
         if self.parity == "odd" and self.coeffs[0] != 0.0:
             raise ValueError("odd series must have zero mean coefficient")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite Fourier coefficient")
+
+    @property
+    def nu_max(self) -> int:
+        return len(self.coeffs) - 1
 
     def coeff(self, nu: int) -> float:
         """Coefficient at signed index nu in [-nu_max, nu_max]."""

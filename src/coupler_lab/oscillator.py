@@ -37,7 +37,7 @@ which takes its dense route: each qubit's four lowest levels
 2e-10, need both vectors), and the coupler's n_levels at a scalar bias,
 or its two lowest at the first point of a grid of biases and wherever
 the continuation along it fails (coupler._ground_states).  The
-continuation works on _junction_matrix, the dense K + diag(V): it takes
+continuation works on the dense K + diag(V), bitwise to_dense(): it takes
 Rayleigh-quotient steps, about one per bias, from the extrapolated
 previous ground vectors with a Cholesky certificate, and E_g'' is one
 further solve, not a sum over every level: at 60 states on one BLAS
@@ -105,7 +105,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ResourceError
+from .errors import ConfigurationError, NumericError, ResourceError, _whole
 
 __all__ = [
     "NormalModeSystem",
@@ -139,13 +139,6 @@ _MATVEC_BYTES = 8 + 8
 _SECTOR_TOL = 64
 # Dense eigenpairs must meet ||H v - lambda v|| <= sector_leak + c eps ||H||_F.
 _DENSE_RESIDUAL_C = 64
-
-
-def _whole(value, what: str) -> int:
-    """value as an int; a value that is not a whole number raises ConfigurationError."""
-    if not float(value).is_integer():
-        raise ConfigurationError(f"{what} must be a whole number, got {value}")
-    return int(value)
 
 
 def _fused_diagonal(r: float, a: int, count: int) -> np.ndarray:
@@ -557,13 +550,6 @@ def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float 
     flux = math.sqrt(zeta) * _grid(dim)[0]
     c = 0.5 * beta * e_l * np.exp(1j * phase)
     return _kinetic(2.0 * zeta * e_l, dim), _cosine(c, flux), flux
-
-
-def _junction_matrix(kinetic: np.ndarray, potential: np.ndarray):
-    """One junction mode's dense matrix K + diag(V) and its ||H||_F."""
-    h = kinetic.copy()  # K + diag(V) without the dense diag(V)
-    h.flat[:: len(h) + 1] += potential
-    return h, float(np.linalg.norm(h))
 
 
 @dataclass

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupler import EgSeries
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, _whole
 from .oscillator import TensorOperator, _junction_mode, lowest_eigs
 
 __all__ = [
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 PAULI_LABELS = "Ixyz"
+# the qubit grid size n_basis that qubit_subspace, coupling_scan and [numerics] default to
+_QUBIT_BASIS = 60
 # relative distance of E_2 - E_0 from a sum of two splittings that counts as a resonance
 _RESONANCE_WINDOW = 0.02
 
@@ -120,7 +122,7 @@ class QubitSubspace:
         return float(self.energies[1] - self.energies[0])
 
 
-def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
+def qubit_subspace(params: QubitParams, n_basis: int = _QUBIT_BASIS) -> QubitSubspace:
     """Diagonalize one qubit and reduce it to its two lowest states.
 
     The qubit's ladder (frequency 2 zeta_j E_Lj) and junction cosine are
@@ -129,8 +131,7 @@ def qubit_subspace(params: QubitParams, n_basis: int = 60) -> QubitSubspace:
     every returned pair's residual checked.  The double-well regime
     beta_j > 1 is allowed.  weak_isolation flags E_2 - E_1 < 3 (E_1 - E_0).
     """
-    if n_basis < 40:
-        raise ConfigurationError(f"n_basis must be >= 40, got {n_basis}")
+    n_basis = _whole(n_basis, "n_basis", 40)
     kinetic, potential, x = _junction_mode(params.zeta_j, params.beta_j, params.phi_jx, n_basis)
     spectrum = lowest_eigs(TensorOperator([kinetic], potential), 4, want_vectors=True)
     vals = spectrum.eigenvalues

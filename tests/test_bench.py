@@ -24,8 +24,10 @@ from coupler_lab.bench import (
     exact_spectrum,
     sweep,
 )
-from coupler_lab.coupler import CouplerParams, b_coeffs, eg_eval, eg_exact, truncation_bound, u_min, u_zpe_harmonic
+from coupler_lab.coupler import (CouplerParams, b_coeffs, eg_derivs_numeric, eg_eval, eg_exact,
+                                  truncation_bound, u_min, u_zpe_harmonic)
 from coupler_lab.errors import ConfigurationError, NumericError
+from coupler_lab.kapteyn import sin_beta
 from coupler_lab.oscillator import NormalModeSystem, assemble_tensor_operator, lowest_eigs
 from coupler_lab.projection import QubitParams, ResonanceWarning, couplings, qubit_subspace
 
@@ -353,31 +355,58 @@ def test_axis_grid_is_linspace(ref_system):
 
 
 # each entry that takes a count, as a call of one count n, with an integral
-# count and a count that is not a whole number
+# count, a count that is not a whole number and the name its error gives:
+# the grids' numbers of points and dims entries, the series orders nu_max and
+# mu_max, and the coupler and qubit grid sizes n_basis
+REF_COUPLER = CouplerParams(beta_c=0.75, zeta_c=0.05)
 COUNT_ENTRIES = {
     "coupling_scan": (lambda system, n: coupling_scan(system, ["xx"], (0.0, 0.1, n), nu_max=40,
-                                                      n_basis=40).label_array("xx"), 3, 2.9),
+                                                      n_basis=40).label_array("xx"), 3, 2.9,
+                      "the number of grid points"),
     "sweep_spec": (lambda system, n: SweepSpec(axis="phi_cx", range=(0.5, 1.4, n),
-                                               system=system).values, 3, 3.99),
+                                               system=system).values, 3, 3.99,
+                   "the number of grid points"),
     "bo_spectrum": (lambda system, n: bo_spectrum("LA", system, dims=(n, 12.0)).eigenvalues,
-                    12, 12.9),
+                    12, 12.9, "a dims entry"),
     "exact_spectrum": (lambda system, n: exact_spectrum(system, dims=(8, n, 6)).eigenvalues,
-                       8, 6.5),
+                       8, 6.5, "a dims entry"),
     "normal_mode_system": (lambda system, n: NormalModeSystem(
-        freqs=[0.1], displacements=[[0.2]], amplitudes=[0.5], dims=(n,)).dims, 4, 4.5),
+        freqs=[0.1], displacements=[[0.2]], amplitudes=[0.5], dims=(n,)).dims, 4, 4.5,
+        "a dims entry"),
+    "b_coeffs_nu_max": (lambda system, n: b_coeffs(0.75, 0.05, n).coeffs, 100, 100.5, "nu_max"),
+    "b_coeffs_mu_max": (lambda system, n: b_coeffs(0.75, 0.05, 100, n).coeffs, 40, 40.5,
+                        "mu_max"),
+    "sin_beta": (lambda system, n: sin_beta(0.5, 0.1, nu_max=n), 10, 10.5, "nu_max"),
+    "u_min": (lambda system, n: u_min(0.5, 0.1, nu_max=n), 100, 100.5, "nu_max"),
+    "truncation_bound": (lambda system, n: truncation_bound(0.75, 0.05, n), 10, 10.5, "nu_max"),
+    "bo_spectrum_nu_max": (lambda system, n: bo_spectrum("NA", system, dims=(12, 12),
+                                                         nu_max=n).eigenvalues,
+                           100, 100.5, "nu_max"),
+    "coupling_scan_nu_max": (lambda system, n: coupling_scan(
+        system, ["xx"], (0.0, 0.1, 2), nu_max=n, n_basis=40).label_array("xx"), 100, 100.5,
+        "nu_max"),
+    "qubit_subspace": (lambda system, n: qubit_subspace(system.qubits[0], n_basis=n).flux_modes,
+                       60, 60.5, "n_basis"),
+    "eg_exact": (lambda system, n: eg_exact(REF_COUPLER, 0.0, n_basis=n), 50, 50.5, "n_basis"),
+    "eg_derivs_numeric": (lambda system, n: eg_derivs_numeric(REF_COUPLER, 0.1, n_basis=n),
+                          50, 50.5, "n_basis"),
 }
 
 
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_counts_must_be_whole_numbers(ref_system, entry):
     # an int, a numpy int and an integral float give the same result; a
-    # count with a fractional part is rejected where it enters, not truncated
-    call, n, fractional = COUNT_ENTRIES[entry]
+    # count with a fractional part is rejected where it enters, before any
+    # solve or numpy warning, not truncated
+    call, n, fractional, name = COUNT_ENTRIES[entry]
     expected = call(ref_system, n)
     for same in (np.int64(n), float(n)):
         assert np.array_equal(call(ref_system, same), expected)
-    with pytest.raises(ConfigurationError, match=f"must be a whole number, got {fractional}"):
-        call(ref_system, fractional)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be a whole number, got {fractional}$"):
+            call(ref_system, fractional)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -529,15 +558,16 @@ def test_ln_solves_the_coupler_once(ref_system, monkeypatch):
         return real(a)
 
     system = replace(ref_system, phi_cx=0.3)
-    for dim in (12, bench.LN_BASIS):
+    basis = coupler._COUPLER_BASIS
+    for dim in (12, basis):
         oscillator._grid(dim)  # cached nodes, so only the coupler solve calls eigh
     monkeypatch.setattr(np.linalg, "eigh", counting)
     spec = bo_spectrum("LN", system, dims=(12, 12), n_levels=3)
     monkeypatch.undo()
     assert spec.metadata["solver"] == "lanczos"
-    assert calls.count((bench.LN_BASIS, bench.LN_BASIS)) == 1
-    assert set(calls) == {(bench.LN_BASIS, bench.LN_BASIS), (20, 20)}
-    assert bench.LN_BASIS == 50
+    assert calls.count((basis, basis)) == 1
+    assert set(calls) == {(basis, basis), (20, 20)}
+    assert basis == 50
     params = CouplerParams(beta_c=system.beta_c, zeta_c=system.zeta_c)
     # the qubits sit at zero bias, so the coupler sees phi_cx
     derivs = coupler.eg_derivs_numeric(params, 0.3)

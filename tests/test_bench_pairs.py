@@ -54,6 +54,48 @@ def test_summary_of_synthetic_runs():
     assert entry["peak_rss_mb"]["median_paired_ratio"] == 1.0
     assert entry["failed_operations"] == {"parent": 0, "change": 1}
     assert entry["failed_runs"] == {"parent": 1, "change": 1}
+    # wall_s quartiles 2..4 around 3 are wider than 0.25 x 3: unresolved,
+    # though its median fell; setup_s 0.2 -> 0.22 is within 0.25 x 0.2
+    assert (wall["unresolved"], wall["worse_than_bound"]) == (True, False)
+    assert (entry["setup_s"]["unresolved"], entry["setup_s"]["worse_than_bound"]) == (False, False)
+
+
+def paired_runs(parent, change, metric="wall_s"):
+    """Synthetic runs whose metric takes the given values, the others fixed."""
+    runs = []
+    for k, values in enumerate(zip(parent, change)):
+        for side, value in zip(("parent", "change"), values):
+            fields = {"setup": 0.2, "wall": 1.0, "rss": 40.0}
+            fields[{"setup_s": "setup", "wall_s": "wall", "peak_rss_mb": "rss"}[metric]] = value
+            runs.append({"seed": k, "workload": "w", "side": side,
+                         "result": result(fields["setup"], fields["wall"], fields["rss"])})
+    return runs
+
+
+@pytest.mark.parametrize("metric, parent, change, unresolved, worse", [
+    # bound 0.25: a steady 1.0 -> 1.3 is worse by more than the bound
+    ("wall_s", [1.0] * 5, [1.3] * 5, False, True),
+    ("wall_s", [1.0] * 5, [1.2] * 5, False, False),
+    # the change's own quartiles 1.0..1.4 span 0.4 > 0.25 x 1.2
+    ("wall_s", [1.0] * 5, [0.9, 1.0, 1.2, 1.4, 1.5], True, False),
+    # bound 0.1 on peak_rss_mb
+    ("peak_rss_mb", [40.0] * 5, [44.5] * 5, False, True),
+    ("peak_rss_mb", [40.0] * 5, [36.0] * 5, False, False),
+])
+def test_summary_flags_unresolved_and_worse_than_bound(metric, parent, change, unresolved,
+                                                       worse):
+    flags = bench_pairs.summarize(paired_runs(parent, change, metric))["w"][metric]
+    assert (flags["unresolved"], flags["worse_than_bound"]) == (unresolved, worse)
+
+
+def test_worse_follows_the_better_direction(monkeypatch):
+    # a metric where higher is better is worse when its median falls
+    metrics = dict(bench_pairs.METRICS)
+    metrics["wall_s"] = {**metrics["wall_s"], "better": "higher"}
+    monkeypatch.setattr(bench_pairs, "METRICS", metrics)
+    falls = bench_pairs.summarize(paired_runs([1.0] * 5, [0.7] * 5))["w"]["wall_s"]
+    rises = bench_pairs.summarize(paired_runs([1.0] * 5, [1.3] * 5))["w"]["wall_s"]
+    assert (falls["worse_than_bound"], rises["worse_than_bound"]) == (True, False)
 
 
 def test_bootstrap_interval_is_deterministic_and_holds_the_median():

@@ -268,6 +268,21 @@ def test_load_config_rejects_bad_section_names(tmp_path):
         load_config(write_config(tmp_path, body))
 
 
+COUPLER_SECTION = "[coupler]\nbeta_c = 0.5\nzeta_c = 0.05\n"
+QUBIT_SECTION = "[qubit.1]\nbeta_j = 1.05\nzeta_j = 0.05\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    (QUBIT_SECTION, r"^config needs a \[coupler\] section$"),
+    (COUPLER_SECTION, r"^config needs at least one \[qubit\.N\] section$"),
+    (COUPLER_SECTION + "[qubit.1]\nnote = no parameters\n",
+     r"^\[qubit\.1\] has no recognizable parameters$"),
+], ids=["no_coupler", "no_qubit", "no_parameters"])
+def test_load_config_names_a_missing_or_empty_section(tmp_path, body, message):
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(write_config(tmp_path, body))
+
+
 def test_load_config_sweep_and_scan(tmp_path):
     body = DIMLESS_BODY + """
 [sweep]
@@ -394,6 +409,13 @@ def test_output_is_deterministic(ref_config, tmp_path, capsys):
     assert a == b
 
 
+def test_run_passes_true_as_a_bare_flag(ref_config, tmp_path, capsys):
+    assert run("couplings", ref_config, tmp_path, pc_basis=True, labels="xz") == EXIT_OK
+    _, header, rows = read_csv(tmp_path / "couplings.csv")
+    assert header[-1] == "label_pc"
+    assert [(r[0], r[-1]) for r in rows] == [("xz", "zx")]
+
+
 def test_couplings_units_and_relabeling(ref_config, tmp_path, capsys):
     assert main(["couplings", "--config", str(ref_config), "--out", str(tmp_path),
                  "--pc-basis"]) == EXIT_OK
@@ -468,6 +490,12 @@ def test_spectrum_requires_sweep_section(ref_config, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
     assert "sweep" in err["message"]
+
+
+def test_scan_requires_scan_section(ref_config, tmp_path, capsys):
+    assert main(["scan", "--config", str(ref_config), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "the scan command needs a [scan] section"
 
 
 def test_scan_command(tmp_path, capsys):

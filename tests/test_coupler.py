@@ -15,6 +15,7 @@ Oracles:
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,7 +42,7 @@ from coupler_lab.coupler import (
     u_min,
     u_zpe_harmonic,
 )
-from coupler_lab.kapteyn import _g_table, bessel_j, g_coeff
+from coupler_lab.kapteyn import _g_table, bessel_j, g_coeff, kepler_solve, sin_beta
 from coupler_lab.errors import ConfigurationError, NumericError
 
 
@@ -792,3 +793,58 @@ def test_params_validation():
         CouplerParams(beta_c=0.5, zeta_c=0.0)
     with pytest.raises(ConfigurationError):
         CouplerParams(beta_c=0.5, zeta_c=0.05, e_ltc=-1.0)
+
+
+def test_series_order_is_the_coefficient_count():
+    # nu_max is read from the coefficients: an int whatever integral type
+    # the order was given as
+    for nu_max in (7, np.int64(7), 7.0):
+        s = b_coeffs(0.75, 0.05, nu_max)
+        assert type(s.nu_max) is int and s.nu_max == 7
+        assert s.b_classical.nu_max == s.b_quantum.nu_max == len(s.coeffs) - 1 == 7
+
+
+ZETA_ENTRIES = {
+    "b_coeffs": lambda zeta: b_coeffs(0.75, zeta, 10).coeffs,
+    "truncation_bound": lambda zeta: truncation_bound(0.75, zeta, 10),
+    "min_nu_for_error": lambda zeta: min_nu_for_error(0.75, zeta, 1e-3),
+    "u_zpe_harmonic": lambda zeta: u_zpe_harmonic(0.5, zeta, 0.0),
+    "eg_derivs_analytic": lambda zeta: eg_derivs_analytic(0.5, zeta, 0.3),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.1, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ZETA_ENTRIES)
+def test_series_functions_check_zeta(entry, bad):
+    call = ZETA_ENTRIES[entry]
+    with pytest.raises(ConfigurationError, match="zeta_c must be nonnegative and finite"):
+        call(bad)
+    # zeta_c = 0 is the classical limit
+    assert np.all(np.isfinite(call(0.0)))
+
+
+@pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf, np.array([0.1, math.nan])])
+@pytest.mark.parametrize("call", [lambda p, phi: eg_exact(p, phi, n_levels=1),
+                                  eg_derivs_numeric, bodc_metrics],
+                         ids=["eg_exact", "eg_derivs_numeric", "bodc_metrics"])
+def test_non_finite_bias_is_a_configuration_error(call, bias):
+    # rejected as input before any solve, not reported as a failed solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="bias phi_x must be finite"):
+            call(CouplerParams(beta_c=0.75, zeta_c=0.05), bias)
+
+
+def test_closed_forms_pass_nan_through():
+    assert math.isnan(kepler_solve(0.5, math.nan))
+    assert math.isnan(sin_beta(0.5, math.nan))
+    assert all(math.isnan(v) for v in eg_derivs_analytic(0.5, 0.1, math.nan))
+
+
+@pytest.mark.parametrize("call", [eg_derivs_numeric, bodc_metrics])
+def test_near_degenerate_ground_is_ill_conditioned(call):
+    # at zeta_c = 1e-11 the two lowest levels are 1.4e-11 apart, inside
+    # _GAP_TOL, so the perturbative quantities are refused
+    with pytest.raises(NumericError, match="nearly degenerate") as err:
+        call(CouplerParams(beta_c=0.5, zeta_c=1e-11), 0.0)
+    assert 0.0 < err.value.details["gap"] < coupler._GAP_TOL

@@ -336,14 +336,14 @@ class TestGCoeff:
 
 class TestFourierSeries:
     def test_even_evaluation(self):
-        f = FourierSeries(2, [1.0, 0.5, -0.25], parity="even")
+        f = FourierSeries([1.0, 0.5, -0.25], parity="even")
         phi = 0.7
         expect = 1.0 + 2 * 0.5 * np.cos(phi) - 2 * 0.25 * np.cos(2 * phi)
         assert f(phi) == pytest.approx(expect, rel=1e-15)
         assert f.coeff(-2) == -0.25
 
     def test_odd_evaluation(self):
-        f = FourierSeries(2, [0.0, 0.5, 0.25], parity="odd")
+        f = FourierSeries([0.0, 0.5, 0.25], parity="odd")
         phi = np.array([0.7, -0.7])
         expect = 2 * 0.5 * np.sin(phi) + 2 * 0.25 * np.sin(2 * phi)
         assert np.allclose(f(phi), expect)
@@ -351,20 +351,24 @@ class TestFourierSeries:
 
     def test_odd_requires_zero_mean(self):
         with pytest.raises(ValueError):
-            FourierSeries(1, [0.1, 0.5], parity="odd")
+            FourierSeries([0.1, 0.5], parity="odd")
 
     def test_rejects_bad_shape_and_nan(self):
+        # the coefficients' length is the order, so they must be one
+        # nonempty row
+        for bad in ([], [[1.0, 2.0]], 1.0):
+            with pytest.raises(ValueError, match="nonempty 1-D"):
+                FourierSeries(bad, parity="even")
         with pytest.raises(ValueError):
-            FourierSeries(3, [1.0, 2.0], parity="even")
-        with pytest.raises(ValueError):
-            FourierSeries(1, [1.0, np.nan], parity="even")
+            FourierSeries([1.0, np.nan], parity="even")
 
     def test_rejects_general_parity(self):
         with pytest.raises(ValueError, match="parity"):
-            FourierSeries(1, [1.0, 2.0], parity="general")
+            FourierSeries([1.0, 2.0], parity="general")
 
     def test_coeff_out_of_range(self):
-        f = FourierSeries(1, [1.0, 2.0], parity="even")
+        f = FourierSeries([1.0, 2.0], parity="even")
+        assert f.nu_max == 1
         with pytest.raises(IndexError):
             f.coeff(5)
 
@@ -372,7 +376,7 @@ class TestFourierSeries:
         beta, nu_max = 0.6, 80
         nu = np.arange(1, nu_max + 1)
         coeffs = np.concatenate([[0.0], bessel_j(nu, beta * nu) / (beta * nu)])
-        f = FourierSeries(nu_max, coeffs, parity="odd")
+        f = FourierSeries(coeffs, parity="odd")
         phi = np.linspace(-2.0, 2.0, 9)
         assert np.allclose(f(phi), sin_beta(beta, phi, nu_max=nu_max), atol=1e-14)
 
@@ -396,8 +400,8 @@ class TestSinCoeffsCache:
         fresh = _sin_coeffs.__wrapped__(beta, nu_max)
         _sin_coeffs.cache_clear()
         # the same evaluator sin_beta and cos_beta use, on the uncached build
-        odd = FourierSeries(nu_max, np.concatenate(([0.0], fresh / 2.0)), parity="odd")
-        even = FourierSeries(nu_max, np.concatenate(([0.0], fresh / (2.0 * nu))), parity="even")
+        odd = FourierSeries(np.concatenate(([0.0], fresh / 2.0)), parity="odd")
+        even = FourierSeries(np.concatenate(([0.0], fresh / (2.0 * nu))), parity="even")
         for phi in np.linspace(-np.pi, np.pi, 13):
             s_want = float(odd(phi))
             c_want = float(1.0 + (even(phi) - even(0.0)))

@@ -118,6 +118,20 @@ class TestHoExpElement:
         oracle = exp_oracle(2.0, 801, pad=120)
         assert got == pytest.approx(oracle[400, 800], abs=1e-10)
 
+    def test_rescale_hands_back_its_pending_scale(self):
+        # at j = 9000, k = 11000 the leading element is below e^-600, so the
+        # recurrence starts rescaled and hands the scale back as it grows;
+        # the oracle is the Laguerre closed form at 60 digits (i^2000 = 1)
+        mpmath = pytest.importorskip("mpmath")
+        j, k = 9000, 11000
+        with mpmath.workdps(60):
+            r = mpmath.mpf(10)
+            want = (mpmath.sqrt(mpmath.factorial(j) / mpmath.factorial(k)) * mpmath.exp(-r * r / 2)
+                    * r ** (k - j) * mpmath.laguerre(j, k - j, r * r))
+        got = ho_exp_matrix_element(j, k, 10.0)
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(float(want), rel=1e-12)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             ho_exp_matrix_element(-1, 0, 0.5)

@@ -19,6 +19,11 @@ workload and end-to-end metric the parent and change medians and
 quartiles, how many pairs the change was lower in, the median paired
 ratio change / parent with its bootstrap 95% interval, and the relative
 change of the medians, with the failed operations and runs per side.
+Each metric also states the two ways a change that claims no gain fails,
+by the metric's bound and better direction: ``unresolved``, whether
+either side's interquartile range is wider than the bound times its
+median, and ``worse_than_bound``, whether the change's median is worse
+than the parent's by more than the bound times the parent's median.
 The run length T, the workloads and the end-to-end metrics are those that
 BENCHMARK.json at the root of this repository declares.
 """
@@ -34,7 +39,7 @@ from pathlib import Path
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 RUN_SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
-METRICS = tuple(metric["name"] for metric in BENCHMARK["end_to_end"])
+METRICS = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 SIDES = ("parent", "change")
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 20161
@@ -108,7 +113,7 @@ def summarize(runs) -> dict:
         pairs = [(sides["parent"], sides["change"]) for sides in by_seed.values()
                  if sides.get("parent") and sides.get("change")]
         entry = {}
-        for metric in METRICS:
+        for metric, spec in METRICS.items():
             parent = [p["metrics"][metric]["value"] for p, _ in pairs]
             change = [c["metrics"][metric]["value"] for _, c in pairs]
             if len(pairs) < 2:
@@ -118,6 +123,8 @@ def summarize(runs) -> dict:
             c_med, c_q1, c_q3 = _stats(change)
             lower = sum(c < p for p, c in zip(parent, change))
             ratios = [c / p for p, c in zip(parent, change)]
+            bound = spec["bound"]
+            worse = c_med - p_med if spec["better"] == "lower" else p_med - c_med
             entry[metric] = {
                 "pairs": len(pairs),
                 "parent_median": p_med, "parent_q1": p_q1, "parent_q3": p_q3,
@@ -127,6 +134,8 @@ def summarize(runs) -> dict:
                 "median_paired_ratio_ci95": bootstrap_interval(ratios),
                 "relative_change": round(statistics.median(change) / statistics.median(parent)
                                          - 1.0, 6),
+                "unresolved": p_q3 - p_q1 > bound * p_med or c_q3 - c_q1 > bound * c_med,
+                "worse_than_bound": worse > bound * p_med,
             }
         for side in SIDES:
             results = [run["result"] for run in mine if run["side"] == side]
