@@ -699,8 +699,8 @@ def _validation_checks(cfg):
     rel = max(abs(a - n) / abs(n) for a, n in zip(d_ana, d_num))
     yield "derivative_routes", rel <= 0.01, f"max rel {rel:.3e}"
 
-    series = b_coeffs(0.5, zeta, nu_max=100)
-    sub = qubit_subspace(QubitParams(beta_j=1.05, zeta_j=0.05), n_basis=60)
+    series = b_coeffs(0.5, zeta)
+    sub = qubit_subspace(QubitParams(beta_j=1.05, zeta_j=0.05))
     table = couplings(series, [sub, sub], [0.05, 0.05], 0.1 * TWO_PI, labels=["xx"])
     quad = gxx_quadrature(lambda x: eg_eval(series, x), [sub, sub], 0.05, 0.1 * TWO_PI)
     rel = abs(quad - table["xx"]) / abs(table["xx"])
