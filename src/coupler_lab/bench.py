@@ -201,6 +201,7 @@ class SweepSpec:
         object.__setattr__(self, "range", (float(lo), float(hi), _axis_grid(lo, hi, n).size))
         if self.n_levels < 2:
             raise ConfigurationError(f"n_levels must be >= 2, got {self.n_levels}")
+        _whole(self.nu_max, "nu_max", 1)
         bad = set(self.theories) - set(THEORIES)
         if bad:
             raise ConfigurationError(f"unknown theories {sorted(bad)}")

@@ -70,6 +70,8 @@ _GAP_TOL = 1e-10
 _RQI_STEPS = 6
 # A continued point's residual floor, in eps ||H||_F (see _continued_ground).
 _RQI_FLOOR = 0.25
+# Finished ground-state tracks kept by _ground_track.
+_TRACKS = 4
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,10 @@ def eg_exact(params: CouplerParams, phi_x, n_basis: int = _COUPLER_BASIS, n_leve
     if phis.ndim and n_levels != 1:
         raise ConfigurationError("an array of biases follows the ground level only;"
                                  f" n_levels must be 1, got {n_levels}")
-    states = _ground_states(params, np.atleast_1d(phis), n_basis, max(2, n_levels))
+    energies, _, levels = _ground_states(params, phis, n_basis, max(2, n_levels))
     if phis.ndim:
-        return np.array([state[3] for state in states]).reshape(-1, 1)
-    return next(states)[2][:n_levels]
+        return energies.reshape(-1, 1).copy()
+    return levels[0][:n_levels].copy()
 
 
 def eg_derivs_analytic(beta_c: float, zeta_c: float, phi_cx: float) -> tuple:
@@ -285,7 +287,17 @@ def _biases(phi_x) -> np.ndarray:
     return phis
 
 
-def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float):
+def _shifted(h: np.ndarray, s: float, g: np.ndarray | None = None, shift: float = 0.0):
+    """H - s + shift g g^T, formed in a copy of h in the order of
+    h - s * eye + shift * outer(g, g), so bitwise equal to it."""
+    a = h.copy()
+    a.flat[::len(a) + 1] -= s
+    if g is not None:
+        a += shift * np.outer(g, g)
+    return a
+
+
+def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float, anchor: list):
     """The ground pair (theta, g) of h by Rayleigh-quotient iteration from g.
 
     Steps theta = g^T H g, (H - theta) y = g, g = y / ||y|| run until the
@@ -306,19 +318,29 @@ def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float)
     / 4, by at most 8.9e-14, the scatter of eigh's own vectors, whose
     residuals run to about eps ||H||_F.
 
-    The pair is certified by a residual at most min(dense gate, _GAP_TOL)
-    and a Cholesky factorization of
+    The residual r, at most min(dense gate, _GAP_TOL), puts an eigenvalue
+    of H within r of theta.  The pair is certified when the second
+    eigenvalue lambda_1 of H lies above theta + r + _GAP_TOL: that
+    eigenvalue is then the ground level, isolated by more than _GAP_TOL.
+    Three tests prove it, the cheapest first:
 
-        A = H - theta + shift g g^T - _GAP_TOL,
+      * Weyl's inequality.  anchor is [diagonal, bound] of the last point
+        of the track whose lambda_1 was proven above bound with a margin
+        (_ground_states).  H differs from the anchor's matrix only on its
+        diagonal, so lambda_1 lies above bound - max |diag H - diagonal|,
+        and no factorization is needed when
+        theta + r + _GAP_TOL + c eps ||H||_F stays below that, c =
+        _DENSE_RESIDUAL_C = 64 (the dense gate's rounding allowance);
+      * a Cholesky factorization of H - (theta + shift / 2) + shift g g^T,
+        shift = 2 zeta (the harmonic spacing).  A positive definite matrix
+        puts lambda_1 above theta + shift / 2 (a rank-one update moves each
+        eigenvalue at most up to the next), and this point becomes the
+        anchor, with that bound;
+      * a Cholesky factorization of H - (theta + _GAP_TOL) + shift g g^T,
+        which proves the gap but gives no margin, so the anchor stays.
 
-    shift > _GAP_TOL.  A positive definite A puts the second eigenvalue of
-    H above theta + _GAP_TOL (a rank-one update moves each eigenvalue at
-    most up to the next).  The residual puts an eigenvalue within
-    _GAP_TOL of theta, so that eigenvalue is the ground level, isolated
-    by more than _GAP_TOL.  None when the floor is not reached or the
-    certificate fails.
+    None when the floor is not reached or no test certifies the pair.
     """
-    eye = np.eye(len(h))
     floor = _RQI_FLOOR * np.finfo(float).eps * h_norm
     try:
         for step in range(_RQI_STEPS + 1):
@@ -330,11 +352,20 @@ def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float)
                 break
             if step == _RQI_STEPS:
                 return None
-            g = np.linalg.solve(h - theta * eye, g)
+            g = np.linalg.solve(_shifted(h, theta), g)
             g /= math.sqrt(g @ g)
-        if not resid <= min(_residual_bound(0.0, h_norm), _GAP_TOL):
+        gate = _residual_bound(0.0, h_norm)
+        if not resid <= min(gate, _GAP_TOL):
             return None
-        np.linalg.cholesky(h - (theta + _GAP_TOL) * eye + shift * np.outer(g, g))
+        diagonal = h.diagonal()
+        if theta + resid + _GAP_TOL + gate < anchor[1] - np.max(np.abs(diagonal - anchor[0])):
+            return theta, g
+        try:
+            np.linalg.cholesky(_shifted(h, theta + 0.5 * shift, g, shift))
+        except np.linalg.LinAlgError:
+            np.linalg.cholesky(_shifted(h, theta + _GAP_TOL, g, shift))
+        else:
+            anchor[:] = diagonal, theta + 0.5 * shift
     except np.linalg.LinAlgError:
         return None
     return theta, g
@@ -357,51 +388,105 @@ def _predicted(history, phi: float) -> np.ndarray:
     return g / math.sqrt(g @ g)
 
 
-def _ground_states(params: CouplerParams, phis, n_basis: int, n_levels: int = 2):
-    """Yield (H, flux nodes, levels, E_g, ground vector) along the biases.
+class _Junction:
+    """The coupler's junction mode on its n_basis grid, at any bias.
+
+    The bias-free parts are made once: the kinetic factor K, the flux
+    nodes and e^{i flux}.  potential(phi) and matrix(potential) are then
+    bitwise _junction_mode's V and K + diag(V) at that bias.
+    """
+
+    def __init__(self, beta_c: float, zeta_c: float, n_basis: int):
+        self.kinetic, _, self.flux = _junction_mode(zeta_c, beta_c, 0.0, n_basis)
+        self._amplitude = 0.5 * beta_c
+        self._nodes = np.exp(1j * self.flux)
+
+    def potential(self, phi: float) -> np.ndarray:
+        return 2.0 * (self._amplitude * np.exp(1j * phi) * self._nodes).real
+
+    def matrix(self, potential: np.ndarray) -> np.ndarray:
+        h = self.kinetic.copy()
+        h.flat[::len(h) + 1] += potential
+        return h
+
+
+def _ground_states(params: CouplerParams, phis: np.ndarray, n_basis: int, n_levels: int = 2):
+    """(E_g, ground vectors, levels) along the biases phis, a scalar or 1-D array.
 
     Every coupler solve comes through here, and n_basis is checked here,
-    before any solve, as a whole number >= 30.  H = K + diag(V), the
-    matrix the continuation and the resolvent solves factor, is bitwise
-    TensorOperator([K], V).to_dense() at a fifth of the operator's
+    before any solve, as a whole number >= 30.  The track of a 1-D array
+    is memoized (_ground_track), so eg_exact and eg_derivs_numeric on one
+    grid trace it once; a scalar bias is solved each call.
+    """
+    n_basis = _whole(n_basis, "n_basis", 30)
+    key = (params.beta_c, params.zeta_c, n_basis, n_levels, phis.tobytes())
+    return _ground_track(*key) if phis.ndim else _ground_track.__wrapped__(*key)
+
+
+@lru_cache(maxsize=_TRACKS)
+def _ground_track(beta_c: float, zeta_c: float, n_basis: int, n_levels: int, biases: bytes):
+    """The ground level followed along the float64 biases in ``biases``.
+
+    Returns (E_g, vectors, levels): E_g and the ground vectors by row, and
+    per bias the lowest n_levels of its from-scratch solve, or None where
+    it was continued; all read-only.  H = K + diag(V) (_Junction) is
+    bitwise TensorOperator([K], V).to_dense() at a fifth of the operator's
     cost.  The first bias, and any whose continuation fails, is solved
     from scratch: oscillator.lowest_eigs on the one-axis operator gives
     its lowest n_levels (at least 2, the ground level and the gap) and
-    the ground vector, every returned pair's residual checked.  Each
-    later bias starts from the quadratic extrapolation of the last three
-    accepted ground vectors (_predicted; the previous vector until three
-    distinct biases are in) and takes Rayleigh-quotient steps to the
-    rounding floor (_continued_ground, shift 2 zeta, the harmonic
-    spacing); it yields levels None.  On a 201-point grid over [0, pi]
-    at 60 states that is one or two LU solves per point.  Either route
-    may return -g, so each vector is signed to match the previous one
-    before it is yielded and kept.  A scalar call is a one-point grid,
-    so it takes the from-scratch route.
+    the ground vector, every returned pair's residual checked; lambda_1
+    less its error bound starts a new anchor for the Weyl certificate.
+    Each later bias starts from the quadratic extrapolation of the last
+    three accepted ground vectors (_predicted; the previous vector until
+    three distinct biases are in) and takes Rayleigh-quotient steps to
+    the rounding floor (_continued_ground, shift 2 zeta, the harmonic
+    spacing).  On a 201-point grid over [0, pi] at 60 states that is one
+    or two LU solves per point, and the Weyl certificate spares most
+    points their Cholesky factorization.  Either route may return -g, so
+    each vector is signed to match the previous one before it is kept.
+
+    Memoized for the last _TRACKS tracks, keyed on (beta_c, zeta_c,
+    n_basis, n_levels, the biases' bytes); a 201-point track at 60 states
+    holds about 100 kB.
     """
-    n_basis = _whole(n_basis, "n_basis", 30)
-    shift = 2.0 * params.zeta_c
+    junction = _Junction(beta_c, zeta_c, n_basis)
+    phis = np.frombuffer(biases)
+    energies = np.empty(len(phis))
+    vectors = np.empty((len(phis), n_basis))
+    levels = []
+    shift = 2.0 * zeta_c
+    # [diagonal of H, lower bound on its lambda_1] at the last anchor
+    anchor = [0.0, -math.inf]
     history = []
-    for phi in phis:
-        kinetic, potential, flux = _junction_mode(params.zeta_c, params.beta_c, phi, n_basis)
-        h = kinetic + np.diag(potential)
+    for i, phi in enumerate(phis):
+        potential = junction.potential(phi)
+        h = junction.matrix(potential)
         found = None
         if history:
-            found = _continued_ground(h, np.linalg.norm(h), _predicted(history, phi), shift)
-        levels = None
+            found = _continued_ground(h, np.linalg.norm(h), _predicted(history, phi), shift,
+                                      anchor)
+        level = None
         if found is None:
-            spectrum = lowest_eigs(TensorOperator([kinetic], potential), n_levels,
+            spectrum = lowest_eigs(TensorOperator([junction.kinetic], potential), n_levels,
                                    want_vectors=True)
-            levels = spectrum.eigenvalues
-            found = levels[0], spectrum.eigenvectors[:, 0]
-        energy, g = found
+            level = spectrum.eigenvalues
+            level.flags.writeable = False
+            found = level[0], spectrum.eigenvectors[:, 0]
+            anchor[:] = h.diagonal(), level[1] - spectrum.metadata["error_bounds"][1]
+        energies[i], g = found
         if history and g @ history[-1][1] < 0.0:
             g = -g
+        vectors[i] = g
+        levels.append(level)
         # the last three distinct biases, the newest last
         history = [pair for pair in history if pair[0] != phi][-2:] + [(phi, g)]
-        yield h, flux, levels, energy, g
+    energies.flags.writeable = False
+    vectors.flags.writeable = False
+    return energies, vectors, tuple(levels)
 
 
-def _perturbative(params: CouplerParams, phis, n_basis: int, what: str) -> np.ndarray:
+def _perturbative(params: CouplerParams, phis: np.ndarray, n_basis: int,
+                  what: str) -> np.ndarray:
     """Rows (E_g, E_g', E_g'', <d g|d g>) at each bias, one resolvent solve each.
 
     X = sqrt(zeta) (a + a^dag), the displacement from the quadratic
@@ -412,22 +497,29 @@ def _perturbative(params: CouplerParams, phis, n_basis: int, what: str) -> np.nd
 
     y = sum_{k>0} |k><k|X|g> / (E_k - E_g) plus a multiple of g, so E_g'' =
     1 - 2 b^T y and the diagonal correction is ||Q y||^2: the sums over
-    every level, without the levels.  A ground state within _GAP_TOL of
-    the next level raises NumericError, since ``what`` (a perturbative
-    quantity) is then ill-conditioned.
+    every level, without the levels.  That LU is the one factorization
+    per continued point beyond the track's own: the track's gap is
+    certified by Weyl's inequality or a Cholesky factorization
+    (_continued_ground), and a memoized track (_ground_states) costs
+    none.  A ground state within _GAP_TOL of the next level raises
+    NumericError, since ``what`` (a perturbative quantity) is then
+    ill-conditioned.  phis is a scalar or 1-D array; the rows are (N, 4).
     """
-    rows = []
+    energies, vectors, levels = _ground_states(params, phis, n_basis)
+    junction = _Junction(params.beta_c, params.zeta_c, vectors.shape[1])
     shift = 2.0 * params.zeta_c
-    for h, flux, levels, energy, g in _ground_states(params, phis, n_basis):
-        if levels is not None and levels[1] - levels[0] < _GAP_TOL:
+    rows = []
+    for phi, energy, g, level in zip(np.atleast_1d(phis), energies, vectors, levels):
+        if level is not None and level[1] - level[0] < _GAP_TOL:
             raise NumericError(
                 f"ground state nearly degenerate; {what} ill-conditioned",
-                {"gap": float(levels[1] - levels[0])},
+                {"gap": float(level[1] - level[0])},
             )
-        xg = flux * g
+        h = junction.matrix(junction.potential(phi))
+        xg = junction.flux * g
         mean = g @ xg
         b = xg - mean * g
-        y = np.linalg.solve(h - energy * np.eye(len(h)) + shift * np.outer(g, g), b)
+        y = np.linalg.solve(_shifted(h, energy, g, shift), b)
         qy = y - (g @ y) * g
         rows.append((energy, -mean, 1.0 - 2.0 * (b @ y), qy @ qy))
     return np.array(rows).reshape(-1, 4)
@@ -451,7 +543,7 @@ def _ground_energy_derivs(params: CouplerParams, phi_x, n_basis: int = _COUPLER_
     """(E_g, E_g', E_g'') from one coupler solve per bias: eg_exact's ground
     level and eg_derivs_numeric's derivatives, bitwise at a scalar bias."""
     phis = _biases(phi_x)
-    rows = _perturbative(params, np.atleast_1d(phis), n_basis, "perturbation theory")
+    rows = _perturbative(params, phis, n_basis, "perturbation theory")
     if phis.ndim:
         return rows[:, 0], rows[:, 1], rows[:, 2]
     return tuple(float(v) for v in rows[0, :3])
@@ -529,7 +621,9 @@ def bodc_metrics(params: CouplerParams, phi_x: float, n_basis: int = _COUPLER_BA
     rhs = 4 zeta_c^2 (1 - beta_c)^2; the correction is negligible when
     lhs << rhs.
     """
-    phis = _biases(phi_x).reshape(1)
+    phis = _biases(phi_x)
+    if phis.ndim:
+        raise ConfigurationError(f"bodc_metrics takes one bias, got shape {phis.shape}")
     exact = float(_perturbative(params, phis, n_basis, "diagonal correction")[0, 3])
     chi = kepler_solve(params.beta_c, phi_x)
     d = 1.0 - params.beta_c * math.cos(chi)

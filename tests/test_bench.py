@@ -327,6 +327,12 @@ def test_sweep_spec_validation(ref_system):
         SweepSpec(**{**good, "n_levels": 1})
     with pytest.raises(ConfigurationError):
         SweepSpec(**{**good, "theories": ("NA", "BO")})
+    # a series order that is not a whole number >= 1 fails when the spec is
+    # built, not on every NA point of the sweep
+    with pytest.raises(ConfigurationError, match="nu_max must be a whole number"):
+        SweepSpec(**{**good, "nu_max": 100.5})
+    with pytest.raises(ConfigurationError, match="nu_max must be >= 1"):
+        SweepSpec(**{**good, "nu_max": 0})
 
 
 BAD_RANGES = [(1.0, 0.0, 3), (0.0, 1.0, 1), (math.nan, 1.0, 3), (0.0, math.nan, 3),

@@ -98,6 +98,31 @@ def test_worse_follows_the_better_direction(monkeypatch):
     assert (falls["worse_than_bound"], rises["worse_than_bound"]) == (True, False)
 
 
+@pytest.mark.parametrize("change, improved", [
+    ([0.6, 0.62, 0.58, 0.61, 0.6, 0.59], True),
+    # most pairs lower, but the interval reaches past 1
+    ([0.6, 0.62, 0.58, 1.3, 1.2, 1.25], False),
+])
+def test_claimed_metric_is_flagged_improved(change, improved):
+    # only a claimed metric gets the flag, set when the interval of the
+    # median paired ratio lies wholly below 1 (lower is better)
+    entry = bench_pairs.summarize(paired_runs([1.0] * 6, change), {("w", "wall_s")})["w"]
+    assert entry["wall_s"]["improved"] is improved
+    assert (entry["wall_s"]["median_paired_ratio_ci95"][1] < 1.0) is improved
+    assert "improved" not in entry["setup_s"] and "improved" not in entry["peak_rss_mb"]
+    assert "improved" not in bench_pairs.summarize(paired_runs([1.0] * 6, change))["w"]["wall_s"]
+    # where higher is better, the interval must lie wholly above 1
+    assert bench_pairs.improved([1.02, 1.3], "higher") and not bench_pairs.improved([0.9, 1.3],
+                                                                                     "higher")
+
+
+def test_claim_must_name_a_workload_and_metric(tmp_path):
+    for bad in ("cli_pipeline", "cli_pipeline/cpu_s", "nowhere/wall_s"):
+        with pytest.raises(SystemExit):
+            bench_pairs.main([str(tmp_path), str(tmp_path), "--out", str(tmp_path / "x.json"),
+                              "--claim", bad])
+
+
 def test_bootstrap_interval_is_deterministic_and_holds_the_median():
     ratios = [0.93, 1.02, 0.97, 1.10, 0.99, 1.04, 0.95, 1.01, 0.98, 1.06, 0.96]
     lo, hi = bench_pairs.bootstrap_interval(ratios)

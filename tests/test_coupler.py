@@ -455,6 +455,16 @@ def level_sums(params, phi_x, n_basis=50):
             np.sum(xg[1:] ** 2 / gaps**2))
 
 
+@pytest.fixture
+def fresh_tracks():
+    # the memoized tracks are cleared before and after a test that counts
+    # solves or patches the continuation, so it traces its own grids and
+    # leaves no patched track behind
+    coupler._ground_track.cache_clear()
+    yield
+    coupler._ground_track.cache_clear()
+
+
 def column_errors(got, want, absolute):
     """Largest |got - want| per column, over the column's largest |want|
     unless absolute."""
@@ -518,7 +528,7 @@ def test_scalar_call_is_one_junction_eigh(phi):
     assert np.array_equal(got, np.linalg.eigh(kinetic + np.diag(potential))[0][:5])
 
 
-def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):
+def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch, fresh_tracks):
     # a continuation step forced onto level 1 converges there, the Cholesky
     # certificate rejects it, and the point is solved from scratch: bitwise
     # its scalar call, with the grid going on from there
@@ -526,16 +536,17 @@ def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):
     real = coupler._continued_ground
     outcomes = []
 
-    def onto_level_1(h, h_norm, g, shift):
+    def onto_level_1(h, h_norm, g, shift, anchor):
         if not outcomes:
             g = np.linalg.eigh(h)[1][:, 1]
-        outcomes.append(real(h, h_norm, g, shift))
+        outcomes.append(real(h, h_norm, g, shift, anchor))
         return outcomes[-1]
 
     monkeypatch.setattr(coupler, "_continued_ground", onto_level_1)
     energies = eg_exact(p, BIAS_GRID[:4], n_levels=1)[:, 0]
     assert outcomes[0] is None and all(found is not None for found in outcomes[1:])
     outcomes.clear()
+    coupler._ground_track.cache_clear()
     d1, d2 = eg_derivs_numeric(p, BIAS_GRID[:4])
     assert outcomes[0] is None
     monkeypatch.undo()
@@ -543,15 +554,15 @@ def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):
     assert (d1[1], d2[1]) == eg_derivs_numeric(p, BIAS_GRID[1])
 
 
-def test_certificate_holds_on_every_continued_point(monkeypatch):
+def test_certificate_holds_on_every_continued_point(monkeypatch, fresh_tracks):
     # every accepted pair has its residual within the dense gate, and H
     # minus its level, deflated along its vector, is positive definite
     # past the gap threshold
     real = coupler._continued_ground
     accepted = []
 
-    def record(h, h_norm, g, shift):
-        found = real(h, h_norm, g, shift)
+    def record(h, h_norm, g, shift, anchor):
+        found = real(h, h_norm, g, shift, anchor)
         if found is not None:
             accepted.append((h, h_norm, shift, *found))
         return found
@@ -599,7 +610,7 @@ def test_predictor_extrapolates_a_quadratic_exactly():
 
 
 @pytest.mark.parametrize("derivs, limit", [(False, 2.2), (True, 3.2)])
-def test_continued_points_cost_about_one_solve(monkeypatch, derivs, limit):
+def test_continued_points_cost_about_one_solve(monkeypatch, fresh_tracks, derivs, limit):
     # along 201 biases over [0, pi] at 60 states each continued point takes
     # a solve or two to the rounding floor; E_g'' adds one per point
     solves = []
@@ -618,6 +629,110 @@ def test_continued_points_cost_about_one_solve(monkeypatch, derivs, limit):
         else:
             eg_exact(p, grid, n_basis=60, n_levels=1)
     assert len(solves) / (3 * (len(grid) - 1)) <= limit
+
+
+CLI_GRID = np.linspace(0.0, np.pi, 201)  # the eg and derivs commands' default grid
+
+
+def traced(p, grid, n_basis):
+    """eg_exact's and eg_derivs_numeric's grids and which biases were solved
+    from scratch, from one fresh track."""
+    coupler._ground_track.cache_clear()
+    energies = eg_exact(p, grid, n_basis=n_basis, n_levels=1)
+    derivs = np.array(eg_derivs_numeric(p, grid, n_basis=n_basis))
+    scratch = [level is not None for level in coupler._ground_states(p, grid, n_basis)[2]]
+    return energies, derivs, scratch
+
+
+@pytest.mark.parametrize("zeta", (0.01, 0.05, 0.25, 0.5))
+@pytest.mark.parametrize("beta", (0.1, 0.5, 0.75, 0.95, 0.99))
+def test_weyl_certificate_changes_no_output(monkeypatch, fresh_tracks, beta, zeta):
+    # with the Weyl test forced off (a fresh anchor at every point, so each
+    # continued point is certified by a Cholesky factorization, as before
+    # the Weyl test), the same biases are solved from scratch and every
+    # energy and derivative is bitwise the same
+    p = CouplerParams(beta_c=beta, zeta_c=zeta)
+    weyl = [traced(p, BIAS_GRID, 50), traced(p, CLI_GRID, 60)]
+    real = coupler._continued_ground
+    monkeypatch.setattr(coupler, "_continued_ground", lambda h, h_norm, g, shift, anchor:
+                        real(h, h_norm, g, shift, [0.0, -math.inf]))
+    per_point = [traced(p, BIAS_GRID, 50), traced(p, CLI_GRID, 60)]
+    for (e_weyl, d_weyl, s_weyl), (e_chol, d_chol, s_chol) in zip(weyl, per_point):
+        assert s_weyl == s_chol
+        assert np.array_equal(e_weyl, e_chol)
+        assert np.array_equal(d_weyl, d_chol)
+
+
+def test_weyl_margin_runs_out_into_the_cholesky_tests(monkeypatch, fresh_tracks):
+    # at beta 0.95, zeta 0.02 the diagonal moves by about beta dphi per
+    # step, so an anchor's margin lasts a few points: then a Cholesky
+    # factorization proves a new margin, or, where the gap is under zeta,
+    # fails and the unmargined test certifies the point.  Every accepted
+    # point is the ground level, isolated by more than _GAP_TOL.
+    real_ground, real_cholesky = coupler._continued_ground, np.linalg.cholesky
+    points = []
+
+    def ground(h, h_norm, g, shift, anchor):
+        points.append({"h": h, "cholesky": []})
+        points[-1]["found"] = real_ground(h, h_norm, g, shift, anchor)
+        return points[-1]["found"]
+
+    def cholesky(a):
+        try:
+            factor = real_cholesky(a)
+        except np.linalg.LinAlgError:
+            points[-1]["cholesky"].append(False)
+            raise
+        points[-1]["cholesky"].append(True)
+        return factor
+
+    monkeypatch.setattr(coupler, "_continued_ground", ground)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    eg_exact(CouplerParams(beta_c=0.95, zeta_c=0.02), CLI_GRID, n_basis=60, n_levels=1)
+    monkeypatch.undo()
+    routes = [tuple(point["cholesky"]) for point in points if point["found"] is not None]
+    assert len(routes) == len(CLI_GRID) - 1
+    weyl, margin, fallback = routes.count(()), routes.count((True,)), routes.count((False, True))
+    assert weyl + margin + fallback == len(routes)
+    assert weyl > len(routes) // 2 and margin > 0 and fallback > 0
+    for point in points:
+        theta, g = point["found"]
+        levels = np.linalg.eigvalsh(point["h"])
+        assert abs(levels[0] - theta) <= 64 * np.finfo(float).eps * np.linalg.norm(point["h"])
+        assert levels[1] - levels[0] > coupler._GAP_TOL
+
+
+def test_tracks_are_memoized_read_only_and_bounded(monkeypatch, fresh_tracks):
+    p = CouplerParams(beta_c=0.75, zeta_c=0.05)
+    real = coupler._continued_ground
+    continued = []
+
+    def counted(*args):
+        continued.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(coupler, "_continued_ground", counted)
+    # eg then derivs on one grid: one continuation, 200 continued points
+    energies = eg_exact(p, CLI_GRID, n_basis=60, n_levels=1)
+    d1, d2 = eg_derivs_numeric(p, CLI_GRID, n_basis=60)
+    assert len(continued) == len(CLI_GRID) - 1
+    monkeypatch.undo()
+    key = (p.beta_c, p.zeta_c, 60, 2, CLI_GRID.tobytes())
+    hit = coupler._ground_track(*key)
+    fresh = coupler._ground_track.__wrapped__(*key)
+    assert np.array_equal(hit[0], fresh[0]) and np.array_equal(hit[1], fresh[1])
+    assert [level is None for level in hit[2]] == [level is None for level in fresh[2]]
+    assert np.array_equal(energies[:, 0], hit[0])
+    assert not hit[0].flags.writeable and not hit[1].flags.writeable
+    assert not any(level.flags.writeable for level in hit[2] if level is not None)
+    # callers get their own arrays
+    assert energies.flags.writeable and d1.flags.writeable and d2.flags.writeable
+    for k in range(coupler._TRACKS + 2):
+        eg_exact(p, BIAS_GRID[k:k + 5], n_levels=1)
+    assert coupler._ground_track.cache_info().currsize == coupler._TRACKS
+    # a scalar bias is solved each call, never memoized
+    eg_exact(p, 0.3)
+    assert coupler._ground_track.cache_info().currsize == coupler._TRACKS
 
 
 # ----------------------------------------------------------- truncation
@@ -781,6 +896,13 @@ def test_bodc_smallness_sides():
     assert m.smallness_rhs == pytest.approx(4 * 0.0025 * 0.0625, rel=1e-12)
     assert m.smallness_lhs < m.smallness_rhs
     assert isinstance(m, BodcMetrics)
+
+
+def test_bodc_takes_one_bias():
+    # the correction is defined at one bias; an array is an input error
+    # that names its shape
+    with pytest.raises(ConfigurationError, match=r"one bias, got shape \(2,\)"):
+        bodc_metrics(CouplerParams(beta_c=0.75, zeta_c=0.05), np.array([0.1, 0.2]))
 
 
 # ----------------------------------------------------------- validation

@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --first-seed 4301 \
-        --out BENCH_example.json --note claim="none: no gain is claimed"
+        --out BENCH_example.json --claim cli_pipeline/wall_s
 
 PARENT and CHANGE are checkouts of two commits (a ``git archive`` export of
 each works).  For every workload, pair k runs
@@ -24,6 +24,10 @@ by the metric's bound and better direction: ``unresolved``, whether
 either side's interquartile range is wider than the bound times its
 median, and ``worse_than_bound``, whether the change's median is worse
 than the parent's by more than the bound times the parent's median.
+A metric claimed to improve (``--claim WORKLOAD/METRIC``, repeatable) is
+also flagged ``improved`` when its bootstrap interval lies wholly on the
+better side of 1: its upper end below 1 where lower is better.  The
+claims are recorded in the JSON.
 The run length T, the workloads and the end-to-end metrics are those that
 BENCHMARK.json at the root of this repository declares.
 """
@@ -98,11 +102,17 @@ def bootstrap_interval(ratios) -> list:
     return [round(cuts[0], 4), round(cuts[-1], 4)]
 
 
-def summarize(runs) -> dict:
+def improved(interval, better: str) -> bool:
+    """Whether an interval of change / parent ratios lies wholly on the better side of 1."""
+    return interval[1] < 1.0 if better == "lower" else interval[0] > 1.0
+
+
+def summarize(runs, claims=()) -> dict:
     """Per workload (in run order) and metric, the paired statistics.
 
     A pair counts when both of its runs gave a result; runs without one
-    count as failed runs, as do runs whose result is not correct.
+    count as failed runs, as do runs whose result is not correct.  Each
+    (workload, metric) in claims also gets its ``improved`` flag.
     """
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -137,6 +147,9 @@ def summarize(runs) -> dict:
                 "unresolved": p_q3 - p_q1 > bound * p_med or c_q3 - c_q1 > bound * c_med,
                 "worse_than_bound": worse > bound * p_med,
             }
+            if (workload, metric) in claims:
+                entry[metric]["improved"] = improved(entry[metric]["median_paired_ratio_ci95"],
+                                                     spec["better"])
         for side in SIDES:
             results = [run["result"] for run in mine if run["side"] == side]
             entry.setdefault("failed_operations", {})[side] = sum(
@@ -156,9 +169,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT",
                         help="a text field to add to the output; repeatable")
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD/METRIC",
+                        help="a metric the change claims to improve; repeatable")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    claims = [tuple(claim.split("/", 1)) for claim in args.claim]
+    for claim in claims:
+        if len(claim) != 2 or claim[0] not in WORKLOADS or claim[1] not in METRICS:
+            parser.error(f"--claim takes WORKLOAD/METRIC from {', '.join(WORKLOADS)}"
+                         f" and {', '.join(METRICS)}, got {'/'.join(claim)}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs, machine = [], None
     for workload, seed, side in schedule(WORKLOADS, args.pairs, args.first_seed):
@@ -170,6 +190,7 @@ def main(argv=None) -> int:
     last = args.first_seed + args.pairs - 1
     report = dict(note.split("=", 1) for note in args.note)
     report.update({
+        "claims": ["/".join(claim) for claim in claims],
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS:g}"
                    " --trace 0, in each checkout",
         "pairs": f"{args.pairs} alternating pairs per workload on seeds {args.first_seed}-{last}"
@@ -180,7 +201,7 @@ def main(argv=None) -> int:
                          **{side: source_lines(path) for side, path in checkouts.items()},
                          "per_module": {side: module_lines(path)
                                         for side, path in checkouts.items()}},
-        f"summary_{args.pairs}_pairs": summarize(runs),
+        f"summary_{args.pairs}_pairs": summarize(runs, claims),
         "runs": runs,
     })
     args.out.write_text(json.dumps(report, indent=1) + "\n")
