@@ -36,10 +36,11 @@ which takes its dense route: each qubit's four lowest levels
 (qubit_subspace, since its double-well doublets, split down to about
 2e-10, need both vectors), and the coupler's n_levels at a scalar bias,
 or its two lowest at the first point of a grid of biases and wherever
-the continuation along it fails (coupler._ground_states).  The
+the continuation along it fails (coupler._ground_track).  The
 continuation works on the dense K + diag(V), bitwise to_dense(): it takes
 Rayleigh-quotient steps, about one per bias, from the extrapolated
-previous ground vectors with a Cholesky certificate, and E_g'' is one
+previous ground vectors, certified by Weyl's inequality from the last
+anchor or else by a Cholesky factorization, and E_g'' is one
 further solve, not a sum over every level: at 60 states on one BLAS
 thread (x86-64, a shared host) an eigh took 470 to 520 us, one
 np.linalg.solve about 62 us and one np.linalg.cholesky about 55 us.

@@ -529,8 +529,9 @@ def test_scalar_call_is_one_junction_eigh(phi):
 
 
 def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch, fresh_tracks):
-    # a continuation step forced onto level 1 converges there, the Cholesky
-    # certificate rejects it, and the point is solved from scratch: bitwise
+    # a continuation step forced onto level 1 converges there, the
+    # certificate (Weyl's test, then both Cholesky tests) rejects it, and
+    # the point is solved from scratch: bitwise
     # its scalar call, with the grid going on from there
     p = CouplerParams(beta_c=0.75, zeta_c=0.05)
     real = coupler._continued_ground
