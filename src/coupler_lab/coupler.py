@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError, _whole
 from .kapteyn import (_NU_MAX, FourierSeries, _check_series_args, _g_table, _kapteyn_convolution,
                       cos_beta, g_coeff, kepler_solve)
-from .oscillator import TensorOperator, _junction_mode, _residual_bound, lowest_eigs
+from .oscillator import TensorOperator, _JunctionGrid, _residual_bound, lowest_eigs
 
 __all__ = [
     "BodcMetrics",
@@ -330,32 +330,40 @@ def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float,
     residuals run to about eps ||H||_F.
 
     The residual r, at most min(dense gate, _GAP_TOL), puts an eigenvalue
-    of H within r of theta.  The pair is certified when the second
-    eigenvalue lambda_1 of H lies above theta + r + _GAP_TOL: that
-    eigenvalue is then the ground level, isolated by more than _GAP_TOL.
-    Three tests prove it, the cheapest first:
+    of H within r of theta, so a proof that the second eigenvalue
+    lambda_1 of H lies above theta + _GAP_TOL makes that eigenvalue the
+    ground level, isolated by more than _GAP_TOL less r (r is about
+    1e-14 at 60 states).  Write m = r + _GAP_TOL + c eps ||H||_F, c =
+    _DENSE_RESIDUAL_C = 64 (the dense gate's rounding allowance).  Three
+    tests prove the gap, the cheapest first; the first two run only when
+    zeta = shift / 2 exceeds m, and they prove lambda_1 above theta + m:
 
       * Weyl's inequality.  anchor is [diagonal, bound] of the last point
         of the track whose lambda_1 was proven above bound with a margin
-        (_ground_track), updated in place.  H differs from the anchor's matrix only on its
-        diagonal, so lambda_1 lies above bound - max |diag H - diagonal|,
-        and no factorization is needed when
-        theta + r + _GAP_TOL + c eps ||H||_F stays below that, c =
-        _DENSE_RESIDUAL_C = 64 (the dense gate's rounding allowance).
-        Measured against eigvalsh over 20,806 such points (beta_c
-        0.1..0.99, zeta_c 0.01..0.5; 61, 201 and 401 biases at 50, 60
-        and 80 states): the carried bound never exceeded lambda_1 (it
-        came within 0.23 eps ||H||_F, at phi_x = 2 pi, whose diagonal is
-        that of its from-scratch anchor at 0), and theta + r lay at least
-        3.6e8 eps ||H||_F below it, so c costs no certified point;
+        (_ground_track), updated in place.  H differs from the anchor's
+        matrix only on its diagonal, so lambda_1 lies above
+        bound - max |diag H - diagonal|, and no factorization is needed
+        when theta + m stays below that.  Measured against eigvalsh over
+        20,806 such points (beta_c 0.1..0.99, zeta_c 0.01..0.5; 61, 201
+        and 401 biases at 50, 60 and 80 states): the carried bound never
+        exceeded lambda_1 (it came within 0.23 eps ||H||_F, at
+        phi_x = 2 pi, whose diagonal is that of its from-scratch anchor
+        at 0), and theta + r lay at least 3.6e8 eps ||H||_F below it, so
+        c costs no certified point;
       * a Cholesky factorization of H - (theta + shift / 2) + shift g g^T,
         shift = 2 zeta (the harmonic spacing).  A positive definite matrix
-        puts lambda_1 above theta + shift / 2 (a rank-one update moves each
-        eigenvalue at most up to the next), and this point becomes the
-        anchor, with that bound (a margin of zeta; over 2,134 anchors of
-        the same grids lambda_1 lay at least 7e-5 above it);
+        puts lambda_1 above theta + shift / 2 > theta + m (a rank-one
+        update moves each eigenvalue at most up to the next), and this
+        point becomes the anchor, with that bound (a margin of zeta; over
+        2,134 anchors of the same grids lambda_1 lay at least 7e-5 above
+        it);
       * a Cholesky factorization of H - (theta + _GAP_TOL) + shift g g^T,
-        which proves the gap but gives no margin, so the anchor stays.
+        the test every continued point took before the other two: it
+        puts lambda_1 above theta + _GAP_TOL and gives no margin, so the
+        anchor stays.  Below zeta = m it is the only test, so a grid of
+        so small a zeta is continued as it was before the other two (the
+        test fails once shift <= _GAP_TOL, and the point is solved from
+        scratch, where a gap under _GAP_TOL is reported).
 
     None when the floor is not reached or no test certifies the pair.
     """
@@ -375,15 +383,18 @@ def _continued_ground(h: np.ndarray, h_norm: float, g: np.ndarray, shift: float,
         gate = _residual_bound(0.0, h_norm)
         if not resid <= min(gate, _GAP_TOL):
             return None
-        diagonal = h.diagonal()
-        if theta + resid + _GAP_TOL + gate < anchor[1] - np.max(np.abs(diagonal - anchor[0])):
-            return theta, g
-        try:
-            np.linalg.cholesky(_shifted(h, theta + 0.5 * shift, g, shift))
-        except np.linalg.LinAlgError:
-            np.linalg.cholesky(_shifted(h, theta + _GAP_TOL, g, shift))
-        else:
-            anchor[:] = diagonal, theta + 0.5 * shift
+        if resid + _GAP_TOL + gate < 0.5 * shift:
+            diagonal = h.diagonal()
+            if theta + resid + _GAP_TOL + gate < anchor[1] - np.max(np.abs(diagonal - anchor[0])):
+                return theta, g
+            try:
+                np.linalg.cholesky(_shifted(h, theta + 0.5 * shift, g, shift))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                anchor[:] = diagonal, theta + 0.5 * shift
+                return theta, g
+        np.linalg.cholesky(_shifted(h, theta + _GAP_TOL, g, shift))
     except np.linalg.LinAlgError:
         return None
     return theta, g
@@ -406,28 +417,6 @@ def _predicted(history, phi: float) -> np.ndarray:
     return g / math.sqrt(g @ g)
 
 
-class _Junction:
-    """The coupler's junction mode on its n_basis grid, at any bias.
-
-    The bias-free parts are made once: the kinetic factor K, the flux
-    nodes and e^{i flux}.  potential(phi) and matrix(potential) are then
-    bitwise _junction_mode's V and K + diag(V) at that bias.
-    """
-
-    def __init__(self, beta_c: float, zeta_c: float, n_basis: int):
-        self.kinetic, _, self.flux = _junction_mode(zeta_c, beta_c, 0.0, n_basis)
-        self._amplitude = 0.5 * beta_c
-        self._nodes = np.exp(1j * self.flux)
-
-    def potential(self, phi: float) -> np.ndarray:
-        return 2.0 * (self._amplitude * np.exp(1j * phi) * self._nodes).real
-
-    def matrix(self, potential: np.ndarray) -> np.ndarray:
-        h = self.kinetic.copy()
-        h.ravel()[::len(h) + 1] += potential
-        return h
-
-
 def _ground_states(params: CouplerParams, phis: np.ndarray, n_basis: int, n_levels: int = 2):
     """(E_g, ground vectors, levels) along the biases phis, a scalar or 1-D array.
 
@@ -447,9 +436,10 @@ def _ground_track(beta_c: float, zeta_c: float, n_basis: int, n_levels: int, bia
 
     Returns (E_g, vectors, levels): E_g and the ground vectors by row, and
     per bias the lowest n_levels of its from-scratch solve, or None where
-    it was continued; all read-only.  H = K + diag(V) (_Junction) is
-    bitwise TensorOperator([K], V).to_dense() at a fifth of the operator's
-    cost.  The first bias, and any whose continuation fails, is solved
+    it was continued; all read-only.  H = K + diag(V), from the grid's
+    parts made once (oscillator._JunctionGrid), is bitwise
+    TensorOperator([K], V).to_dense() at a fifth of the operator's cost.
+    The first bias, and any whose continuation fails, is solved
     from scratch: oscillator.lowest_eigs on the one-axis operator gives
     its lowest n_levels (at least 2, the ground level and the gap) and
     the ground vector, every returned pair's residual checked; lambda_1
@@ -467,7 +457,7 @@ def _ground_track(beta_c: float, zeta_c: float, n_basis: int, n_levels: int, bia
     n_basis, n_levels, the biases' bytes); a 201-point track at 60 states
     holds about 100 kB.
     """
-    junction = _Junction(beta_c, zeta_c, n_basis)
+    junction = _JunctionGrid(zeta_c, beta_c, n_basis)
     phis = np.frombuffer(biases)
     energies = np.empty(len(phis))
     vectors = np.empty((len(phis), n_basis))
@@ -524,7 +514,7 @@ def _perturbative(params: CouplerParams, phis: np.ndarray, n_basis: int,
     ill-conditioned.  phis is a scalar or 1-D array; the rows are (N, 4).
     """
     energies, vectors, levels = _ground_states(params, phis, n_basis)
-    junction = _Junction(params.beta_c, params.zeta_c, vectors.shape[1])
+    junction = _JunctionGrid(params.zeta_c, params.beta_c, vectors.shape[1])
     shift = 2.0 * params.zeta_c
     rows = []
     for phi, energy, g, level in zip(np.atleast_1d(phis), energies, vectors, levels):

@@ -539,18 +539,40 @@ def assemble_tensor_operator(system: NormalModeSystem) -> TensorOperator:
     return TensorOperator(kinetic, potential)
 
 
+class _JunctionGrid:
+    """One junction oscillator on its grid, at any bias phase.
+
+    The phase-free parts are made once: the kinetic factor K, the ladder
+    2 zeta e_l (k + 1/2); the flux nodes sqrt(zeta) x; and e^{i flux}.
+    potential(phase) is the junction pair with half amplitude
+    (beta e_l / 2) e^{i phase}, 2 Re(c e^{i flux}) as _cosine forms it,
+    and matrix(V) is the dense K + diag(V).
+    """
+
+    def __init__(self, zeta: float, beta: float, dim: int, e_l: float = 1.0):
+        self.flux = math.sqrt(zeta) * _grid(dim)[0]
+        self.kinetic = _kinetic(2.0 * zeta * e_l, dim)
+        self._half = 0.5 * beta * e_l
+        self._nodes = np.exp(1j * self.flux)
+
+    def potential(self, phase: float) -> np.ndarray:
+        return 2.0 * (self._half * np.exp(1j * phase) * self._nodes).real
+
+    def matrix(self, potential: np.ndarray) -> np.ndarray:
+        h = self.kinetic.copy()
+        h.ravel()[::len(h) + 1] += potential
+        return h
+
+
 def _junction_mode(zeta: float, beta: float, phase: float, dim: int, e_l: float = 1.0):
     """One biased junction oscillator on its grid: (K, V, flux nodes).
 
-    K is the ladder 2 zeta e_l (k + 1/2) and V the junction pair with
-    half amplitude (beta e_l / 2) e^{i phase}, at the flux nodes
-    sqrt(zeta) x: the single-mode problem shared by the coupler and each
-    qubit, whose dense matrix is K + diag(V), and each qubit's part of
-    the reduced problems.
+    The single-mode problem shared by the coupler and each qubit, whose
+    dense matrix is K + diag(V), and each qubit's part of the reduced
+    problems (see _JunctionGrid).
     """
-    flux = math.sqrt(zeta) * _grid(dim)[0]
-    c = 0.5 * beta * e_l * np.exp(1j * phase)
-    return _kinetic(2.0 * zeta * e_l, dim), _cosine(c, flux), flux
+    mode = _JunctionGrid(zeta, beta, dim, e_l)
+    return mode.kinetic, mode.potential(phase), mode.flux
 
 
 @dataclass

@@ -98,22 +98,41 @@ def test_worse_follows_the_better_direction(monkeypatch):
     assert (falls["worse_than_bound"], rises["worse_than_bound"]) == (True, False)
 
 
-@pytest.mark.parametrize("change, improved", [
-    ([0.6, 0.62, 0.58, 0.61, 0.6, 0.59], True),
+PARENT_WALL = [1.0, 0.95, 1.05, 1.0, 0.98, 1.02, 1.0, 0.97, 1.03, 1.0]
+
+
+@pytest.mark.parametrize("parent, change, improved", [
+    (PARENT_WALL, [0.6 * p for p in PARENT_WALL], True),
+    # one pair in ten not lower still shows the gain
+    (PARENT_WALL, [0.6 * p for p in PARENT_WALL[:9]] + [1.1], True),
+    # two in ten not lower: too few pairs, though the interval lies below 1
+    (PARENT_WALL, [0.6 * p for p in PARENT_WALL[:8]] + [1.1, 1.1], False),
+    # every pair lower, interval below 1, but the medians differ by less
+    # than the parent's interquartile range (0.625 .. 1.375)
+    ([0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5],
+     [0.4, 0.4, 0.4, 0.8, 0.8, 0.8, 0.8, 1.2, 1.2, 1.2], False),
     # most pairs lower, but the interval reaches past 1
-    ([0.6, 0.62, 0.58, 1.3, 1.2, 1.25], False),
+    ([1.0] * 6, [0.6, 0.62, 0.58, 1.3, 1.2, 1.25], False),
 ])
-def test_claimed_metric_is_flagged_improved(change, improved):
-    # only a claimed metric gets the flag, set when the interval of the
-    # median paired ratio lies wholly below 1 (lower is better)
-    entry = bench_pairs.summarize(paired_runs([1.0] * 6, change), {("w", "wall_s")})["w"]
+def test_claimed_metric_is_flagged_improved(parent, change, improved):
+    # only a claimed metric gets the flag, set when the change is lower in
+    # 9 of 10 pairs, its median falls by more than the parent's
+    # interquartile range and the interval of the median paired ratio lies
+    # wholly below 1 (lower is better)
+    entry = bench_pairs.summarize(paired_runs(parent, change), {("w", "wall_s")})["w"]
     assert entry["wall_s"]["improved"] is improved
-    assert (entry["wall_s"]["median_paired_ratio_ci95"][1] < 1.0) is improved
     assert "improved" not in entry["setup_s"] and "improved" not in entry["peak_rss_mb"]
-    assert "improved" not in bench_pairs.summarize(paired_runs([1.0] * 6, change))["w"]["wall_s"]
-    # where higher is better, the interval must lie wholly above 1
-    assert bench_pairs.improved([1.02, 1.3], "higher") and not bench_pairs.improved([0.9, 1.3],
-                                                                                     "higher")
+    assert "improved" not in bench_pairs.summarize(paired_runs(parent, change))["w"]["wall_s"]
+
+
+def test_improved_follows_the_better_direction():
+    # where higher is better, the change must be higher and the interval
+    # lie wholly above 1
+    parent, change = PARENT_WALL, [1.6 * p for p in PARENT_WALL]
+    assert bench_pairs.improved(parent, change, [1.55, 1.65], "higher")
+    assert not bench_pairs.improved(parent, change, [0.9, 1.65], "higher")
+    assert not bench_pairs.improved(parent, change, [1.55, 1.65], "lower")
+    assert not bench_pairs.improved(change, parent, [1.55, 1.65], "higher")
 
 
 def test_claim_must_name_a_workload_and_metric(tmp_path):

@@ -455,16 +455,6 @@ def level_sums(params, phi_x, n_basis=50):
             np.sum(xg[1:] ** 2 / gaps**2))
 
 
-@pytest.fixture
-def fresh_tracks():
-    # the memoized tracks are cleared before and after a test that counts
-    # solves or patches the continuation, so it traces its own grids and
-    # leaves no patched track behind
-    coupler._ground_track.cache_clear()
-    yield
-    coupler._ground_track.cache_clear()
-
-
 def column_errors(got, want, absolute):
     """Largest |got - want| per column, over the column's largest |want|
     unless absolute."""
@@ -528,7 +518,7 @@ def test_scalar_call_is_one_junction_eigh(phi):
     assert np.array_equal(got, np.linalg.eigh(kinetic + np.diag(potential))[0][:5])
 
 
-def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch, fresh_tracks):
+def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch):
     # a continuation step forced onto level 1 converges there, the
     # certificate (Weyl's test, then both Cholesky tests) rejects it, and
     # the point is solved from scratch: bitwise
@@ -555,7 +545,7 @@ def test_wrong_level_fails_the_certificate_and_restarts(monkeypatch, fresh_track
     assert (d1[1], d2[1]) == eg_derivs_numeric(p, BIAS_GRID[1])
 
 
-def test_certificate_holds_on_every_continued_point(monkeypatch, fresh_tracks):
+def test_certificate_holds_on_every_continued_point(monkeypatch):
     # every accepted pair has its residual within the dense gate, and H
     # minus its level, deflated along its vector, is positive definite
     # past the gap threshold
@@ -611,7 +601,7 @@ def test_predictor_extrapolates_a_quadratic_exactly():
 
 
 @pytest.mark.parametrize("derivs, limit", [(False, 2.2), (True, 3.2)])
-def test_continued_points_cost_about_one_solve(monkeypatch, fresh_tracks, derivs, limit):
+def test_continued_points_cost_about_one_solve(monkeypatch, derivs, limit):
     # along 201 biases over [0, pi] at 60 states each continued point takes
     # a solve or two to the rounding floor; E_g'' adds one per point
     solves = []
@@ -647,7 +637,7 @@ def traced(p, grid, n_basis):
 
 @pytest.mark.parametrize("zeta", (0.01, 0.05, 0.25, 0.5))
 @pytest.mark.parametrize("beta", (0.1, 0.5, 0.75, 0.95, 0.99))
-def test_weyl_certificate_changes_no_output(monkeypatch, fresh_tracks, beta, zeta):
+def test_weyl_certificate_changes_no_output(monkeypatch, beta, zeta):
     # with the Weyl test forced off (a fresh anchor at every point, so each
     # continued point is certified by a Cholesky factorization, as before
     # the Weyl test), the same biases are solved from scratch and every
@@ -664,7 +654,7 @@ def test_weyl_certificate_changes_no_output(monkeypatch, fresh_tracks, beta, zet
         assert np.array_equal(d_weyl, d_chol)
 
 
-def test_weyl_margin_runs_out_into_the_cholesky_tests(monkeypatch, fresh_tracks):
+def test_weyl_margin_runs_out_into_the_cholesky_tests(monkeypatch):
     # at beta 0.95, zeta 0.02 the diagonal moves by about beta dphi per
     # step, so an anchor's margin lasts a few points: then a Cholesky
     # factorization proves a new margin, or, where the gap is under zeta,
@@ -703,7 +693,39 @@ def test_weyl_margin_runs_out_into_the_cholesky_tests(monkeypatch, fresh_tracks)
         assert levels[1] - levels[0] > coupler._GAP_TOL
 
 
-def test_tracks_are_memoized_read_only_and_bounded(monkeypatch, fresh_tracks):
+@pytest.mark.parametrize("zeta", (1e-11, 5e-11))
+def test_tiny_zeta_takes_only_the_unmargined_test(monkeypatch, zeta):
+    # below zeta = r + _GAP_TOL + 64 eps ||H||_F neither Weyl's test nor the
+    # margin factorization runs: each continued point makes at most the one
+    # unmargined factorization, the grid is bitwise the per-point path's,
+    # and E_g'' reports a gap under _GAP_TOL
+    p = CouplerParams(beta_c=0.75, zeta_c=zeta)
+    real_ground, real_cholesky = coupler._continued_ground, np.linalg.cholesky
+    factored = []
+
+    def ground(h, h_norm, g, shift, anchor):
+        factored.append(0)
+        return real_ground(h, h_norm, g, shift, anchor)
+
+    def cholesky(a):
+        factored[-1] += 1
+        return real_cholesky(a)
+
+    monkeypatch.setattr(coupler, "_continued_ground", ground)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    energies, _, levels = coupler._ground_states(p, CLI_GRID, 60)
+    assert len(factored) == len(CLI_GRID) - 1 and max(factored) == 1
+    monkeypatch.setattr(coupler, "_continued_ground", lambda h, h_norm, g, shift, anchor:
+                        real_ground(h, h_norm, g, shift, [0.0, -math.inf]))
+    per_point = coupler._ground_track.__wrapped__(p.beta_c, p.zeta_c, 60, 2, CLI_GRID.tobytes())
+    monkeypatch.undo()
+    assert np.array_equal(energies, per_point[0])
+    assert [level is None for level in levels] == [level is None for level in per_point[2]]
+    with pytest.raises(NumericError, match="nearly degenerate"):
+        eg_derivs_numeric(p, CLI_GRID, n_basis=60)
+
+
+def test_tracks_are_memoized_read_only_and_bounded(monkeypatch):
     p = CouplerParams(beta_c=0.75, zeta_c=0.05)
     real = coupler._continued_ground
     continued = []

@@ -29,7 +29,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 import coupler_lab
-from coupler_lab import coupler, oscillator
+from coupler_lab import oscillator
 from coupler_lab.bench import CouplerSystem, SweepSpec, bo_spectrum, exact_spectrum, sweep
 from coupler_lab.coupler import (CouplerParams, _series_parts, b_coeffs, bodc_metrics,
                                  eg_derivs_numeric, eg_eval, eg_exact)
@@ -1502,7 +1502,6 @@ class TestSectorSolve:
         grid = np.linspace(0.0, 1.0, 4)
         for dim in (16, 30, 40):
             oscillator._grid(dim)  # cached before eigh is broken
-        coupler._ground_track.cache_clear()  # so the grid routes solve
         solves = {
             "eg_exact": lambda: eg_exact(params, 0.0, n_basis=30, n_levels=3),
             "eg_exact grid": lambda: eg_exact(params, grid, n_basis=30, n_levels=1),

@@ -25,9 +25,11 @@ either side's interquartile range is wider than the bound times its
 median, and ``worse_than_bound``, whether the change's median is worse
 than the parent's by more than the bound times the parent's median.
 A metric claimed to improve (``--claim WORKLOAD/METRIC``, repeatable) is
-also flagged ``improved`` when its bootstrap interval lies wholly on the
-better side of 1: its upper end below 1 where lower is better.  The
-claims are recorded in the JSON.
+also flagged ``improved`` when the gain is shown by all three rules: the
+change is better in at least 9 of every 10 pairs, its median is better
+than the parent's by more than the parent's interquartile range, and the
+bootstrap interval lies wholly on the better side of 1 (its upper end
+below 1 where lower is better).  The claims are recorded in the JSON.
 The run length T, the workloads and the end-to-end metrics are those that
 BENCHMARK.json at the root of this repository declares.
 """
@@ -47,6 +49,8 @@ METRICS = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 SIDES = ("parent", "change")
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 20161
+# a claimed gain needs the change better in at least this share of pairs
+CLAIM_PAIR_SHARE = 0.9
 
 
 def schedule(workloads, pairs: int, first_seed: int):
@@ -102,9 +106,17 @@ def bootstrap_interval(ratios) -> list:
     return [round(cuts[0], 4), round(cuts[-1], 4)]
 
 
-def improved(interval, better: str) -> bool:
-    """Whether an interval of change / parent ratios lies wholly on the better side of 1."""
-    return interval[1] < 1.0 if better == "lower" else interval[0] > 1.0
+def improved(parent, change, interval, better: str) -> bool:
+    """Whether paired values show a claimed gain: the change better in at
+    least CLAIM_PAIR_SHARE of the pairs, its median better than the
+    parent's by more than the parent's interquartile range, and the
+    interval of change / parent ratios wholly on the better side of 1."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    p_med, p_q1, p_q3 = _stats(parent)
+    gain = sign * (p_med - statistics.median(change))
+    beyond = interval[1] < 1.0 if better == "lower" else interval[0] > 1.0
+    return wins >= CLAIM_PAIR_SHARE * len(parent) and gain > p_q3 - p_q1 and beyond
 
 
 def summarize(runs, claims=()) -> dict:
@@ -148,8 +160,8 @@ def summarize(runs, claims=()) -> dict:
                 "worse_than_bound": worse > bound * p_med,
             }
             if (workload, metric) in claims:
-                entry[metric]["improved"] = improved(entry[metric]["median_paired_ratio_ci95"],
-                                                     spec["better"])
+                entry[metric]["improved"] = improved(
+                    parent, change, entry[metric]["median_paired_ratio_ci95"], spec["better"])
         for side in SIDES:
             results = [run["result"] for run in mine if run["side"] == side]
             entry.setdefault("failed_operations", {})[side] = sum(
