@@ -35,8 +35,9 @@ point to point (_ground_track): Rayleigh-quotient steps from an
 extrapolated vector, each accepted point proven to be the ground level,
 isolated by more than _GAP_TOL.  H changes only on its diagonal from
 bias to bias, so Weyl's inequality carries a lower bound on its second
-eigenvalue from an anchor point to the next points, and a Cholesky
-factorization runs only where that margin runs out (_continued_ground).
+eigenvalue from an anchor point to the next points, and, for zeta_c
+above about _GAP_TOL, a Cholesky factorization runs only where that
+margin runs out (_continued_ground).
 The finished track is memoized per (beta_c, zeta_c, n_basis, n_levels,
 biases), read-only, so eg_exact and eg_derivs_numeric on one grid
 trace it once.
